@@ -11,6 +11,7 @@ __version__ = "0.1.0"
 
 from .dynamics import (
     ComponentSeries,
+    Ensemble,
     SamplingSchedule,
     TrajectoryRecord,
     VectorField,
@@ -70,6 +71,7 @@ __all__ = [
     "__version__",
     # dynamics
     "ComponentSeries",
+    "Ensemble",
     "SamplingSchedule",
     "TrajectoryRecord",
     "VectorField",

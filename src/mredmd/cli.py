@@ -64,11 +64,11 @@ def _run_simulate(args):
     cfg = _load_config(args)
     schedules = experiments.derive_schedules(cfg)
     fld = experiments.system_field(cfg.system)
-    records = sample_ensemble(
+    ensemble = sample_ensemble(
         fld, schedules, cfg.K, init_box=cfg.init_box, seed=cfg.seed
     )
-    export_ensemble(records, cfg.output_dir)
-    print(f"{len(records)} trajectories written to {cfg.output_dir}")
+    export_ensemble(ensemble, cfg.output_dir)
+    print(f"{len(ensemble)} trajectories written to {cfg.output_dir}")
     return 0
 
 

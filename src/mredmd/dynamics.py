@@ -169,22 +169,10 @@ class ComponentSeries:
     times: np.ndarray
     values: np.ndarray
 
-    def __post_init__(self):
-        self.times = np.asarray(self.times, dtype=float)
-        self.values = np.asarray(self.values, dtype=float)
-        if self.times.shape != self.values.shape or self.times.ndim != 1:
-            raise DataError("times and values must be 1-D arrays of equal length")
-        if self.times.size > 1 and not np.all(np.diff(self.times) > 0):
-            raise DataError("sample times must be strictly increasing")
-
 
 @dataclass
 class TrajectoryRecord:
-    """One trajectory: sampled series per component plus optional dense truth.
-
-    The dense grid exists for evaluation and baselines only; the estimation
-    pipeline consumes nothing but the sampled series.
-    """
+    """One trajectory of an :class:`Ensemble`, read from its array rows."""
 
     index: int
     x0: Optional[np.ndarray]
@@ -192,16 +180,74 @@ class TrajectoryRecord:
     dense_times: Optional[np.ndarray] = None
     dense_states: Optional[np.ndarray] = None
 
-    def dense_value_at(self, t, tol=TIME_MATCH_TOL):
-        """Dense state at time t (exact grid match required)."""
+
+@dataclass(eq=False)
+class Ensemble:
+    """K trajectories, each component sampled on one time vector they share.
+
+    ``times[i]`` holds the sample instants of component i, shape (M_i + 1,),
+    and ``values[i]`` the samples, shape (K, M_i + 1), row k belonging to
+    trajectory ``indices[k]``. Initial conditions ``x0`` (K, n) and the dense
+    ground-truth grid ``dense_states`` (S, K, n) on ``dense_times`` (S,) are
+    optional: imported ensembles carry neither. The dense grid exists for
+    evaluation and baselines only; the estimation pipeline consumes nothing
+    but the sampled values.
+
+    The arrays are validated once, on construction.
+    """
+
+    times: dict
+    values: dict
+    indices: np.ndarray
+    x0: Optional[np.ndarray] = None
+    dense_times: Optional[np.ndarray] = None
+    dense_states: Optional[np.ndarray] = None
+
+    def __post_init__(self):
+        self.indices = np.asarray(self.indices, dtype=int)
+        n_traj = self.indices.size
+        if self.indices.ndim != 1 or n_traj == 0:
+            raise DataError("an ensemble needs a nonempty 1-D array of trajectory indices")
+        if set(self.times) != set(self.values):
+            raise DataError("times and values must cover the same components")
+        for comp in self.times:
+            times = self.times[comp] = np.asarray(self.times[comp], dtype=float)
+            values = self.values[comp] = np.asarray(self.values[comp], dtype=float)
+            if times.ndim != 1 or values.shape != (n_traj, times.size):
+                raise DataError(
+                    f"component {comp}: times {times.shape} and values {values.shape} "
+                    f"do not form (M+1,) and ({n_traj}, M+1) arrays"
+                )
+            if not (np.all(np.isfinite(times)) and np.all(np.isfinite(values))):
+                raise DataError(f"component {comp}: non-finite sample times or values")
+            if np.any(np.diff(times) <= 0):
+                raise DataError(f"component {comp}: sample times must be strictly increasing")
+
+    def __len__(self):
+        return self.indices.size
+
+    def __getitem__(self, k):
+        """Trajectory k as a :class:`TrajectoryRecord` built from array rows."""
+        return TrajectoryRecord(
+            index=int(self.indices[k]),
+            x0=None if self.x0 is None else self.x0[k],
+            series={
+                comp: ComponentSeries(comp, self.times[comp], self.values[comp][k])
+                for comp in sorted(self.times)
+            },
+            dense_times=self.dense_times,
+            dense_states=None if self.dense_states is None else self.dense_states[:, k, :],
+        )
+
+    def dense_at(self, t):
+        """Dense ground-truth states at time t, shape (n, K); t must be a
+        grid instant to within ``TIME_MATCH_TOL``."""
         if self.dense_times is None:
-            raise DataError(f"trajectory {self.index} has no dense ground-truth grid")
+            raise DataError("ensemble has no dense ground-truth grid")
         idx = int(round(t / (self.dense_times[1] - self.dense_times[0])))
-        if idx < 0 or idx >= len(self.dense_times) or abs(self.dense_times[idx] - t) > tol:
-            raise DataError(
-                f"time {t:.6g} is not on the dense grid of trajectory {self.index}"
-            )
-        return self.dense_states[idx]
+        if not 0 <= idx < len(self.dense_times) or abs(self.dense_times[idx] - t) > TIME_MATCH_TOL:
+            raise DataError(f"time {t:.6g} is not on the dense grid")
+        return np.ascontiguousarray(self.dense_states[idx].T)
 
 
 def _as_fraction(t, what):
@@ -258,7 +304,6 @@ def sample_ensemble(
     seed=0,
     noise_std=0.0,
     extra_times=(),
-    keep_dense=True,
 ):
     """Integrate an ensemble and sample each component on its own schedule.
 
@@ -283,12 +328,10 @@ def sample_ensemble(
     extra_times : sequence of float
         Additional instants the dense grid must contain (e.g. reconstruction
         targets); they join the micro-step derivation.
-    keep_dense : bool
-        Store the dense ground-truth grid on each record.
 
     Returns
     -------
-    list of TrajectoryRecord
+    Ensemble
     """
     if n_traj < 1:
         raise ConfigurationError(f"n_traj must be >= 1, got {n_traj}")
@@ -313,7 +356,7 @@ def sample_ensemble(
     n_steps = int(math.ceil(_as_fraction(end, "end time") / h_frac))
 
     # Per-component dense-grid indices, exact by construction.
-    indices = {}
+    grid = {}
     for s in schedules:
         base = _as_fraction(s.dead_time, "dead_time") / h_frac
         stride = _as_fraction(s.period, "period") / h_frac
@@ -321,84 +364,120 @@ def sample_ensemble(
             raise ConfigurationError(
                 f"schedule for component {s.component} does not align with the micro-grid"
             )
-        indices[s.component] = int(base) + int(stride) * np.arange(s.count + 1)
+        grid[s.component] = int(base) + int(stride) * np.arange(s.count + 1)
 
     rngs = [_trajectory_rng(seed, k) for k in range(n_traj)]
-    x0s = np.stack([rng.uniform(box[:, 0], box[:, 1]) for rng in rngs])
+    # Scalar draws per axis: the same bits as one array draw, without its
+    # per-call argument checks.
+    x0s = np.array([[rng.uniform(lo, hi) for lo, hi in box.tolist()] for rng in rngs])
     dense = integrate(field, x0s, h, n_steps)  # (n_steps+1, K, n)
-    dense_times = np.arange(n_steps + 1) * h
 
-    records = []
-    for k in range(n_traj):
-        series = {}
-        for s in schedules:
-            values = dense[indices[s.component], k, s.component]
-            if noise_std > 0.0:
-                values = values + rngs[k].normal(0.0, noise_std, size=values.shape)
-            series[s.component] = ComponentSeries(
-                component=s.component,
-                times=s.instants(),
-                values=values,
-            )
-        records.append(
-            TrajectoryRecord(
-                index=k,
-                x0=x0s[k],
-                series=series,
-                dense_times=dense_times if keep_dense else None,
-                dense_states=dense[:, k, :] if keep_dense else None,
-            )
-        )
-    return records
+    values = {
+        s.component: np.ascontiguousarray(dense[grid[s.component], :, s.component].T)
+        for s in schedules
+    }
+    if noise_std > 0.0:
+        # Same draws in the same order as sampling trajectory by trajectory.
+        for k, rng in enumerate(rngs):
+            for s in schedules:
+                values[s.component][k] += rng.normal(0.0, noise_std, size=s.count + 1)
+    return Ensemble(
+        times={s.component: s.instants() for s in schedules},
+        values=values,
+        indices=np.arange(n_traj),
+        x0=x0s,
+        dense_times=np.arange(n_steps + 1) * h,
+        dense_states=dense,
+    )
 
 
-def export_ensemble(records, directory):
+def export_ensemble(ensemble, directory):
     """Write one CSV per trajectory with columns ``component,time,value``."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    for rec in records:
-        path = directory / f"trajectory_{rec.index:05d}.csv"
-        with open(path, "w", newline="") as fh:
+    for k, index in enumerate(ensemble.indices.tolist()):
+        with open(directory / f"trajectory_{index:05d}.csv", "w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["component", "time", "value"])
-            for comp in sorted(rec.series):
-                s = rec.series[comp]
-                for t, v in zip(s.times, s.values):
-                    writer.writerow([comp, repr(float(t)), repr(float(v))])
+            for comp in sorted(ensemble.times):
+                rows = zip(ensemble.times[comp].tolist(), ensemble.values[comp][k].tolist())
+                writer.writerows([comp, repr(t), repr(v)] for t, v in rows)
 
 
 def import_ensemble(directory):
     """Read an ensemble written by :func:`export_ensemble`.
 
-    Imported records carry sampled series only (no initial condition or
-    dense ground truth).
+    This is the validation boundary for outside data. Imported ensembles
+    carry sampled values only (no initial conditions or dense ground truth).
+
+    Raises
+    ------
+    DataError
+        Naming the file, and the line where there is one, for a bad header
+        or row, a non-finite value, sample times that are not strictly
+        increasing, a component missing from some files, or sample times
+        that differ between files by more than ``TIME_MATCH_TOL``.
     """
     directory = Path(directory)
-    paths = sorted(directory.glob("trajectory_*.csv"))
-    if not paths:
-        raise DataError(f"no trajectory CSV files found in {directory}")
-    records = []
-    for path in paths:
+    files = []
+    for path in sorted(directory.glob("trajectory_*.csv")):
         match = re.fullmatch(r"trajectory_(\d+)\.csv", path.name)
-        if match is None:
-            continue
-        index = int(match.group(1))
-        per_comp = {}
+        if match is not None:
+            files.append((int(match.group(1)), path))
+    if not files:
+        raise DataError(f"no trajectory CSV files found in {directory}")
+    first = files[0][1].name
+    times, values = {}, {}
+    for _, path in files:
+        series = _read_trajectory_csv(path)
+        if times and set(series) != set(times):
+            raise DataError(
+                f"{path}: components {sorted(series)} differ from {sorted(times)} in {first}"
+            )
+        for comp, (t, v) in series.items():
+            ref = times.setdefault(comp, t)
+            if t.shape != ref.shape or np.any(np.abs(t - ref) > TIME_MATCH_TOL):
+                raise DataError(
+                    f"{path}: component {comp} sample times differ from those in "
+                    f"{first} by more than {TIME_MATCH_TOL:g} s"
+                )
+            values.setdefault(comp, []).append(v)
+    return Ensemble(
+        times=times,
+        values={comp: np.stack(rows) for comp, rows in values.items()},
+        indices=[index for index, _ in files],
+    )
+
+
+def _read_trajectory_csv(path):
+    """{component: (times, values)} of one trajectory file."""
+    series = {}
+    try:
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header != ["component", "time", "value"]:
                 raise DataError(f"{path}: unexpected header {header!r}")
             for row in reader:
-                comp = int(row[0])
-                per_comp.setdefault(comp, []).append((float(row[1]), float(row[2])))
-        series = {
-            comp: ComponentSeries(
-                component=comp,
-                times=np.array([t for t, _ in rows]),
-                values=np.array([v for _, v in rows]),
-            )
-            for comp, rows in per_comp.items()
-        }
-        records.append(TrajectoryRecord(index=index, x0=None, series=series))
-    return records
+                where = f"{path}, line {reader.line_num}"
+                try:
+                    comp, t, v = row
+                    comp, t, v = int(comp), float(t), float(v)
+                except ValueError:
+                    raise DataError(
+                        f"{where}: expected 'component,time,value', got {row!r}"
+                    ) from None
+                if not (math.isfinite(t) and math.isfinite(v)):
+                    raise DataError(f"{where}: non-finite time or value")
+                times, vals = series.setdefault(comp, ([], []))
+                if times and t <= times[-1]:
+                    raise DataError(
+                        f"{where}: component {comp} time {t!r} does not follow {times[-1]!r}"
+                    )
+                times.append(t)
+                vals.append(v)
+    except (csv.Error, UnicodeDecodeError) as exc:
+        raise DataError(f"{path}: {exc}") from exc
+    if not series:
+        raise DataError(f"{path}: no samples")
+    return {comp: (np.array(t), np.array(v)) for comp, (t, v) in series.items()}

@@ -29,26 +29,30 @@ class DivergenceError(MredmdError, RuntimeError):
     """A trajectory or estimate became non-finite."""
 
 
-class NegativeRealAxisWarning(UserWarning):
+class MredmdWarning(UserWarning):
+    """Base class for all package-specific warnings."""
+
+
+class NegativeRealAxisWarning(MredmdWarning):
     """An eigenvalue lies on the closed negative real axis; the principal
     logarithm exists but is genuinely complex."""
 
 
-class ImaginaryResidualWarning(UserWarning):
+class ImaginaryResidualWarning(MredmdWarning):
     """A matrix expected to be real carries an imaginary part above tolerance."""
 
 
-class IllConditionedWarning(UserWarning):
+class IllConditionedWarning(MredmdWarning):
     """A data matrix is ill-conditioned; the least-squares fit may be unreliable."""
 
 
-class RankDeficiencyWarning(UserWarning):
+class RankDeficiencyWarning(MredmdWarning):
     """Fewer data columns than rows; the data matrix cannot be full row rank."""
 
 
-class ExtrapolationWarning(UserWarning):
+class ExtrapolationWarning(MredmdWarning):
     """An estimate is requested outside (or far beyond) the sampled window."""
 
 
-class DivergenceWarning(UserWarning):
+class DivergenceWarning(MredmdWarning):
     """A prediction rollout became non-finite and was truncated."""

@@ -13,7 +13,7 @@ import json
 import math
 import warnings
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Optional
 
@@ -21,7 +21,7 @@ import numpy as np
 
 from . import edmd, hankel
 from .dynamics import integrate, lorenz_field, sample_ensemble, SamplingSchedule
-from .errors import ConfigurationError, DataError, MredmdError
+from .errors import ConfigurationError, DataError, MredmdError, MredmdWarning
 from .linalg import cast_real, matrix_exp, spectrum_distance
 from .observables import monomial_dictionary
 
@@ -50,6 +50,11 @@ _CONFIG_FIELDS = {
     "output_dir",
 }
 
+#: Integer config fields and their smallest allowed value (None: no bound).
+_INT_FIELDS = {
+    "K": 1, "seed": None, "degree": 0, "horizon": 1, "eval_trajectories": 1, "state_dim": 1
+}
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -72,6 +77,17 @@ class ExperimentConfig:
     output_dir: Optional[str] = None
 
     def __post_init__(self):
+        for name, low in _INT_FIELDS.items():
+            value = getattr(self, name)
+            if value is None and name == "state_dim":
+                continue
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+            if low is not None and value < low:
+                raise ConfigurationError(f"{name} must be >= {low}, got {value}")
+        t_s = self.T_s
+        if isinstance(t_s, bool) or not isinstance(t_s, (int, float)) or not 0 < t_s < math.inf:
+            raise ConfigurationError(f"T_s must be a finite number > 0, got {t_s!r}")
         if self.system not in _SYSTEMS:
             raise ConfigurationError(
                 f"unknown system {self.system!r}; available: {sorted(_SYSTEMS)}"
@@ -80,13 +96,6 @@ class ExperimentConfig:
             raise ConfigurationError(
                 f"mode must be 'multirate' or 'single_state', got {self.mode!r}"
             )
-        if self.T_s <= 0:
-            raise ConfigurationError(f"T_s must be > 0, got {self.T_s}")
-        for name in ("K", "horizon", "eval_trajectories"):
-            if getattr(self, name) < 1:
-                raise ConfigurationError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.degree < 0:
-            raise ConfigurationError(f"degree must be >= 0, got {self.degree}")
         if self.prediction_mode not in ("relift", "rollout"):
             raise ConfigurationError(
                 f"prediction_mode must be 'relift' or 'rollout', got {self.prediction_mode!r}"
@@ -148,23 +157,7 @@ class ExperimentConfig:
         return cls.from_dict(data)
 
     def to_dict(self):
-        return {
-            "system": self.system,
-            "mode": self.mode,
-            "T_s": self.T_s,
-            "K": self.K,
-            "seed": self.seed,
-            "rates": list(self.rates) if self.rates is not None else None,
-            "state_dim": self.state_dim,
-            "M": list(self.M) if self.M is not None else None,
-            "init_box": [list(p) for p in self.init_box] if self.init_box is not None else None,
-            "degree": self.degree,
-            "include_constant": self.include_constant,
-            "horizon": self.horizon,
-            "eval_trajectories": self.eval_trajectories,
-            "prediction_mode": self.prediction_mode,
-            "output_dir": self.output_dir,
-        }
+        return asdict(self)
 
 
 def system_field(name):
@@ -203,28 +196,24 @@ def derive_schedules(cfg):
     n = cfg.dimension
     if cfg.mode == "multirate":
         m_lcm = lcm_of_rates(cfg.rates)
-        schedules = []
-        for i, p in enumerate(cfg.rates):
-            if cfg.M is not None:
-                count = cfg.M[i]
-            else:
-                count = max(m_lcm // p, math.ceil(2 / p))
-            schedules.append(
-                SamplingSchedule(component=i, dead_time=0.0, period=p * cfg.T_s, count=count)
-            )
-        return schedules
-    schedules = []
-    for i in range(n):
-        count = cfg.M[i] if cfg.M is not None else 2
-        schedules.append(
+        return [
             SamplingSchedule(
                 component=i,
-                dead_time=(i + 1) * cfg.T_s,
-                period=n * cfg.T_s,
-                count=count,
+                dead_time=0.0,
+                period=p * cfg.T_s,
+                count=cfg.M[i] if cfg.M is not None else max(m_lcm // p, math.ceil(2 / p)),
             )
+            for i, p in enumerate(cfg.rates)
+        ]
+    return [
+        SamplingSchedule(
+            component=i,
+            dead_time=(i + 1) * cfg.T_s,
+            period=n * cfg.T_s,
+            count=cfg.M[i] if cfg.M is not None else 2,
         )
-    return schedules
+        for i in range(n)
+    ]
 
 
 @dataclass
@@ -254,7 +243,8 @@ class ExperimentReport:
 
 @contextmanager
 def _stage(report, name):
-    """Collect warnings under a stage label; record pipeline errors."""
+    """Record package warnings under a stage label; record pipeline errors.
+    Other warnings pass through, so report bytes never hold their text."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
@@ -262,16 +252,19 @@ def _stage(report, name):
         except (MredmdError, np.linalg.LinAlgError) as exc:
             report.errors.append({"stage": name, "message": str(exc)})
     for w in caught:
-        report.warnings.append(
-            {"stage": name, "category": w.category.__name__, "message": str(w.message)}
-        )
+        if issubclass(w.category, MredmdWarning):
+            report.warnings.append(
+                {"stage": name, "category": w.category.__name__, "message": str(w.message)}
+            )
+        else:
+            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno, source=w.source)
 
 
-def _pairs_from_dense(records, t1, step):
+def _pairs_from_dense(ensemble, t1, step):
     """Ideal pairs (x(t1), x(t1 + step)) read off the dense ground truth."""
-    x = np.stack([rec.dense_value_at(t1) for rec in records], axis=1)
-    y = np.stack([rec.dense_value_at(t1 + step) for rec in records], axis=1)
-    return edmd.StatePairEnsemble(x=x, y=y, step=step)
+    return edmd.StatePairEnsemble(
+        x=ensemble.dense_at(t1), y=ensemble.dense_at(t1 + step), step=step
+    )
 
 
 def _lcm_step_model(raw, step):
@@ -363,126 +356,85 @@ def run_multirate(cfg):
     Stage failures are recorded in the report (with the stage name) rather
     than raised, so a partial report can still be written.
     """
-    if cfg.mode != "multirate":
-        raise ConfigurationError(f"config mode is {cfg.mode!r}, expected 'multirate'")
-    fld = system_field(cfg.system)
-    report = ExperimentReport(
-        schema=SCHEMA_ID,
-        mode=cfg.mode,
-        seed=cfg.seed,
-        config=_config_echo(cfg),
-        methods=["multirate", "lcm", "ideal"],
-    )
-    t_s = cfg.T_s
-    m_lcm = lcm_of_rates(cfg.rates)
-    schedules = derive_schedules(cfg)
-    dictionary = monomial_dictionary(fld.dim, cfg.degree, cfg.include_constant)
-    report.dictionary = dictionary
-
-    records = None
-    with _stage(report, "sample"):
-        records = sample_ensemble(
-            fld,
-            schedules,
-            cfg.K,
-            init_box=cfg.init_box,
-            seed=cfg.seed,
-            extra_times=(t_s, 2 * t_s, m_lcm * t_s),
-        )
-    if records is None:
-        return report
-
-    with _stage(report, "reconstruct"):
-        needed = hankel.estimated_components(schedules, (t_s, 2 * t_s))
-        operators = hankel.fit_component_operators(records, schedules, needed)
-        report.component_operators = operators
-        report.component_residuals = {
-            i: op.imag_residual for i, (_, op) in operators.items()
-        }
-        pairs = hankel.reconstruct_states(records, schedules, t_s, operators=operators)
-        report.models["multirate"] = edmd.fit_model(pairs, dictionary)
-
-    with _stage(report, "fit_lcm"):
-        lcm_pairs = hankel.reconstruct_states(
-            records, schedules, m_lcm * t_s, first_target=0.0
-        )
-        if any(lcm_pairs.x_estimated) or any(lcm_pairs.y_estimated):
-            raise DataError(
-                "lcm baseline needs the full state measured at t=0 and "
-                f"t={m_lcm * t_s:.6g}; increase the per-component sample counts"
-            )
-        raw = edmd.fit_model(lcm_pairs, dictionary)
-        report.models["lcm"], step_residual = _lcm_step_model(raw, t_s)
-        report.residuals["lcm_step"] = step_residual
-
-    with _stage(report, "fit_ideal"):
-        report.models["ideal"] = edmd.fit_model(
-            _pairs_from_dense(records, t_s, t_s), dictionary
-        )
-
-    return _finish_report(report, cfg, fld)
+    return _run_mode(cfg, "multirate")
 
 
 def run_single_state(cfg):
     """Single-state pipeline: one component measured per instant; reconstruct
     at (n T_s, (n+1) T_s), fit the model and the ideal baseline."""
-    if cfg.mode != "single_state":
-        raise ConfigurationError(f"config mode is {cfg.mode!r}, expected 'single_state'")
+    return _run_mode(cfg, "single_state")
+
+
+def _run_mode(cfg, mode):
+    """The pipeline both modes share; only multirate adds the lcm baseline."""
+    if cfg.mode != mode:
+        raise ConfigurationError(f"config mode is {cfg.mode!r}, expected {mode!r}")
+    multirate = mode == "multirate"
     fld = system_field(cfg.system)
     report = ExperimentReport(
         schema=SCHEMA_ID,
         mode=cfg.mode,
         seed=cfg.seed,
         config=_config_echo(cfg),
-        methods=["single_state", "ideal"],
+        methods=[mode, "lcm", "ideal"] if multirate else [mode, "ideal"],
     )
-    n = fld.dim
     t_s = cfg.T_s
-    first_target = n * t_s
+    first_target = t_s if multirate else fld.dim * t_s
+    lcm_step = (lcm_of_rates(cfg.rates) * t_s,) if multirate else ()
     schedules = derive_schedules(cfg)
-    dictionary = monomial_dictionary(n, cfg.degree, cfg.include_constant)
+    dictionary = monomial_dictionary(fld.dim, cfg.degree, cfg.include_constant)
     report.dictionary = dictionary
 
-    records = None
+    ensemble = None
     with _stage(report, "sample"):
-        records = sample_ensemble(
+        ensemble = sample_ensemble(
             fld,
             schedules,
             cfg.K,
             init_box=cfg.init_box,
             seed=cfg.seed,
-            extra_times=(t_s, 2 * t_s, first_target, first_target + t_s),
+            extra_times=(t_s, 2 * t_s, first_target, first_target + t_s, *lcm_step),
         )
-    if records is None:
+    if ensemble is None:
         return report
 
     with _stage(report, "reconstruct"):
-        needed = hankel.estimated_components(
-            schedules, (first_target, first_target + t_s)
-        )
-        operators = hankel.fit_component_operators(records, schedules, needed)
+        needed = hankel.estimated_components(schedules, (first_target, first_target + t_s))
+        operators = hankel.fit_component_operators(ensemble, schedules, needed)
         report.component_operators = operators
         report.component_residuals = {
             i: op.imag_residual for i, (_, op) in operators.items()
         }
         pairs = hankel.reconstruct_states(
-            records, schedules, t_s, first_target=first_target, operators=operators
+            ensemble, schedules, t_s, first_target=first_target, operators=operators
         )
-        report.models["single_state"] = edmd.fit_model(pairs, dictionary)
+        report.models[mode] = edmd.fit_model(pairs, dictionary)
+
+    if multirate:
+        with _stage(report, "fit_lcm"):
+            lcm_pairs = hankel.reconstruct_states(
+                ensemble, schedules, lcm_step[0], first_target=0.0
+            )
+            if any(lcm_pairs.x_estimated) or any(lcm_pairs.y_estimated):
+                raise DataError(
+                    "lcm baseline needs the full state measured at t=0 and "
+                    f"t={lcm_step[0]:.6g}; increase the per-component sample counts"
+                )
+            raw = edmd.fit_model(lcm_pairs, dictionary)
+            report.models["lcm"], step_residual = _lcm_step_model(raw, t_s)
+            report.residuals["lcm_step"] = step_residual
 
     with _stage(report, "fit_ideal"):
         report.models["ideal"] = edmd.fit_model(
-            _pairs_from_dense(records, t_s, t_s), dictionary
+            _pairs_from_dense(ensemble, t_s, t_s), dictionary
         )
 
     return _finish_report(report, cfg, fld)
 
 
 def run(cfg):
-    """Dispatch on the configured mode."""
-    if cfg.mode == "multirate":
-        return run_multirate(cfg)
-    return run_single_state(cfg)
+    """Run the pipeline of the configured mode."""
+    return _run_mode(cfg, cfg.mode)
 
 
 def ideal_noise_floor(cfg):
@@ -497,7 +449,7 @@ def ideal_noise_floor(cfg):
     dictionary = monomial_dictionary(fld.dim, cfg.degree, cfg.include_constant)
     spectra = []
     for half in (1, 2):
-        records = sample_ensemble(
+        ensemble = sample_ensemble(
             fld,
             schedules,
             cfg.K,
@@ -505,7 +457,7 @@ def ideal_noise_floor(cfg):
             seed=(cfg.seed, _NOISE_FLOOR_STREAM, half),
             extra_times=(cfg.T_s, 2 * cfg.T_s),
         )
-        model = edmd.fit_model(_pairs_from_dense(records, cfg.T_s, cfg.T_s), dictionary)
+        model = edmd.fit_model(_pairs_from_dense(ensemble, cfg.T_s, cfg.T_s), dictionary)
         spectra.append(edmd.generator_spectrum(model))
     return spectrum_distance(spectra[0], spectra[1])
 

@@ -70,44 +70,32 @@ class ComponentOperator:
     l_complex: Optional[np.ndarray] = None
 
 
-def build_hankel_matrices(series_list, schedule):
-    """Assemble (P_x, P_y) for one component from its sampled series.
+def build_hankel_matrices(ensemble, schedule):
+    """Assemble (P_x, P_y) for one component from an :class:`Ensemble`.
 
-    Every series must hold at least ``schedule.count + 1`` samples located
+    The component must hold at least ``schedule.count + 1`` samples located
     exactly at the schedule instants.
 
     Raises
     ------
     DataError
-        Naming the offending trajectory and component when samples are
-        missing or misplaced.
+        Naming the component when samples are missing or misplaced.
     """
     m = schedule.count
-    instants = schedule.instants()
-    n_traj = len(series_list)
-    if n_traj == 0:
-        raise DataError(f"component {schedule.component}: no trajectories supplied")
-    p_x = np.empty((m, n_traj))
-    p_y = np.empty((m, n_traj))
-    for k, series in enumerate(series_list):
-        if series.component != schedule.component:
-            raise DataError(
-                f"trajectory {k}: series for component {series.component} "
-                f"passed to schedule of component {schedule.component}"
-            )
-        if series.times.size < m + 1:
-            raise DataError(
-                f"trajectory {k}, component {schedule.component}: "
-                f"{series.times.size} samples, schedule needs {m + 1}"
-            )
-        if not np.allclose(series.times[: m + 1], instants, rtol=0.0, atol=TIME_MATCH_TOL):
-            raise DataError(
-                f"trajectory {k}, component {schedule.component}: "
-                "sample times do not match the schedule instants"
-            )
-        p_x[:, k] = series.values[:m]
-        p_y[:, k] = series.values[1 : m + 1]
-    return HankelDataMatrices(p_x=p_x, p_y=p_y, schedule=schedule)
+    comp = schedule.component
+    if comp not in ensemble.times:
+        raise DataError(f"component {comp}: no samples in the ensemble")
+    times = ensemble.times[comp]
+    if times.size < m + 1:
+        raise DataError(f"component {comp}: {times.size} samples, schedule needs {m + 1}")
+    if not np.allclose(times[: m + 1], schedule.instants(), rtol=0.0, atol=TIME_MATCH_TOL):
+        raise DataError(f"component {comp}: sample times do not match the schedule instants")
+    values = ensemble.values[comp]
+    return HankelDataMatrices(
+        p_x=np.ascontiguousarray(values[:, :m].T),
+        p_y=np.ascontiguousarray(values[:, 1 : m + 1].T),
+        schedule=schedule,
+    )
 
 
 def fit_component_operator(matrices, rel_tol=None):
@@ -252,15 +240,10 @@ def rational_power_estimate(operator, matrices, t):
 
 def estimated_components(schedules, targets, tol=TIME_MATCH_TOL):
     """Components lacking a measurement at one or more target times."""
-    needed = set()
-    for s in schedules:
-        for t in targets:
-            if s.sample_index(t, tol) is None:
-                needed.add(s.component)
-    return needed
+    return {s.component for s in schedules for t in targets if s.sample_index(t, tol) is None}
 
 
-def fit_component_operators(records, schedules, components=None, rel_tol=None):
+def fit_component_operators(ensemble, schedules, components=None, rel_tol=None):
     """Build data matrices and fit operators for the given components.
 
     Returns
@@ -271,39 +254,13 @@ def fit_component_operators(records, schedules, components=None, rel_tol=None):
     wanted = set(components) if components is not None else {s.component for s in schedules}
     fitted = {}
     for s in schedules:
-        if s.component not in wanted:
-            continue
-        series_list = _series_for(records, s.component)
-        matrices = build_hankel_matrices(series_list, s)
-        fitted[s.component] = (matrices, fit_component_operator(matrices, rel_tol))
+        if s.component in wanted:
+            matrices = build_hankel_matrices(ensemble, s)
+            fitted[s.component] = (matrices, fit_component_operator(matrices, rel_tol))
     return fitted
 
 
-def _series_for(records, component):
-    series_list = []
-    for k, rec in enumerate(records):
-        if component not in rec.series:
-            raise DataError(f"trajectory {rec.index}: no series for component {component}")
-        series_list.append(rec.series[component])
-    return series_list
-
-
-def _component_values_at(records, schedule, t):
-    """Measured values at a schedule instant t, one per trajectory."""
-    l = schedule.sample_index(t)
-    values = np.empty(len(records))
-    for k, rec in enumerate(records):
-        series = rec.series[schedule.component]
-        if series.values.size <= l or abs(series.times[l] - t) > TIME_MATCH_TOL:
-            raise DataError(
-                f"trajectory {rec.index}, component {schedule.component}: "
-                f"no measurement at t={t:.6g}"
-            )
-        values[k] = series.values[l]
-    return values
-
-
-def reconstruct_states(records, schedules, step, first_target=None, operators=None):
+def reconstruct_states(ensemble, schedules, step, first_target=None, operators=None):
     """Assemble state pairs (x(t1), x(t1 + step)) from partial measurements.
 
     For each component and target time, a measurement at that instant
@@ -313,6 +270,7 @@ def reconstruct_states(records, schedules, step, first_target=None, operators=No
 
     Parameters
     ----------
+    ensemble : Ensemble
     operators : dict, optional
         Precomputed output of :func:`fit_component_operators`; components
         that need estimation and are missing from it are fitted here.
@@ -322,8 +280,6 @@ def reconstruct_states(records, schedules, step, first_target=None, operators=No
     StatePairEnsemble
         With per-component provenance flags (estimated vs measured).
     """
-    if not records:
-        raise DataError("no trajectories to reconstruct from")
     t1 = step if first_target is None else first_target
     t2 = t1 + step
     n = len(schedules)
@@ -331,17 +287,21 @@ def reconstruct_states(records, schedules, step, first_target=None, operators=No
         raise DataError("schedules must cover each state component exactly once")
     operators = dict(operators) if operators else {}
 
-    x = np.empty((n, len(records)))
-    y = np.empty((n, len(records)))
+    x = np.empty((n, len(ensemble)))
+    y = np.empty((n, len(ensemble)))
     x_estimated = [False] * n
     y_estimated = [False] * n
     for s in sorted(schedules, key=lambda s: s.component):
         for t, out, flags in ((t1, x, x_estimated), (t2, y, y_estimated)):
-            if s.sample_index(t) is not None:
-                out[s.component] = _component_values_at(records, s, t)
+            l = s.sample_index(t)
+            if l is not None:
+                times = ensemble.times.get(s.component, ())
+                if len(times) <= l or abs(times[l] - t) > TIME_MATCH_TOL:
+                    raise DataError(f"component {s.component}: no measurement at t={t:.6g}")
+                out[s.component] = ensemble.values[s.component][:, l]
             else:
                 if s.component not in operators:
-                    matrices = build_hankel_matrices(_series_for(records, s.component), s)
+                    matrices = build_hankel_matrices(ensemble, s)
                     operators[s.component] = (matrices, fit_component_operator(matrices))
                 matrices, operator = operators[s.component]
                 out[s.component] = estimate_component_at(operator, matrices, t)

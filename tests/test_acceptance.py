@@ -17,7 +17,7 @@ import scipy.linalg
 
 import mredmd
 from mredmd import cli, hankel, linalg
-from mredmd.dynamics import ComponentSeries, SamplingSchedule
+from mredmd.dynamics import Ensemble, SamplingSchedule
 from mredmd.edmd import StatePairEnsemble, fit_model
 from mredmd.experiments import (
     ExperimentConfig,
@@ -91,11 +91,12 @@ def test_criterion_2_hankel_scalar_oracle():
     rho, t_i = 0.9, 0.1
     schedule = SamplingSchedule(component=0, dead_time=0.0, period=t_i, count=1)
     x0 = np.linspace(0.5, 2.0, 10)
-    series = [
-        ComponentSeries(component=0, times=schedule.instants(), values=[x, x * rho])
-        for x in x0
-    ]
-    matrices = hankel.build_hankel_matrices(series, schedule)
+    ensemble = Ensemble(
+        times={0: schedule.instants()},
+        values={0: np.column_stack([x0, x0 * rho])},
+        indices=np.arange(x0.size),
+    )
+    matrices = hankel.build_hankel_matrices(ensemble, schedule)
     op = hankel.fit_component_operator(matrices)
     l_err = abs(op.l_mat[0, 0] - np.log(rho) / t_i)
     assert l_err <= 1e-9, f"L_i error {l_err:.3e}"
@@ -148,12 +149,12 @@ def test_criterion_4_passthrough_reduction():
 def test_criterion_5_measured_instant_exactness():
     cfg = benchmark_multirate_config()
     schedules = derive_schedules(cfg)
-    records = mredmd.sample_ensemble(
+    ensemble = mredmd.sample_ensemble(
         system_field(cfg.system), schedules, cfg.K, seed=cfg.seed,
         extra_times=(cfg.T_s, 2 * cfg.T_s),
     )
     needed = hankel.estimated_components(schedules, (cfg.T_s, 2 * cfg.T_s))
-    fitted = hankel.fit_component_operators(records, schedules, needed)
+    fitted = hankel.fit_component_operators(ensemble, schedules, needed)
     assert needed == {1, 2}
     for comp, (matrices, op) in fitted.items():
         est = hankel.estimate_component_at(op, matrices, op.dead_time)

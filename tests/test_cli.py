@@ -1,5 +1,6 @@
 """CLI smoke tests: subcommands, exit codes, determinism."""
 
+import hashlib
 import json
 
 import pytest
@@ -69,6 +70,20 @@ def test_simulate_deterministic(tmp_path):
     main(["simulate", "--config", str(cfg), "--out", str(b)])
     for pa, pb in zip(sorted(a.iterdir()), sorted(b.iterdir())):
         assert pa.read_bytes() == pb.read_bytes()
+
+
+def test_simulate_bytes_pinned(tmp_path):
+    # the export is a file format other tools read, so its bytes are pinned
+    cfg = write_config(tmp_path / "cfg.json", K=3)
+    out = tmp_path / "ensemble"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    digest = hashlib.sha256()
+    for path in sorted(out.iterdir()):
+        digest.update(path.name.encode())
+        digest.update(path.read_bytes())
+    assert digest.hexdigest() == (
+        "d946d70df01a59000bd481f336c90211cb7ad0eb9c138da344aed498618771f9"
+    )
 
 
 def test_compare_subcommand(tmp_path, capsys):

@@ -6,9 +6,9 @@ import scipy.linalg
 
 from mredmd import dynamics
 from mredmd.dynamics import (
-    ComponentSeries,
+    TIME_MATCH_TOL,
+    Ensemble,
     SamplingSchedule,
-    TrajectoryRecord,
     common_micro_step,
     export_ensemble,
     import_ensemble,
@@ -145,81 +145,82 @@ class TestSampleEnsemble:
             SamplingSchedule(component=i, dead_time=0.0, period=0.1, count=2)
             for i in range(3)
         ]
-        records = sample_ensemble(fld, schedules, 1, seed=0)
-        rec = records[0]
+        ensemble = sample_ensemble(fld, schedules, 1, seed=0)
         for i in range(3):
-            s = rec.series[i]
-            np.testing.assert_allclose(s.times, [0.0, 0.1, 0.2])
-            np.testing.assert_array_equal(s.values, rec.dense_states[[0, 10, 20], i])
+            np.testing.assert_allclose(ensemble.times[i], [0.0, 0.1, 0.2])
+            np.testing.assert_array_equal(
+                ensemble.values[i][0], ensemble.dense_states[[0, 10, 20], 0, i]
+            )
 
     def test_benchmark_multirate_instants(self):
-        records = sample_ensemble(lorenz_field(), benchmark_schedules(), 300, seed=0)
-        assert len(records) == 300
-        rec = records[17]
+        ensemble = sample_ensemble(lorenz_field(), benchmark_schedules(), 300, seed=0)
+        assert len(ensemble) == 300
+        rec = ensemble[17]
+        assert rec.index == 17
         np.testing.assert_allclose(rec.series[1].times, [0.0, 0.4, 0.8, 1.2])
         np.testing.assert_allclose(rec.series[2].times, [0.0, 0.3, 0.6, 0.9, 1.2])
+        np.testing.assert_array_equal(rec.series[2].values, ensemble.values[2][17])
+        np.testing.assert_array_equal(rec.dense_states, ensemble.dense_states[:, 17])
 
     def test_same_seed_bit_identical(self):
         a = sample_ensemble(lorenz_field(), benchmark_schedules(), 5, seed=42)
         b = sample_ensemble(lorenz_field(), benchmark_schedules(), 5, seed=42)
-        for ra, rb in zip(a, b):
-            np.testing.assert_array_equal(ra.x0, rb.x0)
-            np.testing.assert_array_equal(ra.dense_states, rb.dense_states)
-            for i in ra.series:
-                np.testing.assert_array_equal(ra.series[i].values, rb.series[i].values)
+        np.testing.assert_array_equal(a.x0, b.x0)
+        np.testing.assert_array_equal(a.dense_states, b.dense_states)
+        for i in a.values:
+            np.testing.assert_array_equal(a.values[i], b.values[i])
 
     def test_different_seeds_differ(self):
         a = sample_ensemble(lorenz_field(), benchmark_schedules(), 2, seed=0)
         b = sample_ensemble(lorenz_field(), benchmark_schedules(), 2, seed=1)
-        assert not np.array_equal(a[0].x0, b[0].x0)
+        assert not np.array_equal(a.x0[0], b.x0[0])
 
     def test_init_box_respected(self):
         box = [(0.5, 1.0), (-2.0, -1.0), (3.0, 4.0)]
-        records = sample_ensemble(lorenz_field(), benchmark_schedules(), 20, init_box=box, seed=1)
-        x0s = np.stack([r.x0 for r in records])
+        ensemble = sample_ensemble(lorenz_field(), benchmark_schedules(), 20, init_box=box, seed=1)
         for i, (lo, hi) in enumerate(box):
-            assert np.all((x0s[:, i] >= lo) & (x0s[:, i] <= hi))
+            assert np.all((ensemble.x0[:, i] >= lo) & (ensemble.x0[:, i] <= hi))
 
     def test_noise_hook(self):
         clean = sample_ensemble(lorenz_field(), benchmark_schedules(), 3, seed=5)
         noisy = sample_ensemble(lorenz_field(), benchmark_schedules(), 3, seed=5, noise_std=0.01)
-        np.testing.assert_array_equal(clean[0].x0, noisy[0].x0)
-        assert not np.array_equal(clean[0].series[0].values, noisy[0].series[0].values)
+        np.testing.assert_array_equal(clean.x0, noisy.x0)
+        assert not np.array_equal(clean.values[0][0], noisy.values[0][0])
 
     def test_schedule_coverage_check(self):
         with pytest.raises(ConfigurationError):
             sample_ensemble(lorenz_field(), benchmark_schedules()[:2], 1, seed=0)
 
     def test_dense_value_at(self):
-        records = sample_ensemble(
-            lorenz_field(), benchmark_schedules(), 1, seed=0, extra_times=(0.1, 0.2)
+        ensemble = sample_ensemble(
+            lorenz_field(), benchmark_schedules(), 2, seed=0, extra_times=(0.1, 0.2)
         )
-        rec = records[0]
-        np.testing.assert_array_equal(rec.dense_value_at(0.1), rec.dense_states[10])
+        at = ensemble.dense_at(0.1)
+        np.testing.assert_array_equal(at, ensemble.dense_states[10].T)
+        assert at.flags.c_contiguous
         with pytest.raises(DataError):
-            rec.dense_value_at(0.105)
+            ensemble.dense_at(0.105)
 
 
 class TestEnsembleCsvRoundtrip:
     def test_export_import(self, tmp_path):
-        records = sample_ensemble(lorenz_field(), benchmark_schedules(), 3, seed=2)
-        export_ensemble(records, tmp_path)
+        ensemble = sample_ensemble(lorenz_field(), benchmark_schedules(), 3, seed=2)
+        export_ensemble(ensemble, tmp_path)
         files = sorted(p.name for p in tmp_path.glob("*.csv"))
         assert files == [f"trajectory_{k:05d}.csv" for k in range(3)]
         back = import_ensemble(tmp_path)
-        assert len(back) == 3
-        for orig, imp in zip(records, back):
-            assert imp.index == orig.index
-            assert imp.x0 is None
-            for i in orig.series:
-                np.testing.assert_array_equal(imp.series[i].times, orig.series[i].times)
-                np.testing.assert_array_equal(imp.series[i].values, orig.series[i].values)
+        np.testing.assert_array_equal(back.indices, ensemble.indices)
+        assert back.x0 is None and back.dense_states is None
+        assert sorted(back.times) == sorted(ensemble.times)
+        for i in ensemble.times:
+            np.testing.assert_array_equal(back.times[i], ensemble.times[i])
+            np.testing.assert_array_equal(back.values[i], ensemble.values[i])
 
     def test_export_deterministic_bytes(self, tmp_path):
-        records = sample_ensemble(lorenz_field(), benchmark_schedules(), 2, seed=9)
+        ensemble = sample_ensemble(lorenz_field(), benchmark_schedules(), 2, seed=9)
         d1, d2 = tmp_path / "a", tmp_path / "b"
-        export_ensemble(records, d1)
-        export_ensemble(records, d2)
+        export_ensemble(ensemble, d1)
+        export_ensemble(ensemble, d2)
         for p1, p2 in zip(sorted(d1.iterdir()), sorted(d2.iterdir())):
             assert p1.read_bytes() == p2.read_bytes()
 
@@ -228,12 +229,81 @@ class TestEnsembleCsvRoundtrip:
             import_ensemble(tmp_path / "empty")
 
 
+def _exported(tmp_path):
+    """Directory of three exported trajectories and the lines of the second.
+
+    Each file holds component 0 on lines 2-14, component 1 on lines 15-18
+    and component 2 on lines 19-23.
+    """
+    export_ensemble(sample_ensemble(lorenz_field(), benchmark_schedules(), 3, seed=2), tmp_path)
+    path = tmp_path / "trajectory_00001.csv"
+    return path, path.read_text().splitlines(keepends=True)
+
+
+def _set_field(lines, line_no, column, text):
+    fields = lines[line_no - 1].rstrip("\n").split(",")
+    fields[column] = text
+    lines[line_no - 1] = ",".join(fields) + "\n"
+
+
+class TestImportValidation:
+    """import_ensemble rejects bad data with the file (and line) named."""
+
+    def test_unparsable_row(self, tmp_path):
+        path, lines = _exported(tmp_path)
+        _set_field(lines, 5, 2, "0.3x")
+        path.write_text("".join(lines))
+        with pytest.raises(DataError, match=r"trajectory_00001\.csv, line 5"):
+            import_ensemble(tmp_path)
+
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+    def test_non_finite_value(self, tmp_path, text):
+        path, lines = _exported(tmp_path)
+        _set_field(lines, 16, 2, text)
+        path.write_text("".join(lines))
+        with pytest.raises(DataError, match=r"trajectory_00001\.csv, line 16: non-finite"):
+            import_ensemble(tmp_path)
+
+    @pytest.mark.parametrize("swap", [True, False], ids=["unsorted", "duplicate"])
+    def test_times_not_increasing(self, tmp_path, swap):
+        path, lines = _exported(tmp_path)
+        if swap:
+            lines[2], lines[3] = lines[3], lines[2]
+        else:
+            lines[3] = lines[2]
+        path.write_text("".join(lines))
+        with pytest.raises(DataError, match=r"trajectory_00001\.csv, line 4: component 0"):
+            import_ensemble(tmp_path)
+
+    def test_component_missing(self, tmp_path):
+        path, lines = _exported(tmp_path)
+        path.write_text("".join(lines[:18]))  # drops component 2
+        with pytest.raises(DataError, match=r"trajectory_00001\.csv: components \[0, 1\]"):
+            import_ensemble(tmp_path)
+
+    def test_times_differ_between_files(self, tmp_path):
+        path, lines = _exported(tmp_path)
+        _set_field(lines, 17, 1, repr(0.8 + 10 * TIME_MATCH_TOL))
+        path.write_text("".join(lines))
+        with pytest.raises(DataError, match=r"trajectory_00001\.csv: component 1 sample times"):
+            import_ensemble(tmp_path)
+        # differences within the tolerance are the same instant
+        _set_field(lines, 17, 1, repr(0.8 + 0.1 * TIME_MATCH_TOL))
+        path.write_text("".join(lines))
+        assert len(import_ensemble(tmp_path)) == 3
+
+
 class TestComponentSeriesValidation:
+    """Sample series are validated once, when their ensemble is built."""
+
     def test_strictly_increasing_times(self):
         with pytest.raises(DataError):
-            ComponentSeries(component=0, times=[0.0, 0.0], values=[1.0, 2.0])
+            Ensemble(times={0: [0.0, 0.0]}, values={0: [[1.0, 2.0]]}, indices=[0])
+        with pytest.raises(DataError):
+            Ensemble(times={0: [0.1, 0.0]}, values={0: [[1.0, 2.0]]}, indices=[0])
 
     def test_record_requires_dense_for_truth(self):
-        rec = TrajectoryRecord(index=0, x0=None, series={})
+        ensemble = Ensemble(times={0: [0.0, 0.1]}, values={0: [[1.0, 2.0]]}, indices=[0])
+        assert ensemble[0].dense_states is None
         with pytest.raises(DataError):
-            rec.dense_value_at(0.1)
+            ensemble.dense_at(0.1)

@@ -2,14 +2,16 @@
 
 import csv
 import json
+import math
+import warnings
 
 import numpy as np
 import pytest
 
-from mredmd import experiments
+from mredmd import errors, experiments
 from mredmd.dynamics import linear_field
 from mredmd.edmd import StatePairEnsemble, fit_model
-from mredmd.errors import ConfigurationError
+from mredmd.errors import ConfigurationError, MredmdWarning
 from mredmd.experiments import (
     ExperimentConfig,
     derive_schedules,
@@ -132,6 +134,33 @@ class TestExperimentConfig:
             single_state_config(state_dim=2)
         with pytest.raises(ConfigurationError):
             multirate_config(init_box=[(-1, 1)])
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("K", "300"),
+            ("K", 300.7),
+            ("K", True),
+            ("K", 0),
+            ("degree", -1),
+            ("seed", 1.5),
+            ("degree", "2"),
+            ("horizon", False),
+            ("eval_trajectories", 10.0),
+            ("state_dim", True),
+            ("T_s", math.nan),
+            ("T_s", math.inf),
+            ("T_s", "0.1"),
+            ("T_s", True),
+            ("T_s", 0.0),
+            ("T_s", -0.1),
+        ],
+    )
+    def test_field_types_rejected(self, field, value):
+        data = {"system": "lorenz", "mode": "multirate", "T_s": 0.1, "K": 10, "rates": [1, 4, 3]}
+        data[field] = value
+        with pytest.raises(ConfigurationError, match=field):
+            ExperimentConfig.from_dict(data)
 
     def test_prediction_mode_validated(self):
         with pytest.raises(ConfigurationError):
@@ -277,6 +306,19 @@ class TestWarningCollection:
         lcm_warnings = [w for w in report.warnings if w["stage"] == "fit_lcm"]
         assert any(w["category"] == "NegativeRealAxisWarning" for w in lcm_warnings)
         assert report.residuals["lcm"] > 1e-6
+        # only package warnings are recorded, never a third-party category
+        for w in report.warnings:
+            assert issubclass(getattr(errors, w["category"], type(None)), MredmdWarning), w
+
+    def test_foreign_warning_passes_through(self):
+        report = experiments.ExperimentReport(
+            schema="s", mode="multirate", seed=0, config={}, methods=[]
+        )
+        with pytest.warns(RuntimeWarning, match="foreign"):
+            with experiments._stage(report, "sample"):
+                warnings.warn("foreign", RuntimeWarning)
+                warnings.warn("ours", errors.ExtrapolationWarning)
+        assert [w["message"] for w in report.warnings] == ["ours"]
 
 
 class TestIdealNoiseFloor:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mredmd import hankel
-from mredmd.dynamics import ComponentSeries, SamplingSchedule, lorenz_field, sample_ensemble
+from mredmd.dynamics import Ensemble, SamplingSchedule, lorenz_field, sample_ensemble
 from mredmd.errors import (
     DataError,
     ExtrapolationWarning,
@@ -25,11 +25,13 @@ from mredmd.hankel import (
 )
 
 
-def series_from_values(values, schedule):
-    return ComponentSeries(
-        component=schedule.component,
-        times=schedule.instants(),
-        values=np.asarray(values, dtype=float),
+def ensemble_from_rows(rows, schedule):
+    """One component sampled on ``schedule``, one row of values per trajectory."""
+    rows = np.asarray(rows, dtype=float)
+    return Ensemble(
+        times={schedule.component: schedule.instants()},
+        values={schedule.component: rows},
+        indices=np.arange(len(rows)),
     )
 
 
@@ -37,8 +39,8 @@ def geometric_data(rho=0.9, t_i=0.1, r_i=0.0, n_traj=10):
     """Scalar geometric signals x(l) = x0 * rho^l with distinct x0."""
     schedule = SamplingSchedule(component=0, dead_time=r_i, period=t_i, count=1)
     x0 = np.linspace(0.5, 2.0, n_traj)
-    series = [series_from_values([x, x * rho], schedule) for x in x0]
-    return schedule, series, x0
+    ensemble = ensemble_from_rows([[x, x * rho] for x in x0], schedule)
+    return schedule, ensemble, x0
 
 
 def sinusoid_data(omega=2.0, t_i=0.1, n_traj=6):
@@ -46,34 +48,29 @@ def sinusoid_data(omega=2.0, t_i=0.1, n_traj=6):
     schedule = SamplingSchedule(component=0, dead_time=0.0, period=t_i, count=2)
     rng = np.random.default_rng(0)
     phases = rng.uniform(0, 2 * np.pi, n_traj)
-    series = [
-        series_from_values(np.cos(omega * schedule.instants() + phi), schedule)
-        for phi in phases
-    ]
-    return schedule, series
+    ensemble = ensemble_from_rows(
+        [np.cos(omega * schedule.instants() + phi) for phi in phases], schedule
+    )
+    return schedule, ensemble
 
 
 class TestBuildHankelMatrices:
     def test_smallest_case(self):
         schedule = SamplingSchedule(component=0, dead_time=0.0, period=1.0, count=1)
-        series = [
-            series_from_values([1.0, 2.0], schedule),
-            series_from_values([3.0, 4.0], schedule),
-        ]
-        h = build_hankel_matrices(series, schedule)
+        h = build_hankel_matrices(ensemble_from_rows([[1.0, 2.0], [3.0, 4.0]], schedule), schedule)
         np.testing.assert_array_equal(h.p_x, [[1.0, 3.0]])
         np.testing.assert_array_equal(h.p_y, [[2.0, 4.0]])
 
     def test_shift_structure(self):
         schedule = SamplingSchedule(component=0, dead_time=0.2, period=0.5, count=4)
         rng = np.random.default_rng(1)
-        series = [series_from_values(rng.normal(size=5), schedule) for _ in range(7)]
-        h = build_hankel_matrices(series, schedule)
+        ensemble = ensemble_from_rows([rng.normal(size=5) for _ in range(7)], schedule)
+        h = build_hankel_matrices(ensemble, schedule)
         np.testing.assert_array_equal(h.p_y[:-1], h.p_x[1:])
 
     def test_benchmark_shape(self):
         schedule = SamplingSchedule(component=1, dead_time=0.0, period=0.4, count=3)
-        records = sample_ensemble(
+        ensemble = sample_ensemble(
             lorenz_field(),
             [
                 SamplingSchedule(component=0, dead_time=0.0, period=0.1, count=12),
@@ -83,47 +80,47 @@ class TestBuildHankelMatrices:
             300,
             seed=0,
         )
-        h = build_hankel_matrices([r.series[1] for r in records], schedule)
+        h = build_hankel_matrices(ensemble, schedule)
         assert h.p_x.shape == (3, 300)
 
     def test_insufficient_samples(self):
         schedule = SamplingSchedule(component=0, dead_time=0.0, period=1.0, count=3)
-        short = ComponentSeries(component=0, times=[0.0, 1.0], values=[1.0, 2.0])
-        with pytest.raises(DataError, match="trajectory 0, component 0"):
-            build_hankel_matrices([short], schedule)
+        short = Ensemble(times={0: [0.0, 1.0]}, values={0: [[1.0, 2.0]]}, indices=[0])
+        with pytest.raises(DataError, match="component 0: 2 samples"):
+            build_hankel_matrices(short, schedule)
 
     def test_wrong_component(self):
         schedule = SamplingSchedule(component=1, dead_time=0.0, period=1.0, count=1)
-        wrong = ComponentSeries(component=0, times=[0.0, 1.0], values=[1.0, 2.0])
-        with pytest.raises(DataError):
-            build_hankel_matrices([wrong], schedule)
+        wrong = Ensemble(times={0: [0.0, 1.0]}, values={0: [[1.0, 2.0]]}, indices=[0])
+        with pytest.raises(DataError, match="component 1"):
+            build_hankel_matrices(wrong, schedule)
 
     def test_misaligned_times(self):
         schedule = SamplingSchedule(component=0, dead_time=0.0, period=1.0, count=1)
-        off = ComponentSeries(component=0, times=[0.0, 1.01], values=[1.0, 2.0])
+        off = Ensemble(times={0: [0.0, 1.01]}, values={0: [[1.0, 2.0]]}, indices=[0])
         with pytest.raises(DataError, match="instants"):
-            build_hankel_matrices([off], schedule)
+            build_hankel_matrices(off, schedule)
 
 
 class TestFitComponentOperator:
     def test_geometric_scalar(self):
-        schedule, series, _ = geometric_data()
-        op = fit_component_operator(build_hankel_matrices(series, schedule))
+        schedule, ensemble, _ = geometric_data()
+        op = fit_component_operator(build_hankel_matrices(ensemble, schedule))
         np.testing.assert_allclose(op.k_mat, [[0.9]], atol=1e-12)
         np.testing.assert_allclose(op.l_mat, [[np.log(0.9) / 0.1]], atol=1e-9)
         assert op.imag_residual <= 1e-12
 
     def test_constant_signals(self):
         schedule = SamplingSchedule(component=0, dead_time=0.0, period=0.5, count=1)
-        series = [series_from_values([c, c], schedule) for c in (1.0, 2.0, -0.5)]
-        op = fit_component_operator(build_hankel_matrices(series, schedule))
+        ensemble = ensemble_from_rows([[c, c] for c in (1.0, 2.0, -0.5)], schedule)
+        op = fit_component_operator(build_hankel_matrices(ensemble, schedule))
         np.testing.assert_allclose(op.k_mat, [[1.0]], atol=1e-12)
         np.testing.assert_allclose(op.l_mat, [[0.0]], atol=1e-12)
 
     def test_sinusoid_recovers_oscillator_pair(self):
         omega, t_i = 2.0, 0.1
-        schedule, series = sinusoid_data(omega, t_i)
-        op = fit_component_operator(build_hankel_matrices(series, schedule))
+        schedule, ensemble = sinusoid_data(omega, t_i)
+        op = fit_component_operator(build_hankel_matrices(ensemble, schedule))
         eigs = np.sort_complex(np.linalg.eigvals(op.k_mat))
         expected = np.sort_complex([np.exp(1j * omega * t_i), np.exp(-1j * omega * t_i)])
         np.testing.assert_allclose(eigs, expected, atol=1e-8)
@@ -133,8 +130,8 @@ class TestFitComponentOperator:
     def test_exp_of_generator_returns_k(self):
         import scipy.linalg
 
-        schedule, series = sinusoid_data()
-        op = fit_component_operator(build_hankel_matrices(series, schedule))
+        schedule, ensemble = sinusoid_data()
+        op = fit_component_operator(build_hankel_matrices(ensemble, schedule))
         assert op.imag_residual < 1e-8
         back = scipy.linalg.expm(op.l_mat * schedule.period)
         rel = np.linalg.norm(back - op.k_mat) / np.linalg.norm(op.k_mat)
@@ -142,10 +139,10 @@ class TestFitComponentOperator:
 
     def test_rank_deficiency_warns(self):
         schedule = SamplingSchedule(component=0, dead_time=0.0, period=0.1, count=2)
-        series = [series_from_values([1.0, 0.9, 0.81], schedule)]
+        ensemble = ensemble_from_rows([[1.0, 0.9, 0.81]], schedule)
         with pytest.warns((RankDeficiencyWarning, IllConditionedWarning)):
             try:
-                fit_component_operator(build_hankel_matrices(series, schedule))
+                fit_component_operator(build_hankel_matrices(ensemble, schedule))
             except Exception:
                 pass  # singular K_i is acceptable here; the warning is the contract
 
@@ -153,35 +150,34 @@ class TestFitComponentOperator:
         schedule = SamplingSchedule(component=0, dead_time=0.0, period=0.1, count=2)
         rng = np.random.default_rng(2)
         base = rng.normal(size=8)
-        series = [
-            series_from_values([b, b * (1 + 1e-15), b * (1 + 2e-15)], schedule)
-            for b in base
-        ]
+        ensemble = ensemble_from_rows(
+            [[b, b * (1 + 1e-15), b * (1 + 2e-15)] for b in base], schedule
+        )
         with pytest.warns(IllConditionedWarning):
             try:
-                fit_component_operator(build_hankel_matrices(series, schedule))
+                fit_component_operator(build_hankel_matrices(ensemble, schedule))
             except Exception:
                 pass
 
 
 class TestEstimateComponentAt:
     def test_at_dead_time_reproduces_first_row(self):
-        schedule, series, _ = geometric_data(r_i=0.3)
-        h = build_hankel_matrices(series, schedule)
+        schedule, ensemble, _ = geometric_data(r_i=0.3)
+        h = build_hankel_matrices(ensemble, schedule)
         op = fit_component_operator(h)
         est = estimate_component_at(op, h, 0.3)
         np.testing.assert_array_equal(est, h.p_x[0])
 
     def test_one_period_propagation(self):
-        schedule, series, _ = geometric_data()
-        h = build_hankel_matrices(series, schedule)
+        schedule, ensemble, _ = geometric_data()
+        h = build_hankel_matrices(ensemble, schedule)
         op = fit_component_operator(h)
         est = estimate_component_at(op, h, schedule.period)
         np.testing.assert_allclose(est, h.p_y[0], atol=1e-10)
 
     def test_fractional_power_analytic(self):
-        schedule, series, x0 = geometric_data(rho=0.9, t_i=0.1)
-        h = build_hankel_matrices(series, schedule)
+        schedule, ensemble, x0 = geometric_data(rho=0.9, t_i=0.1)
+        h = build_hankel_matrices(ensemble, schedule)
         op = fit_component_operator(h)
         est = estimate_component_at(op, h, 0.05)
         np.testing.assert_allclose(est, x0 * 0.9**0.5, atol=1e-9)
@@ -191,26 +187,25 @@ class TestEstimateComponentAt:
         a, r_i, t_i = -0.7, 0.05, 0.2
         schedule = SamplingSchedule(component=0, dead_time=r_i, period=t_i, count=1)
         x0 = np.array([0.3, 1.1, -0.8])
-        series = [
-            series_from_values([x * np.exp(a * r_i), x * np.exp(a * (r_i + t_i))], schedule)
-            for x in x0
-        ]
-        h = build_hankel_matrices(series, schedule)
+        ensemble = ensemble_from_rows(
+            [[x * np.exp(a * r_i), x * np.exp(a * (r_i + t_i))] for x in x0], schedule
+        )
+        h = build_hankel_matrices(ensemble, schedule)
         op = fit_component_operator(h)
         for t in (0.1, 0.33, 0.5):
             est = estimate_component_at(op, h, t)
             np.testing.assert_allclose(est, x0 * np.exp(a * t), atol=1e-6)
 
     def test_before_dead_time_warns(self):
-        schedule, series, _ = geometric_data(r_i=0.3)
-        h = build_hankel_matrices(series, schedule)
+        schedule, ensemble, _ = geometric_data(r_i=0.3)
+        h = build_hankel_matrices(ensemble, schedule)
         op = fit_component_operator(h)
         with pytest.warns(ExtrapolationWarning):
             estimate_component_at(op, h, 0.0)
 
     def test_far_extrapolation_warns(self):
-        schedule, series, _ = geometric_data()
-        h = build_hankel_matrices(series, schedule)
+        schedule, ensemble, _ = geometric_data()
+        h = build_hankel_matrices(ensemble, schedule)
         op = fit_component_operator(h)
         with pytest.warns(ExtrapolationWarning):
             estimate_component_at(op, h, 1.0)  # 10x the sampled window
@@ -218,8 +213,8 @@ class TestEstimateComponentAt:
 
 class TestRationalPowerEstimate:
     def test_integer_power_consistency(self):
-        schedule, series, _ = geometric_data()
-        h = build_hankel_matrices(series, schedule)
+        schedule, ensemble, _ = geometric_data()
+        h = build_hankel_matrices(ensemble, schedule)
         op = fit_component_operator(h)
         est, residual = rational_power_estimate(op, h, 2 * schedule.period)
         two_steps = (op.k_mat @ op.k_mat @ h.p_x)[0]
@@ -227,8 +222,8 @@ class TestRationalPowerEstimate:
         assert residual <= 1e-12
 
     def test_agrees_with_exp_log_for_positive_spectrum(self):
-        schedule, series, _ = geometric_data()
-        h = build_hankel_matrices(series, schedule)
+        schedule, ensemble, _ = geometric_data()
+        h = build_hankel_matrices(ensemble, schedule)
         op = fit_component_operator(h)
         t = 0.137
         est_rp, residual = rational_power_estimate(op, h, t)
@@ -238,8 +233,8 @@ class TestRationalPowerEstimate:
 
     def test_negative_eigenvalue_half_power_is_complex(self):
         schedule = SamplingSchedule(component=0, dead_time=0.0, period=0.1, count=1)
-        series = [series_from_values([x, -0.5 * x], schedule) for x in (1.0, 2.0)]
-        h = build_hankel_matrices(series, schedule)
+        ensemble = ensemble_from_rows([[x, -0.5 * x] for x in (1.0, 2.0)], schedule)
+        h = build_hankel_matrices(ensemble, schedule)
         op = fit_component_operator(h)
         np.testing.assert_allclose(op.k_mat, [[-0.5]], atol=1e-12)
         _, residual = rational_power_estimate(op, h, 0.05)
@@ -305,56 +300,54 @@ class TestReconstructStates:
             SamplingSchedule(component=i, dead_time=0.0, period=0.1, count=2)
             for i in range(3)
         ]
-        records = sample_ensemble(lorenz_field(), schedules, 5, seed=0)
-        pairs = reconstruct_states(records, schedules, 0.1)
+        ensemble = sample_ensemble(lorenz_field(), schedules, 5, seed=0)
+        pairs = reconstruct_states(ensemble, schedules, 0.1)
         assert pairs.x_estimated == (False, False, False)
         assert pairs.y_estimated == (False, False, False)
-        for k, rec in enumerate(records):
-            np.testing.assert_array_equal(pairs.x[:, k], rec.dense_value_at(0.1))
-            np.testing.assert_array_equal(pairs.y[:, k], rec.dense_value_at(0.2))
+        np.testing.assert_array_equal(pairs.x, ensemble.dense_at(0.1))
+        np.testing.assert_array_equal(pairs.y, ensemble.dense_at(0.2))
 
     def test_multirate_provenance(self):
         schedules = multirate_schedules()
-        records = sample_ensemble(lorenz_field(), schedules, 40, seed=1, extra_times=(0.1, 0.2))
-        pairs = reconstruct_states(records, schedules, 0.1)
+        ensemble = sample_ensemble(lorenz_field(), schedules, 40, seed=1, extra_times=(0.1, 0.2))
+        pairs = reconstruct_states(ensemble, schedules, 0.1)
         assert pairs.x_estimated == (False, True, True)
         assert pairs.y_estimated == (False, True, True)
         # measured component passes through bit-identically
-        for k, rec in enumerate(records):
-            assert pairs.x[0, k] == rec.series[0].values[1]
-            assert pairs.y[0, k] == rec.series[0].values[2]
+        np.testing.assert_array_equal(pairs.x[0], ensemble.values[0][:, 1])
+        np.testing.assert_array_equal(pairs.y[0], ensemble.values[0][:, 2])
 
     def test_multirate_estimates_near_truth(self):
         schedules = multirate_schedules()
-        records = sample_ensemble(lorenz_field(), schedules, 300, seed=2, extra_times=(0.1, 0.2))
-        pairs = reconstruct_states(records, schedules, 0.1)
-        truth_x = np.stack([r.dense_value_at(0.1) for r in records], axis=1)
-        err = np.abs(pairs.x - truth_x)
+        ensemble = sample_ensemble(lorenz_field(), schedules, 300, seed=2, extra_times=(0.1, 0.2))
+        pairs = reconstruct_states(ensemble, schedules, 0.1)
+        err = np.abs(pairs.x - ensemble.dense_at(0.1))
         assert err[1].mean() < 0.02
         assert err[2].mean() < 0.02
 
     def test_single_state_pattern(self):
         schedules = single_state_schedules()
-        records = sample_ensemble(
+        ensemble = sample_ensemble(
             lorenz_field(), schedules, 60, seed=3, extra_times=(0.3, 0.4)
         )
-        pairs = reconstruct_states(records, schedules, 0.1, first_target=0.3)
+        pairs = reconstruct_states(ensemble, schedules, 0.1, first_target=0.3)
         assert pairs.x_estimated == (True, True, False)
         assert pairs.y_estimated == (False, True, True)
-        for k, rec in enumerate(records):
-            assert pairs.x[2, k] == rec.series[2].values[0]  # x3 measured at 3 T_s
-            assert pairs.y[0, k] == rec.series[0].values[1]  # x1 measured at 4 T_s
+        np.testing.assert_array_equal(pairs.x[2], ensemble.values[2][:, 0])  # x3 at 3 T_s
+        np.testing.assert_array_equal(pairs.y[0], ensemble.values[0][:, 1])  # x1 at 4 T_s
 
     def test_operators_reused(self):
         schedules = multirate_schedules()
-        records = sample_ensemble(lorenz_field(), schedules, 30, seed=4, extra_times=(0.1, 0.2))
-        ops = fit_component_operators(records, schedules, components={1, 2})
+        ensemble = sample_ensemble(lorenz_field(), schedules, 30, seed=4, extra_times=(0.1, 0.2))
+        ops = fit_component_operators(ensemble, schedules, components={1, 2})
         assert set(ops) == {1, 2}
-        pairs_a = reconstruct_states(records, schedules, 0.1, operators=ops)
-        pairs_b = reconstruct_states(records, schedules, 0.1)
+        pairs_a = reconstruct_states(ensemble, schedules, 0.1, operators=ops)
+        pairs_b = reconstruct_states(ensemble, schedules, 0.1)
         np.testing.assert_array_equal(pairs_a.x, pairs_b.x)
         np.testing.assert_array_equal(pairs_a.y, pairs_b.y)
 
     def test_no_records(self):
         with pytest.raises(DataError):
-            reconstruct_states([], multirate_schedules(), 0.1)
+            reconstruct_states(
+                Ensemble(times={}, values={}, indices=[]), multirate_schedules(), 0.1
+            )
