@@ -42,8 +42,6 @@ from .experiments import (
     ideal_noise_floor,
     lcm_of_rates,
     run,
-    run_multirate,
-    run_single_state,
     run_sweep,
 )
 from .hankel import (
@@ -54,12 +52,12 @@ from .hankel import (
     estimated_components,
     fit_component_operator,
     fit_component_operators,
-    rational_power_estimate,
     reconstruct_states,
 )
 from .linalg import (
     cast_real,
     eigenvalues,
+    koopman_fit,
     matrix_exp,
     matrix_log,
     pinv,
@@ -88,6 +86,7 @@ __all__ = [
     # linalg
     "cast_real",
     "eigenvalues",
+    "koopman_fit",
     "matrix_exp",
     "matrix_log",
     "pinv",
@@ -100,7 +99,6 @@ __all__ = [
     "estimated_components",
     "fit_component_operator",
     "fit_component_operators",
-    "rational_power_estimate",
     "reconstruct_states",
     # edmd
     "KoopmanModel",
@@ -121,7 +119,5 @@ __all__ = [
     "ideal_noise_floor",
     "lcm_of_rates",
     "run",
-    "run_multirate",
-    "run_single_state",
     "run_sweep",
 ]

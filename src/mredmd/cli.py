@@ -73,6 +73,8 @@ def _run_simulate(args):
 
 
 def _run_compare(args):
+    if args.num_seeds < 1:
+        raise ConfigurationError(f"--num-seeds must be >= 1, got {args.num_seeds}")
     cfg = _load_config(args)
     seeds = range(args.seed_base, args.seed_base + args.num_seeds)
     result = experiments.run_sweep(cfg, seeds)

@@ -153,10 +153,11 @@ class SamplingSchedule:
         """Sample times, shape (count + 1,)."""
         return self.dead_time + np.arange(self.count + 1) * self.period
 
-    def sample_index(self, t, tol=TIME_MATCH_TOL):
-        """Index l with |r + l*T - t| <= tol, or None if t is not a sample instant."""
+    def sample_index(self, t):
+        """Index l with |r + l*T - t| <= ``TIME_MATCH_TOL``, or None if t is
+        not a sample instant."""
         l = round((t - self.dead_time) / self.period)
-        if 0 <= l <= self.count and abs(self.dead_time + l * self.period - t) <= tol:
+        if 0 <= l <= self.count and abs(self.dead_time + l * self.period - t) <= TIME_MATCH_TOL:
             return int(l)
         return None
 
@@ -228,6 +229,8 @@ class Ensemble:
 
     def __getitem__(self, k):
         """Trajectory k as a :class:`TrajectoryRecord` built from array rows."""
+        # No pipeline indexes an ensemble; the benchmark's span tracer reads
+        # ``sample_ensemble(...)[0].series`` and ``.dense_states``.
         return TrajectoryRecord(
             index=int(self.indices[k]),
             x0=None if self.x0 is None else self.x0[k],
@@ -419,11 +422,12 @@ def import_ensemble(directory):
         that differ between files by more than ``TIME_MATCH_TOL``.
     """
     directory = Path(directory)
-    files = []
-    for path in sorted(directory.glob("trajectory_*.csv")):
-        match = re.fullmatch(r"trajectory_(\d+)\.csv", path.name)
-        if match is not None:
-            files.append((int(match.group(1)), path))
+    # by parsed index: names sort "trajectory_100000" before "trajectory_99999"
+    files = sorted(
+        (int(match.group(1)), path)
+        for path in directory.glob("trajectory_*.csv")
+        if (match := re.fullmatch(r"trajectory_(\d+)\.csv", path.name)) is not None
+    )
     if not files:
         raise DataError(f"no trajectory CSV files found in {directory}")
     first = files[0][1].name

@@ -56,18 +56,24 @@ class KoopmanModel:
     """Finite Koopman approximation on a monomial dictionary.
 
     ``k_mat`` advances lifted vectors by one step of length ``step``;
-    ``l_mat`` is the real-cast generator with ``imag_residual`` recording the
-    largest imaginary part discarded by the cast. ``l_complex`` keeps the
-    uncast principal logarithm for time interpolation.
+    ``l_complex`` is the principal logarithm of ``k_mat`` over ``step``.
     """
 
     dictionary: Dictionary
     k_mat: np.ndarray
-    l_mat: np.ndarray
-    imag_residual: float
+    l_complex: np.ndarray
     step: float
     readout: Optional[np.ndarray]
-    l_complex: Optional[np.ndarray] = None
+
+    @property
+    def l_mat(self):
+        """Real-cast generator (C-contiguous real part of ``l_complex``)."""
+        return np.ascontiguousarray(self.l_complex.real)
+
+    @property
+    def imag_residual(self):
+        """Largest absolute imaginary part that ``l_mat`` discards."""
+        return float(np.max(np.abs(self.l_complex.imag)))
 
 
 def build_edmd_matrices(ensemble, dictionary):
@@ -84,12 +90,11 @@ def build_edmd_matrices(ensemble, dictionary):
     return p_x, p_y
 
 
-def fit_koopman(p_x, p_y, step, dictionary, rel_tol=None):
-    """Least-squares Koopman fit K = P_y pinv(P_x) plus generator L = log(K)/step.
+def fit_koopman(p_x, p_y, step, dictionary):
+    """Least-squares Koopman fit K = P_y P_x^+ plus generator L = log(K)/step.
 
-    The generator is computed in complex arithmetic and cast to real; the
-    discarded imaginary residual is stored on the model (a warning is
-    emitted when it exceeds 1e-6).
+    See :func:`linalg.koopman_fit`; an imaginary part of L above 1e-6 emits
+    a warning.
 
     Raises
     ------
@@ -104,28 +109,20 @@ def fit_koopman(p_x, p_y, step, dictionary, rel_tol=None):
         )
     if step <= 0:
         raise ConfigurationError(f"step must be > 0, got {step}")
-    k_mat = p_y @ linalg.pinv(p_x, rel_tol)
-    l_complex = linalg.matrix_log(k_mat) / step
-    l_mat, residual = linalg.cast_real(l_complex, tol=1e-6)
+    k_mat, l_complex = linalg.koopman_fit(p_x, p_y, step)
     try:
         readout = coordinate_readout(dictionary)
     except ConfigurationError:
         readout = None
     return KoopmanModel(
-        dictionary=dictionary,
-        k_mat=k_mat,
-        l_mat=l_mat,
-        imag_residual=residual,
-        step=step,
-        readout=readout,
-        l_complex=l_complex,
+        dictionary=dictionary, k_mat=k_mat, l_complex=l_complex, step=step, readout=readout
     )
 
 
-def fit_model(ensemble, dictionary, rel_tol=None):
+def fit_model(ensemble, dictionary):
     """Convenience wrapper: lift an ensemble and fit the Koopman model."""
     p_x, p_y = build_edmd_matrices(ensemble, dictionary)
-    return fit_koopman(p_x, p_y, ensemble.step, dictionary, rel_tol)
+    return fit_koopman(p_x, p_y, ensemble.step, dictionary)
 
 
 def predict(model, x0, steps, mode="rollout"):

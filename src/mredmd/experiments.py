@@ -1,11 +1,11 @@
-"""End-to-end experiment pipelines and their file I/O.
+"""End-to-end experiment pipeline and its file I/O.
 
-``run_multirate`` and ``run_single_state`` generate a sampled ensemble,
-reconstruct state pairs, fit the partial-measurement model next to an ideal
-baseline (full measurements from the same trajectories' dense ground truth)
-and, for the multirate mode, the naive baseline that only uses instants
-where the whole state is visible (period lcm(p) * T_s). Reports materialize
-as CSV/JSON files; identical config and seed reproduce identical bytes.
+``run`` generates a sampled ensemble, reconstructs state pairs, fits the
+partial-measurement model next to an ideal baseline (full measurements from
+the same trajectories' dense ground truth) and, for the multirate mode, the
+naive baseline that only uses instants where the whole state is visible
+(period lcm(p) * T_s). Reports materialize as CSV/JSON files; identical
+config and seed reproduce identical bytes.
 """
 
 import csv
@@ -30,6 +30,9 @@ SCHEMA_ID = "mredmd-report/1"
 _EVAL_STREAM = 2**40 + 1
 _NOISE_FLOOR_STREAM = 2**40 + 2
 
+#: RK4 steps per prediction step when integrating the evaluation ground truth.
+_EVAL_RK4_STEPS = 10
+
 _SYSTEMS = {"lorenz": lorenz_field}
 
 _CONFIG_FIELDS = {
@@ -50,9 +53,10 @@ _CONFIG_FIELDS = {
     "output_dir",
 }
 
-#: Integer config fields and their smallest allowed value (None: no bound).
+#: Integer config fields and their smallest allowed value (seeds key
+#: NumPy's SeedSequence, which takes non-negative integers only).
 _INT_FIELDS = {
-    "K": 1, "seed": None, "degree": 0, "horizon": 1, "eval_trajectories": 1, "state_dim": 1
+    "K": 1, "seed": 0, "degree": 0, "horizon": 1, "eval_trajectories": 1, "state_dim": 1
 }
 
 
@@ -83,12 +87,11 @@ class ExperimentConfig:
                 continue
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ConfigurationError(f"{name} must be an integer, got {value!r}")
-            if low is not None and value < low:
+            if value < low:
                 raise ConfigurationError(f"{name} must be >= {low}, got {value}")
-        t_s = self.T_s
-        if isinstance(t_s, bool) or not isinstance(t_s, (int, float)) or not 0 < t_s < math.inf:
-            raise ConfigurationError(f"T_s must be a finite number > 0, got {t_s!r}")
-        if self.system not in _SYSTEMS:
+        if not _is_real(self.T_s) or self.T_s <= 0:
+            raise ConfigurationError(f"T_s must be a finite number > 0, got {self.T_s!r}")
+        if not isinstance(self.system, str) or self.system not in _SYSTEMS:
             raise ConfigurationError(
                 f"unknown system {self.system!r}; available: {sorted(_SYSTEMS)}"
             )
@@ -100,17 +103,18 @@ class ExperimentConfig:
             raise ConfigurationError(
                 f"prediction_mode must be 'relift' or 'rollout', got {self.prediction_mode!r}"
             )
+        if not isinstance(self.include_constant, bool):
+            raise ConfigurationError(
+                f"include_constant must be true or false, got {self.include_constant!r}"
+            )
+        if self.output_dir is not None and not isinstance(self.output_dir, str):
+            raise ConfigurationError(f"output_dir must be a string, got {self.output_dir!r}")
         n = self.dimension
         if self.mode == "multirate":
             if self.rates is None:
                 raise ConfigurationError("multirate mode requires 'rates'")
-            object.__setattr__(self, "rates", tuple(int(p) for p in self.rates))
-            if len(self.rates) != n:
-                raise ConfigurationError(
-                    f"rates has {len(self.rates)} entries, system dimension is {n}"
-                )
-            if any(p < 1 for p in self.rates):
-                raise ConfigurationError(f"rates must be positive integers, got {self.rates}")
+            rates = _tuple_of("rates", self.rates, n, _is_count, "integers >= 1")
+            object.__setattr__(self, "rates", rates)
         else:
             if self.state_dim is None:
                 raise ConfigurationError("single_state mode requires 'state_dim'")
@@ -119,18 +123,12 @@ class ExperimentConfig:
                     f"state_dim {self.state_dim} does not match system dimension {n}"
                 )
         if self.M is not None:
-            object.__setattr__(self, "M", tuple(int(m) for m in self.M))
-            if len(self.M) != n or any(m < 1 for m in self.M):
-                raise ConfigurationError(
-                    f"M must be {n} integers >= 1, got {self.M}"
-                )
+            object.__setattr__(self, "M", _tuple_of("M", self.M, n, _is_count, "integers >= 1"))
         if self.init_box is not None:
-            box = tuple(tuple(float(v) for v in pair) for pair in self.init_box)
-            object.__setattr__(self, "init_box", box)
-            if len(box) != n or any(len(p) != 2 or p[0] >= p[1] for p in box):
-                raise ConfigurationError(
-                    f"init_box must be {n} (low, high) pairs with low < high"
-                )
+            box = _tuple_of(
+                "init_box", self.init_box, n, _is_interval, "(low, high) pairs with low < high"
+            )
+            object.__setattr__(self, "init_box", tuple(tuple(float(v) for v in p) for p in box))
 
     @property
     def dimension(self):
@@ -158,6 +156,33 @@ class ExperimentConfig:
 
     def to_dict(self):
         return asdict(self)
+
+
+def _is_real(value):
+    """A finite int or float that is not a bool."""
+    return not isinstance(value, bool) and isinstance(value, (int, float)) and math.isfinite(value)
+
+
+def _is_count(value):
+    """An int >= 1 that is not a bool."""
+    return not isinstance(value, bool) and isinstance(value, int) and value >= 1
+
+
+def _is_interval(value):
+    """A (low, high) pair of finite numbers with low < high."""
+    return (
+        isinstance(value, (list, tuple))
+        and len(value) == 2
+        and all(map(_is_real, value))
+        and value[0] < value[1]
+    )
+
+
+def _tuple_of(name, value, n, check, what):
+    """``value`` as a tuple of ``n`` items that pass ``check``."""
+    if not (isinstance(value, (list, tuple)) and len(value) == n and all(map(check, value))):
+        raise ConfigurationError(f"{name} must be {n} {what}, got {value!r}")
+    return tuple(value)
 
 
 def system_field(name):
@@ -269,18 +294,8 @@ def _pairs_from_dense(ensemble, t1, step):
 
 def _lcm_step_model(raw, step):
     """Re-express a coarse-step model at step ``step`` via its generator."""
-    k_step_complex = matrix_exp(raw.l_complex * step)
-    k_step, residual = cast_real(k_step_complex, tol=1e-6)
-    model = edmd.KoopmanModel(
-        dictionary=raw.dictionary,
-        k_mat=k_step,
-        l_mat=raw.l_mat,
-        imag_residual=raw.imag_residual,
-        step=step,
-        readout=raw.readout,
-        l_complex=raw.l_complex,
-    )
-    return model, residual
+    k_step, residual = cast_real(matrix_exp(raw.l_complex * step), tol=1e-6)
+    return replace(raw, k_mat=k_step, step=step), residual
 
 
 def _eval_initial_conditions(cfg, n):
@@ -289,7 +304,7 @@ def _eval_initial_conditions(cfg, n):
     return rng.uniform(box[:, 0], box[:, 1], size=(cfg.eval_trajectories, n))
 
 
-def evaluate_prediction(models, fld, x0s, horizon, step, mode="rollout", substeps=10):
+def evaluate_prediction(models, fld, x0s, horizon, step, mode="rollout"):
     """Per-trajectory RMSE of each model's prediction against RK4 ground truth.
 
     Returns ``(times, truth, predictions, rmse)`` where ``truth`` has shape
@@ -300,8 +315,8 @@ def evaluate_prediction(models, fld, x0s, horizon, step, mode="rollout", substep
     if horizon < 1:
         raise ConfigurationError(f"horizon must be >= 1, got {horizon}")
     x0s = np.atleast_2d(np.asarray(x0s, dtype=float))
-    dense = integrate(fld, x0s, step / substeps, horizon * substeps)
-    truth = np.moveaxis(dense[substeps::substeps], 0, 1)  # (n_eval, horizon, n)
+    dense = integrate(fld, x0s, step / _EVAL_RK4_STEPS, horizon * _EVAL_RK4_STEPS)
+    truth = np.moveaxis(dense[_EVAL_RK4_STEPS::_EVAL_RK4_STEPS], 0, 1)  # (n_eval, horizon, n)
     times = np.arange(1, horizon + 1) * step
     predictions = {}
     rmse = {}
@@ -349,31 +364,21 @@ def _finish_report(report, cfg, fld):
     return report
 
 
-def run_multirate(cfg):
-    """Multirate pipeline: reconstruct at (T_s, 2 T_s), fit the multirate
-    model, the ideal baseline, and the lcm baseline; evaluate all three.
+def run(cfg):
+    """Run the pipeline of the configured mode.
 
-    Stage failures are recorded in the report (with the stage name) rather
-    than raised, so a partial report can still be written.
+    Multirate reconstructs at (T_s, 2 T_s) and fits the multirate model, the
+    lcm baseline and the ideal baseline; single-state reconstructs at
+    (n T_s, (n+1) T_s) and fits the model and the ideal baseline. All are
+    evaluated. Stage failures are recorded in the report (with the stage
+    name) rather than raised, so a partial report can still be written.
     """
-    return _run_mode(cfg, "multirate")
-
-
-def run_single_state(cfg):
-    """Single-state pipeline: one component measured per instant; reconstruct
-    at (n T_s, (n+1) T_s), fit the model and the ideal baseline."""
-    return _run_mode(cfg, "single_state")
-
-
-def _run_mode(cfg, mode):
-    """The pipeline both modes share; only multirate adds the lcm baseline."""
-    if cfg.mode != mode:
-        raise ConfigurationError(f"config mode is {cfg.mode!r}, expected {mode!r}")
+    mode = cfg.mode
     multirate = mode == "multirate"
     fld = system_field(cfg.system)
     report = ExperimentReport(
         schema=SCHEMA_ID,
-        mode=cfg.mode,
+        mode=mode,
         seed=cfg.seed,
         config=_config_echo(cfg),
         methods=[mode, "lcm", "ideal"] if multirate else [mode, "ideal"],
@@ -406,20 +411,20 @@ def _run_mode(cfg, mode):
             i: op.imag_residual for i, (_, op) in operators.items()
         }
         pairs = hankel.reconstruct_states(
-            ensemble, schedules, t_s, first_target=first_target, operators=operators
+            ensemble, schedules, operators, t_s, first_target=first_target
         )
         report.models[mode] = edmd.fit_model(pairs, dictionary)
 
     if multirate:
         with _stage(report, "fit_lcm"):
-            lcm_pairs = hankel.reconstruct_states(
-                ensemble, schedules, lcm_step[0], first_target=0.0
-            )
-            if any(lcm_pairs.x_estimated) or any(lcm_pairs.y_estimated):
+            if hankel.estimated_components(schedules, (0.0, lcm_step[0])):
                 raise DataError(
                     "lcm baseline needs the full state measured at t=0 and "
                     f"t={lcm_step[0]:.6g}; increase the per-component sample counts"
                 )
+            lcm_pairs = hankel.reconstruct_states(
+                ensemble, schedules, {}, lcm_step[0], first_target=0.0
+            )
             raw = edmd.fit_model(lcm_pairs, dictionary)
             report.models["lcm"], step_residual = _lcm_step_model(raw, t_s)
             report.residuals["lcm_step"] = step_residual
@@ -430,11 +435,6 @@ def _run_mode(cfg, mode):
         )
 
     return _finish_report(report, cfg, fld)
-
-
-def run(cfg):
-    """Run the pipeline of the configured mode."""
-    return _run_mode(cfg, cfg.mode)
 
 
 def ideal_noise_floor(cfg):

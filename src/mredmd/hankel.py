@@ -11,8 +11,8 @@ estimates at time t.
 """
 
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -24,7 +24,6 @@ from .errors import (
     DivergenceError,
     ExtrapolationWarning,
     IllConditionedWarning,
-    NumericalError,
     RankDeficiencyWarning,
     SingularMatrixError,
 )
@@ -55,19 +54,40 @@ class HankelDataMatrices:
 class ComponentOperator:
     """One-period Koopman matrix and generator for a single component.
 
-    ``l_mat`` is the real cast of ``l_complex`` with ``imag_residual`` the
-    largest imaginary part discarded; estimates propagate with the complex
-    generator so genuinely complex logarithms surface as residuals rather
-    than silent errors.
+    Estimates propagate with the complex generator ``l_complex``, so
+    genuinely complex logarithms surface as residuals rather than silent
+    errors.
     """
 
     component: int
     k_mat: np.ndarray
-    l_mat: np.ndarray
-    imag_residual: float
+    l_complex: np.ndarray
     period: float
     dead_time: float
-    l_complex: Optional[np.ndarray] = None
+
+    @property
+    def l_mat(self):
+        """Real-cast generator (C-contiguous real part of ``l_complex``)."""
+        return np.ascontiguousarray(self.l_complex.real)
+
+    @property
+    def imag_residual(self):
+        """Largest absolute imaginary part that ``l_mat`` discards."""
+        return float(np.max(np.abs(self.l_complex.imag)))
+
+
+@contextmanager
+def _labelled(label):
+    """Prefix ``label: `` to the warnings raised inside, re-emitted in order,
+    and to a :class:`SingularMatrixError`."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            yield
+        except SingularMatrixError as exc:
+            raise SingularMatrixError(f"{label}: {exc}") from exc
+    for w in caught:
+        warnings.warn(f"{label}: {w.message}", w.category, stacklevel=4)
 
 
 def build_hankel_matrices(ensemble, schedule):
@@ -98,12 +118,12 @@ def build_hankel_matrices(ensemble, schedule):
     )
 
 
-def fit_component_operator(matrices, rel_tol=None):
-    """Fit K_i = P_y pinv(P_x) and its generator L_i = log(K_i) / T_i.
+def fit_component_operator(matrices):
+    """Fit K_i = P_y P_x^+ and its generator L_i = log(K_i) / T_i.
 
     Emits :class:`IllConditionedWarning` when cond(P_x) exceeds 1e12 and
     :class:`RankDeficiencyWarning` when there are fewer trajectories than
-    delay observables. A residual of the real cast above 1e-6 emits an
+    delay observables. An imaginary part of L_i above 1e-6 emits an
     :class:`ImaginaryResidualWarning`.
 
     Raises
@@ -128,28 +148,14 @@ def fit_component_operator(matrices, rel_tol=None):
             IllConditionedWarning,
             stacklevel=2,
         )
-    k_mat = matrices.p_y @ linalg.pinv(matrices.p_x, rel_tol)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        try:
-            l_complex = linalg.matrix_log(k_mat) / schedule.period
-        except SingularMatrixError as exc:
-            raise SingularMatrixError(
-                f"component {schedule.component}: {exc}"
-            ) from exc
-        l_mat, residual = linalg.cast_real(l_complex, tol=1e-6)
-    for w in caught:  # re-emit with component context
-        warnings.warn(
-            f"component {schedule.component}: {w.message}", w.category, stacklevel=2
-        )
+    with _labelled(f"component {schedule.component}"):
+        k_mat, l_complex = linalg.koopman_fit(matrices.p_x, matrices.p_y, schedule.period)
     return ComponentOperator(
         component=schedule.component,
         k_mat=k_mat,
-        l_mat=l_mat,
-        imag_residual=residual,
+        l_complex=l_complex,
         period=schedule.period,
         dead_time=schedule.dead_time,
-        l_complex=l_complex,
     )
 
 
@@ -181,18 +187,10 @@ def estimate_component_at(operator, matrices, t):
             ExtrapolationWarning,
             stacklevel=2,
         )
-    generator = operator.l_complex if operator.l_complex is not None else operator.l_mat
-    propagator = linalg.matrix_exp(generator * dt)
+    propagator = linalg.matrix_exp(operator.l_complex * dt)
     row = propagator[0, :] @ matrices.p_x
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
+    with _labelled(f"component {operator.component}, t={t:.6g}"):
         estimates, _residual = linalg.cast_real(row, tol=1e-6)
-    for w in caught:  # re-emit with component and time context
-        warnings.warn(
-            f"component {operator.component}, t={t:.6g}: {w.message}",
-            w.category,
-            stacklevel=2,
-        )
     if not np.all(np.isfinite(estimates)):
         raise DivergenceError(
             f"component {operator.component}: non-finite estimates at t={t:.6g}"
@@ -200,50 +198,12 @@ def estimate_component_at(operator, matrices, t):
     return estimates
 
 
-def rational_power_estimate(operator, matrices, t):
-    """Estimates via the fractional matrix power K_i^((t - r_i)/T_i).
-
-    Uses an eigendecomposition-based principal fractional power instead of
-    the exp-log path. The realness residual is returned to the caller, not
-    warned about: a complex-valued power is an expected outcome for spectra
-    touching the negative real axis.
-
-    Returns
-    -------
-    (np.ndarray, float)
-        Estimates of shape (K,) and the largest absolute imaginary part.
-
-    Raises
-    ------
-    NumericalError
-        If K_i is defective (eigenvector matrix numerically singular);
-        callers should fall back to :func:`estimate_component_at`.
-    """
-    p = (t - operator.dead_time) / operator.period
-    try:
-        w, v = np.linalg.eig(operator.k_mat)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(
-            f"component {operator.component}: eigendecomposition failed: {exc}"
-        ) from exc
-    cond = linalg.condition_number(v)
-    if not np.isfinite(cond) or cond > COND_WARN_THRESHOLD:
-        raise NumericalError(
-            f"component {operator.component}: K_i is defective "
-            f"(eigenvector condition {cond:.3e}); use the exp-log path"
-        )
-    powered = (v * np.power(w.astype(complex), p)) @ np.linalg.inv(v)
-    row = powered[0, :] @ matrices.p_x
-    residual = float(np.max(np.abs(row.imag)))
-    return np.ascontiguousarray(row.real), residual
-
-
-def estimated_components(schedules, targets, tol=TIME_MATCH_TOL):
+def estimated_components(schedules, targets):
     """Components lacking a measurement at one or more target times."""
-    return {s.component for s in schedules for t in targets if s.sample_index(t, tol) is None}
+    return {s.component for s in schedules for t in targets if s.sample_index(t) is None}
 
 
-def fit_component_operators(ensemble, schedules, components=None, rel_tol=None):
+def fit_component_operators(ensemble, schedules, components=None):
     """Build data matrices and fit operators for the given components.
 
     Returns
@@ -256,11 +216,11 @@ def fit_component_operators(ensemble, schedules, components=None, rel_tol=None):
     for s in schedules:
         if s.component in wanted:
             matrices = build_hankel_matrices(ensemble, s)
-            fitted[s.component] = (matrices, fit_component_operator(matrices, rel_tol))
+            fitted[s.component] = (matrices, fit_component_operator(matrices))
     return fitted
 
 
-def reconstruct_states(ensemble, schedules, step, first_target=None, operators=None):
+def reconstruct_states(ensemble, schedules, operators, step, first_target=None):
     """Assemble state pairs (x(t1), x(t1 + step)) from partial measurements.
 
     For each component and target time, a measurement at that instant
@@ -271,21 +231,26 @@ def reconstruct_states(ensemble, schedules, step, first_target=None, operators=N
     Parameters
     ----------
     ensemble : Ensemble
-    operators : dict, optional
-        Precomputed output of :func:`fit_component_operators`; components
-        that need estimation and are missing from it are fitted here.
+    operators : dict
+        Output of :func:`fit_component_operators` covering every component
+        that needs estimation (see :func:`estimated_components`).
 
     Returns
     -------
     StatePairEnsemble
         With per-component provenance flags (estimated vs measured).
+
+    Raises
+    ------
+    DataError
+        If a measurement is missing or an estimate needs an operator that
+        ``operators`` lacks.
     """
     t1 = step if first_target is None else first_target
     t2 = t1 + step
     n = len(schedules)
     if sorted(s.component for s in schedules) != list(range(n)):
         raise DataError("schedules must cover each state component exactly once")
-    operators = dict(operators) if operators else {}
 
     x = np.empty((n, len(ensemble)))
     y = np.empty((n, len(ensemble)))
@@ -301,8 +266,10 @@ def reconstruct_states(ensemble, schedules, step, first_target=None, operators=N
                 out[s.component] = ensemble.values[s.component][:, l]
             else:
                 if s.component not in operators:
-                    matrices = build_hankel_matrices(ensemble, s)
-                    operators[s.component] = (matrices, fit_component_operator(matrices))
+                    raise DataError(
+                        f"component {s.component}: estimate at t={t:.6g} needs a "
+                        "fitted component operator"
+                    )
                 matrices, operator = operators[s.component]
                 out[s.component] = estimate_component_at(operator, matrices, t)
                 flags[s.component] = True

@@ -1,5 +1,6 @@
 """Dense matrix kernels: SVD pseudo-inverse, principal matrix logarithm,
-matrix exponential, eigenvalue extraction, and spectrum comparison.
+the least-squares Koopman fit built on both, matrix exponential, eigenvalue
+extraction, and spectrum comparison.
 
 Matrices are plain ``numpy.ndarray`` values; every operation validates shape
 and finiteness on entry and is a pure function of its inputs.
@@ -42,16 +43,16 @@ def _require_square(arr, name="matrix"):
         raise DimensionMismatchError(f"{name} must be square, got shape {arr.shape}")
 
 
-def pinv(a, rel_tol=None):
+def pinv(a):
     """Moore-Penrose pseudo-inverse via SVD with relative truncation.
+
+    Singular values below ``max(m, n) * machine_epsilon * sigma_max`` are
+    truncated.
 
     Parameters
     ----------
     a : array_like
         Real matrix, shape (m, n).
-    rel_tol : float, optional
-        Singular values below ``rel_tol * sigma_max`` are truncated.
-        Defaults to ``max(m, n) * machine_epsilon``.
 
     Returns
     -------
@@ -59,19 +60,38 @@ def pinv(a, rel_tol=None):
         Pseudo-inverse, shape (n, m).
     """
     arr = _as_matrix(a, "a")
-    if rel_tol is None:
-        rel_tol = max(arr.shape) * _EPS
-    elif rel_tol < 0:
-        raise ValueError(f"rel_tol must be >= 0, got {rel_tol}")
     try:
         u, s, vh = np.linalg.svd(arr, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"SVD did not converge: {exc}") from exc
     if s.size == 0 or s[0] == 0.0:
         return np.zeros((arr.shape[1], arr.shape[0]))
-    keep = s > rel_tol * s[0]
+    keep = s > max(arr.shape) * _EPS * s[0]
     r = int(np.count_nonzero(keep))
     return (vh[:r].T / s[:r]) @ u[:, :r].T
+
+
+def koopman_fit(p_x, p_y, step):
+    """Least-squares Koopman fit K = P_y P_x^+ and its generator
+    L = log(K) / step, shared by the Hankel and EDMD steps.
+
+    ``L`` stays complex; a largest imaginary part above 1e-6 emits an
+    :class:`ImaginaryResidualWarning`.
+
+    Returns
+    -------
+    (np.ndarray, np.ndarray)
+        ``k_mat`` (real) and ``l_complex``, both (N, N).
+
+    Raises
+    ------
+    SingularMatrixError
+        If the fitted K is singular so no generator exists.
+    """
+    k_mat = p_y @ pinv(p_x)
+    l_complex = matrix_log(k_mat) / step
+    cast_real(l_complex, tol=1e-6)  # for its warning; callers keep L complex
+    return k_mat, l_complex
 
 
 def condition_number(a):

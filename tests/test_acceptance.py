@@ -24,8 +24,7 @@ from mredmd.experiments import (
     derive_schedules,
     emit_report,
     ideal_noise_floor,
-    run_multirate,
-    run_single_state,
+    run,
     system_field,
 )
 from mredmd.observables import monomial_dictionary
@@ -55,7 +54,7 @@ def multirate_sweep():
     reports, elapsed = [], []
     for seed in SEEDS:
         start = time.perf_counter()
-        reports.append(run_multirate(benchmark_multirate_config(seed=seed)))
+        reports.append(run(benchmark_multirate_config(seed=seed)))
         elapsed.append(time.perf_counter() - start)
     return reports, elapsed
 
@@ -66,7 +65,7 @@ def single_state_sweep():
     reports, floors = [], []
     for seed in SEEDS:
         cfg = benchmark_single_state_config(seed=seed)
-        reports.append(run_single_state(cfg))
+        reports.append(run(cfg))
         floors.append(ideal_noise_floor(cfg))
     return reports, floors
 
@@ -137,7 +136,7 @@ def test_criterion_3_matrix_function_suite():
 
 
 def test_criterion_4_passthrough_reduction():
-    report = run_multirate(benchmark_multirate_config(K=60, rates=(1, 1, 1)))
+    report = run(benchmark_multirate_config(K=60, rates=(1, 1, 1)))
     assert report.errors == []
     mr, ideal = report.models["multirate"], report.models["ideal"]
     assert np.array_equal(mr.k_mat, ideal.k_mat), "K_N differs bitwise"
@@ -215,8 +214,8 @@ def test_criterion_9_determinism(tmp_path):
     # library-level double run
     cfg = benchmark_multirate_config(K=40, seed=11)
     a, b = tmp_path / "lib_a", tmp_path / "lib_b"
-    emit_report(run_multirate(cfg), a)
-    emit_report(run_multirate(cfg), b)
+    emit_report(run(cfg), a)
+    emit_report(run(cfg), b)
     assert tree_bytes(a) == tree_bytes(b)
 
     # every CLI subcommand, run twice with identical config and seed

@@ -46,6 +46,14 @@ def test_mode_mismatch_is_config_error(tmp_path):
     assert main(["single-state", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
 
 
+@pytest.mark.parametrize("num_seeds", ["0", "-2"])
+def test_compare_needs_a_seed(tmp_path, num_seeds):
+    cfg = write_config(tmp_path / "cfg.json")
+    out = tmp_path / "cmp"
+    assert main(["compare", "--config", str(cfg), "--num-seeds", num_seeds, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_seed_override(tmp_path):
     cfg = write_config(tmp_path / "cfg.json")
     out = tmp_path / "report"

@@ -215,6 +215,17 @@ class TestEnsembleCsvRoundtrip:
         for i in ensemble.times:
             np.testing.assert_array_equal(back.times[i], ensemble.times[i])
             np.testing.assert_array_equal(back.values[i], ensemble.values[i])
+        # indices whose file names sort in the other order
+        wide = Ensemble(
+            times=ensemble.times,
+            values={i: v[:2] for i, v in ensemble.values.items()},
+            indices=[99999, 100000],
+        )
+        export_ensemble(wide, tmp_path / "wide")
+        back = import_ensemble(tmp_path / "wide")
+        np.testing.assert_array_equal(back.indices, [99999, 100000])
+        for i in wide.times:
+            np.testing.assert_array_equal(back.values[i], wide.values[i])
 
     def test_export_deterministic_bytes(self, tmp_path):
         ensemble = sample_ensemble(lorenz_field(), benchmark_schedules(), 2, seed=9)

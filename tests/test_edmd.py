@@ -137,8 +137,7 @@ class TestPredict:
         model = edmd.KoopmanModel(
             dictionary=d,
             k_mat=np.eye(3),
-            l_mat=np.zeros((3, 3)),
-            imag_residual=0.0,
+            l_complex=np.zeros((3, 3)),
             step=0.1,
             readout=np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
         )
@@ -150,8 +149,7 @@ class TestPredict:
         model = edmd.KoopmanModel(
             dictionary=d,
             k_mat=np.array([[0.5]]),
-            l_mat=np.array([[np.log(0.5)]]),
-            imag_residual=0.0,
+            l_complex=np.array([[np.log(0.5)]]),
             step=1.0,
             readout=np.array([[1.0]]),
         )
@@ -202,8 +200,7 @@ class TestPredict:
         model = edmd.KoopmanModel(
             dictionary=d,
             k_mat=np.array([[1e200]]),
-            l_mat=np.array([[np.log(1e200)]]),
-            imag_residual=0.0,
+            l_complex=np.array([[np.log(1e200)]]),
             step=1.0,
             readout=np.array([[1.0]]),
         )
@@ -217,8 +214,7 @@ class TestPredict:
         model = edmd.KoopmanModel(
             dictionary=d,
             k_mat=np.eye(1),
-            l_mat=np.zeros((1, 1)),
-            imag_residual=0.0,
+            l_complex=np.zeros((1, 1)),
             step=1.0,
             readout=None,
         )

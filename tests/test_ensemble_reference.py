@@ -145,7 +145,11 @@ def test_hankel_matrices_match_loop(schedules):
 def test_reconstructed_pairs_match_loop(schedules, step, first_target, extra):
     ensemble = sample_ensemble(lorenz_field(), schedules, 120, seed=5, extra_times=extra)
     records, _ = reference_records(lorenz_field(), schedules, 120, 5, extra_times=extra)
-    pairs = hankel.reconstruct_states(ensemble, schedules, step, first_target=first_target)
+    needed = hankel.estimated_components(schedules, (first_target, first_target + step))
+    operators = hankel.fit_component_operators(ensemble, schedules, needed)
+    pairs = hankel.reconstruct_states(
+        ensemble, schedules, operators, step, first_target=first_target
+    )
     ref_x, ref_y = reference_pairs(records, schedules, step, first_target)
     np.testing.assert_array_equal(pairs.x, ref_x)
     np.testing.assert_array_equal(pairs.y, ref_y)

@@ -19,8 +19,7 @@ from mredmd.experiments import (
     evaluate_prediction,
     ideal_noise_floor,
     lcm_of_rates,
-    run_multirate,
-    run_single_state,
+    run,
     run_sweep,
 )
 from mredmd.observables import monomial_dictionary
@@ -144,6 +143,7 @@ class TestExperimentConfig:
             ("K", 0),
             ("degree", -1),
             ("seed", 1.5),
+            ("seed", -1),
             ("degree", "2"),
             ("horizon", False),
             ("eval_trajectories", 10.0),
@@ -154,6 +154,14 @@ class TestExperimentConfig:
             ("T_s", True),
             ("T_s", 0.0),
             ("T_s", -0.1),
+            ("rates", [1, "x", 3]),
+            ("rates", [1, 4.5, 3]),
+            ("M", ["a", 3, 4]),
+            ("M", [12.7, 3, 4]),
+            ("init_box", 3),
+            ("system", []),
+            ("include_constant", "no"),
+            ("output_dir", 5),
         ],
     )
     def test_field_types_rejected(self, field, value):
@@ -223,8 +231,7 @@ class TestEvaluatePrediction:
         model = edmd_mod.KoopmanModel(
             dictionary=d,
             k_mat=np.diag([0.5, 1e155]),
-            l_mat=np.zeros((2, 2)),
-            imag_residual=0.0,
+            l_complex=np.zeros((2, 2)),
             step=0.1,
             readout=np.eye(2),
         )
@@ -239,7 +246,7 @@ class TestEvaluatePrediction:
 
 class TestRunMultirate:
     def test_benchmark_config_report(self):
-        report = run_multirate(multirate_config(K=300))
+        report = run(multirate_config(K=300))
         assert report.errors == []
         assert report.methods == ["multirate", "lcm", "ideal"]
         assert set(report.models) == {"multirate", "lcm", "ideal"}
@@ -251,7 +258,7 @@ class TestRunMultirate:
         assert report.component_residuals.keys() == {1, 2}
 
     def test_uniform_rates_reduce_to_ideal(self):
-        report = run_multirate(multirate_config(rates=(1, 1, 1)))
+        report = run(multirate_config(rates=(1, 1, 1)))
         assert report.errors == []
         np.testing.assert_array_equal(
             report.models["multirate"].k_mat, report.models["ideal"].k_mat
@@ -261,22 +268,20 @@ class TestRunMultirate:
         )
         assert report.distances["multirate"] == 0.0
 
-    def test_mode_mismatch(self):
-        with pytest.raises(ConfigurationError):
-            run_multirate(single_state_config())
-
     def test_wrong_counts_give_partial_report(self):
         # M too small to cover the lcm instant: the lcm stage fails, the
         # rest of the report is still produced
-        report = run_multirate(multirate_config(M=(2, 1, 1)))
+        report = run(multirate_config(M=(2, 1, 1)))
         assert any(e["stage"] == "fit_lcm" for e in report.errors)
+        # the check runs before any reconstruction, so nothing was estimated
+        assert not any(w["stage"] == "fit_lcm" for w in report.warnings)
         assert "multirate" in report.models
         assert "ideal" in report.models
 
 
 class TestRunSingleState:
     def test_benchmark_config_report(self):
-        report = run_single_state(single_state_config(K=100))
+        report = run(single_state_config(K=100))
         assert report.errors == []
         assert report.methods == ["single_state", "ideal"]
         assert report.spectra["single_state"].shape == (10,)
@@ -285,7 +290,7 @@ class TestRunSingleState:
 
     def test_measured_values_pass_through(self):
         cfg = single_state_config(K=30)
-        report = run_single_state(cfg)
+        report = run(cfg)
         assert report.errors == []
         # estimation happened for the components of Table-2's blue cells only
         ops = report.component_operators
@@ -295,14 +300,14 @@ class TestRunSingleState:
 class TestWarningCollection:
     def test_warnings_recorded_once_with_stage(self):
         # rank-deficient hankel fit: K < M_1 forces a warning in reconstruct
-        report = run_multirate(multirate_config(K=10, M=(12, 11, 11)))
+        report = run(multirate_config(K=10, M=(12, 11, 11)))
         recon = [w for w in report.warnings if w["stage"] == "reconstruct"]
         assert any(w["category"] == "RankDeficiencyWarning" for w in recon)
         keys = [(w["stage"], w["category"], w["message"]) for w in report.warnings]
         assert len(keys) == len(set(keys))
 
     def test_lcm_complex_log_recorded(self):
-        report = run_multirate(multirate_config(K=300))
+        report = run(multirate_config(K=300))
         lcm_warnings = [w for w in report.warnings if w["stage"] == "fit_lcm"]
         assert any(w["category"] == "NegativeRealAxisWarning" for w in lcm_warnings)
         assert report.residuals["lcm"] > 1e-6
@@ -332,7 +337,7 @@ class TestIdealNoiseFloor:
 
 class TestEmitReport:
     def test_file_schemas(self, tmp_path):
-        report = run_multirate(multirate_config(K=40))
+        report = run(multirate_config(K=40))
         emit_report(report, tmp_path)
         with open(tmp_path / "spectrum.csv") as fh:
             rows = list(csv.reader(fh))
@@ -370,8 +375,8 @@ class TestEmitReport:
     def test_byte_identical_across_runs(self, tmp_path):
         cfg = multirate_config(K=30, seed=7)
         d1, d2 = tmp_path / "a", tmp_path / "b"
-        emit_report(run_multirate(cfg), d1)
-        emit_report(run_multirate(cfg), d2)
+        emit_report(run(cfg), d1)
+        emit_report(run(cfg), d2)
         files1 = sorted(p.name for p in d1.iterdir())
         files2 = sorted(p.name for p in d2.iterdir())
         assert files1 == files2

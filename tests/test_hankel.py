@@ -7,11 +7,13 @@ import pytest
 
 from mredmd import hankel
 from mredmd.dynamics import Ensemble, SamplingSchedule, lorenz_field, sample_ensemble
+from mredmd.edmd import StatePairEnsemble, fit_model
 from mredmd.errors import (
     DataError,
     ExtrapolationWarning,
     IllConditionedWarning,
-    NumericalError,
+    ImaginaryResidualWarning,
+    NegativeRealAxisWarning,
     RankDeficiencyWarning,
 )
 from mredmd.hankel import (
@@ -20,9 +22,9 @@ from mredmd.hankel import (
     estimated_components,
     fit_component_operator,
     fit_component_operators,
-    rational_power_estimate,
     reconstruct_states,
 )
+from mredmd.observables import monomial_dictionary
 
 
 def ensemble_from_rows(rows, schedule):
@@ -137,6 +139,20 @@ class TestFitComponentOperator:
         rel = np.linalg.norm(back - op.k_mat) / np.linalg.norm(op.k_mat)
         assert rel <= 1e-6
 
+    def test_matches_edmd_fit(self):
+        # Hankel DMD with one delay is EDMD on the coordinate itself: both
+        # steps share one fit kernel, so the matrices agree bit for bit
+        schedule = SamplingSchedule(component=0, dead_time=0.0, period=0.1, count=1)
+        rows = np.random.default_rng(5).normal(size=(20, 2))
+        h = build_hankel_matrices(ensemble_from_rows(rows, schedule), schedule)
+        op = fit_component_operator(h)
+        model = fit_model(
+            StatePairEnsemble(x=h.p_x, y=h.p_y, step=schedule.period),
+            monomial_dictionary(1, 1, include_constant=False),
+        )
+        assert np.array_equal(op.k_mat, model.k_mat)
+        assert np.array_equal(op.l_complex, model.l_complex)
+
     def test_rank_deficiency_warns(self):
         schedule = SamplingSchedule(component=0, dead_time=0.0, period=0.1, count=2)
         ensemble = ensemble_from_rows([[1.0, 0.9, 0.81]], schedule)
@@ -212,51 +228,53 @@ class TestEstimateComponentAt:
 
 
 class TestRationalPowerEstimate:
+    """Estimates at rational multiples of T_i are fractional powers of K_i."""
+
     def test_integer_power_consistency(self):
         schedule, ensemble, _ = geometric_data()
         h = build_hankel_matrices(ensemble, schedule)
         op = fit_component_operator(h)
-        est, residual = rational_power_estimate(op, h, 2 * schedule.period)
-        two_steps = (op.k_mat @ op.k_mat @ h.p_x)[0]
-        np.testing.assert_allclose(est, two_steps, atol=1e-10)
-        assert residual <= 1e-12
+        est = estimate_component_at(op, h, 2 * schedule.period)
+        np.testing.assert_allclose(est, (op.k_mat @ op.k_mat @ h.p_x)[0], atol=1e-10)
 
     def test_agrees_with_exp_log_for_positive_spectrum(self):
         schedule, ensemble, _ = geometric_data()
         h = build_hankel_matrices(ensemble, schedule)
         op = fit_component_operator(h)
         t = 0.137
-        est_rp, residual = rational_power_estimate(op, h, t)
-        est_el = estimate_component_at(op, h, t)
-        np.testing.assert_allclose(est_rp, est_el, atol=1e-8)
-        assert residual <= 1e-10
+        w, v = np.linalg.eig(op.k_mat)  # oracle: principal power by eigendecomposition
+        powered = (v * np.power(w.astype(complex), t / schedule.period)) @ np.linalg.inv(v)
+        oracle = powered[0] @ h.p_x
+        assert np.max(np.abs(oracle.imag)) <= 1e-10
+        np.testing.assert_allclose(estimate_component_at(op, h, t), oracle.real, atol=1e-8)
 
     def test_negative_eigenvalue_half_power_is_complex(self):
         schedule = SamplingSchedule(component=0, dead_time=0.0, period=0.1, count=1)
         ensemble = ensemble_from_rows([[x, -0.5 * x] for x in (1.0, 2.0)], schedule)
         h = build_hankel_matrices(ensemble, schedule)
-        op = fit_component_operator(h)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            op = fit_component_operator(h)
+            estimate_component_at(op, h, 0.05)  # sqrt(-0.5) is imaginary
         np.testing.assert_allclose(op.k_mat, [[-0.5]], atol=1e-12)
-        _, residual = rational_power_estimate(op, h, 0.05)
-        assert residual > 0.1  # sqrt(-0.5) is imaginary
+        assert op.imag_residual > 1.0
+        # each warning carries its component (and time) label, in order
+        assert [(w.category, str(w.message).split(": ")[0]) for w in caught] == [
+            (NegativeRealAxisWarning, "component 0"),
+            (ImaginaryResidualWarning, "component 0"),
+            (ImaginaryResidualWarning, "component 0, t=0.05"),
+        ]
 
-    def test_defective_matrix_rejected(self):
+    def test_defective_matrix_exp_log(self):
+        # a Jordan block has no eigenvector basis; the exp-log path still
+        # gives its principal square root [[1, 0.5], [0, 1]]
         schedule = SamplingSchedule(component=0, dead_time=0.0, period=0.1, count=2)
         h = hankel.HankelDataMatrices(
-            p_x=np.array([[1.0, 0.0], [0.0, 1.0]]),
-            p_y=np.array([[1.0, 1.0], [0.0, 1.0]]),
-            schedule=schedule,
+            p_x=np.eye(2), p_y=np.array([[1.0, 1.0], [0.0, 1.0]]), schedule=schedule
         )
-        op = hankel.ComponentOperator(
-            component=0,
-            k_mat=np.array([[1.0, 1.0], [0.0, 1.0]]),  # Jordan block
-            l_mat=np.zeros((2, 2)),
-            imag_residual=0.0,
-            period=0.1,
-            dead_time=0.0,
-        )
-        with pytest.raises(NumericalError, match="defective"):
-            rational_power_estimate(op, h, 0.05)
+        op = fit_component_operator(h)
+        np.testing.assert_allclose(op.k_mat, [[1.0, 1.0], [0.0, 1.0]], atol=1e-12)
+        np.testing.assert_allclose(estimate_component_at(op, h, 0.05), [1.0, 0.5], atol=1e-10)
 
 
 def multirate_schedules(t_s=0.1):
@@ -294,6 +312,14 @@ class TestEstimatedComponents:
         assert estimated_components(schedules, (0.1, 0.2)) == set()
 
 
+def reconstruct(ensemble, schedules, step, first_target=None):
+    """reconstruct_states with operators fitted for the estimated components."""
+    t1 = step if first_target is None else first_target
+    needed = estimated_components(schedules, (t1, t1 + step))
+    operators = fit_component_operators(ensemble, schedules, needed)
+    return reconstruct_states(ensemble, schedules, operators, step, first_target=first_target)
+
+
 class TestReconstructStates:
     def test_full_sampling_passthrough(self):
         schedules = [
@@ -301,7 +327,7 @@ class TestReconstructStates:
             for i in range(3)
         ]
         ensemble = sample_ensemble(lorenz_field(), schedules, 5, seed=0)
-        pairs = reconstruct_states(ensemble, schedules, 0.1)
+        pairs = reconstruct(ensemble, schedules, 0.1)
         assert pairs.x_estimated == (False, False, False)
         assert pairs.y_estimated == (False, False, False)
         np.testing.assert_array_equal(pairs.x, ensemble.dense_at(0.1))
@@ -310,7 +336,7 @@ class TestReconstructStates:
     def test_multirate_provenance(self):
         schedules = multirate_schedules()
         ensemble = sample_ensemble(lorenz_field(), schedules, 40, seed=1, extra_times=(0.1, 0.2))
-        pairs = reconstruct_states(ensemble, schedules, 0.1)
+        pairs = reconstruct(ensemble, schedules, 0.1)
         assert pairs.x_estimated == (False, True, True)
         assert pairs.y_estimated == (False, True, True)
         # measured component passes through bit-identically
@@ -320,7 +346,7 @@ class TestReconstructStates:
     def test_multirate_estimates_near_truth(self):
         schedules = multirate_schedules()
         ensemble = sample_ensemble(lorenz_field(), schedules, 300, seed=2, extra_times=(0.1, 0.2))
-        pairs = reconstruct_states(ensemble, schedules, 0.1)
+        pairs = reconstruct(ensemble, schedules, 0.1)
         err = np.abs(pairs.x - ensemble.dense_at(0.1))
         assert err[1].mean() < 0.02
         assert err[2].mean() < 0.02
@@ -330,7 +356,7 @@ class TestReconstructStates:
         ensemble = sample_ensemble(
             lorenz_field(), schedules, 60, seed=3, extra_times=(0.3, 0.4)
         )
-        pairs = reconstruct_states(ensemble, schedules, 0.1, first_target=0.3)
+        pairs = reconstruct(ensemble, schedules, 0.1, first_target=0.3)
         assert pairs.x_estimated == (True, True, False)
         assert pairs.y_estimated == (False, True, True)
         np.testing.assert_array_equal(pairs.x[2], ensemble.values[2][:, 0])  # x3 at 3 T_s
@@ -341,13 +367,20 @@ class TestReconstructStates:
         ensemble = sample_ensemble(lorenz_field(), schedules, 30, seed=4, extra_times=(0.1, 0.2))
         ops = fit_component_operators(ensemble, schedules, components={1, 2})
         assert set(ops) == {1, 2}
-        pairs_a = reconstruct_states(ensemble, schedules, 0.1, operators=ops)
-        pairs_b = reconstruct_states(ensemble, schedules, 0.1)
-        np.testing.assert_array_equal(pairs_a.x, pairs_b.x)
-        np.testing.assert_array_equal(pairs_a.y, pairs_b.y)
+        pairs = reconstruct_states(ensemble, schedules, ops, 0.1)
+        for comp, (matrices, op) in ops.items():
+            np.testing.assert_array_equal(pairs.x[comp], estimate_component_at(op, matrices, 0.1))
+            np.testing.assert_array_equal(pairs.y[comp], estimate_component_at(op, matrices, 0.2))
+
+    def test_missing_operator_rejected(self):
+        schedules = multirate_schedules()
+        ensemble = sample_ensemble(lorenz_field(), schedules, 30, seed=4, extra_times=(0.1, 0.2))
+        ops = fit_component_operators(ensemble, schedules, components={1})
+        with pytest.raises(DataError, match="component 2"):
+            reconstruct_states(ensemble, schedules, ops, 0.1)
 
     def test_no_records(self):
         with pytest.raises(DataError):
             reconstruct_states(
-                Ensemble(times={}, values={}, indices=[]), multirate_schedules(), 0.1
+                Ensemble(times={}, values={}, indices=[]), multirate_schedules(), {}, 0.1
             )
