@@ -9,7 +9,9 @@ dense-trajectory values, never interpolations.
 """
 
 import csv
+import itertools
 import math
+import numbers
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -58,10 +60,11 @@ def lorenz_field():
 
     def f(x):
         x1, x2, x3 = x[..., 0], x[..., 1], x[..., 2]
-        return np.stack(
-            [0.5 * (x2 - x1), x1 * (0.75 - x3) - x2, x1 * x2 - 2.0 * x3],
-            axis=-1,
-        )
+        out = np.empty_like(x)
+        out[..., 0] = 0.5 * (x2 - x1)
+        out[..., 1] = x1 * (0.75 - x3) - x2
+        out[..., 2] = x1 * x2 - 2.0 * x3
+        return out
 
     return VectorField(dim=3, func=f)
 
@@ -209,6 +212,8 @@ class Ensemble:
         n_traj = self.indices.size
         if self.indices.ndim != 1 or n_traj == 0:
             raise DataError("an ensemble needs a nonempty 1-D array of trajectory indices")
+        if np.unique(self.indices).size != n_traj:
+            raise DataError("trajectory indices must be unique")
         if set(self.times) != set(self.values):
             raise DataError("times and values must cover the same components")
         for comp in self.times:
@@ -299,6 +304,77 @@ def _trajectory_rng(seed, k):
     return np.random.default_rng(np.random.SeedSequence(entropy + [k]))
 
 
+#: Constants of NumPy's ``SeedSequence`` hash (O'Neill's seed_seq_fe) and
+#: PCG64's 128-bit multiplier as (high, low) 64-bit limbs.
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = (np.uint64(2549297995355413924), np.uint64(4865540595714422341))
+
+
+def _add128(a, b):
+    """a + b mod 2**128 on (high, low) uint64 limbs."""
+    low = a[1] + b[1]
+    return a[0] + b[0] + (low < b[1]), low
+
+
+def _mul128(a, b):
+    """a * b mod 2**128 on (high, low) uint64 limbs, via 32-bit halves."""
+    (a_hi, a_lo), (b_hi, b_lo), mask, s = a, b, np.uint64(_MASK32), np.uint64(32)
+    a0, a1, b0, b1 = a_lo & mask, a_lo >> s, b_lo & mask, b_lo >> s
+    t = a1 * b0 + (a0 * b0 >> s)
+    high = a1 * b1 + (t >> s) + ((t & mask) + a0 * b1 >> s)
+    return high + a_lo * b_hi + a_hi * b_lo, a_lo * b_lo
+
+
+def _substream_uniform(seed, n_traj, box):
+    """Uniform draws on ``box`` (n, 2), shape (n_traj, n): row k is, bit for
+    bit, ``default_rng(SeedSequence([*seed, k])).uniform(lo, hi)`` per axis.
+
+    ``SeedSequence`` mixing, PCG64 seeding and its XSL-RR output are fixed
+    integer recurrences, so they run elementwise over all k at once.
+    """
+    parts = list(seed) if isinstance(seed, (tuple, list)) else [seed]
+    if any(isinstance(p, bool) or not isinstance(p, numbers.Integral) or p < 0 for p in parts):
+        raise ConfigurationError(f"seed must be a non-negative int or ints, got {seed!r}")
+    # entropy words: 32 bits at a time from each int, then the index k
+    pieces = [(int(p), s) for p in parts for s in range(0, max(int(p).bit_length(), 1), 32)]
+    words = [np.full(n_traj, p >> s & _MASK32, np.uint32) for p, s in pieces]
+    words.append(np.arange(n_traj, dtype=np.uint32))
+    words += [np.zeros(n_traj, np.uint32)] * (4 - len(words))
+    hash_const = _INIT_A
+
+    def hashmix(value, mult=_MULT_A):
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * mult & _MASK32
+        value = value * np.uint32(hash_const)
+        return value ^ value >> np.uint32(16)
+
+    def mix_into(dst, value):
+        r = np.uint32(_MIX_L) * pool[dst] - np.uint32(_MIX_R) * hashmix(value)
+        pool[dst] = r ^ r >> np.uint32(16)
+
+    pool = [hashmix(w) for w in words[:4]]
+    for src, dst in itertools.permutations(range(4), 2):
+        mix_into(dst, pool[src])
+    for word, dst in itertools.product(words[4:], range(4)):
+        mix_into(dst, word)
+    hash_const = _INIT_B
+    state = np.stack([hashmix(pool[i % 4], _MULT_B) for i in range(8)], axis=1)
+    # little-endian word pairs: the initial state, then the stream selector
+    seed_hi, seed_lo, seq_hi, seq_lo = state.astype("<u4").view("<u8").astype(np.uint64).T
+    inc = (seq_hi << np.uint64(1) | seq_lo >> np.uint64(63), seq_lo << np.uint64(1) | np.uint64(1))
+    pcg = _add128(_mul128(_add128(inc, (seed_hi, seed_lo)), _PCG_MULT), inc)
+    out = np.empty((n_traj, len(box)))
+    for axis, (lo, hi) in enumerate(box.tolist()):
+        pcg = _add128(_mul128(pcg, _PCG_MULT), inc)
+        rot, xored = pcg[0] >> np.uint64(58), pcg[0] ^ pcg[1]
+        bits = xored >> rot | xored << (np.uint64(64) - rot & np.uint64(63))
+        out[:, axis] = lo + (hi - lo) * ((bits >> np.uint64(11)) * 2.0**-53)
+    return out
+
+
 def sample_ensemble(
     field,
     schedules,
@@ -324,7 +400,7 @@ def sample_ensemble(
     init_box : array_like, optional
         Per-axis (low, high) bounds, shape (dim, 2). Defaults to [-1, 1]^dim.
     seed : int or sequence of int
-        Base entropy for the per-trajectory substreams.
+        Base entropy for the per-trajectory substreams (non-negative).
     noise_std : float
         Standard deviation of additive Gaussian measurement noise applied to
         the sampled values (0 leaves the exact dense values untouched).
@@ -369,10 +445,7 @@ def sample_ensemble(
             )
         grid[s.component] = int(base) + int(stride) * np.arange(s.count + 1)
 
-    rngs = [_trajectory_rng(seed, k) for k in range(n_traj)]
-    # Scalar draws per axis: the same bits as one array draw, without its
-    # per-call argument checks.
-    x0s = np.array([[rng.uniform(lo, hi) for lo, hi in box.tolist()] for rng in rngs])
+    x0s = _substream_uniform(seed, n_traj, box)
     dense = integrate(field, x0s, h, n_steps)  # (n_steps+1, K, n)
 
     values = {
@@ -380,8 +453,11 @@ def sample_ensemble(
         for s in schedules
     }
     if noise_std > 0.0:
-        # Same draws in the same order as sampling trajectory by trajectory.
-        for k, rng in enumerate(rngs):
+        # Same draws in the same order as sampling trajectory by trajectory:
+        # each substream continues after its n uniform draws.
+        for k in range(n_traj):
+            rng = _trajectory_rng(seed, k)
+            rng.bit_generator.advance(n)
             for s in schedules:
                 values[s.component][k] += rng.normal(0.0, noise_std, size=s.count + 1)
     return Ensemble(
@@ -416,10 +492,11 @@ def import_ensemble(directory):
     Raises
     ------
     DataError
-        Naming the file, and the line where there is one, for a bad header
-        or row, a non-finite value, sample times that are not strictly
-        increasing, a component missing from some files, or sample times
-        that differ between files by more than ``TIME_MATCH_TOL``.
+        Naming the file, and the line where there is one, for two files
+        with the same trajectory index, a bad header or row, a non-finite
+        value, sample times that are not strictly increasing, a component
+        missing from some files, or sample times that differ between files
+        by more than ``TIME_MATCH_TOL``.
     """
     directory = Path(directory)
     # by parsed index: names sort "trajectory_100000" before "trajectory_99999"
@@ -430,6 +507,9 @@ def import_ensemble(directory):
     )
     if not files:
         raise DataError(f"no trajectory CSV files found in {directory}")
+    for (index, path), (next_index, other) in zip(files, files[1:]):
+        if index == next_index:
+            raise DataError(f"{path} and {other} both hold trajectory {index}")
     first = files[0][1].name
     times, values = {}, {}
     for _, path in files:

@@ -132,13 +132,15 @@ def predict(model, x0, steps, mode="rollout"):
     through the selector matrix; ``relift`` re-lifts the read-out state at
     every step instead.
 
-    If the rollout becomes non-finite the remaining rows are NaN and a
-    :class:`DivergenceWarning` is emitted.
+    ``x0`` is one initial state (n,) or a batch (B, n), predicted with the
+    same arithmetic as each row alone. A row that becomes non-finite is NaN
+    from that step on, leaves the batch, and emits a
+    :class:`DivergenceWarning` (in row order).
 
     Returns
     -------
     np.ndarray
-        Shape (steps, n).
+        Shape (steps, n) for one initial state, (B, steps, n) for a batch.
     """
     if model.readout is None:
         raise ConfigurationError(
@@ -150,22 +152,29 @@ def predict(model, x0, steps, mode="rollout"):
         raise ConfigurationError(f"unknown prediction mode {mode!r}")
     x0 = np.asarray(x0, dtype=float)
     n = model.dictionary.dim
-    out = np.full((steps, n), np.nan)
-    z = model.dictionary.evaluate(x0)
+    if x0.ndim not in (1, 2) or x0.shape[-1] != n:
+        raise ConfigurationError(f"x0 has shape {x0.shape}, expected ({n},) or (B, {n})")
+    x = np.atleast_2d(x0)
+    out = np.full((len(x), steps, n), np.nan)
+    rows, diverged_at = np.arange(len(x)), np.zeros(len(x), dtype=int)
     for j in range(steps):
-        z = model.k_mat @ z
-        x = model.readout @ z
-        if not np.all(np.isfinite(x)):
-            warnings.warn(
-                f"prediction diverged at step {j + 1} of {steps}; output truncated",
-                DivergenceWarning,
-                stacklevel=2,
-            )
-            break
-        out[j] = x
-        if mode == "relift":
-            z = model.dictionary.evaluate(x)
-    return out
+        if j == 0 or mode == "relift":
+            z = np.ascontiguousarray(model.dictionary.evaluate_columns(x.T).T)[:, :, None]
+        # (B, N, 1) is one gemv per row, as for one state; a gemm would round differently
+        z = np.matmul(model.k_mat, z)
+        x = np.matmul(model.readout, z)[:, :, 0]
+        finite = np.all(np.isfinite(x), axis=1)
+        if not finite.all():
+            diverged_at[rows[~finite]] = j + 1
+            rows, z, x = rows[finite], z[finite], x[finite]
+        out[rows, j] = x
+    for j in diverged_at[diverged_at > 0].tolist():
+        warnings.warn(
+            f"prediction diverged at step {j} of {steps}; output truncated",
+            DivergenceWarning,
+            stacklevel=2,
+        )
+    return out if x0.ndim == 2 else out[0]
 
 
 def generator_spectrum(model):

@@ -14,6 +14,7 @@ import math
 import warnings
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
+from itertools import product
 from pathlib import Path
 from typing import Optional
 
@@ -321,18 +322,17 @@ def evaluate_prediction(models, fld, x0s, horizon, step, mode="rollout"):
     predictions = {}
     rmse = {}
     for name, model in models.items():
-        preds = np.stack([edmd.predict(model, x0, horizon, mode=mode) for x0 in x0s])
-        per_traj = []
-        for k in range(preds.shape[0]):
-            finite = np.all(np.isfinite(preds[k]), axis=1)
-            prefix = int(np.argmax(~finite)) if not finite.all() else horizon
-            if prefix == 0:
-                per_traj.append(float("inf"))
-            else:
-                err = preds[k, :prefix] - truth[k, :prefix]
-                per_traj.append(float(np.sqrt(np.mean(err**2))))
+        preds = edmd.predict(model, x0s, horizon, mode=mode)
+        finite = np.all(np.isfinite(preds), axis=2)
+        prefix = np.where(finite.all(axis=1), horizon, np.argmax(~finite, axis=1))
+        sq_err = (preds - truth) ** 2
+        per_traj = np.full(len(x0s), np.inf)
+        # one reduction per prefix length; each row sums as a mean over it alone
+        for p in np.unique(prefix[prefix > 0]).tolist():
+            rows = prefix == p
+            per_traj[rows] = np.sqrt(np.mean(sq_err[rows, :p].reshape(rows.sum(), -1), axis=1))
         predictions[name] = preds
-        rmse[name] = per_traj
+        rmse[name] = per_traj.tolist()
     return times, truth, predictions, rmse
 
 
@@ -540,23 +540,15 @@ def emit_report(report, directory):
 
     rows = []
     if report.eval_times is not None:
+        # repr of the Python floats from tolist() is the text _fmt gives
+        times = list(map(repr, report.eval_times.tolist()))
+        truth = list(map(repr, report.eval_truth.ravel().tolist()))
         for method in report.methods:
             if method not in report.predictions:
                 continue
             preds = report.predictions[method]
-            for k in range(preds.shape[0]):
-                for j, t in enumerate(report.eval_times):
-                    for comp in range(preds.shape[2]):
-                        rows.append(
-                            [
-                                method,
-                                k,
-                                _fmt(t),
-                                comp,
-                                _fmt(report.eval_truth[k, j, comp]),
-                                _fmt(preds[k, j, comp]),
-                            ]
-                        )
+            cells = zip(product(*map(range, preds.shape)), truth, map(repr, preds.ravel().tolist()))
+            rows.extend([method, k, times[j], comp, obs, pred] for (k, j, comp), obs, pred in cells)
     _write_rows(
         directory / "prediction.csv",
         ["method", "trajectory", "t", "component", "truth", "predicted"],

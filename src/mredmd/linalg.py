@@ -6,11 +6,11 @@ Matrices are plain ``numpy.ndarray`` values; every operation validates shape
 and finiteness on entry and is a pure function of its inputs.
 """
 
+import math
 import warnings
 
 import numpy as np
 import scipy.linalg
-from scipy.optimize import linear_sum_assignment
 
 from .errors import (
     DimensionMismatchError,
@@ -207,5 +207,49 @@ def spectrum_distance(s1, s2):
             f"spectra have different cardinality: {a.shape[0]} vs {b.shape[0]}"
         )
     cost = np.abs(a[:, None] - b[None, :])
-    rows, cols = linear_sum_assignment(cost)
-    return float(cost[rows, cols].mean())
+    if not np.all(np.isfinite(cost)):
+        raise DimensionMismatchError("spectra contain non-finite eigenvalues")
+    return float(cost[np.arange(a.shape[0]), _assignment(cost)].mean())
+
+
+def _assignment(cost):
+    """Column matched to each row in a minimum-cost perfect matching of a
+    square cost matrix.
+
+    Shortest augmenting paths (Crouse, IEEE TAES 2016) with the column order
+    and tie rules of SciPy's ``linear_sum_assignment``, so ties give the
+    same matching, without loading ``scipy.optimize``.
+    """
+    n, cost = len(cost), cost.tolist()
+    u, v, col4row, row4col, path = [0.0] * n, [0.0] * n, [-1] * n, [-1] * n, [-1] * n
+    for cur in range(n):
+        shortest, rows, cols = [math.inf] * n, [], []
+        remaining, i, min_val, sink = list(range(n - 1, -1, -1)), cur, 0.0, -1
+        while sink < 0:
+            rows.append(i)
+            index, lowest = -1, math.inf
+            for it, j in enumerate(remaining):
+                r = min_val + cost[i][j] - u[i] - v[j]
+                if r < shortest[j]:
+                    path[j], shortest[j] = i, r
+                # among equal costs prefer a free column, which ends the path
+                if shortest[j] < lowest or (shortest[j] == lowest and row4col[j] < 0):
+                    index, lowest = it, shortest[j]
+            min_val, j = lowest, remaining[index]
+            cols.append(j)
+            sink, i = (j, i) if row4col[j] < 0 else (-1, row4col[j])
+            remaining[index] = remaining[-1]
+            remaining.pop()
+        u[cur] += min_val
+        for k in rows[1:]:
+            u[k] += min_val - shortest[col4row[k]]
+        for k in cols:
+            v[k] -= min_val - shortest[k]
+        j = sink
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    return col4row

@@ -187,6 +187,11 @@ class TestSampleEnsemble:
         np.testing.assert_array_equal(clean.x0, noisy.x0)
         assert not np.array_equal(clean.values[0][0], noisy.values[0][0])
 
+    @pytest.mark.parametrize("seed", [-1, (3, -2), 1.5, "a", True, [1, [2]]])
+    def test_bad_seed_rejected(self, seed):
+        with pytest.raises(ConfigurationError, match=r"seed must be a non-negative int"):
+            sample_ensemble(lorenz_field(), benchmark_schedules(), 2, seed=seed)
+
     def test_schedule_coverage_check(self):
         with pytest.raises(ConfigurationError):
             sample_ensemble(lorenz_field(), benchmark_schedules()[:2], 1, seed=0)
@@ -303,6 +308,13 @@ class TestImportValidation:
         path.write_text("".join(lines))
         assert len(import_ensemble(tmp_path)) == 3
 
+    def test_duplicate_index(self, tmp_path):
+        path, lines = _exported(tmp_path)
+        (tmp_path / "trajectory_1.csv").write_text("".join(lines))
+        both = r"trajectory_00001\.csv and \S*trajectory_1\.csv both hold trajectory 1"
+        with pytest.raises(DataError, match=both):
+            import_ensemble(tmp_path)
+
 
 class TestComponentSeriesValidation:
     """Sample series are validated once, when their ensemble is built."""
@@ -312,6 +324,10 @@ class TestComponentSeriesValidation:
             Ensemble(times={0: [0.0, 0.0]}, values={0: [[1.0, 2.0]]}, indices=[0])
         with pytest.raises(DataError):
             Ensemble(times={0: [0.1, 0.0]}, values={0: [[1.0, 2.0]]}, indices=[0])
+
+    def test_unique_indices(self):
+        with pytest.raises(DataError, match="unique"):
+            Ensemble(times={0: [0.0, 0.1]}, values={0: [[1.0, 2.0]] * 2}, indices=[1, 1])
 
     def test_record_requires_dense_for_truth(self):
         ensemble = Ensemble(times={0: [0.0, 0.1]}, values={0: [[1.0, 2.0]]}, indices=[0])

@@ -1,4 +1,5 @@
-"""The array-native ensemble against the per-trajectory loops it replaced.
+"""The array-native ensemble, batched prediction and report rows against the
+per-trajectory loops they replaced.
 
 The loop versions below are the reference. They draw from the same
 per-trajectory substreams and do the same arithmetic, so every comparison
@@ -6,23 +7,34 @@ is exact (``np.array_equal``), and data matrices must keep their memory
 layout because BLAS results depend on it.
 """
 
+import csv
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from mredmd import hankel
+from mredmd import edmd, hankel
 from mredmd.dynamics import (
     ComponentSeries,
     SamplingSchedule,
     TIME_MATCH_TOL,
     common_micro_step,
     integrate,
+    linear_field,
     lorenz_field,
     sample_ensemble,
 )
-from mredmd.experiments import _pairs_from_dense
+from mredmd.errors import DivergenceWarning
+from mredmd.experiments import (
+    ExperimentConfig,
+    _pairs_from_dense,
+    emit_report,
+    evaluate_prediction,
+    run,
+)
+from mredmd.observables import monomial_dictionary
 
 
 def multirate_schedules(t_s=0.1):
@@ -175,3 +187,197 @@ def test_prefix_of_larger_ensemble():
     np.testing.assert_array_equal(small.dense_states, large.dense_states[:, :7])
     for comp in small.values:
         np.testing.assert_array_equal(small.values[comp], large.values[comp][:7])
+
+
+# plain ints of one, two and three 32-bit words, and the noise-floor tuples
+SEED_FORMS = [0, 7, 12345, 2**31 - 1, 2**33 + 5, 2**64 + 3]
+SEED_FORMS += [(7, 2**40 + 2, 1), (7, 2**40 + 2, 2), (2**40, 3)]
+
+
+@pytest.mark.parametrize("n_traj", [1, 3000])
+@pytest.mark.parametrize("init_box", [None, [(0.5, 1.0), (-2.0, -1.0), (3.0, 4.0)]])
+@pytest.mark.parametrize("seed", SEED_FORMS, ids=str)
+def test_initial_conditions_match_substreams(seed, init_box, n_traj):
+    # the whole-array seed kernel against one Generator per trajectory
+    schedules = [SamplingSchedule(i, dead_time=0.0, period=0.1, count=1) for i in range(3)]
+    ensemble = sample_ensemble(lorenz_field(), schedules, n_traj, init_box=init_box, seed=seed)
+    box = init_box if init_box is not None else [(-1.0, 1.0)] * 3
+    entropy = list(seed) if isinstance(seed, tuple) else [seed]
+    expected = np.array(
+        [
+            [rng.uniform(lo, hi) for lo, hi in box]
+            for rng in (
+                np.random.default_rng(np.random.SeedSequence(entropy + [k])) for k in range(n_traj)
+            )
+        ]
+    )
+    assert np.array_equal(ensemble.x0, expected)
+
+
+def reference_predict(model, x0, steps, mode):
+    """One initial state, lifted and advanced on its own."""
+    out = np.full((steps, model.dictionary.dim), np.nan)
+    z = model.dictionary.evaluate(x0)
+    for j in range(steps):
+        z = model.k_mat @ z
+        x = model.readout @ z
+        if not np.all(np.isfinite(x)):
+            warnings.warn(
+                f"prediction diverged at step {j + 1} of {steps}; output truncated",
+                DivergenceWarning,
+            )
+            break
+        out[j] = x
+        if mode == "relift":
+            z = model.dictionary.evaluate(x)
+    return out
+
+
+def _divergence_messages(caught):
+    return [str(w.message) for w in caught if w.category is DivergenceWarning]
+
+
+def _lorenz_model(degree, seed=12):
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-1, 1, size=(3, 300))
+    y = integrate(lorenz_field(), x.T, 0.01, 10)[-1].T
+    pairs = edmd.StatePairEnsemble(x=x, y=y, step=0.1)
+    return edmd.fit_model(pairs, monomial_dictionary(3, degree))
+
+
+def _scalar_model(k_mat, degree, include_constant):
+    d = monomial_dictionary(1, degree, include_constant=include_constant)
+    k_mat = np.asarray(k_mat, dtype=float)
+    return edmd.KoopmanModel(
+        dictionary=d,
+        k_mat=k_mat,
+        l_complex=np.zeros(k_mat.shape),
+        step=1.0,
+        readout=edmd.coordinate_readout(d),
+    )
+
+
+@pytest.mark.parametrize(
+    "model, x0s",
+    [
+        (_lorenz_model(2), np.random.default_rng(1).uniform(-1, 1, size=(50, 3))),
+        (_lorenz_model(3), np.random.default_rng(2).uniform(-1, 1, size=(20, 3))),
+        # rollout: row 0 diverges at step 2, row 2 at step 4, row 1 never
+        (_scalar_model([[1e200]], 1, False), np.array([[1.0], [0.0], [1e-300]])),
+        # relift squares the state: rows 0 and 2 diverge, the later row first
+        (
+            _scalar_model([[1, 0, 0], [0, 0, 1], [0, 0, 1]], 2, True),
+            np.array([[10.0], [0.5], [1e5], [1.0]]),
+        ),
+    ],
+    ids=["lorenz-deg2", "lorenz-deg3", "scalar-overflow", "scalar-squaring"],
+)
+@pytest.mark.parametrize("mode", ["rollout", "relift"])
+def test_batched_predict_matches_loop(model, x0s, mode):
+    with warnings.catch_warnings(record=True) as expected_warnings:
+        warnings.simplefilter("always")
+        expected = np.stack([reference_predict(model, x0, 30, mode) for x0 in x0s])
+    with warnings.catch_warnings(record=True) as single_warnings:
+        warnings.simplefilter("always")
+        single = np.stack([edmd.predict(model, x0, 30, mode=mode) for x0 in x0s])
+    with warnings.catch_warnings(record=True) as batch_warnings:
+        warnings.simplefilter("always")
+        batch = edmd.predict(model, x0s, 30, mode=mode)
+    np.testing.assert_array_equal(batch, expected)
+    np.testing.assert_array_equal(single, expected)
+    messages = _divergence_messages(expected_warnings)
+    assert _divergence_messages(batch_warnings) == messages
+    assert _divergence_messages(single_warnings) == messages
+
+
+def test_batched_predict_divergence_order():
+    model = _scalar_model([[1, 0, 0], [0, 0, 1], [0, 0, 1]], 2, True)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = edmd.predict(model, [[10.0], [0.5], [1e5], [1.0]], 12, mode="relift")
+    # x0 = 10 overflows at step 9 and x0 = 1e5 at step 6; warnings follow rows
+    assert _divergence_messages(caught) == [
+        "prediction diverged at step 9 of 12; output truncated",
+        "prediction diverged at step 6 of 12; output truncated",
+    ]
+    assert np.all(np.isnan(out[0, 8:])) and np.all(np.isfinite(out[0, :8]))
+    assert np.all(np.isnan(out[2, 5:])) and np.all(np.isfinite(out[2, :5]))
+    assert np.all(np.isfinite(out[[1, 3]]))
+
+
+def reference_rmse(preds, truth):
+    per_traj = []
+    for k in range(preds.shape[0]):
+        finite = np.all(np.isfinite(preds[k]), axis=1)
+        prefix = int(np.argmax(~finite)) if not finite.all() else preds.shape[1]
+        if prefix == 0:
+            per_traj.append(float("inf"))
+        else:
+            err = preds[k, :prefix] - truth[k, :prefix]
+            per_traj.append(float(np.sqrt(np.mean(err**2))))
+    return per_traj
+
+
+def test_evaluate_prediction_matches_loop():
+    blowup = edmd.KoopmanModel(
+        dictionary=monomial_dictionary(3, 1, include_constant=False),
+        k_mat=np.diag([1e200, 1.0, 1.0]),
+        l_complex=np.zeros((3, 3)),
+        step=0.1,
+        readout=np.eye(3),
+    )
+    models = {"deg2": _lorenz_model(2), "deg3": _lorenz_model(3, seed=4), "blowup": blowup}
+    x0s = np.random.default_rng(3).uniform(-1, 1, size=(40, 3))
+    # rows far outside the fitted box diverge at different steps; row 30 at
+    # the first step (infinite RMSE)
+    x0s[[5, 8, 17, 30]] = [
+        [25.0, -25.0, 25.0],
+        [1e-100, 0.5, 0.5],
+        [40.0, -40.0, 40.0],
+        [1e200, 0.0, 0.0],
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        _, truth, predictions, rmse = evaluate_prediction(
+            models, linear_field(np.zeros((3, 3))), x0s, 40, 0.1, mode="relift"
+        )
+        for name, model in models.items():
+            expected = np.stack([reference_predict(model, x0, 40, "relift") for x0 in x0s])
+            np.testing.assert_array_equal(predictions[name], expected)
+            assert rmse[name] == reference_rmse(expected, truth)
+    assert np.isnan(predictions["deg2"][5]).any() and math.isinf(rmse["blowup"][30])
+
+
+def reference_prediction_rows(report):
+    rows = []
+    for method in report.methods:
+        if method not in report.predictions:
+            continue
+        preds = report.predictions[method]
+        for k in range(preds.shape[0]):
+            for j, t in enumerate(report.eval_times):
+                for comp in range(preds.shape[2]):
+                    rows.append(
+                        [
+                            method,
+                            str(k),
+                            repr(float(t)),
+                            str(comp),
+                            repr(float(report.eval_truth[k, j, comp])),
+                            repr(float(preds[k, j, comp])),
+                        ]
+                    )
+    return rows
+
+
+def test_prediction_csv_matches_loop(tmp_path):
+    cfg = ExperimentConfig(
+        system="lorenz", mode="multirate", T_s=0.1, K=300, rates=(1, 4, 3), eval_trajectories=7
+    )
+    report = run(cfg)
+    report.predictions["ideal"][2, 5:] = np.nan  # a truncated row writes "nan"
+    emit_report(report, tmp_path)
+    with open(tmp_path / "prediction.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["method", "trajectory", "t", "component", "truth", "predicted"]
+    assert rows[1:] == reference_prediction_rows(report)

@@ -198,3 +198,53 @@ class TestSpectrumDistance:
     def test_cardinality_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             linalg.spectrum_distance([1.0, 2.0], [1.0])
+
+    def test_rejects_non_finite(self):
+        with pytest.raises(DimensionMismatchError, match="non-finite"):
+            linalg.spectrum_distance([1.0, np.nan], [1.0, 2.0])
+
+
+def _spectrum_pairs():
+    """(s1, s2) pairs: random, tied and conjugate-pair spectra."""
+    rng = np.random.default_rng(21)
+    pairs = []
+    for n in (1, 2, 3, 10, 20, 56):
+        a = rng.normal(size=n) + 1j * rng.normal(size=n)
+        pairs.append((a, a + 0.1 * (rng.normal(size=n) + 1j * rng.normal(size=n))))
+        # ties: few distinct eigenvalues, many equal costs
+        pairs.append((rng.integers(0, 3, size=n) + 0j, rng.integers(0, 3, size=n) + 0j))
+        pairs.append((np.ones(n), np.ones(n)))
+        # conjugate pairs of real matrices, against a perturbed copy and their conjugates
+        h = rng.normal(size=(n, n))
+        w = np.linalg.eigvals(h)
+        pairs.append((w, np.linalg.eigvals(h + 1e-3 * rng.normal(size=(n, n)))))
+        pairs.append((w, np.conj(w)))
+    return pairs
+
+
+@pytest.mark.parametrize("s1, s2", _spectrum_pairs())
+def test_assignment_matches_scipy(s1, s2):
+    # the solver replaces scipy.optimize.linear_sum_assignment: the same
+    # matching, so the same mean bytes
+    from scipy.optimize import linear_sum_assignment
+
+    cost = np.abs(np.asarray(s1)[:, None] - np.asarray(s2)[None, :])
+    rows, cols = linear_sum_assignment(cost)
+    assert linalg._assignment(cost) == cols.tolist()
+    assert linalg.spectrum_distance(s1, s2) == float(cost[rows, cols].mean())
+
+
+def test_import_leaves_out_scipy_optimize():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import mredmd
+
+    env = {**os.environ, "PYTHONPATH": str(Path(mredmd.__file__).resolve().parents[1])}
+    code = "import sys, mredmd; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    assert out.stdout.strip() == "False"
