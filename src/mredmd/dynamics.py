@@ -375,6 +375,26 @@ def _substream_uniform(seed, n_traj, box):
     return out
 
 
+def initial_states(dim, n_traj, init_box=None, seed=0):
+    """Initial conditions of K trajectories, shape (n_traj, dim): row k is
+    drawn uniform on ``init_box`` from the substream keyed by (seed, k), as
+    :func:`sample_ensemble` draws them.
+
+    ``init_box`` holds per-axis (low, high) bounds, shape (dim, 2), and
+    defaults to [-1, 1]^dim.
+    """
+    if n_traj < 1:
+        raise ConfigurationError(f"n_traj must be >= 1, got {n_traj}")
+    if init_box is None:
+        init_box = [(-1.0, 1.0)] * dim
+    box = np.asarray(init_box, dtype=float)
+    if box.shape != (dim, 2) or not np.all(box[:, 0] < box[:, 1]):
+        raise ConfigurationError(
+            f"init_box must be (dim, 2) with low < high, got {box!r}"
+        )
+    return _substream_uniform(seed, n_traj, box)
+
+
 def sample_ensemble(
     field,
     schedules,
@@ -412,20 +432,12 @@ def sample_ensemble(
     -------
     Ensemble
     """
-    if n_traj < 1:
-        raise ConfigurationError(f"n_traj must be >= 1, got {n_traj}")
     n = field.dim
     if sorted(s.component for s in schedules) != list(range(n)):
         raise ConfigurationError(
             "schedules must cover each state component exactly once"
         )
-    if init_box is None:
-        init_box = [(-1.0, 1.0)] * n
-    box = np.asarray(init_box, dtype=float)
-    if box.shape != (n, 2) or not np.all(box[:, 0] < box[:, 1]):
-        raise ConfigurationError(
-            f"init_box must be (dim, 2) with low < high, got {box!r}"
-        )
+    x0s = initial_states(n, n_traj, init_box, seed)
 
     h_frac = common_micro_step(schedules, extra_times)
     h = float(h_frac)
@@ -445,7 +457,6 @@ def sample_ensemble(
             )
         grid[s.component] = int(base) + int(stride) * np.arange(s.count + 1)
 
-    x0s = _substream_uniform(seed, n_traj, box)
     dense = integrate(field, x0s, h, n_steps)  # (n_steps+1, K, n)
 
     values = {

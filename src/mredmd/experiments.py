@@ -21,7 +21,14 @@ from typing import Optional
 import numpy as np
 
 from . import edmd, hankel
-from .dynamics import integrate, lorenz_field, sample_ensemble, SamplingSchedule
+from .dynamics import (
+    common_micro_step,
+    initial_states,
+    integrate,
+    lorenz_field,
+    sample_ensemble,
+    SamplingSchedule,
+)
 from .errors import ConfigurationError, DataError, MredmdError, MredmdWarning
 from .linalg import cast_real, matrix_exp, spectrum_distance
 from .observables import monomial_dictionary
@@ -445,21 +452,29 @@ def ideal_noise_floor(cfg):
     serves as a reference scale for partial-measurement spectra.
     """
     fld = system_field(cfg.system)
-    schedules = derive_schedules(cfg)
     dictionary = monomial_dictionary(fld.dim, cfg.degree, cfg.include_constant)
     spectra = []
     for half in (1, 2):
-        ensemble = sample_ensemble(
-            fld,
-            schedules,
-            cfg.K,
-            init_box=cfg.init_box,
-            seed=(cfg.seed, _NOISE_FLOOR_STREAM, half),
-            extra_times=(cfg.T_s, 2 * cfg.T_s),
-        )
-        model = edmd.fit_model(_pairs_from_dense(ensemble, cfg.T_s, cfg.T_s), dictionary)
-        spectra.append(edmd.generator_spectrum(model))
+        pairs = _ideal_pairs(cfg, fld, (cfg.seed, _NOISE_FLOOR_STREAM, half))
+        spectra.append(edmd.generator_spectrum(edmd.fit_model(pairs, dictionary)))
     return spectrum_distance(spectra[0], spectra[1])
+
+
+def _ideal_pairs(cfg, fld, seed):
+    """Ideal pairs (x(T_s), x(2 T_s)) of K trajectories drawn with ``seed``.
+
+    Bit for bit the pairs that ``sample_ensemble(..., extra_times=(T_s,
+    2 T_s))`` yields from its dense grid: the same initial states and
+    micro-step, integrated only as far as 2 T_s.
+    """
+    h = float(common_micro_step(derive_schedules(cfg), (cfg.T_s, 2 * cfg.T_s)))
+    stride = round(cfg.T_s / h)
+    dense = integrate(fld, initial_states(fld.dim, cfg.K, cfg.init_box, seed), h, 2 * stride)
+    return edmd.StatePairEnsemble(
+        x=np.ascontiguousarray(dense[stride].T),
+        y=np.ascontiguousarray(dense[2 * stride].T),
+        step=cfg.T_s,
+    )
 
 
 def run_sweep(cfg, seeds):

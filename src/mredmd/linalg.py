@@ -6,6 +6,7 @@ Matrices are plain ``numpy.ndarray`` values; every operation validates shape
 and finiteness on entry and is a pure function of its inputs.
 """
 
+import functools
 import math
 import warnings
 
@@ -21,6 +22,15 @@ from .errors import (
 )
 
 _EPS = float(np.finfo(float).eps)
+
+#: theta_m bounds the spectral quantity alpha_p(T - I) for which the
+#: degree-m Pade approximant of log(I + X) is accurate to double precision
+#: (Al-Mohy & Higham 2012, Table 2.1); index m = 1..7.
+_THETA = (None, 1.59e-5, 2.31e-3, 1.94e-2, 6.21e-2, 1.28e-1, 2.06e-1, 2.88e-1)
+
+#: Largest imaginary part of the log of a real matrix taken as rounding
+#: (the rule of SciPy's matrix functions).
+_REAL_TOL = 1e6 * _EPS
 
 
 def _as_matrix(a, name="matrix", complex_ok=False):
@@ -109,12 +119,22 @@ def matrix_log(k):
     The result is always complex; eigenvalues of the result have imaginary
     parts in (-pi, pi]. When an eigenvalue of ``k`` lies on the closed
     negative real axis the principal logarithm is genuinely complex and a
-    :class:`NegativeRealAxisWarning` is emitted.
+    :class:`NegativeRealAxisWarning` is emitted. For real ``k`` an imaginary
+    part no larger than 1e6 machine epsilons everywhere is rounding and is
+    set to zero.
+
+    One complex Schur form ``k = Z T Z^H`` gives the eigenvalues for the
+    branch-cut test and the triangular factor for inverse scaling and
+    squaring (Al-Mohy & Higham, SIAM J. Sci. Comput. 2012, Alg. 4.1). The
+    Pade degree and the number of square roots come from exact 1-norms of
+    ``(T - I)^p``, so the result is a deterministic function of ``k``.
 
     Raises
     ------
     SingularMatrixError
         If ``k`` is singular to working precision.
+    NumericalError
+        If the Schur form fails or the result is not finite.
     """
     arr = _as_matrix(k, "k", complex_ok=True)
     _require_square(arr, "k")
@@ -124,9 +144,10 @@ def matrix_log(k):
             "matrix is singular to working precision; logarithm undefined"
         )
     try:
-        eigs = np.linalg.eigvals(arr)
+        t, z = scipy.linalg.schur(arr, output="complex", check_finite=False)
     except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"eigenvalue computation failed: {exc}") from exc
+        raise NumericalError(f"Schur decomposition failed: {exc}") from exc
+    eigs = np.diagonal(t)
     on_axis = (eigs.real < 0.0) & (np.abs(eigs.imag) <= 1e-12 * np.abs(eigs))
     if np.any(on_axis):
         warnings.warn(
@@ -135,10 +156,139 @@ def matrix_log(k):
             NegativeRealAxisWarning,
             stacklevel=2,
         )
-    with warnings.catch_warnings():
-        # SciPy's accuracy warning is not part of this API's contract
-        warnings.filterwarnings("ignore", "logm result may be inaccurate", RuntimeWarning)
-        return np.asarray(scipy.linalg.logm(arr), dtype=complex)
+    # Z is unitary to some n eps only, and a non-normal log (||U|| >> ||L||)
+    # multiplies that error by ||U||: one Newton-Schulz step toward the
+    # unitary polar factor brings Z back to working precision
+    z = z @ (1.5 * np.eye(len(z)) - 0.5 * (z.conj().T @ z))
+    out = z @ _log_triangular(t) @ z.conj().T
+    if not np.all(np.isfinite(out)):
+        raise NumericalError("matrix logarithm is not finite")
+    if not np.iscomplexobj(arr) and np.max(np.abs(out.imag)) <= _REAL_TOL:
+        out = out.real.astype(complex)
+    return out
+
+
+def _log_triangular(t0):
+    """Principal logarithm of a nonsingular upper triangular complex matrix
+    by inverse scaling and squaring (Al-Mohy & Higham 2012, Alg. 4.1)."""
+    n = len(t0)
+    diag0 = np.diagonal(t0)
+    # s0: square roots until every eigenvalue is within theta_7 of 1
+    s, roots = 0, diag0
+    while np.max(np.abs(roots - 1.0)) > _THETA[7]:
+        roots, s = np.sqrt(roots), s + 1
+    t = t0
+    for _ in range(s):
+        t = scipy.linalg.sqrtm(t)
+    alpha = _power_norms(t)
+    m = next((i for i in (1, 2) if max(alpha[2], alpha[3]) <= _THETA[i]), None)
+    extra = 0
+    while m is None:
+        a3 = max(alpha[3], alpha[4])
+        m = next((i for i in range(3, 7) if a3 <= _THETA[i]), None)
+        if m is not None:
+            break
+        if a3 <= _THETA[7] and a3 / 2 <= _THETA[5] and extra < 2:
+            # one more root lowers the degree by more than it costs
+            extra += 1
+        else:
+            eta = min(a3, max(alpha[4], alpha[5]))
+            m = next((i for i in (6, 7) if eta <= _THETA[i]), None)
+            if m is not None:
+                break
+        t, s = scipy.linalg.sqrtm(t), s + 1
+        alpha = _power_norms(t)
+
+    r = t - np.eye(n)
+    # diagonal and first superdiagonal of T0^(1/2^s) - I and of log(T0) from
+    # T0 itself, without cancellation, where the principal branch exists
+    on_cut = np.any((diag0.real <= 0.0) & (diag0.imag == 0.0))
+    upper = (np.arange(n - 1), np.arange(1, n))
+    if not on_cut:
+        power_dd, log_dd = _divided_differences(diag0, 2.0**-s)
+        np.fill_diagonal(r, _root_minus_one(diag0, s))
+        r[upper] = t0[upper] * power_dd
+
+    # U = 2^s r_m(R), r_m(X) = sum_j w_j (I + x_j X)^-1 X on Gauss-Legendre nodes
+    nodes, weights = _gauss_legendre(m)
+    lhs, rhs = np.eye(n) + nodes * r, weights * r
+    u = np.zeros_like(r)
+    for j in range(m):
+        x, info = scipy.linalg.lapack.ztrtrs(lhs[j], rhs[j])
+        if info != 0:
+            raise NumericalError(f"triangular solve failed (info={info})")
+        u += x
+    u *= 2.0**s
+    if not on_cut:
+        np.fill_diagonal(u, np.log(diag0))
+        u[upper] = t0[upper] * log_dd
+    return u
+
+
+def _power_norms(t):
+    """alpha_p = ||(T - I)^p||_1^(1/p) for p = 2..5, computed exactly."""
+    r = t - np.eye(len(t))
+    r2 = r @ r
+    r4 = r2 @ r2
+    norms = np.abs(np.stack((r2, r2 @ r, r4, r4 @ r))).sum(axis=1).max(axis=1)
+    return dict(zip(range(2, 6), (norms ** (1.0 / np.arange(2, 6))).tolist()))
+
+
+def _root_minus_one(a, s):
+    """``a**(1/2**s) - 1`` elementwise, free of the cancellation near a = 1
+    (Al-Mohy, Numer. Algorithms 2012, Alg. 2)."""
+    if s == 0:
+        return a - 1.0
+    # a^(1/2^s) - 1 = (a^(1/2^j) - 1) / prod_{i=j+1..s} (1 + a^(1/2^i)), from
+    # j = 0, or from j = 1 where a is far from 1 in angle
+    root = np.sqrt(a)
+    wide = np.abs(np.angle(a)) >= np.pi / 2
+    out = np.where(wide, root - 1.0, (a - 1.0) / (1.0 + root))
+    for _ in range(s - 1):
+        root = np.sqrt(root)
+        out = out / (1.0 + root)
+    return out
+
+
+def _divided_differences(lam, p):
+    """Divided differences f[lam_i, lam_i+1] of f = z**p and of f = log.
+
+    The superdiagonal entry of f([[l1, t], [0, l2]]) is ``t * f[l1, l2]``.
+    Where l1 and l2 are close the difference quotient cancels, so it is
+    rewritten through atanh((l2 - l1) / (l2 + l1)) and the unwinding number
+    (Higham, Functions of Matrices, 2008, eq. 11.28; Higham & Lin, SIAM J.
+    Matrix Anal. Appl. 2011, eq. 5.6).
+    """
+    log, power = np.log(lam), lam**p
+    l1, l2, log1, log2 = lam[:-1], lam[1:], log[:-1], log[1:]
+    diff, log_diff = l2 - l1, log2 - log1
+    far = np.abs(diff) > 0.5 * np.abs(l1 + l2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        unwind = np.ceil((log_diff.imag - np.pi) / (2 * np.pi))
+        atanh = np.arctanh(diff / (l2 + l1)) + 1j * np.pi * unwind
+        power_dd = np.where(
+            far,
+            power[1:] - power[:-1],
+            2.0 * np.exp(0.5 * p * (log1 + log2)) * np.sinh(p * atanh),
+        )
+        log_dd = np.where(far, log_diff, 2.0 * atanh)
+        power_dd, log_dd = power_dd / diff, log_dd / diff
+    equal = l1 == l2
+    return (
+        np.where(equal, p * power[:-1] / l1, power_dd),
+        np.where(equal, 1.0 / l1, log_dd),
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def _gauss_legendre(m):
+    """Gauss-Legendre nodes and weights of degree m on [0, 1], each shaped
+    (m, 1, 1) to scale a stack of matrices."""
+    x, w = np.polynomial.legendre.leggauss(m)
+    nodes, weights = (0.5 + 0.5 * x)[:, None, None], (0.5 * w)[:, None, None]
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
 
 
 def matrix_exp(l):

@@ -28,12 +28,17 @@ from mredmd.dynamics import (
 )
 from mredmd.errors import DivergenceWarning
 from mredmd.experiments import (
+    _NOISE_FLOOR_STREAM,
     ExperimentConfig,
+    _ideal_pairs,
     _pairs_from_dense,
+    derive_schedules,
     emit_report,
     evaluate_prediction,
+    ideal_noise_floor,
     run,
 )
+from mredmd.linalg import spectrum_distance
 from mredmd.observables import monomial_dictionary
 
 
@@ -177,6 +182,42 @@ def test_ideal_pairs_match_loop():
     np.testing.assert_array_equal(pairs.x, reference_dense_at(records, dense_times, 0.1))
     np.testing.assert_array_equal(pairs.y, reference_dense_at(records, dense_times, 0.2))
     assert pairs.x.flags.c_contiguous and pairs.y.flags.c_contiguous
+
+
+def reference_noise_floor_pairs(cfg, half):
+    """The noise floor's ideal pairs read off a whole sampled ensemble, as
+    the floor computed them before it integrated only to 2 T_s."""
+    ensemble = sample_ensemble(
+        lorenz_field(),
+        derive_schedules(cfg),
+        cfg.K,
+        init_box=cfg.init_box,
+        seed=(cfg.seed, _NOISE_FLOOR_STREAM, half),
+        extra_times=(cfg.T_s, 2 * cfg.T_s),
+    )
+    return _pairs_from_dense(ensemble, cfg.T_s, cfg.T_s)
+
+
+NOISE_FLOOR_CONFIGS = [
+    dict(seed=seed, K=100) for seed in range(5)
+] + [dict(seed=3, K=40, init_box=[(0.5, 1.0), (-2.0, -1.0), (3.0, 4.0)], T_s=0.05)]
+
+
+@pytest.mark.parametrize("overrides", NOISE_FLOOR_CONFIGS, ids=str)
+def test_noise_floor_matches_sampled_ensemble(overrides):
+    cfg = ExperimentConfig(
+        **{"system": "lorenz", "mode": "single_state", "T_s": 0.1, "state_dim": 3, **overrides}
+    )
+    dictionary = monomial_dictionary(3, cfg.degree, cfg.include_constant)
+    spectra = []
+    for half in (1, 2):
+        ref = reference_noise_floor_pairs(cfg, half)
+        pairs = _ideal_pairs(cfg, lorenz_field(), (cfg.seed, _NOISE_FLOOR_STREAM, half))
+        np.testing.assert_array_equal(pairs.x, ref.x)
+        np.testing.assert_array_equal(pairs.y, ref.y)
+        assert pairs.x.flags.c_contiguous and pairs.y.flags.c_contiguous
+        spectra.append(edmd.generator_spectrum(edmd.fit_model(ref, dictionary)))
+    assert ideal_noise_floor(cfg) == spectrum_distance(*spectra)
 
 
 def test_prefix_of_larger_ensemble():
