@@ -85,9 +85,12 @@ def _run_compare(args):
         f"rmse wins {result['rmse_wins']}"
     )
     print(f"comparison written to {out}")
-    if any(row["n_errors"] for row in result["rows"]):
-        return 1
-    return 0
+    for err in result["stage_errors"]:
+        print(
+            f"seed {err['seed']}: error in stage {err['stage']}: {err['message']}",
+            file=sys.stderr,
+        )
+    return 1 if result["stage_errors"] else 0
 
 
 def build_parser():

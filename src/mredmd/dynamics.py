@@ -105,6 +105,8 @@ def integrate(field, x0, step, n_steps):
 
     Raises
     ------
+    ConfigurationError
+        If the grid of states cannot be allocated, naming its size.
     DivergenceError
         If the state becomes non-finite, naming the offending step.
     """
@@ -117,7 +119,14 @@ def integrate(field, x0, step, n_steps):
         raise ConfigurationError(
             f"x0 has dimension {x.shape[-1]}, field expects {field.dim}"
         )
-    out = np.empty((n_steps + 1,) + x.shape)
+    try:
+        out = np.empty((n_steps + 1,) + x.shape)
+    except (MemoryError, ValueError) as exc:  # ValueError: beyond the address space
+        gib = (n_steps + 1) * x.size * 8 / 2**30
+        raise ConfigurationError(
+            f"cannot allocate the RK4 grid: n_steps={n_steps} for a batch of shape "
+            f"{x.shape} requests {gib:.3g} GiB"
+        ) from exc
     out[0] = x
     for j in range(1, n_steps + 1):
         x = _rk4_step(field, x, step)
@@ -127,6 +136,18 @@ def integrate(field, x0, step, n_steps):
             )
         out[j] = x
     return out
+
+
+def integrate_stacked(field, starts, step, n_steps):
+    """:func:`integrate` of several (m_i, dim) batches of initial states in
+    one RK4 pass; returns one (n_steps + 1, m_i, dim) view per batch.
+
+    For a field that acts on each row alone with elementwise arithmetic (as
+    :func:`lorenz_field`), every view is bit for bit ``integrate`` of its
+    own batch. A divergence in any row raises for the whole pass.
+    """
+    dense = integrate(field, np.concatenate(starts), step, n_steps)
+    return np.split(dense, np.cumsum([len(x) for x in starts])[:-1], axis=1)
 
 
 @dataclass(frozen=True)
@@ -432,12 +453,27 @@ def sample_ensemble(
     -------
     Ensemble
     """
+    (ensemble,) = sample_ensembles(
+        field, schedules, n_traj, [seed], init_box, noise_std, extra_times
+    )
+    return ensemble
+
+
+def sample_ensembles(
+    field, schedules, n_traj, seeds, init_box=None, noise_std=0.0, extra_times=()
+):
+    """:func:`sample_ensemble` for each of ``seeds``, all K trajectories of
+    every seed integrated in one RK4 pass (see :func:`integrate_stacked`).
+
+    The micro-grid depends on the schedules only, so the seeds share it.
+    Each ensemble's dense grid is its slice of the shared one.
+    """
     n = field.dim
     if sorted(s.component for s in schedules) != list(range(n)):
         raise ConfigurationError(
             "schedules must cover each state component exactly once"
         )
-    x0s = initial_states(n, n_traj, init_box, seed)
+    x0s = [initial_states(n, n_traj, init_box, seed) for seed in seeds]
 
     h_frac = common_micro_step(schedules, extra_times)
     h = float(h_frac)
@@ -457,28 +493,32 @@ def sample_ensemble(
             )
         grid[s.component] = int(base) + int(stride) * np.arange(s.count + 1)
 
-    dense = integrate(field, x0s, h, n_steps)  # (n_steps+1, K, n)
-
-    values = {
-        s.component: np.ascontiguousarray(dense[grid[s.component], :, s.component].T)
-        for s in schedules
-    }
-    if noise_std > 0.0:
-        # Same draws in the same order as sampling trajectory by trajectory:
-        # each substream continues after its n uniform draws.
-        for k in range(n_traj):
-            rng = _trajectory_rng(seed, k)
-            rng.bit_generator.advance(n)
-            for s in schedules:
-                values[s.component][k] += rng.normal(0.0, noise_std, size=s.count + 1)
-    return Ensemble(
-        times={s.component: s.instants() for s in schedules},
-        values=values,
-        indices=np.arange(n_traj),
-        x0=x0s,
-        dense_times=np.arange(n_steps + 1) * h,
-        dense_states=dense,
-    )
+    dense_times = np.arange(n_steps + 1) * h
+    ensembles = []
+    for seed, x0, dense in zip(seeds, x0s, integrate_stacked(field, x0s, h, n_steps)):
+        values = {
+            s.component: np.ascontiguousarray(dense[grid[s.component], :, s.component].T)
+            for s in schedules
+        }
+        if noise_std > 0.0:
+            # Same draws in the same order as sampling trajectory by trajectory:
+            # each substream continues after its n uniform draws.
+            for k in range(n_traj):
+                rng = _trajectory_rng(seed, k)
+                rng.bit_generator.advance(n)
+                for s in schedules:
+                    values[s.component][k] += rng.normal(0.0, noise_std, size=s.count + 1)
+        ensembles.append(
+            Ensemble(
+                times={s.component: s.instants() for s in schedules},
+                values=values,
+                indices=np.arange(n_traj),
+                x0=x0,
+                dense_times=dense_times,
+                dense_states=dense,
+            )
+        )
+    return ensembles
 
 
 def export_ensemble(ensemble, directory):

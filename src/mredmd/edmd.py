@@ -11,7 +11,7 @@ from typing import Optional
 import numpy as np
 
 from . import linalg
-from .errors import ConfigurationError, DivergenceWarning, RankDeficiencyWarning
+from .errors import ConfigurationError, DivergenceWarning, RankDeficiencyWarning, labelled
 from .observables import Dictionary, coordinate_readout
 
 
@@ -94,7 +94,8 @@ def fit_koopman(p_x, p_y, step, dictionary):
     """Least-squares Koopman fit K = P_y P_x^+ plus generator L = log(K)/step.
 
     See :func:`linalg.koopman_fit`; an imaginary part of L above 1e-6 emits
-    a warning.
+    a warning. Its warnings and a singular-K error are labelled with the
+    pair and observable counts, e.g. ``EDMD fit (9 pairs, 10 observables):``.
 
     Raises
     ------
@@ -109,7 +110,8 @@ def fit_koopman(p_x, p_y, step, dictionary):
         )
     if step <= 0:
         raise ConfigurationError(f"step must be > 0, got {step}")
-    k_mat, l_complex = linalg.koopman_fit(p_x, p_y, step)
+    with labelled(f"EDMD fit ({p_x.shape[1]} pairs, {p_x.shape[0]} observables)"):
+        k_mat, l_complex = linalg.koopman_fit(p_x, p_y, step)
     try:
         readout = coordinate_readout(dictionary)
     except ConfigurationError:

@@ -1,4 +1,8 @@
-"""Exception and warning types shared across the package."""
+"""Exception and warning types shared across the package, and the label
+that names the fit a warning or a singular-matrix error came from."""
+
+import warnings
+from contextlib import contextmanager
 
 
 class MredmdError(Exception):
@@ -56,3 +60,17 @@ class ExtrapolationWarning(MredmdWarning):
 
 class DivergenceWarning(MredmdWarning):
     """A prediction rollout became non-finite and was truncated."""
+
+
+@contextmanager
+def labelled(label):
+    """Prefix ``label: `` to the warnings raised inside, re-emitted in order,
+    and to a :class:`SingularMatrixError`."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            yield
+        except SingularMatrixError as exc:
+            raise SingularMatrixError(f"{label}: {exc}") from exc
+    for w in caught:
+        warnings.warn(f"{label}: {w.message}", w.category, stacklevel=4)

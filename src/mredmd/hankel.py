@@ -11,7 +11,6 @@ estimates at time t.
 """
 
 import warnings
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +24,7 @@ from .errors import (
     ExtrapolationWarning,
     IllConditionedWarning,
     RankDeficiencyWarning,
-    SingularMatrixError,
+    labelled,
 )
 
 #: Condition number of P_x above which a warning is recorded.
@@ -74,20 +73,6 @@ class ComponentOperator:
     def imag_residual(self):
         """Largest absolute imaginary part that ``l_mat`` discards."""
         return float(np.max(np.abs(self.l_complex.imag)))
-
-
-@contextmanager
-def _labelled(label):
-    """Prefix ``label: `` to the warnings raised inside, re-emitted in order,
-    and to a :class:`SingularMatrixError`."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        try:
-            yield
-        except SingularMatrixError as exc:
-            raise SingularMatrixError(f"{label}: {exc}") from exc
-    for w in caught:
-        warnings.warn(f"{label}: {w.message}", w.category, stacklevel=4)
 
 
 def build_hankel_matrices(ensemble, schedule):
@@ -148,7 +133,7 @@ def fit_component_operator(matrices):
             IllConditionedWarning,
             stacklevel=2,
         )
-    with _labelled(f"component {schedule.component}"):
+    with labelled(f"component {schedule.component}"):
         k_mat, l_complex = linalg.koopman_fit(matrices.p_x, matrices.p_y, schedule.period)
     return ComponentOperator(
         component=schedule.component,
@@ -189,7 +174,7 @@ def estimate_component_at(operator, matrices, t):
         )
     propagator = linalg.matrix_exp(operator.l_complex * dt)
     row = propagator[0, :] @ matrices.p_x
-    with _labelled(f"component {operator.component}, t={t:.6g}"):
+    with labelled(f"component {operator.component}, t={t:.6g}"):
         estimates, _residual = linalg.cast_real(row, tol=1e-6)
     if not np.all(np.isfinite(estimates)):
         raise DivergenceError(

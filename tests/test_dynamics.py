@@ -67,6 +67,33 @@ class TestIntegrate:
         with pytest.raises(DivergenceError, match="step"):
             integrate(fld, [10.0], 1.0, 50)
 
+    def test_grid_beyond_address_space_refused(self):
+        # NumPy refuses the shape itself, so no memory is touched
+        with pytest.raises(ConfigurationError) as info:
+            integrate(lorenz_field(), np.zeros((10, 3)), 0.01, 2**62)
+        message = str(info.value)
+        assert f"n_steps={2**62}" in message and "(10, 3)" in message
+        assert f"{(2**62 + 1) * 30 * 8 / 2**30:.3g} GiB" in message
+
+    def test_allocation_failure_named(self, monkeypatch):
+        def no_memory(shape, *args, **kwargs):
+            raise MemoryError(f"cannot allocate {shape}")
+
+        monkeypatch.setattr(dynamics.np, "empty", no_memory)
+        with pytest.raises(
+            ConfigurationError,
+            match=r"n_steps=1000 for a batch of shape \(4096, 3\) requests 0\.0916 GiB",
+        ):
+            integrate(lorenz_field(), np.zeros((4096, 3)), 0.01, 1000)
+
+    def test_stacked_matches_separate(self):
+        rng = np.random.default_rng(8)
+        starts = [rng.uniform(-2, 2, size=(m, 3)) for m in (1, 7, 30)]
+        stacked = dynamics.integrate_stacked(lorenz_field(), starts, 0.01, 40)
+        assert [d.shape for d in stacked] == [(41, 1, 3), (41, 7, 3), (41, 30, 3)]
+        for x0, dense in zip(starts, stacked):
+            np.testing.assert_array_equal(dense, integrate(lorenz_field(), x0, 0.01, 40))
+
 
 class TestLorenzField:
     def test_equilibrium(self):

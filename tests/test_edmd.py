@@ -1,5 +1,7 @@
 """Tests for EDMD fitting, spectra, and lifted-space prediction."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -14,7 +16,14 @@ from mredmd.edmd import (
     generator_spectrum,
     predict,
 )
-from mredmd.errors import ConfigurationError, DivergenceWarning, RankDeficiencyWarning
+from mredmd.errors import (
+    ConfigurationError,
+    DivergenceWarning,
+    ImaginaryResidualWarning,
+    NegativeRealAxisWarning,
+    RankDeficiencyWarning,
+    SingularMatrixError,
+)
 from mredmd.observables import monomial_dictionary
 
 
@@ -125,6 +134,29 @@ class TestFitKoopman:
         back = scipy.linalg.expm(model.l_mat * model.step)
         rel = np.linalg.norm(back - model.k_mat) / np.linalg.norm(model.k_mat)
         assert rel <= 1e-6
+
+    def test_singular_fit_names_its_counts(self):
+        # 9 pairs cannot span 10 observables: K = P_y P_x^+ is singular
+        d = monomial_dictionary(3, 2)
+        pairs = linear_pairs(-np.eye(3), 0.1, 9)
+        with pytest.warns(RankDeficiencyWarning), pytest.raises(SingularMatrixError) as info:
+            fit_model(pairs, d)
+        assert str(info.value) == (
+            "EDMD fit (9 pairs, 10 observables): matrix is singular to working "
+            "precision; logarithm undefined"
+        )
+
+    def test_warnings_name_their_counts(self):
+        # K = -I has no real logarithm: both of its warnings carry the label
+        x = np.random.default_rng(0).uniform(-1, 1, size=(2, 40))
+        pairs = StatePairEnsemble(x=x, y=-x, step=1.0)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            fit_model(pairs, monomial_dictionary(2, 1, include_constant=False))
+        assert [(w.category, str(w.message).split(": ")[0]) for w in caught] == [
+            (NegativeRealAxisWarning, "EDMD fit (40 pairs, 2 observables)"),
+            (ImaginaryResidualWarning, "EDMD fit (40 pairs, 2 observables)"),
+        ]
 
     def test_shape_mismatch(self):
         with pytest.raises(ConfigurationError):

@@ -212,7 +212,7 @@ def test_noise_floor_matches_sampled_ensemble(overrides):
     spectra = []
     for half in (1, 2):
         ref = reference_noise_floor_pairs(cfg, half)
-        pairs = _ideal_pairs(cfg, lorenz_field(), (cfg.seed, _NOISE_FLOOR_STREAM, half))
+        (pairs,) = _ideal_pairs(cfg, lorenz_field(), [(cfg.seed, _NOISE_FLOOR_STREAM, half)])
         np.testing.assert_array_equal(pairs.x, ref.x)
         np.testing.assert_array_equal(pairs.y, ref.y)
         assert pairs.x.flags.c_contiguous and pairs.y.flags.c_contiguous

@@ -278,6 +278,19 @@ class TestRunMultirate:
         assert "multirate" in report.models
         assert "ideal" in report.models
 
+    @pytest.mark.parametrize("k", [5, 9])
+    def test_too_few_pairs_name_the_fit(self, k):
+        # K pairs for 10 observables: each EDMD fit is singular and says so
+        message = (
+            f"EDMD fit ({k} pairs, 10 observables): matrix is singular to working "
+            "precision; logarithm undefined"
+        )
+        report = run(multirate_config(K=k))
+        assert report.errors == [
+            {"stage": stage, "message": message}
+            for stage in ("reconstruct", "fit_lcm", "fit_ideal")
+        ]
+
 
 class TestRunSingleState:
     def test_benchmark_config_report(self):
