@@ -10,10 +10,8 @@ matrix, its generator, spectra, and trajectory predictions.
 __version__ = "0.1.0"
 
 from .dynamics import (
-    ComponentSeries,
     Ensemble,
     SamplingSchedule,
-    TrajectoryRecord,
     VectorField,
     export_ensemble,
     import_ensemble,
@@ -68,10 +66,8 @@ from .observables import Dictionary, coordinate_readout, monomial_dictionary
 __all__ = [
     "__version__",
     # dynamics
-    "ComponentSeries",
     "Ensemble",
     "SamplingSchedule",
-    "TrajectoryRecord",
     "VectorField",
     "export_ensemble",
     "import_ensemble",

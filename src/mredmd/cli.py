@@ -14,6 +14,7 @@ is still written), 2 on configuration errors.
 
 import argparse
 import sys
+import warnings
 from dataclasses import replace
 
 from . import experiments
@@ -125,17 +126,34 @@ def build_parser():
     return parser
 
 
+def _show_once(show):
+    """``showwarning`` that passes each (category, text, file, line) to
+    ``show`` once: each stage's ``catch_warnings`` resets the registries
+    that would show a warning once per location."""
+    shown = set()
+
+    def show_once(message, category, filename, lineno, file=None, line=None):
+        key = (category, str(message), filename, lineno)
+        if key not in shown:
+            shown.add(key)
+            show(message, category, filename, lineno, file, line)
+
+    return show_once
+
+
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except ConfigurationError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
-    except MredmdError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    with warnings.catch_warnings():
+        warnings.showwarning = _show_once(warnings.showwarning)
+        try:
+            return args.func(args)
+        except ConfigurationError as exc:
+            print(f"configuration error: {exc}", file=sys.stderr)
+            return 2
+        except MredmdError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

@@ -5,7 +5,8 @@ Each state component i is sampled at instants ``r_i + l * T_i`` for
 ``l = 0..M_i`` (dead time ``r_i``, period ``T_i``, ``M_i + 1`` samples per
 trajectory). Ensembles are integrated on a common micro-grid whose step
 divides every dead time and period exactly, so sampled values are copies of
-dense-trajectory values, never interpolations.
+integrated states, never interpolations. Only the states on the sample grid
+(``_STEPS_PER_GRID`` micro-steps apart) are kept.
 """
 
 import csv
@@ -13,7 +14,7 @@ import itertools
 import math
 import numbers
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from pathlib import Path
@@ -85,7 +86,7 @@ def _rk4_step(field, x, h):
     return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def integrate(field, x0, step, n_steps):
+def integrate(field, x0, step, n_steps, every=1):
     """Classical 4th-order Runge-Kutta from t=0.
 
     Parameters
@@ -96,36 +97,44 @@ def integrate(field, x0, step, n_steps):
     step : float
         Micro-step h > 0.
     n_steps : int
-        Number of steps; the result holds states at t = 0, h, ..., n_steps*h.
+        Number of micro-steps, a multiple of ``every``.
+    every : int
+        Keep the state after every ``every``-th micro-step only: the result
+        holds the states at t = 0, every*h, 2*every*h, ..., n_steps*h.
 
     Returns
     -------
     np.ndarray
-        Shape (n_steps + 1,) + x0.shape.
+        Shape (n_steps // every + 1,) + x0.shape.
 
     Raises
     ------
     ConfigurationError
-        If the grid of states cannot be allocated, naming its size.
+        If ``every`` is not an integer >= 1 dividing ``n_steps``, or if the
+        kept states cannot be allocated, naming their size.
     DivergenceError
-        If the state becomes non-finite, naming the offending step.
+        If the state becomes non-finite at any micro-step, naming it.
     """
     if step <= 0:
         raise ConfigurationError(f"step must be > 0, got {step}")
     if n_steps < 0:
         raise ConfigurationError(f"n_steps must be >= 0, got {n_steps}")
+    if isinstance(every, bool) or not isinstance(every, numbers.Integral) or every < 1:
+        raise ConfigurationError(f"every must be an integer >= 1, got {every!r}")
+    if n_steps % every:
+        raise ConfigurationError(f"n_steps={n_steps} is not a multiple of every={every}")
     x = np.asarray(x0, dtype=float)
     if x.shape[-1] != field.dim:
         raise ConfigurationError(
             f"x0 has dimension {x.shape[-1]}, field expects {field.dim}"
         )
+    rows = n_steps // every + 1
     try:
-        out = np.empty((n_steps + 1,) + x.shape)
+        out = np.empty((rows,) + x.shape)
     except (MemoryError, ValueError) as exc:  # ValueError: beyond the address space
-        gib = (n_steps + 1) * x.size * 8 / 2**30
         raise ConfigurationError(
             f"cannot allocate the RK4 grid: n_steps={n_steps} for a batch of shape "
-            f"{x.shape} requests {gib:.3g} GiB"
+            f"{x.shape} requests {rows * x.size * 8 / 2**30:.3g} GiB"
         ) from exc
     out[0] = x
     for j in range(1, n_steps + 1):
@@ -134,19 +143,20 @@ def integrate(field, x0, step, n_steps):
             raise DivergenceError(
                 f"trajectory diverged (non-finite state) at step {j}, t={j * step:.6g}"
             )
-        out[j] = x
+        if j % every == 0:
+            out[j // every] = x
     return out
 
 
-def integrate_stacked(field, starts, step, n_steps):
+def integrate_stacked(field, starts, step, n_steps, every=1):
     """:func:`integrate` of several (m_i, dim) batches of initial states in
-    one RK4 pass; returns one (n_steps + 1, m_i, dim) view per batch.
+    one RK4 pass; returns one (n_steps // every + 1, m_i, dim) view per batch.
 
     For a field that acts on each row alone with elementwise arithmetic (as
     :func:`lorenz_field`), every view is bit for bit ``integrate`` of its
     own batch. A divergence in any row raises for the whole pass.
     """
-    dense = integrate(field, np.concatenate(starts), step, n_steps)
+    dense = integrate(field, np.concatenate(starts), step, n_steps, every)
     return np.split(dense, np.cumsum([len(x) for x in starts])[:-1], axis=1)
 
 
@@ -186,37 +196,19 @@ class SamplingSchedule:
         return None
 
 
-@dataclass
-class ComponentSeries:
-    """Timestamped samples of one state component along one trajectory."""
-
-    component: int
-    times: np.ndarray
-    values: np.ndarray
-
-
-@dataclass
-class TrajectoryRecord:
-    """One trajectory of an :class:`Ensemble`, read from its array rows."""
-
-    index: int
-    x0: Optional[np.ndarray]
-    series: dict = field(default_factory=dict)
-    dense_times: Optional[np.ndarray] = None
-    dense_states: Optional[np.ndarray] = None
-
-
 @dataclass(eq=False)
 class Ensemble:
     """K trajectories, each component sampled on one time vector they share.
 
     ``times[i]`` holds the sample instants of component i, shape (M_i + 1,),
     and ``values[i]`` the samples, shape (K, M_i + 1), row k belonging to
-    trajectory ``indices[k]``. Initial conditions ``x0`` (K, n) and the dense
-    ground-truth grid ``dense_states`` (S, K, n) on ``dense_times`` (S,) are
-    optional: imported ensembles carry neither. The dense grid exists for
-    evaluation and baselines only; the estimation pipeline consumes nothing
-    but the sampled values.
+    trajectory ``indices[k]``. Initial conditions ``x0`` (K, n) and the
+    ground truth ``dense_states`` (S, K, n) on ``dense_times`` (S,) are
+    optional: imported ensembles carry neither. :func:`sample_ensemble`
+    keeps the ground truth on the sample grid only, the evenly spaced
+    instants that hold every sample time and extra time (not the RK4
+    micro-steps between them). It exists for evaluation and baselines; the
+    estimation pipeline consumes nothing but the sampled values.
 
     The arrays are validated once, on construction.
     """
@@ -253,29 +245,14 @@ class Ensemble:
     def __len__(self):
         return self.indices.size
 
-    def __getitem__(self, k):
-        """Trajectory k as a :class:`TrajectoryRecord` built from array rows."""
-        # No pipeline indexes an ensemble; the benchmark's span tracer reads
-        # ``sample_ensemble(...)[0].series`` and ``.dense_states``.
-        return TrajectoryRecord(
-            index=int(self.indices[k]),
-            x0=None if self.x0 is None else self.x0[k],
-            series={
-                comp: ComponentSeries(comp, self.times[comp], self.values[comp][k])
-                for comp in sorted(self.times)
-            },
-            dense_times=self.dense_times,
-            dense_states=None if self.dense_states is None else self.dense_states[:, k, :],
-        )
-
     def dense_at(self, t):
-        """Dense ground-truth states at time t, shape (n, K); t must be a
-        grid instant to within ``TIME_MATCH_TOL``."""
+        """Ground-truth states at time t, shape (n, K); t must be an instant
+        of ``dense_times`` to within ``TIME_MATCH_TOL``."""
         if self.dense_times is None:
-            raise DataError("ensemble has no dense ground-truth grid")
+            raise DataError("ensemble has no ground truth")
         idx = int(round(t / (self.dense_times[1] - self.dense_times[0])))
         if not 0 <= idx < len(self.dense_times) or abs(self.dense_times[idx] - t) > TIME_MATCH_TOL:
-            raise DataError(f"time {t:.6g} is not on the dense grid")
+            raise DataError(f"time {t:.6g} is not on the ground-truth grid")
         return np.ascontiguousarray(self.dense_states[idx].T)
 
 
@@ -444,10 +421,10 @@ def sample_ensemble(
         Base entropy for the per-trajectory substreams (non-negative).
     noise_std : float
         Standard deviation of additive Gaussian measurement noise applied to
-        the sampled values (0 leaves the exact dense values untouched).
+        the sampled values (0 leaves the exact integrated values untouched).
     extra_times : sequence of float
-        Additional instants the dense grid must contain (e.g. reconstruction
-        targets); they join the micro-step derivation.
+        Additional instants the ground truth must contain (e.g.
+        reconstruction targets); they join the sample-grid derivation.
 
     Returns
     -------
@@ -465,8 +442,8 @@ def sample_ensembles(
     """:func:`sample_ensemble` for each of ``seeds``, all K trajectories of
     every seed integrated in one RK4 pass (see :func:`integrate_stacked`).
 
-    The micro-grid depends on the schedules only, so the seeds share it.
-    Each ensemble's dense grid is its slice of the shared one.
+    The sample grid depends on the schedules only, so the seeds share it.
+    Each ensemble's ground truth is its slice of the shared one.
     """
     n = field.dim
     if sorted(s.component for s in schedules) != list(range(n)):
@@ -475,27 +452,24 @@ def sample_ensembles(
         )
     x0s = [initial_states(n, n_traj, init_box, seed) for seed in seeds]
 
+    # The sample grid, spacing g, holds every sample time and extra time;
+    # RK4 runs _STEPS_PER_GRID micro-steps per grid step and keeps grid rows.
     h_frac = common_micro_step(schedules, extra_times)
-    h = float(h_frac)
+    h, g = float(h_frac), h_frac * _STEPS_PER_GRID
     end = max(
         [s.dead_time + s.count * s.period for s in schedules] + [0.0, *extra_times]
     )
-    n_steps = int(math.ceil(_as_fraction(end, "end time") / h_frac))
-
-    # Per-component dense-grid indices, exact by construction.
-    grid = {}
-    for s in schedules:
-        base = _as_fraction(s.dead_time, "dead_time") / h_frac
-        stride = _as_fraction(s.period, "period") / h_frac
-        if base.denominator != 1 or stride.denominator != 1:
-            raise ConfigurationError(
-                f"schedule for component {s.component} does not align with the micro-grid"
-            )
-        grid[s.component] = int(base) + int(stride) * np.arange(s.count + 1)
-
-    dense_times = np.arange(n_steps + 1) * h
+    n_steps = _STEPS_PER_GRID * math.ceil(_as_fraction(end, "end time") / g)
+    # g divides every dead time and period, so the grid indices are exact
+    grid = {
+        s.component: int(_as_fraction(s.dead_time, "dead_time") / g)
+        + int(_as_fraction(s.period, "period") / g) * np.arange(s.count + 1)
+        for s in schedules
+    }
+    dense_times = np.arange(0, n_steps + 1, _STEPS_PER_GRID) * h
     ensembles = []
-    for seed, x0, dense in zip(seeds, x0s, integrate_stacked(field, x0s, h, n_steps)):
+    stacked = integrate_stacked(field, x0s, h, n_steps, every=_STEPS_PER_GRID)
+    for seed, x0, dense in zip(seeds, x0s, stacked):
         values = {
             s.component: np.ascontiguousarray(dense[grid[s.component], :, s.component].T)
             for s in schedules

@@ -26,6 +26,7 @@ import numpy as np
 
 from . import edmd, hankel
 from .dynamics import (
+    _STEPS_PER_GRID,
     common_micro_step,
     initial_states,
     integrate_stacked,
@@ -41,9 +42,6 @@ SCHEMA_ID = "mredmd-report/1"
 
 _EVAL_STREAM = 2**40 + 1
 _NOISE_FLOOR_STREAM = 2**40 + 2
-
-#: RK4 steps per prediction step when integrating the evaluation ground truth.
-_EVAL_RK4_STEPS = 10
 
 #: Most initial states that one RK4 batch of a seed sweep holds. Seeds join
 #: a batch whole; a seed with more rows than this runs alone.
@@ -327,7 +325,7 @@ def _per_seed(reports, name, compute):
 
 
 def _pairs_from_dense(ensemble, t1, step):
-    """Ideal pairs (x(t1), x(t1 + step)) read off the dense ground truth."""
+    """Ideal pairs (x(t1), x(t1 + step)) read off the ground truth."""
     return edmd.StatePairEnsemble(
         x=ensemble.dense_at(t1), y=ensemble.dense_at(t1 + step), step=step
     )
@@ -347,13 +345,12 @@ def _eval_initial_conditions(cfg, seed, n):
 
 def _eval_truths(fld, starts, horizon, step):
     """RK4 ground truth at step, 2 step, ..., horizon step of each (E_i, n)
-    batch of initial states, all in one pass; one (E_i, horizon, n) array
-    per batch, copied out so the micro-steps between are freed."""
+    batch of initial states, all in one pass with ``_STEPS_PER_GRID``
+    micro-steps per step; one (E_i, horizon, n) array per batch."""
+    m = _STEPS_PER_GRID
     return [
-        np.ascontiguousarray(np.moveaxis(dense[_EVAL_RK4_STEPS::_EVAL_RK4_STEPS], 0, 1))
-        for dense in integrate_stacked(
-            fld, starts, step / _EVAL_RK4_STEPS, horizon * _EVAL_RK4_STEPS
-        )
+        np.ascontiguousarray(np.moveaxis(dense[1:], 0, 1))
+        for dense in integrate_stacked(fld, starts, step / m, horizon * m, every=m)
     ]
 
 
@@ -452,7 +449,7 @@ def _run_seeds(cfg, seeds):
         )
         for seed in seeds
     ]
-    # the ensembles, and the dense grid they share, go before evaluation
+    # the ensembles, and the ground truth they share, go before evaluation
     _finish_reports(_sample_and_fit(cfg, fld, reports), cfg, fld)
     return reports
 
@@ -553,19 +550,18 @@ def _ideal_pairs(cfg, fld, seeds):
     in ``seeds``, all integrated in one RK4 batch.
 
     Bit for bit the pairs that ``sample_ensemble(..., seed=key,
-    extra_times=(T_s, 2 T_s))`` yields from its dense grid: the same initial
-    states and micro-step, integrated only as far as 2 T_s.
+    extra_times=(T_s, 2 T_s))`` yields from its ground truth: the same
+    initial states and micro-step, integrated only as far as 2 T_s, keeping
+    only the states at 0, T_s and 2 T_s.
     """
     h = float(common_micro_step(derive_schedules(cfg), (cfg.T_s, 2 * cfg.T_s)))
     stride = round(cfg.T_s / h)
     starts = [initial_states(fld.dim, cfg.K, cfg.init_box, seed) for seed in seeds]
     return [
         edmd.StatePairEnsemble(
-            x=np.ascontiguousarray(dense[stride].T),
-            y=np.ascontiguousarray(dense[2 * stride].T),
-            step=cfg.T_s,
+            x=np.ascontiguousarray(dense[1].T), y=np.ascontiguousarray(dense[2].T), step=cfg.T_s
         )
-        for dense in integrate_stacked(fld, starts, h, 2 * stride)
+        for dense in integrate_stacked(fld, starts, h, 2 * stride, every=stride)
     ]
 
 

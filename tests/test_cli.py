@@ -2,10 +2,18 @@
 
 import hashlib
 import json
+import os
+import re
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import pytest
 
+import mredmd
 from mredmd.cli import main
+from mredmd.experiments import ExperimentConfig, run_sweep
 
 
 def write_config(path, **overrides):
@@ -146,3 +154,40 @@ def test_output_dir_from_config(tmp_path):
 def test_requires_subcommand():
     with pytest.raises(SystemExit):
         main([])
+
+
+#: A single-state sweep whose seed 0 diverges while sampling; its seeds warn
+#: 163 times at 22 distinct (category, text, file, line) locations.
+DIVERGENT = dict(mode="single_state", state_dim=3, rates=None, init_box=[[-320, 320]] * 3)
+
+
+def _run_cli(*args):
+    env = dict(os.environ, PYTHONPATH=str(Path(mredmd.__file__).parents[1]))
+    return subprocess.run(
+        [sys.executable, *args], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        text=True, env=env, timeout=300,
+    )
+
+
+def test_diverging_compare_shows_each_warning_once(tmp_path):
+    cfg = write_config(tmp_path / "cfg.json", **DIVERGENT)
+    out = str(tmp_path / "cmp")
+    proc = _run_cli("-m", "mredmd.cli", "compare", "--config", str(cfg), "--out", out)
+    assert proc.returncode == 1
+    shown = re.findall(r"^(.+):(\d+): (\w+Warning): (.*)$", proc.stderr, re.MULTILINE)
+    assert len(shown) == len(set(shown))
+    # every distinct warning of the same sweep run in-process still appears
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        run_sweep(ExperimentConfig.from_json(cfg), range(10))
+    distinct = {(w.filename, str(w.lineno), w.category.__name__, str(w.message)) for w in caught}
+    assert len(distinct) == 22
+    assert set(shown) == distinct
+
+
+def test_warnings_as_errors_still_raise(tmp_path):
+    cfg = write_config(tmp_path / "cfg.json", **DIVERGENT)
+    out = str(tmp_path / "cmp")
+    proc = _run_cli("-W", "error", "-m", "mredmd.cli", "compare", "--config", str(cfg), "--out", out)
+    assert proc.returncode == 1
+    assert "RuntimeWarning: overflow encountered" in proc.stderr.splitlines()[-1]

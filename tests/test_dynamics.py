@@ -64,16 +64,24 @@ class TestIntegrate:
 
     def test_divergence_names_step(self):
         fld = dynamics.VectorField(1, lambda x: x**3)
-        with pytest.raises(DivergenceError, match="step"):
+        with pytest.raises(DivergenceError, match="step") as every_step:
             integrate(fld, [10.0], 1.0, 50)
+        # with a stride, the first non-finite micro-step between kept rows
+        # is still the one named
+        assert "step 50" not in str(every_step.value)
+        with pytest.raises(DivergenceError) as strided:
+            integrate(fld, [10.0], 1.0, 50, every=50)
+        assert str(strided.value) == str(every_step.value)
 
     def test_grid_beyond_address_space_refused(self):
-        # NumPy refuses the shape itself, so no memory is touched
-        with pytest.raises(ConfigurationError) as info:
-            integrate(lorenz_field(), np.zeros((10, 3)), 0.01, 2**62)
-        message = str(info.value)
-        assert f"n_steps={2**62}" in message and "(10, 3)" in message
-        assert f"{(2**62 + 1) * 30 * 8 / 2**30:.3g} GiB" in message
+        # NumPy refuses the shape itself, so no memory is touched; the size
+        # named is that of the kept states
+        for every in (1, 2, 4):
+            with pytest.raises(ConfigurationError) as info:
+                integrate(lorenz_field(), np.zeros((10, 3)), 0.01, 2**62, every=every)
+            message = str(info.value)
+            assert f"n_steps={2**62}" in message and "(10, 3)" in message
+            assert f"{(2**62 // every + 1) * 30 * 8 / 2**30:.3g} GiB" in message
 
     def test_allocation_failure_named(self, monkeypatch):
         def no_memory(shape, *args, **kwargs):
@@ -85,6 +93,29 @@ class TestIntegrate:
             match=r"n_steps=1000 for a batch of shape \(4096, 3\) requests 0\.0916 GiB",
         ):
             integrate(lorenz_field(), np.zeros((4096, 3)), 0.01, 1000)
+
+    @pytest.mark.parametrize("x0", [[0.7, -0.4, 0.9], [[0.1, 0.2, 0.3], [-0.5, 0.4, 0.8]]])
+    @pytest.mark.parametrize("every", [1, 3, 10, 30])
+    def test_every_keeps_strided_rows(self, x0, every):
+        full = integrate(lorenz_field(), x0, 0.01, 30)
+        kept = integrate(lorenz_field(), x0, 0.01, 30, every=every)
+        assert kept.shape == (30 // every + 1,) + np.shape(x0)
+        np.testing.assert_array_equal(kept, full[::every])
+
+    @pytest.mark.parametrize(
+        "every, n_steps, match",
+        [
+            (2.0, 10, "every must be an integer"),
+            (True, 10, "every must be an integer"),
+            ("2", 10, "every must be an integer"),
+            (0, 10, "every must be an integer >= 1"),
+            (-5, 10, "every must be an integer >= 1"),
+            (3, 10, r"n_steps=10 is not a multiple of every=3"),
+        ],
+    )
+    def test_bad_every_rejected(self, every, n_steps, match):
+        with pytest.raises(ConfigurationError, match=match):
+            integrate(lorenz_field(), np.zeros(3), 0.01, n_steps, every=every)
 
     def test_stacked_matches_separate(self):
         rng = np.random.default_rng(8)
@@ -176,18 +207,20 @@ class TestSampleEnsemble:
         for i in range(3):
             np.testing.assert_allclose(ensemble.times[i], [0.0, 0.1, 0.2])
             np.testing.assert_array_equal(
-                ensemble.values[i][0], ensemble.dense_states[[0, 10, 20], 0, i]
+                ensemble.values[i][0], ensemble.dense_states[[0, 1, 2], 0, i]
             )
 
     def test_benchmark_multirate_instants(self):
         ensemble = sample_ensemble(lorenz_field(), benchmark_schedules(), 300, seed=0)
         assert len(ensemble) == 300
-        rec = ensemble[17]
-        assert rec.index == 17
-        np.testing.assert_allclose(rec.series[1].times, [0.0, 0.4, 0.8, 1.2])
-        np.testing.assert_allclose(rec.series[2].times, [0.0, 0.3, 0.6, 0.9, 1.2])
-        np.testing.assert_array_equal(rec.series[2].values, ensemble.values[2][17])
-        np.testing.assert_array_equal(rec.dense_states, ensemble.dense_states[:, 17])
+        assert ensemble.indices[17] == 17
+        np.testing.assert_allclose(ensemble.times[1], [0.0, 0.4, 0.8, 1.2])
+        np.testing.assert_allclose(ensemble.times[2], [0.0, 0.3, 0.6, 0.9, 1.2])
+        # the ground truth is kept on the 0.1 s sample grid, 13 rows
+        np.testing.assert_allclose(ensemble.dense_times, np.arange(13) * 0.1)
+        assert ensemble.dense_states.shape == (13, 300, 3)
+        np.testing.assert_array_equal(ensemble.values[1][17], ensemble.dense_states[::4, 17, 1])
+        np.testing.assert_array_equal(ensemble.values[2][17], ensemble.dense_states[::3, 17, 2])
 
     def test_same_seed_bit_identical(self):
         a = sample_ensemble(lorenz_field(), benchmark_schedules(), 5, seed=42)
@@ -223,15 +256,49 @@ class TestSampleEnsemble:
         with pytest.raises(ConfigurationError):
             sample_ensemble(lorenz_field(), benchmark_schedules()[:2], 1, seed=0)
 
+    def test_sample_grid_matches_micro_grid(self, monkeypatch):
+        # several seeds through one pass: each keeps the sample-grid rows of
+        # the full micro-grid, bit for bit
+        schedules = [
+            SamplingSchedule(component=i, dead_time=(i + 1) * 0.1, period=0.3, count=2)
+            for i in range(3)
+        ]
+        calls = []
+        integrate_all = dynamics.integrate
+
+        def spy(field, x0, step, n_steps, every=1):
+            calls.append((step, n_steps, every))
+            return integrate_all(field, x0, step, n_steps, every)
+
+        monkeypatch.setattr(dynamics, "integrate", spy)
+        ensembles = dynamics.sample_ensembles(
+            lorenz_field(), schedules, 8, [4, 5], extra_times=(0.3, 0.4)
+        )
+        ((h, n_steps, every),) = calls
+        assert every == dynamics._STEPS_PER_GRID and n_steps == 90
+        for ensemble in ensembles:
+            assert ensemble.dense_states.shape == (n_steps // every + 1, 8, 3)
+            full = integrate_all(lorenz_field(), ensemble.x0, h, n_steps)
+            np.testing.assert_array_equal(ensemble.dense_states, full[::every])
+            np.testing.assert_array_equal(
+                ensemble.dense_times, (np.arange(n_steps + 1) * h)[::every]
+            )
+            for s in schedules:
+                grid = np.rint(s.instants() / h).astype(int)
+                np.testing.assert_array_equal(ensemble.values[s.component], full[grid, :, s.component].T)
+
     def test_dense_value_at(self):
         ensemble = sample_ensemble(
             lorenz_field(), benchmark_schedules(), 2, seed=0, extra_times=(0.1, 0.2)
         )
         at = ensemble.dense_at(0.1)
-        np.testing.assert_array_equal(at, ensemble.dense_states[10].T)
+        np.testing.assert_array_equal(at, ensemble.dense_states[1].T)
         assert at.flags.c_contiguous
         with pytest.raises(DataError):
             ensemble.dense_at(0.105)
+        # a micro-step between grid instants is not kept
+        with pytest.raises(DataError, match="not on the ground-truth grid"):
+            ensemble.dense_at(0.05)
 
 
 class TestEnsembleCsvRoundtrip:
@@ -358,6 +425,6 @@ class TestComponentSeriesValidation:
 
     def test_record_requires_dense_for_truth(self):
         ensemble = Ensemble(times={0: [0.0, 0.1]}, values={0: [[1.0, 2.0]]}, indices=[0])
-        assert ensemble[0].dense_states is None
+        assert ensemble.dense_states is None
         with pytest.raises(DataError):
             ensemble.dense_at(0.1)

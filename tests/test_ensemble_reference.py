@@ -17,7 +17,7 @@ import pytest
 
 from mredmd import edmd, hankel
 from mredmd.dynamics import (
-    ComponentSeries,
+    _STEPS_PER_GRID,
     SamplingSchedule,
     TIME_MATCH_TOL,
     common_micro_step,
@@ -60,8 +60,9 @@ def single_state_schedules(t_s=0.1, n=3):
 def reference_records(
     fld, schedules, n_traj, seed, noise_std=0.0, extra_times=(), init_box=None
 ):
-    """Sample trajectory by trajectory: a list of dicts with ``x0``,
-    ``series`` ({component: ComponentSeries}) and ``dense`` (S, n)."""
+    """Sample trajectory by trajectory on the whole micro-grid: a list of
+    dicts with ``x0``, ``series`` ({component: sampled values}) and ``dense``
+    (S, n), and the micro-grid times (S,)."""
     h = common_micro_step(schedules, extra_times)
     end = max([s.dead_time + s.count * s.period for s in schedules] + [0.0, *extra_times])
     n_steps = math.ceil(Fraction(end).limit_denominator(10**9) / h)
@@ -77,7 +78,7 @@ def reference_records(
             values = dense[grid, k, s.component]
             if noise_std > 0.0:
                 values = values + rngs[k].normal(0.0, noise_std, size=values.shape)
-            series[s.component] = ComponentSeries(s.component, s.instants(), values)
+            series[s.component] = values
         records.append({"x0": x0s[k], "series": series, "dense": dense[:, k, :]})
     return records, np.arange(n_steps + 1) * float(h)
 
@@ -87,7 +88,7 @@ def reference_hankel(records, schedule):
     p_x = np.empty((m, len(records)))
     p_y = np.empty((m, len(records)))
     for k, rec in enumerate(records):
-        values = rec["series"][schedule.component].values
+        values = rec["series"][schedule.component]
         p_x[:, k] = values[:m]
         p_y[:, k] = values[1 : m + 1]
     return hankel.HankelDataMatrices(p_x=p_x, p_y=p_y, schedule=schedule)
@@ -103,7 +104,7 @@ def reference_pairs(records, schedules, step, first_target):
             l = s.sample_index(t)
             if l is not None:
                 for k, rec in enumerate(records):
-                    out[s.component, k] = rec["series"][s.component].values[l]
+                    out[s.component, k] = rec["series"][s.component][l]
             else:
                 matrices = reference_hankel(records, s)
                 op = hankel.fit_component_operator(matrices)
@@ -127,15 +128,14 @@ def test_samples_match_loop(schedules, noise_std, init_box):
     records, dense_times = reference_records(
         lorenz_field(), schedules, 25, 7, noise_std, init_box=init_box
     )
-    np.testing.assert_array_equal(ensemble.dense_times, dense_times)
+    # the ensemble keeps the sample grid: every _STEPS_PER_GRID-th micro-step
+    np.testing.assert_array_equal(ensemble.dense_times, dense_times[::_STEPS_PER_GRID])
     for k, rec in enumerate(records):
         np.testing.assert_array_equal(ensemble.x0[k], rec["x0"])
-        np.testing.assert_array_equal(ensemble.dense_states[:, k], rec["dense"])
+        np.testing.assert_array_equal(ensemble.dense_states[:, k], rec["dense"][::_STEPS_PER_GRID])
         for s in schedules:
-            series = rec["series"][s.component]
-            np.testing.assert_array_equal(ensemble.times[s.component], series.times)
-            np.testing.assert_array_equal(ensemble.values[s.component][k], series.values)
-            np.testing.assert_array_equal(ensemble[k].series[s.component].values, series.values)
+            np.testing.assert_array_equal(ensemble.times[s.component], s.instants())
+            np.testing.assert_array_equal(ensemble.values[s.component][k], rec["series"][s.component])
 
 
 @pytest.mark.parametrize("schedules", [multirate_schedules(), single_state_schedules()])

@@ -1,0 +1,20 @@
+"""The README's Python example runs as written."""
+
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def python_blocks():
+    return re.findall(r"^```python\n(.*?)^```$", README.read_text(), re.MULTILINE | re.DOTALL)
+
+
+def test_readme_python_block_runs(capsys):
+    (block,) = python_blocks()
+    assert "K=300" in block
+    exec(compile(block, str(README), "exec"), {"__name__": "readme"})
+    out = capsys.readouterr().out
+    assert "(300, 4)" in out  # ensemble.values[1].shape
+    assert "(3, 300)" in out  # ensemble.dense_at(0.2).shape
+    assert "(2, 10, 3)" in out  # batched predict

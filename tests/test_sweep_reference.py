@@ -86,12 +86,13 @@ def comparison_bytes(result, directory):
 
 
 def count_integrations(monkeypatch):
+    """Each integrate call as (batch shape, number of states it keeps)."""
     calls = []
     integrate = dynamics.integrate
 
-    def counted(field, x0, step, n_steps):
-        calls.append(np.shape(x0))
-        return integrate(field, x0, step, n_steps)
+    def counted(field, x0, step, n_steps, every=1):
+        calls.append((np.shape(x0), n_steps // every + 1))
+        return integrate(field, x0, step, n_steps, every)
 
     monkeypatch.setattr(dynamics, "integrate", counted)
     return calls
@@ -148,8 +149,9 @@ def test_every_stage_fallback_keeps_its_stage():
 def test_ten_seeds_three_integrations(monkeypatch):
     calls = count_integrations(monkeypatch)
     run_sweep(ExperimentConfig(**SINGLE_STATE, K=100), range(10))
-    # samples, evaluation truths, both noise-floor halves
-    assert calls == [(1000, 3), (100, 3), (2000, 3)]
+    # samples (the 0.1 s grid to 0.9 s), evaluation truths (t = 0 and 50
+    # steps), both noise-floor halves (t = 0, T_s, 2 T_s)
+    assert calls == [((1000, 3), 10), ((100, 3), 51), ((2000, 3), 3)]
 
 
 @pytest.fixture(scope="module")
@@ -166,7 +168,7 @@ def test_row_budget_groups_whole_seeds(monkeypatch, single_state_sweep, budget, 
     calls = count_integrations(monkeypatch)
     assert run_sweep(cfg, range(10)) == expected
     assert len(calls) == 3 * groups
-    assert max(rows for rows, _ in calls) <= max(budget, 200)
+    assert max(shape[0] for shape, _ in calls) <= max(budget, 200)
 
 
 @pytest.mark.parametrize(
