@@ -23,8 +23,6 @@ from .dynamics import (
 from .edmd import (
     KoopmanModel,
     StatePairEnsemble,
-    build_edmd_matrices,
-    fit_koopman,
     fit_model,
     generator_spectrum,
     predict,
@@ -44,8 +42,6 @@ from .experiments import (
 )
 from .hankel import (
     ComponentOperator,
-    HankelDataMatrices,
-    build_hankel_matrices,
     estimate_component_at,
     estimated_components,
     fit_component_operator,
@@ -89,8 +85,6 @@ __all__ = [
     "spectrum_distance",
     # hankel
     "ComponentOperator",
-    "HankelDataMatrices",
-    "build_hankel_matrices",
     "estimate_component_at",
     "estimated_components",
     "fit_component_operator",
@@ -99,8 +93,6 @@ __all__ = [
     # edmd
     "KoopmanModel",
     "StatePairEnsemble",
-    "build_edmd_matrices",
-    "fit_koopman",
     "fit_model",
     "generator_spectrum",
     "predict",

@@ -9,7 +9,8 @@ compare       Run the configured pipeline over a range of seeds and tabulate
               method comparisons.
 
 Exit codes: 0 on success, 1 when a pipeline stage failed (the partial report
-is still written), 2 on configuration errors.
+is still written) or a warning was raised as an error, 2 on configuration
+errors.
 """
 
 import argparse
@@ -153,6 +154,9 @@ def main(argv=None):
             return 2
         except MredmdError as exc:
             print(f"error: {exc}", file=sys.stderr)
+            return 1
+        except Warning as exc:  # raised only under an error filter (python -W error)
+            print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
             return 1
 
 

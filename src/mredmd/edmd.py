@@ -51,19 +51,8 @@ class StatePairEnsemble:
         return self.x.shape[1]
 
 
-@dataclass
-class KoopmanModel:
-    """Finite Koopman approximation on a monomial dictionary.
-
-    ``k_mat`` advances lifted vectors by one step of length ``step``;
-    ``l_complex`` is the principal logarithm of ``k_mat`` over ``step``.
-    """
-
-    dictionary: Dictionary
-    k_mat: np.ndarray
-    l_complex: np.ndarray
-    step: float
-    readout: Optional[np.ndarray]
+class ComplexGenerator:
+    """A fit that keeps its generator complex, as ``l_complex``."""
 
     @property
     def l_mat(self):
@@ -76,55 +65,53 @@ class KoopmanModel:
         return float(np.max(np.abs(self.l_complex.imag)))
 
 
-def build_edmd_matrices(ensemble, dictionary):
-    """Lift an ensemble into data matrices (P_x, P_y), each (N, K)."""
-    p_x = dictionary.evaluate_columns(ensemble.x)
-    p_y = dictionary.evaluate_columns(ensemble.y)
-    if ensemble.n_pairs < dictionary.size:
-        warnings.warn(
-            f"only {ensemble.n_pairs} pairs for a dictionary of size "
-            f"{dictionary.size}; the fit is underdetermined",
-            RankDeficiencyWarning,
-            stacklevel=2,
-        )
-    return p_x, p_y
+@dataclass
+class KoopmanModel(ComplexGenerator):
+    """Finite Koopman approximation on a monomial dictionary.
+
+    ``k_mat`` advances lifted vectors by one step of length ``step``;
+    ``l_complex`` is the principal logarithm of ``k_mat`` over ``step``.
+    """
+
+    dictionary: Dictionary
+    k_mat: np.ndarray
+    l_complex: np.ndarray
+    step: float
+    readout: Optional[np.ndarray]
 
 
-def fit_koopman(p_x, p_y, step, dictionary):
-    """Least-squares Koopman fit K = P_y P_x^+ plus generator L = log(K)/step.
+def fit_model(pairs, dictionary):
+    """Lift state pairs into (P_x, P_y) and fit K = P_y P_x^+ plus the
+    generator L = log(K)/step.
 
-    See :func:`linalg.koopman_fit`; an imaginary part of L above 1e-6 emits
-    a warning. Its warnings and a singular-K error are labelled with the
-    pair and observable counts, e.g. ``EDMD fit (9 pairs, 10 observables):``.
+    Fewer pairs than observables emit a :class:`RankDeficiencyWarning`. See
+    :func:`linalg.koopman_fit`; an imaginary part of L above 1e-6 emits a
+    warning. Its warnings and a singular-K error are labelled with the pair
+    and observable counts, e.g. ``EDMD fit (9 pairs, 10 observables):``.
 
     Raises
     ------
     SingularMatrixError
         If the fitted K is singular so no generator exists.
     """
-    p_x = np.asarray(p_x, dtype=float)
-    p_y = np.asarray(p_y, dtype=float)
-    if p_x.shape != p_y.shape:
-        raise ConfigurationError(
-            f"P_x and P_y must have equal shape, got {p_x.shape} and {p_y.shape}"
+    p_x = dictionary.evaluate_columns(pairs.x)
+    p_y = dictionary.evaluate_columns(pairs.y)
+    if pairs.n_pairs < dictionary.size:
+        warnings.warn(
+            f"only {pairs.n_pairs} pairs for a dictionary of size "
+            f"{dictionary.size}; the fit is underdetermined",
+            RankDeficiencyWarning,
+            stacklevel=2,
         )
-    if step <= 0:
-        raise ConfigurationError(f"step must be > 0, got {step}")
-    with labelled(f"EDMD fit ({p_x.shape[1]} pairs, {p_x.shape[0]} observables)"):
-        k_mat, l_complex = linalg.koopman_fit(p_x, p_y, step)
+    with labelled(f"EDMD fit ({pairs.n_pairs} pairs, {dictionary.size} observables)"):
+        k_mat, l_complex = linalg.koopman_fit(p_x, p_y, pairs.step)
     try:
         readout = coordinate_readout(dictionary)
     except ConfigurationError:
         readout = None
     return KoopmanModel(
-        dictionary=dictionary, k_mat=k_mat, l_complex=l_complex, step=step, readout=readout
+        dictionary=dictionary, k_mat=k_mat, l_complex=l_complex, step=pairs.step, readout=readout
     )
-
-
-def fit_model(ensemble, dictionary):
-    """Convenience wrapper: lift an ensemble and fit the Koopman model."""
-    p_x, p_y = build_edmd_matrices(ensemble, dictionary)
-    return fit_koopman(p_x, p_y, ensemble.step, dictionary)
 
 
 def predict(model, x0, steps, mode="rollout"):

@@ -17,7 +17,7 @@ import json
 import math
 import warnings
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from itertools import product
 from pathlib import Path
 from typing import Optional
@@ -48,24 +48,6 @@ _NOISE_FLOOR_STREAM = 2**40 + 2
 _BATCH_ROWS = 4096
 
 _SYSTEMS = {"lorenz": lorenz_field}
-
-_CONFIG_FIELDS = {
-    "system",
-    "mode",
-    "T_s",
-    "K",
-    "seed",
-    "rates",
-    "state_dim",
-    "M",
-    "init_box",
-    "degree",
-    "include_constant",
-    "horizon",
-    "eval_trajectories",
-    "prediction_mode",
-    "output_dir",
-}
 
 #: Integer config fields and their smallest allowed value (seeds key
 #: NumPy's SeedSequence, which takes non-negative integers only).
@@ -150,10 +132,10 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data):
-        unknown = set(data) - _CONFIG_FIELDS
+        unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigurationError(f"unknown config fields: {sorted(unknown)}")
-        missing = {"system", "mode", "T_s", "K"} - set(data)
+        missing = {f.name for f in fields(cls) if f.default is MISSING} - set(data)
         if missing:
             raise ConfigurationError(f"missing config fields: {sorted(missing)}")
         return cls(**data)
@@ -269,7 +251,6 @@ class ExperimentReport:
     rmse: dict = field(default_factory=dict)
     mean_rmse: dict = field(default_factory=dict)
     residuals: dict = field(default_factory=dict)
-    component_residuals: dict = field(default_factory=dict)
     warnings: list = field(default_factory=list)
     errors: list = field(default_factory=list)
     models: dict = field(default_factory=dict)
@@ -481,14 +462,12 @@ def _sample_and_fit(cfg, fld, reports):
             continue
         sampled.append(report)
         with _stage(report, "reconstruct"):
-            needed = hankel.estimated_components(schedules, (first_target, first_target + t_s))
-            operators = hankel.fit_component_operators(ensemble, schedules, needed)
-            report.component_operators = operators
-            report.component_residuals = {
-                i: op.imag_residual for i, (_, op) in operators.items()
-            }
+            # stored before reconstructing, so a failed estimate still reports them
+            report.component_operators = hankel.fit_component_operators(
+                ensemble, schedules, (first_target, first_target + t_s)
+            )
             pairs = hankel.reconstruct_states(
-                ensemble, schedules, operators, t_s, first_target=first_target
+                ensemble, schedules, report.component_operators, t_s, first_target=first_target
             )
             report.models[mode] = edmd.fit_model(pairs, report.dictionary)
 
@@ -695,7 +674,9 @@ def emit_report(report, directory):
         "mean_rmse": report.mean_rmse,
         "rmse_per_trajectory": report.rmse,
         "residuals": report.residuals,
-        "component_residuals": {str(k): v for k, v in sorted(report.component_residuals.items())},
+        "component_residuals": {
+            str(k): op.imag_residual for k, op in sorted(report.component_operators.items())
+        },
         "warnings": report.warnings,
         "errors": report.errors,
     }
@@ -710,7 +691,7 @@ def emit_report(report, directory):
         if method in report.models:
             edmd.save_model(report.models[method], directory, method)
     rows = []
-    for comp, (_, op) in sorted(report.component_operators.items()):
+    for comp, op in sorted(report.component_operators.items()):
         edmd.write_matrix_csv(directory / f"hankel_K_{comp}.csv", op.k_mat)
         edmd.write_matrix_csv(directory / f"hankel_L_{comp}.csv", op.l_mat)
         rows.append([comp, _fmt(op.imag_residual)])

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import linalg
 from .dynamics import TIME_MATCH_TOL, SamplingSchedule
-from .edmd import StatePairEnsemble
+from .edmd import ComplexGenerator, StatePairEnsemble
 from .errors import (
     DataError,
     DivergenceError,
@@ -36,50 +36,26 @@ EXTRAPOLATION_RATIO = 2.0
 
 
 @dataclass
-class HankelDataMatrices:
-    """Delay-embedded data matrices for one component.
+class ComponentOperator(ComplexGenerator):
+    """One-period Koopman matrix and generator of a single component, with
+    the delay matrix ``p_x`` that its estimates are read from.
 
-    Column k of ``p_x`` holds the first M_i samples of trajectory k; column k
-    of ``p_y`` holds the same window shifted by one period, so row l of
-    ``p_y`` equals row l+1 of ``p_x`` exactly for l < M_i - 1.
-    """
-
-    p_x: np.ndarray
-    p_y: np.ndarray
-    schedule: SamplingSchedule
-
-
-@dataclass
-class ComponentOperator:
-    """One-period Koopman matrix and generator for a single component.
-
+    Column k of ``p_x`` holds the first M_i samples of trajectory k.
     Estimates propagate with the complex generator ``l_complex``, so
     genuinely complex logarithms surface as residuals rather than silent
     errors.
     """
 
-    component: int
+    schedule: SamplingSchedule
+    p_x: np.ndarray
     k_mat: np.ndarray
     l_complex: np.ndarray
-    period: float
-    dead_time: float
-
-    @property
-    def l_mat(self):
-        """Real-cast generator (C-contiguous real part of ``l_complex``)."""
-        return np.ascontiguousarray(self.l_complex.real)
-
-    @property
-    def imag_residual(self):
-        """Largest absolute imaginary part that ``l_mat`` discards."""
-        return float(np.max(np.abs(self.l_complex.imag)))
 
 
-def build_hankel_matrices(ensemble, schedule):
-    """Assemble (P_x, P_y) for one component from an :class:`Ensemble`.
-
-    The component must hold at least ``schedule.count + 1`` samples located
-    exactly at the schedule instants.
+def _hankel_matrices(ensemble, schedule):
+    """(P_x, P_y) of one component: column k of P_y holds the window of
+    column k of P_x shifted by one period, so row l of P_y equals row l+1 of
+    P_x exactly for l < M_i - 1.
 
     Raises
     ------
@@ -96,28 +72,28 @@ def build_hankel_matrices(ensemble, schedule):
     if not np.allclose(times[: m + 1], schedule.instants(), rtol=0.0, atol=TIME_MATCH_TOL):
         raise DataError(f"component {comp}: sample times do not match the schedule instants")
     values = ensemble.values[comp]
-    return HankelDataMatrices(
-        p_x=np.ascontiguousarray(values[:, :m].T),
-        p_y=np.ascontiguousarray(values[:, 1 : m + 1].T),
-        schedule=schedule,
-    )
+    return np.ascontiguousarray(values[:, :m].T), np.ascontiguousarray(values[:, 1 : m + 1].T)
 
 
-def fit_component_operator(matrices):
-    """Fit K_i = P_y P_x^+ and its generator L_i = log(K_i) / T_i.
+def fit_component_operator(ensemble, schedule):
+    """Fit K_i = P_y P_x^+ and its generator L_i = log(K_i) / T_i for one
+    component of an :class:`Ensemble`.
 
-    Emits :class:`IllConditionedWarning` when cond(P_x) exceeds 1e12 and
-    :class:`RankDeficiencyWarning` when there are fewer trajectories than
-    delay observables. An imaginary part of L_i above 1e-6 emits an
-    :class:`ImaginaryResidualWarning`.
+    The component must hold at least ``schedule.count + 1`` samples located
+    exactly at the schedule instants. Emits :class:`IllConditionedWarning`
+    when cond(P_x) exceeds 1e12 and :class:`RankDeficiencyWarning` when
+    there are fewer trajectories than delay observables. An imaginary part
+    of L_i above 1e-6 emits an :class:`ImaginaryResidualWarning`.
 
     Raises
     ------
+    DataError
+        Naming the component when samples are missing or misplaced.
     SingularMatrixError
         If the fitted K_i is singular so the logarithm does not exist.
     """
-    schedule = matrices.schedule
-    m, n_traj = matrices.p_x.shape
+    p_x, p_y = _hankel_matrices(ensemble, schedule)
+    m, n_traj = p_x.shape
     if n_traj < m:
         warnings.warn(
             f"component {schedule.component}: {n_traj} trajectories < {m} delay "
@@ -125,7 +101,7 @@ def fit_component_operator(matrices):
             RankDeficiencyWarning,
             stacklevel=2,
         )
-    cond = linalg.condition_number(matrices.p_x)
+    cond = linalg.condition_number(p_x)
     if cond > COND_WARN_THRESHOLD:
         warnings.warn(
             f"component {schedule.component}: P_x condition number {cond:.3e} "
@@ -134,17 +110,11 @@ def fit_component_operator(matrices):
             stacklevel=2,
         )
     with labelled(f"component {schedule.component}"):
-        k_mat, l_complex = linalg.koopman_fit(matrices.p_x, matrices.p_y, schedule.period)
-    return ComponentOperator(
-        component=schedule.component,
-        k_mat=k_mat,
-        l_complex=l_complex,
-        period=schedule.period,
-        dead_time=schedule.dead_time,
-    )
+        k_mat, l_complex = linalg.koopman_fit(p_x, p_y, schedule.period)
+    return ComponentOperator(schedule=schedule, p_x=p_x, k_mat=k_mat, l_complex=l_complex)
 
 
-def estimate_component_at(operator, matrices, t):
+def estimate_component_at(operator, t):
     """Per-trajectory estimates of the component value at time t.
 
     Computes the first row of exp(L_i (t - r_i)) P_x and casts it to real;
@@ -156,30 +126,29 @@ def estimate_component_at(operator, matrices, t):
     np.ndarray
         Shape (K,), one estimate per trajectory.
     """
-    dt = t - operator.dead_time
-    window = operator.period * matrices.p_x.shape[0]
+    s = operator.schedule
+    dt = t - s.dead_time
+    window = s.period * operator.p_x.shape[0]
     if dt < -TIME_MATCH_TOL:
         warnings.warn(
-            f"component {operator.component}: estimate at t={t:.6g} precedes the "
-            f"first sample at {operator.dead_time:.6g}",
+            f"component {s.component}: estimate at t={t:.6g} precedes the "
+            f"first sample at {s.dead_time:.6g}",
             ExtrapolationWarning,
             stacklevel=2,
         )
     elif dt > EXTRAPOLATION_RATIO * window:
         warnings.warn(
-            f"component {operator.component}: estimate at t={t:.6g} extrapolates "
+            f"component {s.component}: estimate at t={t:.6g} extrapolates "
             f"{dt / window:.2f}x beyond the sampled window",
             ExtrapolationWarning,
             stacklevel=2,
         )
     propagator = linalg.matrix_exp(operator.l_complex * dt)
-    row = propagator[0, :] @ matrices.p_x
-    with labelled(f"component {operator.component}, t={t:.6g}"):
+    row = propagator[0, :] @ operator.p_x
+    with labelled(f"component {s.component}, t={t:.6g}"):
         estimates, _residual = linalg.cast_real(row, tol=1e-6)
     if not np.all(np.isfinite(estimates)):
-        raise DivergenceError(
-            f"component {operator.component}: non-finite estimates at t={t:.6g}"
-        )
+        raise DivergenceError(f"component {s.component}: non-finite estimates at t={t:.6g}")
     return estimates
 
 
@@ -188,21 +157,19 @@ def estimated_components(schedules, targets):
     return {s.component for s in schedules for t in targets if s.sample_index(t) is None}
 
 
-def fit_component_operators(ensemble, schedules, components=None):
-    """Build data matrices and fit operators for the given components.
+def fit_component_operators(ensemble, schedules, targets):
+    """Fit the operator of each component that :func:`estimated_components`
+    names for ``targets``, in schedule order.
 
     Returns
     -------
     dict
-        component index -> (HankelDataMatrices, ComponentOperator)
+        component index -> :class:`ComponentOperator`
     """
-    wanted = set(components) if components is not None else {s.component for s in schedules}
-    fitted = {}
-    for s in schedules:
-        if s.component in wanted:
-            matrices = build_hankel_matrices(ensemble, s)
-            fitted[s.component] = (matrices, fit_component_operator(matrices))
-    return fitted
+    needed = estimated_components(schedules, targets)
+    return {
+        s.component: fit_component_operator(ensemble, s) for s in schedules if s.component in needed
+    }
 
 
 def reconstruct_states(ensemble, schedules, operators, step, first_target=None):
@@ -217,8 +184,9 @@ def reconstruct_states(ensemble, schedules, operators, step, first_target=None):
     ----------
     ensemble : Ensemble
     operators : dict
-        Output of :func:`fit_component_operators` covering every component
-        that needs estimation (see :func:`estimated_components`).
+        component index -> :class:`ComponentOperator`, covering every
+        component that needs estimation (as :func:`fit_component_operators`
+        returns for the same target times).
 
     Returns
     -------
@@ -255,8 +223,7 @@ def reconstruct_states(ensemble, schedules, operators, step, first_target=None):
                         f"component {s.component}: estimate at t={t:.6g} needs a "
                         "fitted component operator"
                     )
-                matrices, operator = operators[s.component]
-                out[s.component] = estimate_component_at(operator, matrices, t)
+                out[s.component] = estimate_component_at(operators[s.component], t)
                 flags[s.component] = True
     return StatePairEnsemble(
         x=x,

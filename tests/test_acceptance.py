@@ -95,11 +95,10 @@ def test_criterion_2_hankel_scalar_oracle():
         values={0: np.column_stack([x0, x0 * rho])},
         indices=np.arange(x0.size),
     )
-    matrices = hankel.build_hankel_matrices(ensemble, schedule)
-    op = hankel.fit_component_operator(matrices)
+    op = hankel.fit_component_operator(ensemble, schedule)
     l_err = abs(op.l_mat[0, 0] - np.log(rho) / t_i)
     assert l_err <= 1e-9, f"L_i error {l_err:.3e}"
-    est = hankel.estimate_component_at(op, matrices, 0.05)
+    est = hankel.estimate_component_at(op, 0.05)
     est_err = np.max(np.abs(est - x0 * rho**0.5))
     assert est_err <= 1e-9, f"fractional estimate error {est_err:.3e}"
     print("ACCEPTANCE 2 PASS: Hankel scalar oracle, L_i and half-period estimate to 1e-9")
@@ -152,12 +151,11 @@ def test_criterion_5_measured_instant_exactness():
         system_field(cfg.system), schedules, cfg.K, seed=cfg.seed,
         extra_times=(cfg.T_s, 2 * cfg.T_s),
     )
-    needed = hankel.estimated_components(schedules, (cfg.T_s, 2 * cfg.T_s))
-    fitted = hankel.fit_component_operators(ensemble, schedules, needed)
-    assert needed == {1, 2}
-    for comp, (matrices, op) in fitted.items():
-        est = hankel.estimate_component_at(op, matrices, op.dead_time)
-        err = np.max(np.abs(est - matrices.p_x[0]))
+    fitted = hankel.fit_component_operators(ensemble, schedules, (cfg.T_s, 2 * cfg.T_s))
+    assert list(fitted) == [1, 2]
+    for comp, op in fitted.items():
+        est = hankel.estimate_component_at(op, op.schedule.dead_time)
+        err = np.max(np.abs(est - op.p_x[0]))
         assert err <= 1e-12, f"component {comp}: first-sample error {err:.3e}"
     print("ACCEPTANCE 5 PASS: estimates at t=r_i reproduce measured first samples to 1e-12")
 

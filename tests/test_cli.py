@@ -190,4 +190,14 @@ def test_warnings_as_errors_still_raise(tmp_path):
     out = str(tmp_path / "cmp")
     proc = _run_cli("-W", "error", "-m", "mredmd.cli", "compare", "--config", str(cfg), "--out", out)
     assert proc.returncode == 1
-    assert "RuntimeWarning: overflow encountered" in proc.stderr.splitlines()[-1]
+    assert "Traceback" not in proc.stderr
+    errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
+    assert errors == ["error: RuntimeWarning: overflow encountered in multiply"]
+
+
+def test_warnings_as_errors_leave_a_clean_run_alone(tmp_path):
+    cfg = write_config(tmp_path / "cfg.json", K=300)
+    out = str(tmp_path / "report")
+    proc = _run_cli("-W", "error", "-m", "mredmd.cli", "multirate", "--config", str(cfg), "--out", out)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""

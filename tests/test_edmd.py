@@ -6,12 +6,10 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from mredmd import edmd
+from mredmd import edmd, linalg
 from mredmd.dynamics import integrate, lorenz_field
 from mredmd.edmd import (
     StatePairEnsemble,
-    build_edmd_matrices,
-    fit_koopman,
     fit_model,
     generator_spectrum,
     predict,
@@ -36,29 +34,43 @@ def linear_pairs(a, t_s, n_traj, seed=0, scale=1.0):
     return StatePairEnsemble(x=x, y=y, step=t_s)
 
 
+def lifted(monkeypatch, pairs, dictionary):
+    """The (P_x, P_y) that ``fit_model`` hands to the Koopman fit."""
+    seen = []
+
+    def record(p_x, p_y, step):
+        seen.append((p_x, p_y))
+        return np.eye(len(p_x)), np.zeros((len(p_x),) * 2, dtype=complex)
+
+    monkeypatch.setattr(linalg, "koopman_fit", record)
+    fit_model(pairs, dictionary)
+    (matrices,) = seen
+    return matrices
+
+
 class TestBuildEdmdMatrices:
-    def test_univariate_single_pair(self):
+    def test_univariate_single_pair(self, monkeypatch):
         d = monomial_dictionary(1, 1)
         ens = StatePairEnsemble(x=[[1.0]], y=[[2.0]], step=0.5)
         with pytest.warns(RankDeficiencyWarning):
-            p_x, p_y = build_edmd_matrices(ens, d)
+            p_x, p_y = lifted(monkeypatch, ens, d)
         np.testing.assert_array_equal(p_x, [[1.0], [1.0]])
         np.testing.assert_array_equal(p_y, [[1.0], [2.0]])
 
-    def test_benchmark_shapes(self):
+    def test_benchmark_shapes(self, monkeypatch):
         d = monomial_dictionary(3, 2)
         rng = np.random.default_rng(0)
         x = rng.uniform(-1, 1, size=(3, 300))
         ens = StatePairEnsemble(x=x, y=x, step=0.1)
-        p_x, p_y = build_edmd_matrices(ens, d)
+        p_x, p_y = lifted(monkeypatch, ens, d)
         assert p_x.shape == (10, 300)
         assert p_y.shape == (10, 300)
 
-    def test_identical_pairs_give_equal_matrices(self):
+    def test_identical_pairs_give_equal_matrices(self, monkeypatch):
         d = monomial_dictionary(2, 2)
         rng = np.random.default_rng(1)
         x = rng.normal(size=(2, 20))
-        p_x, p_y = build_edmd_matrices(StatePairEnsemble(x=x, y=x, step=1.0), d)
+        p_x, p_y = lifted(monkeypatch, StatePairEnsemble(x=x, y=x, step=1.0), d)
         np.testing.assert_array_equal(p_x, p_y)
 
 
@@ -159,8 +171,11 @@ class TestFitKoopman:
         ]
 
     def test_shape_mismatch(self):
-        with pytest.raises(ConfigurationError):
-            fit_koopman(np.ones((2, 3)), np.ones((3, 2)), 0.1, monomial_dictionary(1, 1))
+        # fit_model takes its pairs from a StatePairEnsemble, which rejects these
+        with pytest.raises(ConfigurationError, match="matching"):
+            StatePairEnsemble(x=np.ones((2, 3)), y=np.ones((3, 2)), step=0.1)
+        with pytest.raises(ConfigurationError, match="step"):
+            StatePairEnsemble(x=np.ones((2, 3)), y=np.ones((2, 3)), step=0.0)
 
 
 class TestPredict:

@@ -38,7 +38,7 @@ from mredmd.experiments import (
     ideal_noise_floor,
     run,
 )
-from mredmd.linalg import spectrum_distance
+from mredmd.linalg import koopman_fit, spectrum_distance
 from mredmd.observables import monomial_dictionary
 
 
@@ -91,7 +91,7 @@ def reference_hankel(records, schedule):
         values = rec["series"][schedule.component]
         p_x[:, k] = values[:m]
         p_y[:, k] = values[1 : m + 1]
-    return hankel.HankelDataMatrices(p_x=p_x, p_y=p_y, schedule=schedule)
+    return p_x, p_y
 
 
 def reference_pairs(records, schedules, step, first_target):
@@ -106,9 +106,12 @@ def reference_pairs(records, schedules, step, first_target):
                 for k, rec in enumerate(records):
                     out[s.component, k] = rec["series"][s.component][l]
             else:
-                matrices = reference_hankel(records, s)
-                op = hankel.fit_component_operator(matrices)
-                out[s.component] = hankel.estimate_component_at(op, matrices, t)
+                p_x, p_y = reference_hankel(records, s)
+                k_mat, l_complex = koopman_fit(p_x, p_y, s.period)
+                op = hankel.ComponentOperator(
+                    schedule=s, p_x=p_x, k_mat=k_mat, l_complex=l_complex
+                )
+                out[s.component] = hankel.estimate_component_at(op, t)
     return x, y
 
 
@@ -143,11 +146,12 @@ def test_hankel_matrices_match_loop(schedules):
     ensemble = sample_ensemble(lorenz_field(), schedules, 40, seed=3, noise_std=0.01)
     records, _ = reference_records(lorenz_field(), schedules, 40, 3, noise_std=0.01)
     for s in schedules:
-        h = hankel.build_hankel_matrices(ensemble, s)
-        ref = reference_hankel(records, s)
-        np.testing.assert_array_equal(h.p_x, ref.p_x)
-        np.testing.assert_array_equal(h.p_y, ref.p_y)
-        assert h.p_x.flags.c_contiguous and h.p_y.flags.c_contiguous
+        ref_x, ref_y = reference_hankel(records, s)
+        np.testing.assert_array_equal(hankel.fit_component_operator(ensemble, s).p_x, ref_x)
+        p_x, p_y = hankel._hankel_matrices(ensemble, s)
+        np.testing.assert_array_equal(p_x, ref_x)
+        np.testing.assert_array_equal(p_y, ref_y)
+        assert p_x.flags.c_contiguous and p_y.flags.c_contiguous
 
 
 @pytest.mark.parametrize(
@@ -162,8 +166,9 @@ def test_hankel_matrices_match_loop(schedules):
 def test_reconstructed_pairs_match_loop(schedules, step, first_target, extra):
     ensemble = sample_ensemble(lorenz_field(), schedules, 120, seed=5, extra_times=extra)
     records, _ = reference_records(lorenz_field(), schedules, 120, 5, extra_times=extra)
-    needed = hankel.estimated_components(schedules, (first_target, first_target + step))
-    operators = hankel.fit_component_operators(ensemble, schedules, needed)
+    operators = hankel.fit_component_operators(
+        ensemble, schedules, (first_target, first_target + step)
+    )
     pairs = hankel.reconstruct_states(
         ensemble, schedules, operators, step, first_target=first_target
     )

@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from mredmd import errors, experiments
+from mredmd import errors, experiments, hankel
 from mredmd.dynamics import linear_field
 from mredmd.edmd import StatePairEnsemble, fit_model
 from mredmd.errors import ConfigurationError, MredmdWarning
@@ -255,7 +255,7 @@ class TestRunMultirate:
             assert len(report.rmse[name]) == 10
         assert report.distances["ideal"] == 0.0
         assert report.distances["multirate"] < report.distances["lcm"]
-        assert report.component_residuals.keys() == {1, 2}
+        assert list(report.component_operators) == [1, 2]
 
     def test_uniform_rates_reduce_to_ideal(self):
         report = run(multirate_config(rates=(1, 1, 1)))
@@ -278,6 +278,19 @@ class TestRunMultirate:
         assert "multirate" in report.models
         assert "ideal" in report.models
 
+    def test_failed_estimate_still_writes_hankel_operators(self, monkeypatch, tmp_path):
+        def diverge(operator, t):
+            raise errors.DivergenceError(f"component {operator.schedule.component}: diverged")
+
+        monkeypatch.setattr(hankel, "estimate_component_at", diverge)
+        report = run(multirate_config(K=30))
+        assert report.errors == [{"stage": "reconstruct", "message": "component 1: diverged"}]
+        emit_report(report, tmp_path)
+        written = sorted(p.name for p in tmp_path.glob("hankel_K_*.csv"))
+        assert written == ["hankel_K_1.csv", "hankel_K_2.csv"]
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert list(summary["component_residuals"]) == ["1", "2"]
+
     @pytest.mark.parametrize("k", [5, 9])
     def test_too_few_pairs_name_the_fit(self, k):
         # K pairs for 10 observables: each EDMD fit is singular and says so
@@ -298,7 +311,7 @@ class TestRunSingleState:
         assert report.errors == []
         assert report.methods == ["single_state", "ideal"]
         assert report.spectra["single_state"].shape == (10,)
-        assert report.component_residuals.keys() == {0, 1, 2}
+        assert list(report.component_operators) == [0, 1, 2]
         assert report.distances["single_state"] > 0.0
 
     def test_measured_values_pass_through(self):

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from mredmd import hankel
+from mredmd import hankel, linalg
 from mredmd.dynamics import Ensemble, SamplingSchedule, lorenz_field, sample_ensemble
 from mredmd.edmd import StatePairEnsemble, fit_model
 from mredmd.errors import (
@@ -17,7 +17,6 @@ from mredmd.errors import (
     RankDeficiencyWarning,
 )
 from mredmd.hankel import (
-    build_hankel_matrices,
     estimate_component_at,
     estimated_components,
     fit_component_operator,
@@ -59,16 +58,18 @@ def sinusoid_data(omega=2.0, t_i=0.1, n_traj=6):
 class TestBuildHankelMatrices:
     def test_smallest_case(self):
         schedule = SamplingSchedule(component=0, dead_time=0.0, period=1.0, count=1)
-        h = build_hankel_matrices(ensemble_from_rows([[1.0, 2.0], [3.0, 4.0]], schedule), schedule)
-        np.testing.assert_array_equal(h.p_x, [[1.0, 3.0]])
-        np.testing.assert_array_equal(h.p_y, [[2.0, 4.0]])
+        ensemble = ensemble_from_rows([[1.0, 2.0], [3.0, 4.0]], schedule)
+        p_x, p_y = hankel._hankel_matrices(ensemble, schedule)
+        np.testing.assert_array_equal(p_x, [[1.0, 3.0]])
+        np.testing.assert_array_equal(p_y, [[2.0, 4.0]])
+        np.testing.assert_array_equal(fit_component_operator(ensemble, schedule).p_x, p_x)
 
     def test_shift_structure(self):
         schedule = SamplingSchedule(component=0, dead_time=0.2, period=0.5, count=4)
         rng = np.random.default_rng(1)
         ensemble = ensemble_from_rows([rng.normal(size=5) for _ in range(7)], schedule)
-        h = build_hankel_matrices(ensemble, schedule)
-        np.testing.assert_array_equal(h.p_y[:-1], h.p_x[1:])
+        p_x, p_y = hankel._hankel_matrices(ensemble, schedule)
+        np.testing.assert_array_equal(p_y[:-1], p_x[1:])
 
     def test_benchmark_shape(self):
         schedule = SamplingSchedule(component=1, dead_time=0.0, period=0.4, count=3)
@@ -82,32 +83,31 @@ class TestBuildHankelMatrices:
             300,
             seed=0,
         )
-        h = build_hankel_matrices(ensemble, schedule)
-        assert h.p_x.shape == (3, 300)
+        assert fit_component_operator(ensemble, schedule).p_x.shape == (3, 300)
 
     def test_insufficient_samples(self):
         schedule = SamplingSchedule(component=0, dead_time=0.0, period=1.0, count=3)
         short = Ensemble(times={0: [0.0, 1.0]}, values={0: [[1.0, 2.0]]}, indices=[0])
         with pytest.raises(DataError, match="component 0: 2 samples"):
-            build_hankel_matrices(short, schedule)
+            fit_component_operator(short, schedule)
 
     def test_wrong_component(self):
         schedule = SamplingSchedule(component=1, dead_time=0.0, period=1.0, count=1)
         wrong = Ensemble(times={0: [0.0, 1.0]}, values={0: [[1.0, 2.0]]}, indices=[0])
         with pytest.raises(DataError, match="component 1"):
-            build_hankel_matrices(wrong, schedule)
+            fit_component_operator(wrong, schedule)
 
     def test_misaligned_times(self):
         schedule = SamplingSchedule(component=0, dead_time=0.0, period=1.0, count=1)
         off = Ensemble(times={0: [0.0, 1.01]}, values={0: [[1.0, 2.0]]}, indices=[0])
         with pytest.raises(DataError, match="instants"):
-            build_hankel_matrices(off, schedule)
+            fit_component_operator(off, schedule)
 
 
 class TestFitComponentOperator:
     def test_geometric_scalar(self):
         schedule, ensemble, _ = geometric_data()
-        op = fit_component_operator(build_hankel_matrices(ensemble, schedule))
+        op = fit_component_operator(ensemble, schedule)
         np.testing.assert_allclose(op.k_mat, [[0.9]], atol=1e-12)
         np.testing.assert_allclose(op.l_mat, [[np.log(0.9) / 0.1]], atol=1e-9)
         assert op.imag_residual <= 1e-12
@@ -115,14 +115,14 @@ class TestFitComponentOperator:
     def test_constant_signals(self):
         schedule = SamplingSchedule(component=0, dead_time=0.0, period=0.5, count=1)
         ensemble = ensemble_from_rows([[c, c] for c in (1.0, 2.0, -0.5)], schedule)
-        op = fit_component_operator(build_hankel_matrices(ensemble, schedule))
+        op = fit_component_operator(ensemble, schedule)
         np.testing.assert_allclose(op.k_mat, [[1.0]], atol=1e-12)
         np.testing.assert_allclose(op.l_mat, [[0.0]], atol=1e-12)
 
     def test_sinusoid_recovers_oscillator_pair(self):
         omega, t_i = 2.0, 0.1
         schedule, ensemble = sinusoid_data(omega, t_i)
-        op = fit_component_operator(build_hankel_matrices(ensemble, schedule))
+        op = fit_component_operator(ensemble, schedule)
         eigs = np.sort_complex(np.linalg.eigvals(op.k_mat))
         expected = np.sort_complex([np.exp(1j * omega * t_i), np.exp(-1j * omega * t_i)])
         np.testing.assert_allclose(eigs, expected, atol=1e-8)
@@ -133,7 +133,7 @@ class TestFitComponentOperator:
         import scipy.linalg
 
         schedule, ensemble = sinusoid_data()
-        op = fit_component_operator(build_hankel_matrices(ensemble, schedule))
+        op = fit_component_operator(ensemble, schedule)
         assert op.imag_residual < 1e-8
         back = scipy.linalg.expm(op.l_mat * schedule.period)
         rel = np.linalg.norm(back - op.k_mat) / np.linalg.norm(op.k_mat)
@@ -144,10 +144,9 @@ class TestFitComponentOperator:
         # steps share one fit kernel, so the matrices agree bit for bit
         schedule = SamplingSchedule(component=0, dead_time=0.0, period=0.1, count=1)
         rows = np.random.default_rng(5).normal(size=(20, 2))
-        h = build_hankel_matrices(ensemble_from_rows(rows, schedule), schedule)
-        op = fit_component_operator(h)
+        op = fit_component_operator(ensemble_from_rows(rows, schedule), schedule)
         model = fit_model(
-            StatePairEnsemble(x=h.p_x, y=h.p_y, step=schedule.period),
+            StatePairEnsemble(x=rows[:, :1].T, y=rows[:, 1:].T, step=schedule.period),
             monomial_dictionary(1, 1, include_constant=False),
         )
         assert np.array_equal(op.k_mat, model.k_mat)
@@ -158,7 +157,7 @@ class TestFitComponentOperator:
         ensemble = ensemble_from_rows([[1.0, 0.9, 0.81]], schedule)
         with pytest.warns((RankDeficiencyWarning, IllConditionedWarning)):
             try:
-                fit_component_operator(build_hankel_matrices(ensemble, schedule))
+                fit_component_operator(ensemble, schedule)
             except Exception:
                 pass  # singular K_i is acceptable here; the warning is the contract
 
@@ -171,7 +170,7 @@ class TestFitComponentOperator:
         )
         with pytest.warns(IllConditionedWarning):
             try:
-                fit_component_operator(build_hankel_matrices(ensemble, schedule))
+                fit_component_operator(ensemble, schedule)
             except Exception:
                 pass
 
@@ -179,23 +178,20 @@ class TestFitComponentOperator:
 class TestEstimateComponentAt:
     def test_at_dead_time_reproduces_first_row(self):
         schedule, ensemble, _ = geometric_data(r_i=0.3)
-        h = build_hankel_matrices(ensemble, schedule)
-        op = fit_component_operator(h)
-        est = estimate_component_at(op, h, 0.3)
-        np.testing.assert_array_equal(est, h.p_x[0])
+        op = fit_component_operator(ensemble, schedule)
+        est = estimate_component_at(op, 0.3)
+        np.testing.assert_array_equal(est, op.p_x[0])
 
     def test_one_period_propagation(self):
         schedule, ensemble, _ = geometric_data()
-        h = build_hankel_matrices(ensemble, schedule)
-        op = fit_component_operator(h)
-        est = estimate_component_at(op, h, schedule.period)
-        np.testing.assert_allclose(est, h.p_y[0], atol=1e-10)
+        op = fit_component_operator(ensemble, schedule)
+        est = estimate_component_at(op, schedule.period)
+        np.testing.assert_allclose(est, ensemble.values[0][:, 1], atol=1e-10)
 
     def test_fractional_power_analytic(self):
         schedule, ensemble, x0 = geometric_data(rho=0.9, t_i=0.1)
-        h = build_hankel_matrices(ensemble, schedule)
-        op = fit_component_operator(h)
-        est = estimate_component_at(op, h, 0.05)
+        op = fit_component_operator(ensemble, schedule)
+        est = estimate_component_at(op, 0.05)
         np.testing.assert_allclose(est, x0 * 0.9**0.5, atol=1e-9)
 
     def test_linear_system_arbitrary_time(self):
@@ -206,25 +202,22 @@ class TestEstimateComponentAt:
         ensemble = ensemble_from_rows(
             [[x * np.exp(a * r_i), x * np.exp(a * (r_i + t_i))] for x in x0], schedule
         )
-        h = build_hankel_matrices(ensemble, schedule)
-        op = fit_component_operator(h)
+        op = fit_component_operator(ensemble, schedule)
         for t in (0.1, 0.33, 0.5):
-            est = estimate_component_at(op, h, t)
+            est = estimate_component_at(op, t)
             np.testing.assert_allclose(est, x0 * np.exp(a * t), atol=1e-6)
 
     def test_before_dead_time_warns(self):
         schedule, ensemble, _ = geometric_data(r_i=0.3)
-        h = build_hankel_matrices(ensemble, schedule)
-        op = fit_component_operator(h)
+        op = fit_component_operator(ensemble, schedule)
         with pytest.warns(ExtrapolationWarning):
-            estimate_component_at(op, h, 0.0)
+            estimate_component_at(op, 0.0)
 
     def test_far_extrapolation_warns(self):
         schedule, ensemble, _ = geometric_data()
-        h = build_hankel_matrices(ensemble, schedule)
-        op = fit_component_operator(h)
+        op = fit_component_operator(ensemble, schedule)
         with pytest.warns(ExtrapolationWarning):
-            estimate_component_at(op, h, 1.0)  # 10x the sampled window
+            estimate_component_at(op, 1.0)  # 10x the sampled window
 
 
 class TestRationalPowerEstimate:
@@ -232,30 +225,27 @@ class TestRationalPowerEstimate:
 
     def test_integer_power_consistency(self):
         schedule, ensemble, _ = geometric_data()
-        h = build_hankel_matrices(ensemble, schedule)
-        op = fit_component_operator(h)
-        est = estimate_component_at(op, h, 2 * schedule.period)
-        np.testing.assert_allclose(est, (op.k_mat @ op.k_mat @ h.p_x)[0], atol=1e-10)
+        op = fit_component_operator(ensemble, schedule)
+        est = estimate_component_at(op, 2 * schedule.period)
+        np.testing.assert_allclose(est, (op.k_mat @ op.k_mat @ op.p_x)[0], atol=1e-10)
 
     def test_agrees_with_exp_log_for_positive_spectrum(self):
         schedule, ensemble, _ = geometric_data()
-        h = build_hankel_matrices(ensemble, schedule)
-        op = fit_component_operator(h)
+        op = fit_component_operator(ensemble, schedule)
         t = 0.137
         w, v = np.linalg.eig(op.k_mat)  # oracle: principal power by eigendecomposition
         powered = (v * np.power(w.astype(complex), t / schedule.period)) @ np.linalg.inv(v)
-        oracle = powered[0] @ h.p_x
+        oracle = powered[0] @ op.p_x
         assert np.max(np.abs(oracle.imag)) <= 1e-10
-        np.testing.assert_allclose(estimate_component_at(op, h, t), oracle.real, atol=1e-8)
+        np.testing.assert_allclose(estimate_component_at(op, t), oracle.real, atol=1e-8)
 
     def test_negative_eigenvalue_half_power_is_complex(self):
         schedule = SamplingSchedule(component=0, dead_time=0.0, period=0.1, count=1)
         ensemble = ensemble_from_rows([[x, -0.5 * x] for x in (1.0, 2.0)], schedule)
-        h = build_hankel_matrices(ensemble, schedule)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            op = fit_component_operator(h)
-            estimate_component_at(op, h, 0.05)  # sqrt(-0.5) is imaginary
+            op = fit_component_operator(ensemble, schedule)
+            estimate_component_at(op, 0.05)  # sqrt(-0.5) is imaginary
         np.testing.assert_allclose(op.k_mat, [[-0.5]], atol=1e-12)
         assert op.imag_residual > 1.0
         # each warning carries its component (and time) label, in order
@@ -269,12 +259,14 @@ class TestRationalPowerEstimate:
         # a Jordan block has no eigenvector basis; the exp-log path still
         # gives its principal square root [[1, 0.5], [0, 1]]
         schedule = SamplingSchedule(component=0, dead_time=0.0, period=0.1, count=2)
-        h = hankel.HankelDataMatrices(
-            p_x=np.eye(2), p_y=np.array([[1.0, 1.0], [0.0, 1.0]]), schedule=schedule
+        # its P_x, P_y have no Hankel structure, so the operator is built directly
+        p_x = np.eye(2)
+        k_mat, l_complex = linalg.koopman_fit(p_x, np.array([[1.0, 1.0], [0.0, 1.0]]), 0.1)
+        op = hankel.ComponentOperator(
+            schedule=schedule, p_x=p_x, k_mat=k_mat, l_complex=l_complex
         )
-        op = fit_component_operator(h)
         np.testing.assert_allclose(op.k_mat, [[1.0, 1.0], [0.0, 1.0]], atol=1e-12)
-        np.testing.assert_allclose(estimate_component_at(op, h, 0.05), [1.0, 0.5], atol=1e-10)
+        np.testing.assert_allclose(estimate_component_at(op, 0.05), [1.0, 0.5], atol=1e-10)
 
 
 def multirate_schedules(t_s=0.1):
@@ -312,11 +304,25 @@ class TestEstimatedComponents:
         assert estimated_components(schedules, (0.1, 0.2)) == set()
 
 
+class TestFitComponentOperators:
+    @pytest.mark.parametrize(
+        "schedules, targets",
+        [(multirate_schedules(), (0.1, 0.2)), (single_state_schedules(), (0.3, 0.4))],
+        ids=["multirate", "single_state"],
+    )
+    def test_fits_estimated_components_in_schedule_order(self, schedules, targets):
+        schedules = schedules[::-1]
+        ensemble = sample_ensemble(lorenz_field(), schedules, 30, seed=4)
+        ops = fit_component_operators(ensemble, schedules, targets)
+        needed = [s for s in schedules if s.component in estimated_components(schedules, targets)]
+        assert list(ops) == [s.component for s in needed]
+        assert [op.schedule for op in ops.values()] == needed
+
+
 def reconstruct(ensemble, schedules, step, first_target=None):
     """reconstruct_states with operators fitted for the estimated components."""
     t1 = step if first_target is None else first_target
-    needed = estimated_components(schedules, (t1, t1 + step))
-    operators = fit_component_operators(ensemble, schedules, needed)
+    operators = fit_component_operators(ensemble, schedules, (t1, t1 + step))
     return reconstruct_states(ensemble, schedules, operators, step, first_target=first_target)
 
 
@@ -365,17 +371,18 @@ class TestReconstructStates:
     def test_operators_reused(self):
         schedules = multirate_schedules()
         ensemble = sample_ensemble(lorenz_field(), schedules, 30, seed=4, extra_times=(0.1, 0.2))
-        ops = fit_component_operators(ensemble, schedules, components={1, 2})
-        assert set(ops) == {1, 2}
+        ops = fit_component_operators(ensemble, schedules, (0.1, 0.2))
+        assert list(ops) == [1, 2]
         pairs = reconstruct_states(ensemble, schedules, ops, 0.1)
-        for comp, (matrices, op) in ops.items():
-            np.testing.assert_array_equal(pairs.x[comp], estimate_component_at(op, matrices, 0.1))
-            np.testing.assert_array_equal(pairs.y[comp], estimate_component_at(op, matrices, 0.2))
+        for comp, op in ops.items():
+            np.testing.assert_array_equal(pairs.x[comp], estimate_component_at(op, 0.1))
+            np.testing.assert_array_equal(pairs.y[comp], estimate_component_at(op, 0.2))
 
     def test_missing_operator_rejected(self):
         schedules = multirate_schedules()
         ensemble = sample_ensemble(lorenz_field(), schedules, 30, seed=4, extra_times=(0.1, 0.2))
-        ops = fit_component_operators(ensemble, schedules, components={1})
+        ops = fit_component_operators(ensemble, schedules, (0.1, 0.2))
+        del ops[2]
         with pytest.raises(DataError, match="component 2"):
             reconstruct_states(ensemble, schedules, ops, 0.1)
 

@@ -309,7 +309,7 @@ def hankel_fit_matrices():
         )
     )
     assert report.errors == []
-    hankel_ks = [op.k_mat for _, (_, op) in sorted(report.component_operators.items())]
+    hankel_ks = [op.k_mat for _, op in sorted(report.component_operators.items())]
     return hankel_ks + [report.models[m].k_mat for m in ("multirate", "lcm", "ideal")]
 
 

@@ -1,7 +1,10 @@
-"""The README's Python example runs as written."""
+"""The README's Python example runs as written, and the names it cites exist."""
 
+import importlib.util
 import re
 from pathlib import Path
+
+import mredmd
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -18,3 +21,14 @@ def test_readme_python_block_runs(capsys):
     assert "(300, 4)" in out  # ensemble.values[1].shape
     assert "(3, 300)" in out  # ensemble.dense_at(0.2).shape
     assert "(2, 10, 3)" in out  # batched predict
+
+
+def test_readme_names_resolve():
+    names = set(re.findall(r"\bmredmd\.(\w+)", README.read_text()))
+    assert {"fit_model", "hankel"} <= names
+    unresolved = [
+        name
+        for name in sorted(names)
+        if not hasattr(mredmd, name) and importlib.util.find_spec(f"mredmd.{name}") is None
+    ]
+    assert unresolved == []
