@@ -26,7 +26,6 @@ from .edmd import (
     fit_model,
     generator_spectrum,
     predict,
-    save_model,
 )
 from .experiments import (
     ExperimentConfig,
@@ -39,6 +38,7 @@ from .experiments import (
     lcm_of_rates,
     run,
     run_sweep,
+    save_model,
 )
 from .hankel import (
     ComponentOperator,
@@ -96,7 +96,6 @@ __all__ = [
     "fit_model",
     "generator_spectrum",
     "predict",
-    "save_model",
     # experiments
     "ExperimentConfig",
     "ExperimentReport",
@@ -108,4 +107,5 @@ __all__ = [
     "lcm_of_rates",
     "run",
     "run_sweep",
+    "save_model",
 ]

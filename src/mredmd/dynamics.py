@@ -495,11 +495,39 @@ def sample_ensembles(
     return ensembles
 
 
+def _trajectory_files(directory):
+    """(index, path) of each trajectory file in ``directory``, by parsed
+    index: names sort "trajectory_100000" before "trajectory_99999"."""
+    return sorted(
+        (int(match.group(1)), path)
+        for path in Path(directory).glob("trajectory_*.csv")
+        if (match := re.fullmatch(r"trajectory_(\d+)\.csv", path.name)) is not None
+    )
+
+
 def export_ensemble(ensemble, directory):
-    """Write one CSV per trajectory with columns ``component,time,value``."""
+    """Write one CSV per trajectory with columns ``component,time,value``.
+
+    Raises
+    ------
+    ConfigurationError
+        Before writing anything, naming the directory and the indices of
+        the trajectory files it holds that the ensemble lacks: an import
+        would read them as part of this ensemble.
+    """
     directory = Path(directory)
+    indices = ensemble.indices.tolist()
+    stale = sorted({index for index, _ in _trajectory_files(directory)} - set(indices))
+    if stale:
+        shown = ", ".join(map(str, stale[:10]))
+        if len(stale) > 10:
+            shown += f" and {len(stale) - 10} more"
+        raise ConfigurationError(
+            f"{directory} holds trajectory files that this ensemble lacks (indices {shown}); "
+            "write to a new or empty directory"
+        )
     directory.mkdir(parents=True, exist_ok=True)
-    for k, index in enumerate(ensemble.indices.tolist()):
+    for k, index in enumerate(indices):
         with open(directory / f"trajectory_{index:05d}.csv", "w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["component", "time", "value"])
@@ -523,13 +551,7 @@ def import_ensemble(directory):
         missing from some files, or sample times that differ between files
         by more than ``TIME_MATCH_TOL``.
     """
-    directory = Path(directory)
-    # by parsed index: names sort "trajectory_100000" before "trajectory_99999"
-    files = sorted(
-        (int(match.group(1)), path)
-        for path in directory.glob("trajectory_*.csv")
-        if (match := re.fullmatch(r"trajectory_(\d+)\.csv", path.name)) is not None
-    )
+    files = _trajectory_files(directory)
     if not files:
         raise DataError(f"no trajectory CSV files found in {directory}")
     for (index, path), (next_index, other) in zip(files, files[1:]):

@@ -2,10 +2,8 @@
 extraction via the principal logarithm, spectra, and lifted-space prediction.
 """
 
-import csv
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -170,24 +168,3 @@ def generator_spectrum(model):
     """Eigenvalues of the real-cast generator matrix."""
     return linalg.eigenvalues(model.l_mat)
 
-
-def write_matrix_csv(path, matrix):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        for row in np.atleast_2d(matrix):
-            writer.writerow([repr(float(v)) for v in row])
-
-
-def save_model(model, directory, name):
-    """Serialize a model: K/L matrices as CSV plus a text manifest."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    write_matrix_csv(directory / f"K_{name}.csv", model.k_mat)
-    write_matrix_csv(directory / f"L_{name}.csv", model.l_mat)
-    manifest = [
-        f"step: {model.step!r}",
-        f"imag_residual: {model.imag_residual!r}",
-        "dictionary:",
-        model.dictionary.manifest().rstrip("\n"),
-    ]
-    (directory / f"model_{name}.txt").write_text("\n".join(manifest) + "\n")

@@ -12,9 +12,9 @@ so each RK4 stage integrates a whole group of seeds in one batch; ``run``
 is its one-seed case.
 """
 
-import csv
 import json
 import math
+import re
 import warnings
 from contextlib import contextmanager
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
@@ -618,15 +618,48 @@ def run_sweep(cfg, seeds):
     }
 
 
-def _write_rows(path, header, rows):
+#: Names of the per-method and per-component report files. A directory that
+#: holds one that a report does not write holds part of another report.
+_PER_FIT_FILE = re.compile(
+    r"[KL]_(multirate|single_state|lcm|ideal)\.csv|model_(multirate|single_state|lcm|ideal)\.txt"
+    r"|hankel_[KL]_\d+\.csv"
+)
+
+
+def _write_csv(path, lines):
+    """Write report CSV ``lines``, each comma-joined by its caller and ended
+    with ``\n``.
+
+    No cell needs quoting: cells are method names, ints and float text. A
+    float is always written as the ``repr`` of a Python float (:func:`_fmt`,
+    or ``repr`` of ``tolist()`` values), never of a NumPy scalar, whose
+    ``repr`` is ``np.float64(0.1)`` under NumPy 2.
+    """
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.writelines(line + "\n" for line in lines)
 
 
 def _fmt(x):
     return repr(float(x))
+
+
+def _write_matrix_csv(path, matrix):
+    _write_csv(path, (",".join(map(_fmt, row)) for row in np.atleast_2d(matrix)))
+
+
+def save_model(model, directory, name):
+    """Serialize a model: K/L matrices as CSV plus a text manifest."""
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    _write_matrix_csv(directory / f"K_{name}.csv", model.k_mat)
+    _write_matrix_csv(directory / f"L_{name}.csv", model.l_mat)
+    manifest = [
+        f"step: {model.step!r}",
+        f"imag_residual: {model.imag_residual!r}",
+        "dictionary:",
+        model.dictionary.manifest().rstrip("\n"),
+    ]
+    (directory / f"model_{name}.txt").write_text("\n".join(manifest) + "\n")
 
 
 def emit_report(report, directory):
@@ -636,33 +669,53 @@ def emit_report(report, directory):
     (method,trajectory,t,component,truth,predicted), ``summary.json``,
     ``dictionary.txt``, per-method K/L matrices, and per-component Hankel
     operator dumps.
+
+    Raises
+    ------
+    ConfigurationError
+        Before writing anything, naming each per-method or per-component
+        file in ``directory`` that this report would not overwrite, as it
+        belongs to another report. The same report rewrites every file.
     """
     directory = Path(directory)
+    methods = [method for method in report.methods if method in report.models]
+    operators = sorted(report.component_operators.items())
+    own = {f"{kind}_{m}.csv" for m in methods for kind in "KL"}
+    own |= {f"model_{m}.txt" for m in methods}
+    own |= {f"hankel_{kind}_{comp}.csv" for comp, _ in operators for kind in "KL"}
+    stale = sorted(
+        path.name
+        for path in directory.glob("*")
+        if _PER_FIT_FILE.fullmatch(path.name) and path.name not in own
+    )
+    if stale:
+        raise ConfigurationError(
+            f"{directory} holds files of another report: {', '.join(stale)}; "
+            "write to a new or empty directory"
+        )
     directory.mkdir(parents=True, exist_ok=True)
 
-    rows = []
+    lines = ["method,index,real,imag"]
     for method in report.methods:
         if method in report.spectra:
             for idx, lam in enumerate(report.spectra[method]):
-                rows.append([method, idx, _fmt(lam.real), _fmt(lam.imag)])
-    _write_rows(directory / "spectrum.csv", ["method", "index", "real", "imag"], rows)
+                lines.append(f"{method},{idx},{_fmt(lam.real)},{_fmt(lam.imag)}")
+    _write_csv(directory / "spectrum.csv", lines)
 
-    rows = []
+    lines = ["method,trajectory,t,component,truth,predicted"]
     if report.eval_times is not None:
-        # repr of the Python floats from tolist() is the text _fmt gives
         times = list(map(repr, report.eval_times.tolist()))
-        truth = list(map(repr, report.eval_truth.ravel().tolist()))
+        truth = report.eval_truth
+        # the method-independent part of each line, built once
+        prefixes = [
+            f"{k},{times[j]},{comp},{obs!r},"
+            for (k, j, comp), obs in zip(product(*map(range, truth.shape)), truth.ravel().tolist())
+        ]
         for method in report.methods:
-            if method not in report.predictions:
-                continue
-            preds = report.predictions[method]
-            cells = zip(product(*map(range, preds.shape)), truth, map(repr, preds.ravel().tolist()))
-            rows.extend([method, k, times[j], comp, obs, pred] for (k, j, comp), obs, pred in cells)
-    _write_rows(
-        directory / "prediction.csv",
-        ["method", "trajectory", "t", "component", "truth", "predicted"],
-        rows,
-    )
+            if method in report.predictions:
+                preds = report.predictions[method].ravel().tolist()
+                lines += [f"{method},{prefix}{pred!r}" for prefix, pred in zip(prefixes, preds)]
+    _write_csv(directory / "prediction.csv", lines)
 
     summary = {
         "schema": report.schema,
@@ -674,9 +727,7 @@ def emit_report(report, directory):
         "mean_rmse": report.mean_rmse,
         "rmse_per_trajectory": report.rmse,
         "residuals": report.residuals,
-        "component_residuals": {
-            str(k): op.imag_residual for k, op in sorted(report.component_operators.items())
-        },
+        "component_residuals": {str(k): op.imag_residual for k, op in operators},
         "warnings": report.warnings,
         "errors": report.errors,
     }
@@ -687,17 +738,14 @@ def emit_report(report, directory):
     if report.dictionary is not None:
         (directory / "dictionary.txt").write_text(report.dictionary.manifest())
 
-    for method in report.methods:
-        if method in report.models:
-            edmd.save_model(report.models[method], directory, method)
-    rows = []
-    for comp, op in sorted(report.component_operators.items()):
-        edmd.write_matrix_csv(directory / f"hankel_K_{comp}.csv", op.k_mat)
-        edmd.write_matrix_csv(directory / f"hankel_L_{comp}.csv", op.l_mat)
-        rows.append([comp, _fmt(op.imag_residual)])
-    _write_rows(
-        directory / "hankel_residuals.csv", ["component", "imag_residual"], rows
-    )
+    for method in methods:
+        save_model(report.models[method], directory, method)
+    lines = ["component,imag_residual"]
+    for comp, op in operators:
+        _write_matrix_csv(directory / f"hankel_K_{comp}.csv", op.k_mat)
+        _write_matrix_csv(directory / f"hankel_L_{comp}.csv", op.l_mat)
+        lines.append(f"{comp},{_fmt(op.imag_residual)}")
+    _write_csv(directory / "hankel_residuals.csv", lines)
     return directory
 
 
@@ -708,22 +756,15 @@ def emit_comparison(result, directory):
     its seed's errors in ``n_errors``."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    rows = []
+    lines = ["seed,method,spectrum_distance_to_ideal,mean_rmse"]
     for row in result["rows"]:
-        for method in sorted(set(row["spectrum_distances"]) | set(row["mean_rmse"])):
-            rows.append(
-                [
-                    row["seed"],
-                    method,
-                    _fmt(row["spectrum_distances"].get(method, float("nan"))),
-                    _fmt(row["mean_rmse"].get(method, float("nan"))),
-                ]
+        dist, rmse = row["spectrum_distances"], row["mean_rmse"]
+        for method in sorted(set(dist) | set(rmse)):
+            lines.append(
+                f"{row['seed']},{method},{_fmt(dist.get(method, math.nan))},"
+                f"{_fmt(rmse.get(method, math.nan))}"
             )
-    _write_rows(
-        directory / "compare.csv",
-        ["seed", "method", "spectrum_distance_to_ideal", "mean_rmse"],
-        rows,
-    )
+    _write_csv(directory / "compare.csv", lines)
     summary = {key: value for key, value in result.items() if key != "stage_errors"}
     (directory / "compare.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     return directory

@@ -102,6 +102,43 @@ def test_simulate_bytes_pinned(tmp_path):
     )
 
 
+def test_reused_out_refuses_another_report(tmp_path, capsys):
+    single = write_config(tmp_path / "single.json", mode="single_state", state_dim=3, rates=None)
+    multi = write_config(tmp_path / "multi.json")
+    out = tmp_path / "r"
+    assert main(["single-state", "--config", str(single), "--out", str(out)]) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    # the same command into the same directory overwrites its own report
+    assert main(["single-state", "--config", str(single), "--out", str(out)]) == 0
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    capsys.readouterr()
+    assert main(["multirate", "--config", str(multi), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    stale = [
+        "K_single_state.csv",
+        "L_single_state.csv",
+        "hankel_K_0.csv",
+        "hankel_L_0.csv",
+        "model_single_state.txt",
+    ]
+    assert f"holds files of another report: {', '.join(stale)};" in err
+    # nothing was written or deleted
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def test_simulate_refuses_a_directory_with_other_trajectories(tmp_path, capsys):
+    out = tmp_path / "ensemble"
+    first = write_config(tmp_path / "first.json", K=5)
+    second = write_config(tmp_path / "second.json", K=3, seed=7)
+    assert main(["simulate", "--config", str(first), "--out", str(out)]) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert main(["simulate", "--config", str(first), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["simulate", "--config", str(second), "--out", str(out)]) == 2
+    assert "lacks (indices 3, 4)" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
 def test_compare_subcommand(tmp_path, capsys):
     cfg = write_config(tmp_path / "cfg.json", K=30)
     out = tmp_path / "cmp"

@@ -1,5 +1,7 @@
 """Tests for integration, the benchmark field, and ensemble sampling."""
 
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -333,6 +335,22 @@ class TestEnsembleCsvRoundtrip:
         export_ensemble(ensemble, d2)
         for p1, p2 in zip(sorted(d1.iterdir()), sorted(d2.iterdir())):
             assert p1.read_bytes() == p2.read_bytes()
+
+    def test_export_refuses_other_trajectories(self, tmp_path):
+        ensemble = sample_ensemble(lorenz_field(), benchmark_schedules(), 14, seed=2)
+        export_ensemble(ensemble, tmp_path)
+        fewer = Ensemble(
+            times=ensemble.times,
+            values={i: v[:1] for i, v in ensemble.values.items()},
+            indices=[0],
+        )
+        stale = r"indices 1, 2, 3, 4, 5, 6, 7, 8, 9, 10 and 3 more"
+        with pytest.raises(ConfigurationError, match=re.escape(str(tmp_path)) + ".*" + stale):
+            export_ensemble(fewer, tmp_path)
+        # a file outside the trajectory naming is not a trajectory
+        (tmp_path / "trajectory_x.csv").write_text("")
+        export_ensemble(ensemble, tmp_path)
+        assert len(import_ensemble(tmp_path)) == 14
 
     def test_import_missing_dir(self, tmp_path):
         with pytest.raises(DataError):

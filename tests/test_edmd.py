@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from mredmd import edmd, linalg
+from mredmd import edmd, linalg, save_model
 from mredmd.dynamics import integrate, lorenz_field
 from mredmd.edmd import (
     StatePairEnsemble,
@@ -305,7 +305,7 @@ class TestSaveModel:
         rng = np.random.default_rng(15)
         x = rng.uniform(-1, 1, size=(2, 30))
         model = fit_model(StatePairEnsemble(x=x, y=x, step=0.25), d)
-        edmd.save_model(model, tmp_path, "test")
+        save_model(model, tmp_path, "test")
         k = np.loadtxt(tmp_path / "K_test.csv", delimiter=",")
         np.testing.assert_array_equal(k, model.k_mat)
         manifest = (tmp_path / "model_test.txt").read_text()

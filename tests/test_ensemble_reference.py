@@ -1,5 +1,5 @@
-"""The array-native ensemble, batched prediction and report rows against the
-per-trajectory loops they replaced.
+"""The array-native ensemble, batched prediction and report files against the
+per-trajectory loops and the ``csv.writer`` rendering they replaced.
 
 The loop versions below are the reference. They draw from the same
 per-trajectory substreams and do the same arithmetic, so every comparison
@@ -8,8 +8,10 @@ layout because BLAS results depend on it.
 """
 
 import csv
+import io
 import math
 import warnings
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -33,6 +35,7 @@ from mredmd.experiments import (
     _ideal_pairs,
     _pairs_from_dense,
     derive_schedules,
+    emit_comparison,
     emit_report,
     evaluate_prediction,
     ideal_noise_floor,
@@ -416,6 +419,13 @@ def reference_prediction_rows(report):
     return rows
 
 
+def reference_csv(rows):
+    """The bytes ``csv.writer`` writes for ``rows``, with ``\n`` line ends."""
+    buffer = io.StringIO(newline="")
+    csv.writer(buffer, lineterminator="\n").writerows(rows)
+    return buffer.getvalue().encode()
+
+
 def test_prediction_csv_matches_loop(tmp_path):
     cfg = ExperimentConfig(
         system="lorenz", mode="multirate", T_s=0.1, K=300, rates=(1, 4, 3), eval_trajectories=7
@@ -423,7 +433,80 @@ def test_prediction_csv_matches_loop(tmp_path):
     report = run(cfg)
     report.predictions["ideal"][2, 5:] = np.nan  # a truncated row writes "nan"
     emit_report(report, tmp_path)
-    with open(tmp_path / "prediction.csv", newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["method", "trajectory", "t", "component", "truth", "predicted"]
-    assert rows[1:] == reference_prediction_rows(report)
+    header = ["method", "trajectory", "t", "component", "truth", "predicted"]
+    expected = reference_csv([header, *reference_prediction_rows(report)])
+    assert (tmp_path / "prediction.csv").read_bytes() == expected
+
+
+#: Float cells whose text must not change: non-finite, signed zero, the
+#: smallest subnormal and the ends of the fixed and exponent notations.
+SPECIAL = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 1e-300, 0.1]
+
+
+def complex_cells(real, imag):
+    """``real + 1j * imag`` without the NaN that ``0 * inf`` puts in it."""
+    cells = np.empty(np.shape(real), dtype=complex)
+    cells.real, cells.imag = real, imag
+    return cells
+
+
+def reference_matrix_rows(matrix):
+    return [[repr(float(v)) for v in row] for row in np.atleast_2d(matrix)]
+
+
+def test_report_csv_bytes_match_csv_writer(tmp_path):
+    cfg = ExperimentConfig(
+        system="lorenz", mode="multirate", T_s=0.1, K=300, rates=(1, 4, 3), horizon=2,
+        eval_trajectories=1,
+    )
+    report = run(cfg)
+    special = np.array(SPECIAL)
+    report.spectra["lcm"] = complex_cells(special, special[::-1])
+    model = report.models["lcm"]
+    cells = np.resize(special, model.k_mat.shape)
+    report.models["lcm"] = replace(model, k_mat=cells, l_complex=complex_cells(cells, cells.T))
+    ops = report.component_operators
+    corner = cells[:3, :3]
+    ops[1] = replace(ops[1], k_mat=corner, l_complex=complex_cells(corner, corner))
+    ops[2] = replace(ops[2], l_complex=complex_cells(ops[2].l_mat, 5e-324))
+    emit_report(report, tmp_path)
+
+    spectrum = [["method", "index", "real", "imag"]]
+    for method in report.methods:
+        for idx, lam in enumerate(report.spectra[method]):
+            spectrum.append([method, idx, repr(float(lam.real)), repr(float(lam.imag))])
+    assert (tmp_path / "spectrum.csv").read_bytes() == reference_csv(spectrum)
+    residuals = [["component", "imag_residual"]]
+    residuals += [[comp, repr(float(op.imag_residual))] for comp, op in sorted(ops.items())]
+    assert residuals[1:] == [[1, "nan"], [2, "5e-324"]]
+    assert (tmp_path / "hankel_residuals.csv").read_bytes() == reference_csv(residuals)
+    matrices = {
+        "K_lcm.csv": report.models["lcm"].k_mat,
+        "L_lcm.csv": report.models["lcm"].l_mat,
+        "K_multirate.csv": report.models["multirate"].k_mat,
+        "hankel_K_1.csv": ops[1].k_mat,
+        "hankel_L_1.csv": ops[1].l_mat,
+        "hankel_L_2.csv": ops[2].l_mat,
+    }
+    for name, matrix in matrices.items():
+        assert (tmp_path / name).read_bytes() == reference_csv(reference_matrix_rows(matrix)), name
+
+    # a method with a mean RMSE but no distance writes "nan"; NumPy scalars
+    # write as Python floats
+    rows = [
+        {"seed": 3, "spectrum_distances": {"ideal": np.float64(0.0), "multirate": -0.0},
+         "mean_rmse": {"ideal": 1e16, "multirate": np.float64(5e-324), "lcm": 1e-300}},
+        {"seed": 4, "spectrum_distances": {"multirate": math.nan, "lcm": math.inf},
+         "mean_rmse": {"multirate": math.inf, "lcm": -math.inf}},
+    ]
+    emit_comparison({"rows": rows, "stage_errors": []}, tmp_path)
+    compare = [["seed", "method", "spectrum_distance_to_ideal", "mean_rmse"]]
+    for row in rows:
+        dist, rmse = row["spectrum_distances"], row["mean_rmse"]
+        for method in sorted(set(dist) | set(rmse)):
+            compare.append(
+                [row["seed"], method, repr(float(dist.get(method, math.nan))),
+                 repr(float(rmse.get(method, math.nan)))]
+            )
+    assert compare[2][:3] == [3, "lcm", "nan"]
+    assert (tmp_path / "compare.csv").read_bytes() == reference_csv(compare)

@@ -1,9 +1,11 @@
 """Tests for the experiment pipelines, config handling, and report files."""
 
+import ast
 import csv
 import json
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -425,6 +427,23 @@ class TestEmitReport:
         finally:
             np.random.set_state(state)
         assert all(tree == trees[0] for tree in trees[1:])
+
+
+def test_only_dynamics_imports_csv():
+    # every report CSV goes through experiments._write_csv; only the
+    # ensemble export and import in dynamics read and write with csv
+    importers = []
+    for path in sorted(Path(experiments.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            if any(name.split(".")[0] == "csv" for name in names):
+                importers.append(path.name)
+    assert importers == ["dynamics.py"]
 
 
 class TestRunSweep:
