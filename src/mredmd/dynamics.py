@@ -373,26 +373,6 @@ def _substream_uniform(seed, n_traj, box):
     return out
 
 
-def initial_states(dim, n_traj, init_box=None, seed=0):
-    """Initial conditions of K trajectories, shape (n_traj, dim): row k is
-    drawn uniform on ``init_box`` from the substream keyed by (seed, k), as
-    :func:`sample_ensemble` draws them.
-
-    ``init_box`` holds per-axis (low, high) bounds, shape (dim, 2), and
-    defaults to [-1, 1]^dim.
-    """
-    if n_traj < 1:
-        raise ConfigurationError(f"n_traj must be >= 1, got {n_traj}")
-    if init_box is None:
-        init_box = [(-1.0, 1.0)] * dim
-    box = np.asarray(init_box, dtype=float)
-    if box.shape != (dim, 2) or not np.all(box[:, 0] < box[:, 1]):
-        raise ConfigurationError(
-            f"init_box must be (dim, 2) with low < high, got {box!r}"
-        )
-    return _substream_uniform(seed, n_traj, box)
-
-
 def sample_ensemble(
     field,
     schedules,
@@ -450,7 +430,12 @@ def sample_ensembles(
         raise ConfigurationError(
             "schedules must cover each state component exactly once"
         )
-    x0s = [initial_states(n, n_traj, init_box, seed) for seed in seeds]
+    if n_traj < 1:
+        raise ConfigurationError(f"n_traj must be >= 1, got {n_traj}")
+    box = np.asarray([(-1.0, 1.0)] * n if init_box is None else init_box, dtype=float)
+    if box.shape != (n, 2) or not np.all(box[:, 0] < box[:, 1]):
+        raise ConfigurationError(f"init_box must be (dim, 2) with low < high, got {box!r}")
+    x0s = [_substream_uniform(seed, n_traj, box) for seed in seeds]
 
     # The sample grid, spacing g, holds every sample time and extra time;
     # RK4 runs _STEPS_PER_GRID micro-steps per grid step and keeps grid rows.

@@ -64,13 +64,15 @@ class DivergenceWarning(MredmdWarning):
 
 @contextmanager
 def labelled(label):
-    """Prefix ``label: `` to the warnings raised inside, re-emitted in order,
-    and to a :class:`SingularMatrixError`."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        try:
-            yield
-        except SingularMatrixError as exc:
-            raise SingularMatrixError(f"{label}: {exc}") from exc
-    for w in caught:
-        warnings.warn(f"{label}: {w.message}", w.category, stacklevel=4)
+    """Prefix ``label: `` to the warnings raised inside, re-emitted in order
+    (also before an error propagates), and to a :class:`SingularMatrixError`."""
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                yield
+            except SingularMatrixError as exc:
+                raise SingularMatrixError(f"{label}: {exc}") from exc
+    finally:
+        for w in caught:
+            warnings.warn(f"{label}: {w.message}", w.category, stacklevel=4)

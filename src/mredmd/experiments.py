@@ -27,8 +27,6 @@ import numpy as np
 from . import edmd, hankel
 from .dynamics import (
     _STEPS_PER_GRID,
-    common_micro_step,
-    initial_states,
     integrate_stacked,
     lorenz_field,
     sample_ensembles,
@@ -442,7 +440,7 @@ def _sample_and_fit(cfg, fld, reports):
     multirate = mode == "multirate"
     t_s = cfg.T_s
     first_target = t_s if multirate else fld.dim * t_s
-    lcm_step = (lcm_of_rates(cfg.rates) * t_s,) if multirate else ()
+    lcm_step = lcm_of_rates(cfg.rates) * t_s if multirate else None
     schedules = derive_schedules(cfg)
     ensembles = _per_seed(
         reports,
@@ -453,7 +451,7 @@ def _sample_and_fit(cfg, fld, reports):
             cfg.K,
             [reports[i].seed for i in idx],
             init_box=cfg.init_box,
-            extra_times=(t_s, 2 * t_s, first_target, first_target + t_s, *lcm_step),
+            extra_times=(t_s, 2 * t_s),  # the ideal pairs' instants
         ),
     )
     sampled = []
@@ -473,13 +471,13 @@ def _sample_and_fit(cfg, fld, reports):
 
         if multirate:
             with _stage(report, "fit_lcm"):
-                if hankel.estimated_components(schedules, (0.0, lcm_step[0])):
+                if hankel.estimated_components(schedules, (0.0, lcm_step)):
                     raise DataError(
                         "lcm baseline needs the full state measured at t=0 and "
-                        f"t={lcm_step[0]:.6g}; increase the per-component sample counts"
+                        f"t={lcm_step:.6g}; increase the per-component sample counts"
                     )
                 lcm_pairs = hankel.reconstruct_states(
-                    ensemble, schedules, {}, lcm_step[0], first_target=0.0
+                    ensemble, schedules, {}, lcm_step, first_target=0.0
                 )
                 raw = edmd.fit_model(lcm_pairs, report.dictionary)
                 report.models["lcm"], step_residual = _lcm_step_model(raw, t_s)
@@ -503,45 +501,28 @@ def run(cfg):
 def ideal_noise_floor(cfg):
     """Spectrum distance between two ideal models fit on disjoint ensembles.
 
-    Both ensembles use K trajectories drawn from substreams disjoint from
-    the run's own; the distance quantifies pure sampling variation and
-    serves as a reference scale for partial-measurement spectra.
+    Both hold K trajectories from substreams disjoint from the run's own,
+    sampled through :func:`sample_ensembles` with the full state at 0, T_s
+    and 2 T_s; the distance quantifies pure sampling variation and serves
+    as a reference scale for partial-measurement spectra.
     """
     (floor,) = _noise_floors(cfg, [cfg.seed])
     return floor
 
 
 def _noise_floors(cfg, seeds):
-    """:func:`ideal_noise_floor` of each seed, with both halves of every
-    seed integrated in one RK4 batch."""
+    """:func:`ideal_noise_floor` of each seed, both ensembles of every seed
+    sampled by one :func:`sample_ensembles` call (one RK4 batch)."""
     fld = system_field(cfg.system)
     dictionary = monomial_dictionary(fld.dim, cfg.degree, cfg.include_constant)
+    ideal = [SamplingSchedule(i, 0.0, cfg.T_s, 2) for i in range(fld.dim)]
     keys = [(seed, _NOISE_FLOOR_STREAM, half) for seed in seeds for half in (1, 2)]
+    ensembles = sample_ensembles(fld, ideal, cfg.K, keys, cfg.init_box)
     spectra = [
         edmd.generator_spectrum(edmd.fit_model(pairs, dictionary))
-        for pairs in _ideal_pairs(cfg, fld, keys)
+        for pairs in (_pairs_from_dense(ensemble, cfg.T_s, cfg.T_s) for ensemble in ensembles)
     ]
     return [spectrum_distance(a, b) for a, b in zip(spectra[::2], spectra[1::2])]
-
-
-def _ideal_pairs(cfg, fld, seeds):
-    """Ideal pairs (x(T_s), x(2 T_s)) of K trajectories for each entropy key
-    in ``seeds``, all integrated in one RK4 batch.
-
-    Bit for bit the pairs that ``sample_ensemble(..., seed=key,
-    extra_times=(T_s, 2 T_s))`` yields from its ground truth: the same
-    initial states and micro-step, integrated only as far as 2 T_s, keeping
-    only the states at 0, T_s and 2 T_s.
-    """
-    h = float(common_micro_step(derive_schedules(cfg), (cfg.T_s, 2 * cfg.T_s)))
-    stride = round(cfg.T_s / h)
-    starts = [initial_states(fld.dim, cfg.K, cfg.init_box, seed) for seed in seeds]
-    return [
-        edmd.StatePairEnsemble(
-            x=np.ascontiguousarray(dense[1].T), y=np.ascontiguousarray(dense[2].T), step=cfg.T_s
-        )
-        for dense in integrate_stacked(fld, starts, h, 2 * stride, every=stride)
-    ]
 
 
 def run_sweep(cfg, seeds):
@@ -625,6 +606,23 @@ _PER_FIT_FILE = re.compile(
     r"|hankel_[KL]_\d+\.csv"
 )
 
+#: The files every report writes, and the files a comparison writes.
+_REPORT_FILES = {
+    "spectrum.csv", "prediction.csv", "summary.json", "dictionary.txt", "hankel_residuals.csv"
+}
+_COMPARISON_FILES = {"compare.csv", "compare.json"}
+
+
+def _refuse_foreign(directory, foreign):
+    """Raise before anything is written if ``directory`` holds a file whose
+    name ``foreign`` accepts: it belongs to another report."""
+    stale = sorted(path.name for path in directory.glob("*") if foreign(path.name))
+    if stale:
+        raise ConfigurationError(
+            f"{directory} holds files of another report: {', '.join(stale)}; "
+            "write to a new or empty directory"
+        )
+
 
 def _write_csv(path, lines):
     """Write report CSV ``lines``, each comma-joined by its caller and ended
@@ -674,8 +672,9 @@ def emit_report(report, directory):
     ------
     ConfigurationError
         Before writing anything, naming each per-method or per-component
-        file in ``directory`` that this report would not overwrite, as it
-        belongs to another report. The same report rewrites every file.
+        file in ``directory`` that this report would not overwrite, and
+        each file of a comparison (:func:`emit_comparison`), as it belongs
+        to another report. The same report rewrites every file.
     """
     directory = Path(directory)
     methods = [method for method in report.methods if method in report.models]
@@ -683,16 +682,11 @@ def emit_report(report, directory):
     own = {f"{kind}_{m}.csv" for m in methods for kind in "KL"}
     own |= {f"model_{m}.txt" for m in methods}
     own |= {f"hankel_{kind}_{comp}.csv" for comp, _ in operators for kind in "KL"}
-    stale = sorted(
-        path.name
-        for path in directory.glob("*")
-        if _PER_FIT_FILE.fullmatch(path.name) and path.name not in own
+    _refuse_foreign(
+        directory,
+        lambda name: name in _COMPARISON_FILES
+        or (_PER_FIT_FILE.fullmatch(name) and name not in own),
     )
-    if stale:
-        raise ConfigurationError(
-            f"{directory} holds files of another report: {', '.join(stale)}; "
-            "write to a new or empty directory"
-        )
     directory.mkdir(parents=True, exist_ok=True)
 
     lines = ["method,index,real,imag"]
@@ -753,8 +747,16 @@ def emit_comparison(result, directory):
     """Write the seed-sweep summary: ``compare.csv`` and ``compare.json``.
 
     The ``stage_errors`` of :func:`run_sweep` are left out; each row counts
-    its seed's errors in ``n_errors``."""
+    its seed's errors in ``n_errors``.
+
+    Raises
+    ------
+    ConfigurationError
+        Before writing anything, naming each file of a pipeline report
+        (:func:`emit_report`) in ``directory``.
+    """
     directory = Path(directory)
+    _refuse_foreign(directory, lambda name: name in _REPORT_FILES or _PER_FIT_FILE.fullmatch(name))
     directory.mkdir(parents=True, exist_ok=True)
     lines = ["seed,method,spectrum_distance_to_ideal,mean_rmse"]
     for row in result["rows"]:

@@ -7,7 +7,8 @@ component value and its next M_i - 1 shifts. A one-period Koopman matrix K_i
 is fit jointly across all trajectories, its generator L_i = log(K_i)/T_i
 interpolates the component to arbitrary times, and the first row of
 exp(L_i (t - r_i)) applied to the data matrix yields per-trajectory
-estimates at time t.
+estimates at time t. The fit, and its conditioning check, is the kernel
+the EDMD step shares, :func:`linalg.koopman_fit`.
 """
 
 import warnings
@@ -22,13 +23,9 @@ from .errors import (
     DataError,
     DivergenceError,
     ExtrapolationWarning,
-    IllConditionedWarning,
     RankDeficiencyWarning,
     labelled,
 )
-
-#: Condition number of P_x above which a warning is recorded.
-COND_WARN_THRESHOLD = 1e12
 
 #: Estimates further than this multiple of the sampled window beyond the
 #: first sample are flagged as extrapolation.
@@ -80,10 +77,11 @@ def fit_component_operator(ensemble, schedule):
     component of an :class:`Ensemble`.
 
     The component must hold at least ``schedule.count + 1`` samples located
-    exactly at the schedule instants. Emits :class:`IllConditionedWarning`
-    when cond(P_x) exceeds 1e12 and :class:`RankDeficiencyWarning` when
-    there are fewer trajectories than delay observables. An imaginary part
-    of L_i above 1e-6 emits an :class:`ImaginaryResidualWarning`.
+    exactly at the schedule instants. Emits :class:`RankDeficiencyWarning`
+    when there are fewer trajectories than delay observables. The fit is
+    :func:`linalg.koopman_fit`, whose warnings (:class:`IllConditionedWarning`
+    when cond(P_x) exceeds 1e12, :class:`ImaginaryResidualWarning` when an
+    imaginary part of L_i exceeds 1e-6) carry the ``component i:`` label.
 
     Raises
     ------
@@ -99,14 +97,6 @@ def fit_component_operator(ensemble, schedule):
             f"component {schedule.component}: {n_traj} trajectories < {m} delay "
             "observables; P_x cannot be full row rank",
             RankDeficiencyWarning,
-            stacklevel=2,
-        )
-    cond = linalg.condition_number(p_x)
-    if cond > COND_WARN_THRESHOLD:
-        warnings.warn(
-            f"component {schedule.component}: P_x condition number {cond:.3e} "
-            "exceeds 1e12; delay coordinates are nearly collinear",
-            IllConditionedWarning,
             stacklevel=2,
         )
     with labelled(f"component {schedule.component}"):

@@ -15,6 +15,7 @@ import scipy.linalg
 
 from .errors import (
     DimensionMismatchError,
+    IllConditionedWarning,
     ImaginaryResidualWarning,
     NegativeRealAxisWarning,
     NumericalError,
@@ -22,6 +23,9 @@ from .errors import (
 )
 
 _EPS = float(np.finfo(float).eps)
+
+#: Condition number of P_x above which a Koopman fit warns.
+COND_WARN_THRESHOLD = 1e12
 
 #: theta_m bounds the spectral quantity alpha_p(T - I) for which the
 #: degree-m Pade approximant of log(I + X) is accurate to double precision
@@ -69,24 +73,30 @@ def pinv(a):
     np.ndarray
         Pseudo-inverse, shape (n, m).
     """
+    return _pinv_svd(a)[0]
+
+
+def _pinv_svd(a):
+    """:func:`pinv` of ``a`` and the singular values of ``a`` it used (descending)."""
     arr = _as_matrix(a, "a")
     try:
         u, s, vh = np.linalg.svd(arr, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"SVD did not converge: {exc}") from exc
-    if s.size == 0 or s[0] == 0.0:
-        return np.zeros((arr.shape[1], arr.shape[0]))
+    if s[0] == 0.0:
+        return np.zeros((arr.shape[1], arr.shape[0])), s
     keep = s > max(arr.shape) * _EPS * s[0]
     r = int(np.count_nonzero(keep))
-    return (vh[:r].T / s[:r]) @ u[:, :r].T
+    return (vh[:r].T / s[:r]) @ u[:, :r].T, s
 
 
 def koopman_fit(p_x, p_y, step):
     """Least-squares Koopman fit K = P_y P_x^+ and its generator
     L = log(K) / step, shared by the Hankel and EDMD steps.
 
-    ``L`` stays complex; a largest imaginary part above 1e-6 emits an
-    :class:`ImaginaryResidualWarning`.
+    Warns :class:`IllConditionedWarning` first if cond(P_x), read off the
+    pseudo-inverse's SVD, exceeds 1e12. ``L`` stays complex; a largest
+    imaginary part above 1e-6 emits an :class:`ImaginaryResidualWarning`.
 
     Returns
     -------
@@ -98,19 +108,18 @@ def koopman_fit(p_x, p_y, step):
     SingularMatrixError
         If the fitted K is singular so no generator exists.
     """
-    k_mat = p_y @ pinv(p_x)
+    p_x_pinv, sigma = _pinv_svd(p_x)
+    cond = float(sigma[0] / sigma[-1]) if sigma[-1] > 0.0 else math.inf
+    if cond > COND_WARN_THRESHOLD:
+        warnings.warn(
+            f"P_x condition number {cond:.3e} exceeds 1e12; its rows are nearly collinear",
+            IllConditionedWarning,
+            stacklevel=2,
+        )
+    k_mat = p_y @ p_x_pinv
     l_complex = matrix_log(k_mat) / step
     cast_real(l_complex, tol=1e-6)  # for its warning; callers keep L complex
     return k_mat, l_complex
-
-
-def condition_number(a):
-    """2-norm condition number of a matrix (``inf`` if rank deficient)."""
-    arr = _as_matrix(a, "a", complex_ok=True)
-    s = np.linalg.svd(arr, compute_uv=False)
-    if s[-1] == 0.0:
-        return np.inf
-    return float(s[0] / s[-1])
 
 
 def matrix_log(k):

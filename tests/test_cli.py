@@ -126,6 +126,32 @@ def test_reused_out_refuses_another_report(tmp_path, capsys):
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
+@pytest.mark.parametrize("first", ["multirate", "compare"])
+def test_report_and_comparison_refuse_each_other(tmp_path, capsys, first):
+    cfg = write_config(tmp_path / "cfg.json")
+    out = tmp_path / "r"
+    commands = {
+        "multirate": ["multirate", "--config", str(cfg), "--out", str(out)],
+        "compare": ["compare", "--config", str(cfg), "--num-seeds", "2", "--out", str(out)],
+    }
+    second = "compare" if first == "multirate" else "multirate"
+    assert main(commands[first]) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    # re-running the first command into its own directory still overwrites
+    assert main(commands[first]) == 0
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    capsys.readouterr()
+    assert main(commands[second]) == 2
+    err = capsys.readouterr().err
+    if first == "compare":
+        stale = ["compare.csv", "compare.json"]
+    else:
+        stale = sorted(before)
+        assert {"summary.json", "spectrum.csv", "K_multirate.csv", "hankel_K_1.csv"} <= set(stale)
+    assert f"holds files of another report: {', '.join(stale)};" in err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
 def test_simulate_refuses_a_directory_with_other_trajectories(tmp_path, capsys):
     out = tmp_path / "ensemble"
     first = write_config(tmp_path / "first.json", K=5)

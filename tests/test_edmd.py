@@ -17,10 +17,12 @@ from mredmd.edmd import (
 from mredmd.errors import (
     ConfigurationError,
     DivergenceWarning,
+    IllConditionedWarning,
     ImaginaryResidualWarning,
     NegativeRealAxisWarning,
     RankDeficiencyWarning,
     SingularMatrixError,
+    labelled,
 )
 from mredmd.observables import monomial_dictionary
 
@@ -32,6 +34,15 @@ def linear_pairs(a, t_s, n_traj, seed=0, scale=1.0):
     x = scale * rng.uniform(-1, 1, size=(a.shape[0], n_traj))
     y = scipy.linalg.expm(a * t_s) @ x
     return StatePairEnsemble(x=x, y=y, step=t_s)
+
+
+def collinear_pairs(delta, n_traj=40):
+    """Pairs (x, 0.9 x) whose two coordinates differ by at most ``delta``, so
+    the lifted rows x1 and x2 are nearly collinear."""
+    rng = np.random.default_rng(3)
+    x1 = rng.uniform(-1, 1, n_traj)
+    x = np.stack([x1, x1 + delta * rng.uniform(-1, 1, n_traj)])
+    return StatePairEnsemble(x=x, y=0.9 * x, step=0.1)
 
 
 def lifted(monkeypatch, pairs, dictionary):
@@ -169,6 +180,29 @@ class TestFitKoopman:
             (NegativeRealAxisWarning, "EDMD fit (40 pairs, 2 observables)"),
             (ImaginaryResidualWarning, "EDMD fit (40 pairs, 2 observables)"),
         ]
+
+    def test_ill_conditioning_warns_with_its_counts(self):
+        # both steps share one conditioning check, read off pinv's SVD
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            fit_model(collinear_pairs(1e-13), monomial_dictionary(2, 1))
+        assert [w.category for w in caught] == [IllConditionedWarning]
+        assert str(caught[0].message) == (
+            "EDMD fit (40 pairs, 3 observables): P_x condition number 2.493e+13 "
+            "exceeds 1e12; its rows are nearly collinear"
+        )
+
+    def test_ill_conditioning_warns_before_a_singular_error(self):
+        # the collinear rows are truncated, so K is singular: the warning is
+        # emitted before the labelled error propagates, not lost
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(SingularMatrixError, match=r"^EDMD fit \(40 pairs"):
+                fit_model(collinear_pairs(0.0), monomial_dictionary(2, 1))
+        assert [w.category for w in caught] == [IllConditionedWarning]
+        assert str(caught[0].message).startswith(
+            "EDMD fit (40 pairs, 3 observables): P_x condition number "
+        )
 
     def test_shape_mismatch(self):
         # fit_model takes its pairs from a StatePairEnsemble, which rejects these
@@ -311,3 +345,19 @@ class TestSaveModel:
         manifest = (tmp_path / "model_test.txt").read_text()
         assert "step: 0.25" in manifest
         assert "1 0" in manifest
+
+
+def test_labelled_reemits_warnings_before_a_singular_error():
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(SingularMatrixError) as info:
+            with labelled("fit"):
+                warnings.warn("first", IllConditionedWarning)
+                warnings.warn("second", ImaginaryResidualWarning)
+                raise SingularMatrixError("singular")
+    assert [(w.category, str(w.message)) for w in caught] == [
+        (IllConditionedWarning, "fit: first"),
+        (ImaginaryResidualWarning, "fit: second"),
+    ]
+    assert str(info.value) == "fit: singular"
+    assert str(info.value.__cause__) == "singular"

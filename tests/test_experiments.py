@@ -354,6 +354,28 @@ class TestWarningCollection:
         assert [w["message"] for w in report.warnings] == ["ours"]
 
 
+    def test_ill_conditioning_recorded_before_a_singular_fit(self):
+        # identical coordinates: P_x has two equal rows and K is singular
+        report = experiments.ExperimentReport(
+            schema="s", mode="multirate", seed=0, config={}, methods=[]
+        )
+        x = np.random.default_rng(3).uniform(-1, 1, (1, 40)).repeat(2, axis=0)
+        pairs = StatePairEnsemble(x=x, y=0.9 * x, step=0.1)
+        with experiments._stage(report, "fit_ideal"):
+            fit_model(pairs, monomial_dictionary(2, 1))
+        label = "EDMD fit (40 pairs, 3 observables): "
+        assert [(w["stage"], w["category"]) for w in report.warnings] == [
+            ("fit_ideal", "IllConditionedWarning")
+        ]
+        assert report.warnings[0]["message"].startswith(label + "P_x condition number ")
+        assert report.errors == [
+            {
+                "stage": "fit_ideal",
+                "message": label + "matrix is singular to working precision; logarithm undefined",
+            }
+        ]
+
+
 class TestIdealNoiseFloor:
     def test_positive_and_deterministic(self):
         cfg = single_state_config(K=40)

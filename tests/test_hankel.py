@@ -175,6 +175,22 @@ class TestFitComponentOperator:
                 pass
 
 
+    def test_factorises_p_x_once(self, monkeypatch):
+        # one SVD of P_x gives both pinv and cond(P_x); the other is the
+        # singularity test of K in the logarithm
+        shapes = []
+        svd = np.linalg.svd
+
+        def spy(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", spy)
+        schedule, ensemble = sinusoid_data()
+        fit_component_operator(ensemble, schedule)
+        assert shapes == [(2, 6), (2, 2)]
+
+
 class TestEstimateComponentAt:
     def test_at_dead_time_reproduces_first_row(self):
         schedule, ensemble, _ = geometric_data(r_i=0.3)

@@ -1,0 +1,184 @@
+"""Byte check of two source trees: the same CLI commands must write the same
+report bytes, exit with the same codes and print the same text.
+
+Usage::
+
+    python tools/bytecheck.py PARENT_SRC CHANGE_SRC
+
+Each argument is a source tree: a directory that holds the ``mredmd``
+package, or a checkout whose ``src/`` holds it. Every command of
+``COMMANDS`` runs once per tree, each in a fresh interpreter
+(``python -m mredmd.cli``) with ``OPENBLAS_NUM_THREADS=1`` and
+``PYTHONDONTWRITEBYTECODE=1``; the config files live in a temporary
+directory. Every written file is compared byte for byte, and so is every
+exit code; stdout and stderr are compared after each tree's output
+directory is mapped to ``<OUT>`` and each ``.../mredmd/<file>.py:<line>``
+to ``mredmd/<file>.py:<LINE>``. One summary line is printed, then each
+difference; the exit code is 1 on any difference. This script does not
+import ``mredmd``.
+"""
+
+import json
+import os
+import re
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+_MULTIRATE = {"system": "lorenz", "mode": "multirate", "T_s": 0.1, "rates": [1, 4, 3]}
+_SINGLE = {"system": "lorenz", "mode": "single_state", "T_s": 0.1, "state_dim": 3}
+_SINGLE_FINE = {
+    **_SINGLE, "T_s": 0.05, "K": 40, "init_box": [[0.5, 1.0], [-2.0, -1.0], [3.0, 4.0]]
+}
+
+#: (name, subcommand, config, extra arguments); the expected exit code is
+#: noted where it is not 0.
+COMMANDS = [
+    *[
+        (f"multirate_k300_s{seed}", "multirate", {**_MULTIRATE, "K": 300}, ["--seed", str(seed)])
+        for seed in range(3)
+    ],
+    (
+        "multirate_large",
+        "multirate",
+        {**_MULTIRATE, "K": 10000, "degree": 2, "eval_trajectories": 50},
+        ["--seed", "0"],
+    ),
+    *[
+        (f"multirate_k10_m12_s{seed}", "multirate", {**_MULTIRATE, "K": 10, "M": [12, 11, 11]},
+         ["--seed", str(seed)])
+        for seed in (0, 3)
+    ],
+    ("multirate_k300_m211", "multirate", {**_MULTIRATE, "K": 300, "M": [2, 1, 1]}, []),  # 1
+    ("multirate_k5", "multirate", {**_MULTIRATE, "K": 5}, []),  # 1
+    ("multirate_rates246", "multirate", {**_MULTIRATE, "K": 200, "rates": [2, 4, 6]}, []),
+    *[
+        (f"single_k100_s{seed}", "single-state", {**_SINGLE, "K": 100}, ["--seed", str(seed)])
+        for seed in range(2)
+    ],
+    ("single_k5", "single-state", {**_SINGLE, "K": 5}, []),  # 1
+    ("single_fine", "single-state", _SINGLE_FINE, []),
+    ("compare_single_k100", "compare", {**_SINGLE, "K": 100}, ["--num-seeds", "10"]),
+    ("compare_multirate_k300", "compare", {**_MULTIRATE, "K": 300}, ["--num-seeds", "10"]),
+    (
+        "compare_multirate_k10_m12",
+        "compare",
+        {**_MULTIRATE, "K": 10, "M": [12, 11, 11]},
+        ["--num-seeds", "10"],
+    ),
+    (
+        "compare_single_diverging",
+        "compare",
+        {**_SINGLE, "K": 30, "init_box": [[-320.0, 320.0]] * 3},
+        ["--num-seeds", "10"],
+    ),  # 1
+    ("compare_single_fine", "compare", _SINGLE_FINE, ["--num-seeds", "10"]),
+    ("compare_single_k5", "compare", {**_SINGLE, "K": 5}, ["--num-seeds", "4"]),  # 1
+    ("simulate_k300", "simulate", {**_MULTIRATE, "K": 300}, []),
+]
+
+_SOURCE_LINE = re.compile(r"[^\s\"']*/mredmd/(\w+)\.py:\d+")
+
+
+def _package_root(tree):
+    tree = Path(tree).resolve()
+    for root in (tree, tree / "src"):
+        if (root / "mredmd" / "__init__.py").is_file():
+            return root
+    raise SystemExit(f"bytecheck: no mredmd package in {tree} or {tree / 'src'}")
+
+
+def _run(root, out_root, config_dir, command):
+    """Run one command against the package under ``root``; returns its exit
+    code, mapped stdout and stderr, and {relative path: bytes} of what it wrote."""
+    name, subcommand, _, extra = command
+    out = out_root / name
+    argv = [subcommand, "--config", str(config_dir / f"{name}.json"), *extra, "--out", str(out)]
+    env = {
+        **os.environ,
+        "PYTHONPATH": str(root),
+        "OPENBLAS_NUM_THREADS": "1",
+        "PYTHONDONTWRITEBYTECODE": "1",
+    }
+    proc = subprocess.run(
+        [sys.executable, "-m", "mredmd.cli", *argv],
+        env=env,
+        cwd=out_root,
+        capture_output=True,
+        text=True,
+    )
+
+    def mapped(text):
+        return _SOURCE_LINE.sub(r"mredmd/\1.py:<LINE>", text.replace(str(out), "<OUT>"))
+
+    files = {}
+    if out.is_dir():
+        files = {
+            str(path.relative_to(out)): path.read_bytes()
+            for path in sorted(out.rglob("*"))
+            if path.is_file()
+        }
+    return proc.returncode, mapped(proc.stdout), mapped(proc.stderr), files
+
+
+def _differences(name, parent, change):
+    code_a, out_a, err_a, files_a = parent
+    code_b, out_b, err_b, files_b = change
+    diffs = []
+    if code_a != code_b:
+        diffs.append(f"{name}: exit code {code_a} != {code_b}")
+    for stream, a, b in (("stdout", out_a, out_b), ("stderr", err_a, err_b)):
+        if a != b:
+            lines_a, lines_b = a.splitlines(), b.splitlines()
+            first = next(
+                (i for i, (x, y) in enumerate(zip(lines_a, lines_b)) if x != y),
+                min(len(lines_a), len(lines_b)),
+            )
+            diffs.append(
+                f"{name}: {stream} differs from line {first + 1} "
+                f"({len(lines_a)} vs {len(lines_b)} lines)"
+            )
+    for path in sorted(set(files_a) | set(files_b)):
+        if path not in files_b:
+            diffs.append(f"{name}: {path} written by the parent only")
+        elif path not in files_a:
+            diffs.append(f"{name}: {path} written by the change only")
+        elif files_a[path] != files_b[path]:
+            diffs.append(f"{name}: {path} differs")
+    return diffs
+
+
+def main(argv=None):
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) != 2:
+        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        return 2
+    roots = [_package_root(tree) for tree in args]
+    diffs, n_files = [], 0
+    with tempfile.TemporaryDirectory(prefix="bytecheck-") as tmp:
+        tmp = Path(tmp)
+        config_dir = tmp / "configs"
+        config_dir.mkdir()
+        out_roots = [tmp / "parent", tmp / "change"]
+        for out_root in out_roots:
+            out_root.mkdir()
+        for command in COMMANDS:
+            (config_dir / f"{command[0]}.json").write_text(json.dumps(command[2]))
+            parent, change = (
+                _run(root, out_root, config_dir, command)
+                for root, out_root in zip(roots, out_roots)
+            )
+            n_files += len(parent[3])
+            diffs += _differences(command[0], parent, change)
+    print(
+        f"bytecheck: {len(COMMANDS)} commands, {n_files} report files of the parent, "
+        f"{len(diffs)} differences"
+    )
+    for diff in diffs:
+        print(diff)
+    return 1 if diffs else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
