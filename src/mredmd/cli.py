@@ -47,6 +47,7 @@ def _load_config(args, mode=None):
 
 def _run_pipeline(args, mode):
     cfg = _load_config(args, mode)
+    experiments.refuse_foreign_output(cfg)
     report = experiments.run(cfg)
     out = experiments.emit_report(report, cfg.output_dir)
     for name in report.methods:
@@ -78,6 +79,7 @@ def _run_compare(args):
     if args.num_seeds < 1:
         raise ConfigurationError(f"--num-seeds must be >= 1, got {args.num_seeds}")
     cfg = _load_config(args)
+    experiments.refuse_foreign_output(cfg, comparison=True)
     seeds = range(args.seed_base, args.seed_base + args.num_seeds)
     result = experiments.run_sweep(cfg, seeds)
     out = experiments.emit_comparison(result, cfg.output_dir)

@@ -403,6 +403,18 @@ def _finish_reports(reports, cfg, fld):
             }
 
 
+def _methods(cfg):
+    """The methods a run of ``cfg`` fits, in report order."""
+    return [cfg.mode, "lcm", "ideal"] if cfg.mode == "multirate" else [cfg.mode, "ideal"]
+
+
+def _targets(cfg):
+    """The two instants the paper's step 1 reconstructs the state at:
+    (T_s, 2 T_s) in multirate mode, (n T_s, (n + 1) T_s) in single-state."""
+    first = cfg.T_s if cfg.mode == "multirate" else cfg.dimension * cfg.T_s
+    return (first, first + cfg.T_s)
+
+
 def _run_seeds(cfg, seeds):
     """The pipeline of the configured mode on each seed, one stage at a time
     across the seeds: one RK4 batch samples every seed's ensemble, the fits
@@ -414,7 +426,6 @@ def _run_seeds(cfg, seeds):
     evaluated. Stage failures are recorded in each seed's report (with the
     stage name) rather than raised, so a partial report can still be written.
     """
-    multirate = cfg.mode == "multirate"
     fld = system_field(cfg.system)
     dictionary = monomial_dictionary(fld.dim, cfg.degree, cfg.include_constant)
     reports = [
@@ -423,7 +434,7 @@ def _run_seeds(cfg, seeds):
             mode=cfg.mode,
             seed=seed,
             config=_config_echo(replace(cfg, seed=seed)),
-            methods=[cfg.mode, "lcm", "ideal"] if multirate else [cfg.mode, "ideal"],
+            methods=_methods(cfg),
             dictionary=dictionary,
         )
         for seed in seeds
@@ -439,7 +450,7 @@ def _sample_and_fit(cfg, fld, reports):
     mode = cfg.mode
     multirate = mode == "multirate"
     t_s = cfg.T_s
-    first_target = t_s if multirate else fld.dim * t_s
+    targets = _targets(cfg)
     lcm_step = lcm_of_rates(cfg.rates) * t_s if multirate else None
     schedules = derive_schedules(cfg)
     ensembles = _per_seed(
@@ -462,10 +473,10 @@ def _sample_and_fit(cfg, fld, reports):
         with _stage(report, "reconstruct"):
             # stored before reconstructing, so a failed estimate still reports them
             report.component_operators = hankel.fit_component_operators(
-                ensemble, schedules, (first_target, first_target + t_s)
+                ensemble, schedules, targets
             )
             pairs = hankel.reconstruct_states(
-                ensemble, schedules, report.component_operators, t_s, first_target=first_target
+                ensemble, schedules, report.component_operators, t_s, first_target=targets[0]
             )
             report.models[mode] = edmd.fit_model(pairs, report.dictionary)
 
@@ -613,6 +624,39 @@ _REPORT_FILES = {
 _COMPARISON_FILES = {"compare.csv", "compare.json"}
 
 
+def _fit_files(methods, components):
+    """The per-method and per-component files of a report."""
+    names = {f"{kind}_{m}.csv" for m in methods for kind in "KL"}
+    names |= {f"model_{m}.txt" for m in methods}
+    return names | {f"hankel_{kind}_{comp}.csv" for comp in components for kind in "KL"}
+
+
+def _is_report_file(name):
+    return name in _REPORT_FILES or _PER_FIT_FILE.fullmatch(name) is not None
+
+
+def _foreign_to_report(own):
+    """Whether a file name belongs to another report than one whose
+    per-fit files are ``own``: a comparison file or another per-fit file."""
+    return lambda name: name in _COMPARISON_FILES or (
+        _PER_FIT_FILE.fullmatch(name) is not None and name not in own
+    )
+
+
+def refuse_foreign_output(cfg, comparison=False):
+    """Raise before any work the :class:`ConfigurationError` that
+    :func:`emit_report` (or, with ``comparison``, :func:`emit_comparison`)
+    would raise on ``cfg.output_dir`` for a file that no run of ``cfg`` can
+    write. The names depend on the config only; ``emit_report`` still
+    checks the fits that the run made."""
+    directory = Path(cfg.output_dir)
+    if comparison:
+        _refuse_foreign(directory, _is_report_file)
+        return
+    components = hankel.estimated_components(derive_schedules(cfg), _targets(cfg))
+    _refuse_foreign(directory, _foreign_to_report(_fit_files(_methods(cfg), components)))
+
+
 def _refuse_foreign(directory, foreign):
     """Raise before anything is written if ``directory`` holds a file whose
     name ``foreign`` accepts: it belongs to another report."""
@@ -679,14 +723,7 @@ def emit_report(report, directory):
     directory = Path(directory)
     methods = [method for method in report.methods if method in report.models]
     operators = sorted(report.component_operators.items())
-    own = {f"{kind}_{m}.csv" for m in methods for kind in "KL"}
-    own |= {f"model_{m}.txt" for m in methods}
-    own |= {f"hankel_{kind}_{comp}.csv" for comp, _ in operators for kind in "KL"}
-    _refuse_foreign(
-        directory,
-        lambda name: name in _COMPARISON_FILES
-        or (_PER_FIT_FILE.fullmatch(name) and name not in own),
-    )
+    _refuse_foreign(directory, _foreign_to_report(_fit_files(methods, report.component_operators)))
     directory.mkdir(parents=True, exist_ok=True)
 
     lines = ["method,index,real,imag"]
@@ -756,7 +793,7 @@ def emit_comparison(result, directory):
         (:func:`emit_report`) in ``directory``.
     """
     directory = Path(directory)
-    _refuse_foreign(directory, lambda name: name in _REPORT_FILES or _PER_FIT_FILE.fullmatch(name))
+    _refuse_foreign(directory, _is_report_file)
     directory.mkdir(parents=True, exist_ok=True)
     lines = ["seed,method,spectrum_distance_to_ideal,mean_rmse"]
     for row in result["rows"]:

@@ -11,7 +11,6 @@ import math
 import warnings
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DimensionMismatchError,
@@ -27,8 +26,8 @@ _EPS = float(np.finfo(float).eps)
 #: Condition number of P_x above which a Koopman fit warns.
 COND_WARN_THRESHOLD = 1e12
 
-#: theta_m bounds the spectral quantity alpha_p(T - I) for which the
-#: degree-m Pade approximant of log(I + X) is accurate to double precision
+#: theta_m bounds the spectral quantity alpha_p(R) for which the degree-m
+#: Pade approximant of log(I + R) is accurate to double precision
 #: (Al-Mohy & Higham 2012, Table 2.1); index m = 1..7.
 _THETA = (None, 1.59e-5, 2.31e-3, 1.94e-2, 6.21e-2, 1.28e-1, 2.06e-1, 2.88e-1)
 
@@ -132,18 +131,20 @@ def matrix_log(k):
     part no larger than 1e6 machine epsilons everywhere is rounding and is
     set to zero.
 
-    One complex Schur form ``k = Z T Z^H`` gives the eigenvalues for the
-    branch-cut test and the triangular factor for inverse scaling and
-    squaring (Al-Mohy & Higham, SIAM J. Sci. Comput. 2012, Alg. 4.1). The
-    Pade degree and the number of square roots come from exact 1-norms of
-    ``(T - I)^p``, so the result is a deterministic function of ``k``.
+    Transformation-free inverse scaling and squaring (Al-Mohy & Higham,
+    SIAM J. Sci. Comput. 2012, Sec. 5) in NumPy alone: the eigenvalues give
+    the branch-cut test and the first root count, square roots come from
+    Newton's iteration carried as ``X - I``, and the Pade degree and any
+    further roots come from exact 1-norms of ``(X - I)^p``, so the result
+    is a deterministic function of ``k``.
 
     Raises
     ------
     SingularMatrixError
         If ``k`` is singular to working precision.
     NumericalError
-        If the Schur form fails or the result is not finite.
+        If the eigenvalues, a square root or a solve fail, or the result is
+        not finite.
     """
     arr = _as_matrix(k, "k", complex_ok=True)
     _require_square(arr, "k")
@@ -153,10 +154,9 @@ def matrix_log(k):
             "matrix is singular to working precision; logarithm undefined"
         )
     try:
-        t, z = scipy.linalg.schur(arr, output="complex", check_finite=False)
+        eigs = np.linalg.eigvals(arr).astype(complex)
     except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"Schur decomposition failed: {exc}") from exc
-    eigs = np.diagonal(t)
+        raise NumericalError(f"eigenvalue iteration did not converge: {exc}") from exc
     on_axis = (eigs.real < 0.0) & (np.abs(eigs.imag) <= 1e-12 * np.abs(eigs))
     if np.any(on_axis):
         warnings.warn(
@@ -165,11 +165,7 @@ def matrix_log(k):
             NegativeRealAxisWarning,
             stacklevel=2,
         )
-    # Z is unitary to some n eps only, and a non-normal log (||U|| >> ||L||)
-    # multiplies that error by ||U||: one Newton-Schulz step toward the
-    # unitary polar factor brings Z back to working precision
-    z = z @ (1.5 * np.eye(len(z)) - 0.5 * (z.conj().T @ z))
-    out = z @ _log_triangular(t) @ z.conj().T
+    out = _log_inverse_scaling_squaring(arr, eigs, on_axis).astype(complex, copy=False)
     if not np.all(np.isfinite(out)):
         raise NumericalError("matrix logarithm is not finite")
     if not np.iscomplexobj(arr) and np.max(np.abs(out.imag)) <= _REAL_TOL:
@@ -177,19 +173,30 @@ def matrix_log(k):
     return out
 
 
-def _log_triangular(t0):
-    """Principal logarithm of a nonsingular upper triangular complex matrix
-    by inverse scaling and squaring (Al-Mohy & Higham 2012, Alg. 4.1)."""
-    n = len(t0)
-    diag0 = np.diagonal(t0)
-    # s0: square roots until every eigenvalue is within theta_7 of 1
-    s, roots = 0, diag0
+def _log_inverse_scaling_squaring(a, eigs, on_axis):
+    """log(a) = 2^s r_m(a^(1/2^s) - I), given the eigenvalues ``eigs`` of
+    ``a`` and the mask ``on_axis`` of those on the closed negative real axis
+    (Al-Mohy & Higham 2012, Sec. 5). Each root is carried as
+    ``R = X - I``, so R stays accurate relative to its own size as X nears
+    I."""
+    ident = np.eye(len(a))
+    # s: square roots until every eigenvalue is within theta_7 of 1
+    s, roots = 0, eigs
     while np.max(np.abs(roots - 1.0)) > _THETA[7]:
         roots, s = np.sqrt(roots), s + 1
-    t = t0
-    for _ in range(s):
-        t = scipy.linalg.sqrtm(t)
-    alpha = _power_norms(t)
+    r = a - ident
+    for j in range(s):
+        if j == 0 and np.any(on_axis):
+            # Newton does not converge with an eigenvalue on the cut: take
+            # e^(i phi/2) sqrt(e^(-i phi) A), the principal root while every
+            # eigenvalue argument lies in (phi - pi, phi + pi]
+            angles = np.where(on_axis, np.pi, np.angle(eigs))
+            phi = 0.5 * (np.pi + angles.min())
+            half = np.exp(0.5j * phi)
+            r = half * _sqrt_minus_identity(np.exp(-1j * phi) * a - ident) + (half - 1.0) * ident
+        else:
+            r = _sqrt_minus_identity(r)
+    alpha = _power_norms(r)
     m = next((i for i in (1, 2) if max(alpha[2], alpha[3]) <= _THETA[i]), None)
     extra = 0
     while m is None:
@@ -205,88 +212,60 @@ def _log_triangular(t0):
             m = next((i for i in (6, 7) if eta <= _THETA[i]), None)
             if m is not None:
                 break
-        t, s = scipy.linalg.sqrtm(t), s + 1
-        alpha = _power_norms(t)
+        r, s = _sqrt_minus_identity(r), s + 1
+        alpha = _power_norms(r)
 
-    r = t - np.eye(n)
-    # diagonal and first superdiagonal of T0^(1/2^s) - I and of log(T0) from
-    # T0 itself, without cancellation, where the principal branch exists
-    on_cut = np.any((diag0.real <= 0.0) & (diag0.imag == 0.0))
-    upper = (np.arange(n - 1), np.arange(1, n))
-    if not on_cut:
-        power_dd, log_dd = _divided_differences(diag0, 2.0**-s)
-        np.fill_diagonal(r, _root_minus_one(diag0, s))
-        r[upper] = t0[upper] * power_dd
-
-    # U = 2^s r_m(R), r_m(X) = sum_j w_j (I + x_j X)^-1 X on Gauss-Legendre nodes
+    # r_m(R) = sum_j w_j (I + x_j R)^-1 R on Gauss-Legendre nodes x_j
     nodes, weights = _gauss_legendre(m)
-    lhs, rhs = np.eye(n) + nodes * r, weights * r
-    u = np.zeros_like(r)
-    for j in range(m):
-        x, info = scipy.linalg.lapack.ztrtrs(lhs[j], rhs[j])
-        if info != 0:
-            raise NumericalError(f"triangular solve failed (info={info})")
-        u += x
-    u *= 2.0**s
-    if not on_cut:
-        np.fill_diagonal(u, np.log(diag0))
-        u[upper] = t0[upper] * log_dd
-    return u
+    try:
+        terms = np.linalg.solve(ident + nodes * r, weights * r)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"Pade solve failed: {exc}") from exc
+    return 2.0**s * terms.sum(axis=0)
 
 
-def _power_norms(t):
-    """alpha_p = ||(T - I)^p||_1^(1/p) for p = 2..5, computed exactly."""
-    r = t - np.eye(len(t))
+#: Newton's square-root iteration stops once its next correction, predicted
+#: from the last two, is below this fraction of the first, R/2 (max-abs
+#: norm).
+_SQRT_TOL = 1e-16
+_SQRT_MAX_STEPS = 100
+
+
+def _sqrt_minus_identity(r):
+    """(I + R)^(1/2) - I, principal root, for (I + R) with no eigenvalue on
+    the closed negative real axis.
+
+    Newton's iteration in its incremental ("IN") form (Higham, Functions
+    of Matrices, 2008, ch. 6) from X_0 = I + R and E_0 = -R/2:
+    X_k+1 = X_k + E_k and E_k+1 = -E_k X_k+1^-1 E_k / 2. It is stable, it sums the increments into ``X - I`` without forming X,
+    and it inverts only iterates between (I + A) / 2 and A^(1/2): the
+    product form of Denman-Beavers inverts A itself and leaves a residual
+    ``||X^2 - A||`` of about cond(A) eps.
+    """
+    ident = np.eye(len(r))
+    e, r = -0.5 * r, 0.5 * r
+    size = np.abs(e).max()
+    tol = _SQRT_TOL * size
+    for _ in range(_SQRT_MAX_STEPS):
+        try:
+            e = -0.5 * (e @ np.linalg.solve(ident + r, e))
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"square root iteration failed: {exc}") from exc
+        r = r + e
+        last, size = size, np.abs(e).max()
+        # the next correction is about size^2 / last once convergence is
+        # quadratic, and about size times the contraction factor before
+        if size * size <= tol * last:
+            return r
+    raise NumericalError("square root iteration did not converge")
+
+
+def _power_norms(r):
+    """alpha_p = ||R^p||_1^(1/p) for p = 2..5, computed exactly."""
     r2 = r @ r
     r4 = r2 @ r2
-    norms = np.abs(np.stack((r2, r2 @ r, r4, r4 @ r))).sum(axis=1).max(axis=1)
+    norms = np.abs(np.array((r2, r2 @ r, r4, r4 @ r))).sum(axis=1).max(axis=1)
     return dict(zip(range(2, 6), (norms ** (1.0 / np.arange(2, 6))).tolist()))
-
-
-def _root_minus_one(a, s):
-    """``a**(1/2**s) - 1`` elementwise, free of the cancellation near a = 1
-    (Al-Mohy, Numer. Algorithms 2012, Alg. 2)."""
-    if s == 0:
-        return a - 1.0
-    # a^(1/2^s) - 1 = (a^(1/2^j) - 1) / prod_{i=j+1..s} (1 + a^(1/2^i)), from
-    # j = 0, or from j = 1 where a is far from 1 in angle
-    root = np.sqrt(a)
-    wide = np.abs(np.angle(a)) >= np.pi / 2
-    out = np.where(wide, root - 1.0, (a - 1.0) / (1.0 + root))
-    for _ in range(s - 1):
-        root = np.sqrt(root)
-        out = out / (1.0 + root)
-    return out
-
-
-def _divided_differences(lam, p):
-    """Divided differences f[lam_i, lam_i+1] of f = z**p and of f = log.
-
-    The superdiagonal entry of f([[l1, t], [0, l2]]) is ``t * f[l1, l2]``.
-    Where l1 and l2 are close the difference quotient cancels, so it is
-    rewritten through atanh((l2 - l1) / (l2 + l1)) and the unwinding number
-    (Higham, Functions of Matrices, 2008, eq. 11.28; Higham & Lin, SIAM J.
-    Matrix Anal. Appl. 2011, eq. 5.6).
-    """
-    log, power = np.log(lam), lam**p
-    l1, l2, log1, log2 = lam[:-1], lam[1:], log[:-1], log[1:]
-    diff, log_diff = l2 - l1, log2 - log1
-    far = np.abs(diff) > 0.5 * np.abs(l1 + l2)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        unwind = np.ceil((log_diff.imag - np.pi) / (2 * np.pi))
-        atanh = np.arctanh(diff / (l2 + l1)) + 1j * np.pi * unwind
-        power_dd = np.where(
-            far,
-            power[1:] - power[:-1],
-            2.0 * np.exp(0.5 * p * (log1 + log2)) * np.sinh(p * atanh),
-        )
-        log_dd = np.where(far, log_diff, 2.0 * atanh)
-        power_dd, log_dd = power_dd / diff, log_dd / diff
-    equal = l1 == l2
-    return (
-        np.where(equal, p * power[:-1] / l1, power_dd),
-        np.where(equal, 1.0 / l1, log_dd),
-    )
 
 
 @functools.lru_cache(maxsize=None)
@@ -299,12 +278,65 @@ def _gauss_legendre(m):
     return nodes, weights
 
 
+#: theta_m bounds ||A||_1 for which the degree-m Pade approximant of exp(A)
+#: is accurate to double precision (Higham, SIAM J. Matrix Anal. Appl. 2005).
+_EXP_THETA = {
+    3: 1.495585217958292e-2,
+    5: 2.539398330063230e-1,
+    7: 9.504178996162932e-1,
+    9: 2.097847961257068e0,
+    13: 5.371920351148152e0,
+}
+
+#: Coefficients b_0..b_m of the degree-m Pade approximant of exp, as rows
+#: (b_0, b_2, ...) and (b_1, b_3, ...).
+_EXP_PADE = {
+    len(b) - 1: np.array(b).reshape(-1, 2).T
+    for b in (
+        (120.0, 60.0, 12.0, 1.0),
+        (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0),
+        (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0),
+        (
+            17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0,
+            2162160.0, 110880.0, 3960.0, 90.0, 1.0,
+        ),
+        (
+            64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+            1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+            33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
+        ),
+    )
+}
+
 
 def matrix_exp(l):
-    """Matrix exponential (scaling-and-squaring with Pade approximant)."""
+    """Matrix exponential by scaling and squaring (Higham, SIAM J. Matrix
+    Anal. Appl. 2005): the Pade degree m in {3, 5, 7, 9, 13} and the number
+    of squarings come from the exact 1-norm of ``l``."""
     arr = _as_matrix(l, "l", complex_ok=True)
     _require_square(arr, "l")
-    return scipy.linalg.expm(arr)
+    norm = float(np.abs(arr).sum(axis=0).max())
+    m = next((d for d in (3, 5, 7, 9) if norm <= _EXP_THETA[d]), 13)
+    s = max(0, math.ceil(math.log2(norm / _EXP_THETA[13]))) if m == 13 else 0
+    a = arr * 2.0**-s
+    # V = sum b_2j A^2j and U = A sum b_2j+1 A^2j, from the even powers up
+    # to A^(m-1), or to A^6 for m = 13, where A^6 multiplies the top terms
+    powers = [np.eye(len(a)), a @ a]
+    while len(powers) <= (3 if m == 13 else m // 2):
+        powers.append(powers[-1] @ powers[1])
+    coeffs, flat = _EXP_PADE[m], np.array(powers).reshape(len(powers), -1)
+    v, u = (coeffs[:, : len(powers)] @ flat).reshape(2, *a.shape)
+    if m == 13:
+        high = (coeffs[:, 4:] @ flat[1:]).reshape(2, *a.shape)
+        v, u = v + powers[3] @ high[0], u + powers[3] @ high[1]
+    u = a @ u
+    try:
+        r = np.linalg.solve(v - u, v + u)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"Pade solve failed: {exc}") from exc
+    for _ in range(s):
+        r = r @ r
+    return r
 
 
 def eigenvalues(a):

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import mredmd
+from mredmd import experiments
 from mredmd.cli import main
 from mredmd.experiments import ExperimentConfig, run_sweep
 
@@ -102,7 +103,17 @@ def test_simulate_bytes_pinned(tmp_path):
     )
 
 
-def test_reused_out_refuses_another_report(tmp_path, capsys):
+def _forbid_runs(monkeypatch):
+    """Make any pipeline run fail the test: a refusal must come first."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the pipeline ran before the output directory was refused")
+
+    monkeypatch.setattr(experiments, "run", forbidden)
+    monkeypatch.setattr(experiments, "run_sweep", forbidden)
+
+
+def test_reused_out_refuses_another_report(tmp_path, capsys, monkeypatch):
     single = write_config(tmp_path / "single.json", mode="single_state", state_dim=3, rates=None)
     multi = write_config(tmp_path / "multi.json")
     out = tmp_path / "r"
@@ -112,6 +123,7 @@ def test_reused_out_refuses_another_report(tmp_path, capsys):
     assert main(["single-state", "--config", str(single), "--out", str(out)]) == 0
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
     capsys.readouterr()
+    _forbid_runs(monkeypatch)
     assert main(["multirate", "--config", str(multi), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     stale = [
@@ -127,7 +139,7 @@ def test_reused_out_refuses_another_report(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("first", ["multirate", "compare"])
-def test_report_and_comparison_refuse_each_other(tmp_path, capsys, first):
+def test_report_and_comparison_refuse_each_other(tmp_path, capsys, monkeypatch, first):
     cfg = write_config(tmp_path / "cfg.json")
     out = tmp_path / "r"
     commands = {
@@ -141,6 +153,7 @@ def test_report_and_comparison_refuse_each_other(tmp_path, capsys, first):
     assert main(commands[first]) == 0
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
     capsys.readouterr()
+    _forbid_runs(monkeypatch)
     assert main(commands[second]) == 2
     err = capsys.readouterr().err
     if first == "compare":

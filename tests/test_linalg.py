@@ -253,9 +253,25 @@ def _fresh_interpreter_output(code):
     return out.stdout.strip()
 
 
-def test_import_leaves_out_scipy_optimize():
-    code = "import sys, mredmd; print('scipy.optimize' in sys.modules)"
-    assert _fresh_interpreter_output(code) == "False"
+def test_runs_load_no_scipy():
+    # loading scipy.linalg cost more than a whole op of a CLI call
+    code = (
+        "import sys\n"
+        "import mredmd\n"
+        "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+        "from mredmd.experiments import ExperimentConfig, run, run_sweep\n"
+        "single = ExperimentConfig(system='lorenz', mode='single_state', T_s=0.1, K=20,"
+        " seed=0, state_dim=3, horizon=2, eval_trajectories=1)\n"
+        "multi = ExperimentConfig(system='lorenz', mode='multirate', T_s=0.1, K=20,"
+        " seed=0, rates=(1, 4, 3), horizon=2, eval_trajectories=1)\n"
+        "for cfg in (single, multi):\n"
+        "    report = run(cfg)\n"
+        "    assert report.errors == [], report.errors\n"
+        "assert run_sweep(single, [0, 1])['stage_errors'] == []\n"
+        "loaded += [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+        "print(sorted(set(loaded)))\n"
+    )
+    assert _fresh_interpreter_output(code) == "[]"
 
 
 def _near_identity(rng, n, size):
@@ -269,8 +285,14 @@ def _rotation_blocks(rng, n):
     d = np.diag(rng.uniform(0.3, 2.0, size=n))
     for j in range(0, n - 1, 2):
         d[j : j + 2, j : j + 2] = rng.uniform(0.3, 2.0) * rotation(rng.uniform(0.1, 3.0))
+    return _similar(rng, d)
+
+
+def _similar(rng, t):
+    """``t`` in a random, well-conditioned real basis."""
+    n = len(t)
     basis = np.eye(n) + 0.3 * rng.normal(size=(n, n)) / np.sqrt(n)
-    return basis @ d @ np.linalg.inv(basis)
+    return basis @ t @ np.linalg.inv(basis)
 
 
 def _log_cases():
@@ -379,6 +401,120 @@ class TestMatrixLogKernel:
         assert _round_trip(k, out) <= max(1e-13, _round_trip(k, ref))
 
 
+def _jordan(lam, n):
+    return lam * np.eye(n, dtype=np.result_type(lam, float)) + np.eye(n, k=1)
+
+
+def _hard_log_cases():
+    """(name, K) pairs with defective or branch-cut spectra."""
+    rng = np.random.default_rng(34)
+    pair = 0.9 * rotation(np.pi - 0.05)  # a conjugate pair 0.05 rad from the cut
+    cut = np.zeros((5, 5))
+    cut[:2, :2], cut[2:4, 2:4], cut[4, 4] = pair, 1.3 * rotation(0.7), -0.6
+    double = np.diag([-2.0, -2.0, 3.0, 0.5])
+    # one simple negative eigenvalue in a non-normal basis: a complex Schur
+    # form may hold it as -r - 0j, whose log is -i pi, off the principal branch
+    negatives = []
+    for n in (2, 4, 5):
+        d = np.diag(rng.uniform(0.2, 2.0, size=n))
+        d[0, 0] = -0.3
+        basis = np.eye(n) + 2.0 * rng.normal(size=(n, n))
+        negatives.append((f"negative-basis-{n}", basis @ d @ np.linalg.inv(basis)))
+    return negatives + [
+        ("jordan-4", _jordan(0.5, 4)),
+        ("jordan-4-basis", _similar(rng, _jordan(0.5, 4))),
+        ("jordan-2x2-blocks", _similar(rng, np.kron(np.eye(3), _jordan(1.7, 2)))),
+        ("jordan-complex", _jordan(np.exp(2.5j), 3)),
+        ("negative-beside-pair", _similar(rng, cut)),
+        ("double-negative", _similar(rng, double)),
+        ("jordan-negative", _jordan(-1.0, 2)),
+    ]
+
+
+class TestMatrixLogHardCases:
+    """Defective and branch-cut spectra, against SciPy's logm as an oracle."""
+
+    @pytest.mark.parametrize("name, k", _hard_log_cases())
+    def test_matches_scipy(self, name, k):
+        out, ref = _quiet_log(k), _scipy_logm(k)
+        assert np.linalg.norm(out - ref, 1) <= 1e-12 * np.linalg.norm(ref, 1)
+        assert _round_trip(k, out) <= max(1e-13, _round_trip(k, ref))
+
+    @pytest.mark.parametrize("name, k", _hard_log_cases())
+    def test_principal_branch(self, name, k):
+        # every eigenvalue of log(K) has its imaginary part in (-pi, pi]; a
+        # negative eigenvalue of K gives +i pi, never -i pi
+        eigs = np.linalg.eigvals(_quiet_log(k))
+        assert np.all(eigs.imag > -np.pi + 1e-6)
+        assert np.all(eigs.imag <= np.pi + 1e-12)
+
+    def test_negative_eigenvalues_warn(self):
+        for name, k in _hard_log_cases():
+            on_axis = "negative" in name
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                linalg.matrix_log(k)
+            warned = any(issubclass(w.category, NegativeRealAxisWarning) for w in caught)
+            assert warned == on_axis, name
+
+    @pytest.mark.parametrize("n", [2, 10, 56])
+    def test_tiny_perturbation_of_identity(self, n):
+        # log(I + E) = E - E^2/2 + ...: carrying X - I, never I + E itself,
+        # keeps L accurate relative to E
+        k = np.eye(n) + 1e-12 * np.random.default_rng(n).normal(size=(n, n))
+        d = k - np.eye(n)  # exact: the perturbation that K holds
+        exact = d - d @ d / 2  # the next term, d^3 / 3, is below 1e-33
+        err = np.linalg.norm(linalg.matrix_log(k) - exact, 1)
+        assert err <= 8 * np.finfo(float).eps * np.linalg.norm(exact, 1)
+
+    def test_rank_deficient_fits_round_trip(self, hankel_fit_matrices):
+        for k in hankel_fit_matrices:
+            assert _round_trip(k, _quiet_log(k)) <= 1e-12
+
+
+def _exp_cases():
+    """(name, A) pairs whose 1-norms span 1e-8 to 1e3, so that every Pade
+    degree (3, 5, 7, 9, 13) and squaring counts 0 to 8 are used: a skew
+    part keeps exp(A) bounded, a nilpotent part makes A non-normal."""
+    rng = np.random.default_rng(35)
+    cases = []
+    for norm in (1e-8, 1e-2, 0.2, 0.9, 2.0, 5.0, 10.0, 100.0, 1e3):
+        for n in (2, 10):
+            g = rng.normal(size=(n, n))
+            a = (g - g.T) + 0.3 * np.triu(rng.normal(size=(n, n)), 1) - 0.1 * np.eye(n)
+            cases.append((f"{norm:g}-{n}", a * norm / np.abs(a).sum(axis=0).max()))
+    g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    cases.append(("complex", 3.0 * (g - g.conj().T) / np.abs(g).sum(axis=0).max()))
+    return cases
+
+
+class TestMatrixExpKernel:
+    @pytest.mark.parametrize("name, a", _exp_cases())
+    def test_matches_scipy(self, name, a):
+        # the relative condition number of exp is about ||A||; SciPy's own
+        # error reaches 3e-12 at ||A|| = 1e3 on these cases
+        out, ref = linalg.matrix_exp(a), scipy.linalg.expm(a)
+        cond = max(1.0, np.abs(a).sum(axis=0).max())
+        assert np.linalg.norm(out - ref, 1) <= 1e-13 * cond * np.linalg.norm(ref, 1)
+
+    @pytest.mark.parametrize("theta", [1e-8, 0.5, 3.0, 50.0, 1e3])
+    def test_rotation_generator(self, theta):
+        out = linalg.matrix_exp(np.array([[0.0, -theta], [theta, 0.0]]))
+        err = np.abs(out - rotation(theta)).max()
+        assert err <= 8 * np.finfo(float).eps * max(1.0, theta)
+
+    def test_degrees_and_squarings_covered(self):
+        norms = [np.abs(a).sum(axis=0).max() for _, a in _exp_cases()]
+        degrees = {next((m for m in (3, 5, 7, 9) if x <= linalg._EXP_THETA[m]), 13) for x in norms}
+        squarings = {max(0, int(np.ceil(np.log2(x / linalg._EXP_THETA[13])))) for x in norms}
+        assert degrees == {3, 5, 7, 9, 13}
+        assert {0, 1, 5, 8} <= squarings
+
+    def test_real_in_real_out(self):
+        assert not np.iscomplexobj(linalg.matrix_exp(np.eye(3)))
+        assert np.iscomplexobj(linalg.matrix_exp(np.eye(3, dtype=complex)))
+
+
 class TestMatrixLogDeterminism:
     def test_same_bits_under_any_global_rng_state(self, hankel_fit_matrices):
         # SciPy's logm drew from the global RNG in its 1-norm estimator; for
@@ -403,8 +539,8 @@ class TestMatrixLogDeterminism:
         assert before[2:] == after[2:]
 
 
-def test_no_private_scipy_imports():
-    # private SciPy modules change between releases without notice
+def test_no_scipy_imports():
+    # the package runs on NumPy alone; SciPy is a test-only oracle
     import mredmd
 
     offenders = []
@@ -413,24 +549,7 @@ def test_no_private_scipy_imports():
             names = []
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and node.module:
-                names = [node.module] + [f"{node.module}.{a.name}" for a in node.names]
-            for name in names:
-                parts = name.split(".")
-                if parts[0] == "scipy" and any(p.startswith("_") for p in parts[1:]):
-                    offenders.append(f"{path.name}: {name}")
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            offenders += [f"{path.name}: {name}" for name in names if name.split(".")[0] == "scipy"]
     assert offenders == []
-
-
-def test_run_leaves_out_scipy_sparse_and_special():
-    # the first logm used to load both, a cost every CLI call paid
-    code = (
-        "import sys\n"
-        "from mredmd.experiments import ExperimentConfig, run\n"
-        "report = run(ExperimentConfig(system='lorenz', mode='single_state', T_s=0.1,"
-        " K=20, seed=0, state_dim=3, horizon=2, eval_trajectories=1))\n"
-        "assert report.errors == [], report.errors\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[:2] in"
-        " (['scipy', 'sparse'], ['scipy', 'special'])))\n"
-    )
-    assert _fresh_interpreter_output(code) == "[]"

@@ -3,7 +3,7 @@ report bytes, exit with the same codes and print the same text.
 
 Usage::
 
-    python tools/bytecheck.py PARENT_SRC CHANGE_SRC
+    python tools/bytecheck.py [--rtol R] PARENT_SRC CHANGE_SRC
 
 Each argument is a source tree: a directory that holds the ``mredmd``
 package, or a checkout whose ``src/`` holds it. Every command of
@@ -16,9 +16,19 @@ directory is mapped to ``<OUT>`` and each ``.../mredmd/<file>.py:<line>``
 to ``mredmd/<file>.py:<LINE>``. One summary line is printed, then each
 difference; the exit code is 1 on any difference. This script does not
 import ``mredmd``.
+
+With ``--rtol R`` a report file whose bytes differ still passes if only its
+numbers moved, by at most R normwise: ``||b - a||_2 <= R ||a||_2`` over the
+file's float values. In a CSV or text file the text around the float
+literals (cells, integers, ``nan``, names, line breaks) must be identical;
+a JSON file must have the same structure, the same non-float leaves and
+identical ``warnings`` and ``errors``. Each such file is printed with its
+difference. Exit codes, stdout and stderr are still compared exactly.
 """
 
+import argparse
 import json
+import math
 import os
 import re
 import subprocess
@@ -80,6 +90,12 @@ COMMANDS = [
 
 _SOURCE_LINE = re.compile(r"[^\s\"']*/mredmd/(\w+)\.py:\d+")
 
+#: A float literal as ``repr(float)`` writes it: with a fraction or an
+#: exponent, so that integer cells and indices stay part of the text.
+_FLOAT = re.compile(
+    r"(?<![\w.])-?(?:\d+\.\d+(?:[eE][-+]?\d+)?|\d+[eE][-+]?\d+)(?![\w.])"
+)
+
 
 def _package_root(tree):
     tree = Path(tree).resolve()
@@ -122,10 +138,12 @@ def _run(root, out_root, config_dir, command):
     return proc.returncode, mapped(proc.stdout), mapped(proc.stderr), files
 
 
-def _differences(name, parent, change):
+def _differences(name, parent, change, rtol=None):
+    """Differences of one command's two runs, and notes on files that
+    differ only within ``rtol``."""
     code_a, out_a, err_a, files_a = parent
     code_b, out_b, err_b, files_b = change
-    diffs = []
+    diffs, notes = [], []
     if code_a != code_b:
         diffs.append(f"{name}: exit code {code_a} != {code_b}")
     for stream, a, b in (("stdout", out_a, out_b), ("stderr", err_a, err_b)):
@@ -145,17 +163,75 @@ def _differences(name, parent, change):
         elif path not in files_a:
             diffs.append(f"{name}: {path} written by the change only")
         elif files_a[path] != files_b[path]:
-            diffs.append(f"{name}: {path} differs")
-    return diffs
+            moved = None if rtol is None else numeric_difference(path, files_a[path], files_b[path])
+            if moved is None:
+                diffs.append(f"{name}: {path} differs")
+            elif moved > rtol:
+                diffs.append(f"{name}: {path} differs by {moved:.3g} > rtol {rtol:g}")
+            else:
+                notes.append(f"{name}: {path} within rtol, differs by {moved:.3g}")
+    return diffs, notes
+
+
+def _json_floats(a, b, key=None):
+    """Float leaves of two JSON values, paired; None if anything else differs."""
+    if key in ("warnings", "errors") or type(a) is not type(b):
+        return [] if a == b else None
+    if isinstance(a, float) and math.isfinite(a) and math.isfinite(b):
+        return [(a, b)]
+    if isinstance(a, dict):
+        if a.keys() != b.keys():
+            return None
+        pairs = [_json_floats(a[k], b[k], k) for k in a]
+    elif isinstance(a, list):
+        if len(a) != len(b):
+            return None
+        pairs = [_json_floats(x, y) for x, y in zip(a, b)]
+    else:
+        return [] if repr(a) == repr(b) else None
+    return None if None in pairs else [pair for sub in pairs for pair in sub]
+
+
+def _text_floats(a, b):
+    """Float literals of two texts, paired; None if the text around them differs."""
+    if _FLOAT.split(a) != _FLOAT.split(b):
+        return None
+    return [(float(x), float(y)) for x, y in zip(_FLOAT.findall(a), _FLOAT.findall(b))]
+
+
+def numeric_difference(path, a, b):
+    """``||b - a||_2 / ||a||_2`` over the float values of two versions of a
+    report file, or None if they differ in anything but those values."""
+    try:
+        text_a, text_b = a.decode(), b.decode()
+        if path.endswith(".json"):
+            pairs = _json_floats(json.loads(text_a), json.loads(text_b))
+        else:
+            pairs = _text_floats(text_a, text_b)
+    except ValueError:
+        return None
+    if pairs is None:
+        return None
+    diff = math.sqrt(sum((y - x) ** 2 for x, y in pairs))
+    scale = math.sqrt(sum(x * x for x, _ in pairs))
+    return diff / scale if scale else (0.0 if diff == 0.0 else math.inf)
 
 
 def main(argv=None):
-    args = sys.argv[1:] if argv is None else argv
-    if len(args) != 2:
-        print(__doc__.split("\n\n")[1], file=sys.stderr)
-        return 2
-    roots = [_package_root(tree) for tree in args]
-    diffs, n_files = [], 0
+    parser = argparse.ArgumentParser(prog="bytecheck", description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", help="parent source tree")
+    parser.add_argument("change", help="changed source tree")
+    parser.add_argument(
+        "--rtol",
+        type=float,
+        default=None,
+        help="let the float values of a report file differ by this much, normwise",
+    )
+    args = parser.parse_args(argv)
+    if args.rtol is not None and not args.rtol >= 0.0:
+        parser.error(f"--rtol must be >= 0, got {args.rtol}")
+    roots = [_package_root(tree) for tree in (args.parent, args.change)]
+    diffs, notes, n_files = [], [], 0
     with tempfile.TemporaryDirectory(prefix="bytecheck-") as tmp:
         tmp = Path(tmp)
         config_dir = tmp / "configs"
@@ -170,13 +246,16 @@ def main(argv=None):
                 for root, out_root in zip(roots, out_roots)
             )
             n_files += len(parent[3])
-            diffs += _differences(command[0], parent, change)
+            command_diffs, command_notes = _differences(command[0], parent, change, args.rtol)
+            diffs += command_diffs
+            notes += command_notes
+    within = f", {len(notes)} within rtol {args.rtol:g}" if args.rtol is not None else ""
     print(
         f"bytecheck: {len(COMMANDS)} commands, {n_files} report files of the parent, "
-        f"{len(diffs)} differences"
+        f"{len(diffs)} differences{within}"
     )
-    for diff in diffs:
-        print(diff)
+    for line in diffs + notes:
+        print(line)
     return 1 if diffs else 0
 
 
