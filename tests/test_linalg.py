@@ -253,12 +253,17 @@ def _fresh_interpreter_output(code):
     return out.stdout.strip()
 
 
-def test_runs_load_no_scipy():
-    # loading scipy.linalg cost more than a whole op of a CLI call
+def test_import_leaves_out_scipy_optimize():
+    # no scipy* module at all, scipy.optimize included
+    code = "import sys, mredmd; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    assert _fresh_interpreter_output(code) == "[]"
+
+
+def test_run_leaves_out_scipy_sparse_and_special():
+    # no scipy* module at all: loading scipy.linalg cost more than a whole op
+    # of a CLI call
     code = (
         "import sys\n"
-        "import mredmd\n"
-        "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
         "from mredmd.experiments import ExperimentConfig, run, run_sweep\n"
         "single = ExperimentConfig(system='lorenz', mode='single_state', T_s=0.1, K=20,"
         " seed=0, state_dim=3, horizon=2, eval_trajectories=1)\n"
@@ -268,8 +273,7 @@ def test_runs_load_no_scipy():
         "    report = run(cfg)\n"
         "    assert report.errors == [], report.errors\n"
         "assert run_sweep(single, [0, 1])['stage_errors'] == []\n"
-        "loaded += [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
-        "print(sorted(set(loaded)))\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
     assert _fresh_interpreter_output(code) == "[]"
 
