@@ -26,6 +26,7 @@ from .edmd import (
     fit_model,
     generator_spectrum,
     predict,
+    predict_models,
 )
 from .experiments import (
     ExperimentConfig,
@@ -96,6 +97,7 @@ __all__ = [
     "fit_model",
     "generator_spectrum",
     "predict",
+    "predict_models",
     # experiments
     "ExperimentConfig",
     "ExperimentReport",

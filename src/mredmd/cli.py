@@ -131,15 +131,17 @@ def build_parser():
 
 def _show_once(show):
     """``showwarning`` that passes each (category, text, file, line) to
-    ``show`` once: each stage's ``catch_warnings`` resets the registries
-    that would show a warning once per location."""
+    ``show`` once, as one ``path:line: Category: message`` line: each
+    stage's ``catch_warnings`` resets the registries that would show a
+    warning once per location, and the source line is left out, so stderr
+    does not change with the text of the line that warned."""
     shown = set()
 
     def show_once(message, category, filename, lineno, file=None, line=None):
         key = (category, str(message), filename, lineno)
         if key not in shown:
             shown.add(key)
-            show(message, category, filename, lineno, file, line)
+            show(message, category, filename, lineno, file, line="")
 
     return show_once
 

@@ -41,7 +41,11 @@ class VectorField:
 
     ``func`` must broadcast over leading axes: it maps arrays of shape
     (..., dim) to arrays of the same shape, which lets whole ensembles be
-    integrated in one pass.
+    integrated in one pass. It must accept any memory layout (:func:`integrate`
+    passes its states component-major, with ``x[..., i]`` contiguous) and
+    return either a fresh array or a view of its argument, never a buffer
+    that it reuses across calls: the RK4 stages of one step are all alive
+    at once.
     """
 
     dim: int
@@ -57,14 +61,19 @@ def lorenz_field():
     dx1 = 0.5 (x2 - x1)
     dx2 = x1 (0.75 - x3) - x2
     dx3 = x1 x2 - 2 x3
+
+    Each component is written in place into its view of the result, which
+    has the layout of ``x``.
     """
 
     def f(x):
         x1, x2, x3 = x[..., 0], x[..., 1], x[..., 2]
         out = np.empty_like(x)
-        out[..., 0] = 0.5 * (x2 - x1)
-        out[..., 1] = x1 * (0.75 - x3) - x2
-        out[..., 2] = x1 * x2 - 2.0 * x3
+        d1, d2, d3 = out[..., 0], out[..., 1], out[..., 2]
+        np.subtract(np.multiply(x1, np.subtract(0.75, x3, out=d2), out=d2), x2, out=d2)
+        # d1 holds 2 x3 until the first component overwrites it
+        np.subtract(np.multiply(x1, x2, out=d3), np.multiply(2.0, x3, out=d1), out=d3)
+        np.multiply(0.5, np.subtract(x2, x1, out=d1), out=d1)
         return out
 
     return VectorField(dim=3, func=f)
@@ -76,14 +85,6 @@ def linear_field(a):
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ConfigurationError(f"A must be square, got shape {a.shape}")
     return VectorField(dim=a.shape[0], func=lambda x: x @ a.T)
-
-
-def _rk4_step(field, x, h):
-    k1 = field(x)
-    k2 = field(x + 0.5 * h * k1)
-    k3 = field(x + 0.5 * h * k2)
-    k4 = field(x + h * k3)
-    return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def integrate(field, x0, step, n_steps, every=1):
@@ -137,9 +138,27 @@ def integrate(field, x0, step, n_steps, every=1):
             f"{x.shape} requests {rows * x.size * 8 / 2**30:.3g} GiB"
         ) from exc
     out[0] = x
+    # Component-major state and preallocated stage buffers; the arithmetic is
+    # that of x + h/6 (k1 + 2 k2 + 2 k3 + k4) with k_i at x + c_i h k_{i-1},
+    # in the same order, so the bits do not depend on the layout. Each stage
+    # input has its own buffer, since a field may return a view of it.
+    x = np.array(x, order="F")
+    y2, y3, y4, acc, tmp = (np.empty_like(x) for _ in range(5))
+    finite = np.empty(x.shape, dtype=bool)
+    half = 0.5 * step
     for j in range(1, n_steps + 1):
-        x = _rk4_step(field, x, step)
-        if not np.all(np.isfinite(x)):
+        k1 = field(x)
+        np.add(x, np.multiply(half, k1, out=tmp), out=y2)
+        k2 = field(y2)
+        np.add(x, np.multiply(half, k2, out=tmp), out=y3)
+        k3 = field(y3)
+        np.add(x, np.multiply(step, k3, out=tmp), out=y4)
+        k4 = field(y4)
+        np.add(k1, np.multiply(2.0, k2, out=acc), out=acc)
+        np.add(acc, np.multiply(2.0, k3, out=tmp), out=acc)
+        np.add(acc, k4, out=acc)
+        np.add(x, np.multiply(step / 6.0, acc, out=acc), out=x)
+        if not np.isfinite(x, out=finite).all():
             raise DivergenceError(
                 f"trajectory diverged (non-finite state) at step {j}, t={j * step:.6g}"
             )
@@ -241,6 +260,32 @@ class Ensemble:
                 raise DataError(f"component {comp}: non-finite sample times or values")
             if np.any(np.diff(times) <= 0):
                 raise DataError(f"component {comp}: sample times must be strictly increasing")
+        n = len(self.times)
+        if self.x0 is not None:
+            self.x0 = np.asarray(self.x0, dtype=float)
+            if self.x0.shape != (n_traj, n):
+                raise DataError(f"x0 has shape {self.x0.shape}, expected ({n_traj}, {n})")
+        if (self.dense_times is None) != (self.dense_states is None):
+            raise DataError("dense_times and dense_states must be given together")
+        if self.dense_times is not None:
+            self._check_ground_truth(n_traj, n)
+
+    def _check_ground_truth(self, n_traj, n):
+        """``dense_times`` is an even grid of at least 2 instants and
+        ``dense_states`` holds one (K, n) state per instant."""
+        times = self.dense_times = np.asarray(self.dense_times, dtype=float)
+        if times.ndim != 1 or times.size < 2:
+            raise DataError(
+                f"dense_times must be a 1-D grid of at least 2 instants, got shape {times.shape}"
+            )
+        spacing = times[1] - times[0]
+        if not (spacing > 0 and np.all(np.abs(np.diff(times) - spacing) <= 1e-6 * spacing)):
+            raise DataError("dense_times must be increasing and evenly spaced (to 1e-6)")
+        states = self.dense_states = np.asarray(self.dense_states, dtype=float)
+        if states.shape != (times.size, n_traj, n):
+            raise DataError(
+                f"dense_states has shape {states.shape}, expected ({times.size}, {n_traj}, {n})"
+            )
 
     def __len__(self):
         return self.indices.size
@@ -250,7 +295,8 @@ class Ensemble:
         of ``dense_times`` to within ``TIME_MATCH_TOL``."""
         if self.dense_times is None:
             raise DataError("ensemble has no ground truth")
-        idx = int(round(t / (self.dense_times[1] - self.dense_times[0])))
+        start, spacing = self.dense_times[0], self.dense_times[1] - self.dense_times[0]
+        idx = int(round((t - start) / spacing))
         if not 0 <= idx < len(self.dense_times) or abs(self.dense_times[idx] - t) > TIME_MATCH_TOL:
             raise DataError(f"time {t:.6g} is not on the ground-truth grid")
         return np.ascontiguousarray(self.dense_states[idx].T)

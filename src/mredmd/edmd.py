@@ -121,15 +121,40 @@ def predict(model, x0, steps, mode="rollout"):
 
     ``x0`` is one initial state (n,) or a batch (B, n), predicted with the
     same arithmetic as each row alone. A row that becomes non-finite is NaN
-    from that step on, leaves the batch, and emits a
-    :class:`DivergenceWarning` (in row order).
+    from that step on and emits a :class:`DivergenceWarning` (in row order).
 
     Returns
     -------
     np.ndarray
         Shape (steps, n) for one initial state, (B, steps, n) for a batch.
     """
-    if model.readout is None:
+    return _predict([model], x0, steps, mode)[0]
+
+
+def predict_models(models, x0, steps, mode="rollout"):
+    """:func:`predict` of each of ``models`` from the same initial states.
+
+    Consecutive models that share their dictionary and readout (as the
+    models of one report do) advance in one loop: one lift per step for all
+    of them, and one gemv per model and row. Each model's rows are bit for
+    bit its own :func:`predict`, with the same NaN tails and the same
+    :class:`DivergenceWarning` messages, by model, then by row.
+
+    Returns
+    -------
+    np.ndarray
+        Shape (M, steps, n) for one initial state, (M, B, steps, n) for a batch.
+    """
+    return _predict(models, x0, steps, mode)
+
+
+def _predict(models, x0, steps, mode):
+    """The prediction of :func:`predict` and :func:`predict_models`; warns
+    at the caller of either."""
+    models = list(models)
+    if not models:
+        raise ConfigurationError("no models to predict")
+    if any(model.readout is None for model in models):
         raise ConfigurationError(
             "model dictionary has no coordinate observables; cannot read out states"
         )
@@ -138,30 +163,58 @@ def predict(model, x0, steps, mode="rollout"):
     if mode not in ("rollout", "relift"):
         raise ConfigurationError(f"unknown prediction mode {mode!r}")
     x0 = np.asarray(x0, dtype=float)
-    n = model.dictionary.dim
-    if x0.ndim not in (1, 2) or x0.shape[-1] != n:
-        raise ConfigurationError(f"x0 has shape {x0.shape}, expected ({n},) or (B, {n})")
+    for n in sorted({model.dictionary.dim for model in models}):
+        if x0.ndim not in (1, 2) or x0.shape[-1] != n:
+            raise ConfigurationError(f"x0 has shape {x0.shape}, expected ({n},) or (B, {n})")
     x = np.atleast_2d(x0)
-    out = np.full((len(x), steps, n), np.nan)
-    rows, diverged_at = np.arange(len(x)), np.zeros(len(x), dtype=int)
-    for j in range(steps):
-        if j == 0 or mode == "relift":
-            z = np.ascontiguousarray(model.dictionary.evaluate_columns(x.T).T)[:, :, None]
-        # (B, N, 1) is one gemv per row, as for one state; a gemm would round differently
-        z = np.matmul(model.k_mat, z)
-        x = np.matmul(model.readout, z)[:, :, 0]
-        finite = np.all(np.isfinite(x), axis=1)
-        if not finite.all():
-            diverged_at[rows[~finite]] = j + 1
-            rows, z, x = rows[finite], z[finite], x[finite]
-        out[rows, j] = x
-    for j in diverged_at[diverged_at > 0].tolist():
+    out = np.empty((len(models), len(x), steps, x.shape[1]))
+    diverged_at = np.zeros((len(models), len(x)), dtype=int)
+    start = 0
+    for stop in range(1, len(models) + 1):
+        if stop == len(models) or not _shares_lift(models[start], models[stop]):
+            _advance(models[start:stop], x, mode, out[start:stop], diverged_at[start:stop])
+            start = stop
+    for m, row in np.argwhere(diverged_at > 0).tolist():
+        j = int(diverged_at[m, row])
+        out[m, row, j - 1 :] = np.nan
         warnings.warn(
             f"prediction diverged at step {j} of {steps}; output truncated",
             DivergenceWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
-    return out if x0.ndim == 2 else out[0]
+    return out if x0.ndim == 2 else out[:, 0]
+
+
+def _shares_lift(a, b):
+    return a.dictionary == b.dictionary and np.array_equal(a.readout, b.readout)
+
+
+def _advance(models, x, mode, out, diverged_at):
+    """Fill ``out`` (M, B, steps, n) with the predictions of ``models``,
+    which share one dictionary and readout, from the rows of ``x`` (B, n),
+    and ``diverged_at`` (M, B) with the 1-based step at which each model's
+    row became non-finite (0 if it did not)."""
+    dictionary, readout = models[0].dictionary, models[0].readout
+    n_models, n_rows, steps, n = out.shape
+    k_mats = np.stack([model.k_mat for model in models])[:, None]  # (M, 1, N, N)
+    x = np.broadcast_to(x, (n_models, n_rows, n))
+    for j in range(steps):
+        if j == 0 or mode == "relift":
+            lifted = dictionary.evaluate_columns(x.reshape(-1, n).T)
+            z = np.ascontiguousarray(lifted.T).reshape(n_models, n_rows, -1, 1)
+        # (M, B, N, 1) is one gemv per model and row, as for one state; a
+        # gemm would round differently
+        z = np.matmul(k_mats, z)
+        x = np.matmul(readout, z)[..., 0]
+        dead = diverged_at > 0
+        diverged = ~(dead | np.isfinite(x).all(axis=-1))
+        diverged_at[diverged] = j + 1
+        dead |= diverged
+        if dead.any():
+            # a diverged row runs on from zero, which raises no warning; the
+            # caller makes it NaN from the step it diverged
+            z[dead], x[dead] = 0.0, 0.0
+        out[:, :, j] = x
 
 
 def generator_spectrum(model):

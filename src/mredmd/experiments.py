@@ -351,8 +351,8 @@ def evaluate_prediction(models, fld, x0s, horizon, step, mode="rollout", truth=N
     times = np.arange(1, horizon + 1) * step
     predictions = {}
     rmse = {}
-    for name, model in models.items():
-        preds = edmd.predict(model, x0s, horizon, mode=mode)
+    stacked = edmd.predict_models(models.values(), x0s, horizon, mode) if models else ()
+    for name, preds in zip(models, stacked):
         finite = np.all(np.isfinite(preds), axis=2)
         prefix = np.where(finite.all(axis=1), horizon, np.argmax(~finite, axis=1))
         sq_err = (preds - truth) ** 2

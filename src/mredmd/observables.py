@@ -3,6 +3,7 @@ and the coordinate readout used to map lifted predictions back to states.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from math import comb
 
@@ -31,6 +32,13 @@ class Dictionary:
     def __len__(self):
         return len(self.exponents)
 
+    @cached_property
+    def _exponent_array(self):
+        """``exponents`` as a read-only (size, dim) array, built once."""
+        e = np.asarray(self.exponents)
+        e.flags.writeable = False
+        return e
+
     def evaluate(self, x):
         """Lift a single state: returns Phi(x), shape (size,)."""
         x = np.asarray(x, dtype=float)
@@ -38,8 +46,7 @@ class Dictionary:
             raise ConfigurationError(
                 f"state has shape {x.shape}, dictionary expects ({self.dim},)"
             )
-        e = np.asarray(self.exponents)
-        return np.prod(x[None, :] ** e, axis=1)
+        return np.prod(x[None, :] ** self._exponent_array, axis=1)
 
     def evaluate_columns(self, states):
         """Lift a column-stacked batch: (dim, K) -> (size, K)."""
@@ -48,8 +55,7 @@ class Dictionary:
             raise ConfigurationError(
                 f"expected shape ({self.dim}, K), got {states.shape}"
             )
-        e = np.asarray(self.exponents)
-        return np.prod(states[None, :, :] ** e[:, :, None], axis=1)
+        return np.prod(states[None, :, :] ** self._exponent_array[:, :, None], axis=1)
 
     def coordinate_slot(self, i):
         """Index of the degree-1 monomial for coordinate ``i``, or None."""

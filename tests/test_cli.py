@@ -245,10 +245,17 @@ def _run_cli(*args):
     )
 
 
-def test_diverging_compare_shows_each_warning_once(tmp_path):
+@pytest.fixture(scope="module")
+def diverging_compare(tmp_path_factory):
+    """The config of the K=30 ``DIVERGENT`` sweep and its CLI run."""
+    tmp_path = tmp_path_factory.mktemp("diverging")
     cfg = write_config(tmp_path / "cfg.json", **DIVERGENT)
     out = str(tmp_path / "cmp")
-    proc = _run_cli("-m", "mredmd.cli", "compare", "--config", str(cfg), "--out", out)
+    return cfg, _run_cli("-m", "mredmd.cli", "compare", "--config", str(cfg), "--out", out)
+
+
+def test_diverging_compare_shows_each_warning_once(diverging_compare):
+    cfg, proc = diverging_compare
     assert proc.returncode == 1
     shown = re.findall(r"^(.+):(\d+): (\w+Warning): (.*)$", proc.stderr, re.MULTILINE)
     assert len(shown) == len(set(shown))
@@ -259,6 +266,19 @@ def test_diverging_compare_shows_each_warning_once(tmp_path):
     distinct = {(w.filename, str(w.lineno), w.category.__name__, str(w.message)) for w in caught}
     assert len(distinct) == 22
     assert set(shown) == distinct
+
+
+def test_warnings_show_no_source_lines(diverging_compare):
+    # one line per warning: the source text that warned is not echoed, so
+    # stderr does not change when that line is rewritten
+    cfg, proc = diverging_compare
+    assert json.loads(cfg.read_text())["K"] == 30
+    lines = proc.stderr.splitlines()
+    assert not [line for line in lines if line[:1].isspace()]
+    warned = [line for line in lines if re.match(r"^.+:\d+: \w+Warning: ", line)]
+    errors = [line for line in lines if line.startswith("seed ")]
+    assert warned and errors and len(warned) + len(errors) == len(lines)
+    assert len(warned) == len(set(warned))
 
 
 def test_warnings_as_errors_still_raise(tmp_path):

@@ -128,6 +128,75 @@ class TestIntegrate:
             np.testing.assert_array_equal(dense, integrate(lorenz_field(), x0, 0.01, 40))
 
 
+def _rk4_step(field, x, h):
+    """The classical RK4 step, written as the formula: the oracle of the
+    in-place kernel of :func:`integrate`."""
+    k1 = field(x)
+    k2 = field(x + 0.5 * h * k1)
+    k3 = field(x + 0.5 * h * k2)
+    k4 = field(x + h * k3)
+    return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _reference_integrate(field, x0, h, n_steps, every):
+    x = np.array(x0, dtype=float)
+    kept = [x]
+    for j in range(1, n_steps + 1):
+        x = _rk4_step(field, x, h)
+        if j % every == 0:
+            kept.append(x)
+    return np.stack(kept)
+
+
+def _oracle_cases():
+    rng = np.random.default_rng(21)
+    lorenz = lorenz_field()
+    cases = [
+        ("lorenz-1d", lorenz, rng.uniform(-2, 2, size=3)),
+        ("lorenz-batch", lorenz, rng.uniform(-2, 2, size=(50, 3))),
+        ("lorenz-fortran", lorenz, np.asfortranarray(rng.uniform(-2, 2, size=(9, 3)))),
+        ("lorenz-strided", lorenz, rng.uniform(-2, 2, size=(12, 3))[::3]),
+    ]
+    for n in (1, 3, 7):
+        a = rng.normal(size=(n, n))
+        cases.append((f"linear-{n}-1d", linear_field(a), rng.uniform(-1, 1, size=n)))
+        cases.append((f"linear-{n}-batch", linear_field(a), rng.uniform(-1, 1, size=(20, n))))
+    for name, func in [
+        ("identity-alias", lambda x: x),
+        ("negation", lambda x: -x),
+        ("zeros", np.zeros_like),
+    ]:
+        fld = dynamics.VectorField(3, func)
+        cases.append((name + "-1d", fld, rng.uniform(-1, 1, size=3)))
+        cases.append((name + "-batch", fld, rng.uniform(-1, 1, size=(6, 3))))
+    return [pytest.param(fld, x0, id=name) for name, fld, x0 in cases]
+
+
+class TestRk4Oracle:
+    """The in-place kernel is bit for bit the RK4 formula, whatever the field
+    returns (a fresh array, a view of its argument) and however the caller's
+    initial states are laid out."""
+
+    @pytest.mark.parametrize("every", [1, 3, 10])
+    @pytest.mark.parametrize("fld, x0", _oracle_cases())
+    def test_bitwise_equal_to_formula(self, fld, x0, every):
+        before = x0.copy()
+        out = integrate(fld, x0, 0.01, 30, every=every)
+        np.testing.assert_array_equal(x0, before)  # the caller's states are not touched
+        assert out.shape == (30 // every + 1,) + x0.shape
+        assert out.flags.c_contiguous
+        np.testing.assert_array_equal(out, _reference_integrate(fld, x0, 0.01, 30, every))
+
+    @pytest.mark.parametrize("every", [1, 3, 10])
+    def test_stacked_lorenz_equal_to_formula(self, every):
+        rng = np.random.default_rng(22)
+        starts = [rng.uniform(-2, 2, size=(m, 3)) for m in (1, 4, 11)]
+        stacked = dynamics.integrate_stacked(lorenz_field(), starts, 0.01, 30, every)
+        for x0, dense in zip(starts, stacked):
+            reference = _reference_integrate(lorenz_field(), x0, 0.01, 30, every)
+            np.testing.assert_array_equal(dense, reference)
+
+
 class TestLorenzField:
     def test_equilibrium(self):
         np.testing.assert_array_equal(lorenz_field()(np.zeros(3)), np.zeros(3))
@@ -426,6 +495,55 @@ class TestImportValidation:
         both = r"trajectory_00001\.csv and \S*trajectory_1\.csv both hold trajectory 1"
         with pytest.raises(DataError, match=both):
             import_ensemble(tmp_path)
+
+
+def _with_truth(**overrides):
+    """A one-component, two-trajectory ensemble with ground truth on
+    0, 0.1, 0.2; ``overrides`` replace its fields."""
+    fields = dict(
+        times={0: [0.0, 0.1]},
+        values={0: [[1.0, 2.0], [3.0, 4.0]]},
+        indices=[0, 1],
+        x0=[[1.0], [3.0]],
+        dense_times=[0.0, 0.1, 0.2],
+        dense_states=np.arange(6.0).reshape(3, 2, 1),
+    )
+    fields.update(overrides)
+    return Ensemble(**fields)
+
+
+class TestGroundTruthValidation:
+    """Ground truth is checked on construction, so ``dense_at`` never reads
+    past it."""
+
+    def test_valid_truth_accepted(self):
+        ensemble = _with_truth()
+        np.testing.assert_array_equal(ensemble.dense_at(0.2), [[4.0, 5.0]])
+
+    def test_grid_may_start_after_zero(self):
+        ensemble = _with_truth(dense_times=[0.5, 0.6, 0.7])
+        np.testing.assert_array_equal(ensemble.dense_at(0.6), [[2.0, 3.0]])
+        with pytest.raises(DataError, match="not on the ground-truth grid"):
+            ensemble.dense_at(0.1)
+
+    @pytest.mark.parametrize(
+        "overrides, match",
+        [
+            (dict(dense_times=[0.0], dense_states=np.zeros((1, 2, 1))), "at least 2 instants"),
+            (dict(dense_times=[[0.0, 0.1, 0.2]]), r"dense_times .*shape \(1, 3\)"),
+            (dict(dense_times=[0.0, 0.1, 0.3]), "dense_times must be increasing and evenly spaced"),
+            (dict(dense_times=[0.2, 0.1, 0.0]), "dense_times must be increasing and evenly spaced"),
+            (dict(dense_states=np.zeros((2, 2, 1))), r"\(2, 2, 1\), expected \(3, 2, 1\)"),
+            (dict(dense_states=np.zeros((3, 1, 1))), r"dense_states has shape \(3, 1, 1\)"),
+            (dict(dense_states=np.zeros((3, 2, 2))), r"dense_states has shape \(3, 2, 2\)"),
+            (dict(dense_states=None), "dense_times and dense_states must be given together"),
+            (dict(x0=[1.0, 3.0]), r"x0 has shape \(2,\), expected \(2, 1\)"),
+            (dict(x0=np.zeros((3, 1))), r"x0 has shape \(3, 1\)"),
+        ],
+    )
+    def test_malformed_truth_named(self, overrides, match):
+        with pytest.raises(DataError, match=match):
+            _with_truth(**overrides)
 
 
 class TestComponentSeriesValidation:

@@ -13,7 +13,9 @@ from mredmd.edmd import (
     fit_model,
     generator_spectrum,
     predict,
+    predict_models,
 )
+from mredmd.experiments import evaluate_prediction
 from mredmd.errors import (
     ConfigurationError,
     DivergenceWarning,
@@ -301,6 +303,95 @@ class TestPredict:
         )
         with pytest.raises(ConfigurationError):
             predict(model, [1.0, 2.0], 3)
+
+
+def _lorenz_fit(degree, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-1, 1, size=(3, 300))
+    y = integrate(lorenz_field(), x.T, 0.01, 10)[-1].T
+    return fit_model(StatePairEnsemble(x=x, y=y, step=0.1), monomial_dictionary(3, degree))
+
+
+class TestPredictModels:
+    """Stacked prediction of the models of one report: each model's rows
+    are bit for bit its own ``predict``, NaN tails and warnings included."""
+
+    @staticmethod
+    def _models():
+        first, last = _lorenz_fit(2, seed=30), _lorenz_fit(2, seed=31)
+        # shares the dictionary; its rows blow up at different steps
+        diverging = edmd.KoopmanModel(
+            dictionary=first.dictionary,
+            k_mat=first.k_mat * 1e30,
+            l_complex=first.l_complex,
+            step=0.1,
+            readout=first.readout,
+        )
+        return {"first": first, "diverging": diverging, "last": last}
+
+    @staticmethod
+    def _x0s():
+        x0s = np.random.default_rng(32).uniform(-1, 1, size=(12, 3))
+        x0s[[2, 7]] *= [[1e-60], [1e60]]
+        return x0s
+
+    @pytest.mark.parametrize("mode", ["relift", "rollout"])
+    def test_rows_and_warnings_equal_each_model_alone(self, mode):
+        models, x0s = self._models(), self._x0s()
+        with warnings.catch_warnings(record=True) as alone:
+            warnings.simplefilter("always")
+            expected = np.stack([predict(m, x0s, 40, mode) for m in models.values()])
+        with warnings.catch_warnings(record=True) as stacked:
+            warnings.simplefilter("always")
+            out = predict_models(models.values(), x0s, 40, mode)
+        np.testing.assert_array_equal(out, expected)
+        messages = [str(w.message) for w in stacked if w.category is DivergenceWarning]
+        assert messages == [str(w.message) for w in alone if w.category is DivergenceWarning]
+        # the diverging model's rows leave at different steps; a stable model
+        # keeps all its rows but the one far outside the fitted box
+        assert len(set(messages)) > 1
+        assert np.isnan(out[1]).all(axis=(1, 2)).sum() == 0 and np.isnan(out[1]).any()
+        assert np.isfinite(np.delete(out[[0, 2]], 7, axis=1)).all()
+        # model then row: the warnings follow the NaN tails in that order
+        tails = np.isnan(out).any(axis=3)
+        assert messages == [
+            f"prediction diverged at step {int(np.argmax(tails[m, row])) + 1} of 40; "
+            "output truncated"
+            for m, row in np.argwhere(tails.any(axis=2)).tolist()
+        ]
+
+    def test_one_state_and_other_dictionaries(self):
+        models = [*self._models().values(), _lorenz_fit(3, seed=33)]
+        x0 = np.array([0.3, -0.2, 0.5])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            out = predict_models(models, x0, 15, "relift")
+            expected = np.stack([predict(m, x0, 15, "relift") for m in models])
+        assert out.shape == (4, 15, 3)
+        np.testing.assert_array_equal(out, expected)
+
+    def test_evaluate_prediction_rmse_unchanged(self):
+        models, x0s = self._models(), self._x0s()
+        truth = np.random.default_rng(34).uniform(-1, 1, size=(len(x0s), 40, 3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            _, _, predictions, rmse = evaluate_prediction(
+                models, lorenz_field(), x0s, 40, 0.1, "relift", truth
+            )
+            for name, model in models.items():
+                preds = predict(model, x0s, 40, "relift")
+                np.testing.assert_array_equal(predictions[name], preds)
+                expected = []
+                for row, row_truth in zip(preds, truth):
+                    finite = np.isfinite(row).all(axis=1)
+                    prefix = len(row) if finite.all() else int(np.argmax(~finite))
+                    err = row[:prefix] - row_truth[:prefix]
+                    expected.append(float(np.sqrt(np.mean(err**2))) if prefix else np.inf)
+                assert rmse[name] == expected
+
+    def test_needs_a_model(self):
+        with pytest.raises(ConfigurationError, match="no models"):
+            predict_models([], np.zeros(3), 5)
 
 
 class TestGeneratorSpectrum:
