@@ -6,7 +6,8 @@ Each state component i is sampled at instants ``r_i + l * T_i`` for
 trajectory). Ensembles are integrated on a common micro-grid whose step
 divides every dead time and period exactly, so sampled values are copies of
 integrated states, never interpolations. Only the states on the sample grid
-(``_STEPS_PER_GRID`` micro-steps apart) are kept.
+(``_STEPS_PER_GRID`` micro-steps apart) are kept, until each layout's
+samples are copied out of them.
 """
 
 import csv
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -184,7 +185,8 @@ class SamplingSchedule:
     """Per-component sampling pattern: samples at r_i + l*T_i, l = 0..count.
 
     ``count`` is the number of delay observables M_i; the schedule yields
-    ``count + 1`` samples per trajectory.
+    ``count + 1`` samples per trajectory. The fields are checked on
+    construction; a bad one raises a :class:`ConfigurationError` naming it.
     """
 
     component: int
@@ -193,14 +195,19 @@ class SamplingSchedule:
     count: int
 
     def __post_init__(self):
-        if self.component < 0:
-            raise ConfigurationError(f"component index must be >= 0, got {self.component}")
+        for name, low in (("component", 0), ("count", 1)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+                raise ConfigurationError(f"{name} must be an integer >= {low}, got {value!r}")
+        for name in ("dead_time", "period"):
+            value = getattr(self, name)
+            real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+            if not (real and math.isfinite(value)):
+                raise ConfigurationError(f"{name} must be a finite number, got {value!r}")
         if self.dead_time < 0:
             raise ConfigurationError(f"dead_time must be >= 0, got {self.dead_time}")
         if self.period <= 0:
             raise ConfigurationError(f"period must be > 0, got {self.period}")
-        if self.count < 1:
-            raise ConfigurationError(f"count must be >= 1, got {self.count}")
 
     def instants(self):
         """Sample times, shape (count + 1,)."""
@@ -221,13 +228,10 @@ class Ensemble:
 
     ``times[i]`` holds the sample instants of component i, shape (M_i + 1,),
     and ``values[i]`` the samples, shape (K, M_i + 1), row k belonging to
-    trajectory ``indices[k]``. Initial conditions ``x0`` (K, n) and the
-    ground truth ``dense_states`` (S, K, n) on ``dense_times`` (S,) are
-    optional: imported ensembles carry neither. :func:`sample_ensemble`
-    keeps the ground truth on the sample grid only, the evenly spaced
-    instants that hold every sample time and extra time (not the RK4
-    micro-steps between them). It exists for evaluation and baselines; the
-    estimation pipeline consumes nothing but the sampled values.
+    trajectory ``indices[k]``. An ensemble is sampled data only, whether
+    :func:`sample_ensembles` made it or :func:`import_ensemble` read it; a
+    reference of the full state is an ensemble of its own, sampled on a
+    full-state layout next to the partial one.
 
     The arrays are validated once, on construction.
     """
@@ -235,9 +239,6 @@ class Ensemble:
     times: dict
     values: dict
     indices: np.ndarray
-    x0: Optional[np.ndarray] = None
-    dense_times: Optional[np.ndarray] = None
-    dense_states: Optional[np.ndarray] = None
 
     def __post_init__(self):
         self.indices = np.asarray(self.indices, dtype=int)
@@ -260,46 +261,9 @@ class Ensemble:
                 raise DataError(f"component {comp}: non-finite sample times or values")
             if np.any(np.diff(times) <= 0):
                 raise DataError(f"component {comp}: sample times must be strictly increasing")
-        n = len(self.times)
-        if self.x0 is not None:
-            self.x0 = np.asarray(self.x0, dtype=float)
-            if self.x0.shape != (n_traj, n):
-                raise DataError(f"x0 has shape {self.x0.shape}, expected ({n_traj}, {n})")
-        if (self.dense_times is None) != (self.dense_states is None):
-            raise DataError("dense_times and dense_states must be given together")
-        if self.dense_times is not None:
-            self._check_ground_truth(n_traj, n)
-
-    def _check_ground_truth(self, n_traj, n):
-        """``dense_times`` is an even grid of at least 2 instants and
-        ``dense_states`` holds one (K, n) state per instant."""
-        times = self.dense_times = np.asarray(self.dense_times, dtype=float)
-        if times.ndim != 1 or times.size < 2:
-            raise DataError(
-                f"dense_times must be a 1-D grid of at least 2 instants, got shape {times.shape}"
-            )
-        spacing = times[1] - times[0]
-        if not (spacing > 0 and np.all(np.abs(np.diff(times) - spacing) <= 1e-6 * spacing)):
-            raise DataError("dense_times must be increasing and evenly spaced (to 1e-6)")
-        states = self.dense_states = np.asarray(self.dense_states, dtype=float)
-        if states.shape != (times.size, n_traj, n):
-            raise DataError(
-                f"dense_states has shape {states.shape}, expected ({times.size}, {n_traj}, {n})"
-            )
 
     def __len__(self):
         return self.indices.size
-
-    def dense_at(self, t):
-        """Ground-truth states at time t, shape (n, K); t must be an instant
-        of ``dense_times`` to within ``TIME_MATCH_TOL``."""
-        if self.dense_times is None:
-            raise DataError("ensemble has no ground truth")
-        start, spacing = self.dense_times[0], self.dense_times[1] - self.dense_times[0]
-        idx = int(round((t - start) / spacing))
-        if not 0 <= idx < len(self.dense_times) or abs(self.dense_times[idx] - t) > TIME_MATCH_TOL:
-            raise DataError(f"time {t:.6g} is not on the ground-truth grid")
-        return np.ascontiguousarray(self.dense_states[idx].T)
 
 
 def _as_fraction(t, what):
@@ -341,11 +305,6 @@ def common_micro_step(schedules, extra_times=()):
             f"{min_period / _MAX_GRID_REFINEMENT:.3g}s; align the schedule times"
         )
     return g / _STEPS_PER_GRID
-
-
-def _trajectory_rng(seed, k):
-    entropy = list(seed) if isinstance(seed, (tuple, list)) else [seed]
-    return np.random.default_rng(np.random.SeedSequence(entropy + [k]))
 
 
 #: Constants of NumPy's ``SeedSequence`` hash (O'Neill's seed_seq_fe) and
@@ -419,15 +378,7 @@ def _substream_uniform(seed, n_traj, box):
     return out
 
 
-def sample_ensemble(
-    field,
-    schedules,
-    n_traj,
-    init_box=None,
-    seed=0,
-    noise_std=0.0,
-    extra_times=(),
-):
+def sample_ensemble(field, schedules, n_traj, init_box=None, seed=0):
     """Integrate an ensemble and sample each component on its own schedule.
 
     Initial conditions are drawn i.i.d. uniform on ``init_box`` from
@@ -445,37 +396,34 @@ def sample_ensemble(
         Per-axis (low, high) bounds, shape (dim, 2). Defaults to [-1, 1]^dim.
     seed : int or sequence of int
         Base entropy for the per-trajectory substreams (non-negative).
-    noise_std : float
-        Standard deviation of additive Gaussian measurement noise applied to
-        the sampled values (0 leaves the exact integrated values untouched).
-    extra_times : sequence of float
-        Additional instants the ground truth must contain (e.g.
-        reconstruction targets); they join the sample-grid derivation.
 
     Returns
     -------
     Ensemble
     """
-    (ensemble,) = sample_ensembles(
-        field, schedules, n_traj, [seed], init_box, noise_std, extra_times
-    )
+    ((ensemble,),) = sample_ensembles(field, [schedules], n_traj, [seed], init_box)
     return ensemble
 
 
-def sample_ensembles(
-    field, schedules, n_traj, seeds, init_box=None, noise_std=0.0, extra_times=()
-):
-    """:func:`sample_ensemble` for each of ``seeds``, all K trajectories of
-    every seed integrated in one RK4 pass (see :func:`integrate_stacked`).
+def sample_ensembles(field, layouts, n_traj, seeds, init_box=None):
+    """Sample the same K trajectories of each seed on each of ``layouts``,
+    all of them integrated in one RK4 pass (see :func:`integrate_stacked`).
 
-    The sample grid depends on the schedules only, so the seeds share it.
-    Each ensemble's ground truth is its slice of the shared one.
+    A layout is a list of schedules that covers each state component once
+    (as :func:`sample_ensemble` takes). Returns, per seed, one
+    :class:`Ensemble` per layout: a full-state layout next to a partial one
+    gives the true states of the very trajectories the partial one samples.
+
+    The sample grid holds every sample time of every layout, so the seeds
+    share it. Its refinement limit (:func:`common_micro_step`) is set by the
+    smallest period of the first layout: the others only add their times.
     """
     n = field.dim
-    if sorted(s.component for s in schedules) != list(range(n)):
-        raise ConfigurationError(
-            "schedules must cover each state component exactly once"
-        )
+    for layout in layouts:
+        if sorted(s.component for s in layout) != list(range(n)):
+            raise ConfigurationError(
+                "schedules must cover each state component exactly once"
+            )
     if n_traj < 1:
         raise ConfigurationError(f"n_traj must be >= 1, got {n_traj}")
     box = np.asarray([(-1.0, 1.0)] * n if init_box is None else init_box, dtype=float)
@@ -483,47 +431,37 @@ def sample_ensembles(
         raise ConfigurationError(f"init_box must be (dim, 2) with low < high, got {box!r}")
     x0s = [_substream_uniform(seed, n_traj, box) for seed in seeds]
 
-    # The sample grid, spacing g, holds every sample time and extra time;
-    # RK4 runs _STEPS_PER_GRID micro-steps per grid step and keeps grid rows.
-    h_frac = common_micro_step(schedules, extra_times)
+    # The sample grid, spacing g, holds every sample time; RK4 runs
+    # _STEPS_PER_GRID micro-steps per grid step and keeps grid rows.
+    later = [s for layout in layouts[1:] for s in layout]
+    h_frac = common_micro_step(layouts[0], [t for s in later for t in (s.dead_time, s.period)])
     h, g = float(h_frac), h_frac * _STEPS_PER_GRID
-    end = max(
-        [s.dead_time + s.count * s.period for s in schedules] + [0.0, *extra_times]
-    )
+    end = max(s.dead_time + s.count * s.period for layout in layouts for s in layout)
     n_steps = _STEPS_PER_GRID * math.ceil(_as_fraction(end, "end time") / g)
     # g divides every dead time and period, so the grid indices are exact
-    grid = {
-        s.component: int(_as_fraction(s.dead_time, "dead_time") / g)
-        + int(_as_fraction(s.period, "period") / g) * np.arange(s.count + 1)
-        for s in schedules
-    }
-    dense_times = np.arange(0, n_steps + 1, _STEPS_PER_GRID) * h
-    ensembles = []
-    stacked = integrate_stacked(field, x0s, h, n_steps, every=_STEPS_PER_GRID)
-    for seed, x0, dense in zip(seeds, x0s, stacked):
-        values = {
-            s.component: np.ascontiguousarray(dense[grid[s.component], :, s.component].T)
-            for s in schedules
+    grids = [
+        {
+            s.component: int(_as_fraction(s.dead_time, "dead_time") / g)
+            + int(_as_fraction(s.period, "period") / g) * np.arange(s.count + 1)
+            for s in layout
         }
-        if noise_std > 0.0:
-            # Same draws in the same order as sampling trajectory by trajectory:
-            # each substream continues after its n uniform draws.
-            for k in range(n_traj):
-                rng = _trajectory_rng(seed, k)
-                rng.bit_generator.advance(n)
-                for s in schedules:
-                    values[s.component][k] += rng.normal(0.0, noise_std, size=s.count + 1)
-        ensembles.append(
+        for layout in layouts
+    ]
+    stacked = integrate_stacked(field, x0s, h, n_steps, every=_STEPS_PER_GRID)
+    return [
+        [
             Ensemble(
-                times={s.component: s.instants() for s in schedules},
-                values=values,
+                times={s.component: s.instants() for s in layout},
+                values={
+                    s.component: np.ascontiguousarray(dense[grid[s.component], :, s.component].T)
+                    for s in layout
+                },
                 indices=np.arange(n_traj),
-                x0=x0,
-                dense_times=dense_times,
-                dense_states=dense,
             )
-        )
-    return ensembles
+            for layout, grid in zip(layouts, grids)
+        ]
+        for dense in stacked
+    ]
 
 
 def _trajectory_files(directory):
@@ -570,8 +508,7 @@ def export_ensemble(ensemble, directory):
 def import_ensemble(directory):
     """Read an ensemble written by :func:`export_ensemble`.
 
-    This is the validation boundary for outside data. Imported ensembles
-    carry sampled values only (no initial conditions or dense ground truth).
+    This is the validation boundary for outside data.
 
     Raises
     ------

@@ -1,11 +1,13 @@
 """End-to-end experiment pipeline and its file I/O.
 
 ``run`` generates a sampled ensemble, reconstructs state pairs, fits the
-partial-measurement model next to an ideal baseline (full measurements from
-the same trajectories' dense ground truth) and, for the multirate mode, the
-naive baseline that only uses instants where the whole state is visible
-(period lcm(p) * T_s). Reports materialize as CSV/JSON files; identical
-config and seed reproduce identical bytes.
+partial-measurement model next to an ideal baseline (the same trajectories
+sampled in full at 0, T_s and 2 T_s) and, for the multirate mode, the naive
+baseline that only uses instants where the whole state is visible (period
+lcm(p) * T_s). Every model is fit on pairs that
+:func:`hankel.reconstruct_states` assembles from sampled data. Reports
+materialize as CSV/JSON files; identical config and seed reproduce
+identical bytes.
 
 ``run_sweep`` runs the same pipeline over many seeds one stage at a time,
 so each RK4 stage integrates a whole group of seeds in one batch; ``run``
@@ -32,7 +34,13 @@ from .dynamics import (
     sample_ensembles,
     SamplingSchedule,
 )
-from .errors import ConfigurationError, DataError, MredmdError, MredmdWarning
+from .errors import (
+    ConfigurationError,
+    DataError,
+    DimensionMismatchError,
+    MredmdError,
+    MredmdWarning,
+)
 from .linalg import cast_real, matrix_exp, spectrum_distance
 from .observables import monomial_dictionary
 
@@ -303,11 +311,10 @@ def _per_seed(reports, name, compute):
     return results
 
 
-def _pairs_from_dense(ensemble, t1, step):
-    """Ideal pairs (x(t1), x(t1 + step)) read off the ground truth."""
-    return edmd.StatePairEnsemble(
-        x=ensemble.dense_at(t1), y=ensemble.dense_at(t1 + step), step=step
-    )
+def _full_state(n, t_s):
+    """The ideal baseline's layout: every component measured at 0, T_s and
+    2 T_s, so its pairs (x(T_s), x(2 T_s)) need no estimate."""
+    return [SamplingSchedule(i, 0.0, t_s, 2) for i in range(n)]
 
 
 def _lcm_step_model(raw, step):
@@ -342,12 +349,20 @@ def evaluate_prediction(models, fld, x0s, horizon, step, mode="rollout", truth=N
     prefix when a rollout diverges). A ``truth`` already integrated for
     ``x0s`` (as a seed sweep integrates it, for all seeds at once) is used
     as given.
+
+    Raises
+    ------
+    DimensionMismatchError
+        If a given ``truth`` is not (len(x0s), horizon, n), naming both shapes.
     """
     if horizon < 1:
         raise ConfigurationError(f"horizon must be >= 1, got {horizon}")
     x0s = np.atleast_2d(np.asarray(x0s, dtype=float))
     if truth is None:
         (truth,) = _eval_truths(fld, [x0s], horizon, step)
+    elif np.shape(truth) != (len(x0s), horizon, x0s.shape[1]):
+        expected = (len(x0s), horizon, x0s.shape[1])
+        raise DimensionMismatchError(f"truth has shape {np.shape(truth)}, expected {expected}")
     times = np.arange(1, horizon + 1) * step
     predictions = {}
     rmse = {}
@@ -439,36 +454,38 @@ def _run_seeds(cfg, seeds):
         )
         for seed in seeds
     ]
-    # the ensembles, and the ground truth they share, go before evaluation
+    # the sampled ensembles are freed before evaluation
     _finish_reports(_sample_and_fit(cfg, fld, reports), cfg, fld)
     return reports
 
 
 def _sample_and_fit(cfg, fld, reports):
-    """Sample every report's ensemble in one RK4 batch, then fit its models;
-    returns the reports whose sampling succeeded."""
+    """Sample every report's ensemble, and its full-state twin for the ideal
+    baseline, in one RK4 batch, then fit its models; returns the reports
+    whose sampling succeeded."""
     mode = cfg.mode
     multirate = mode == "multirate"
     t_s = cfg.T_s
     targets = _targets(cfg)
     lcm_step = lcm_of_rates(cfg.rates) * t_s if multirate else None
     schedules = derive_schedules(cfg)
-    ensembles = _per_seed(
+    full_state = _full_state(fld.dim, t_s)
+    samples = _per_seed(
         reports,
         "sample",
         lambda idx: sample_ensembles(
             fld,
-            schedules,
+            [schedules, full_state],
             cfg.K,
             [reports[i].seed for i in idx],
             init_box=cfg.init_box,
-            extra_times=(t_s, 2 * t_s),  # the ideal pairs' instants
         ),
     )
     sampled = []
-    for report, ensemble in zip(reports, ensembles):
-        if ensemble is None:
+    for report, ensembles in zip(reports, samples):
+        if ensembles is None:
             continue
+        ensemble, full = ensembles
         sampled.append(report)
         with _stage(report, "reconstruct"):
             # stored before reconstructing, so a failed estimate still reports them
@@ -495,9 +512,8 @@ def _sample_and_fit(cfg, fld, reports):
                 report.residuals["lcm_step"] = step_residual
 
         with _stage(report, "fit_ideal"):
-            report.models["ideal"] = edmd.fit_model(
-                _pairs_from_dense(ensemble, t_s, t_s), report.dictionary
-            )
+            ideal_pairs = hankel.reconstruct_states(full, full_state, {}, t_s)
+            report.models["ideal"] = edmd.fit_model(ideal_pairs, report.dictionary)
 
     return sampled
 
@@ -526,12 +542,13 @@ def _noise_floors(cfg, seeds):
     sampled by one :func:`sample_ensembles` call (one RK4 batch)."""
     fld = system_field(cfg.system)
     dictionary = monomial_dictionary(fld.dim, cfg.degree, cfg.include_constant)
-    ideal = [SamplingSchedule(i, 0.0, cfg.T_s, 2) for i in range(fld.dim)]
+    full_state = _full_state(fld.dim, cfg.T_s)
     keys = [(seed, _NOISE_FLOOR_STREAM, half) for seed in seeds for half in (1, 2)]
-    ensembles = sample_ensembles(fld, ideal, cfg.K, keys, cfg.init_box)
     spectra = [
-        edmd.generator_spectrum(edmd.fit_model(pairs, dictionary))
-        for pairs in (_pairs_from_dense(ensemble, cfg.T_s, cfg.T_s) for ensemble in ensembles)
+        edmd.generator_spectrum(
+            edmd.fit_model(hankel.reconstruct_states(full, full_state, {}, cfg.T_s), dictionary)
+        )
+        for (full,) in sample_ensembles(fld, [full_state], cfg.K, keys, cfg.init_box)
     ]
     return [spectrum_distance(a, b) for a, b in zip(spectra[::2], spectra[1::2])]
 

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -69,6 +70,22 @@ def test_seed_override(tmp_path):
     main(["multirate", "--config", str(cfg), "--seed", "9", "--out", str(out)])
     summary = json.loads((out / "summary.json").read_text())
     assert summary["seed"] == 9
+
+
+def test_rates_without_a_fine_enough_grid_fail_to_sample(tmp_path, capsys):
+    # periods of 1001, 1002 and 1003 T_s share only T_s, a grid finer than
+    # the limit; the ideal baseline's period T_s must not lift that limit
+    cfg = write_config(tmp_path / "cfg.json", K=2, rates=[1001, 1002, 1003])
+    start = time.perf_counter()
+    assert main(["multirate", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 1
+    assert time.perf_counter() - start < 10.0
+    summary = json.loads((tmp_path / "r" / "summary.json").read_text())
+    (error,) = summary["errors"]
+    assert error["stage"] == "sample"
+    assert "sampling times share no common micro-step" in error["message"]
+    assert "error in stage sample: sampling times share no common micro-step" in (
+        capsys.readouterr().err
+    )
 
 
 def test_simulate_subcommand(tmp_path):

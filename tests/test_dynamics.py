@@ -226,6 +226,30 @@ class TestSamplingSchedule:
         with pytest.raises(ConfigurationError):
             SamplingSchedule(component=0, dead_time=0.0, period=0.5, count=0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("component", -1),
+            ("component", True),
+            ("component", 1.0),
+            ("dead_time", float("nan")),
+            ("dead_time", float("inf")),
+            ("dead_time", -0.1),
+            ("dead_time", "0.1"),
+            ("period", float("inf")),
+            ("period", float("nan")),
+            ("period", 0.0),
+            ("period", False),
+            ("count", 2.5),
+            ("count", True),
+            ("count", 0),
+        ],
+    )
+    def test_invalid_field_named(self, field, value):
+        fields = dict(component=0, dead_time=0.0, period=0.5, count=2)
+        with pytest.raises(ConfigurationError, match=rf"^{field} must be"):
+            SamplingSchedule(**{**fields, field: value})
+
 
 class TestCommonMicroStep:
     def test_benchmark_rates(self):
@@ -267,56 +291,59 @@ def benchmark_schedules(t_s=0.1):
     ]
 
 
+def full_state(t_s=0.1, count=2, dead_time=0.0):
+    """A layout that measures every Lorenz component at the same instants."""
+    return [SamplingSchedule(i, dead_time, t_s, count) for i in range(3)]
+
+
 class TestSampleEnsemble:
     def test_grid_aligned_samples_equal_dense(self):
         fld = lorenz_field()
-        schedules = [
-            SamplingSchedule(component=i, dead_time=0.0, period=0.1, count=2)
-            for i in range(3)
-        ]
+        schedules = full_state()
         ensemble = sample_ensemble(fld, schedules, 1, seed=0)
+        x0 = dynamics._substream_uniform(0, 1, np.array([(-1.0, 1.0)] * 3))
+        dense = integrate(fld, x0, float(common_micro_step(schedules)), 20)
         for i in range(3):
             np.testing.assert_allclose(ensemble.times[i], [0.0, 0.1, 0.2])
-            np.testing.assert_array_equal(
-                ensemble.values[i][0], ensemble.dense_states[[0, 1, 2], 0, i]
-            )
+            np.testing.assert_array_equal(ensemble.values[i][0], dense[[0, 10, 20], 0, i])
 
     def test_benchmark_multirate_instants(self):
-        ensemble = sample_ensemble(lorenz_field(), benchmark_schedules(), 300, seed=0)
-        assert len(ensemble) == 300
+        ((ensemble, full),) = dynamics.sample_ensembles(
+            lorenz_field(), [benchmark_schedules(), full_state(count=12)], 300, [0]
+        )
+        assert len(ensemble) == len(full) == 300
         assert ensemble.indices[17] == 17
         np.testing.assert_allclose(ensemble.times[1], [0.0, 0.4, 0.8, 1.2])
         np.testing.assert_allclose(ensemble.times[2], [0.0, 0.3, 0.6, 0.9, 1.2])
-        # the ground truth is kept on the 0.1 s sample grid, 13 rows
-        np.testing.assert_allclose(ensemble.dense_times, np.arange(13) * 0.1)
-        assert ensemble.dense_states.shape == (13, 300, 3)
-        np.testing.assert_array_equal(ensemble.values[1][17], ensemble.dense_states[::4, 17, 1])
-        np.testing.assert_array_equal(ensemble.values[2][17], ensemble.dense_states[::3, 17, 2])
+        # the full-state layout holds the same trajectories on the 0.1 s grid
+        np.testing.assert_allclose(full.times[1], np.arange(13) * 0.1)
+        np.testing.assert_array_equal(ensemble.values[0], full.values[0])
+        np.testing.assert_array_equal(ensemble.values[1][17], full.values[1][17, ::4])
+        np.testing.assert_array_equal(ensemble.values[2][17], full.values[2][17, ::3])
+        # a layout on the same grid leaves the other's samples bit for bit alone
+        alone = sample_ensemble(lorenz_field(), benchmark_schedules(), 300, seed=0)
+        for i in alone.values:
+            np.testing.assert_array_equal(alone.values[i], ensemble.values[i])
+            assert ensemble.values[i].flags.c_contiguous and full.values[i].flags.c_contiguous
 
     def test_same_seed_bit_identical(self):
         a = sample_ensemble(lorenz_field(), benchmark_schedules(), 5, seed=42)
         b = sample_ensemble(lorenz_field(), benchmark_schedules(), 5, seed=42)
-        np.testing.assert_array_equal(a.x0, b.x0)
-        np.testing.assert_array_equal(a.dense_states, b.dense_states)
         for i in a.values:
             np.testing.assert_array_equal(a.values[i], b.values[i])
 
     def test_different_seeds_differ(self):
         a = sample_ensemble(lorenz_field(), benchmark_schedules(), 2, seed=0)
         b = sample_ensemble(lorenz_field(), benchmark_schedules(), 2, seed=1)
-        assert not np.array_equal(a.x0[0], b.x0[0])
+        assert not np.array_equal(a.values[0][0], b.values[0][0])
 
     def test_init_box_respected(self):
+        # every benchmark component is measured at t=0, the initial state
         box = [(0.5, 1.0), (-2.0, -1.0), (3.0, 4.0)]
         ensemble = sample_ensemble(lorenz_field(), benchmark_schedules(), 20, init_box=box, seed=1)
         for i, (lo, hi) in enumerate(box):
-            assert np.all((ensemble.x0[:, i] >= lo) & (ensemble.x0[:, i] <= hi))
-
-    def test_noise_hook(self):
-        clean = sample_ensemble(lorenz_field(), benchmark_schedules(), 3, seed=5)
-        noisy = sample_ensemble(lorenz_field(), benchmark_schedules(), 3, seed=5, noise_std=0.01)
-        np.testing.assert_array_equal(clean.x0, noisy.x0)
-        assert not np.array_equal(clean.values[0][0], noisy.values[0][0])
+            x0 = ensemble.values[i][:, 0]
+            assert np.all((x0 >= lo) & (x0 <= hi))
 
     @pytest.mark.parametrize("seed", [-1, (3, -2), 1.5, "a", True, [1, [2]]])
     def test_bad_seed_rejected(self, seed):
@@ -326,6 +353,10 @@ class TestSampleEnsemble:
     def test_schedule_coverage_check(self):
         with pytest.raises(ConfigurationError):
             sample_ensemble(lorenz_field(), benchmark_schedules()[:2], 1, seed=0)
+        with pytest.raises(ConfigurationError, match="cover each state component"):
+            dynamics.sample_ensembles(
+                lorenz_field(), [benchmark_schedules(), full_state()[:2]], 1, [0]
+            )
 
     def test_sample_grid_matches_micro_grid(self, monkeypatch):
         # several seeds through one pass: each keeps the sample-grid rows of
@@ -342,34 +373,19 @@ class TestSampleEnsemble:
             return integrate_all(field, x0, step, n_steps, every)
 
         monkeypatch.setattr(dynamics, "integrate", spy)
-        ensembles = dynamics.sample_ensembles(
-            lorenz_field(), schedules, 8, [4, 5], extra_times=(0.3, 0.4)
-        )
+        layouts = [schedules, full_state(count=1, dead_time=0.3)]
+        sampled = dynamics.sample_ensembles(lorenz_field(), layouts, 8, [4, 5])
         ((h, n_steps, every),) = calls
         assert every == dynamics._STEPS_PER_GRID and n_steps == 90
-        for ensemble in ensembles:
-            assert ensemble.dense_states.shape == (n_steps // every + 1, 8, 3)
-            full = integrate_all(lorenz_field(), ensemble.x0, h, n_steps)
-            np.testing.assert_array_equal(ensemble.dense_states, full[::every])
-            np.testing.assert_array_equal(
-                ensemble.dense_times, (np.arange(n_steps + 1) * h)[::every]
-            )
-            for s in schedules:
-                grid = np.rint(s.instants() / h).astype(int)
-                np.testing.assert_array_equal(ensemble.values[s.component], full[grid, :, s.component].T)
-
-    def test_dense_value_at(self):
-        ensemble = sample_ensemble(
-            lorenz_field(), benchmark_schedules(), 2, seed=0, extra_times=(0.1, 0.2)
-        )
-        at = ensemble.dense_at(0.1)
-        np.testing.assert_array_equal(at, ensemble.dense_states[1].T)
-        assert at.flags.c_contiguous
-        with pytest.raises(DataError):
-            ensemble.dense_at(0.105)
-        # a micro-step between grid instants is not kept
-        with pytest.raises(DataError, match="not on the ground-truth grid"):
-            ensemble.dense_at(0.05)
+        for seed, ensembles in zip([4, 5], sampled):
+            x0 = dynamics._substream_uniform(seed, 8, np.array([(-1.0, 1.0)] * 3))
+            full = integrate_all(lorenz_field(), x0, h, n_steps)
+            for layout, ensemble in zip(layouts, ensembles):
+                for s in layout:
+                    grid = np.rint(s.instants() / h).astype(int)
+                    np.testing.assert_array_equal(
+                        ensemble.values[s.component], full[grid, :, s.component].T
+                    )
 
 
 class TestEnsembleCsvRoundtrip:
@@ -380,7 +396,6 @@ class TestEnsembleCsvRoundtrip:
         assert files == [f"trajectory_{k:05d}.csv" for k in range(3)]
         back = import_ensemble(tmp_path)
         np.testing.assert_array_equal(back.indices, ensemble.indices)
-        assert back.x0 is None and back.dense_states is None
         assert sorted(back.times) == sorted(ensemble.times)
         for i in ensemble.times:
             np.testing.assert_array_equal(back.times[i], ensemble.times[i])
@@ -497,55 +512,6 @@ class TestImportValidation:
             import_ensemble(tmp_path)
 
 
-def _with_truth(**overrides):
-    """A one-component, two-trajectory ensemble with ground truth on
-    0, 0.1, 0.2; ``overrides`` replace its fields."""
-    fields = dict(
-        times={0: [0.0, 0.1]},
-        values={0: [[1.0, 2.0], [3.0, 4.0]]},
-        indices=[0, 1],
-        x0=[[1.0], [3.0]],
-        dense_times=[0.0, 0.1, 0.2],
-        dense_states=np.arange(6.0).reshape(3, 2, 1),
-    )
-    fields.update(overrides)
-    return Ensemble(**fields)
-
-
-class TestGroundTruthValidation:
-    """Ground truth is checked on construction, so ``dense_at`` never reads
-    past it."""
-
-    def test_valid_truth_accepted(self):
-        ensemble = _with_truth()
-        np.testing.assert_array_equal(ensemble.dense_at(0.2), [[4.0, 5.0]])
-
-    def test_grid_may_start_after_zero(self):
-        ensemble = _with_truth(dense_times=[0.5, 0.6, 0.7])
-        np.testing.assert_array_equal(ensemble.dense_at(0.6), [[2.0, 3.0]])
-        with pytest.raises(DataError, match="not on the ground-truth grid"):
-            ensemble.dense_at(0.1)
-
-    @pytest.mark.parametrize(
-        "overrides, match",
-        [
-            (dict(dense_times=[0.0], dense_states=np.zeros((1, 2, 1))), "at least 2 instants"),
-            (dict(dense_times=[[0.0, 0.1, 0.2]]), r"dense_times .*shape \(1, 3\)"),
-            (dict(dense_times=[0.0, 0.1, 0.3]), "dense_times must be increasing and evenly spaced"),
-            (dict(dense_times=[0.2, 0.1, 0.0]), "dense_times must be increasing and evenly spaced"),
-            (dict(dense_states=np.zeros((2, 2, 1))), r"\(2, 2, 1\), expected \(3, 2, 1\)"),
-            (dict(dense_states=np.zeros((3, 1, 1))), r"dense_states has shape \(3, 1, 1\)"),
-            (dict(dense_states=np.zeros((3, 2, 2))), r"dense_states has shape \(3, 2, 2\)"),
-            (dict(dense_states=None), "dense_times and dense_states must be given together"),
-            (dict(x0=[1.0, 3.0]), r"x0 has shape \(2,\), expected \(2, 1\)"),
-            (dict(x0=np.zeros((3, 1))), r"x0 has shape \(3, 1\)"),
-        ],
-    )
-    def test_malformed_truth_named(self, overrides, match):
-        with pytest.raises(DataError, match=match):
-            _with_truth(**overrides)
-
-
 class TestComponentSeriesValidation:
     """Sample series are validated once, when their ensemble is built."""
 
@@ -558,9 +524,3 @@ class TestComponentSeriesValidation:
     def test_unique_indices(self):
         with pytest.raises(DataError, match="unique"):
             Ensemble(times={0: [0.0, 0.1]}, values={0: [[1.0, 2.0]] * 2}, indices=[1, 1])
-
-    def test_record_requires_dense_for_truth(self):
-        ensemble = Ensemble(times={0: [0.0, 0.1]}, values={0: [[1.0, 2.0]]}, indices=[0])
-        assert ensemble.dense_states is None
-        with pytest.raises(DataError):
-            ensemble.dense_at(0.1)

@@ -19,7 +19,6 @@ import pytest
 
 from mredmd import edmd, hankel
 from mredmd.dynamics import (
-    _STEPS_PER_GRID,
     SamplingSchedule,
     TIME_MATCH_TOL,
     common_micro_step,
@@ -27,12 +26,13 @@ from mredmd.dynamics import (
     linear_field,
     lorenz_field,
     sample_ensemble,
+    sample_ensembles,
 )
 from mredmd.errors import DivergenceWarning
 from mredmd.experiments import (
     _NOISE_FLOOR_STREAM,
     ExperimentConfig,
-    _pairs_from_dense,
+    _full_state,
     derive_schedules,
     emit_comparison,
     emit_report,
@@ -59,17 +59,17 @@ def single_state_schedules(t_s=0.1, n=3):
     ]
 
 
-def reference_records(
-    fld, schedules, n_traj, seed, noise_std=0.0, extra_times=(), init_box=None
-):
-    """Sample trajectory by trajectory on the whole micro-grid: a list of
-    dicts with ``x0``, ``series`` ({component: sampled values}) and ``dense``
-    (S, n), and the micro-grid times (S,)."""
+def reference_records(fld, schedules, n_traj, seed, extra_times=(), init_box=None):
+    """Sample trajectory by trajectory on the whole micro-grid, which also
+    holds ``extra_times``: a list of dicts with ``x0``, ``series``
+    ({component: sampled values}) and ``dense`` (S, n), and the micro-grid
+    times (S,)."""
     h = common_micro_step(schedules, extra_times)
     end = max([s.dead_time + s.count * s.period for s in schedules] + [0.0, *extra_times])
     n_steps = math.ceil(Fraction(end).limit_denominator(10**9) / h)
     box = np.array(init_box if init_box is not None else [(-1.0, 1.0)] * fld.dim)
-    rngs = [np.random.default_rng(np.random.SeedSequence([seed, k])) for k in range(n_traj)]
+    entropy = list(seed) if isinstance(seed, tuple) else [seed]
+    rngs = [np.random.default_rng(np.random.SeedSequence(entropy + [k])) for k in range(n_traj)]
     x0s = np.stack([rng.uniform(box[:, 0], box[:, 1]) for rng in rngs])
     dense = integrate(fld, x0s, float(h), n_steps)
     records = []
@@ -77,10 +77,7 @@ def reference_records(
         series = {}
         for s in schedules:
             grid = np.rint(s.instants() / float(h)).astype(int)
-            values = dense[grid, k, s.component]
-            if noise_std > 0.0:
-                values = values + rngs[k].normal(0.0, noise_std, size=values.shape)
-            series[s.component] = values
+            series[s.component] = dense[grid, k, s.component]
         records.append({"x0": x0s[k], "series": series, "dense": dense[:, k, :]})
     return records, np.arange(n_steps + 1) * float(h)
 
@@ -124,29 +121,38 @@ def reference_dense_at(records, dense_times, t):
 
 
 @pytest.mark.parametrize("init_box", [None, [(0.5, 1.0), (-2.0, -1.0), (3.0, 4.0)]])
-@pytest.mark.parametrize("noise_std", [0.0, 0.01])
+@pytest.mark.parametrize("full_dead_time", [0.0, 0.05])
 @pytest.mark.parametrize("schedules", [multirate_schedules(), single_state_schedules()])
-def test_samples_match_loop(schedules, noise_std, init_box):
-    ensemble = sample_ensemble(
-        lorenz_field(), schedules, 25, init_box=init_box, seed=7, noise_std=noise_std
+def test_samples_match_loop(schedules, full_dead_time, init_box):
+    # a full-state layout sampled next to the partial one; a dead time of
+    # 0.05 s halves the grid that both share
+    full_state = [SamplingSchedule(i, full_dead_time, 0.1, 2) for i in range(3)]
+    ((ensemble, full),) = sample_ensembles(
+        lorenz_field(), [schedules, full_state], 25, [7], init_box=init_box
     )
+    extra = [t for s in full_state for t in (s.dead_time, s.period)]
     records, dense_times = reference_records(
-        lorenz_field(), schedules, 25, 7, noise_std, init_box=init_box
+        lorenz_field(), schedules, 25, 7, extra_times=extra, init_box=init_box
     )
-    # the ensemble keeps the sample grid: every _STEPS_PER_GRID-th micro-step
-    np.testing.assert_array_equal(ensemble.dense_times, dense_times[::_STEPS_PER_GRID])
     for k, rec in enumerate(records):
-        np.testing.assert_array_equal(ensemble.x0[k], rec["x0"])
-        np.testing.assert_array_equal(ensemble.dense_states[:, k], rec["dense"][::_STEPS_PER_GRID])
         for s in schedules:
             np.testing.assert_array_equal(ensemble.times[s.component], s.instants())
             np.testing.assert_array_equal(ensemble.values[s.component][k], rec["series"][s.component])
+        for s in full_state:
+            grid = np.rint(s.instants() / dense_times[1]).astype(int)
+            np.testing.assert_array_equal(full.values[s.component][k], rec["dense"][grid, s.component])
+    if full_dead_time == 0.0:
+        # a layout on the partial one's own grid changes none of its bits
+        alone = sample_ensemble(lorenz_field(), schedules, 25, init_box=init_box, seed=7)
+        for s in schedules:
+            np.testing.assert_array_equal(alone.values[s.component], ensemble.values[s.component])
 
 
+@pytest.mark.filterwarnings("ignore::mredmd.errors.IllConditionedWarning")
 @pytest.mark.parametrize("schedules", [multirate_schedules(), single_state_schedules()])
 def test_hankel_matrices_match_loop(schedules):
-    ensemble = sample_ensemble(lorenz_field(), schedules, 40, seed=3, noise_std=0.01)
-    records, _ = reference_records(lorenz_field(), schedules, 40, 3, noise_std=0.01)
+    ensemble = sample_ensemble(lorenz_field(), schedules, 40, seed=3)
+    records, _ = reference_records(lorenz_field(), schedules, 40, 3)
     for s in schedules:
         ref_x, ref_y = reference_hankel(records, s)
         np.testing.assert_array_equal(hankel.fit_component_operator(ensemble, s).p_x, ref_x)
@@ -157,17 +163,17 @@ def test_hankel_matrices_match_loop(schedules):
 
 
 @pytest.mark.parametrize(
-    "schedules, step, first_target, extra",
+    "schedules, step, first_target",
     [
-        (multirate_schedules(), 0.1, 0.1, (0.1, 0.2)),
-        (multirate_schedules(), 1.2, 0.0, (0.1, 0.2, 1.2)),
-        (single_state_schedules(), 0.1, 0.3, (0.3, 0.4)),
+        (multirate_schedules(), 0.1, 0.1),
+        (multirate_schedules(), 1.2, 0.0),
+        (single_state_schedules(), 0.1, 0.3),
     ],
     ids=["multirate", "lcm", "single_state"],
 )
-def test_reconstructed_pairs_match_loop(schedules, step, first_target, extra):
-    ensemble = sample_ensemble(lorenz_field(), schedules, 120, seed=5, extra_times=extra)
-    records, _ = reference_records(lorenz_field(), schedules, 120, 5, extra_times=extra)
+def test_reconstructed_pairs_match_loop(schedules, step, first_target):
+    ensemble = sample_ensemble(lorenz_field(), schedules, 120, seed=5)
+    records, _ = reference_records(lorenz_field(), schedules, 120, 5)
     operators = hankel.fit_component_operators(
         ensemble, schedules, (first_target, first_target + step)
     )
@@ -180,30 +186,35 @@ def test_reconstructed_pairs_match_loop(schedules, step, first_target, extra):
 
 
 def test_ideal_pairs_match_loop():
-    schedules = multirate_schedules()
-    ensemble = sample_ensemble(lorenz_field(), schedules, 30, seed=11, extra_times=(0.1, 0.2))
-    records, dense_times = reference_records(
-        lorenz_field(), schedules, 30, 11, extra_times=(0.1, 0.2)
-    )
-    pairs = _pairs_from_dense(ensemble, 0.1, 0.1)
+    # the ideal pairs: the full-state layout sampled next to the run's own,
+    # through the reconstruction that the partial pairs take
+    schedules, full_state = multirate_schedules(), _full_state(3, 0.1)
+    ((_, full),) = sample_ensembles(lorenz_field(), [schedules, full_state], 30, [11])
+    records, dense_times = reference_records(lorenz_field(), schedules, 30, 11)
+    pairs = hankel.reconstruct_states(full, full_state, {}, 0.1)
+    assert pairs.x_estimated == pairs.y_estimated == (False, False, False)
     np.testing.assert_array_equal(pairs.x, reference_dense_at(records, dense_times, 0.1))
     np.testing.assert_array_equal(pairs.y, reference_dense_at(records, dense_times, 0.2))
     assert pairs.x.flags.c_contiguous and pairs.y.flags.c_contiguous
 
 
 def reference_noise_floor_pairs(cfg, half):
-    """The noise floor's ideal pairs read off an ensemble sampled on the
-    config's own schedules, as the floor first computed them; the floor now
-    samples the full state at 0, T_s and 2 T_s instead."""
-    ensemble = sample_ensemble(
+    """The noise floor's ideal pairs read trajectory by trajectory off the
+    micro-grid of the config's own schedules, as the floor first computed
+    them; the floor now samples the full state at 0, T_s and 2 T_s instead."""
+    records, dense_times = reference_records(
         lorenz_field(),
         derive_schedules(cfg),
         cfg.K,
-        init_box=cfg.init_box,
-        seed=(cfg.seed, _NOISE_FLOOR_STREAM, half),
+        (cfg.seed, _NOISE_FLOOR_STREAM, half),
         extra_times=(cfg.T_s, 2 * cfg.T_s),
+        init_box=cfg.init_box,
     )
-    return _pairs_from_dense(ensemble, cfg.T_s, cfg.T_s)
+    return edmd.StatePairEnsemble(
+        x=reference_dense_at(records, dense_times, cfg.T_s),
+        y=reference_dense_at(records, dense_times, 2 * cfg.T_s),
+        step=cfg.T_s,
+    )
 
 
 NOISE_FLOOR_CONFIGS = [
@@ -230,10 +241,8 @@ def test_noise_floor_matches_sampled_ensemble(overrides):
 
 def test_prefix_of_larger_ensemble():
     # sampling is bit-identical per trajectory regardless of the batch size
-    small = sample_ensemble(lorenz_field(), multirate_schedules(), 7, seed=2, noise_std=0.01)
-    large = sample_ensemble(lorenz_field(), multirate_schedules(), 30, seed=2, noise_std=0.01)
-    np.testing.assert_array_equal(small.x0, large.x0[:7])
-    np.testing.assert_array_equal(small.dense_states, large.dense_states[:, :7])
+    small = sample_ensemble(lorenz_field(), multirate_schedules(), 7, seed=2)
+    large = sample_ensemble(lorenz_field(), multirate_schedules(), 30, seed=2)
     for comp in small.values:
         np.testing.assert_array_equal(small.values[comp], large.values[comp][:7])
 
@@ -247,9 +256,11 @@ SEED_FORMS += [(7, 2**40 + 2, 1), (7, 2**40 + 2, 2), (2**40, 3)]
 @pytest.mark.parametrize("init_box", [None, [(0.5, 1.0), (-2.0, -1.0), (3.0, 4.0)]])
 @pytest.mark.parametrize("seed", SEED_FORMS, ids=str)
 def test_initial_conditions_match_substreams(seed, init_box, n_traj):
-    # the whole-array seed kernel against one Generator per trajectory
+    # the whole-array seed kernel against one Generator per trajectory; every
+    # component is measured at t=0, the initial state
     schedules = [SamplingSchedule(i, dead_time=0.0, period=0.1, count=1) for i in range(3)]
     ensemble = sample_ensemble(lorenz_field(), schedules, n_traj, init_box=init_box, seed=seed)
+    x0 = np.stack([ensemble.values[i][:, 0] for i in range(3)], axis=1)
     box = init_box if init_box is not None else [(-1.0, 1.0)] * 3
     entropy = list(seed) if isinstance(seed, tuple) else [seed]
     expected = np.array(
@@ -260,7 +271,7 @@ def test_initial_conditions_match_substreams(seed, init_box, n_traj):
             )
         ]
     )
-    assert np.array_equal(ensemble.x0, expected)
+    assert np.array_equal(x0, expected)
 
 
 def reference_predict(model, x0, steps, mode):

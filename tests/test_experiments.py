@@ -4,6 +4,7 @@ import ast
 import csv
 import json
 import math
+import re
 import warnings
 from pathlib import Path
 
@@ -244,6 +245,17 @@ class TestEvaluatePrediction:
             )
         assert np.isfinite(rmse["bad"][0])  # finite-prefix RMSE
         assert rmse["bad"][0] > 1.0
+
+    @pytest.mark.parametrize("shape", [(4, 10, 3), (5, 9, 3), (5, 10, 2), (50, 3)])
+    def test_truth_of_another_shape_named(self, shape):
+        d = monomial_dictionary(3, 1)
+        x = np.random.default_rng(0).uniform(-1, 1, size=(3, 20))
+        model = fit_model(StatePairEnsemble(x=x, y=x, step=0.1), d)
+        fld = linear_field(np.zeros((3, 3)))
+        x0s = np.zeros((5, 3))
+        both = re.escape(f"truth has shape {shape}, expected (5, 10, 3)")
+        with pytest.raises(errors.DimensionMismatchError, match=both):
+            evaluate_prediction({"id": model}, fld, x0s, 10, 0.1, truth=np.zeros(shape))
 
 
 class TestRunMultirate:

@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 from mredmd import hankel, linalg
-from mredmd.dynamics import Ensemble, SamplingSchedule, lorenz_field, sample_ensemble
+from mredmd.dynamics import (
+    Ensemble,
+    SamplingSchedule,
+    lorenz_field,
+    sample_ensemble,
+    sample_ensembles,
+)
 from mredmd.edmd import StatePairEnsemble, fit_model
 from mredmd.errors import (
     DataError,
@@ -352,12 +358,13 @@ class TestReconstructStates:
         pairs = reconstruct(ensemble, schedules, 0.1)
         assert pairs.x_estimated == (False, False, False)
         assert pairs.y_estimated == (False, False, False)
-        np.testing.assert_array_equal(pairs.x, ensemble.dense_at(0.1))
-        np.testing.assert_array_equal(pairs.y, ensemble.dense_at(0.2))
+        for i in range(3):
+            np.testing.assert_array_equal(pairs.x[i], ensemble.values[i][:, 1])
+            np.testing.assert_array_equal(pairs.y[i], ensemble.values[i][:, 2])
 
     def test_multirate_provenance(self):
         schedules = multirate_schedules()
-        ensemble = sample_ensemble(lorenz_field(), schedules, 40, seed=1, extra_times=(0.1, 0.2))
+        ensemble = sample_ensemble(lorenz_field(), schedules, 40, seed=1)
         pairs = reconstruct(ensemble, schedules, 0.1)
         assert pairs.x_estimated == (False, True, True)
         assert pairs.y_estimated == (False, True, True)
@@ -367,17 +374,16 @@ class TestReconstructStates:
 
     def test_multirate_estimates_near_truth(self):
         schedules = multirate_schedules()
-        ensemble = sample_ensemble(lorenz_field(), schedules, 300, seed=2, extra_times=(0.1, 0.2))
+        full_state = [SamplingSchedule(i, 0.0, 0.1, 2) for i in range(3)]
+        ((ensemble, full),) = sample_ensembles(lorenz_field(), [schedules, full_state], 300, [2])
         pairs = reconstruct(ensemble, schedules, 0.1)
-        err = np.abs(pairs.x - ensemble.dense_at(0.1))
+        err = np.abs(pairs.x - reconstruct(full, full_state, 0.1).x)
         assert err[1].mean() < 0.02
         assert err[2].mean() < 0.02
 
     def test_single_state_pattern(self):
         schedules = single_state_schedules()
-        ensemble = sample_ensemble(
-            lorenz_field(), schedules, 60, seed=3, extra_times=(0.3, 0.4)
-        )
+        ensemble = sample_ensemble(lorenz_field(), schedules, 60, seed=3)
         pairs = reconstruct(ensemble, schedules, 0.1, first_target=0.3)
         assert pairs.x_estimated == (True, True, False)
         assert pairs.y_estimated == (False, True, True)
@@ -386,7 +392,7 @@ class TestReconstructStates:
 
     def test_operators_reused(self):
         schedules = multirate_schedules()
-        ensemble = sample_ensemble(lorenz_field(), schedules, 30, seed=4, extra_times=(0.1, 0.2))
+        ensemble = sample_ensemble(lorenz_field(), schedules, 30, seed=4)
         ops = fit_component_operators(ensemble, schedules, (0.1, 0.2))
         assert list(ops) == [1, 2]
         pairs = reconstruct_states(ensemble, schedules, ops, 0.1)
@@ -396,7 +402,7 @@ class TestReconstructStates:
 
     def test_missing_operator_rejected(self):
         schedules = multirate_schedules()
-        ensemble = sample_ensemble(lorenz_field(), schedules, 30, seed=4, extra_times=(0.1, 0.2))
+        ensemble = sample_ensemble(lorenz_field(), schedules, 30, seed=4)
         ops = fit_component_operators(ensemble, schedules, (0.1, 0.2))
         del ops[2]
         with pytest.raises(DataError, match="component 2"):

@@ -19,7 +19,7 @@ def test_readme_python_block_runs(capsys):
     exec(compile(block, str(README), "exec"), {"__name__": "readme"})
     out = capsys.readouterr().out
     assert "(300, 4)" in out  # ensemble.values[1].shape
-    assert "(3, 300)" in out  # ensemble.dense_at(0.2).shape
+    assert "(3, 300) (False, False, False)" in out  # truth.x.shape, truth.x_estimated
     assert "(2, 10, 3)" in out  # batched predict
 
 

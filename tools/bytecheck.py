@@ -86,6 +86,7 @@ COMMANDS = [
     ("compare_single_fine", "compare", _SINGLE_FINE, ["--num-seeds", "10"]),
     ("compare_single_k5", "compare", {**_SINGLE, "K": 5}, ["--num-seeds", "4"]),  # 1
     ("simulate_k300", "simulate", {**_MULTIRATE, "K": 300}, []),
+    ("simulate_single_k100", "simulate", {**_SINGLE, "K": 100}, []),
 ]
 
 _SOURCE_LINE = re.compile(r"[^\s\"']*/mredmd/(\w+)\.py:\d+")
