@@ -40,6 +40,7 @@ from .experiments import (
     run,
     run_sweep,
     save_model,
+    simulate,
 )
 from .hankel import (
     ComponentOperator,
@@ -110,4 +111,5 @@ __all__ = [
     "run",
     "run_sweep",
     "save_model",
+    "simulate",
 ]

@@ -4,7 +4,8 @@ Subcommands
 -----------
 multirate     Run the multirate pipeline from a JSON config and emit a report.
 single-state  Run the single-state pipeline.
-simulate      Generate a sampled ensemble and export it as per-trajectory CSVs.
+simulate      Export the sampled ensemble that multirate/single-state fits for the
+              same config and seed, as per-trajectory CSVs.
 compare       Run the configured pipeline over a range of seeds and tabulate
               method comparisons.
 
@@ -19,7 +20,7 @@ import warnings
 from dataclasses import replace
 
 from . import experiments
-from .dynamics import export_ensemble, sample_ensemble
+from .dynamics import export_ensemble
 from .errors import ConfigurationError, MredmdError
 
 
@@ -65,11 +66,7 @@ def _run_pipeline(args, mode):
 
 def _run_simulate(args):
     cfg = _load_config(args)
-    schedules = experiments.derive_schedules(cfg)
-    fld = experiments.system_field(cfg.system)
-    ensemble = sample_ensemble(
-        fld, schedules, cfg.K, init_box=cfg.init_box, seed=cfg.seed
-    )
+    ((ensemble, _),) = experiments.simulate(cfg, [cfg.seed])
     export_ensemble(ensemble, cfg.output_dir)
     print(f"{len(ensemble)} trajectories written to {cfg.output_dir}")
     return 0

@@ -424,8 +424,8 @@ def sample_ensembles(field, layouts, n_traj, seeds, init_box=None):
             raise ConfigurationError(
                 "schedules must cover each state component exactly once"
             )
-    if n_traj < 1:
-        raise ConfigurationError(f"n_traj must be >= 1, got {n_traj}")
+    if isinstance(n_traj, bool) or not isinstance(n_traj, numbers.Integral) or n_traj < 1:
+        raise ConfigurationError(f"n_traj must be an integer >= 1, got {n_traj!r}")
     box = np.asarray([(-1.0, 1.0)] * n if init_box is None else init_box, dtype=float)
     if box.shape != (n, 2) or not np.all(box[:, 0] < box[:, 1]):
         raise ConfigurationError(f"init_box must be (dim, 2) with low < high, got {box!r}")

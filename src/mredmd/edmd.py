@@ -4,7 +4,6 @@ extraction via the principal logarithm, spectra, and lifted-space prediction.
 
 import warnings
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -69,13 +68,14 @@ class KoopmanModel(ComplexGenerator):
 
     ``k_mat`` advances lifted vectors by one step of length ``step``;
     ``l_complex`` is the principal logarithm of ``k_mat`` over ``step``.
+    States are read out of lifted vectors through the coordinate
+    observables of ``dictionary`` (:func:`coordinate_readout`).
     """
 
     dictionary: Dictionary
     k_mat: np.ndarray
     l_complex: np.ndarray
     step: float
-    readout: Optional[np.ndarray]
 
 
 def fit_model(pairs, dictionary):
@@ -103,13 +103,7 @@ def fit_model(pairs, dictionary):
         )
     with labelled(f"EDMD fit ({pairs.n_pairs} pairs, {dictionary.size} observables)"):
         k_mat, l_complex = linalg.koopman_fit(p_x, p_y, pairs.step)
-    try:
-        readout = coordinate_readout(dictionary)
-    except ConfigurationError:
-        readout = None
-    return KoopmanModel(
-        dictionary=dictionary, k_mat=k_mat, l_complex=l_complex, step=pairs.step, readout=readout
-    )
+    return KoopmanModel(dictionary=dictionary, k_mat=k_mat, l_complex=l_complex, step=pairs.step)
 
 
 def predict(model, x0, steps, mode="rollout"):
@@ -134,11 +128,16 @@ def predict(model, x0, steps, mode="rollout"):
 def predict_models(models, x0, steps, mode="rollout"):
     """:func:`predict` of each of ``models`` from the same initial states.
 
-    Consecutive models that share their dictionary and readout (as the
-    models of one report do) advance in one loop: one lift per step for all
-    of them, and one gemv per model and row. Each model's rows are bit for
-    bit its own :func:`predict`, with the same NaN tails and the same
+    The models share one dictionary (as the models of one report do) and
+    advance in one loop: one lift per step for all of them, and one gemv per
+    model and row. Each model's rows are bit for bit its own
+    :func:`predict`, with the same NaN tails and the same
     :class:`DivergenceWarning` messages, by model, then by row.
+
+    Raises
+    ------
+    ConfigurationError
+        If the models do not share one dictionary.
 
     Returns
     -------
@@ -154,26 +153,27 @@ def _predict(models, x0, steps, mode):
     models = list(models)
     if not models:
         raise ConfigurationError("no models to predict")
-    if any(model.readout is None for model in models):
+    dictionary = models[0].dictionary
+    if any(model.dictionary != dictionary for model in models):
+        raise ConfigurationError("models to predict together must share one dictionary")
+    try:
+        readout = coordinate_readout(dictionary)
+    except ConfigurationError:
         raise ConfigurationError(
             "model dictionary has no coordinate observables; cannot read out states"
-        )
+        ) from None
     if steps < 1:
         raise ConfigurationError(f"steps must be >= 1, got {steps}")
     if mode not in ("rollout", "relift"):
         raise ConfigurationError(f"unknown prediction mode {mode!r}")
     x0 = np.asarray(x0, dtype=float)
-    for n in sorted({model.dictionary.dim for model in models}):
-        if x0.ndim not in (1, 2) or x0.shape[-1] != n:
-            raise ConfigurationError(f"x0 has shape {x0.shape}, expected ({n},) or (B, {n})")
+    n = dictionary.dim
+    if x0.ndim not in (1, 2) or x0.shape[-1] != n:
+        raise ConfigurationError(f"x0 has shape {x0.shape}, expected ({n},) or (B, {n})")
     x = np.atleast_2d(x0)
-    out = np.empty((len(models), len(x), steps, x.shape[1]))
+    out = np.empty((len(models), len(x), steps, n))
     diverged_at = np.zeros((len(models), len(x)), dtype=int)
-    start = 0
-    for stop in range(1, len(models) + 1):
-        if stop == len(models) or not _shares_lift(models[start], models[stop]):
-            _advance(models[start:stop], x, mode, out[start:stop], diverged_at[start:stop])
-            start = stop
+    _advance(models, dictionary, readout, x, mode, out, diverged_at)
     for m, row in np.argwhere(diverged_at > 0).tolist():
         j = int(diverged_at[m, row])
         out[m, row, j - 1 :] = np.nan
@@ -185,16 +185,11 @@ def _predict(models, x0, steps, mode):
     return out if x0.ndim == 2 else out[:, 0]
 
 
-def _shares_lift(a, b):
-    return a.dictionary == b.dictionary and np.array_equal(a.readout, b.readout)
-
-
-def _advance(models, x, mode, out, diverged_at):
+def _advance(models, dictionary, readout, x, mode, out, diverged_at):
     """Fill ``out`` (M, B, steps, n) with the predictions of ``models``,
-    which share one dictionary and readout, from the rows of ``x`` (B, n),
-    and ``diverged_at`` (M, B) with the 1-based step at which each model's
-    row became non-finite (0 if it did not)."""
-    dictionary, readout = models[0].dictionary, models[0].readout
+    which share ``dictionary`` and its ``readout``, from the rows of ``x``
+    (B, n), and ``diverged_at`` (M, B) with the 1-based step at which each
+    model's row became non-finite (0 if it did not)."""
     n_models, n_rows, steps, n = out.shape
     k_mats = np.stack([model.k_mat for model in models])[:, None]  # (M, 1, N, N)
     x = np.broadcast_to(x, (n_models, n_rows, n))

@@ -1,10 +1,10 @@
 """End-to-end experiment pipeline and its file I/O.
 
-``run`` generates a sampled ensemble, reconstructs state pairs, fits the
-partial-measurement model next to an ideal baseline (the same trajectories
-sampled in full at 0, T_s and 2 T_s) and, for the multirate mode, the naive
-baseline that only uses instants where the whole state is visible (period
-lcm(p) * T_s). Every model is fit on pairs that
+``run`` samples an ensemble (:func:`simulate`), reconstructs state pairs,
+fits the partial-measurement model next to an ideal baseline (the same
+trajectories sampled in full at 0, T_s and 2 T_s) and, for the multirate
+mode, the naive baseline that only uses instants where the whole state is
+visible (period lcm(p) * T_s). Every model is fit on pairs that
 :func:`hankel.reconstruct_states` assembles from sampled data. Reports
 materialize as CSV/JSON files; identical config and seed reproduce
 identical bytes.
@@ -16,6 +16,7 @@ is its one-seed case.
 
 import json
 import math
+import numbers
 import re
 import warnings
 from contextlib import contextmanager
@@ -317,6 +318,21 @@ def _full_state(n, t_s):
     return [SamplingSchedule(i, 0.0, t_s, 2) for i in range(n)]
 
 
+def simulate(cfg, seeds):
+    """The data a run of ``cfg`` fits, for each of ``seeds``.
+
+    Returns, per seed, ``(ensemble, full)``: the K trajectories sampled on
+    the config's schedules (:func:`derive_schedules`) and the same
+    trajectories sampled in full at 0, T_s and 2 T_s, the ideal baseline's
+    data. One :func:`sample_ensembles` call samples both layouts of every
+    seed on the grid they share, so ``ensemble`` is bit for bit what
+    :func:`run` fits and what ``mredmd simulate`` exports.
+    """
+    fld = system_field(cfg.system)
+    layouts = [derive_schedules(cfg), _full_state(fld.dim, cfg.T_s)]
+    return sample_ensembles(fld, layouts, cfg.K, seeds, init_box=cfg.init_box)
+
+
 def _lcm_step_model(raw, step):
     """Re-express a coarse-step model at step ``step`` via its generator."""
     k_step, residual = cast_real(matrix_exp(raw.l_complex * step), tol=1e-6)
@@ -340,30 +356,28 @@ def _eval_truths(fld, starts, horizon, step):
     ]
 
 
-def evaluate_prediction(models, fld, x0s, horizon, step, mode="rollout", truth=None):
-    """Per-trajectory RMSE of each model's prediction against RK4 ground truth.
+def evaluate_prediction(models, x0s, truth, mode="rollout"):
+    """Per-trajectory RMSE of each model's prediction against ``truth``.
 
-    Returns ``(times, truth, predictions, rmse)`` where ``truth`` has shape
-    (n_eval, horizon, n), ``predictions[name]`` matches it, and
-    ``rmse[name]`` is a list of per-trajectory values (RMSE over the finite
-    prefix when a rollout diverges). A ``truth`` already integrated for
-    ``x0s`` (as a seed sweep integrates it, for all seeds at once) is used
-    as given.
+    ``truth[k, j]`` is the true state one step past ``truth[k, j - 1]``
+    (``x0s[k]`` for j = 0), shape (n_eval, horizon, n); the models predict
+    ``horizon = truth.shape[1]`` steps from each row of ``x0s``. Returns
+    ``(predictions, rmse)`` where ``predictions[name]`` matches ``truth``
+    and ``rmse[name]`` is a list of per-trajectory values (RMSE over the
+    finite prefix when a rollout diverges).
 
     Raises
     ------
     DimensionMismatchError
-        If a given ``truth`` is not (len(x0s), horizon, n), naming both shapes.
+        If ``truth`` is not (len(x0s), horizon >= 1, n), naming both shapes.
     """
-    if horizon < 1:
-        raise ConfigurationError(f"horizon must be >= 1, got {horizon}")
     x0s = np.atleast_2d(np.asarray(x0s, dtype=float))
-    if truth is None:
-        (truth,) = _eval_truths(fld, [x0s], horizon, step)
-    elif np.shape(truth) != (len(x0s), horizon, x0s.shape[1]):
-        expected = (len(x0s), horizon, x0s.shape[1])
-        raise DimensionMismatchError(f"truth has shape {np.shape(truth)}, expected {expected}")
-    times = np.arange(1, horizon + 1) * step
+    shape = np.shape(truth)
+    if len(shape) != 3 or shape[0] != len(x0s) or shape[1] < 1 or shape[2] != x0s.shape[1]:
+        raise DimensionMismatchError(
+            f"truth has shape {shape}, expected ({len(x0s)}, horizon >= 1, {x0s.shape[1]})"
+        )
+    horizon = shape[1]
     predictions = {}
     rmse = {}
     stacked = edmd.predict_models(models.values(), x0s, horizon, mode) if models else ()
@@ -378,7 +392,7 @@ def evaluate_prediction(models, fld, x0s, horizon, step, mode="rollout", truth=N
             per_traj[rows] = np.sqrt(np.mean(sq_err[rows, :p].reshape(rows.sum(), -1), axis=1))
         predictions[name] = preds
         rmse[name] = per_traj.tolist()
-    return times, truth, predictions, rmse
+    return predictions, rmse
 
 
 def _finish_reports(reports, cfg, fld):
@@ -406,15 +420,13 @@ def _finish_reports(reports, cfg, fld):
         if truth is None:
             continue
         with _stage(report, "evaluate"):
-            times, truth, predictions, rmse = evaluate_prediction(
-                report.models, fld, x0, cfg.horizon, cfg.T_s, cfg.prediction_mode, truth
+            report.predictions, report.rmse = evaluate_prediction(
+                report.models, x0, truth, cfg.prediction_mode
             )
-            report.eval_times = times
+            report.eval_times = np.arange(1, cfg.horizon + 1) * cfg.T_s
             report.eval_truth = truth
-            report.predictions = predictions
-            report.rmse = rmse
             report.mean_rmse = {
-                name: float(np.mean(vals)) for name, vals in rmse.items()
+                name: float(np.mean(vals)) for name, vals in report.rmse.items()
             }
 
 
@@ -471,15 +483,7 @@ def _sample_and_fit(cfg, fld, reports):
     schedules = derive_schedules(cfg)
     full_state = _full_state(fld.dim, t_s)
     samples = _per_seed(
-        reports,
-        "sample",
-        lambda idx: sample_ensembles(
-            fld,
-            [schedules, full_state],
-            cfg.K,
-            [reports[i].seed for i in idx],
-            init_box=cfg.init_box,
-        ),
+        reports, "sample", lambda idx: simulate(cfg, [reports[i].seed for i in idx])
     )
     sampled = []
     for report, ensembles in zip(reports, samples):
@@ -568,6 +572,10 @@ def run_sweep(cfg, seeds):
     holds ``stage_errors``, each error as {seed, stage, message}, which
     :func:`emit_comparison` does not write.
     """
+    seeds = list(seeds)
+    for seed in seeds:
+        if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+            raise ConfigurationError(f"seeds must be integers >= 0, got {seed!r}")
     seeds = [int(s) for s in seeds]
     multirate = cfg.mode == "multirate"
     primary = cfg.mode
@@ -648,36 +656,31 @@ def _fit_files(methods, components):
     return names | {f"hankel_{kind}_{comp}.csv" for comp in components for kind in "KL"}
 
 
-def _is_report_file(name):
-    return name in _REPORT_FILES or _PER_FIT_FILE.fullmatch(name) is not None
-
-
-def _foreign_to_report(own):
-    """Whether a file name belongs to another report than one whose
-    per-fit files are ``own``: a comparison file or another per-fit file."""
-    return lambda name: name in _COMPARISON_FILES or (
-        _PER_FIT_FILE.fullmatch(name) is not None and name not in own
-    )
-
-
 def refuse_foreign_output(cfg, comparison=False):
     """Raise before any work the :class:`ConfigurationError` that
     :func:`emit_report` (or, with ``comparison``, :func:`emit_comparison`)
     would raise on ``cfg.output_dir`` for a file that no run of ``cfg`` can
     write. The names depend on the config only; ``emit_report`` still
     checks the fits that the run made."""
-    directory = Path(cfg.output_dir)
     if comparison:
-        _refuse_foreign(directory, _is_report_file)
-        return
-    components = hankel.estimated_components(derive_schedules(cfg), _targets(cfg))
-    _refuse_foreign(directory, _foreign_to_report(_fit_files(_methods(cfg), components)))
+        own = _COMPARISON_FILES
+    else:
+        components = hankel.estimated_components(derive_schedules(cfg), _targets(cfg))
+        own = _REPORT_FILES | _fit_files(_methods(cfg), components)
+    _refuse_foreign(Path(cfg.output_dir), own)
 
 
-def _refuse_foreign(directory, foreign):
-    """Raise before anything is written if ``directory`` holds a file whose
-    name ``foreign`` accepts: it belongs to another report."""
-    stale = sorted(path.name for path in directory.glob("*") if foreign(path.name))
+def _refuse_foreign(directory, own):
+    """Raise before anything is written if ``directory`` holds a report or
+    comparison file whose name is not in ``own``: it belongs to another
+    report."""
+    names = (path.name for path in directory.glob("*"))
+    stale = sorted(
+        name
+        for name in names
+        if name not in own
+        and (name in _REPORT_FILES | _COMPARISON_FILES or _PER_FIT_FILE.fullmatch(name))
+    )
     if stale:
         raise ConfigurationError(
             f"{directory} holds files of another report: {', '.join(stale)}; "
@@ -740,7 +743,7 @@ def emit_report(report, directory):
     directory = Path(directory)
     methods = [method for method in report.methods if method in report.models]
     operators = sorted(report.component_operators.items())
-    _refuse_foreign(directory, _foreign_to_report(_fit_files(methods, report.component_operators)))
+    _refuse_foreign(directory, _REPORT_FILES | _fit_files(methods, report.component_operators))
     directory.mkdir(parents=True, exist_ok=True)
 
     lines = ["method,index,real,imag"]
@@ -810,7 +813,7 @@ def emit_comparison(result, directory):
         (:func:`emit_report`) in ``directory``.
     """
     directory = Path(directory)
-    _refuse_foreign(directory, _is_report_file)
+    _refuse_foreign(directory, _COMPARISON_FILES)
     directory.mkdir(parents=True, exist_ok=True)
     lines = ["seed,method,spectrum_distance_to_ideal,mean_rmse"]
     for row in result["rows"]:

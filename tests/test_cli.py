@@ -10,6 +10,7 @@ import time
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import mredmd
@@ -118,6 +119,24 @@ def test_simulate_bytes_pinned(tmp_path):
     assert digest.hexdigest() == (
         "d946d70df01a59000bd481f336c90211cb7ad0eb9c138da344aed498618771f9"
     )
+
+
+def test_simulate_exports_what_run_fits(tmp_path):
+    # periods of 2, 4 and 6 T_s share 2 T_s, but the ideal baseline samples
+    # at T_s, so a run samples on a grid of T_s; the export must come from it
+    path = write_config(tmp_path / "cfg.json", K=50, rates=[2, 4, 6])
+    out = tmp_path / "ensemble"
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+    exported = mredmd.import_ensemble(out)
+    cfg = ExperimentConfig.from_json(path)
+    ((ensemble, _),) = experiments.simulate(cfg, [cfg.seed])
+    assert sorted(exported.values) == sorted(ensemble.values) == [0, 1, 2]
+    for comp, values in ensemble.values.items():
+        assert np.array_equal(exported.values[comp], values)
+    operators = experiments.run(cfg).component_operators
+    assert sorted(operators) == [0, 1, 2]
+    for comp, op in operators.items():
+        assert np.array_equal(op.p_x, exported.values[comp][:, : op.schedule.count].T)
 
 
 def _forbid_runs(monkeypatch):

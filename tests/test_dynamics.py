@@ -350,6 +350,19 @@ class TestSampleEnsemble:
         with pytest.raises(ConfigurationError, match=r"seed must be a non-negative int"):
             sample_ensemble(lorenz_field(), benchmark_schedules(), 2, seed=seed)
 
+    @pytest.mark.parametrize("n_traj", [0, -3, 2.5, True, "3", None, np.float64(2.0)])
+    def test_bad_n_traj_rejected(self, n_traj):
+        message = re.escape(f"n_traj must be an integer >= 1, got {n_traj!r}")
+        with pytest.raises(ConfigurationError, match=message):
+            dynamics.sample_ensembles(lorenz_field(), [benchmark_schedules()], n_traj, [0])
+
+    def test_numpy_integer_n_traj(self):
+        a = sample_ensemble(lorenz_field(), benchmark_schedules(), np.int64(3), seed=0)
+        b = sample_ensemble(lorenz_field(), benchmark_schedules(), 3, seed=0)
+        assert len(a) == 3
+        for i in a.values:
+            np.testing.assert_array_equal(a.values[i], b.values[i])
+
     def test_schedule_coverage_check(self):
         with pytest.raises(ConfigurationError):
             sample_ensemble(lorenz_field(), benchmark_schedules()[:2], 1, seed=0)

@@ -26,7 +26,7 @@ from mredmd.errors import (
     SingularMatrixError,
     labelled,
 )
-from mredmd.observables import monomial_dictionary
+from mredmd.observables import coordinate_readout, monomial_dictionary
 
 
 def linear_pairs(a, t_s, n_traj, seed=0, scale=1.0):
@@ -222,7 +222,6 @@ class TestPredict:
             k_mat=np.eye(3),
             l_complex=np.zeros((3, 3)),
             step=0.1,
-            readout=np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
         )
         out = predict(model, [0.4, -0.2], 7)
         np.testing.assert_array_equal(out, np.tile([0.4, -0.2], (7, 1)))
@@ -234,7 +233,6 @@ class TestPredict:
             k_mat=np.array([[0.5]]),
             l_complex=np.array([[np.log(0.5)]]),
             step=1.0,
-            readout=np.array([[1.0]]),
         )
         out = predict(model, [3.0], 4)
         np.testing.assert_allclose(out[:, 0], 3.0 * 0.5 ** np.arange(1, 5))
@@ -247,7 +245,8 @@ class TestPredict:
         y = integrate(fld, x.T, 0.01, 10)[-1].T
         model = fit_model(StatePairEnsemble(x=x, y=y, step=0.1), d)
         x0 = rng.uniform(-1, 1, size=3)
-        expected = model.readout @ (model.k_mat @ model.dictionary.evaluate(x0))
+        readout = coordinate_readout(model.dictionary)
+        expected = readout @ (model.k_mat @ model.dictionary.evaluate(x0))
         np.testing.assert_array_equal(predict(model, x0, 1)[0], expected)
 
     def test_lorenz_bounded_rmse(self):
@@ -285,7 +284,6 @@ class TestPredict:
             k_mat=np.array([[1e200]]),
             l_complex=np.array([[np.log(1e200)]]),
             step=1.0,
-            readout=np.array([[1.0]]),
         )
         with pytest.warns(DivergenceWarning):
             out = predict(model, [1.0], 5)
@@ -299,9 +297,8 @@ class TestPredict:
             k_mat=np.eye(1),
             l_complex=np.zeros((1, 1)),
             step=1.0,
-            readout=None,
         )
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match="no coordinate observables"):
             predict(model, [1.0, 2.0], 3)
 
 
@@ -325,7 +322,6 @@ class TestPredictModels:
             k_mat=first.k_mat * 1e30,
             l_complex=first.l_complex,
             step=0.1,
-            readout=first.readout,
         )
         return {"first": first, "diverging": diverging, "last": last}
 
@@ -361,23 +357,24 @@ class TestPredictModels:
         ]
 
     def test_one_state_and_other_dictionaries(self):
-        models = [*self._models().values(), _lorenz_fit(3, seed=33)]
+        models = list(self._models().values())
         x0 = np.array([0.3, -0.2, 0.5])
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             out = predict_models(models, x0, 15, "relift")
             expected = np.stack([predict(m, x0, 15, "relift") for m in models])
-        assert out.shape == (4, 15, 3)
+        assert out.shape == (3, 15, 3)
         np.testing.assert_array_equal(out, expected)
+        # models on another dictionary are predicted apart
+        with pytest.raises(ConfigurationError, match="share one dictionary"):
+            predict_models([*models, _lorenz_fit(3, seed=33)], x0, 15, "relift")
 
     def test_evaluate_prediction_rmse_unchanged(self):
         models, x0s = self._models(), self._x0s()
         truth = np.random.default_rng(34).uniform(-1, 1, size=(len(x0s), 40, 3))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            _, _, predictions, rmse = evaluate_prediction(
-                models, lorenz_field(), x0s, 40, 0.1, "relift", truth
-            )
+            predictions, rmse = evaluate_prediction(models, x0s, truth, "relift")
             for name, model in models.items():
                 preds = predict(model, x0s, 40, "relift")
                 np.testing.assert_array_equal(predictions[name], preds)

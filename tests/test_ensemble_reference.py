@@ -23,7 +23,6 @@ from mredmd.dynamics import (
     TIME_MATCH_TOL,
     common_micro_step,
     integrate,
-    linear_field,
     lorenz_field,
     sample_ensemble,
     sample_ensembles,
@@ -277,10 +276,11 @@ def test_initial_conditions_match_substreams(seed, init_box, n_traj):
 def reference_predict(model, x0, steps, mode):
     """One initial state, lifted and advanced on its own."""
     out = np.full((steps, model.dictionary.dim), np.nan)
+    readout = edmd.coordinate_readout(model.dictionary)
     z = model.dictionary.evaluate(x0)
     for j in range(steps):
         z = model.k_mat @ z
-        x = model.readout @ z
+        x = readout @ z
         if not np.all(np.isfinite(x)):
             warnings.warn(
                 f"prediction diverged at step {j + 1} of {steps}; output truncated",
@@ -313,7 +313,6 @@ def _scalar_model(k_mat, degree, include_constant):
         k_mat=k_mat,
         l_complex=np.zeros(k_mat.shape),
         step=1.0,
-        readout=edmd.coordinate_readout(d),
     )
 
 
@@ -384,7 +383,6 @@ def test_evaluate_prediction_matches_loop():
         k_mat=np.diag([1e200, 1.0, 1.0]),
         l_complex=np.zeros((3, 3)),
         step=0.1,
-        readout=np.eye(3),
     )
     models = {"deg2": _lorenz_model(2), "deg3": _lorenz_model(3, seed=4), "blowup": blowup}
     x0s = np.random.default_rng(3).uniform(-1, 1, size=(40, 3))
@@ -396,12 +394,15 @@ def test_evaluate_prediction_matches_loop():
         [40.0, -40.0, 40.0],
         [1e200, 0.0, 0.0],
     ]
+    # the states of a zero vector field stay put
+    truth = np.repeat(x0s[:, None], 40, axis=1)
+    predictions, rmse = {}, {}
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        _, truth, predictions, rmse = evaluate_prediction(
-            models, linear_field(np.zeros((3, 3))), x0s, 40, 0.1, mode="relift"
-        )
+        # one call per model: the models of one call share their dictionary
         for name, model in models.items():
+            preds, errs = evaluate_prediction({name: model}, x0s, truth, "relift")
+            predictions[name], rmse[name] = preds[name], errs[name]
             expected = np.stack([reference_predict(model, x0, 40, "relift") for x0 in x0s])
             np.testing.assert_array_equal(predictions[name], expected)
             assert rmse[name] == reference_rmse(expected, truth)

@@ -200,31 +200,26 @@ class TestExperimentConfig:
 class TestEvaluatePrediction:
     def test_exact_scalar_linear_fit(self):
         a = -0.8
-        fld = linear_field([[a]])
         d = monomial_dictionary(1, 1, include_constant=False)
         x = np.linspace(0.2, 1.5, 10)[None, :]
         model = fit_model(
             StatePairEnsemble(x=x, y=np.exp(a * 0.1) * x, step=0.1), d
         )
-        times, truth, preds, rmse = evaluate_prediction(
-            {"exact": model}, fld, np.array([[1.0], [0.5]]), 20, 0.1
-        )
+        x0s = np.array([[1.0], [0.5]])
+        truth = x0s[:, None, :] * np.exp(a * 0.1 * np.arange(1, 21))[None, :, None]
+        preds, rmse = evaluate_prediction({"exact": model}, x0s, truth)
         assert rmse["exact"][0] < 1e-6
         assert rmse["exact"][1] < 1e-6
-        np.testing.assert_allclose(times, np.arange(1, 21) * 0.1)
+        assert preds["exact"].shape == (2, 20, 1)
 
     def test_identity_system_zero_rmse(self):
-        fld = experiments.system_field("lorenz")
-        zero = linear_field(np.zeros((3, 3)))
         d = monomial_dictionary(3, 2)
         rng = np.random.default_rng(0)
         x = rng.uniform(-1, 1, size=(3, 100))
         model = fit_model(StatePairEnsemble(x=x, y=x, step=0.1), d)
-        _, _, _, rmse = evaluate_prediction(
-            {"id": model}, zero, rng.uniform(-1, 1, size=(5, 3)), 10, 0.1
-        )
+        x0s = rng.uniform(-1, 1, size=(5, 3))
+        _, rmse = evaluate_prediction({"id": model}, x0s, np.repeat(x0s[:, None], 10, axis=1))
         assert max(rmse["id"]) < 1e-10
-        del fld
 
     def test_divergent_model_flagged(self):
         # second mode blows up at step 3; RMSE must come from the finite prefix
@@ -236,26 +231,36 @@ class TestEvaluatePrediction:
             k_mat=np.diag([0.5, 1e155]),
             l_complex=np.zeros((2, 2)),
             step=0.1,
-            readout=np.eye(2),
         )
-        fld = linear_field(np.zeros((2, 2)))
+        x0s = np.array([[1.0, 5e-157]])
         with pytest.warns(Warning):
-            _, _, _, rmse = evaluate_prediction(
-                {"bad": model}, fld, np.array([[1.0, 5e-157]]), 10, 0.1, mode="rollout"
+            _, rmse = evaluate_prediction(
+                {"bad": model}, x0s, np.repeat(x0s[:, None], 10, axis=1), mode="rollout"
             )
         assert np.isfinite(rmse["bad"][0])  # finite-prefix RMSE
         assert rmse["bad"][0] > 1.0
 
-    @pytest.mark.parametrize("shape", [(4, 10, 3), (5, 9, 3), (5, 10, 2), (50, 3)])
+    @pytest.mark.parametrize("shape", [(4, 10, 3), (5, 0, 3), (5, 10, 2), (50, 3)])
     def test_truth_of_another_shape_named(self, shape):
         d = monomial_dictionary(3, 1)
         x = np.random.default_rng(0).uniform(-1, 1, size=(3, 20))
         model = fit_model(StatePairEnsemble(x=x, y=x, step=0.1), d)
-        fld = linear_field(np.zeros((3, 3)))
         x0s = np.zeros((5, 3))
-        both = re.escape(f"truth has shape {shape}, expected (5, 10, 3)")
+        both = re.escape(f"truth has shape {shape}, expected (5, horizon >= 1, 3)")
         with pytest.raises(errors.DimensionMismatchError, match=both):
-            evaluate_prediction({"id": model}, fld, x0s, 10, 0.1, truth=np.zeros(shape))
+            evaluate_prediction({"id": model}, x0s, np.zeros(shape))
+
+    def test_report_scores_against_its_own_truth(self):
+        cfg = multirate_config(K=30, horizon=7, eval_trajectories=3)
+        report = run(cfg)
+        assert np.array_equal(report.eval_times, np.arange(1, 8) * 0.1)
+        x0s = experiments._eval_initial_conditions(cfg, cfg.seed, 3)
+        (truth,) = experiments._eval_truths(experiments.system_field("lorenz"), [x0s], 7, 0.1)
+        assert np.array_equal(report.eval_truth, truth)
+        predictions, rmse = evaluate_prediction(report.models, x0s, truth, cfg.prediction_mode)
+        assert report.rmse == rmse
+        for name in report.methods:
+            assert np.array_equal(report.predictions[name], predictions[name])
 
 
 class TestRunMultirate:
@@ -481,6 +486,21 @@ def test_only_dynamics_imports_csv():
 
 
 class TestRunSweep:
+    @pytest.mark.parametrize("seed", [1.5, "3", True, -1, None])
+    def test_bad_seed_rejected_before_any_work(self, seed, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("a seed ran before the seeds were checked")
+
+        monkeypatch.setattr(experiments, "_run_seeds", forbidden)
+        with pytest.raises(ConfigurationError, match=re.escape(f"got {seed!r}")):
+            run_sweep(multirate_config(K=10), [0, seed])
+
+    def test_numpy_integer_seeds(self):
+        cfg = multirate_config(K=20)
+        result = run_sweep(cfg, np.arange(1, 3))
+        assert result["seeds"] == [1, 2] and all(type(s) is int for s in result["seeds"])
+        assert json.dumps(result) == json.dumps(run_sweep(cfg, [1, 2]))
+
     def test_multirate_sweep_summary(self, tmp_path):
         cfg = multirate_config(K=40)
         result = run_sweep(cfg, range(3))

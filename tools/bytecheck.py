@@ -87,6 +87,7 @@ COMMANDS = [
     ("compare_single_k5", "compare", {**_SINGLE, "K": 5}, ["--num-seeds", "4"]),  # 1
     ("simulate_k300", "simulate", {**_MULTIRATE, "K": 300}, []),
     ("simulate_single_k100", "simulate", {**_SINGLE, "K": 100}, []),
+    ("simulate_rates246", "simulate", {**_MULTIRATE, "K": 200, "rates": [2, 4, 6]}, []),
 ]
 
 _SOURCE_LINE = re.compile(r"[^\s\"']*/mredmd/(\w+)\.py:\d+")
