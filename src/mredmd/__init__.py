@@ -13,8 +13,6 @@ from .dynamics import (
     Ensemble,
     SamplingSchedule,
     VectorField,
-    export_ensemble,
-    import_ensemble,
     integrate,
     linear_field,
     lorenz_field,
@@ -35,11 +33,12 @@ from .experiments import (
     emit_comparison,
     emit_report,
     evaluate_prediction,
+    export_ensemble,
     ideal_noise_floor,
+    import_ensemble,
     lcm_of_rates,
     run,
     run_sweep,
-    save_model,
     simulate,
 )
 from .hankel import (
@@ -67,8 +66,6 @@ __all__ = [
     "Ensemble",
     "SamplingSchedule",
     "VectorField",
-    "export_ensemble",
-    "import_ensemble",
     "integrate",
     "linear_field",
     "lorenz_field",
@@ -106,10 +103,11 @@ __all__ = [
     "emit_comparison",
     "emit_report",
     "evaluate_prediction",
+    "export_ensemble",
     "ideal_noise_floor",
+    "import_ensemble",
     "lcm_of_rates",
     "run",
     "run_sweep",
-    "save_model",
     "simulate",
 ]

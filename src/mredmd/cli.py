@@ -20,7 +20,6 @@ import warnings
 from dataclasses import replace
 
 from . import experiments
-from .dynamics import export_ensemble
 from .errors import ConfigurationError, MredmdError
 
 
@@ -66,8 +65,9 @@ def _run_pipeline(args, mode):
 
 def _run_simulate(args):
     cfg = _load_config(args)
+    experiments.refuse_foreign_output(cfg, "ensemble")
     ((ensemble, _),) = experiments.simulate(cfg, [cfg.seed])
-    export_ensemble(ensemble, cfg.output_dir)
+    experiments.export_ensemble(ensemble, cfg.output_dir)
     print(f"{len(ensemble)} trajectories written to {cfg.output_dir}")
     return 0
 
@@ -76,7 +76,7 @@ def _run_compare(args):
     if args.num_seeds < 1:
         raise ConfigurationError(f"--num-seeds must be >= 1, got {args.num_seeds}")
     cfg = _load_config(args)
-    experiments.refuse_foreign_output(cfg, comparison=True)
+    experiments.refuse_foreign_output(cfg, "comparison")
     seeds = range(args.seed_base, args.seed_base + args.num_seeds)
     result = experiments.run_sweep(cfg, seeds)
     out = experiments.emit_comparison(result, cfg.output_dir)

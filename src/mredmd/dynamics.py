@@ -1,5 +1,5 @@
-"""ODE integration, the Lorenz benchmark system, and generation of
-non-uniformly sampled trajectory ensembles.
+"""ODE integration, the Lorenz benchmark system, and generation of non-uniformly
+sampled trajectory ensembles; no file I/O (``experiments`` exports ensembles).
 
 Each state component i is sampled at instants ``r_i + l * T_i`` for
 ``l = 0..M_i`` (dead time ``r_i``, period ``T_i``, ``M_i + 1`` samples per
@@ -10,15 +10,12 @@ integrated states, never interpolations. Only the states on the sample grid
 samples are copied out of them.
 """
 
-import csv
 import itertools
 import math
 import numbers
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -229,9 +226,9 @@ class Ensemble:
     ``times[i]`` holds the sample instants of component i, shape (M_i + 1,),
     and ``values[i]`` the samples, shape (K, M_i + 1), row k belonging to
     trajectory ``indices[k]``. An ensemble is sampled data only, whether
-    :func:`sample_ensembles` made it or :func:`import_ensemble` read it; a
-    reference of the full state is an ensemble of its own, sampled on a
-    full-state layout next to the partial one.
+    :func:`sample_ensembles` made it or ``experiments.import_ensemble``
+    read it; a reference of the full state is an ensemble of its own,
+    sampled on a full-state layout next to the partial one.
 
     The arrays are validated once, on construction.
     """
@@ -268,7 +265,8 @@ class Ensemble:
 
 def _as_fraction(t, what):
     frac = Fraction(t).limit_denominator(10**9)
-    if abs(float(frac) - t) > 1e-12:
+    # a positive time below the grid's resolution would round to a zero step
+    if abs(float(frac) - t) > 1e-12 or (t > 0 and frac == 0):
         raise ConfigurationError(
             f"{what} {t!r} is not representable on a rational grid to 1e-12"
         )
@@ -379,27 +377,15 @@ def _substream_uniform(seed, n_traj, box):
 
 
 def sample_ensemble(field, schedules, n_traj, init_box=None, seed=0):
-    """Integrate an ensemble and sample each component on its own schedule.
+    """The :class:`Ensemble` of ``n_traj`` trajectories of ``field``, each
+    component sampled on its own schedule (one per component): the
+    one-layout, one-seed case of :func:`sample_ensembles`.
 
-    Initial conditions are drawn i.i.d. uniform on ``init_box`` from
-    per-trajectory substreams keyed by (seed, trajectory index), so the
-    ensemble is bit-identical for a fixed seed regardless of batching.
-
-    Parameters
-    ----------
-    field : VectorField
-    schedules : sequence of SamplingSchedule
-        Exactly one schedule per state component.
-    n_traj : int
-        Number of trajectories K.
-    init_box : array_like, optional
-        Per-axis (low, high) bounds, shape (dim, 2). Defaults to [-1, 1]^dim.
-    seed : int or sequence of int
-        Base entropy for the per-trajectory substreams (non-negative).
-
-    Returns
-    -------
-    Ensemble
+    Initial conditions are drawn i.i.d. uniform on ``init_box``, (low, high)
+    per axis (default [-1, 1]^dim), from per-trajectory substreams keyed by
+    (seed, trajectory index), with ``seed`` a non-negative int or a sequence
+    of them; the ensemble is bit-identical for a fixed seed regardless of
+    batching.
     """
     ((ensemble,),) = sample_ensembles(field, [schedules], n_traj, [seed], init_box)
     return ensemble
@@ -438,7 +424,9 @@ def sample_ensembles(field, layouts, n_traj, seeds, init_box=None):
     h, g = float(h_frac), h_frac * _STEPS_PER_GRID
     end = max(s.dead_time + s.count * s.period for layout in layouts for s in layout)
     n_steps = _STEPS_PER_GRID * math.ceil(_as_fraction(end, "end time") / g)
-    # g divides every dead time and period, so the grid indices are exact
+    stacked = integrate_stacked(field, x0s, h, n_steps, every=_STEPS_PER_GRID)
+    # g divides every dead time and period, so the grid indices are exact;
+    # they are built after the grid, whose size integrate checks
     grids = [
         {
             s.component: int(_as_fraction(s.dead_time, "dead_time") / g)
@@ -447,7 +435,6 @@ def sample_ensembles(field, layouts, n_traj, seeds, init_box=None):
         }
         for layout in layouts
     ]
-    stacked = integrate_stacked(field, x0s, h, n_steps, every=_STEPS_PER_GRID)
     return [
         [
             Ensemble(
@@ -463,120 +450,3 @@ def sample_ensembles(field, layouts, n_traj, seeds, init_box=None):
         for dense in stacked
     ]
 
-
-def _trajectory_files(directory):
-    """(index, path) of each trajectory file in ``directory``, by parsed
-    index: names sort "trajectory_100000" before "trajectory_99999"."""
-    return sorted(
-        (int(match.group(1)), path)
-        for path in Path(directory).glob("trajectory_*.csv")
-        if (match := re.fullmatch(r"trajectory_(\d+)\.csv", path.name)) is not None
-    )
-
-
-def export_ensemble(ensemble, directory):
-    """Write one CSV per trajectory with columns ``component,time,value``.
-
-    Raises
-    ------
-    ConfigurationError
-        Before writing anything, naming the directory and the indices of
-        the trajectory files it holds that the ensemble lacks: an import
-        would read them as part of this ensemble.
-    """
-    directory = Path(directory)
-    indices = ensemble.indices.tolist()
-    stale = sorted({index for index, _ in _trajectory_files(directory)} - set(indices))
-    if stale:
-        shown = ", ".join(map(str, stale[:10]))
-        if len(stale) > 10:
-            shown += f" and {len(stale) - 10} more"
-        raise ConfigurationError(
-            f"{directory} holds trajectory files that this ensemble lacks (indices {shown}); "
-            "write to a new or empty directory"
-        )
-    directory.mkdir(parents=True, exist_ok=True)
-    for k, index in enumerate(indices):
-        with open(directory / f"trajectory_{index:05d}.csv", "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["component", "time", "value"])
-            for comp in sorted(ensemble.times):
-                rows = zip(ensemble.times[comp].tolist(), ensemble.values[comp][k].tolist())
-                writer.writerows([comp, repr(t), repr(v)] for t, v in rows)
-
-
-def import_ensemble(directory):
-    """Read an ensemble written by :func:`export_ensemble`.
-
-    This is the validation boundary for outside data.
-
-    Raises
-    ------
-    DataError
-        Naming the file, and the line where there is one, for two files
-        with the same trajectory index, a bad header or row, a non-finite
-        value, sample times that are not strictly increasing, a component
-        missing from some files, or sample times that differ between files
-        by more than ``TIME_MATCH_TOL``.
-    """
-    files = _trajectory_files(directory)
-    if not files:
-        raise DataError(f"no trajectory CSV files found in {directory}")
-    for (index, path), (next_index, other) in zip(files, files[1:]):
-        if index == next_index:
-            raise DataError(f"{path} and {other} both hold trajectory {index}")
-    first = files[0][1].name
-    times, values = {}, {}
-    for _, path in files:
-        series = _read_trajectory_csv(path)
-        if times and set(series) != set(times):
-            raise DataError(
-                f"{path}: components {sorted(series)} differ from {sorted(times)} in {first}"
-            )
-        for comp, (t, v) in series.items():
-            ref = times.setdefault(comp, t)
-            if t.shape != ref.shape or np.any(np.abs(t - ref) > TIME_MATCH_TOL):
-                raise DataError(
-                    f"{path}: component {comp} sample times differ from those in "
-                    f"{first} by more than {TIME_MATCH_TOL:g} s"
-                )
-            values.setdefault(comp, []).append(v)
-    return Ensemble(
-        times=times,
-        values={comp: np.stack(rows) for comp, rows in values.items()},
-        indices=[index for index, _ in files],
-    )
-
-
-def _read_trajectory_csv(path):
-    """{component: (times, values)} of one trajectory file."""
-    series = {}
-    try:
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != ["component", "time", "value"]:
-                raise DataError(f"{path}: unexpected header {header!r}")
-            for row in reader:
-                where = f"{path}, line {reader.line_num}"
-                try:
-                    comp, t, v = row
-                    comp, t, v = int(comp), float(t), float(v)
-                except ValueError:
-                    raise DataError(
-                        f"{where}: expected 'component,time,value', got {row!r}"
-                    ) from None
-                if not (math.isfinite(t) and math.isfinite(v)):
-                    raise DataError(f"{where}: non-finite time or value")
-                times, vals = series.setdefault(comp, ([], []))
-                if times and t <= times[-1]:
-                    raise DataError(
-                        f"{where}: component {comp} time {t!r} does not follow {times[-1]!r}"
-                    )
-                times.append(t)
-                vals.append(v)
-    except (csv.Error, UnicodeDecodeError) as exc:
-        raise DataError(f"{path}: {exc}") from exc
-    if not series:
-        raise DataError(f"{path}: no samples")
-    return {comp: (np.array(t), np.array(v)) for comp, (t, v) in series.items()}

@@ -1,4 +1,5 @@
-"""End-to-end experiment pipeline and its file I/O.
+"""End-to-end experiment pipeline and every file mredmd reads or writes:
+reports, comparisons and exported ensembles, under one ownership rule.
 
 ``run`` samples an ensemble (:func:`simulate`), reconstructs state pairs,
 fits the partial-measurement model next to an ideal baseline (the same
@@ -14,6 +15,7 @@ so each RK4 stage integrates a whole group of seeds in one batch; ``run``
 is its one-seed case.
 """
 
+import csv
 import json
 import math
 import numbers
@@ -30,6 +32,8 @@ import numpy as np
 from . import edmd, hankel
 from .dynamics import (
     _STEPS_PER_GRID,
+    TIME_MATCH_TOL,
+    Ensemble,
     integrate_stacked,
     lorenz_field,
     sample_ensembles,
@@ -335,7 +339,7 @@ def simulate(cfg, seeds):
 
 def _lcm_step_model(raw, step):
     """Re-express a coarse-step model at step ``step`` via its generator."""
-    k_step, residual = cast_real(matrix_exp(raw.l_complex * step), tol=1e-6)
+    k_step, residual = cast_real(matrix_exp(raw.l_complex * step))
     return replace(raw, k_mat=k_step, step=step), residual
 
 
@@ -635,12 +639,14 @@ def run_sweep(cfg, seeds):
     }
 
 
-#: Names of the per-method and per-component report files. A directory that
-#: holds one that a report does not write holds part of another report.
+#: Names of the per-method and per-component report files, and of the
+#: trajectory files of an exported ensemble. A directory that holds one that
+#: a write does not own holds part of another report.
 _PER_FIT_FILE = re.compile(
     r"[KL]_(multirate|single_state|lcm|ideal)\.csv|model_(multirate|single_state|lcm|ideal)\.txt"
     r"|hankel_[KL]_\d+\.csv"
 )
+_TRAJECTORY_FILE = re.compile(r"trajectory_(\d+)\.csv")
 
 #: The files every report writes, and the files a comparison writes.
 _REPORT_FILES = {
@@ -648,22 +654,36 @@ _REPORT_FILES = {
 }
 _COMPARISON_FILES = {"compare.csv", "compare.json"}
 
+#: Most names a refusal lists: all of a report's, not all of a large ensemble's.
+_LISTED = 20
+
+
+def _matrix_files(methods, components):
+    """Name patterns (``{}`` is K or L) of a report's K/L files, per method then component."""
+    return [f"{{}}_{m}.csv" for m in methods] + [f"hankel_{{}}_{c}.csv" for c in components]
+
 
 def _fit_files(methods, components):
     """The per-method and per-component files of a report."""
-    names = {f"{kind}_{m}.csv" for m in methods for kind in "KL"}
-    names |= {f"model_{m}.txt" for m in methods}
-    return names | {f"hankel_{kind}_{comp}.csv" for comp in components for kind in "KL"}
+    names = {p.format(kind) for p in _matrix_files(methods, components) for kind in "KL"}
+    return names | {f"model_{m}.txt" for m in methods}
 
 
-def refuse_foreign_output(cfg, comparison=False):
-    """Raise before any work the :class:`ConfigurationError` that
-    :func:`emit_report` (or, with ``comparison``, :func:`emit_comparison`)
-    would raise on ``cfg.output_dir`` for a file that no run of ``cfg`` can
-    write. The names depend on the config only; ``emit_report`` still
-    checks the fits that the run made."""
-    if comparison:
+def _trajectory_names(indices):
+    """The file of each trajectory index of an export, in order."""
+    return [f"trajectory_{index:05d}.csv" for index in indices]
+
+
+def refuse_foreign_output(cfg, writes="report"):
+    """Raise before any work the :class:`ConfigurationError` that the writer
+    of ``writes`` (``"report"``, ``"comparison"`` or ``"ensemble"``) would
+    raise on ``cfg.output_dir`` for a file that no run of ``cfg`` can write.
+    The names depend on the config only; ``emit_report`` still checks the
+    fits that the run made."""
+    if writes == "comparison":
         own = _COMPARISON_FILES
+    elif writes == "ensemble":
+        own = set(_trajectory_names(range(cfg.K)))
     else:
         components = hankel.estimated_components(derive_schedules(cfg), _targets(cfg))
         own = _REPORT_FILES | _fit_files(_methods(cfg), components)
@@ -671,26 +691,32 @@ def refuse_foreign_output(cfg, comparison=False):
 
 
 def _refuse_foreign(directory, own):
-    """Raise before anything is written if ``directory`` holds a report or
-    comparison file whose name is not in ``own``: it belongs to another
-    report."""
-    names = (path.name for path in directory.glob("*"))
+    """Raise before anything is written if ``directory`` holds a file that
+    mredmd writes (a report, comparison or trajectory file) whose name is
+    not in ``own``: it belongs to another report."""
     stale = sorted(
         name
-        for name in names
+        for name in (path.name for path in directory.glob("*"))
         if name not in own
-        and (name in _REPORT_FILES | _COMPARISON_FILES or _PER_FIT_FILE.fullmatch(name))
+        and (
+            name in _REPORT_FILES | _COMPARISON_FILES
+            or _PER_FIT_FILE.fullmatch(name)
+            or _TRAJECTORY_FILE.fullmatch(name)
+        )
     )
     if stale:
+        shown = ", ".join(stale[:_LISTED])
+        if len(stale) > _LISTED:
+            shown += f" and {len(stale) - _LISTED} more"
         raise ConfigurationError(
-            f"{directory} holds files of another report: {', '.join(stale)}; "
+            f"{directory} holds files of another report: {shown}; "
             "write to a new or empty directory"
         )
 
 
 def _write_csv(path, lines):
-    """Write report CSV ``lines``, each comma-joined by its caller and ended
-    with ``\n``.
+    """Write CSV ``lines`` (of a report, a comparison or a trajectory), each
+    comma-joined by its caller and ended with ``\n``.
 
     No cell needs quoting: cells are method names, ints and float text. A
     float is always written as the ``repr`` of a Python float (:func:`_fmt`,
@@ -709,21 +735,6 @@ def _write_matrix_csv(path, matrix):
     _write_csv(path, (",".join(map(_fmt, row)) for row in np.atleast_2d(matrix)))
 
 
-def save_model(model, directory, name):
-    """Serialize a model: K/L matrices as CSV plus a text manifest."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    _write_matrix_csv(directory / f"K_{name}.csv", model.k_mat)
-    _write_matrix_csv(directory / f"L_{name}.csv", model.l_mat)
-    manifest = [
-        f"step: {model.step!r}",
-        f"imag_residual: {model.imag_residual!r}",
-        "dictionary:",
-        model.dictionary.manifest().rstrip("\n"),
-    ]
-    (directory / f"model_{name}.txt").write_text("\n".join(manifest) + "\n")
-
-
 def emit_report(report, directory):
     """Write the report files; byte-identical for identical runs.
 
@@ -736,14 +747,16 @@ def emit_report(report, directory):
     ------
     ConfigurationError
         Before writing anything, naming each per-method or per-component
-        file in ``directory`` that this report would not overwrite, and
-        each file of a comparison (:func:`emit_comparison`), as it belongs
-        to another report. The same report rewrites every file.
+        file in ``directory`` that this report would not overwrite, and each
+        comparison or trajectory file (:func:`emit_comparison`,
+        :func:`export_ensemble`), as it belongs to another report. The same
+        report rewrites every file.
     """
     directory = Path(directory)
     methods = [method for method in report.methods if method in report.models]
     operators = sorted(report.component_operators.items())
-    _refuse_foreign(directory, _REPORT_FILES | _fit_files(methods, report.component_operators))
+    components = [comp for comp, _ in operators]
+    _refuse_foreign(directory, _REPORT_FILES | _fit_files(methods, components))
     directory.mkdir(parents=True, exist_ok=True)
 
     lines = ["method,index,real,imag"]
@@ -782,20 +795,23 @@ def emit_report(report, directory):
         "warnings": report.warnings,
         "errors": report.errors,
     }
-    (directory / "summary.json").write_text(
-        json.dumps(summary, indent=2, sort_keys=True) + "\n"
-    )
+    (directory / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
 
     if report.dictionary is not None:
         (directory / "dictionary.txt").write_text(report.dictionary.manifest())
 
+    fits = [report.models[m] for m in methods] + [op for _, op in operators]
+    for pattern, fit in zip(_matrix_files(methods, components), fits):
+        _write_matrix_csv(directory / pattern.format("K"), fit.k_mat)
+        _write_matrix_csv(directory / pattern.format("L"), fit.l_mat)
     for method in methods:
-        save_model(report.models[method], directory, method)
+        model = report.models[method]
+        (directory / f"model_{method}.txt").write_text(
+            f"step: {model.step!r}\nimag_residual: {model.imag_residual!r}\n"
+            f"dictionary:\n{model.dictionary.manifest()}"
+        )
     lines = ["component,imag_residual"]
-    for comp, op in operators:
-        _write_matrix_csv(directory / f"hankel_K_{comp}.csv", op.k_mat)
-        _write_matrix_csv(directory / f"hankel_L_{comp}.csv", op.l_mat)
-        lines.append(f"{comp},{_fmt(op.imag_residual)}")
+    lines += [f"{comp},{_fmt(op.imag_residual)}" for comp, op in operators]
     _write_csv(directory / "hankel_residuals.csv", lines)
     return directory
 
@@ -810,7 +826,8 @@ def emit_comparison(result, directory):
     ------
     ConfigurationError
         Before writing anything, naming each file of a pipeline report
-        (:func:`emit_report`) in ``directory``.
+        (:func:`emit_report`) or of an ensemble (:func:`export_ensemble`)
+        in ``directory``.
     """
     directory = Path(directory)
     _refuse_foreign(directory, _COMPARISON_FILES)
@@ -827,3 +844,112 @@ def emit_comparison(result, directory):
     summary = {key: value for key, value in result.items() if key != "stage_errors"}
     (directory / "compare.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     return directory
+
+
+def export_ensemble(ensemble, directory):
+    """Write one CSV per trajectory with columns ``component,time,value``,
+    named ``trajectory_<index>.csv`` with the index padded to five digits.
+
+    Raises
+    ------
+    ConfigurationError
+        Before writing anything, naming each file in ``directory`` of a report,
+        a comparison or another ensemble, which an import would read as one.
+    """
+    directory = Path(directory)
+    names = _trajectory_names(ensemble.indices.tolist())
+    _refuse_foreign(directory, set(names))
+    directory.mkdir(parents=True, exist_ok=True)
+    for k, name in enumerate(names):
+        lines = ["component,time,value"]
+        for comp in sorted(ensemble.times):
+            rows = zip(ensemble.times[comp].tolist(), ensemble.values[comp][k].tolist())
+            lines += [f"{comp},{t!r},{v!r}" for t, v in rows]
+        _write_csv(directory / name, lines)
+
+
+def _trajectory_files(directory):
+    """(index, path) of each trajectory file in ``directory``, by parsed
+    index: names sort "trajectory_100000" before "trajectory_99999"."""
+    return sorted(
+        (int(match.group(1)), path)
+        for path in Path(directory).glob("trajectory_*.csv")
+        if (match := _TRAJECTORY_FILE.fullmatch(path.name)) is not None
+    )
+
+
+def import_ensemble(directory):
+    """Read an ensemble written by :func:`export_ensemble`.
+
+    This is the validation boundary for outside data.
+
+    Raises
+    ------
+    DataError
+        Naming the file, and the line where there is one, for two files
+        with the same trajectory index, a bad header or row, a non-finite
+        value, sample times that are not strictly increasing, a component
+        missing from some files, or sample times that differ between files
+        by more than ``TIME_MATCH_TOL``.
+    """
+    files = _trajectory_files(directory)
+    if not files:
+        raise DataError(f"no trajectory CSV files found in {directory}")
+    for (index, path), (next_index, other) in zip(files, files[1:]):
+        if index == next_index:
+            raise DataError(f"{path} and {other} both hold trajectory {index}")
+    first = files[0][1].name
+    times, values = {}, {}
+    for _, path in files:
+        series = _read_trajectory_csv(path)
+        if times and set(series) != set(times):
+            raise DataError(
+                f"{path}: components {sorted(series)} differ from {sorted(times)} in {first}"
+            )
+        for comp, (t, v) in series.items():
+            ref = times.setdefault(comp, t)
+            if t.shape != ref.shape or np.any(np.abs(t - ref) > TIME_MATCH_TOL):
+                raise DataError(
+                    f"{path}: component {comp} sample times differ from those in "
+                    f"{first} by more than {TIME_MATCH_TOL:g} s"
+                )
+            values.setdefault(comp, []).append(v)
+    return Ensemble(
+        times=times,
+        values={comp: np.stack(rows) for comp, rows in values.items()},
+        indices=[index for index, _ in files],
+    )
+
+
+def _read_trajectory_csv(path):
+    """{component: (times, values)} of one trajectory file."""
+    series = {}
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header != ["component", "time", "value"]:
+                raise DataError(f"{path}: unexpected header {header!r}")
+            for row in reader:
+                where = f"{path}, line {reader.line_num}"
+                try:
+                    comp, t, v = row
+                    comp, t, v = int(comp), float(t), float(v)
+                except ValueError:
+                    raise DataError(
+                        f"{where}: expected 'component,time,value', got {row!r}"
+                    ) from None
+                if not (math.isfinite(t) and math.isfinite(v)):
+                    raise DataError(f"{where}: non-finite time or value")
+                times, vals = series.setdefault(comp, ([], []))
+                if times and t <= times[-1]:
+                    raise DataError(
+                        f"{where}: component {comp} time {t!r} does not follow {times[-1]!r}"
+                    )
+                times.append(t)
+                vals.append(v)
+    except (csv.Error, UnicodeDecodeError) as exc:
+        raise DataError(f"{path}: {exc}") from exc
+    if not series:
+        raise DataError(f"{path}: no samples")
+    return {comp: (np.array(t), np.array(v)) for comp, (t, v) in series.items()}

@@ -136,7 +136,7 @@ def estimate_component_at(operator, t):
     propagator = linalg.matrix_exp(operator.l_complex * dt)
     row = propagator[0, :] @ operator.p_x
     with labelled(f"component {s.component}, t={t:.6g}"):
-        estimates, _residual = linalg.cast_real(row, tol=1e-6)
+        estimates, _residual = linalg.cast_real(row)
     if not np.all(np.isfinite(estimates)):
         raise DivergenceError(f"component {s.component}: non-finite estimates at t={t:.6g}")
     return estimates

@@ -26,6 +26,9 @@ _EPS = float(np.finfo(float).eps)
 #: Condition number of P_x above which a Koopman fit warns.
 COND_WARN_THRESHOLD = 1e12
 
+#: Imaginary residual above which :func:`cast_real` warns.
+IMAG_RESIDUAL_TOL = 1e-6
+
 #: theta_m bounds the spectral quantity alpha_p(R) for which the degree-m
 #: Pade approximant of log(I + R) is accurate to double precision
 #: (Al-Mohy & Higham 2012, Table 2.1); index m = 1..7.
@@ -117,7 +120,7 @@ def koopman_fit(p_x, p_y, step):
         )
     k_mat = p_y @ p_x_pinv
     l_complex = matrix_log(k_mat) / step
-    cast_real(l_complex, tol=1e-6)  # for its warning; callers keep L complex
+    cast_real(l_complex)  # for its warning; callers keep L complex
     return k_mat, l_complex
 
 
@@ -355,11 +358,11 @@ def eigenvalues(a):
     return w[order]
 
 
-def cast_real(m, tol=1e-8):
+def cast_real(m):
     """Real part of an array plus its largest absolute imaginary part.
 
-    Emits an :class:`ImaginaryResidualWarning` when the residual exceeds
-    ``tol``; the caller decides whether the residual is acceptable.
+    Emits an :class:`ImaginaryResidualWarning` above ``IMAG_RESIDUAL_TOL``;
+    the caller decides whether the residual is acceptable.
 
     Returns
     -------
@@ -373,9 +376,9 @@ def cast_real(m, tol=1e-8):
     else:
         residual = 0.0
         real = np.asarray(arr, dtype=float)
-    if residual > tol:
+    if residual > IMAG_RESIDUAL_TOL:
         warnings.warn(
-            f"imaginary residual {residual:.3e} exceeds tolerance {tol:.1e}",
+            f"imaginary residual {residual:.3e} exceeds tolerance {IMAG_RESIDUAL_TOL:.1e}",
             ImaginaryResidualWarning,
             stacklevel=2,
         )

@@ -73,20 +73,50 @@ def test_seed_override(tmp_path):
     assert summary["seed"] == 9
 
 
-def test_rates_without_a_fine_enough_grid_fail_to_sample(tmp_path, capsys):
-    # periods of 1001, 1002 and 1003 T_s share only T_s, a grid finer than
-    # the limit; the ideal baseline's period T_s must not lift that limit
-    cfg = write_config(tmp_path / "cfg.json", K=2, rates=[1001, 1002, 1003])
+#: Configs that no grid can sample, each with the text of its error: a T_s
+#: below the grid's resolution, a grid beyond the address space (NumPy
+#: refuses its shape, so no size that an allocator could grant lazily), and
+#: periods of 1001, 1002 and 1003 T_s, which share only T_s, a grid finer
+#: than the limit (the ideal baseline's period T_s must not lift it).
+HOSTILE = {
+    "tiny_T_s": ({"T_s": 1e-14}, "schedule time 1e-14 is not representable"),
+    "huge_M": ({"M": [10**18, 3, 4]}, "cannot allocate the RK4 grid"),
+    "rates_1001": ({"rates": [1001, 1002, 1003]}, "sampling times share no common micro-step"),
+}
+
+#: How each command reports a failed sampling: its exit code and the start
+#: of its one stderr line.
+FAILED_SAMPLING = {
+    "multirate": (1, "error in stage sample: "),
+    "compare": (1, "seed 0: error in stage sample: "),
+    "simulate": (2, "configuration error: "),
+}
+
+
+@pytest.mark.parametrize(
+    "case, command",
+    [(case, command) for case in HOSTILE for command in FAILED_SAMPLING],
+    ids=[f"{case}-{command}" for case in HOSTILE for command in FAILED_SAMPLING],
+)
+def test_hostile_configs_fail_in_one_line(tmp_path, capsys, case, command):
+    # any exception but a MredmdError would propagate out of main: the
+    # traceback the command line would print
+    overrides, message = HOSTILE[case]
+    cfg = write_config(tmp_path / "cfg.json", K=2, **overrides)
+    out = tmp_path / "r"
+    extra = ["--num-seeds", "1"] if command == "compare" else []
     start = time.perf_counter()
-    assert main(["multirate", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 1
+    code = main([command, "--config", str(cfg), *extra, "--out", str(out)])
     assert time.perf_counter() - start < 10.0
-    summary = json.loads((tmp_path / "r" / "summary.json").read_text())
-    (error,) = summary["errors"]
-    assert error["stage"] == "sample"
-    assert "sampling times share no common micro-step" in error["message"]
-    assert "error in stage sample: sampling times share no common micro-step" in (
-        capsys.readouterr().err
-    )
+    expected_code, prefix = FAILED_SAMPLING[command]
+    assert code == expected_code
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(prefix + message)
+    if command == "multirate":
+        (error,) = json.loads((out / "summary.json").read_text())["errors"]
+        assert error["stage"] == "sample" and message in error["message"]
+    elif command == "simulate":
+        assert not out.exists()
 
 
 def test_simulate_subcommand(tmp_path):
@@ -147,6 +177,7 @@ def _forbid_runs(monkeypatch):
 
     monkeypatch.setattr(experiments, "run", forbidden)
     monkeypatch.setattr(experiments, "run_sweep", forbidden)
+    monkeypatch.setattr(experiments, "simulate", forbidden)
 
 
 def test_reused_out_refuses_another_report(tmp_path, capsys, monkeypatch):
@@ -201,6 +232,44 @@ def test_report_and_comparison_refuse_each_other(tmp_path, capsys, monkeypatch, 
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
+@pytest.mark.parametrize(
+    "first, second",
+    [
+        ("simulate", "multirate"),
+        ("simulate", "compare"),
+        ("multirate", "simulate"),
+        ("compare", "simulate"),
+    ],
+)
+def test_ensemble_and_report_refuse_each_other(tmp_path, capsys, monkeypatch, first, second):
+    cfg = write_config(tmp_path / "cfg.json")
+    out = tmp_path / "r"
+    commands = {
+        "multirate": ["multirate", "--config", str(cfg), "--out", str(out)],
+        "compare": ["compare", "--config", str(cfg), "--num-seeds", "2", "--out", str(out)],
+        "simulate": ["simulate", "--config", str(cfg), "--out", str(out)],
+    }
+    assert main(commands[first]) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    # re-running the first command into its own directory still overwrites
+    assert main(commands[first]) == 0
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    capsys.readouterr()
+    _forbid_runs(monkeypatch)
+    assert main(commands[second]) == 2
+    err = capsys.readouterr().err
+    if first == "simulate":
+        # 30 trajectory files; a refusal lists the first 20
+        stale = ", ".join(f"trajectory_{k:05d}.csv" for k in range(20)) + " and 10 more"
+    else:
+        stale = ", ".join(sorted(before))
+    assert err == (
+        f"configuration error: {out} holds files of another report: {stale}; "
+        "write to a new or empty directory\n"
+    )
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
 def test_simulate_refuses_a_directory_with_other_trajectories(tmp_path, capsys):
     out = tmp_path / "ensemble"
     first = write_config(tmp_path / "first.json", K=5)
@@ -210,7 +279,8 @@ def test_simulate_refuses_a_directory_with_other_trajectories(tmp_path, capsys):
     assert main(["simulate", "--config", str(first), "--out", str(out)]) == 0
     capsys.readouterr()
     assert main(["simulate", "--config", str(second), "--out", str(out)]) == 2
-    assert "lacks (indices 3, 4)" in capsys.readouterr().err
+    stale = "trajectory_00003.csv, trajectory_00004.csv"
+    assert f"holds files of another report: {stale};" in capsys.readouterr().err
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 

@@ -6,14 +6,12 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from mredmd import dynamics
+from mredmd import dynamics, export_ensemble, import_ensemble
 from mredmd.dynamics import (
     TIME_MATCH_TOL,
     Ensemble,
     SamplingSchedule,
     common_micro_step,
-    export_ensemble,
-    import_ensemble,
     integrate,
     linear_field,
     lorenz_field,
@@ -281,6 +279,14 @@ class TestCommonMicroStep:
         with pytest.raises(ConfigurationError):
             common_micro_step(schedules)
 
+    @pytest.mark.parametrize("period", [1e-14, 4e-13])
+    def test_period_below_the_grid_resolution_rejected(self, period):
+        # the fraction of such a time is 0, which is no step at all
+        schedules = [SamplingSchedule(component=0, dead_time=0.0, period=period, count=1)]
+        match = re.escape(f"schedule time {period!r} is not representable")
+        with pytest.raises(ConfigurationError, match=match):
+            common_micro_step(schedules)
+
 
 def benchmark_schedules(t_s=0.1):
     """Multirate schedules for rates (1, 4, 3) with the lcm-covering counts."""
@@ -363,6 +369,15 @@ class TestSampleEnsemble:
         for i in a.values:
             np.testing.assert_array_equal(a.values[i], b.values[i])
 
+    def test_grid_beyond_address_space_refused_before_indexing(self):
+        # 10**18 samples of a 0.1 s period: NumPy refuses the RK4 grid's
+        # shape itself, so the run ends in integrate's named error, not in
+        # building 10**18 sample indices
+        schedules = benchmark_schedules()
+        schedules[0] = SamplingSchedule(component=0, dead_time=0.0, period=0.1, count=10**18)
+        with pytest.raises(ConfigurationError, match="cannot allocate the RK4 grid"):
+            sample_ensemble(lorenz_field(), schedules, 2, seed=0)
+
     def test_schedule_coverage_check(self):
         with pytest.raises(ConfigurationError):
             sample_ensemble(lorenz_field(), benchmark_schedules()[:2], 1, seed=0)
@@ -441,13 +456,35 @@ class TestEnsembleCsvRoundtrip:
             values={i: v[:1] for i, v in ensemble.values.items()},
             indices=[0],
         )
-        stale = r"indices 1, 2, 3, 4, 5, 6, 7, 8, 9, 10 and 3 more"
-        with pytest.raises(ConfigurationError, match=re.escape(str(tmp_path)) + ".*" + stale):
+        stale = ", ".join(f"trajectory_{k:05d}.csv" for k in range(1, 14))
+        with pytest.raises(ConfigurationError) as info:
             export_ensemble(fewer, tmp_path)
+        assert str(info.value) == (
+            f"{tmp_path} holds files of another report: {stale}; write to a new or empty directory"
+        )
         # a file outside the trajectory naming is not a trajectory
         (tmp_path / "trajectory_x.csv").write_text("")
         export_ensemble(ensemble, tmp_path)
         assert len(import_ensemble(tmp_path)) == 14
+
+    def test_export_refuses_another_spelling_of_its_index(self, tmp_path):
+        # trajectory_1.csv holds index 1 as trajectory_00001.csv would: the
+        # import would find both and refuse the directory
+        ensemble = sample_ensemble(lorenz_field(), benchmark_schedules(), 2, seed=2)
+        (tmp_path / "trajectory_1.csv").write_text("component,time,value\n")
+        with pytest.raises(ConfigurationError, match=r"another report: trajectory_1\.csv;"):
+            export_ensemble(ensemble, tmp_path)
+        assert [p.name for p in tmp_path.iterdir()] == ["trajectory_1.csv"]
+
+    def test_export_refuses_a_report_directory(self, tmp_path):
+        ensemble = sample_ensemble(lorenz_field(), benchmark_schedules(), 2, seed=2)
+        (tmp_path / "summary.json").write_text("{}\n")
+        (tmp_path / "hankel_K_1.csv").write_text("1.0\n")
+        with pytest.raises(
+            ConfigurationError, match=r"another report: hankel_K_1\.csv, summary\.json;"
+        ):
+            export_ensemble(ensemble, tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["hankel_K_1.csv", "summary.json"]
 
     def test_import_missing_dir(self, tmp_path):
         with pytest.raises(DataError):

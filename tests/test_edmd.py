@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from mredmd import edmd, linalg, save_model
+from mredmd import edmd, linalg
 from mredmd.dynamics import integrate, lorenz_field
 from mredmd.edmd import (
     StatePairEnsemble,
@@ -419,20 +419,6 @@ class TestGeneratorSpectrum:
         from mredmd.linalg import spectrum_distance
 
         assert spectrum_distance(w, np.conj(w)) < 1e-10
-
-
-class TestSaveModel:
-    def test_files_written(self, tmp_path):
-        d = monomial_dictionary(2, 1)
-        rng = np.random.default_rng(15)
-        x = rng.uniform(-1, 1, size=(2, 30))
-        model = fit_model(StatePairEnsemble(x=x, y=x, step=0.25), d)
-        save_model(model, tmp_path, "test")
-        k = np.loadtxt(tmp_path / "K_test.csv", delimiter=",")
-        np.testing.assert_array_equal(k, model.k_mat)
-        manifest = (tmp_path / "model_test.txt").read_text()
-        assert "step: 0.25" in manifest
-        assert "1 0" in manifest
 
 
 def test_labelled_reemits_warnings_before_a_singular_error():

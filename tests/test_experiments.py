@@ -425,6 +425,28 @@ class TestEmitReport:
         assert (tmp_path / "hankel_K_1.csv").exists()
         assert (tmp_path / "hankel_L_2.csv").exists()
 
+    def test_model_files_written(self, tmp_path):
+        d = monomial_dictionary(2, 1)
+        rng = np.random.default_rng(15)
+        x = rng.uniform(-1, 1, size=(2, 30))
+        model = fit_model(StatePairEnsemble(x=x, y=x, step=0.25), d)
+        report = experiments.ExperimentReport(
+            schema=experiments.SCHEMA_ID,
+            mode="multirate",
+            seed=0,
+            config={},
+            methods=["ideal"],
+            models={"ideal": model},
+        )
+        emit_report(report, tmp_path)
+        k = np.loadtxt(tmp_path / "K_ideal.csv", delimiter=",")
+        np.testing.assert_array_equal(k, model.k_mat)
+        l_mat = np.loadtxt(tmp_path / "L_ideal.csv", delimiter=",")
+        np.testing.assert_array_equal(l_mat, model.l_mat)
+        manifest = (tmp_path / "model_ideal.txt").read_text()
+        assert "step: 0.25" in manifest
+        assert "1 0" in manifest
+
     def test_empty_report_headers_only(self, tmp_path):
         report = experiments.ExperimentReport(
             schema=experiments.SCHEMA_ID,
@@ -468,10 +490,10 @@ class TestEmitReport:
         assert all(tree == trees[0] for tree in trees[1:])
 
 
-def test_only_dynamics_imports_csv():
-    # every report CSV goes through experiments._write_csv; only the
-    # ensemble export and import in dynamics read and write with csv
-    importers = []
+def test_only_experiments_imports_csv():
+    # every CSV goes through experiments._write_csv; only the ensemble
+    # import reads with csv, and dynamics, which samples, touches no file
+    importers = {}
     for path in sorted(Path(experiments.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Import):
@@ -480,9 +502,10 @@ def test_only_dynamics_imports_csv():
                 names = [node.module]
             else:
                 continue
-            if any(name.split(".")[0] == "csv" for name in names):
-                importers.append(path.name)
-    assert importers == ["dynamics.py"]
+            for name in names:
+                importers.setdefault(name.split(".")[0], []).append(path.name)
+    assert importers["csv"] == ["experiments.py"]
+    assert "dynamics.py" not in importers.get("re", []) + importers.get("pathlib", [])
 
 
 class TestRunSweep:

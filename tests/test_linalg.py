@@ -173,12 +173,15 @@ class TestCastReal:
     def test_warns_above_tolerance_only(self):
         import warnings
 
-        m = np.array([[1.0 + 1e-10j]])
+        assert linalg.IMAG_RESIDUAL_TOL == 1e-6
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            linalg.cast_real(m, tol=1e-8)
-        with pytest.warns(ImaginaryResidualWarning):
-            linalg.cast_real(m, tol=1e-12)
+            linalg.cast_real(np.array([[1.0 + 1e-7j]]))
+        with pytest.warns(
+            ImaginaryResidualWarning,
+            match=r"^imaginary residual 1\.000e-05 exceeds tolerance 1\.0e-06$",
+        ):
+            linalg.cast_real(np.array([[1.0 + 1e-5j]]))
 
 
 class TestSpectrumDistance:

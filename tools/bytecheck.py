@@ -88,6 +88,10 @@ COMMANDS = [
     ("simulate_k300", "simulate", {**_MULTIRATE, "K": 300}, []),
     ("simulate_single_k100", "simulate", {**_SINGLE, "K": 100}, []),
     ("simulate_rates246", "simulate", {**_MULTIRATE, "K": 200, "rates": [2, 4, 6]}, []),
+    # configs no grid can sample: a T_s below the grid's resolution, and an
+    # RK4 grid whose shape NumPy refuses outright
+    ("multirate_tiny_ts", "multirate", {**_MULTIRATE, "K": 2, "T_s": 1e-14}, []),  # 1
+    ("simulate_huge_m", "simulate", {**_MULTIRATE, "K": 2, "M": [10**18, 3, 4]}, []),  # 2
 ]
 
 _SOURCE_LINE = re.compile(r"[^\s\"']*/mredmd/(\w+)\.py:\d+")
