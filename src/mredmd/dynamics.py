@@ -328,21 +328,40 @@ def _mul128(a, b):
     return high + a_lo * b_hi + a_hi * b_lo, a_lo * b_lo
 
 
-def _substream_uniform(seed, n_traj, box):
-    """Uniform draws on ``box`` (n, 2), shape (n_traj, n): row k is, bit for
-    bit, ``default_rng(SeedSequence([*seed, k])).uniform(lo, hi)`` per axis.
+def _substream_uniform(keys, n_traj, box):
+    """Uniform draws on ``box`` (n, 2) for each of ``keys``, shape
+    (len(keys), n_traj, n): row k of key ``seed`` is, bit for bit,
+    ``default_rng(SeedSequence([*seed, k])).uniform(lo, hi)`` per axis.
 
     ``SeedSequence`` mixing, PCG64 seeding and its XSL-RR output are fixed
-    integer recurrences, so they run elementwise over all k at once.
+    integer recurrences, so they run elementwise over all k at once, and
+    over all keys of one count of 32-bit entropy words at once (the count
+    sets the hash constants each word meets).
     """
-    parts = list(seed) if isinstance(seed, (tuple, list)) else [seed]
-    if any(isinstance(p, bool) or not isinstance(p, numbers.Integral) or p < 0 for p in parts):
-        raise ConfigurationError(f"seed must be a non-negative int or ints, got {seed!r}")
-    # entropy words: 32 bits at a time from each int, then the index k
-    pieces = [(int(p), s) for p in parts for s in range(0, max(int(p).bit_length(), 1), 32)]
-    words = [np.full(n_traj, p >> s & _MASK32, np.uint32) for p, s in pieces]
-    words.append(np.arange(n_traj, dtype=np.uint32))
-    words += [np.zeros(n_traj, np.uint32)] * (4 - len(words))
+    keys, groups = list(keys), {}
+    for index, seed in enumerate(keys):
+        parts = list(seed) if isinstance(seed, (tuple, list)) else [seed]
+        if any(isinstance(p, bool) or not isinstance(p, numbers.Integral) or p < 0 for p in parts):
+            raise ConfigurationError(f"seed must be a non-negative int or ints, got {seed!r}")
+        # entropy words: 32 bits at a time from each int, then the index k
+        words = [
+            int(p) >> s & _MASK32 for p in parts for s in range(0, max(int(p).bit_length(), 1), 32)
+        ]
+        groups.setdefault(len(words), []).append((index, words))
+    out = np.empty((len(keys), n_traj, len(box)))
+    for members in groups.values():
+        rows = [index for index, _ in members]
+        out[rows] = _uniform_rows(np.array([w for _, w in members], np.uint32), n_traj, box)
+    return out
+
+
+def _uniform_rows(entropy, n_traj, box):
+    """:func:`_substream_uniform` of keys whose entropy words, one row per
+    key, are the rows of ``entropy``."""
+    count = len(entropy)
+    words = [np.repeat(column, n_traj) for column in entropy.T]
+    words.append(np.tile(np.arange(n_traj, dtype=np.uint32), count))
+    words += [np.zeros(count * n_traj, np.uint32)] * (4 - len(words))
     hash_const = _INIT_A
 
     def hashmix(value, mult=_MULT_A):
@@ -367,13 +386,13 @@ def _substream_uniform(seed, n_traj, box):
     seed_hi, seed_lo, seq_hi, seq_lo = state.astype("<u4").view("<u8").astype(np.uint64).T
     inc = (seq_hi << np.uint64(1) | seq_lo >> np.uint64(63), seq_lo << np.uint64(1) | np.uint64(1))
     pcg = _add128(_mul128(_add128(inc, (seed_hi, seed_lo)), _PCG_MULT), inc)
-    out = np.empty((n_traj, len(box)))
+    out = np.empty((count * n_traj, len(box)))
     for axis, (lo, hi) in enumerate(box.tolist()):
         pcg = _add128(_mul128(pcg, _PCG_MULT), inc)
         rot, xored = pcg[0] >> np.uint64(58), pcg[0] ^ pcg[1]
         bits = xored >> rot | xored << (np.uint64(64) - rot & np.uint64(63))
         out[:, axis] = lo + (hi - lo) * ((bits >> np.uint64(11)) * 2.0**-53)
-    return out
+    return out.reshape(count, n_traj, len(box))
 
 
 def sample_ensemble(field, schedules, n_traj, init_box=None, seed=0):
@@ -393,7 +412,8 @@ def sample_ensemble(field, schedules, n_traj, init_box=None, seed=0):
 
 def sample_ensembles(field, layouts, n_traj, seeds, init_box=None):
     """Sample the same K trajectories of each seed on each of ``layouts``,
-    all of them integrated in one RK4 pass (see :func:`integrate_stacked`).
+    all of them drawn in one pass (:func:`_substream_uniform`) and
+    integrated in one RK4 pass (see :func:`integrate_stacked`).
 
     A layout is a list of schedules that covers each state component once
     (as :func:`sample_ensemble` takes). Returns, per seed, one
@@ -415,7 +435,7 @@ def sample_ensembles(field, layouts, n_traj, seeds, init_box=None):
     box = np.asarray([(-1.0, 1.0)] * n if init_box is None else init_box, dtype=float)
     if box.shape != (n, 2) or not np.all(box[:, 0] < box[:, 1]):
         raise ConfigurationError(f"init_box must be (dim, 2) with low < high, got {box!r}")
-    x0s = [_substream_uniform(seed, n_traj, box) for seed in seeds]
+    x0s = list(_substream_uniform(seeds, n_traj, box))
 
     # The sample grid, spacing g, holds every sample time; RK4 runs
     # _STEPS_PER_GRID micro-steps per grid step and keeps grid rows.

@@ -92,6 +92,43 @@ def fit_model(pairs, dictionary):
     SingularMatrixError
         If the fitted K is singular so no generator exists.
     """
+    p_x, p_y = _lifted(pairs, dictionary)
+    with labelled(f"EDMD fit ({pairs.n_pairs} pairs, {dictionary.size} observables)"):
+        k_mat, l_complex = linalg.koopman_fit(p_x, p_y, pairs.step)
+    return KoopmanModel(dictionary=dictionary, k_mat=k_mat, l_complex=l_complex, step=pairs.step)
+
+
+def fit_models(pair_sets, dictionary):
+    """:func:`fit_model` of each of ``pair_sets``, which hold the same
+    number of pairs at one step (as the seeds of a sweep do), in one
+    :func:`linalg.koopman_fit` of the stacked lifts. Warnings come by kind:
+    the rank warnings of all sets, then those of the fits.
+
+    Raises
+    ------
+    ConfigurationError
+        If the sets differ in size or step.
+    """
+    pair_sets = list(pair_sets)
+    if not pair_sets:
+        return []
+    first = pair_sets[0]
+    if any(p.n_pairs != first.n_pairs or p.step != first.step for p in pair_sets):
+        raise ConfigurationError("pair sets fit together must share their size and step")
+    p_xs, p_ys = np.empty((2, len(pair_sets), dictionary.size, first.n_pairs))
+    for pairs, p_x, p_y in zip(pair_sets, p_xs, p_ys):
+        p_x[...], p_y[...] = _lifted(pairs, dictionary)
+    with labelled(f"EDMD fit ({first.n_pairs} pairs, {dictionary.size} observables)"):
+        k_mats, l_complex = linalg.koopman_fit(p_xs, p_ys, first.step)
+    return [
+        KoopmanModel(dictionary=dictionary, k_mat=k, l_complex=l, step=first.step)
+        for k, l in zip(k_mats, l_complex)
+    ]
+
+
+def _lifted(pairs, dictionary):
+    """(P_x, P_y) of ``pairs``; warns at the caller's caller when there are
+    fewer pairs than observables."""
     p_x = dictionary.evaluate_columns(pairs.x)
     p_y = dictionary.evaluate_columns(pairs.y)
     if pairs.n_pairs < dictionary.size:
@@ -99,11 +136,9 @@ def fit_model(pairs, dictionary):
             f"only {pairs.n_pairs} pairs for a dictionary of size "
             f"{dictionary.size}; the fit is underdetermined",
             RankDeficiencyWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
-    with labelled(f"EDMD fit ({pairs.n_pairs} pairs, {dictionary.size} observables)"):
-        k_mat, l_complex = linalg.koopman_fit(p_x, p_y, pairs.step)
-    return KoopmanModel(dictionary=dictionary, k_mat=k_mat, l_complex=l_complex, step=pairs.step)
+    return p_x, p_y
 
 
 def predict(model, x0, steps, mode="rollout"):
@@ -122,16 +157,17 @@ def predict(model, x0, steps, mode="rollout"):
     np.ndarray
         Shape (steps, n) for one initial state, (B, steps, n) for a batch.
     """
-    return _predict([model], x0, steps, mode)[0]
+    return _predict([model], x0, steps, mode, per_model=False)[0]
 
 
 def predict_models(models, x0, steps, mode="rollout"):
-    """:func:`predict` of each of ``models`` from the same initial states.
+    """:func:`predict` of each of ``models`` from the same initial states,
+    or from its own: ``x0`` (M, B, n) gives model m the rows ``x0[m]``.
 
-    The models share one dictionary (as the models of one report do) and
-    advance in one loop: one lift per step for all of them, and one gemv per
-    model and row. Each model's rows are bit for bit its own
-    :func:`predict`, with the same NaN tails and the same
+    The models share one dictionary (as the models of one report, or of the
+    seeds of a sweep, do) and advance in one loop: one lift per step for all
+    of them, and one gemv per model and row. Each model's rows are bit for
+    bit its own :func:`predict`, with the same NaN tails and the same
     :class:`DivergenceWarning` messages, by model, then by row.
 
     Raises
@@ -142,14 +178,16 @@ def predict_models(models, x0, steps, mode="rollout"):
     Returns
     -------
     np.ndarray
-        Shape (M, steps, n) for one initial state, (M, B, steps, n) for a batch.
+        Shape (M, steps, n) for one initial state, (M, B, steps, n) for a batch
+        or for per-model states.
     """
-    return _predict(models, x0, steps, mode)
+    return _predict(models, x0, steps, mode, per_model=True)
 
 
-def _predict(models, x0, steps, mode):
-    """The prediction of :func:`predict` and :func:`predict_models`; warns
-    at the caller of either."""
+def _predict(models, x0, steps, mode, per_model):
+    """The prediction of :func:`predict` and :func:`predict_models`, the
+    latter also from per-model initial states; warns at the caller of
+    either."""
     models = list(models)
     if not models:
         raise ConfigurationError("no models to predict")
@@ -168,11 +206,13 @@ def _predict(models, x0, steps, mode):
         raise ConfigurationError(f"unknown prediction mode {mode!r}")
     x0 = np.asarray(x0, dtype=float)
     n = dictionary.dim
-    if x0.ndim not in (1, 2) or x0.shape[-1] != n:
-        raise ConfigurationError(f"x0 has shape {x0.shape}, expected ({n},) or (B, {n})")
+    own = per_model and x0.ndim == 3 and len(x0) == len(models)
+    if not (x0.ndim in (1, 2) or own) or x0.shape[-1] != n:
+        expected = f"({n},) or (B, {n})" + (f" or ({len(models)}, B, {n})" if per_model else "")
+        raise ConfigurationError(f"x0 has shape {x0.shape}, expected {expected}")
     x = np.atleast_2d(x0)
-    out = np.empty((len(models), len(x), steps, n))
-    diverged_at = np.zeros((len(models), len(x)), dtype=int)
+    out = np.empty((len(models), x.shape[-2], steps, n))
+    diverged_at = np.zeros(out.shape[:2], dtype=int)
     _advance(models, dictionary, readout, x, mode, out, diverged_at)
     for m, row in np.argwhere(diverged_at > 0).tolist():
         j = int(diverged_at[m, row])
@@ -182,14 +222,15 @@ def _predict(models, x0, steps, mode):
             DivergenceWarning,
             stacklevel=3,
         )
-    return out if x0.ndim == 2 else out[:, 0]
+    return out if x0.ndim > 1 else out[:, 0]
 
 
 def _advance(models, dictionary, readout, x, mode, out, diverged_at):
     """Fill ``out`` (M, B, steps, n) with the predictions of ``models``,
     which share ``dictionary`` and its ``readout``, from the rows of ``x``
-    (B, n), and ``diverged_at`` (M, B) with the 1-based step at which each
-    model's row became non-finite (0 if it did not)."""
+    (B, n) or from each model's own rows (M, B, n), and ``diverged_at``
+    (M, B) with the 1-based step at which each model's row became
+    non-finite (0 if it did not)."""
     n_models, n_rows, steps, n = out.shape
     k_mats = np.stack([model.k_mat for model in models])[:, None]  # (M, 1, N, N)
     x = np.broadcast_to(x, (n_models, n_rows, n))

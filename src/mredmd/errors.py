@@ -1,8 +1,11 @@
 """Exception and warning types shared across the package, and the label
-that names the fit a warning or a singular-matrix error came from."""
+that names the fit a warning or a singular-matrix error came from, and the
+test that lets a batched call stand for its items."""
 
 import warnings
 from contextlib import contextmanager
+
+import numpy as np
 
 
 class MredmdError(Exception):
@@ -76,3 +79,20 @@ def labelled(label):
     finally:
         for w in caught:
             warnings.warn(f"{label}: {w.message}", w.category, stacklevel=4)
+
+
+def quiet(call):
+    """``(True, call())`` if the call neither warns nor fails with a
+    :class:`MredmdError` or a NumPy ``LinAlgError``; ``(False, None)`` if
+    it does, from its first warning on (warnings are errors inside).
+
+    A batched call runs through this first: when it is not clean, its
+    caller replays it item by item, so the warnings and errors are those
+    of the items alone, in their order.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return True, call()
+        except (MredmdError, np.linalg.LinAlgError, Warning):
+            return False, None

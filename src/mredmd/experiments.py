@@ -11,11 +11,11 @@ materialize as CSV/JSON files; identical config and seed reproduce
 identical bytes.
 
 ``run_sweep`` runs the same pipeline over many seeds one stage at a time,
-so each RK4 stage integrates a whole group of seeds in one batch; ``run``
-is its one-seed case.
+so each stage runs once for a whole group of seeds: one RK4 batch, one
+stacked Koopman fit per fit, one prediction call. A stage that warns or
+fails for the group runs again seed by seed. ``run`` is its one-seed case.
 """
 
-import csv
 import json
 import math
 import numbers
@@ -45,6 +45,7 @@ from .errors import (
     DimensionMismatchError,
     MredmdError,
     MredmdWarning,
+    quiet,
 )
 from .linalg import cast_real, matrix_exp, spectrum_distance
 from .observables import monomial_dictionary
@@ -155,7 +156,9 @@ class ExperimentConfig:
     def from_json(cls, path):
         try:
             data = json.loads(Path(path).read_text())
-        except json.JSONDecodeError as exc:
+        except OSError as exc:
+            raise ConfigurationError(f"{path}: cannot read: {exc.strerror or exc}") from exc
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ConfigurationError(f"{path}: invalid JSON: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigurationError(f"{path}: config must be a JSON object")
@@ -295,20 +298,28 @@ def _stage(report, name):
             warnings.warn_explicit(w.message, w.category, w.filename, w.lineno, source=w.source)
 
 
-def _per_seed(reports, name, compute):
+def _per_seed(reports, name, compute, seed_warnings=False):
     """``compute(indices)``, one result per index, called once for all reports.
 
     If that joint call fails, each seed runs alone inside its own ``name``
     stage: a failure is recorded against its seed with the message a
     one-seed run gives, the other seeds get what they get alone, and a
-    failed seed gets None. The warnings of a joint call belong to no seed:
-    they pass through, unrecorded.
+    failed seed gets None. By default the warnings of a joint call belong
+    to no seed: they pass through, unrecorded. With ``seed_warnings`` a
+    joint call that warns runs alone per seed too (:func:`errors.quiet`),
+    so each seed's stage records the warnings and errors of a one-seed run,
+    in their order.
     """
     if len(reports) > 1:
-        try:
-            return compute(range(len(reports)))
-        except _STAGE_ERRORS:
-            pass
+        if seed_warnings:
+            clean, results = quiet(lambda: compute(range(len(reports))))
+        else:
+            try:
+                clean, results = True, compute(range(len(reports)))
+            except _STAGE_ERRORS:
+                clean = False
+        if clean:
+            return results
     results = [None] * len(reports)
     for i, report in enumerate(reports):
         with _stage(report, name):
@@ -381,27 +392,40 @@ def evaluate_prediction(models, x0s, truth, mode="rollout"):
         raise DimensionMismatchError(
             f"truth has shape {shape}, expected ({len(x0s)}, horizon >= 1, {x0s.shape[1]})"
         )
-    horizon = shape[1]
-    predictions = {}
-    rmse = {}
-    stacked = edmd.predict_models(models.values(), x0s, horizon, mode) if models else ()
-    for name, preds in zip(models, stacked):
+    (result,) = _evaluate_sets([(models, x0s, truth)], mode)
+    return result
+
+
+def _evaluate_sets(sets, mode):
+    """:func:`evaluate_prediction` of each (models, x0s, truth) of ``sets``,
+    all of one shape, with every model of every set predicted in one
+    :func:`edmd.predict_models` call from its own set's states."""
+    flat = [(i, name) for i, (models, _, _) in enumerate(sets) for name in models]
+    results = [({}, {}) for _ in sets]
+    if not flat:
+        return results
+    models = [sets[i][0][name] for i, name in flat]
+    starts = np.stack([sets[i][1] for i, _ in flat])
+    horizon = sets[0][2].shape[1]
+    for (i, name), preds in zip(flat, edmd.predict_models(models, starts, horizon, mode)):
         finite = np.all(np.isfinite(preds), axis=2)
         prefix = np.where(finite.all(axis=1), horizon, np.argmax(~finite, axis=1))
-        sq_err = (preds - truth) ** 2
-        per_traj = np.full(len(x0s), np.inf)
+        sq_err = (preds - sets[i][2]) ** 2
+        per_traj = np.full(len(preds), np.inf)
         # one reduction per prefix length; each row sums as a mean over it alone
         for p in np.unique(prefix[prefix > 0]).tolist():
             rows = prefix == p
             per_traj[rows] = np.sqrt(np.mean(sq_err[rows, :p].reshape(rows.sum(), -1), axis=1))
+        predictions, rmse = results[i]
         predictions[name] = preds
         rmse[name] = per_traj.tolist()
-    return predictions, rmse
+    return results
 
 
 def _finish_reports(reports, cfg, fld):
     """Spectra, distances to the ideal model, and prediction evaluation, with
-    the evaluation truths of all reports in one RK4 batch."""
+    the evaluation truths of all reports in one RK4 batch and their
+    predictions in one :func:`edmd.predict_models` call."""
     for report in reports:
         with _stage(report, "spectra"):
             for name, model in report.models.items():
@@ -420,18 +444,19 @@ def _finish_reports(reports, cfg, fld):
         "evaluate",
         lambda idx: _eval_truths(fld, [x0s[i] for i in idx], cfg.horizon, cfg.T_s),
     )
-    for report, x0, truth in zip(evaluated, x0s, truths):
-        if truth is None:
+    kept = [(r, x0, truth) for r, x0, truth in zip(evaluated, x0s, truths) if truth is not None]
+
+    def evaluate(idx):
+        return _evaluate_sets([(kept[i][0].models, *kept[i][1:]) for i in idx], cfg.prediction_mode)
+
+    scores = _per_seed([r for r, _, _ in kept], "evaluate", evaluate, seed_warnings=True)
+    for (report, _, truth), score in zip(kept, scores):
+        if score is None:
             continue
-        with _stage(report, "evaluate"):
-            report.predictions, report.rmse = evaluate_prediction(
-                report.models, x0, truth, cfg.prediction_mode
-            )
-            report.eval_times = np.arange(1, cfg.horizon + 1) * cfg.T_s
-            report.eval_truth = truth
-            report.mean_rmse = {
-                name: float(np.mean(vals)) for name, vals in report.rmse.items()
-            }
+        report.predictions, report.rmse = score
+        report.eval_times = np.arange(1, cfg.horizon + 1) * cfg.T_s
+        report.eval_truth = truth
+        report.mean_rmse = {name: float(np.mean(vals)) for name, vals in report.rmse.items()}
 
 
 def _methods(cfg):
@@ -448,8 +473,12 @@ def _targets(cfg):
 
 def _run_seeds(cfg, seeds):
     """The pipeline of the configured mode on each seed, one stage at a time
-    across the seeds: one RK4 batch samples every seed's ensemble, the fits
-    run seed by seed, and one RK4 batch integrates every evaluation truth.
+    across the seeds: one RK4 batch samples every seed's ensemble, each fit
+    stacks every seed's problem (but the lcm baseline's, fit seed by seed),
+    one RK4 batch integrates every evaluation truth and one prediction call
+    advances every model. A stage whose joint call warns or fails runs again
+    seed by seed (:func:`_per_seed`), so each report holds the warnings and
+    errors of a one-seed run.
 
     Multirate reconstructs at (T_s, 2 T_s) and fits the multirate model, the
     lcm baseline and the ideal baseline; single-state reconstructs at
@@ -471,41 +500,50 @@ def _run_seeds(cfg, seeds):
         for seed in seeds
     ]
     # the sampled ensembles are freed before evaluation
-    _finish_reports(_sample_and_fit(cfg, fld, reports), cfg, fld)
+    _finish_reports(_sample_and_fit(cfg, fld, dictionary, reports), cfg, fld)
     return reports
 
 
-def _sample_and_fit(cfg, fld, reports):
+def _sample_and_fit(cfg, fld, dictionary, reports):
     """Sample every report's ensemble, and its full-state twin for the ideal
-    baseline, in one RK4 batch, then fit its models; returns the reports
-    whose sampling succeeded."""
+    baseline, in one RK4 batch, then fit its models, each fit stage in one
+    call for all of them; returns the reports whose sampling succeeded."""
     mode = cfg.mode
-    multirate = mode == "multirate"
     t_s = cfg.T_s
     targets = _targets(cfg)
-    lcm_step = lcm_of_rates(cfg.rates) * t_s if multirate else None
     schedules = derive_schedules(cfg)
     full_state = _full_state(fld.dim, t_s)
     samples = _per_seed(
         reports, "sample", lambda idx: simulate(cfg, [reports[i].seed for i in idx])
     )
-    sampled = []
-    for report, ensembles in zip(reports, samples):
-        if ensembles is None:
-            continue
-        ensemble, full = ensembles
-        sampled.append(report)
-        with _stage(report, "reconstruct"):
-            # stored before reconstructing, so a failed estimate still reports them
-            report.component_operators = hankel.fit_component_operators(
-                ensemble, schedules, targets
-            )
-            pairs = hankel.reconstruct_states(
-                ensemble, schedules, report.component_operators, t_s, first_target=targets[0]
-            )
-            report.models[mode] = edmd.fit_model(pairs, report.dictionary)
+    sampled = [(r, ensembles) for r, ensembles in zip(reports, samples) if ensembles is not None]
+    group = [report for report, _ in sampled]
 
-        if multirate:
+    def reconstruct(idx):
+        ensembles = [sampled[i][1][0] for i in idx]
+        operator_sets = hankel.fit_operator_sets(ensembles, schedules, targets)
+        pairs = []
+        for i, ensemble, operators in zip(idx, ensembles, operator_sets):
+            # stored before reconstructing, so a failed estimate still reports them
+            group[i].component_operators = operators
+            pairs.append(
+                hankel.reconstruct_states(
+                    ensemble, schedules, operators, t_s, first_target=targets[0]
+                )
+            )
+        return edmd.fit_models(pairs, dictionary)
+
+    def fit_ideal(idx):
+        pairs = [hankel.reconstruct_states(sampled[i][1][1], full_state, {}, t_s) for i in idx]
+        return edmd.fit_models(pairs, dictionary)
+
+    models = _per_seed(group, "reconstruct", reconstruct, seed_warnings=True)
+    for report, model in zip(group, models):
+        if model is not None:
+            report.models[mode] = model
+    if mode == "multirate":
+        lcm_step = lcm_of_rates(cfg.rates) * t_s
+        for report, (ensemble, _) in sampled:
             with _stage(report, "fit_lcm"):
                 if hankel.estimated_components(schedules, (0.0, lcm_step)):
                     raise DataError(
@@ -515,15 +553,14 @@ def _sample_and_fit(cfg, fld, reports):
                 lcm_pairs = hankel.reconstruct_states(
                     ensemble, schedules, {}, lcm_step, first_target=0.0
                 )
-                raw = edmd.fit_model(lcm_pairs, report.dictionary)
+                raw = edmd.fit_model(lcm_pairs, dictionary)
                 report.models["lcm"], step_residual = _lcm_step_model(raw, t_s)
                 report.residuals["lcm_step"] = step_residual
-
-        with _stage(report, "fit_ideal"):
-            ideal_pairs = hankel.reconstruct_states(full, full_state, {}, t_s)
-            report.models["ideal"] = edmd.fit_model(ideal_pairs, report.dictionary)
-
-    return sampled
+    models = _per_seed(group, "fit_ideal", fit_ideal, seed_warnings=True)
+    for report, model in zip(group, models):
+        if model is not None:
+            report.models["ideal"] = model
+    return group
 
 
 def run(cfg):
@@ -552,12 +589,15 @@ def _noise_floors(cfg, seeds):
     dictionary = monomial_dictionary(fld.dim, cfg.degree, cfg.include_constant)
     full_state = _full_state(fld.dim, cfg.T_s)
     keys = [(seed, _NOISE_FLOOR_STREAM, half) for seed in seeds for half in (1, 2)]
-    spectra = [
-        edmd.generator_spectrum(
-            edmd.fit_model(hankel.reconstruct_states(full, full_state, {}, cfg.T_s), dictionary)
-        )
+    pairs = [
+        hankel.reconstruct_states(full, full_state, {}, cfg.T_s)
         for (full,) in sample_ensembles(fld, [full_state], cfg.K, keys, cfg.init_box)
     ]
+    # the fits run as one; if that warns or fails, one by one as before
+    clean, models = quiet(lambda: edmd.fit_models(pairs, dictionary))
+    if not clean:
+        models = [edmd.fit_model(p, dictionary) for p in pairs]
+    spectra = [edmd.generator_spectrum(model) for model in models]
     return [spectrum_distance(a, b) for a, b in zip(spectra[::2], spectra[1::2])]
 
 
@@ -724,7 +764,7 @@ def _write_csv(path, lines):
     ``repr`` is ``np.float64(0.1)`` under NumPy 2.
     """
     with open(path, "w", newline="") as fh:
-        fh.writelines(line + "\n" for line in lines)
+        fh.write("\n".join(lines) + "\n")
 
 
 def _fmt(x):
@@ -923,6 +963,8 @@ def import_ensemble(directory):
 
 def _read_trajectory_csv(path):
     """{component: (times, values)} of one trajectory file."""
+    import csv  # here: only an import reads CSV, and every CLI start imports this module
+
     series = {}
     try:
         with open(path, newline="") as fh:

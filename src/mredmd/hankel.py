@@ -90,18 +90,33 @@ def fit_component_operator(ensemble, schedule):
     SingularMatrixError
         If the fitted K_i is singular so the logarithm does not exist.
     """
-    p_x, p_y = _hankel_matrices(ensemble, schedule)
-    m, n_traj = p_x.shape
-    if n_traj < m:
-        warnings.warn(
-            f"component {schedule.component}: {n_traj} trajectories < {m} delay "
-            "observables; P_x cannot be full row rank",
-            RankDeficiencyWarning,
-            stacklevel=2,
-        )
+    (operator,) = _fit_operators([ensemble], schedule)
+    return operator
+
+
+def _fit_operators(ensembles, schedule):
+    """:func:`fit_component_operator` of each of ``ensembles``, which hold
+    the same number of trajectories, in one :func:`linalg.koopman_fit` of
+    their stacked delay matrices."""
+    pairs = [_hankel_matrices(ensemble, schedule) for ensemble in ensembles]
+    m, n_traj = pairs[0][0].shape
+    if any(p_x.shape != (m, n_traj) for p_x, _ in pairs):
+        raise DataError(f"component {schedule.component}: ensembles of different sizes")
+    for _ in pairs:
+        if n_traj < m:
+            warnings.warn(
+                f"component {schedule.component}: {n_traj} trajectories < {m} delay "
+                "observables; P_x cannot be full row rank",
+                RankDeficiencyWarning,
+                stacklevel=3,
+            )
+    p_xs, p_ys = (np.stack(mats) for mats in zip(*pairs))
     with labelled(f"component {schedule.component}"):
-        k_mat, l_complex = linalg.koopman_fit(p_x, p_y, schedule.period)
-    return ComponentOperator(schedule=schedule, p_x=p_x, k_mat=k_mat, l_complex=l_complex)
+        k_mats, l_complex = linalg.koopman_fit(p_xs, p_ys, schedule.period)
+    return [
+        ComponentOperator(schedule=schedule, p_x=p_x, k_mat=k, l_complex=l)
+        for (p_x, _), k, l in zip(pairs, k_mats, l_complex)
+    ]
 
 
 def estimate_component_at(operator, t):
@@ -156,10 +171,28 @@ def fit_component_operators(ensemble, schedules, targets):
     dict
         component index -> :class:`ComponentOperator`
     """
+    (operators,) = fit_operator_sets([ensemble], schedules, targets)
+    return operators
+
+
+def fit_operator_sets(ensembles, schedules, targets):
+    """:func:`fit_component_operators` of each of ``ensembles``, which share
+    their schedules and size (as the seeds of a sweep do): each component
+    is fit across all of them in one call. Warnings come component by
+    component, not ensemble by ensemble.
+
+    Returns
+    -------
+    list
+        One dict (component index -> :class:`ComponentOperator`) per ensemble.
+    """
     needed = estimated_components(schedules, targets)
-    return {
-        s.component: fit_component_operator(ensemble, s) for s in schedules if s.component in needed
-    }
+    sets = [{} for _ in ensembles]
+    for s in schedules:
+        if s.component in needed:
+            for operators, operator in zip(sets, _fit_operators(ensembles, s)):
+                operators[s.component] = operator
+    return sets
 
 
 def reconstruct_states(ensemble, schedules, operators, step, first_target=None):

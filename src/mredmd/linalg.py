@@ -19,6 +19,7 @@ from .errors import (
     NegativeRealAxisWarning,
     NumericalError,
     SingularMatrixError,
+    quiet,
 )
 
 _EPS = float(np.finfo(float).eps)
@@ -39,14 +40,16 @@ _THETA = (None, 1.59e-5, 2.31e-3, 1.94e-2, 6.21e-2, 1.28e-1, 2.06e-1, 2.88e-1)
 _REAL_TOL = 1e6 * _EPS
 
 
-def _as_matrix(a, name="matrix", complex_ok=False):
-    """Validate and return ``a`` as a finite 2-D array."""
+def _as_matrix(a, name="matrix", complex_ok=False, stack=False):
+    """Validate and return ``a`` as a finite 2-D array, or with ``stack`` also
+    as a finite stack of matrices, shape (B, m, n)."""
     arr = np.asarray(a)
     if not complex_ok and np.iscomplexobj(arr):
         raise DimensionMismatchError(f"{name} must be real, got complex entries")
     arr = arr.astype(complex if np.iscomplexobj(arr) else float, copy=False)
-    if arr.ndim != 2:
-        raise DimensionMismatchError(f"{name} must be 2-D, got shape {arr.shape}")
+    if arr.ndim != 2 and not (stack and arr.ndim == 3):
+        shapes = "2-D or a stack (B, m, n)" if stack else "2-D"
+        raise DimensionMismatchError(f"{name} must be {shapes}, got shape {arr.shape}")
     if arr.size == 0:
         raise DimensionMismatchError(f"{name} must be nonempty")
     if not np.all(np.isfinite(arr)):
@@ -55,8 +58,27 @@ def _as_matrix(a, name="matrix", complex_ok=False):
 
 
 def _require_square(arr, name="matrix"):
-    if arr.shape[0] != arr.shape[1]:
+    if arr.shape[-2] != arr.shape[-1]:
         raise DimensionMismatchError(f"{name} must be square, got shape {arr.shape}")
+
+
+def _per_matrix(kernel, stacks, *args):
+    """``kernel(*stacks, *args)``, a tuple of (B, ., .) stacks, each matrix
+    with the bits of its own B=1 call; 2-D operands are the B=1 case and
+    give 2-D results. A stack of more than one that warns or fails runs
+    again one matrix at a time (:func:`errors.quiet`), so its warnings and
+    errors are those of a loop of 2-D calls; a kernel warns with
+    ``stacklevel=4``, at the caller of the public function."""
+    if stacks[0].ndim == 2:
+        return tuple(out[0] for out in kernel(*(s[None] for s in stacks), *args))
+    if len(stacks[0]) > 1:
+        clean, out = quiet(lambda: kernel(*stacks, *args))
+        if clean:
+            return out
+    parts = []
+    for i in range(len(stacks[0])):
+        parts.append(kernel(*(s[i : i + 1] for s in stacks), *args))
+    return tuple(np.concatenate(p) for p in zip(*parts))
 
 
 def pinv(a):
@@ -75,21 +97,33 @@ def pinv(a):
     np.ndarray
         Pseudo-inverse, shape (n, m).
     """
-    return _pinv_svd(a)[0]
+    return _pinv_svd(_as_matrix(a, "a")[None])[0][0]
 
 
-def _pinv_svd(a):
-    """:func:`pinv` of ``a`` and the singular values of ``a`` it used (descending)."""
-    arr = _as_matrix(a, "a")
+def _pinv_svd(arr):
+    """:func:`pinv` of each matrix of a (B, m, n) stack, and the singular
+    values it used, shape (B, min(m, n)), descending. Each matrix keeps its
+    own rank; the matrices of one rank are inverted together."""
     try:
         u, s, vh = np.linalg.svd(arr, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"SVD did not converge: {exc}") from exc
-    if s[0] == 0.0:
-        return np.zeros((arr.shape[1], arr.shape[0])), s
-    keep = s > max(arr.shape) * _EPS * s[0]
-    r = int(np.count_nonzero(keep))
-    return (vh[:r].T / s[:r]) @ u[:, :r].T, s
+    rank = np.count_nonzero(s > max(arr.shape[1:]) * _EPS * s[:, :1], axis=1)
+    if rank[0] > 0 and (rank == rank[0]).all():
+        return _svd_inverse(u, s, vh, rank[0]), s
+    out = np.zeros((len(arr), arr.shape[2], arr.shape[1]))
+    for r in np.unique(rank[rank > 0]).tolist():
+        sel = rank == r
+        out[sel] = _svd_inverse(u[sel], s[sel], vh[sel], r)
+    return out, s
+
+
+def _svd_inverse(u, s, vh, r):
+    """V_r S_r^-1 U_r^T of each SVD (u, s, vh) of a stack, from its first
+    r singular values; scales ``vh`` in place."""
+    v_t = vh[:, :r]
+    v_t /= s[:, :r, None]
+    return v_t.transpose(0, 2, 1) @ u[:, :, :r].transpose(0, 2, 1)
 
 
 def koopman_fit(p_x, p_y, step):
@@ -100,25 +134,36 @@ def koopman_fit(p_x, p_y, step):
     pseudo-inverse's SVD, exceeds 1e12. ``L`` stays complex; a largest
     imaginary part above 1e-6 emits an :class:`ImaginaryResidualWarning`.
 
+    ``p_x`` and ``p_y`` may also be stacks (B, N, K) of same-shape problems:
+    each fit then has the bits, warnings and errors of its own 2-D call
+    (see :func:`matrix_log`), and the results are stacked too.
+
     Returns
     -------
     (np.ndarray, np.ndarray)
-        ``k_mat`` (real) and ``l_complex``, both (N, N).
+        ``k_mat`` (real) and ``l_complex``, both (N, N), or (B, N, N).
 
     Raises
     ------
     SingularMatrixError
         If the fitted K is singular so no generator exists.
     """
+    return _per_matrix(_koopman_fit, (_as_matrix(p_x, "p_x", stack=True), np.asarray(p_y)), step)
+
+
+def _koopman_fit(p_x, p_y, step):
+    """:func:`koopman_fit` of (B, N, K) stacks."""
     p_x_pinv, sigma = _pinv_svd(p_x)
-    cond = float(sigma[0] / sigma[-1]) if sigma[-1] > 0.0 else math.inf
-    if cond > COND_WARN_THRESHOLD:
+    cond = np.full(len(sigma), math.inf)
+    np.divide(sigma[:, 0], sigma[:, -1], out=cond, where=sigma[:, -1] > 0.0)
+    for value in cond[cond > COND_WARN_THRESHOLD].tolist():
         warnings.warn(
-            f"P_x condition number {cond:.3e} exceeds 1e12; its rows are nearly collinear",
+            f"P_x condition number {value:.3e} exceeds 1e12; its rows are nearly collinear",
             IllConditionedWarning,
-            stacklevel=2,
+            stacklevel=4,
         )
     k_mat = p_y @ p_x_pinv
+    del p_x_pinv  # a large stack's logs need its room
     l_complex = matrix_log(k_mat) / step
     cast_real(l_complex)  # for its warning; callers keep L complex
     return k_mat, l_complex
@@ -141,6 +186,11 @@ def matrix_log(k):
     further roots come from exact 1-norms of ``(X - I)^p``, so the result
     is a deterministic function of ``k``.
 
+    ``k`` may also be a stack (B, N, N), whose logs run as one: each matrix
+    keeps its own root count, Newton stopping and Pade degree, so it gets
+    the bits of its own 2-D call. A stack that warns or fails runs again one
+    matrix at a time, giving the warnings and errors of a loop of 2-D calls.
+
     Raises
     ------
     SingularMatrixError
@@ -149,10 +199,16 @@ def matrix_log(k):
         If the eigenvalues, a square root or a solve fail, or the result is
         not finite.
     """
-    arr = _as_matrix(k, "k", complex_ok=True)
+    arr = _as_matrix(k, "k", complex_ok=True, stack=True)
     _require_square(arr, "k")
+    (out,) = _per_matrix(_matrix_log, (arr,))
+    return out
+
+
+def _matrix_log(arr):
+    """:func:`matrix_log` of a (B, N, N) stack, as a 1-tuple."""
     s = np.linalg.svd(arr, compute_uv=False)
-    if s[0] == 0.0 or s[-1] <= max(arr.shape) * _EPS * s[0]:
+    if np.any((s[:, 0] == 0.0) | (s[:, -1] <= arr.shape[-1] * _EPS * s[:, 0])):
         raise SingularMatrixError(
             "matrix is singular to working precision; logarithm undefined"
         )
@@ -166,65 +222,96 @@ def matrix_log(k):
             "eigenvalue on the closed negative real axis; principal logarithm "
             "is complex valued",
             NegativeRealAxisWarning,
-            stacklevel=2,
+            stacklevel=4,
         )
     out = _log_inverse_scaling_squaring(arr, eigs, on_axis).astype(complex, copy=False)
     if not np.all(np.isfinite(out)):
         raise NumericalError("matrix logarithm is not finite")
-    if not np.iscomplexobj(arr) and np.max(np.abs(out.imag)) <= _REAL_TOL:
-        out = out.real.astype(complex)
-    return out
+    if not np.iscomplexobj(arr):
+        real = np.abs(out.imag).max(axis=(1, 2)) <= _REAL_TOL
+        out[real] = out[real].real
+    return (out,)
+
+
+def _degree(x, degrees):
+    """Per entry of ``x``, the first of ``degrees`` (ascending) whose
+    ``_THETA`` bounds it, or 0 if none does."""
+    m = np.zeros(len(x), dtype=int)
+    for d in reversed(degrees):
+        m[x <= _THETA[d]] = d
+    return m
 
 
 def _log_inverse_scaling_squaring(a, eigs, on_axis):
-    """log(a) = 2^s r_m(a^(1/2^s) - I), given the eigenvalues ``eigs`` of
-    ``a`` and the mask ``on_axis`` of those on the closed negative real axis
-    (Al-Mohy & Higham 2012, Sec. 5). Each root is carried as
-    ``R = X - I``, so R stays accurate relative to its own size as X nears
-    I."""
-    ident = np.eye(len(a))
+    """log(a) = 2^s r_m(a^(1/2^s) - I) of each matrix of a (B, N, N) stack,
+    given the eigenvalues ``eigs`` (B, N) of ``a`` and the mask ``on_axis``
+    of those on the closed negative real axis (Al-Mohy & Higham 2012,
+    Sec. 5). Each root is carried as ``R = X - I``, so R stays accurate
+    relative to its own size as X nears I. The root count s and the degree
+    m are per matrix; matrices still rooting, or of one degree, run
+    together."""
+    ident = np.eye(a.shape[-1])
     # s: square roots until every eigenvalue is within theta_7 of 1
-    s, roots = 0, eigs
-    while np.max(np.abs(roots - 1.0)) > _THETA[7]:
-        roots, s = np.sqrt(roots), s + 1
+    s = np.zeros(len(a), dtype=int)
+    rooting, roots = np.arange(len(a)), eigs
+    while True:
+        far = np.abs(roots - 1.0).max(axis=1) > _THETA[7]
+        if not far.any():
+            break
+        rooting, roots = rooting[far], np.sqrt(roots[far])
+        s[rooting] += 1
     r = a - ident
-    for j in range(s):
-        if j == 0 and np.any(on_axis):
+    cut = on_axis.any(axis=1)
+    if cut.any():
+        r = r.astype(complex)
+    for j in range(s.max(initial=0)):
+        act = s > j
+        if j == 0 and cut.any():
             # Newton does not converge with an eigenvalue on the cut: take
             # e^(i phi/2) sqrt(e^(-i phi) A), the principal root while every
             # eigenvalue argument lies in (phi - pi, phi + pi]
-            angles = np.where(on_axis, np.pi, np.angle(eigs))
-            phi = 0.5 * (np.pi + angles.min())
-            half = np.exp(0.5j * phi)
-            r = half * _sqrt_minus_identity(np.exp(-1j * phi) * a - ident) + (half - 1.0) * ident
-        else:
-            r = _sqrt_minus_identity(r)
-    alpha = _power_norms(r)
-    m = next((i for i in (1, 2) if max(alpha[2], alpha[3]) <= _THETA[i]), None)
-    extra = 0
-    while m is None:
-        a3 = max(alpha[3], alpha[4])
-        m = next((i for i in range(3, 7) if a3 <= _THETA[i]), None)
-        if m is not None:
-            break
-        if a3 <= _THETA[7] and a3 / 2 <= _THETA[5] and extra < 2:
-            # one more root lowers the degree by more than it costs
-            extra += 1
-        else:
-            eta = min(a3, max(alpha[4], alpha[5]))
-            m = next((i for i in (6, 7) if eta <= _THETA[i]), None)
-            if m is not None:
-                break
-        r, s = _sqrt_minus_identity(r), s + 1
-        alpha = _power_norms(r)
+            for i in np.flatnonzero(cut).tolist():
+                angles = np.where(on_axis[i], np.pi, np.angle(eigs[i]))
+                phi = 0.5 * (np.pi + angles.min())
+                half = np.exp(0.5j * phi)
+                rotated = (np.exp(-1j * phi) * a[i] - ident)[None]
+                r[i] = half * _sqrt_minus_identity(rotated)[0] + (half - 1.0) * ident
+            act &= ~cut
+        if act.any():
+            r[act] = _sqrt_minus_identity(r[act])
+    alpha = _power_norms(r)  # columns: p = 2, 3, 4, 5
+    m = _degree(np.maximum(alpha[:, 0], alpha[:, 1]), (1, 2))
+    extra = np.zeros(len(a), dtype=int)
+    open_ = np.flatnonzero(m == 0)
+    while open_.size:
+        al = alpha[open_]
+        a3 = np.maximum(al[:, 1], al[:, 2])
+        deg = _degree(a3, range(3, 7))
+        # one more root lowers the degree by more than it costs
+        more = (deg == 0) & (a3 <= _THETA[7]) & (a3 / 2 <= _THETA[5]) & (extra[open_] < 2)
+        extra[open_[more]] += 1
+        late = (deg == 0) & ~more
+        eta = np.minimum(a3, np.maximum(al[:, 2], al[:, 3]))
+        deg[late] = _degree(eta[late], (6, 7))
+        m[open_] = deg
+        open_ = open_[deg == 0]
+        if open_.size:
+            r[open_] = _sqrt_minus_identity(r[open_])
+            s[open_] += 1
+            alpha[open_] = _power_norms(r[open_])
 
     # r_m(R) = sum_j w_j (I + x_j R)^-1 R on Gauss-Legendre nodes x_j
-    nodes, weights = _gauss_legendre(m)
-    try:
-        terms = np.linalg.solve(ident + nodes * r, weights * r)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"Pade solve failed: {exc}") from exc
-    return 2.0**s * terms.sum(axis=0)
+    out = np.empty_like(r)
+    for degree in np.unique(m).tolist():
+        sel = m == degree
+        nodes, weights = _gauss_legendre(degree)
+        rs = r[sel][:, None]
+        try:
+            terms = np.linalg.solve(ident + nodes * rs, weights * rs)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"Pade solve failed: {exc}") from exc
+        out[sel] = 2.0 ** s[sel, None, None] * terms.sum(axis=1)
+    return out
 
 
 #: Newton's square-root iteration stops once its next correction, predicted
@@ -235,40 +322,48 @@ _SQRT_MAX_STEPS = 100
 
 
 def _sqrt_minus_identity(r):
-    """(I + R)^(1/2) - I, principal root, for (I + R) with no eigenvalue on
-    the closed negative real axis.
+    """(I + R)^(1/2) - I, principal root, of each matrix R of a (B, N, N)
+    stack, for (I + R) with no eigenvalue on the closed negative real axis.
 
     Newton's iteration in its incremental ("IN") form (Higham, Functions
     of Matrices, 2008, ch. 6) from X_0 = I + R and E_0 = -R/2:
-    X_k+1 = X_k + E_k and E_k+1 = -E_k X_k+1^-1 E_k / 2. It is stable, it sums the increments into ``X - I`` without forming X,
-    and it inverts only iterates between (I + A) / 2 and A^(1/2): the
+    X_k+1 = X_k + E_k and E_k+1 = -E_k X_k+1^-1 E_k / 2. It is stable, it
+    sums the increments into ``X - I`` without forming X, and it inverts
+    only iterates between (I + A) / 2 and A^(1/2): the
     product form of Denman-Beavers inverts A itself and leaves a residual
-    ``||X^2 - A||`` of about cond(A) eps.
+    ``||X^2 - A||`` of about cond(A) eps. Each matrix stops on its own.
     """
-    ident = np.eye(len(r))
+    ident = np.eye(r.shape[-1])
     e, r = -0.5 * r, 0.5 * r
-    size = np.abs(e).max()
+    size = np.abs(e).max(axis=(1, 2))
     tol = _SQRT_TOL * size
+    out, running = np.empty_like(r), np.arange(len(r))
     for _ in range(_SQRT_MAX_STEPS):
         try:
             e = -0.5 * (e @ np.linalg.solve(ident + r, e))
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"square root iteration failed: {exc}") from exc
         r = r + e
-        last, size = size, np.abs(e).max()
+        last, size = size, np.abs(e).max(axis=(1, 2))
         # the next correction is about size^2 / last once convergence is
         # quadratic, and about size times the contraction factor before
-        if size * size <= tol * last:
-            return r
+        done = size * size <= tol * last
+        if done.any():
+            out[running[done]] = r[done]
+            going = ~done
+            running, e, r, size, tol = running[going], e[going], r[going], size[going], tol[going]
+            if not running.size:
+                return out
     raise NumericalError("square root iteration did not converge")
 
 
 def _power_norms(r):
-    """alpha_p = ||R^p||_1^(1/p) for p = 2..5, computed exactly."""
+    """alpha_p = ||R^p||_1^(1/p) for p = 2..5, computed exactly, of each
+    matrix of a (B, N, N) stack; shape (B, 4)."""
     r2 = r @ r
     r4 = r2 @ r2
-    norms = np.abs(np.array((r2, r2 @ r, r4, r4 @ r))).sum(axis=1).max(axis=1)
-    return dict(zip(range(2, 6), (norms ** (1.0 / np.arange(2, 6))).tolist()))
+    norms = np.abs(np.stack((r2, r2 @ r, r4, r4 @ r), axis=1)).sum(axis=2).max(axis=2)
+    return norms ** (1.0 / np.arange(2, 6))
 
 
 @functools.lru_cache(maxsize=None)

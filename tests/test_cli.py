@@ -309,6 +309,29 @@ def test_bad_config_json(tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+def test_config_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(b"\xd0\xcf\x11 not utf-8")
+    assert main(["multirate", "--config", str(path), "--out", str(tmp_path / "r")]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"configuration error: {path}: invalid JSON: ")
+
+
+@pytest.mark.parametrize(
+    "kind, reason", [("missing", "No such file or directory"), ("directory", "Is a directory")]
+)
+@pytest.mark.parametrize("command", ["multirate", "compare", "simulate"])
+def test_unreadable_config_is_one_line(tmp_path, capsys, kind, reason, command):
+    path = tmp_path / "cfg.json"
+    if kind == "directory":
+        path.mkdir()
+    out = tmp_path / "r"
+    assert main([command, "--config", str(path), "--out", str(out)]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line == f"configuration error: {path}: cannot read: {reason}"
+    assert not out.exists()
+
+
 def test_unknown_config_field(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(

@@ -307,7 +307,7 @@ class TestSampleEnsemble:
         fld = lorenz_field()
         schedules = full_state()
         ensemble = sample_ensemble(fld, schedules, 1, seed=0)
-        x0 = dynamics._substream_uniform(0, 1, np.array([(-1.0, 1.0)] * 3))
+        (x0,) = dynamics._substream_uniform([0], 1, np.array([(-1.0, 1.0)] * 3))
         dense = integrate(fld, x0, float(common_micro_step(schedules)), 20)
         for i in range(3):
             np.testing.assert_allclose(ensemble.times[i], [0.0, 0.1, 0.2])
@@ -406,7 +406,7 @@ class TestSampleEnsemble:
         ((h, n_steps, every),) = calls
         assert every == dynamics._STEPS_PER_GRID and n_steps == 90
         for seed, ensembles in zip([4, 5], sampled):
-            x0 = dynamics._substream_uniform(seed, 8, np.array([(-1.0, 1.0)] * 3))
+            (x0,) = dynamics._substream_uniform([seed], 8, np.array([(-1.0, 1.0)] * 3))
             full = integrate_all(lorenz_field(), x0, h, n_steps)
             for layout, ensemble in zip(layouts, ensembles):
                 for s in layout:

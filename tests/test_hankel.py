@@ -183,7 +183,7 @@ class TestFitComponentOperator:
 
     def test_factorises_p_x_once(self, monkeypatch):
         # one SVD of P_x gives both pinv and cond(P_x); the other is the
-        # singularity test of K in the logarithm
+        # singularity test of K in the logarithm (each a stack of one)
         shapes = []
         svd = np.linalg.svd
 
@@ -194,7 +194,7 @@ class TestFitComponentOperator:
         monkeypatch.setattr(np.linalg, "svd", spy)
         schedule, ensemble = sinusoid_data()
         fit_component_operator(ensemble, schedule)
-        assert shapes == [(2, 6), (2, 2)]
+        assert shapes == [(1, 2, 6), (1, 2, 2)]
 
 
 class TestEstimateComponentAt:

@@ -154,6 +154,27 @@ def test_ten_seeds_three_integrations(monkeypatch):
     assert calls == [((1000, 3), 10), ((100, 3), 51), ((2000, 3), 3)]
 
 
+#: Configs whose joint fits warn or fail for some seeds, so that their stages
+#: run again one seed at a time.
+FALLBACKS = {
+    "multirate_k10_m12": dict(MULTIRATE, K=10, M=(12, 11, 11)),
+    "single_state_k5": dict(SINGLE_STATE, K=5),
+    "divergent_samples": DIVERGENT_30,
+}
+
+
+@pytest.mark.parametrize("name", FALLBACKS)
+def test_fallback_reports_warn_and_fail_as_one_seed_runs(name):
+    cfg = ExperimentConfig(**FALLBACKS[name])
+    with np.errstate(all="ignore"):
+        reports = experiments._run_seeds(cfg, range(10))
+        alone = [run(replace(cfg, seed=seed)) for seed in range(10)]
+    assert any(report.warnings or report.errors for report in alone)
+    for report, expected in zip(reports, alone):
+        assert report.warnings == expected.warnings
+        assert report.errors == expected.errors
+
+
 @pytest.fixture(scope="module")
 def single_state_sweep():
     cfg = ExperimentConfig(**SINGLE_STATE, K=100)

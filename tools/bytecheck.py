@@ -42,6 +42,9 @@ _SINGLE_FINE = {
     **_SINGLE, "T_s": 0.05, "K": 40, "init_box": [[0.5, 1.0], [-2.0, -1.0], [3.0, 4.0]]
 }
 
+#: Configs that are not a file: ``--config`` names no file, or a directory.
+_MISSING, _DIRECTORY = "missing", "directory"
+
 #: (name, subcommand, config, extra arguments); the expected exit code is
 #: noted where it is not 0.
 COMMANDS = [
@@ -92,6 +95,9 @@ COMMANDS = [
     # RK4 grid whose shape NumPy refuses outright
     ("multirate_tiny_ts", "multirate", {**_MULTIRATE, "K": 2, "T_s": 1e-14}, []),  # 1
     ("simulate_huge_m", "simulate", {**_MULTIRATE, "K": 2, "M": [10**18, 3, 4]}, []),  # 2
+    # a --config that names no file, and one that names a directory
+    ("multirate_missing_config", "multirate", _MISSING, []),  # 2
+    ("compare_config_directory", "compare", _DIRECTORY, []),  # 2
 ]
 
 _SOURCE_LINE = re.compile(r"[^\s\"']*/mredmd/(\w+)\.py:\d+")
@@ -246,7 +252,11 @@ def main(argv=None):
         for out_root in out_roots:
             out_root.mkdir()
         for command in COMMANDS:
-            (config_dir / f"{command[0]}.json").write_text(json.dumps(command[2]))
+            config_path = config_dir / f"{command[0]}.json"
+            if command[2] == _DIRECTORY:
+                config_path.mkdir()
+            elif command[2] != _MISSING:
+                config_path.write_text(json.dumps(command[2]))
             parent, change = (
                 _run(root, out_root, config_dir, command)
                 for root, out_root in zip(roots, out_roots)
