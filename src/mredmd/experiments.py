@@ -115,6 +115,10 @@ class ExperimentConfig:
             raise ConfigurationError(
                 f"include_constant must be true or false, got {self.include_constant!r}"
             )
+        if self.degree == 0 and not self.include_constant:
+            raise ConfigurationError(
+                "degree 0 with include_constant false leaves no observable"
+            )
         if self.output_dir is not None and not isinstance(self.output_dir, str):
             raise ConfigurationError(f"output_dir must be a string, got {self.output_dir!r}")
         n = self.dimension

@@ -33,20 +33,42 @@ class Dictionary:
         return len(self.exponents)
 
     @cached_property
-    def _exponent_array(self):
-        """``exponents`` as a read-only (size, dim) array, built once."""
-        e = np.asarray(self.exponents)
-        e.flags.writeable = False
-        return e
+    def _power_rows(self):
+        """The highest exponent, and for each component ``i`` the row of the
+        power table that it contributes to each monomial (``x_i**a`` is row
+        ``a * dim + i``)."""
+        e = np.array(self.exponents, dtype=np.intp).reshape(self.size, self.dim)
+        rows = e * self.dim + np.arange(self.dim)
+        return int(e.max(initial=0)), tuple(np.ascontiguousarray(r) for r in rows.T)
+
+    def _lift(self, states):
+        """Phi of each column of ``states`` (dim, K): x**0 = 1, x**1 = x and
+        x**a = x**(a-1) * x, and each monomial the product of its
+        components' powers in component order. Every entry is the same chain
+        of IEEE multiplications whatever K, so its bits depend on its own
+        column alone."""
+        top, rows = self._power_rows
+        powers = np.empty((top + 1, *states.shape))
+        powers[0] = 1.0
+        if top:
+            powers[1] = states
+        for a in range(2, top + 1):
+            np.multiply(powers[a - 1], states, out=powers[a])
+        table = powers.reshape(-1, states.shape[1])
+        out = table.take(rows[0], axis=0)
+        for index in rows[1:]:
+            out *= table.take(index, axis=0)
+        return out
 
     def evaluate(self, x):
-        """Lift a single state: returns Phi(x), shape (size,)."""
+        """Lift a single state: returns Phi(x), shape (size,); the one-column
+        case of :meth:`evaluate_columns`."""
         x = np.asarray(x, dtype=float)
         if x.shape != (self.dim,):
             raise ConfigurationError(
                 f"state has shape {x.shape}, dictionary expects ({self.dim},)"
             )
-        return np.prod(x[None, :] ** self._exponent_array, axis=1)
+        return self._lift(x[:, None])[:, 0]
 
     def evaluate_columns(self, states):
         """Lift a column-stacked batch: (dim, K) -> (size, K)."""
@@ -55,7 +77,7 @@ class Dictionary:
             raise ConfigurationError(
                 f"expected shape ({self.dim}, K), got {states.shape}"
             )
-        return np.prod(states[None, :, :] ** self._exponent_array[:, :, None], axis=1)
+        return self._lift(states)
 
     def coordinate_slot(self, i):
         """Index of the degree-1 monomial for coordinate ``i``, or None."""
@@ -79,6 +101,8 @@ def monomial_dictionary(n, degree, include_constant=True):
         raise ConfigurationError(f"state dimension must be >= 1, got {n}")
     if degree < 0:
         raise ConfigurationError(f"degree must be >= 0, got {degree}")
+    if degree == 0 and not include_constant:
+        raise ConfigurationError("degree 0 without the constant leaves no observable")
     alphas = [
         alpha
         for alpha in product(range(degree + 1), repeat=n)

@@ -20,16 +20,6 @@ from mredmd.edmd import KoopmanModel, StatePairEnsemble, fit_model, predict, pre
 from mredmd.errors import DivergenceWarning, MredmdError
 from mredmd.observables import monomial_dictionary
 
-with warnings.catch_warnings():
-    # Hypothesis writes a failing example's report through libcst, whose
-    # import raises a DeprecationWarning, an error under this suite's
-    # filter that would end the session; it is imported here instead.
-    warnings.simplefilter("ignore", DeprecationWarning)
-    try:
-        import hypothesis.extra._patching  # noqa: F401
-    except ImportError:
-        pass
-
 SETTINGS = settings(
     max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )

@@ -332,6 +332,22 @@ def test_unreadable_config_is_one_line(tmp_path, capsys, kind, reason, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["multirate", "single-state", "compare"])
+def test_empty_dictionary_is_one_line(tmp_path, capsys, monkeypatch, command):
+    # degree 0 without the constant leaves no observable to lift
+    _forbid_runs(monkeypatch)
+    single = {"mode": "single_state", "state_dim": 3, "rates": None}
+    cfg = write_config(
+        tmp_path / "cfg.json", degree=0, include_constant=False,
+        **(single if command == "single-state" else {}),
+    )
+    out = tmp_path / "r"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line == "configuration error: degree 0 with include_constant false leaves no observable"
+    assert not out.exists()
+
+
 def test_unknown_config_field(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(

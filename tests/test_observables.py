@@ -4,9 +4,11 @@ from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from mredmd.errors import ConfigurationError
-from mredmd.observables import coordinate_readout, monomial_dictionary
+from mredmd.observables import Dictionary, coordinate_readout, monomial_dictionary
 
 
 class TestMonomialDictionary:
@@ -35,6 +37,10 @@ class TestMonomialDictionary:
     def test_exclude_constant(self):
         d = monomial_dictionary(2, 1, include_constant=False)
         assert d.exponents == ((1, 0), (0, 1))
+
+    def test_no_observable_left(self):
+        with pytest.raises(ConfigurationError, match="no observable"):
+            monomial_dictionary(3, 0, include_constant=False)
 
     def test_manifest_one_line_per_monomial(self):
         d = monomial_dictionary(2, 1)
@@ -84,10 +90,81 @@ class TestEvaluate:
         for k in range(7):
             np.testing.assert_array_equal(lifted[:, k], d.evaluate(states[:, k]))
 
+    def test_empty_dictionary_lifts_to_no_rows(self):
+        assert Dictionary(dim=2, exponents=()).evaluate_columns(np.ones((2, 3))).shape == (0, 3)
+
     def test_dimension_check(self):
         d = monomial_dictionary(3, 2)
         with pytest.raises(ConfigurationError):
             d.evaluate(np.zeros(2))
+
+
+#: Values on which a power or a product is easy to get wrong: signed zeros,
+#: subnormals, infinities, nan, and magnitudes whose powers overflow or
+#: underflow.
+SPECIAL = (0.0, -0.0, 5e-324, -5e-324, 2.2e-308, np.inf, -np.inf, np.nan, 1e200, -1e-200)
+
+#: Batch sizes on both sides of the 5,461 columns at which NumPy's ``pow``
+#: switched loops for the old lift (degree 2, n = 3).
+BATCHES = (1, 5461, 5462, 20000)
+
+
+def ordered_product(exponents, states):
+    """Phi of each column of ``states`` written out: each power a chain of
+    multiplications from 1, each monomial the product of those powers in
+    component order, one exponent vector at a time."""
+    out = np.empty((len(exponents), states.shape[1]))
+    for j, alpha in enumerate(exponents):
+        value = np.ones(states.shape[1])
+        for x, a in zip(states, alpha):
+            power = np.ones(states.shape[1])
+            for _ in range(a):
+                power = power * x
+            value = value * power
+        out[j] = value
+    return out
+
+
+def assert_same_bits(a, b):
+    """Bit for bit, except that any nan matches any nan: which payload a
+    product of two nans keeps is the compiler's choice."""
+    assert a.shape == b.shape
+    nan = np.isnan(a)
+    np.testing.assert_array_equal(nan, np.isnan(b))
+    np.testing.assert_array_equal(a[~nan].view(np.uint64), b[~nan].view(np.uint64))
+
+
+@st.composite
+def lift_cases(draw):
+    n = draw(st.integers(1, 3))
+    degree = draw(st.integers(0, 5))
+    constant = draw(st.booleans()) or degree == 0
+    k = draw(st.sampled_from(BATCHES))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    states = rng.uniform(-3.0, 3.0, size=(n, k))
+    for _ in range(draw(st.integers(0, 12))):
+        i, col = draw(st.integers(0, n - 1)), draw(st.integers(0, k - 1))
+        states[i, col] = draw(st.sampled_from(SPECIAL))
+    bufsize = draw(st.sampled_from([8192, 1 << 16]))
+    return monomial_dictionary(n, degree, constant), states, bufsize
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(lift_cases())
+def test_lift_is_the_ordered_product_bit_for_bit(case):
+    d, states, bufsize = case
+    old = np.setbufsize(bufsize)
+    try:
+        with np.errstate(all="ignore"):
+            lifted = d.evaluate_columns(states)
+            expected = ordered_product(d.exponents, states)
+            first = d.evaluate(states[:, 0])
+            last = d.evaluate(states[:, -1])
+    finally:
+        np.setbufsize(old)
+    assert_same_bits(lifted, expected)
+    assert_same_bits(first, lifted[:, 0])
+    assert_same_bits(last, lifted[:, -1])
 
 
 class TestCoordinateReadout:

@@ -88,6 +88,14 @@ COMMANDS = [
     ),  # 1
     ("compare_single_fine", "compare", _SINGLE_FINE, ["--num-seeds", "10"]),
     ("compare_single_k5", "compare", {**_SINGLE, "K": 5}, ["--num-seeds", "4"]),  # 1
+    # degree 3: the only commands that lift a power above 2
+    ("multirate_k300_deg3", "multirate", {**_MULTIRATE, "K": 300, "degree": 3}, []),
+    (
+        "compare_single_k100_deg3",
+        "compare",
+        {**_SINGLE, "K": 100, "degree": 3},
+        ["--num-seeds", "10"],
+    ),
     ("simulate_k300", "simulate", {**_MULTIRATE, "K": 300}, []),
     ("simulate_single_k100", "simulate", {**_SINGLE, "K": 100}, []),
     ("simulate_rates246", "simulate", {**_MULTIRATE, "K": 200, "rates": [2, 4, 6]}, []),
@@ -95,6 +103,13 @@ COMMANDS = [
     # RK4 grid whose shape NumPy refuses outright
     ("multirate_tiny_ts", "multirate", {**_MULTIRATE, "K": 2, "T_s": 1e-14}, []),  # 1
     ("simulate_huge_m", "simulate", {**_MULTIRATE, "K": 2, "M": [10**18, 3, 4]}, []),  # 2
+    # a dictionary with no observable left
+    (
+        "multirate_empty_dictionary",
+        "multirate",
+        {**_MULTIRATE, "K": 30, "degree": 0, "include_constant": False},
+        [],
+    ),  # 2
     # a --config that names no file, and one that names a directory
     ("multirate_missing_config", "multirate", _MISSING, []),  # 2
     ("compare_config_directory", "compare", _DIRECTORY, []),  # 2
