@@ -348,7 +348,14 @@ def _substream_uniform(keys, n_traj, box):
             int(p) >> s & _MASK32 for p in parts for s in range(0, max(int(p).bit_length(), 1), 32)
         ]
         groups.setdefault(len(words), []).append((index, words))
-    out = np.empty((len(keys), n_traj, len(box)))
+    try:
+        out = np.empty((len(keys), n_traj, len(box)))
+    except (MemoryError, ValueError) as exc:  # ValueError: beyond the address space
+        size = len(keys) * n_traj * len(box) * 8 / 2**30
+        raise ConfigurationError(
+            f"cannot allocate the initial states: {len(keys)} x K={n_traj} states "
+            f"request {size:.3g} GiB"
+        ) from exc
     for members in groups.values():
         rows = [index for index, _ in members]
         out[rows] = _uniform_rows(np.array([w for _, w in members], np.uint32), n_traj, box)

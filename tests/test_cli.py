@@ -1,6 +1,7 @@
 """CLI smoke tests: subcommands, exit codes, determinism."""
 
 import hashlib
+import itertools
 import json
 import os
 import re
@@ -8,6 +9,7 @@ import subprocess
 import sys
 import time
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +18,7 @@ import pytest
 import mredmd
 from mredmd import experiments
 from mredmd.cli import main
+from mredmd.errors import ConfigurationError, MredmdWarning
 from mredmd.experiments import ExperimentConfig, run_sweep
 
 
@@ -74,13 +77,15 @@ def test_seed_override(tmp_path):
 
 
 #: Configs that no grid can sample, each with the text of its error: a T_s
-#: below the grid's resolution, a grid beyond the address space (NumPy
-#: refuses its shape, so no size that an allocator could grant lazily), and
-#: periods of 1001, 1002 and 1003 T_s, which share only T_s, a grid finer
-#: than the limit (the ideal baseline's period T_s must not lift it).
+#: below the grid's resolution, a grid or a draw of initial states beyond
+#: the address space (NumPy refuses its shape, so no size that an allocator
+#: could grant lazily), and periods of 1001, 1002 and 1003 T_s, which share
+#: only T_s, a grid finer than the limit (the ideal baseline's period T_s
+#: must not lift it).
 HOSTILE = {
     "tiny_T_s": ({"T_s": 1e-14}, "schedule time 1e-14 is not representable"),
     "huge_M": ({"M": [10**18, 3, 4]}, "cannot allocate the RK4 grid"),
+    "huge_K": ({"K": 10**18}, "cannot allocate the initial states: 1 x K=10"),
     "rates_1001": ({"rates": [1001, 1002, 1003]}, "sampling times share no common micro-step"),
 }
 
@@ -102,7 +107,7 @@ def test_hostile_configs_fail_in_one_line(tmp_path, capsys, case, command):
     # any exception but a MredmdError would propagate out of main: the
     # traceback the command line would print
     overrides, message = HOSTILE[case]
-    cfg = write_config(tmp_path / "cfg.json", K=2, **overrides)
+    cfg = write_config(tmp_path / "cfg.json", **{"K": 2, **overrides})
     out = tmp_path / "r"
     extra = ["--num-seeds", "1"] if command == "compare" else []
     start = time.perf_counter()
@@ -284,6 +289,41 @@ def test_simulate_refuses_a_directory_with_other_trajectories(tmp_path, capsys):
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
+def test_huge_ensemble_refusal_reads_names_only(tmp_path, monkeypatch):
+    # whether a trajectory file belongs to an export of K trajectories
+    # follows from its name: five-digit padding and an index below K, so
+    # the check costs nothing per trajectory, whatever K
+    out = tmp_path / "ensemble"
+    out.mkdir()
+    owned = ["trajectory_00000.csv", "trajectory_00003.csv", "trajectory_123456.csv"]
+    foreign = ["trajectory_0123456.csv", "trajectory_3.csv"]
+    for name in owned + foreign:
+        (out / name).write_text("component,time,value\n")
+    cfg = ExperimentConfig.from_json(write_config(tmp_path / "cfg.json", K=10**18))
+    cfg = replace(cfg, output_dir=str(out))
+    monkeypatch.setattr(experiments, "_trajectory_names", _bounded(experiments._trajectory_names))
+    with pytest.raises(ConfigurationError) as info:
+        experiments.refuse_foreign_output(cfg, "ensemble")
+    assert f"holds files of another report: {', '.join(sorted(foreign))};" in str(info.value)
+    for name in foreign:
+        (out / name).unlink()
+    experiments.refuse_foreign_output(cfg, "ensemble")
+    # below K only
+    with pytest.raises(ConfigurationError, match=r": trajectory_00003\.csv, "):
+        experiments.refuse_foreign_output(replace(cfg, K=3), "ensemble")
+
+
+def _bounded(names):
+    """``_trajectory_names`` that fails the test when asked for many names."""
+
+    def bounded(indices):
+        indices = list(itertools.islice(indices, 2))
+        assert len(indices) < 2, "the refusal built a name per trajectory"
+        return names(indices)
+
+    return bounded
+
+
 def test_compare_subcommand(tmp_path, capsys):
     cfg = write_config(tmp_path / "cfg.json", K=30)
     out = tmp_path / "cmp"
@@ -333,6 +373,25 @@ def test_unreadable_config_is_one_line(tmp_path, capsys, kind, reason, command):
 
 
 @pytest.mark.parametrize("command", ["multirate", "single-state", "compare"])
+def test_constant_only_dictionary_is_one_line(tmp_path, capsys, monkeypatch, command):
+    # degree 0 with the constant fits, but no state can be read out of it
+    _forbid_runs(monkeypatch)
+    single = {"mode": "single_state", "state_dim": 3, "rates": None}
+    cfg = write_config(
+        tmp_path / "cfg.json", degree=0, include_constant=True,
+        **(single if command == "single-state" else {}),
+    )
+    out = tmp_path / "r"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line == (
+        "configuration error: degree 0 leaves only the constant observable, from which "
+        "no state can be read out; use degree >= 1"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["multirate", "single-state", "compare"])
 def test_empty_dictionary_is_one_line(tmp_path, capsys, monkeypatch, command):
     # degree 0 without the constant leaves no observable to lift
     _forbid_runs(monkeypatch)
@@ -378,7 +437,8 @@ def test_requires_subcommand():
 
 
 #: A single-state sweep whose seed 0 diverges while sampling; its seeds warn
-#: 163 times at 22 distinct (category, text, file, line) locations.
+#: 164 times at 7 distinct (category, text, file, line) locations, all of
+#: them NumPy's: a sweep records its own warnings in each seed's report.
 DIVERGENT = dict(mode="single_state", state_dim=3, rates=None, init_box=[[-320, 320]] * 3)
 
 
@@ -409,8 +469,19 @@ def test_diverging_compare_shows_each_warning_once(diverging_compare):
         warnings.simplefilter("always")
         run_sweep(ExperimentConfig.from_json(cfg), range(10))
     distinct = {(w.filename, str(w.lineno), w.category.__name__, str(w.message)) for w in caught}
-    assert len(distinct) == 22
+    assert len(distinct) == 7
     assert set(shown) == distinct
+
+
+def test_sweep_lets_no_package_warning_out(diverging_compare):
+    # every stage, the noise floor's too, records its package warnings on
+    # the seed's report, so none reaches the caller
+    cfg, _ = diverging_compare
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        run_sweep(ExperimentConfig.from_json(cfg), range(10))
+    assert caught
+    assert not [w for w in caught if issubclass(w.category, MredmdWarning)]
 
 
 def test_warnings_show_no_source_lines(diverging_compare):

@@ -110,6 +110,10 @@ COMMANDS = [
         {**_MULTIRATE, "K": 30, "degree": 0, "include_constant": False},
         [],
     ),  # 2
+    # a dictionary of the constant alone, from which no state can be read out
+    ("multirate_degree0_constant", "multirate", {**_MULTIRATE, "K": 30, "degree": 0}, []),  # 2
+    # an initial-state draw whose shape NumPy refuses outright
+    ("multirate_huge_k", "multirate", {**_MULTIRATE, "K": 10**18}, []),  # 1
     # a --config that names no file, and one that names a directory
     ("multirate_missing_config", "multirate", _MISSING, []),  # 2
     ("compare_config_directory", "compare", _DIRECTORY, []),  # 2
