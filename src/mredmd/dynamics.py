@@ -13,6 +13,7 @@ samples are copied out of them.
 import itertools
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -61,17 +62,20 @@ def lorenz_field():
     dx3 = x1 x2 - 2 x3
 
     Each component is written in place into its view of the result, which
-    has the layout of ``x``.
+    has the layout of ``x``. The constants are 0-d float64 arrays built
+    once, since on a small batch a ufunc call spends more time converting
+    a Python-float operand than on the arithmetic.
     """
+    c075, two, half = np.array(0.75), np.array(2.0), np.array(0.5)
 
     def f(x):
         x1, x2, x3 = x[..., 0], x[..., 1], x[..., 2]
         out = np.empty_like(x)
         d1, d2, d3 = out[..., 0], out[..., 1], out[..., 2]
-        np.subtract(np.multiply(x1, np.subtract(0.75, x3, out=d2), out=d2), x2, out=d2)
+        np.subtract(np.multiply(x1, np.subtract(c075, x3, d2), d2), x2, d2)
         # d1 holds 2 x3 until the first component overwrites it
-        np.subtract(np.multiply(x1, x2, out=d3), np.multiply(2.0, x3, out=d1), out=d3)
-        np.multiply(0.5, np.subtract(x2, x1, out=d1), out=d1)
+        np.subtract(np.multiply(x1, x2, d3), np.multiply(two, x3, d1), d3)
+        np.multiply(half, np.subtract(x2, x1, d1), d1)
         return out
 
     return VectorField(dim=3, func=f)
@@ -94,9 +98,9 @@ def integrate(field, x0, step, n_steps, every=1):
     x0 : array_like
         Initial state, shape (dim,) or a batch (m, dim).
     step : float
-        Micro-step h > 0.
+        Micro-step h, a finite real number > 0.
     n_steps : int
-        Number of micro-steps, a multiple of ``every``.
+        Number of micro-steps, an integer >= 0 and a multiple of ``every``.
     every : int
         Keep the state after every ``every``-th micro-step only: the result
         holds the states at t = 0, every*h, 2*every*h, ..., n_steps*h.
@@ -109,15 +113,29 @@ def integrate(field, x0, step, n_steps, every=1):
     Raises
     ------
     ConfigurationError
-        If ``every`` is not an integer >= 1 dividing ``n_steps``, or if the
-        kept states cannot be allocated, naming their size.
+        If ``step``, ``n_steps`` or ``every`` is not as above (the message
+        starts with the parameter's name; bools are refused, NumPy scalars
+        accepted), or if the kept states cannot be allocated, naming their
+        size.
     DivergenceError
         If the state becomes non-finite at any micro-step, naming it.
+
+    Notes
+    -----
+    On a small batch a micro-step costs NumPy call overhead, not
+    arithmetic, so the kernel keeps its calls lean: ufunc operands are
+    arrays only (the stage constants are 0-d float64 arrays, built once per
+    call), outputs are passed positionally, and the finiteness mask is laid
+    out like the state. The field is called through ``field.func`` under
+    the unchanged :class:`VectorField` contract.
     """
-    if step <= 0:
-        raise ConfigurationError(f"step must be > 0, got {step}")
-    if n_steps < 0:
-        raise ConfigurationError(f"n_steps must be >= 0, got {n_steps}")
+    real = isinstance(step, numbers.Real) and not isinstance(step, bool)
+    # comparisons refuse nan, and an int beyond the float range unconverted
+    if not (real and 0 < step <= sys.float_info.max):
+        raise ConfigurationError(f"step must be a finite number > 0, got {step!r}")
+    step = float(step)
+    if isinstance(n_steps, bool) or not isinstance(n_steps, numbers.Integral) or n_steps < 0:
+        raise ConfigurationError(f"n_steps must be an integer >= 0, got {n_steps!r}")
     if isinstance(every, bool) or not isinstance(every, numbers.Integral) or every < 1:
         raise ConfigurationError(f"every must be an integer >= 1, got {every!r}")
     if n_steps % every:
@@ -142,21 +160,22 @@ def integrate(field, x0, step, n_steps, every=1):
     # input has its own buffer, since a field may return a view of it.
     x = np.array(x, order="F")
     y2, y3, y4, acc, tmp = (np.empty_like(x) for _ in range(5))
-    finite = np.empty(x.shape, dtype=bool)
-    half = 0.5 * step
+    finite = np.empty_like(x, dtype=bool)
+    half, whole, two, sixth = (np.array(c) for c in (0.5 * step, step, 2.0, step / 6.0))
+    f = field.func
     for j in range(1, n_steps + 1):
-        k1 = field(x)
-        np.add(x, np.multiply(half, k1, out=tmp), out=y2)
-        k2 = field(y2)
-        np.add(x, np.multiply(half, k2, out=tmp), out=y3)
-        k3 = field(y3)
-        np.add(x, np.multiply(step, k3, out=tmp), out=y4)
-        k4 = field(y4)
-        np.add(k1, np.multiply(2.0, k2, out=acc), out=acc)
-        np.add(acc, np.multiply(2.0, k3, out=tmp), out=acc)
-        np.add(acc, k4, out=acc)
-        np.add(x, np.multiply(step / 6.0, acc, out=acc), out=x)
-        if not np.isfinite(x, out=finite).all():
+        k1 = f(x)
+        np.add(x, np.multiply(half, k1, tmp), y2)
+        k2 = f(y2)
+        np.add(x, np.multiply(half, k2, tmp), y3)
+        k3 = f(y3)
+        np.add(x, np.multiply(whole, k3, tmp), y4)
+        k4 = f(y4)
+        np.add(k1, np.multiply(two, k2, acc), acc)
+        np.add(acc, np.multiply(two, k3, tmp), acc)
+        np.add(acc, k4, acc)
+        np.add(x, np.multiply(sixth, acc, acc), x)
+        if not np.isfinite(x, finite).all():
             raise DivergenceError(
                 f"trajectory diverged (non-finite state) at step {j}, t={j * step:.6g}"
             )

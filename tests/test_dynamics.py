@@ -1,10 +1,13 @@
 """Tests for integration, the benchmark field, and ensemble sampling."""
 
+import itertools
 import re
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mredmd import dynamics, export_ensemble, import_ensemble
 from mredmd.dynamics import (
@@ -117,6 +120,28 @@ class TestIntegrate:
         with pytest.raises(ConfigurationError, match=match):
             integrate(lorenz_field(), np.zeros(3), 0.01, n_steps, every=every)
 
+    @pytest.mark.parametrize(
+        "step", [0.0, -0.01, np.nan, np.inf, -np.inf, 10**400, True, "0.1", None]
+    )
+    def test_bad_step_rejected(self, step):
+        # refused before any arithmetic: no RuntimeWarning, no DivergenceError
+        with np.errstate(all="raise"), pytest.raises(
+            ConfigurationError, match=r"^step must be a finite number > 0, got "
+        ):
+            integrate(lorenz_field(), np.ones(3), step, 3)
+
+    @pytest.mark.parametrize("n_steps", [-1, True, False, 3.0, "3", None])
+    def test_bad_n_steps_rejected(self, n_steps):
+        with pytest.raises(ConfigurationError, match=r"^n_steps must be an integer >= 0, got "):
+            integrate(lorenz_field(), np.ones(3), 0.01, n_steps)
+
+    def test_numpy_scalars_accepted(self):
+        x0 = np.array([0.7, -0.4, 0.9])
+        expected = integrate(lorenz_field(), x0, 0.01, 6, every=3)
+        for step, n_steps in [(np.float64(0.01), np.int64(6)), (0.01, np.int32(6))]:
+            out = integrate(lorenz_field(), x0, step, n_steps, every=np.int64(3))
+            np.testing.assert_array_equal(out, expected)
+
     def test_stacked_matches_separate(self):
         rng = np.random.default_rng(8)
         starts = [rng.uniform(-2, 2, size=(m, 3)) for m in (1, 7, 30)]
@@ -185,6 +210,26 @@ class TestRk4Oracle:
         assert out.flags.c_contiguous
         np.testing.assert_array_equal(out, _reference_integrate(fld, x0, 0.01, 30, every))
 
+    def test_benchmark_sized_batch_equal_to_formula(self):
+        # the shape of the multirate benchmark's sampling pass
+        x0 = np.random.default_rng(23).uniform(-2, 2, size=(10_000, 3))
+        out = integrate(lorenz_field(), x0, 0.01, 120, every=10)
+        np.testing.assert_array_equal(out, _reference_integrate(lorenz_field(), x0, 0.01, 120, 10))
+
+    def test_divergence_names_first_non_finite_micro_step(self):
+        x0 = np.random.default_rng(24).uniform(-320, 320, size=(1000, 3))
+        x, first = x0, None
+        with np.errstate(all="ignore"):
+            for j in range(1, 101):
+                x = _rk4_step(lorenz_field(), x, 0.01)
+                if not np.all(np.isfinite(x)):
+                    first = j
+                    break
+            assert first is not None and first % 10  # between two kept rows
+            message = f"at step {first}, t={first * 0.01:.6g}$"
+            with pytest.raises(DivergenceError, match=message):
+                integrate(lorenz_field(), x0, 0.01, 100, every=10)
+
     @pytest.mark.parametrize("every", [1, 3, 10])
     def test_stacked_lorenz_equal_to_formula(self, every):
         rng = np.random.default_rng(22)
@@ -195,7 +240,54 @@ class TestRk4Oracle:
             np.testing.assert_array_equal(dense, reference)
 
 
+def _lorenz_formula(x):
+    """The benchmark field written out with Python floats, each component
+    in the field's operation order."""
+    x1, x2, x3 = x[..., 0], x[..., 1], x[..., 2]
+    return np.stack([0.5 * (x2 - x1), x1 * (0.75 - x3) - x2, x1 * x2 - 2.0 * x3], axis=-1)
+
+
+def _laid_out(values, layout):
+    if layout == "C":
+        return np.ascontiguousarray(values)
+    if layout == "F":
+        return np.asfortranarray(values)
+    # every other element of a larger array, along each axis
+    big = np.full(tuple(2 * n for n in values.shape), 7.0)
+    view = big[(slice(None, None, 2),) * values.ndim]
+    view[...] = values
+    return view
+
+
+#: Signed zeros, subnormals, overflowing and non-finite values.
+_SPECIAL = [0.0, -0.0, 5e-324, -5e-324, -2.5e-310, 1e200, -1e200, 1.5e308, np.inf, -np.inf, np.nan]
+
+
+def _assert_formula_bits(x):
+    before = x.copy()
+    with np.errstate(all="ignore"):
+        got, expected = lorenz_field()(x), _lorenz_formula(x)
+    np.testing.assert_array_equal(x, before)
+    assert got.shape == x.shape
+    nan = np.isnan(expected)
+    np.testing.assert_array_equal(np.isnan(got), nan)
+    # non-nan entries bit for bit, so that -0.0 differs from 0.0
+    np.testing.assert_array_equal(got[~nan].view(np.int64), expected[~nan].view(np.int64))
+
+
 class TestLorenzField:
+    @pytest.mark.parametrize("shape", [(3,), (5, 3)])
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    @settings(max_examples=60, deadline=None)
+    @given(values=st.lists(st.sampled_from(_SPECIAL) | st.floats(), min_size=15, max_size=15))
+    def test_bits_equal_to_formula(self, values, shape, layout):
+        _assert_formula_bits(_laid_out(np.array(values[: np.prod(shape)]).reshape(shape), layout))
+
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    def test_special_value_grid_bits_equal_to_formula(self, layout):
+        grid = np.array(list(itertools.product(_SPECIAL, repeat=3)))
+        _assert_formula_bits(_laid_out(grid, layout))
+
     def test_equilibrium(self):
         np.testing.assert_array_equal(lorenz_field()(np.zeros(3)), np.zeros(3))
 

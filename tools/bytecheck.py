@@ -86,6 +86,14 @@ COMMANDS = [
         {**_SINGLE, "K": 30, "init_box": [[-320.0, 320.0]] * 3},
         ["--num-seeds", "10"],
     ),  # 1
+    # the sampling stage's divergence message and the field's warning lines,
+    # outside a sweep
+    (
+        "multirate_diverging",
+        "multirate",
+        {**_MULTIRATE, "K": 30, "init_box": [[-320.0, 320.0]] * 3},
+        [],
+    ),  # 1
     ("compare_single_fine", "compare", _SINGLE_FINE, ["--num-seeds", "10"]),
     ("compare_single_k5", "compare", {**_SINGLE, "K": 5}, ["--num-seeds", "4"]),  # 1
     # degree 3: the only commands that lift a power above 2
