@@ -10,6 +10,7 @@ integrated states, never interpolations. Only the states on the sample grid
 samples are copied out of them.
 """
 
+import inspect
 import itertools
 import math
 import numbers
@@ -38,20 +39,56 @@ _STEPS_PER_GRID = 10
 class VectorField:
     """Autonomous vector field x -> dx/dt on R^dim.
 
-    ``func`` must broadcast over leading axes: it maps arrays of shape
-    (..., dim) to arrays of the same shape, which lets whole ensembles be
-    integrated in one pass. It must accept any memory layout (:func:`integrate`
-    passes its states component-major, with ``x[..., i]`` contiguous) and
-    return either a fresh array or a view of its argument, never a buffer
-    that it reuses across calls: the RK4 stages of one step are all alive
-    at once.
+    ``func(xs, outs)`` writes the field into buffers it is given: ``xs``
+    and ``outs`` are tuples of ``dim`` component arrays of one shape (the
+    batch shape), ``xs[i]`` holding component i of the states and
+    ``outs[i]`` receiving dx_i/dt. The field must write every ``outs[i]``,
+    may use them as scratch before that, and must not write ``xs``; the two
+    never overlap. Component arrays are contiguous and their arithmetic
+    must be elementwise over the batch, which lets whole ensembles be
+    integrated in one pass with no array allocated per call
+    (:func:`integrate` owns the buffers and builds the tuples once).
+
+    Calling the field, ``field(x)``, maps an array of shape (..., dim) to a
+    fresh array of the same shape. A ``func`` whose signature cannot take
+    two arguments is refused on construction.
     """
 
     dim: int
-    func: Callable[[np.ndarray], np.ndarray]
+    func: Callable[[tuple, tuple], None]
+
+    def __post_init__(self):
+        if isinstance(self.dim, bool) or not isinstance(self.dim, numbers.Integral) or self.dim < 1:
+            raise ConfigurationError(f"dim must be an integer >= 1, got {self.dim!r}")
+        if not callable(self.func):
+            raise ConfigurationError(f"func must be callable, got {self.func!r}")
+        try:
+            signature = inspect.signature(self.func)
+        except (TypeError, ValueError):  # some builtins have no readable signature
+            return
+        try:
+            signature.bind(None, None)
+        except TypeError:
+            raise ConfigurationError(
+                "a vector field's func is called as func(xs, outs), with xs and outs "
+                "tuples of dim component arrays, and writes dx_i/dt into outs[i]; "
+                f"{getattr(self.func, '__qualname__', self.func)!r} has signature {signature}"
+            ) from None
 
     def __call__(self, x):
-        return self.func(x)
+        x = np.array(x, dtype=float, order="F")
+        if x.shape[-1:] != (self.dim,):
+            raise ConfigurationError(
+                f"x has shape {x.shape}, field expects (..., {self.dim})"
+            )
+        out = np.empty_like(x)
+        self.func(_components(x), _components(out))
+        return out
+
+
+def _components(a):
+    """The component arrays ``a[..., i]`` of a state array, as a tuple."""
+    return tuple(a[..., i] for i in range(a.shape[-1]))
 
 
 def lorenz_field():
@@ -61,22 +98,20 @@ def lorenz_field():
     dx2 = x1 (0.75 - x3) - x2
     dx3 = x1 x2 - 2 x3
 
-    Each component is written in place into its view of the result, which
-    has the layout of ``x``. The constants are 0-d float64 arrays built
-    once, since on a small batch a ufunc call spends more time converting
-    a Python-float operand than on the arithmetic.
+    Each component is written in place into its output buffer. On a small
+    batch a ufunc call costs more than its arithmetic, so the constants are
+    0-d float64 arrays built once (converting a Python float costs more)
+    and the ufuncs are bound to local names.
     """
     c075, two, half = np.array(0.75), np.array(2.0), np.array(0.5)
+    subtract, multiply = np.subtract, np.multiply
 
-    def f(x):
-        x1, x2, x3 = x[..., 0], x[..., 1], x[..., 2]
-        out = np.empty_like(x)
-        d1, d2, d3 = out[..., 0], out[..., 1], out[..., 2]
-        np.subtract(np.multiply(x1, np.subtract(c075, x3, d2), d2), x2, d2)
+    def f(xs, outs):
+        (x1, x2, x3), (d1, d2, d3) = xs, outs
+        subtract(multiply(x1, subtract(c075, x3, d2), d2), x2, d2)
         # d1 holds 2 x3 until the first component overwrites it
-        np.subtract(np.multiply(x1, x2, d3), np.multiply(two, x3, d1), d3)
-        np.multiply(half, np.subtract(x2, x1, d1), d1)
-        return out
+        subtract(multiply(x1, x2, d3), multiply(two, x3, d1), d3)
+        multiply(half, subtract(x2, x1, d1), d1)
 
     return VectorField(dim=3, func=f)
 
@@ -86,7 +121,14 @@ def linear_field(a):
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ConfigurationError(f"A must be square, got shape {a.shape}")
-    return VectorField(dim=a.shape[0], func=lambda x: x @ a.T)
+    a_t = a.T
+
+    def f(xs, outs):
+        dx = np.stack(xs, axis=-1) @ a_t
+        for i, out in enumerate(outs):
+            out[...] = dx[..., i]
+
+    return VectorField(dim=a.shape[0], func=f)
 
 
 def integrate(field, x0, step, n_steps, every=1):
@@ -123,11 +165,13 @@ def integrate(field, x0, step, n_steps, every=1):
     Notes
     -----
     On a small batch a micro-step costs NumPy call overhead, not
-    arithmetic, so the kernel keeps its calls lean: ufunc operands are
-    arrays only (the stage constants are 0-d float64 arrays, built once per
-    call), outputs are passed positionally, and the finiteness mask is laid
-    out like the state. The field is called through ``field.func`` under
-    the unchanged :class:`VectorField` contract.
+    arithmetic, so the kernel keeps its calls lean and allocates nothing
+    per step: six state-sized buffers (the state, one stage input, two
+    derivative buffers used in turn, an accumulator and a scratch buffer)
+    and their component tuples are built once per call, ufunc operands are
+    arrays only (the stage constants are 0-d float64 arrays), the ufuncs
+    are bound to local names, outputs are passed positionally, and the
+    finiteness mask is laid out like the state.
     """
     real = isinstance(step, numbers.Real) and not isinstance(step, bool)
     # comparisons refuse nan, and an int beyond the float range unconverted
@@ -154,28 +198,29 @@ def integrate(field, x0, step, n_steps, every=1):
             f"{x.shape} requests {rows * x.size * 8 / 2**30:.3g} GiB"
         ) from exc
     out[0] = x
-    # Component-major state and preallocated stage buffers; the arithmetic is
-    # that of x + h/6 (k1 + 2 k2 + 2 k3 + k4) with k_i at x + c_i h k_{i-1},
-    # in the same order, so the bits do not depend on the layout. Each stage
-    # input has its own buffer, since a field may return a view of it.
+    # Component-major state, so each component is contiguous. Every element
+    # takes the steps of x + h/6 (k1 + 2 k2 + 2 k3 + k4), k_i evaluated at
+    # x + c_i h k_(i-1), in the same order, so the bits do not depend on the
+    # layout: k1 + 2 k2 is summed before k3 overwrites k1's buffer.
     x = np.array(x, order="F")
-    y2, y3, y4, acc, tmp = (np.empty_like(x) for _ in range(5))
+    y, ka, kb, acc, tmp = (np.empty_like(x) for _ in range(5))
+    xs, ys, kas, kbs = (_components(a) for a in (x, y, ka, kb))
     finite = np.empty_like(x, dtype=bool)
     half, whole, two, sixth = (np.array(c) for c in (0.5 * step, step, 2.0, step / 6.0))
-    f = field.func
+    f, add, multiply, isfinite = field.func, np.add, np.multiply, np.isfinite
     for j in range(1, n_steps + 1):
-        k1 = f(x)
-        np.add(x, np.multiply(half, k1, tmp), y2)
-        k2 = f(y2)
-        np.add(x, np.multiply(half, k2, tmp), y3)
-        k3 = f(y3)
-        np.add(x, np.multiply(whole, k3, tmp), y4)
-        k4 = f(y4)
-        np.add(k1, np.multiply(two, k2, acc), acc)
-        np.add(acc, np.multiply(two, k3, tmp), acc)
-        np.add(acc, k4, acc)
-        np.add(x, np.multiply(sixth, acc, acc), x)
-        if not np.isfinite(x, finite).all():
+        f(xs, kas)  # k1
+        add(x, multiply(half, ka, tmp), y)
+        f(ys, kbs)  # k2
+        add(ka, multiply(two, kb, acc), acc)
+        add(x, multiply(half, kb, tmp), y)
+        f(ys, kas)  # k3
+        add(acc, multiply(two, ka, tmp), acc)
+        add(x, multiply(whole, ka, tmp), y)
+        f(ys, kbs)  # k4
+        add(acc, kb, acc)
+        add(x, multiply(sixth, acc, acc), x)
+        if not isfinite(x, finite).all():
             raise DivergenceError(
                 f"trajectory diverged (non-finite state) at step {j}, t={j * step:.6g}"
             )
@@ -218,7 +263,8 @@ class SamplingSchedule:
         for name in ("dead_time", "period"):
             value = getattr(self, name)
             real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-            if not (real and math.isfinite(value)):
+            # the comparison refuses nan, and an int beyond the float range unconverted
+            if not (real and abs(value) <= sys.float_info.max):
                 raise ConfigurationError(f"{name} must be a finite number, got {value!r}")
         if self.dead_time < 0:
             raise ConfigurationError(f"dead_time must be >= 0, got {self.dead_time}")

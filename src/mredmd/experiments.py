@@ -12,15 +12,17 @@ identical bytes.
 
 ``run_sweep`` runs the same pipeline over many seeds one stage at a time,
 so each stage runs once for a whole group of seeds: one RK4 batch, one
-stacked Koopman fit per fit, one prediction call. Every stage that warns
-or fails for the group runs again seed by seed, so each report records its
-own package warnings and none escapes. ``run`` is its one-seed case.
+stacked Koopman fit per fit, one stacked matrix exponential per estimate,
+one prediction call. Every stage that warns or fails for the group runs
+again seed by seed, so each report records its own package warnings and
+none escapes. ``run`` is its one-seed case.
 """
 
 import json
 import math
 import numbers
 import re
+import sys
 import warnings
 from contextlib import contextmanager
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
@@ -179,8 +181,13 @@ class ExperimentConfig:
 
 
 def _is_real(value):
-    """A finite int or float that is not a bool."""
-    return not isinstance(value, bool) and isinstance(value, (int, float)) and math.isfinite(value)
+    """A finite int or float that is not a bool; an int beyond the float
+    range is not finite (comparisons also refuse nan, unconverted)."""
+    return (
+        not isinstance(value, bool)
+        and isinstance(value, (int, float))
+        and abs(value) <= sys.float_info.max
+    )
 
 
 def _is_count(value):
@@ -470,11 +477,13 @@ def _targets(cfg):
 def _run_seeds(cfg, seeds):
     """The pipeline of the configured mode on each seed, one stage at a time
     across the seeds: one RK4 batch samples every seed's ensemble, each fit
-    stacks every seed's problem, one RK4 batch integrates every evaluation
-    truth and one prediction call advances every model, each stage under the
-    replay rule of :func:`_per_seed`. The lcm fit alone loops over seeds: on
-    its coarse step some seed of a group nearly always warns (2 of seeds 0-9
-    at K = 300, 6 at K = 30), so a stacked lcm stage would be replayed anyway.
+    stacks every seed's problem, each estimate of a component at a target
+    stacks every seed's matrix exponential, one RK4 batch integrates every
+    evaluation truth and one prediction call advances every model, each
+    stage under the replay rule of :func:`_per_seed`. The lcm fit alone
+    loops over seeds: on its coarse step some seed of a group nearly always
+    warns (2 of seeds 0-9 at K = 300, 6 at K = 30), so a stacked lcm stage
+    would be replayed anyway.
 
     Multirate reconstructs at (T_s, 2 T_s) and fits the multirate model, the
     lcm baseline and the ideal baseline; single-state reconstructs at
@@ -518,15 +527,12 @@ def _sample_and_fit(cfg, fld, dictionary, reports):
     def reconstruct(idx):
         ensembles = [sampled[i][1][0] for i in idx]
         operator_sets = hankel.fit_operator_sets(ensembles, schedules, targets)
-        pairs = []
-        for i, ensemble, operators in zip(idx, ensembles, operator_sets):
+        for i, operators in zip(idx, operator_sets):
             # stored before reconstructing, so a failed estimate still reports them
             group[i].component_operators = operators
-            pairs.append(
-                hankel.reconstruct_states(
-                    ensemble, schedules, operators, t_s, first_target=targets[0]
-                )
-            )
+        pairs = hankel.reconstruct_state_sets(
+            ensembles, schedules, operator_sets, t_s, first_target=targets[0]
+        )
         return edmd.fit_models(pairs, dictionary)
 
     def fit_ideal(idx):

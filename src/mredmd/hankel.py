@@ -131,29 +131,40 @@ def estimate_component_at(operator, t):
     np.ndarray
         Shape (K,), one estimate per trajectory.
     """
-    s = operator.schedule
+    (estimates,) = _estimate_sets([operator], t)
+    return estimates
+
+
+def _estimate_sets(operators, t):
+    """:func:`estimate_component_at` of each of ``operators``, which share
+    their schedule, with one stacked :func:`linalg.matrix_exp` of every
+    L_i (t - r_i). Each warning comes once per operator."""
+    s = operators[0].schedule
     dt = t - s.dead_time
-    window = s.period * operator.p_x.shape[0]
+    window = s.period * operators[0].p_x.shape[0]
+    extrapolation = None
     if dt < -TIME_MATCH_TOL:
-        warnings.warn(
-            f"component {s.component}: estimate at t={t:.6g} precedes the "
-            f"first sample at {s.dead_time:.6g}",
-            ExtrapolationWarning,
-            stacklevel=2,
-        )
+        extrapolation = f"precedes the first sample at {s.dead_time:.6g}"
     elif dt > EXTRAPOLATION_RATIO * window:
-        warnings.warn(
-            f"component {s.component}: estimate at t={t:.6g} extrapolates "
-            f"{dt / window:.2f}x beyond the sampled window",
-            ExtrapolationWarning,
-            stacklevel=2,
-        )
-    propagator = linalg.matrix_exp(operator.l_complex * dt)
-    row = propagator[0, :] @ operator.p_x
+        extrapolation = f"extrapolates {dt / window:.2f}x beyond the sampled window"
+    if extrapolation:
+        for _ in operators:
+            warnings.warn(
+                f"component {s.component}: estimate at t={t:.6g} {extrapolation}",
+                ExtrapolationWarning,
+                stacklevel=3,
+            )
+    propagators = linalg.matrix_exp(np.stack([op.l_complex for op in operators]) * dt)
+    estimates = []
+    # the label's warnings come out in order, before an error propagates
     with labelled(f"component {s.component}, t={t:.6g}"):
-        estimates, _residual = linalg.cast_real(row)
-    if not np.all(np.isfinite(estimates)):
-        raise DivergenceError(f"component {s.component}: non-finite estimates at t={t:.6g}")
+        for operator, propagator in zip(operators, propagators):
+            values, _residual = linalg.cast_real(propagator[0, :] @ operator.p_x)
+            if not np.all(np.isfinite(values)):
+                raise DivergenceError(
+                    f"component {s.component}: non-finite estimates at t={t:.6g}"
+                )
+            estimates.append(values)
     return estimates
 
 
@@ -222,36 +233,60 @@ def reconstruct_states(ensemble, schedules, operators, step, first_target=None):
         If a measurement is missing or an estimate needs an operator that
         ``operators`` lacks.
     """
+    (pairs,) = reconstruct_state_sets([ensemble], schedules, [operators], step, first_target)
+    return pairs
+
+
+def reconstruct_state_sets(ensembles, schedules, operator_sets, step, first_target=None):
+    """:func:`reconstruct_states` of each of ``ensembles``, with its own
+    dict of ``operator_sets``, on the schedules they share (as the seeds of
+    a sweep do): each estimate of a component at a target runs for all of
+    them at once, with one stacked matrix exponential. Warnings and errors
+    come component by component, not ensemble by ensemble.
+
+    Returns
+    -------
+    list
+        One :class:`StatePairEnsemble` per ensemble.
+    """
     t1 = step if first_target is None else first_target
     t2 = t1 + step
     n = len(schedules)
     if sorted(s.component for s in schedules) != list(range(n)):
         raise DataError("schedules must cover each state component exactly once")
+    if not ensembles:
+        return []
 
-    x = np.empty((n, len(ensemble)))
-    y = np.empty((n, len(ensemble)))
+    xs = [np.empty((n, len(ensemble))) for ensemble in ensembles]
+    ys = [np.empty((n, len(ensemble))) for ensemble in ensembles]
     x_estimated = [False] * n
     y_estimated = [False] * n
     for s in sorted(schedules, key=lambda s: s.component):
-        for t, out, flags in ((t1, x, x_estimated), (t2, y, y_estimated)):
+        for t, outs, flags in ((t1, xs, x_estimated), (t2, ys, y_estimated)):
             l = s.sample_index(t)
             if l is not None:
-                times = ensemble.times.get(s.component, ())
-                if len(times) <= l or abs(times[l] - t) > TIME_MATCH_TOL:
-                    raise DataError(f"component {s.component}: no measurement at t={t:.6g}")
-                out[s.component] = ensemble.values[s.component][:, l]
+                for ensemble, out in zip(ensembles, outs):
+                    times = ensemble.times.get(s.component, ())
+                    if len(times) <= l or abs(times[l] - t) > TIME_MATCH_TOL:
+                        raise DataError(f"component {s.component}: no measurement at t={t:.6g}")
+                    out[s.component] = ensemble.values[s.component][:, l]
             else:
-                if s.component not in operators:
+                if any(s.component not in operators for operators in operator_sets):
                     raise DataError(
                         f"component {s.component}: estimate at t={t:.6g} needs a "
                         "fitted component operator"
                     )
-                out[s.component] = estimate_component_at(operators[s.component], t)
+                operators = [operators[s.component] for operators in operator_sets]
+                for out, estimates in zip(outs, _estimate_sets(operators, t)):
+                    out[s.component] = estimates
                 flags[s.component] = True
-    return StatePairEnsemble(
-        x=x,
-        y=y,
-        step=step,
-        x_estimated=tuple(x_estimated),
-        y_estimated=tuple(y_estimated),
-    )
+    return [
+        StatePairEnsemble(
+            x=x,
+            y=y,
+            step=step,
+            x_estimated=tuple(x_estimated),
+            y_estimated=tuple(y_estimated),
+        )
+        for x, y in zip(xs, ys)
+    ]

@@ -410,30 +410,69 @@ _EXP_PADE = {
 def matrix_exp(l):
     """Matrix exponential by scaling and squaring (Higham, SIAM J. Matrix
     Anal. Appl. 2005): the Pade degree m in {3, 5, 7, 9, 13} and the number
-    of squarings come from the exact 1-norm of ``l``."""
-    arr = _as_matrix(l, "l", complex_ok=True)
+    of squarings come from the exact 1-norm of ``l``.
+
+    ``l`` may also be a stack (B, N, N), whose exponentials run as one: each
+    matrix keeps its own degree and squaring count, so it gets the bits of
+    its own 2-D call, and the matrices of one degree run together. A stack
+    whose solve fails runs again one matrix at a time, raising the error of
+    the first matrix that fails alone.
+
+    Raises
+    ------
+    NumericalError
+        If the Pade solve fails.
+    """
+    arr = _as_matrix(l, "l", complex_ok=True, stack=True)
     _require_square(arr, "l")
-    norm = float(np.abs(arr).sum(axis=0).max())
-    m = next((d for d in (3, 5, 7, 9) if norm <= _EXP_THETA[d]), 13)
-    s = max(0, math.ceil(math.log2(norm / _EXP_THETA[13]))) if m == 13 else 0
-    a = arr * 2.0**-s
+    (out,) = _per_matrix(_matrix_exp, (arr,))
+    return out
+
+
+def _matrix_exp(arr):
+    """:func:`matrix_exp` of a (B, N, N) stack, as a 1-tuple."""
+    norms = np.abs(arr).sum(axis=1).max(axis=1).tolist()
+    degrees = [next((d for d in (3, 5, 7, 9) if x <= _EXP_THETA[d]), 13) for x in norms]
+    squarings = [
+        max(0, math.ceil(math.log2(x / _EXP_THETA[13]))) if m == 13 else 0
+        for x, m in zip(norms, degrees)
+    ]
+    if len(set(degrees)) == 1:
+        return (_pade_exp(arr, degrees[0], squarings),)
+    out = np.empty_like(arr)
+    for m in sorted(set(degrees)):
+        sel = [i for i, d in enumerate(degrees) if d == m]
+        out[sel] = _pade_exp(arr[sel], m, [squarings[i] for i in sel])
+    return (out,)
+
+
+def _pade_exp(arr, m, s):
+    """exp of each matrix of a (B, N, N) stack by its degree-m Pade
+    approximant of exp(2^-s A), squared s times (a list, per matrix)."""
+    a = arr * np.ldexp(1.0, -np.array(s))[:, None, None] if max(s) else arr
     # V = sum b_2j A^2j and U = A sum b_2j+1 A^2j, from the even powers up
     # to A^(m-1), or to A^6 for m = 13, where A^6 multiplies the top terms
-    powers = [np.eye(len(a)), a @ a]
-    while len(powers) <= (3 if m == 13 else m // 2):
-        powers.append(powers[-1] @ powers[1])
-    coeffs, flat = _EXP_PADE[m], np.array(powers).reshape(len(powers), -1)
-    v, u = (coeffs[:, : len(powers)] @ flat).reshape(2, *a.shape)
+    b, n, p = len(a), a.shape[-1], 4 if m == 13 else m // 2 + 1
+    powers = np.empty((b, p, n, n), a.dtype)
+    powers[:, 0] = np.eye(n)
+    np.matmul(a, a, powers[:, 1])
+    for k in range(2, p):
+        np.matmul(powers[:, k - 1], powers[:, 1], powers[:, k])
+    # one (2, p) @ (p, N^2) product per matrix, as in a loop of 2-D calls
+    coeffs, flat = _EXP_PADE[m], powers.reshape(b, p, n * n)
+    vu = (coeffs[:, :p] @ flat).reshape(b, 2, n, n)
+    v, u = vu[:, 0], vu[:, 1]
     if m == 13:
-        high = (coeffs[:, 4:] @ flat[1:]).reshape(2, *a.shape)
-        v, u = v + powers[3] @ high[0], u + powers[3] @ high[1]
+        high = (coeffs[:, 4:] @ flat[:, 1:]).reshape(b, 2, n, n)
+        v, u = v + powers[:, 3] @ high[:, 0], u + powers[:, 3] @ high[:, 1]
     u = a @ u
     try:
         r = np.linalg.solve(v - u, v + u)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"Pade solve failed: {exc}") from exc
-    for _ in range(s):
-        r = r @ r
+    for j in range(max(s)):
+        act = [i for i, count in enumerate(s) if count > j]
+        r[act] = r[act] @ r[act]
     return r
 
 

@@ -1,23 +1,30 @@
 """Batched kernels against their one-item calls, bit for bit.
 
-A stack given to ``matrix_log`` or ``koopman_fit``, a multi-key
-``_substream_uniform`` and a grouped ``predict_models`` must give each item
-the bits, the warnings and the errors of its own call, in item order. The
-stacks mix root counts, Pade degrees, pinv ranks and matrix sizes, and some
-hold an item that warns or fails, which makes the whole stack run again one
-item at a time.
+A stack given to ``matrix_log``, ``matrix_exp`` or ``koopman_fit``, a
+multi-key ``_substream_uniform``, a grouped ``predict_models`` and a sweep
+group's reconstruction must give each item the bits, the warnings and the
+errors of its own call, in item order. The stacks mix root counts, Pade
+degrees, squaring counts, pinv ranks and matrix sizes, and some hold an
+item that warns or fails, which makes the whole stack run again one item at
+a time.
 """
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from mredmd import dynamics, linalg
+from mredmd import dynamics, experiments, hankel, linalg
 from mredmd.edmd import KoopmanModel, StatePairEnsemble, fit_model, predict, predict_models
-from mredmd.errors import DivergenceWarning, MredmdError
+from mredmd.errors import (
+    DivergenceWarning,
+    ImaginaryResidualWarning,
+    MredmdError,
+    NumericalError,
+)
 from mredmd.observables import monomial_dictionary
 
 SETTINGS = settings(
@@ -108,6 +115,85 @@ def test_matrix_log_stack_mixes_roots_and_degrees(monkeypatch):
     linalg.matrix_log(stack)
     assert len(degrees) >= 4  # one Pade solve per degree
     assert len(set(roots)) >= 3  # root rounds over shrinking subsets
+
+
+#: 1-norm bands of each Pade degree of ``matrix_exp``; the last needs
+#: squarings (norms above theta_13).
+EXP_BANDS = {
+    3: (1e-6, 1.49e-2),
+    5: (1.5e-2, 0.25),
+    7: (0.26, 0.95),
+    9: (0.96, 2.09),
+    13: (2.1, 5.37),
+    "13 squared": (5.38, 60.0),
+}
+
+
+@st.composite
+def exp_stacks(draw):
+    """A (B, N, N) stack of real or complex matrices, each scaled to a
+    1-norm in the band of a drawn Pade degree, and whether to add the zero
+    matrix, whose solve a test makes fail."""
+    n = draw(st.sampled_from([2, 10]))
+    dtype = draw(st.sampled_from([float, complex]))
+    bands = draw(st.lists(st.sampled_from(sorted(EXP_BANDS, key=str)), min_size=2, max_size=6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    stack = []
+    for band in bands:
+        a = rng.normal(size=(n, n)) + (1j * rng.normal(size=(n, n)) if dtype is complex else 0)
+        low, high = EXP_BANDS[band]
+        stack.append(a * (rng.uniform(low, high) / np.abs(a).sum(axis=0).max()))
+    failing = draw(st.booleans())
+    if failing:
+        stack.insert(draw(st.integers(0, len(stack))), np.zeros((n, n), dtype))
+    return np.stack(stack), failing
+
+
+def failing_solve(solve):
+    """``np.linalg.solve`` that fails on a stack holding 120 I, the Pade
+    denominator of the zero matrix at degree 3."""
+
+    def fail_on_zero(a, b):
+        if np.any(np.all(a == 120.0 * np.eye(a.shape[-1]), axis=(-2, -1))):
+            raise np.linalg.LinAlgError("Singular matrix")
+        return solve(a, b)
+
+    return fail_on_zero
+
+
+@SETTINGS
+@given(exp_stacks())
+def test_matrix_exp_stack_is_each_matrix_alone(case):
+    stack, failing = case
+    with pytest.MonkeyPatch.context() as mp:
+        if failing:
+            mp.setattr(np.linalg, "solve", failing_solve(np.linalg.solve))
+        stacked = outcome(lambda: linalg.matrix_exp(stack))
+        alone = outcome(lambda: one_by_one(linalg.matrix_exp, stack))
+    assert_same(stacked, alone)
+    if failing:
+        assert stacked[1] == (NumericalError, "Pade solve failed: Singular matrix")
+    else:
+        assert stacked[1].tobytes() == alone[1].tobytes()  # signed zeros too
+
+
+def test_matrix_exp_stack_mixes_degrees_and_squarings(monkeypatch):
+    # one Pade evaluation per degree present, each with per-matrix squarings
+    calls = []
+    pade_exp = linalg._pade_exp
+
+    def count(a, m, s):
+        calls.append((len(a), m, list(s)))
+        return pade_exp(a, m, s)
+
+    monkeypatch.setattr(linalg, "_pade_exp", count)
+    rng = np.random.default_rng(3)
+    stack = []
+    for band in (3, 13, "13 squared", 3, "13 squared"):
+        a = rng.normal(size=(4, 4))
+        stack.append(a * (EXP_BANDS[band][1] / np.abs(a).sum(axis=0).max()))
+    linalg.matrix_exp(np.stack(stack))
+    assert calls == [(2, 3, [0, 0]), (3, 13, [0, 4, 4])]
 
 
 @st.composite
@@ -204,3 +290,70 @@ def test_grouped_predict_is_each_model_and_row_alone(seed, mode):
         alone = outcome(lambda: np.stack([predict(m, x0, 20, mode) for m, x0 in zip(models, x0s)]))
     assert_same(grouped, alone)
     assert {category for category, _ in grouped[0]} == {DivergenceWarning}
+
+
+SINGLE_STATE = experiments.ExperimentConfig(
+    system="lorenz", mode="single_state", T_s=0.1, state_dim=3, K=100
+)
+
+
+def test_group_reconstruction_runs_one_exp_per_estimate(monkeypatch):
+    # single-state estimates 4 components at targets; 10 seeds stack into each exp
+    shapes = []
+    matrix_exp = linalg.matrix_exp
+
+    def count(l):
+        shapes.append(np.shape(l))
+        return matrix_exp(l)
+
+    monkeypatch.setattr(linalg, "matrix_exp", count)
+    experiments.run_sweep(SINGLE_STATE, range(10))
+    assert shapes == [(10, 2, 2)] * 4
+
+
+def test_group_reconstruction_is_the_per_seed_loop(monkeypatch):
+    # an estimate of seed 3 alone warns: the group's fits are clean, its
+    # stacked estimates are not, and each seed runs the stage again alone
+    ((ensemble, _),) = experiments.simulate(SINGLE_STATE, [3])
+    flagged = ensemble.values[1][0, 0]
+    estimate_sets, stacked = hankel._estimate_sets, []
+
+    def warn_for_seed_3(operators, t):
+        stacked.append(len(operators))
+        estimates = estimate_sets(operators, t)
+        for operator in operators:
+            if operator.p_x[0, 0] == flagged:
+                warnings.warn(f"flagged at t={t:.6g}", ImaginaryResidualWarning)
+        return estimates
+
+    monkeypatch.setattr(hankel, "_estimate_sets", warn_for_seed_3)
+    group = experiments._run_seeds(SINGLE_STATE, range(10))
+    # component 0 at t=0.3, then component 1 at t=0.3 warns; 4 estimates per seed alone
+    assert stacked == [10, 10] + [1] * 40
+    alone = [experiments.run(replace(SINGLE_STATE, seed=seed)) for seed in range(10)]
+    for seed, (report, expected) in enumerate(zip(group, alone)):
+        assert report.warnings == expected.warnings
+        assert report.errors == expected.errors == []
+        assert bool(report.warnings) == (seed == 3)
+        for name, model in expected.models.items():
+            assert report.models[name].k_mat.tobytes() == model.k_mat.tobytes()
+            assert report.models[name].l_complex.tobytes() == model.l_complex.tobytes()
+    assert [w["message"] for w in group[3].warnings] == ["flagged at t=0.3", "flagged at t=0.4"]
+
+
+def test_group_reconstruction_sets_equal_their_loop():
+    # the public group call, with no replay: each ensemble's pairs bit for bit
+    cfg = SINGLE_STATE
+    schedules, targets = experiments.derive_schedules(cfg), experiments._targets(cfg)
+    ensembles = [ensemble for ensemble, _ in experiments.simulate(cfg, range(4))]
+    operator_sets = hankel.fit_operator_sets(ensembles, schedules, targets)
+    group = hankel.reconstruct_state_sets(
+        ensembles, schedules, operator_sets, cfg.T_s, first_target=targets[0]
+    )
+    for ensemble, operators, pairs in zip(ensembles, operator_sets, group):
+        alone = hankel.reconstruct_states(
+            ensemble, schedules, operators, cfg.T_s, first_target=targets[0]
+        )
+        assert pairs.x.tobytes() == alone.x.tobytes()
+        assert pairs.y.tobytes() == alone.y.tobytes()
+        assert (pairs.x_estimated, pairs.y_estimated) == (alone.x_estimated, alone.y_estimated)

@@ -124,6 +124,27 @@ def test_hostile_configs_fail_in_one_line(tmp_path, capsys, case, command):
         assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"T_s": 10**400}, "T_s must be a finite number > 0, got 1000"),
+        ({"init_box": [[0, 10**400], [0, 1], [0, 1]]}, "init_box must be 3 (low, high) pairs"),
+    ],
+    ids=["T_s", "init_box"],
+)
+@pytest.mark.parametrize("command", ["multirate", "compare", "simulate"])
+def test_ints_beyond_float_range_are_configuration_errors(
+    tmp_path, capsys, overrides, message, command
+):
+    # json writes 10**400 as an integer literal, which json reads back as an int
+    cfg = write_config(tmp_path / "cfg.json", **overrides)
+    out = tmp_path / "r"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("configuration error: " + message)
+    assert not out.exists()
+
+
 def test_simulate_subcommand(tmp_path):
     cfg = write_config(tmp_path / "cfg.json")
     out = tmp_path / "ensemble"

@@ -1,5 +1,6 @@
 """Tests for integration, the benchmark field, and ensemble sampling."""
 
+import inspect
 import itertools
 import re
 
@@ -23,9 +24,28 @@ from mredmd.dynamics import (
 from mredmd.errors import ConfigurationError, DataError, DivergenceError
 
 
+def _zeros(xs, outs):
+    for out in outs:
+        out.fill(0.0)
+
+
+def _identity(xs, outs):
+    for x, out in zip(xs, outs):
+        np.copyto(out, x)
+
+
+def _negation(xs, outs):
+    for x, out in zip(xs, outs):
+        np.negative(x, out)
+
+
+def _cube(xs, outs):
+    np.power(xs[0], 3.0, outs[0])
+
+
 class TestIntegrate:
     def test_zero_field_constant(self):
-        fld = dynamics.VectorField(2, lambda x: np.zeros_like(x))
+        fld = dynamics.VectorField(2, _zeros)
         out = integrate(fld, [1.0, -2.0], 0.1, 5)
         np.testing.assert_array_equal(out, np.tile([1.0, -2.0], (6, 1)))
 
@@ -66,7 +86,7 @@ class TestIntegrate:
             np.testing.assert_array_equal(batch[:, k, :], single)
 
     def test_divergence_names_step(self):
-        fld = dynamics.VectorField(1, lambda x: x**3)
+        fld = dynamics.VectorField(1, _cube)
         with pytest.raises(DivergenceError, match="step") as every_step:
             integrate(fld, [10.0], 1.0, 50)
         # with a stride, the first non-finite micro-step between kept rows
@@ -184,11 +204,9 @@ def _oracle_cases():
         a = rng.normal(size=(n, n))
         cases.append((f"linear-{n}-1d", linear_field(a), rng.uniform(-1, 1, size=n)))
         cases.append((f"linear-{n}-batch", linear_field(a), rng.uniform(-1, 1, size=(20, n))))
-    for name, func in [
-        ("identity-alias", lambda x: x),
-        ("negation", lambda x: -x),
-        ("zeros", np.zeros_like),
-    ]:
+    # "identity-alias" names the field that once returned its argument; a
+    # field now writes into the kernel's own buffers, and this one copies
+    for name, func in [("identity-alias", _identity), ("negation", _negation), ("zeros", _zeros)]:
         fld = dynamics.VectorField(3, func)
         cases.append((name + "-1d", fld, rng.uniform(-1, 1, size=3)))
         cases.append((name + "-batch", fld, rng.uniform(-1, 1, size=(6, 3))))
@@ -196,9 +214,9 @@ def _oracle_cases():
 
 
 class TestRk4Oracle:
-    """The in-place kernel is bit for bit the RK4 formula, whatever the field
-    returns (a fresh array, a view of its argument) and however the caller's
-    initial states are laid out."""
+    """The in-place kernel is bit for bit the RK4 formula, evaluated through
+    ``field(x)``, whatever the field does with its output buffers and
+    however the caller's initial states are laid out."""
 
     @pytest.mark.parametrize("every", [1, 3, 10])
     @pytest.mark.parametrize("fld, x0", _oracle_cases())
@@ -275,6 +293,82 @@ def _assert_formula_bits(x):
     np.testing.assert_array_equal(got[~nan].view(np.int64), expected[~nan].view(np.int64))
 
 
+class TestVectorFieldContract:
+    @pytest.mark.parametrize(
+        "func",
+        [lambda x: x, lambda xs, outs, t: None, lambda: None, lambda *, xs, outs: 0],
+        ids=["one-argument", "three-arguments", "no-argument", "keyword-only"],
+    )
+    def test_field_that_cannot_take_xs_outs_refused(self, func):
+        with pytest.raises(ConfigurationError, match=r"called as func\(xs, outs\)") as info:
+            dynamics.VectorField(3, func)
+        assert "writes dx_i/dt into outs[i]" in str(info.value)
+
+    def test_old_one_argument_field_never_reaches_rk4(self):
+        # the contract of earlier releases returned dx/dt from func(x)
+        with pytest.raises(ConfigurationError, match="has signature"):
+            integrate(dynamics.VectorField(3, lambda x: -x), np.ones(3), 0.01, 3)
+
+    def test_unreadable_signature_accepted(self):
+        with pytest.raises(ValueError):
+            inspect.signature(max)
+        assert dynamics.VectorField(1, max).func is max
+
+    def test_signatures_that_bind_two_arguments_accepted(self):
+        dynamics.VectorField(3, lambda *args: None)
+        dynamics.VectorField(3, lorenz_field().func)
+        # (a, dtype=None, ...): the check reads the signature, not the intent
+        dynamics.VectorField(3, np.zeros_like)
+
+    @pytest.mark.parametrize(
+        "dim, func, match",
+        [
+            (3, None, "func must be callable"),
+            (3, 5, "func must be callable"),
+            (0, _zeros, "dim must be an integer >= 1"),
+            (2.0, _zeros, "dim must be an integer >= 1"),
+            (True, _zeros, "dim must be an integer >= 1"),
+        ],
+    )
+    def test_bad_dim_or_func_refused(self, dim, func, match):
+        with pytest.raises(ConfigurationError, match=match):
+            dynamics.VectorField(dim, func)
+
+    def test_call_returns_fresh_array_and_leaves_input(self):
+        fld = dynamics.VectorField(3, _negation)
+        x = np.arange(6.0).reshape(2, 3)
+        before = x.copy()
+        out = fld(x)
+        np.testing.assert_array_equal(out, -before)
+        np.testing.assert_array_equal(x, before)
+        assert not np.shares_memory(out, x)
+        assert fld(x) is not out
+
+    def test_call_checks_dimension(self):
+        with pytest.raises(ConfigurationError, match=r"field expects \(\.\.\., 3\)"):
+            lorenz_field()(np.zeros((4, 2)))
+
+    def test_integrate_hands_contiguous_components_of_own_buffers(self):
+        seen = []
+
+        def record(xs, outs):
+            seen.append((xs, outs))
+            for out in outs:
+                out.fill(0.0)
+
+        x0 = np.ones((5, 3))
+        integrate(dynamics.VectorField(3, record), x0, 0.1, 2)
+        assert len(seen) == 8
+        for xs, outs in seen:
+            assert len(xs) == len(outs) == 3
+            for a in xs + outs:
+                assert a.shape == (5,) and a.flags.contiguous
+                assert not np.shares_memory(a, x0)
+            assert not any(np.shares_memory(x, o) for x in xs for o in outs)
+        # the buffers are built once: two stage inputs, two derivative buffers in turn
+        assert len({id(xs) for xs, _ in seen}) == 2 and len({id(outs) for _, outs in seen}) == 2
+
+
 class TestLorenzField:
     @pytest.mark.parametrize("shape", [(3,), (5, 3)])
     @pytest.mark.parametrize("layout", ["C", "F", "strided"])
@@ -330,6 +424,10 @@ class TestSamplingSchedule:
             ("period", float("nan")),
             ("period", 0.0),
             ("period", False),
+            # ints beyond the float range
+            ("dead_time", 10**400),
+            ("period", 10**400),
+            ("period", -(10**400)),
             ("count", 2.5),
             ("count", True),
             ("count", 0),

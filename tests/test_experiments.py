@@ -165,6 +165,11 @@ class TestExperimentConfig:
             ("system", []),
             ("include_constant", "no"),
             ("output_dir", 5),
+            # ints beyond the float range
+            ("T_s", 10**400),
+            ("T_s", -(10**400)),
+            ("init_box", [[0, 10**400], [0, 1], [0, 1]]),
+            ("init_box", [[-(10**400), 0], [0, 1], [0, 1]]),
         ],
     )
     def test_field_types_rejected(self, field, value):
@@ -298,10 +303,10 @@ class TestRunMultirate:
         assert "ideal" in report.models
 
     def test_failed_estimate_still_writes_hankel_operators(self, monkeypatch, tmp_path):
-        def diverge(operator, t):
-            raise errors.DivergenceError(f"component {operator.schedule.component}: diverged")
+        def diverge(operators, t):
+            raise errors.DivergenceError(f"component {operators[0].schedule.component}: diverged")
 
-        monkeypatch.setattr(hankel, "estimate_component_at", diverge)
+        monkeypatch.setattr(hankel, "_estimate_sets", diverge)
         report = run(multirate_config(K=30))
         assert report.errors == [{"stage": "reconstruct", "message": "component 1: diverged"}]
         emit_report(report, tmp_path)

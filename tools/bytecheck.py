@@ -110,6 +110,8 @@ COMMANDS = [
     # configs no grid can sample: a T_s below the grid's resolution, and an
     # RK4 grid whose shape NumPy refuses outright
     ("multirate_tiny_ts", "multirate", {**_MULTIRATE, "K": 2, "T_s": 1e-14}, []),  # 1
+    # a T_s that is a JSON integer beyond the float range
+    ("multirate_huge_ts", "multirate", {**_MULTIRATE, "K": 2, "T_s": 10**400}, []),  # 2
     ("simulate_huge_m", "simulate", {**_MULTIRATE, "K": 2, "M": [10**18, 3, 4]}, []),  # 2
     # a dictionary with no observable left
     (
