@@ -16,14 +16,13 @@ from .dynamics import (
     integrate,
     linear_field,
     lorenz_field,
-    sample_ensemble,
+    sample_ensembles,
 )
 from .edmd import (
     KoopmanModel,
     StatePairEnsemble,
-    fit_model,
+    fit_models,
     generator_spectrum,
-    predict,
     predict_models,
 )
 from .experiments import (
@@ -43,9 +42,7 @@ from .experiments import (
 )
 from .hankel import (
     ComponentOperator,
-    estimate_component_at,
     estimated_components,
-    fit_component_operator,
     fit_component_operators,
     reconstruct_states,
 )
@@ -55,7 +52,6 @@ from .linalg import (
     koopman_fit,
     matrix_exp,
     matrix_log,
-    pinv,
     spectrum_distance,
 )
 from .observables import Dictionary, coordinate_readout, monomial_dictionary
@@ -69,7 +65,7 @@ __all__ = [
     "integrate",
     "linear_field",
     "lorenz_field",
-    "sample_ensemble",
+    "sample_ensembles",
     # observables
     "Dictionary",
     "coordinate_readout",
@@ -80,21 +76,17 @@ __all__ = [
     "koopman_fit",
     "matrix_exp",
     "matrix_log",
-    "pinv",
     "spectrum_distance",
     # hankel
     "ComponentOperator",
-    "estimate_component_at",
     "estimated_components",
-    "fit_component_operator",
     "fit_component_operators",
     "reconstruct_states",
     # edmd
     "KoopmanModel",
     "StatePairEnsemble",
-    "fit_model",
+    "fit_models",
     "generator_spectrum",
-    "predict",
     "predict_models",
     # experiments
     "ExperimentConfig",

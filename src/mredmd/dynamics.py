@@ -467,30 +467,19 @@ def _uniform_rows(entropy, n_traj, box):
     return out.reshape(count, n_traj, len(box))
 
 
-def sample_ensemble(field, schedules, n_traj, init_box=None, seed=0):
-    """The :class:`Ensemble` of ``n_traj`` trajectories of ``field``, each
-    component sampled on its own schedule (one per component): the
-    one-layout, one-seed case of :func:`sample_ensembles`.
-
-    Initial conditions are drawn i.i.d. uniform on ``init_box``, (low, high)
-    per axis (default [-1, 1]^dim), from per-trajectory substreams keyed by
-    (seed, trajectory index), with ``seed`` a non-negative int or a sequence
-    of them; the ensemble is bit-identical for a fixed seed regardless of
-    batching.
-    """
-    ((ensemble,),) = sample_ensembles(field, [schedules], n_traj, [seed], init_box)
-    return ensemble
-
-
 def sample_ensembles(field, layouts, n_traj, seeds, init_box=None):
-    """Sample the same K trajectories of each seed on each of ``layouts``,
-    all of them drawn in one pass (:func:`_substream_uniform`) and
-    integrated in one RK4 pass (see :func:`integrate_stacked`).
+    """Sample the same ``n_traj`` trajectories of ``field`` for each of
+    ``seeds`` on each of ``layouts`` (lists of schedules, one per state
+    component), all drawn in one pass (:func:`_substream_uniform`) and
+    integrated in one RK4 pass (see :func:`integrate_stacked`). Returns, per
+    seed, one :class:`Ensemble` per layout: a full-state layout next to a
+    partial one gives the true states of the very trajectories the partial
+    one samples.
 
-    A layout is a list of schedules that covers each state component once
-    (as :func:`sample_ensemble` takes). Returns, per seed, one
-    :class:`Ensemble` per layout: a full-state layout next to a partial one
-    gives the true states of the very trajectories the partial one samples.
+    Initial conditions are i.i.d. uniform on ``init_box``, (low, high) per
+    axis (default [-1, 1]^dim), from per-trajectory substreams keyed by
+    (seed, trajectory index); a seed is a non-negative int or a sequence of
+    them, and its ensemble does not depend on the batching.
 
     The sample grid holds every sample time of every layout, so the seeds
     share it. Its refinement limit (:func:`common_micro_step`) is set by the

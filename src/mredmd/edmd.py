@@ -78,36 +78,23 @@ class KoopmanModel(ComplexGenerator):
     step: float
 
 
-def fit_model(pairs, dictionary):
-    """Lift state pairs into (P_x, P_y) and fit K = P_y P_x^+ plus the
-    generator L = log(K)/step.
-
-    Fewer pairs than observables emit a :class:`RankDeficiencyWarning`. See
-    :func:`linalg.koopman_fit`; an imaginary part of L above 1e-6 emits a
-    warning. Its warnings and a singular-K error are labelled with the pair
-    and observable counts, e.g. ``EDMD fit (9 pairs, 10 observables):``.
-
-    Raises
-    ------
-    SingularMatrixError
-        If the fitted K is singular so no generator exists.
-    """
-    p_x, p_y = _lifted(pairs, dictionary)
-    with labelled(f"EDMD fit ({pairs.n_pairs} pairs, {dictionary.size} observables)"):
-        k_mat, l_complex = linalg.koopman_fit(p_x, p_y, pairs.step)
-    return KoopmanModel(dictionary=dictionary, k_mat=k_mat, l_complex=l_complex, step=pairs.step)
-
-
 def fit_models(pair_sets, dictionary):
-    """:func:`fit_model` of each of ``pair_sets``, which hold the same
-    number of pairs at one step (as the seeds of a sweep do), in one
-    :func:`linalg.koopman_fit` of the stacked lifts. Warnings come by kind:
-    the rank warnings of all sets, then those of the fits.
+    """Lift each of ``pair_sets`` into (P_x, P_y) and fit K = P_y P_x^+ plus
+    the generator L = log(K)/step, all in one :func:`linalg.koopman_fit` of
+    the stacked lifts. The sets hold the same number of pairs at one step
+    (as the seeds of a sweep do).
+
+    Fewer pairs than observables emit a :class:`RankDeficiencyWarning`. The
+    fit's warnings and a singular-K error are labelled with the pair and
+    observable counts, e.g. ``EDMD fit (9 pairs, 10 observables):``.
+    Warnings come by kind: the rank warnings of all sets, then the fits'.
 
     Raises
     ------
     ConfigurationError
         If the sets differ in size or step.
+    SingularMatrixError
+        If a fitted K is singular so no generator exists.
     """
     pair_sets = list(pair_sets)
     if not pair_sets:
@@ -141,53 +128,26 @@ def _lifted(pairs, dictionary):
     return p_x, p_y
 
 
-def predict(model, x0, steps, mode="rollout"):
-    """Predict states at t = step, 2*step, ..., steps*step.
+def predict_models(models, x0, steps, mode="rollout"):
+    """Predict the states of each of ``models`` at t = step, 2*step, ...,
+    steps*step from ``x0``: one state (n,), a batch (B, n), or per-model
+    rows (M, B, n), of which model m takes ``x0[m]``. The result has shape
+    (M, steps, n) for one state and (M, B, steps, n) otherwise.
 
     ``rollout`` iterates z <- K z in lifted space and reads coordinates out
     through the selector matrix; ``relift`` re-lifts the read-out state at
-    every step instead.
-
-    ``x0`` is one initial state (n,) or a batch (B, n), predicted with the
-    same arithmetic as each row alone. A row that becomes non-finite is NaN
-    from that step on and emits a :class:`DivergenceWarning` (in row order).
-
-    Returns
-    -------
-    np.ndarray
-        Shape (steps, n) for one initial state, (B, steps, n) for a batch.
-    """
-    return _predict([model], x0, steps, mode, per_model=False)[0]
-
-
-def predict_models(models, x0, steps, mode="rollout"):
-    """:func:`predict` of each of ``models`` from the same initial states,
-    or from its own: ``x0`` (M, B, n) gives model m the rows ``x0[m]``.
-
-    The models share one dictionary (as the models of one report, or of the
-    seeds of a sweep, do) and advance in one loop: one lift per step for all
-    of them, and one gemv per model and row. Each model's rows are bit for
-    bit its own :func:`predict`, with the same NaN tails and the same
-    :class:`DivergenceWarning` messages, by model, then by row.
+    every step instead. The models share one dictionary (as the models of a
+    report, or of the seeds of a sweep, do) and advance in one loop: one
+    lift per step for all, and one gemv per model and row, so each row has
+    the bits of its own one-model call. A row that becomes non-finite is NaN
+    from that step on and emits a :class:`DivergenceWarning`, by model, then
+    by row.
 
     Raises
     ------
     ConfigurationError
         If the models do not share one dictionary.
-
-    Returns
-    -------
-    np.ndarray
-        Shape (M, steps, n) for one initial state, (M, B, steps, n) for a batch
-        or for per-model states.
     """
-    return _predict(models, x0, steps, mode, per_model=True)
-
-
-def _predict(models, x0, steps, mode, per_model):
-    """The prediction of :func:`predict` and :func:`predict_models`, the
-    latter also from per-model initial states; warns at the caller of
-    either."""
     models = list(models)
     if not models:
         raise ConfigurationError("no models to predict")
@@ -206,9 +166,9 @@ def _predict(models, x0, steps, mode, per_model):
         raise ConfigurationError(f"unknown prediction mode {mode!r}")
     x0 = np.asarray(x0, dtype=float)
     n = dictionary.dim
-    own = per_model and x0.ndim == 3 and len(x0) == len(models)
+    own = x0.ndim == 3 and len(x0) == len(models)
     if not (x0.ndim in (1, 2) or own) or x0.shape[-1] != n:
-        expected = f"({n},) or (B, {n})" + (f" or ({len(models)}, B, {n})" if per_model else "")
+        expected = f"({n},) or (B, {n}) or ({len(models)}, B, {n})"
         raise ConfigurationError(f"x0 has shape {x0.shape}, expected {expected}")
     x = np.atleast_2d(x0)
     out = np.empty((len(models), x.shape[-2], steps, n))
@@ -220,7 +180,7 @@ def _predict(models, x0, steps, mode, per_model):
         warnings.warn(
             f"prediction diverged at step {j} of {steps}; output truncated",
             DivergenceWarning,
-            stacklevel=3,
+            stacklevel=2,
         )
     return out if x0.ndim > 1 else out[:, 0]
 

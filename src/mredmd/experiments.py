@@ -65,7 +65,8 @@ _BATCH_ROWS = 4096
 _SYSTEMS = {"lorenz": lorenz_field}
 
 #: Integer config fields and their smallest allowed value (seeds key
-#: NumPy's SeedSequence, which takes non-negative integers only).
+#: NumPy's SeedSequence, which takes non-negative integers only). All but
+#: the seed size or count arrays, so they are at most ``sys.maxsize``.
 _INT_FIELDS = {
     "K": 1, "seed": 0, "degree": 0, "horizon": 1, "eval_trajectories": 1, "state_dim": 1
 }
@@ -100,6 +101,8 @@ class ExperimentConfig:
                 raise ConfigurationError(f"{name} must be an integer, got {value!r}")
             if value < low:
                 raise ConfigurationError(f"{name} must be >= {low}, got {value}")
+            if value > sys.maxsize and name != "seed":
+                raise ConfigurationError(f"{name} must be <= {sys.maxsize}, got {value}")
         if not _is_real(self.T_s) or self.T_s <= 0:
             raise ConfigurationError(f"T_s must be a finite number > 0, got {self.T_s!r}")
         if not isinstance(self.system, str) or self.system not in _SYSTEMS:
@@ -133,8 +136,7 @@ class ExperimentConfig:
         if self.mode == "multirate":
             if self.rates is None:
                 raise ConfigurationError("multirate mode requires 'rates'")
-            rates = _tuple_of("rates", self.rates, n, _is_count, "integers >= 1")
-            object.__setattr__(self, "rates", rates)
+            object.__setattr__(self, "rates", _counts("rates", self.rates, n))
         else:
             if self.state_dim is None:
                 raise ConfigurationError("single_state mode requires 'state_dim'")
@@ -143,7 +145,7 @@ class ExperimentConfig:
                     f"state_dim {self.state_dim} does not match system dimension {n}"
                 )
         if self.M is not None:
-            object.__setattr__(self, "M", _tuple_of("M", self.M, n, _is_count, "integers >= 1"))
+            object.__setattr__(self, "M", _counts("M", self.M, n))
         if self.init_box is not None:
             box = _tuple_of(
                 "init_box", self.init_box, n, _is_interval, "(low, high) pairs with low < high"
@@ -170,7 +172,7 @@ class ExperimentConfig:
             data = json.loads(Path(path).read_text())
         except OSError as exc:
             raise ConfigurationError(f"{path}: cannot read: {exc.strerror or exc}") from exc
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        except ValueError as exc:  # bad JSON, bad UTF-8, or an int past Python's digit limit
             raise ConfigurationError(f"{path}: invalid JSON: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigurationError(f"{path}: config must be a JSON object")
@@ -210,6 +212,14 @@ def _tuple_of(name, value, n, check, what):
     if not (isinstance(value, (list, tuple)) and len(value) == n and all(map(check, value))):
         raise ConfigurationError(f"{name} must be {n} {what}, got {value!r}")
     return tuple(value)
+
+
+def _counts(name, value, n):
+    """``value`` as a tuple of ``n`` ints from 1 to ``sys.maxsize``."""
+    counts = _tuple_of(name, value, n, _is_count, "integers >= 1")
+    if max(counts) > sys.maxsize:
+        raise ConfigurationError(f"{name} must be <= {sys.maxsize} each, got {value!r}")
+    return counts
 
 
 def system_field(name):
@@ -360,7 +370,13 @@ def _lcm_step_model(raw, step):
 def _eval_initial_conditions(cfg, seed, n):
     box = np.asarray(cfg.init_box if cfg.init_box is not None else [(-1.0, 1.0)] * n)
     rng = np.random.default_rng(np.random.SeedSequence([seed, _EVAL_STREAM]))
-    return rng.uniform(box[:, 0], box[:, 1], size=(cfg.eval_trajectories, n))
+    try:
+        return rng.uniform(box[:, 0], box[:, 1], size=(cfg.eval_trajectories, n))
+    except (MemoryError, ValueError) as exc:  # ValueError: beyond the address space
+        raise ConfigurationError(
+            f"cannot allocate the evaluation states: eval_trajectories={cfg.eval_trajectories} "
+            f"requests {cfg.eval_trajectories * n * 8 / 2**30:.3g} GiB"
+        ) from exc
 
 
 def _eval_truths(fld, starts, horizon, step):
@@ -374,35 +390,33 @@ def _eval_truths(fld, starts, horizon, step):
     ]
 
 
-def evaluate_prediction(models, x0s, truth, mode="rollout"):
-    """Per-trajectory RMSE of each model's prediction against ``truth``.
+def evaluate_prediction(sets, mode="rollout"):
+    """Per-trajectory RMSE of each model's prediction against the truth, for
+    each ``(models, x0s, truth)`` of ``sets``, with every model of every set
+    predicted in one :func:`edmd.predict_models` call from its set's states.
 
     ``truth[k, j]`` is the true state one step past ``truth[k, j - 1]``
-    (``x0s[k]`` for j = 0), shape (n_eval, horizon, n); the models predict
-    ``horizon = truth.shape[1]`` steps from each row of ``x0s``. Returns
-    ``(predictions, rmse)`` where ``predictions[name]`` matches ``truth``
-    and ``rmse[name]`` is a list of per-trajectory values (RMSE over the
-    finite prefix when a rollout diverges).
+    (``x0s[k]`` for j = 0), shape (n_eval, horizon, n), one shape for all
+    sets; the models predict ``truth.shape[1]`` steps from each row of
+    ``x0s``. Returns, per set, ``(predictions, rmse)``: ``predictions[name]``
+    matches ``truth`` and ``rmse[name]`` lists per-trajectory values (RMSE
+    over the finite prefix when a rollout diverges).
 
     Raises
     ------
     DimensionMismatchError
-        If ``truth`` is not (len(x0s), horizon >= 1, n), naming both shapes.
+        If a ``truth`` is not (len(x0s), horizon >= 1, n), naming both
+        shapes, or its shape differs from the first set's.
     """
-    x0s = np.atleast_2d(np.asarray(x0s, dtype=float))
-    shape = np.shape(truth)
-    if len(shape) != 3 or shape[0] != len(x0s) or shape[1] < 1 or shape[2] != x0s.shape[1]:
-        raise DimensionMismatchError(
-            f"truth has shape {shape}, expected ({len(x0s)}, horizon >= 1, {x0s.shape[1]})"
-        )
-    (result,) = _evaluate_sets([(models, x0s, truth)], mode)
-    return result
-
-
-def _evaluate_sets(sets, mode):
-    """:func:`evaluate_prediction` of each (models, x0s, truth) of ``sets``,
-    all of one shape, with every model of every set predicted in one
-    :func:`edmd.predict_models` call from its own set's states."""
+    sets = [(models, np.atleast_2d(np.asarray(x0s, dtype=float)), t) for models, x0s, t in sets]
+    for _, x0s, truth in sets:
+        shape = np.shape(truth)
+        if len(shape) != 3 or shape[0] != len(x0s) or shape[1] < 1 or shape[2] != x0s.shape[1]:
+            raise DimensionMismatchError(
+                f"truth has shape {shape}, expected ({len(x0s)}, horizon >= 1, {x0s.shape[1]})"
+            )
+        if shape != np.shape(sets[0][2]):
+            raise DimensionMismatchError(f"truth shapes {np.shape(sets[0][2])} and {shape} differ")
     flat = [(i, name) for i, (models, _, _) in enumerate(sets) for name in models]
     results = [({}, {}) for _ in sets]
     if not flat:
@@ -450,7 +464,9 @@ def _finish_reports(reports, cfg, fld):
     kept = [(r, x0, truth) for r, x0, truth in zip(evaluated, x0s, truths) if truth is not None]
 
     def evaluate(idx):
-        return _evaluate_sets([(kept[i][0].models, *kept[i][1:]) for i in idx], cfg.prediction_mode)
+        return evaluate_prediction(
+            [(kept[i][0].models, *kept[i][1:]) for i in idx], cfg.prediction_mode
+        )
 
     scores = _per_seed([r for r, _, _ in kept], "evaluate", evaluate)
     for (report, _, truth), score in zip(kept, scores):
@@ -526,17 +542,18 @@ def _sample_and_fit(cfg, fld, dictionary, reports):
 
     def reconstruct(idx):
         ensembles = [sampled[i][1][0] for i in idx]
-        operator_sets = hankel.fit_operator_sets(ensembles, schedules, targets)
+        operator_sets = hankel.fit_component_operators(ensembles, schedules, targets)
         for i, operators in zip(idx, operator_sets):
             # stored before reconstructing, so a failed estimate still reports them
             group[i].component_operators = operators
-        pairs = hankel.reconstruct_state_sets(
+        pairs = hankel.reconstruct_states(
             ensembles, schedules, operator_sets, t_s, first_target=targets[0]
         )
         return edmd.fit_models(pairs, dictionary)
 
     def fit_ideal(idx):
-        pairs = [hankel.reconstruct_states(sampled[i][1][1], full_state, {}, t_s) for i in idx]
+        fulls = [sampled[i][1][1] for i in idx]
+        pairs = hankel.reconstruct_states(fulls, full_state, [{}] * len(fulls), t_s)
         return edmd.fit_models(pairs, dictionary)
 
     models = _per_seed(group, "reconstruct", reconstruct)
@@ -553,9 +570,9 @@ def _sample_and_fit(cfg, fld, dictionary, reports):
                         f"t={lcm_step:.6g}; increase the per-component sample counts"
                     )
                 lcm_pairs = hankel.reconstruct_states(
-                    ensemble, schedules, {}, lcm_step, first_target=0.0
+                    [ensemble], schedules, [{}], lcm_step, first_target=0.0
                 )
-                raw = edmd.fit_model(lcm_pairs, dictionary)
+                (raw,) = edmd.fit_models(lcm_pairs, dictionary)
                 report.models["lcm"], step_residual = _lcm_step_model(raw, t_s)
                 report.residuals["lcm_step"] = step_residual
     models = _per_seed(group, "fit_ideal", fit_ideal)
@@ -572,30 +589,20 @@ def run(cfg):
     return report
 
 
-def ideal_noise_floor(cfg):
-    """Spectrum distance between two ideal models fit on disjoint ensembles.
-
-    Both hold K trajectories from substreams disjoint from the run's own,
-    sampled through :func:`sample_ensembles` with the full state at 0, T_s
-    and 2 T_s; the distance quantifies pure sampling variation and serves
-    as a reference scale for partial-measurement spectra.
+def ideal_noise_floor(cfg, seeds):
+    """Per seed, the spectrum distance between two ideal models fit on
+    disjoint ensembles, each of K trajectories from substreams disjoint from
+    the seed's run with the full state at 0, T_s and 2 T_s: the scale of
+    pure sampling variation for partial-measurement spectra. One
+    :func:`sample_ensembles` call (one RK4 batch) samples the ensembles of
+    every seed, and one :func:`edmd.fit_models` call fits them.
     """
-    (floor,) = _noise_floors(cfg, [cfg.seed])
-    return floor
-
-
-def _noise_floors(cfg, seeds):
-    """:func:`ideal_noise_floor` of each seed, both ensembles of every seed
-    sampled by one :func:`sample_ensembles` call (one RK4 batch) and fit by
-    one :func:`edmd.fit_models` call."""
     fld = system_field(cfg.system)
     dictionary = monomial_dictionary(fld.dim, cfg.degree, cfg.include_constant)
     full_state = _full_state(fld.dim, cfg.T_s)
     keys = [(seed, _NOISE_FLOOR_STREAM, half) for seed in seeds for half in (1, 2)]
-    pairs = [
-        hankel.reconstruct_states(full, full_state, {}, cfg.T_s)
-        for (full,) in sample_ensembles(fld, [full_state], cfg.K, keys, cfg.init_box)
-    ]
+    fulls = [full for (full,) in sample_ensembles(fld, [full_state], cfg.K, keys, cfg.init_box)]
+    pairs = hankel.reconstruct_states(fulls, full_state, [{}] * len(fulls), cfg.T_s)
     spectra = [edmd.generator_spectrum(model) for model in edmd.fit_models(pairs, dictionary)]
     return [spectrum_distance(a, b) for a, b in zip(spectra[::2], spectra[1::2])]
 
@@ -641,7 +648,7 @@ def run_sweep(cfg, seeds):
             floors = _per_seed(
                 complete,
                 "noise_floor",
-                lambda idx: _noise_floors(cfg, [complete[i].seed for i in idx]),
+                lambda idx: ideal_noise_floor(cfg, [complete[i].seed for i in idx]),
             )
         for report, floor in zip(complete, floors):
             dist, rmse = report.distances, report.mean_rmse

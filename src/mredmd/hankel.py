@@ -72,32 +72,10 @@ def _hankel_matrices(ensemble, schedule):
     return np.ascontiguousarray(values[:, :m].T), np.ascontiguousarray(values[:, 1 : m + 1].T)
 
 
-def fit_component_operator(ensemble, schedule):
-    """Fit K_i = P_y P_x^+ and its generator L_i = log(K_i) / T_i for one
-    component of an :class:`Ensemble`.
-
-    The component must hold at least ``schedule.count + 1`` samples located
-    exactly at the schedule instants. Emits :class:`RankDeficiencyWarning`
-    when there are fewer trajectories than delay observables. The fit is
-    :func:`linalg.koopman_fit`, whose warnings (:class:`IllConditionedWarning`
-    when cond(P_x) exceeds 1e12, :class:`ImaginaryResidualWarning` when an
-    imaginary part of L_i exceeds 1e-6) carry the ``component i:`` label.
-
-    Raises
-    ------
-    DataError
-        Naming the component when samples are missing or misplaced.
-    SingularMatrixError
-        If the fitted K_i is singular so the logarithm does not exist.
-    """
-    (operator,) = _fit_operators([ensemble], schedule)
-    return operator
-
-
 def _fit_operators(ensembles, schedule):
-    """:func:`fit_component_operator` of each of ``ensembles``, which hold
-    the same number of trajectories, in one :func:`linalg.koopman_fit` of
-    their stacked delay matrices."""
+    """The :class:`ComponentOperator` of one component in each of
+    ``ensembles``, which hold the same number of trajectories, from one
+    :func:`linalg.koopman_fit` of their stacked delay matrices."""
     pairs = [_hankel_matrices(ensemble, schedule) for ensemble in ensembles]
     m, n_traj = pairs[0][0].shape
     if any(p_x.shape != (m, n_traj) for p_x, _ in pairs):
@@ -119,26 +97,13 @@ def _fit_operators(ensembles, schedule):
     ]
 
 
-def estimate_component_at(operator, t):
-    """Per-trajectory estimates of the component value at time t.
-
-    Computes the first row of exp(L_i (t - r_i)) P_x and casts it to real;
-    an imaginary residual above 1e-6 emits a warning. Requests before the
-    dead time or far beyond the sampled window are flagged as extrapolation.
-
-    Returns
-    -------
-    np.ndarray
-        Shape (K,), one estimate per trajectory.
-    """
-    (estimates,) = _estimate_sets([operator], t)
-    return estimates
-
-
 def _estimate_sets(operators, t):
-    """:func:`estimate_component_at` of each of ``operators``, which share
-    their schedule, with one stacked :func:`linalg.matrix_exp` of every
-    L_i (t - r_i). Each warning comes once per operator."""
+    """Per-trajectory estimates, shape (K,), of the component at time t from
+    each of ``operators``, which share their schedule: the real part of the
+    first row of exp(L_i (t - r_i)) P_x, from one stacked
+    :func:`linalg.matrix_exp`. An imaginary residual above 1e-6, and a time
+    before the dead time or far beyond the sampled window (extrapolation),
+    warn once per operator."""
     s = operators[0].schedule
     dt = t - s.dead_time
     window = s.period * operators[0].p_x.shape[0]
@@ -173,31 +138,24 @@ def estimated_components(schedules, targets):
     return {s.component for s in schedules for t in targets if s.sample_index(t) is None}
 
 
-def fit_component_operators(ensemble, schedules, targets):
-    """Fit the operator of each component that :func:`estimated_components`
-    names for ``targets``, in schedule order.
+def fit_component_operators(ensembles, schedules, targets):
+    """Per ensemble, a dict (component index -> :class:`ComponentOperator`)
+    of K_i = P_y P_x^+ and L_i = log(K_i) / T_i for each component that
+    :func:`estimated_components` names for ``targets``, in schedule order.
+    The ensembles share their schedules and size (as the seeds of a sweep
+    do); each component is fit across all of them in one
+    :func:`linalg.koopman_fit`, whose warnings carry the ``component i:``
+    label. Fewer trajectories than delay observables warn
+    :class:`RankDeficiencyWarning`. Warnings come component by component.
 
-    Returns
-    -------
-    dict
-        component index -> :class:`ComponentOperator`
+    Raises
+    ------
+    DataError
+        Naming the component when samples are missing or misplaced.
+    SingularMatrixError
+        If a fitted K_i is singular so the logarithm does not exist.
     """
-    (operators,) = fit_operator_sets([ensemble], schedules, targets)
-    return operators
-
-
-def fit_operator_sets(ensembles, schedules, targets):
-    """:func:`fit_component_operators` of each of ``ensembles``, which share
-    their schedules and size (as the seeds of a sweep do): each component
-    is fit across all of them in one call. Warnings come component by
-    component, not ensemble by ensemble.
-
-    Returns
-    -------
-    list
-        One dict (component index -> :class:`ComponentOperator`) per ensemble.
-    """
-    needed = estimated_components(schedules, targets)
+    needed = estimated_components(schedules, targets) if ensembles else set()
     sets = [{} for _ in ensembles]
     for s in schedules:
         if s.component in needed:
@@ -206,54 +164,31 @@ def fit_operator_sets(ensembles, schedules, targets):
     return sets
 
 
-def reconstruct_states(ensemble, schedules, operators, step, first_target=None):
-    """Assemble state pairs (x(t1), x(t1 + step)) from partial measurements.
+def reconstruct_states(ensembles, schedules, operator_sets, step, first_target=None):
+    """Per ensemble, the :class:`StatePairEnsemble` (x(t1), x(t1 + step)),
+    with per-component provenance flags (estimated vs measured), on the
+    schedules the ensembles share (as the seeds of a sweep do);
+    ``first_target`` defaults to ``step``, which gives (x(T_s), x(2 T_s)).
 
-    For each component and target time, a measurement at that instant
-    (within 1e-9 s) is used verbatim; otherwise the component operator
-    interpolates the value. ``first_target`` defaults to ``step`` itself,
-    which gives the pair (x(T_s), x(2 T_s)).
-
-    Parameters
-    ----------
-    ensemble : Ensemble
-    operators : dict
-        component index -> :class:`ComponentOperator`, covering every
-        component that needs estimation (as :func:`fit_component_operators`
-        returns for the same target times).
-
-    Returns
-    -------
-    StatePairEnsemble
-        With per-component provenance flags (estimated vs measured).
+    A measurement at a target (within 1e-9 s) is used verbatim. Otherwise
+    the ensemble's own dict of ``operator_sets`` (component index ->
+    :class:`ComponentOperator`, as :func:`fit_component_operators` returns)
+    estimates the value, with one stacked matrix exponential per component
+    and target. Warnings and errors come component by component.
 
     Raises
     ------
     DataError
-        If a measurement is missing or an estimate needs an operator that
-        ``operators`` lacks.
-    """
-    (pairs,) = reconstruct_state_sets([ensemble], schedules, [operators], step, first_target)
-    return pairs
-
-
-def reconstruct_state_sets(ensembles, schedules, operator_sets, step, first_target=None):
-    """:func:`reconstruct_states` of each of ``ensembles``, with its own
-    dict of ``operator_sets``, on the schedules they share (as the seeds of
-    a sweep do): each estimate of a component at a target runs for all of
-    them at once, with one stacked matrix exponential. Warnings and errors
-    come component by component, not ensemble by ensemble.
-
-    Returns
-    -------
-    list
-        One :class:`StatePairEnsemble` per ensemble.
+        If a measurement is missing, an estimate needs an operator that an
+        ensemble's dict lacks, or the two lists differ in length.
     """
     t1 = step if first_target is None else first_target
     t2 = t1 + step
     n = len(schedules)
     if sorted(s.component for s in schedules) != list(range(n)):
         raise DataError("schedules must cover each state component exactly once")
+    if len(operator_sets) != len(ensembles):
+        raise DataError(f"{len(ensembles)} ensembles but {len(operator_sets)} operator sets")
     if not ensembles:
         return []
 

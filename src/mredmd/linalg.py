@@ -81,29 +81,11 @@ def _per_matrix(kernel, stacks, *args):
     return tuple(np.concatenate(p) for p in zip(*parts))
 
 
-def pinv(a):
-    """Moore-Penrose pseudo-inverse via SVD with relative truncation.
-
-    Singular values below ``max(m, n) * machine_epsilon * sigma_max`` are
-    truncated.
-
-    Parameters
-    ----------
-    a : array_like
-        Real matrix, shape (m, n).
-
-    Returns
-    -------
-    np.ndarray
-        Pseudo-inverse, shape (n, m).
-    """
-    return _pinv_svd(_as_matrix(a, "a")[None])[0][0]
-
-
 def _pinv_svd(arr):
-    """:func:`pinv` of each matrix of a (B, m, n) stack, and the singular
-    values it used, shape (B, min(m, n)), descending. Each matrix keeps its
-    own rank; the matrices of one rank are inverted together."""
+    """SVD pseudo-inverse (B, n, m) of each matrix of a (B, m, n) stack, and
+    its singular values (B, min(m, n)), descending. Each matrix keeps its
+    own rank, cut below max(m, n) * eps * sigma_max; the matrices of one
+    rank are inverted together."""
     try:
         u, s, vh = np.linalg.svd(arr, full_matrices=False)
     except np.linalg.LinAlgError as exc:

@@ -18,7 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from mredmd import dynamics, experiments, hankel, linalg
-from mredmd.edmd import KoopmanModel, StatePairEnsemble, fit_model, predict, predict_models
+from mredmd.edmd import KoopmanModel, StatePairEnsemble, fit_models, predict_models
 from mredmd.errors import (
     DivergenceWarning,
     ImaginaryResidualWarning,
@@ -231,7 +231,8 @@ def test_pinv_keeps_each_rank():
     low[3] = low[0] + low[1]
     pinvs, sigma = linalg._pinv_svd(np.stack([full, low, full]))
     for a, p in zip((full, low, full), pinvs):
-        np.testing.assert_array_equal(p, linalg.pinv(a))
+        (alone,), _ = linalg._pinv_svd(a[None])
+        np.testing.assert_array_equal(p, alone)
     assert sigma.shape == (3, 4)
 
 
@@ -269,7 +270,7 @@ def lorenz_models(count):
         rng = np.random.default_rng(seed)
         x = rng.uniform(-1, 1, size=(3, 200))
         y = dynamics.integrate(dynamics.lorenz_field(), x.T, 0.01, 10)[-1].T
-        models.append(fit_model(StatePairEnsemble(x=x, y=y, step=0.1), dictionary))
+        models += fit_models([StatePairEnsemble(x=x, y=y, step=0.1)], dictionary)
     return models
 
 
@@ -287,7 +288,11 @@ def test_grouped_predict_is_each_model_and_row_alone(seed, mode):
     # NumPy's overflow warnings come per call, not per model
     with np.errstate(all="ignore"):
         grouped = outcome(lambda: predict_models(models, x0s, 20, mode))
-        alone = outcome(lambda: np.stack([predict(m, x0, 20, mode) for m, x0 in zip(models, x0s)]))
+        alone = outcome(
+            lambda: np.concatenate(
+                [predict_models([m], x0, 20, mode) for m, x0 in zip(models, x0s)]
+            )
+        )
     assert_same(grouped, alone)
     assert {category for category, _ in grouped[0]} == {DivergenceWarning}
 
@@ -346,13 +351,13 @@ def test_group_reconstruction_sets_equal_their_loop():
     cfg = SINGLE_STATE
     schedules, targets = experiments.derive_schedules(cfg), experiments._targets(cfg)
     ensembles = [ensemble for ensemble, _ in experiments.simulate(cfg, range(4))]
-    operator_sets = hankel.fit_operator_sets(ensembles, schedules, targets)
-    group = hankel.reconstruct_state_sets(
+    operator_sets = hankel.fit_component_operators(ensembles, schedules, targets)
+    group = hankel.reconstruct_states(
         ensembles, schedules, operator_sets, cfg.T_s, first_target=targets[0]
     )
     for ensemble, operators, pairs in zip(ensembles, operator_sets, group):
-        alone = hankel.reconstruct_states(
-            ensemble, schedules, operators, cfg.T_s, first_target=targets[0]
+        (alone,) = hankel.reconstruct_states(
+            [ensemble], schedules, [operators], cfg.T_s, first_target=targets[0]
         )
         assert pairs.x.tobytes() == alone.x.tobytes()
         assert pairs.y.tobytes() == alone.y.tobytes()

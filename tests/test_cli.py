@@ -129,8 +129,15 @@ def test_hostile_configs_fail_in_one_line(tmp_path, capsys, case, command):
     [
         ({"T_s": 10**400}, "T_s must be a finite number > 0, got 1000"),
         ({"init_box": [[0, 10**400], [0, 1], [0, 1]]}, "init_box must be 3 (low, high) pairs"),
+        # counts and sizes beyond sys.maxsize
+        ({"K": 10**400}, f"K must be <= {sys.maxsize}, got 1000"),
+        ({"M": [10**400, 3, 4]}, f"M must be <= {sys.maxsize} each, got [1000"),
+        ({"rates": [1, 10**400, 3]}, f"rates must be <= {sys.maxsize} each, got [1, 1000"),
+        ({"degree": 10**400}, f"degree must be <= {sys.maxsize}, got 1000"),
+        ({"horizon": 10**400}, f"horizon must be <= {sys.maxsize}, got 1000"),
+        ({"eval_trajectories": 10**400}, f"eval_trajectories must be <= {sys.maxsize}, got 1000"),
     ],
-    ids=["T_s", "init_box"],
+    ids=["T_s", "init_box", "K", "M", "rates", "degree", "horizon", "eval_trajectories"],
 )
 @pytest.mark.parametrize("command", ["multirate", "compare", "simulate"])
 def test_ints_beyond_float_range_are_configuration_errors(
@@ -142,6 +149,22 @@ def test_ints_beyond_float_range_are_configuration_errors(
     assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
     (line,) = capsys.readouterr().err.splitlines()
     assert line.startswith("configuration error: " + message)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["multirate", "compare"])
+def test_eval_states_beyond_the_address_space_are_a_configuration_error(
+    tmp_path, capsys, command
+):
+    # 2**62 rows pass the config's bound, but NumPy refuses the shape of
+    # their draw outright; the run has sampled and fit, and writes nothing
+    cfg = write_config(tmp_path / "cfg.json", eval_trajectories=2**62)
+    out = tmp_path / "r"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "configuration error: cannot allocate the evaluation states: "
+        f"eval_trajectories={2**62} requests {2**62 * 3 * 8 / 2**30:.3g} GiB"
+    ]
     assert not out.exists()
 
 
@@ -376,6 +399,15 @@ def test_config_that_is_not_utf8(tmp_path, capsys):
     assert main(["multirate", "--config", str(path), "--out", str(tmp_path / "r")]) == 2
     (line,) = capsys.readouterr().err.splitlines()
     assert line.startswith(f"configuration error: {path}: invalid JSON: ")
+
+
+def test_config_int_past_the_digit_limit(tmp_path, capsys):
+    # json refuses to convert an integer of more than 4300 digits
+    path = tmp_path / "cfg.json"
+    path.write_text('{"system": "lorenz", "mode": "multirate", "K": ' + "1" * 5000 + "}")
+    assert main(["multirate", "--config", str(path), "--out", str(tmp_path / "r")]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"configuration error: {path}: invalid JSON: Exceeds the limit")
 
 
 @pytest.mark.parametrize(

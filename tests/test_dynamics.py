@@ -19,7 +19,7 @@ from mredmd.dynamics import (
     integrate,
     linear_field,
     lorenz_field,
-    sample_ensemble,
+    sample_ensembles,
 )
 from mredmd.errors import ConfigurationError, DataError, DivergenceError
 
@@ -496,7 +496,7 @@ class TestSampleEnsemble:
     def test_grid_aligned_samples_equal_dense(self):
         fld = lorenz_field()
         schedules = full_state()
-        ensemble = sample_ensemble(fld, schedules, 1, seed=0)
+        ((ensemble,),) = sample_ensembles(fld, [schedules], 1, [0])
         (x0,) = dynamics._substream_uniform([0], 1, np.array([(-1.0, 1.0)] * 3))
         dense = integrate(fld, x0, float(common_micro_step(schedules)), 20)
         for i in range(3):
@@ -517,26 +517,26 @@ class TestSampleEnsemble:
         np.testing.assert_array_equal(ensemble.values[1][17], full.values[1][17, ::4])
         np.testing.assert_array_equal(ensemble.values[2][17], full.values[2][17, ::3])
         # a layout on the same grid leaves the other's samples bit for bit alone
-        alone = sample_ensemble(lorenz_field(), benchmark_schedules(), 300, seed=0)
+        ((alone,),) = sample_ensembles(lorenz_field(), [benchmark_schedules()], 300, [0])
         for i in alone.values:
             np.testing.assert_array_equal(alone.values[i], ensemble.values[i])
             assert ensemble.values[i].flags.c_contiguous and full.values[i].flags.c_contiguous
 
     def test_same_seed_bit_identical(self):
-        a = sample_ensemble(lorenz_field(), benchmark_schedules(), 5, seed=42)
-        b = sample_ensemble(lorenz_field(), benchmark_schedules(), 5, seed=42)
+        ((a,),) = sample_ensembles(lorenz_field(), [benchmark_schedules()], 5, [42])
+        ((b,),) = sample_ensembles(lorenz_field(), [benchmark_schedules()], 5, [42])
         for i in a.values:
             np.testing.assert_array_equal(a.values[i], b.values[i])
 
     def test_different_seeds_differ(self):
-        a = sample_ensemble(lorenz_field(), benchmark_schedules(), 2, seed=0)
-        b = sample_ensemble(lorenz_field(), benchmark_schedules(), 2, seed=1)
+        ((a,),) = sample_ensembles(lorenz_field(), [benchmark_schedules()], 2, [0])
+        ((b,),) = sample_ensembles(lorenz_field(), [benchmark_schedules()], 2, [1])
         assert not np.array_equal(a.values[0][0], b.values[0][0])
 
     def test_init_box_respected(self):
         # every benchmark component is measured at t=0, the initial state
         box = [(0.5, 1.0), (-2.0, -1.0), (3.0, 4.0)]
-        ensemble = sample_ensemble(lorenz_field(), benchmark_schedules(), 20, init_box=box, seed=1)
+        ((ensemble,),) = sample_ensembles(lorenz_field(), [benchmark_schedules()], 20, [1], box)
         for i, (lo, hi) in enumerate(box):
             x0 = ensemble.values[i][:, 0]
             assert np.all((x0 >= lo) & (x0 <= hi))
@@ -544,7 +544,7 @@ class TestSampleEnsemble:
     @pytest.mark.parametrize("seed", [-1, (3, -2), 1.5, "a", True, [1, [2]]])
     def test_bad_seed_rejected(self, seed):
         with pytest.raises(ConfigurationError, match=r"seed must be a non-negative int"):
-            sample_ensemble(lorenz_field(), benchmark_schedules(), 2, seed=seed)
+            sample_ensembles(lorenz_field(), [benchmark_schedules()], 2, [seed])
 
     @pytest.mark.parametrize("n_traj", [0, -3, 2.5, True, "3", None, np.float64(2.0)])
     def test_bad_n_traj_rejected(self, n_traj):
@@ -553,8 +553,8 @@ class TestSampleEnsemble:
             dynamics.sample_ensembles(lorenz_field(), [benchmark_schedules()], n_traj, [0])
 
     def test_numpy_integer_n_traj(self):
-        a = sample_ensemble(lorenz_field(), benchmark_schedules(), np.int64(3), seed=0)
-        b = sample_ensemble(lorenz_field(), benchmark_schedules(), 3, seed=0)
+        ((a,),) = sample_ensembles(lorenz_field(), [benchmark_schedules()], np.int64(3), [0])
+        ((b,),) = sample_ensembles(lorenz_field(), [benchmark_schedules()], 3, [0])
         assert len(a) == 3
         for i in a.values:
             np.testing.assert_array_equal(a.values[i], b.values[i])
@@ -566,11 +566,11 @@ class TestSampleEnsemble:
         schedules = benchmark_schedules()
         schedules[0] = SamplingSchedule(component=0, dead_time=0.0, period=0.1, count=10**18)
         with pytest.raises(ConfigurationError, match="cannot allocate the RK4 grid"):
-            sample_ensemble(lorenz_field(), schedules, 2, seed=0)
+            sample_ensembles(lorenz_field(), [schedules], 2, [0])
 
     def test_schedule_coverage_check(self):
         with pytest.raises(ConfigurationError):
-            sample_ensemble(lorenz_field(), benchmark_schedules()[:2], 1, seed=0)
+            sample_ensembles(lorenz_field(), [benchmark_schedules()[:2]], 1, [0])
         with pytest.raises(ConfigurationError, match="cover each state component"):
             dynamics.sample_ensembles(
                 lorenz_field(), [benchmark_schedules(), full_state()[:2]], 1, [0]
@@ -608,7 +608,7 @@ class TestSampleEnsemble:
 
 class TestEnsembleCsvRoundtrip:
     def test_export_import(self, tmp_path):
-        ensemble = sample_ensemble(lorenz_field(), benchmark_schedules(), 3, seed=2)
+        ((ensemble,),) = sample_ensembles(lorenz_field(), [benchmark_schedules()], 3, [2])
         export_ensemble(ensemble, tmp_path)
         files = sorted(p.name for p in tmp_path.glob("*.csv"))
         assert files == [f"trajectory_{k:05d}.csv" for k in range(3)]
@@ -631,7 +631,7 @@ class TestEnsembleCsvRoundtrip:
             np.testing.assert_array_equal(back.values[i], wide.values[i])
 
     def test_export_deterministic_bytes(self, tmp_path):
-        ensemble = sample_ensemble(lorenz_field(), benchmark_schedules(), 2, seed=9)
+        ((ensemble,),) = sample_ensembles(lorenz_field(), [benchmark_schedules()], 2, [9])
         d1, d2 = tmp_path / "a", tmp_path / "b"
         export_ensemble(ensemble, d1)
         export_ensemble(ensemble, d2)
@@ -639,7 +639,7 @@ class TestEnsembleCsvRoundtrip:
             assert p1.read_bytes() == p2.read_bytes()
 
     def test_export_refuses_other_trajectories(self, tmp_path):
-        ensemble = sample_ensemble(lorenz_field(), benchmark_schedules(), 14, seed=2)
+        ((ensemble,),) = sample_ensembles(lorenz_field(), [benchmark_schedules()], 14, [2])
         export_ensemble(ensemble, tmp_path)
         fewer = Ensemble(
             times=ensemble.times,
@@ -660,14 +660,14 @@ class TestEnsembleCsvRoundtrip:
     def test_export_refuses_another_spelling_of_its_index(self, tmp_path):
         # trajectory_1.csv holds index 1 as trajectory_00001.csv would: the
         # import would find both and refuse the directory
-        ensemble = sample_ensemble(lorenz_field(), benchmark_schedules(), 2, seed=2)
+        ((ensemble,),) = sample_ensembles(lorenz_field(), [benchmark_schedules()], 2, [2])
         (tmp_path / "trajectory_1.csv").write_text("component,time,value\n")
         with pytest.raises(ConfigurationError, match=r"another report: trajectory_1\.csv;"):
             export_ensemble(ensemble, tmp_path)
         assert [p.name for p in tmp_path.iterdir()] == ["trajectory_1.csv"]
 
     def test_export_refuses_a_report_directory(self, tmp_path):
-        ensemble = sample_ensemble(lorenz_field(), benchmark_schedules(), 2, seed=2)
+        ((ensemble,),) = sample_ensembles(lorenz_field(), [benchmark_schedules()], 2, [2])
         (tmp_path / "summary.json").write_text("{}\n")
         (tmp_path / "hankel_K_1.csv").write_text("1.0\n")
         with pytest.raises(
@@ -687,7 +687,8 @@ def _exported(tmp_path):
     Each file holds component 0 on lines 2-14, component 1 on lines 15-18
     and component 2 on lines 19-23.
     """
-    export_ensemble(sample_ensemble(lorenz_field(), benchmark_schedules(), 3, seed=2), tmp_path)
+    ((ensemble,),) = sample_ensembles(lorenz_field(), [benchmark_schedules()], 3, [2])
+    export_ensemble(ensemble, tmp_path)
     path = tmp_path / "trajectory_00001.csv"
     return path, path.read_text().splitlines(keepends=True)
 

@@ -10,9 +10,8 @@ from mredmd import edmd, linalg
 from mredmd.dynamics import integrate, lorenz_field
 from mredmd.edmd import (
     StatePairEnsemble,
-    fit_model,
+    fit_models,
     generator_spectrum,
-    predict,
     predict_models,
 )
 from mredmd.experiments import evaluate_prediction
@@ -48,15 +47,17 @@ def collinear_pairs(delta, n_traj=40):
 
 
 def lifted(monkeypatch, pairs, dictionary):
-    """The (P_x, P_y) that ``fit_model`` hands to the Koopman fit."""
+    """The (P_x, P_y) that ``fit_models`` hands to the Koopman fit, as the
+    one matrix of each one-set stack."""
     seen = []
 
-    def record(p_x, p_y, step):
+    def record(p_xs, p_ys, step):
+        ((p_x,), (p_y,)) = p_xs, p_ys
         seen.append((p_x, p_y))
-        return np.eye(len(p_x)), np.zeros((len(p_x),) * 2, dtype=complex)
+        return np.eye(len(p_x))[None], np.zeros((1,) + (len(p_x),) * 2, dtype=complex)
 
     monkeypatch.setattr(linalg, "koopman_fit", record)
-    fit_model(pairs, dictionary)
+    fit_models([pairs], dictionary)
     (matrices,) = seen
     return matrices
 
@@ -92,13 +93,13 @@ class TestFitKoopman:
         d = monomial_dictionary(3, 2)
         rng = np.random.default_rng(2)
         x = rng.uniform(-1, 1, size=(3, 100))
-        model = fit_model(StatePairEnsemble(x=x, y=x, step=0.1), d)
+        (model,) = fit_models([StatePairEnsemble(x=x, y=x, step=0.1)], d)
         np.testing.assert_allclose(model.k_mat, np.eye(10), atol=1e-10)
 
     def test_scalar_decay(self):
         d = monomial_dictionary(1, 1, include_constant=False)
         x = np.array([[1.0, 2.0, -1.0, 0.5]])
-        model = fit_model(StatePairEnsemble(x=x, y=0.5 * x, step=0.1), d)
+        (model,) = fit_models([StatePairEnsemble(x=x, y=0.5 * x, step=0.1)], d)
         np.testing.assert_allclose(model.k_mat, [[0.5]], atol=1e-12)
         np.testing.assert_allclose(model.l_mat, [[np.log(0.5) / 0.1]], atol=1e-10)
 
@@ -106,7 +107,7 @@ class TestFitKoopman:
         omega = 1.3
         a = np.array([[0.0, -omega], [omega, 0.0]])
         d = monomial_dictionary(2, 1, include_constant=False)
-        model = fit_model(linear_pairs(a, 0.1, 50, seed=3), d)
+        (model,) = fit_models([linear_pairs(a, 0.1, 50, seed=3)], d)
         theta = omega * 0.1
         np.testing.assert_allclose(
             model.k_mat,
@@ -121,7 +122,7 @@ class TestFitKoopman:
             r = rng.normal(size=(3, 3))
             a = r / np.linalg.norm(r, 2)
             d = monomial_dictionary(3, 1, include_constant=False)
-            model = fit_model(linear_pairs(a, 0.1, 60, seed=5), d)
+            (model,) = fit_models([linear_pairs(a, 0.1, 60, seed=5)], d)
             assert np.linalg.norm(model.l_mat - a) <= 1e-6
 
     def test_constant_observable_decouples(self):
@@ -129,13 +130,13 @@ class TestFitKoopman:
         r = rng.normal(size=(2, 2))
         a = r / np.linalg.norm(r, 2)
         ens = linear_pairs(a, 0.1, 40, seed=7)
-        bare = fit_model(ens, monomial_dictionary(2, 1, include_constant=False))
-        full = fit_model(ens, monomial_dictionary(2, 1, include_constant=True))
+        (bare,) = fit_models([ens], monomial_dictionary(2, 1, include_constant=False))
+        (full,) = fit_models([ens], monomial_dictionary(2, 1, include_constant=True))
         # the constant row keeps eigenvalue one and does not pollute coordinates
         np.testing.assert_allclose(full.k_mat[0], [1.0, 0.0, 0.0], atol=1e-9)
         x0 = np.array([0.3, -0.8])
         np.testing.assert_allclose(
-            predict(full, x0, 5), predict(bare, x0, 5), atol=1e-9
+            predict_models([full], x0, 5)[0], predict_models([bare], x0, 5)[0], atol=1e-9
         )
 
     def test_column_permutation_invariance(self):
@@ -144,8 +145,8 @@ class TestFitKoopman:
         x = rng.uniform(-1, 1, size=(2, 30))
         y = rng.uniform(-1, 1, size=(2, 30))
         perm = rng.permutation(30)
-        m1 = fit_model(StatePairEnsemble(x=x, y=y, step=0.1), d)
-        m2 = fit_model(StatePairEnsemble(x=x[:, perm], y=y[:, perm], step=0.1), d)
+        (m1,) = fit_models([StatePairEnsemble(x=x, y=y, step=0.1)], d)
+        (m2,) = fit_models([StatePairEnsemble(x=x[:, perm], y=y[:, perm], step=0.1)], d)
         np.testing.assert_allclose(m1.k_mat, m2.k_mat, atol=1e-8)
 
     def test_generator_consistency(self):
@@ -154,7 +155,7 @@ class TestFitKoopman:
         fld = lorenz_field()
         dense = integrate(fld, records_x.T, 0.01, 20)
         ens = StatePairEnsemble(x=dense[10].T, y=dense[20].T, step=0.1)
-        model = fit_model(ens, d)
+        (model,) = fit_models([ens], d)
         assert model.imag_residual < 1e-8
         back = scipy.linalg.expm(model.l_mat * model.step)
         rel = np.linalg.norm(back - model.k_mat) / np.linalg.norm(model.k_mat)
@@ -165,7 +166,7 @@ class TestFitKoopman:
         d = monomial_dictionary(3, 2)
         pairs = linear_pairs(-np.eye(3), 0.1, 9)
         with pytest.warns(RankDeficiencyWarning), pytest.raises(SingularMatrixError) as info:
-            fit_model(pairs, d)
+            fit_models([pairs], d)
         assert str(info.value) == (
             "EDMD fit (9 pairs, 10 observables): matrix is singular to working "
             "precision; logarithm undefined"
@@ -177,17 +178,17 @@ class TestFitKoopman:
         pairs = StatePairEnsemble(x=x, y=-x, step=1.0)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            fit_model(pairs, monomial_dictionary(2, 1, include_constant=False))
+            fit_models([pairs], monomial_dictionary(2, 1, include_constant=False))
         assert [(w.category, str(w.message).split(": ")[0]) for w in caught] == [
             (NegativeRealAxisWarning, "EDMD fit (40 pairs, 2 observables)"),
             (ImaginaryResidualWarning, "EDMD fit (40 pairs, 2 observables)"),
         ]
 
     def test_ill_conditioning_warns_with_its_counts(self):
-        # both steps share one conditioning check, read off pinv's SVD
+        # both steps share one conditioning check, read off the pseudo-inverse's SVD
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            fit_model(collinear_pairs(1e-13), monomial_dictionary(2, 1))
+            fit_models([collinear_pairs(1e-13)], monomial_dictionary(2, 1))
         assert [w.category for w in caught] == [IllConditionedWarning]
         assert str(caught[0].message) == (
             "EDMD fit (40 pairs, 3 observables): P_x condition number 2.493e+13 "
@@ -200,14 +201,14 @@ class TestFitKoopman:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             with pytest.raises(SingularMatrixError, match=r"^EDMD fit \(40 pairs"):
-                fit_model(collinear_pairs(0.0), monomial_dictionary(2, 1))
+                fit_models([collinear_pairs(0.0)], monomial_dictionary(2, 1))
         assert [w.category for w in caught] == [IllConditionedWarning]
         assert str(caught[0].message).startswith(
             "EDMD fit (40 pairs, 3 observables): P_x condition number "
         )
 
     def test_shape_mismatch(self):
-        # fit_model takes its pairs from a StatePairEnsemble, which rejects these
+        # fit_models takes its pairs from a StatePairEnsemble, which rejects these
         with pytest.raises(ConfigurationError, match="matching"):
             StatePairEnsemble(x=np.ones((2, 3)), y=np.ones((3, 2)), step=0.1)
         with pytest.raises(ConfigurationError, match="step"):
@@ -223,7 +224,7 @@ class TestPredict:
             l_complex=np.zeros((3, 3)),
             step=0.1,
         )
-        out = predict(model, [0.4, -0.2], 7)
+        (out,) = predict_models([model], [0.4, -0.2], 7)
         np.testing.assert_array_equal(out, np.tile([0.4, -0.2], (7, 1)))
 
     def test_scalar_geometric(self):
@@ -234,7 +235,7 @@ class TestPredict:
             l_complex=np.array([[np.log(0.5)]]),
             step=1.0,
         )
-        out = predict(model, [3.0], 4)
+        (out,) = predict_models([model], [3.0], 4)
         np.testing.assert_allclose(out[:, 0], 3.0 * 0.5 ** np.arange(1, 5))
 
     def test_single_step_exact_composition(self):
@@ -243,23 +244,23 @@ class TestPredict:
         x = rng.uniform(-1, 1, size=(3, 100))
         fld = lorenz_field()
         y = integrate(fld, x.T, 0.01, 10)[-1].T
-        model = fit_model(StatePairEnsemble(x=x, y=y, step=0.1), d)
+        (model,) = fit_models([StatePairEnsemble(x=x, y=y, step=0.1)], d)
         x0 = rng.uniform(-1, 1, size=3)
         readout = coordinate_readout(model.dictionary)
         expected = readout @ (model.k_mat @ model.dictionary.evaluate(x0))
-        np.testing.assert_array_equal(predict(model, x0, 1)[0], expected)
+        np.testing.assert_array_equal(predict_models([model], x0, 1)[0][0], expected)
 
     def test_lorenz_bounded_rmse(self):
         rng = np.random.default_rng(11)
         x = rng.uniform(-1, 1, size=(3, 200))
         fld = lorenz_field()
         y = integrate(fld, x.T, 0.01, 10)[-1].T
-        model = fit_model(
-            StatePairEnsemble(x=x, y=y, step=0.1), monomial_dictionary(3, 2)
+        (model,) = fit_models(
+            [StatePairEnsemble(x=x, y=y, step=0.1)], monomial_dictionary(3, 2)
         )
         x0 = np.array([0.5, -0.5, 0.5])
         steps = 10
-        pred = predict(model, x0, steps)
+        (pred,) = predict_models([model], x0, steps)
         truth = integrate(fld, x0, 0.01, steps * 10)[10::10]
         rmse = np.sqrt(np.mean((pred - truth) ** 2))
         assert np.all(np.isfinite(pred))
@@ -270,12 +271,12 @@ class TestPredict:
         x = rng.uniform(-1, 1, size=(3, 200))
         fld = lorenz_field()
         y = integrate(fld, x.T, 0.01, 10)[-1].T
-        model = fit_model(
-            StatePairEnsemble(x=x, y=y, step=0.1), monomial_dictionary(3, 2)
+        (model,) = fit_models(
+            [StatePairEnsemble(x=x, y=y, step=0.1)], monomial_dictionary(3, 2)
         )
         x0 = np.array([0.5, -0.5, 0.5])
-        out = predict(model, x0, 5, mode="relift")
-        np.testing.assert_array_equal(predict(model, x0, 1)[0], out[0])
+        (out,) = predict_models([model], x0, 5, mode="relift")
+        np.testing.assert_array_equal(predict_models([model], x0, 1)[0][0], out[0])
 
     def test_divergence_truncates_with_flag(self):
         d = monomial_dictionary(1, 1, include_constant=False)
@@ -286,7 +287,7 @@ class TestPredict:
             step=1.0,
         )
         with pytest.warns(DivergenceWarning):
-            out = predict(model, [1.0], 5)
+            (out,) = predict_models([model], [1.0], 5)
         assert np.isfinite(out[0, 0])
         assert np.isnan(out[-1, 0])
 
@@ -299,19 +300,19 @@ class TestPredict:
             step=1.0,
         )
         with pytest.raises(ConfigurationError, match="no coordinate observables"):
-            predict(model, [1.0, 2.0], 3)
+            predict_models([model], [1.0, 2.0], 3)
 
 
 def _lorenz_fit(degree, seed):
     rng = np.random.default_rng(seed)
     x = rng.uniform(-1, 1, size=(3, 300))
     y = integrate(lorenz_field(), x.T, 0.01, 10)[-1].T
-    return fit_model(StatePairEnsemble(x=x, y=y, step=0.1), monomial_dictionary(3, degree))
+    return fit_models([StatePairEnsemble(x=x, y=y, step=0.1)], monomial_dictionary(3, degree))[0]
 
 
 class TestPredictModels:
     """Stacked prediction of the models of one report: each model's rows
-    are bit for bit its own ``predict``, NaN tails and warnings included."""
+    are bit for bit its own one-model call, NaN tails and warnings included."""
 
     @staticmethod
     def _models():
@@ -336,7 +337,7 @@ class TestPredictModels:
         models, x0s = self._models(), self._x0s()
         with warnings.catch_warnings(record=True) as alone:
             warnings.simplefilter("always")
-            expected = np.stack([predict(m, x0s, 40, mode) for m in models.values()])
+            expected = np.stack([predict_models([m], x0s, 40, mode)[0] for m in models.values()])
         with warnings.catch_warnings(record=True) as stacked:
             warnings.simplefilter("always")
             out = predict_models(models.values(), x0s, 40, mode)
@@ -362,7 +363,7 @@ class TestPredictModels:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             out = predict_models(models, x0, 15, "relift")
-            expected = np.stack([predict(m, x0, 15, "relift") for m in models])
+            expected = np.stack([predict_models([m], x0, 15, "relift")[0] for m in models])
         assert out.shape == (3, 15, 3)
         np.testing.assert_array_equal(out, expected)
         # models on another dictionary are predicted apart
@@ -374,9 +375,9 @@ class TestPredictModels:
         truth = np.random.default_rng(34).uniform(-1, 1, size=(len(x0s), 40, 3))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            predictions, rmse = evaluate_prediction(models, x0s, truth, "relift")
+            ((predictions, rmse),) = evaluate_prediction([(models, x0s, truth)], "relift")
             for name, model in models.items():
-                preds = predict(model, x0s, 40, "relift")
+                (preds,) = predict_models([model], x0s, 40, "relift")
                 np.testing.assert_array_equal(predictions[name], preds)
                 expected = []
                 for row, row_truth in zip(preds, truth):
@@ -395,7 +396,7 @@ class TestGeneratorSpectrum:
     def test_scalar_decay(self):
         d = monomial_dictionary(1, 1, include_constant=False)
         x = np.array([[1.0, 2.0, -1.0]])
-        model = fit_model(StatePairEnsemble(x=x, y=0.5 * x, step=0.1), d)
+        (model,) = fit_models([StatePairEnsemble(x=x, y=0.5 * x, step=0.1)], d)
         np.testing.assert_allclose(
             generator_spectrum(model), [np.log(0.5) / 0.1], atol=1e-10
         )
@@ -404,7 +405,7 @@ class TestGeneratorSpectrum:
         d = monomial_dictionary(2, 1)
         rng = np.random.default_rng(13)
         x = rng.uniform(-1, 1, size=(2, 50))
-        model = fit_model(StatePairEnsemble(x=x, y=x, step=0.1), d)
+        (model,) = fit_models([StatePairEnsemble(x=x, y=x, step=0.1)], d)
         np.testing.assert_allclose(generator_spectrum(model), np.zeros(3), atol=1e-8)
 
     def test_closed_under_conjugation(self):
@@ -412,8 +413,8 @@ class TestGeneratorSpectrum:
         x = rng.uniform(-1, 1, size=(3, 200))
         fld = lorenz_field()
         y = integrate(fld, x.T, 0.01, 10)[-1].T
-        model = fit_model(
-            StatePairEnsemble(x=x, y=y, step=0.1), monomial_dictionary(3, 2)
+        (model,) = fit_models(
+            [StatePairEnsemble(x=x, y=y, step=0.1)], monomial_dictionary(3, 2)
         )
         w = generator_spectrum(model)
         from mredmd.linalg import spectrum_distance

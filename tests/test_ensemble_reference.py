@@ -24,7 +24,6 @@ from mredmd.dynamics import (
     common_micro_step,
     integrate,
     lorenz_field,
-    sample_ensemble,
     sample_ensembles,
 )
 from mredmd.errors import DivergenceWarning
@@ -109,7 +108,7 @@ def reference_pairs(records, schedules, step, first_target):
                 op = hankel.ComponentOperator(
                     schedule=s, p_x=p_x, k_mat=k_mat, l_complex=l_complex
                 )
-                out[s.component] = hankel.estimate_component_at(op, t)
+                out[s.component] = hankel._estimate_sets([op], t)[0]
     return x, y
 
 
@@ -142,7 +141,7 @@ def test_samples_match_loop(schedules, full_dead_time, init_box):
             np.testing.assert_array_equal(full.values[s.component][k], rec["dense"][grid, s.component])
     if full_dead_time == 0.0:
         # a layout on the partial one's own grid changes none of its bits
-        alone = sample_ensemble(lorenz_field(), schedules, 25, init_box=init_box, seed=7)
+        ((alone,),) = sample_ensembles(lorenz_field(), [schedules], 25, [7], init_box)
         for s in schedules:
             np.testing.assert_array_equal(alone.values[s.component], ensemble.values[s.component])
 
@@ -150,11 +149,11 @@ def test_samples_match_loop(schedules, full_dead_time, init_box):
 @pytest.mark.filterwarnings("ignore::mredmd.errors.IllConditionedWarning")
 @pytest.mark.parametrize("schedules", [multirate_schedules(), single_state_schedules()])
 def test_hankel_matrices_match_loop(schedules):
-    ensemble = sample_ensemble(lorenz_field(), schedules, 40, seed=3)
+    ((ensemble,),) = sample_ensembles(lorenz_field(), [schedules], 40, [3])
     records, _ = reference_records(lorenz_field(), schedules, 40, 3)
     for s in schedules:
         ref_x, ref_y = reference_hankel(records, s)
-        np.testing.assert_array_equal(hankel.fit_component_operator(ensemble, s).p_x, ref_x)
+        np.testing.assert_array_equal(hankel._fit_operators([ensemble], s)[0].p_x, ref_x)
         p_x, p_y = hankel._hankel_matrices(ensemble, s)
         np.testing.assert_array_equal(p_x, ref_x)
         np.testing.assert_array_equal(p_y, ref_y)
@@ -171,13 +170,13 @@ def test_hankel_matrices_match_loop(schedules):
     ids=["multirate", "lcm", "single_state"],
 )
 def test_reconstructed_pairs_match_loop(schedules, step, first_target):
-    ensemble = sample_ensemble(lorenz_field(), schedules, 120, seed=5)
+    ((ensemble,),) = sample_ensembles(lorenz_field(), [schedules], 120, [5])
     records, _ = reference_records(lorenz_field(), schedules, 120, 5)
-    operators = hankel.fit_component_operators(
-        ensemble, schedules, (first_target, first_target + step)
+    (operators,) = hankel.fit_component_operators(
+        [ensemble], schedules, (first_target, first_target + step)
     )
-    pairs = hankel.reconstruct_states(
-        ensemble, schedules, operators, step, first_target=first_target
+    (pairs,) = hankel.reconstruct_states(
+        [ensemble], schedules, [operators], step, first_target=first_target
     )
     ref_x, ref_y = reference_pairs(records, schedules, step, first_target)
     np.testing.assert_array_equal(pairs.x, ref_x)
@@ -190,7 +189,7 @@ def test_ideal_pairs_match_loop():
     schedules, full_state = multirate_schedules(), _full_state(3, 0.1)
     ((_, full),) = sample_ensembles(lorenz_field(), [schedules, full_state], 30, [11])
     records, dense_times = reference_records(lorenz_field(), schedules, 30, 11)
-    pairs = hankel.reconstruct_states(full, full_state, {}, 0.1)
+    (pairs,) = hankel.reconstruct_states([full], full_state, [{}], 0.1)
     assert pairs.x_estimated == pairs.y_estimated == (False, False, False)
     np.testing.assert_array_equal(pairs.x, reference_dense_at(records, dense_times, 0.1))
     np.testing.assert_array_equal(pairs.y, reference_dense_at(records, dense_times, 0.2))
@@ -234,14 +233,14 @@ def test_noise_floor_matches_sampled_ensemble(overrides):
     spectra = []
     for half in (1, 2):
         ref = reference_noise_floor_pairs(cfg, half)
-        spectra.append(edmd.generator_spectrum(edmd.fit_model(ref, dictionary)))
-    assert ideal_noise_floor(cfg) == spectrum_distance(*spectra)
+        spectra.append(edmd.generator_spectrum(edmd.fit_models([ref], dictionary)[0]))
+    assert ideal_noise_floor(cfg, [cfg.seed]) == [spectrum_distance(*spectra)]
 
 
 def test_prefix_of_larger_ensemble():
     # sampling is bit-identical per trajectory regardless of the batch size
-    small = sample_ensemble(lorenz_field(), multirate_schedules(), 7, seed=2)
-    large = sample_ensemble(lorenz_field(), multirate_schedules(), 30, seed=2)
+    ((small,),) = sample_ensembles(lorenz_field(), [multirate_schedules()], 7, [2])
+    ((large,),) = sample_ensembles(lorenz_field(), [multirate_schedules()], 30, [2])
     for comp in small.values:
         np.testing.assert_array_equal(small.values[comp], large.values[comp][:7])
 
@@ -258,7 +257,7 @@ def test_initial_conditions_match_substreams(seed, init_box, n_traj):
     # the whole-array seed kernel against one Generator per trajectory; every
     # component is measured at t=0, the initial state
     schedules = [SamplingSchedule(i, dead_time=0.0, period=0.1, count=1) for i in range(3)]
-    ensemble = sample_ensemble(lorenz_field(), schedules, n_traj, init_box=init_box, seed=seed)
+    ((ensemble,),) = sample_ensembles(lorenz_field(), [schedules], n_traj, [seed], init_box)
     x0 = np.stack([ensemble.values[i][:, 0] for i in range(3)], axis=1)
     box = init_box if init_box is not None else [(-1.0, 1.0)] * 3
     entropy = list(seed) if isinstance(seed, tuple) else [seed]
@@ -302,7 +301,7 @@ def _lorenz_model(degree, seed=12):
     x = rng.uniform(-1, 1, size=(3, 300))
     y = integrate(lorenz_field(), x.T, 0.01, 10)[-1].T
     pairs = edmd.StatePairEnsemble(x=x, y=y, step=0.1)
-    return edmd.fit_model(pairs, monomial_dictionary(3, degree))
+    return edmd.fit_models([pairs], monomial_dictionary(3, degree))[0]
 
 
 def _scalar_model(k_mat, degree, include_constant):
@@ -338,10 +337,10 @@ def test_batched_predict_matches_loop(model, x0s, mode):
         expected = np.stack([reference_predict(model, x0, 30, mode) for x0 in x0s])
     with warnings.catch_warnings(record=True) as single_warnings:
         warnings.simplefilter("always")
-        single = np.stack([edmd.predict(model, x0, 30, mode=mode) for x0 in x0s])
+        single = np.stack([edmd.predict_models([model], x0, 30, mode=mode)[0] for x0 in x0s])
     with warnings.catch_warnings(record=True) as batch_warnings:
         warnings.simplefilter("always")
-        batch = edmd.predict(model, x0s, 30, mode=mode)
+        (batch,) = edmd.predict_models([model], x0s, 30, mode=mode)
     np.testing.assert_array_equal(batch, expected)
     np.testing.assert_array_equal(single, expected)
     messages = _divergence_messages(expected_warnings)
@@ -353,7 +352,7 @@ def test_batched_predict_divergence_order():
     model = _scalar_model([[1, 0, 0], [0, 0, 1], [0, 0, 1]], 2, True)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        out = edmd.predict(model, [[10.0], [0.5], [1e5], [1.0]], 12, mode="relift")
+        (out,) = edmd.predict_models([model], [[10.0], [0.5], [1e5], [1.0]], 12, mode="relift")
     # x0 = 10 overflows at step 9 and x0 = 1e5 at step 6; warnings follow rows
     assert _divergence_messages(caught) == [
         "prediction diverged at step 9 of 12; output truncated",
@@ -401,7 +400,7 @@ def test_evaluate_prediction_matches_loop():
         warnings.simplefilter("ignore")
         # one call per model: the models of one call share their dictionary
         for name, model in models.items():
-            preds, errs = evaluate_prediction({name: model}, x0s, truth, "relift")
+            ((preds, errs),) = evaluate_prediction([({name: model}, x0s, truth)], "relift")
             predictions[name], rmse[name] = preds[name], errs[name]
             expected = np.stack([reference_predict(model, x0, 40, "relift") for x0 in x0s])
             np.testing.assert_array_equal(predictions[name], expected)

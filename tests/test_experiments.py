@@ -13,7 +13,7 @@ import pytest
 
 from mredmd import errors, experiments, hankel
 from mredmd.dynamics import linear_field
-from mredmd.edmd import StatePairEnsemble, fit_model
+from mredmd.edmd import StatePairEnsemble, fit_models
 from mredmd.errors import ConfigurationError, MredmdWarning
 from mredmd.experiments import (
     ExperimentConfig,
@@ -207,12 +207,12 @@ class TestEvaluatePrediction:
         a = -0.8
         d = monomial_dictionary(1, 1, include_constant=False)
         x = np.linspace(0.2, 1.5, 10)[None, :]
-        model = fit_model(
-            StatePairEnsemble(x=x, y=np.exp(a * 0.1) * x, step=0.1), d
+        (model,) = fit_models(
+            [StatePairEnsemble(x=x, y=np.exp(a * 0.1) * x, step=0.1)], d
         )
         x0s = np.array([[1.0], [0.5]])
         truth = x0s[:, None, :] * np.exp(a * 0.1 * np.arange(1, 21))[None, :, None]
-        preds, rmse = evaluate_prediction({"exact": model}, x0s, truth)
+        ((preds, rmse),) = evaluate_prediction([({"exact": model}, x0s, truth)])
         assert rmse["exact"][0] < 1e-6
         assert rmse["exact"][1] < 1e-6
         assert preds["exact"].shape == (2, 20, 1)
@@ -221,9 +221,11 @@ class TestEvaluatePrediction:
         d = monomial_dictionary(3, 2)
         rng = np.random.default_rng(0)
         x = rng.uniform(-1, 1, size=(3, 100))
-        model = fit_model(StatePairEnsemble(x=x, y=x, step=0.1), d)
+        (model,) = fit_models([StatePairEnsemble(x=x, y=x, step=0.1)], d)
         x0s = rng.uniform(-1, 1, size=(5, 3))
-        _, rmse = evaluate_prediction({"id": model}, x0s, np.repeat(x0s[:, None], 10, axis=1))
+        ((_, rmse),) = evaluate_prediction(
+            [({"id": model}, x0s, np.repeat(x0s[:, None], 10, axis=1))]
+        )
         assert max(rmse["id"]) < 1e-10
 
     def test_divergent_model_flagged(self):
@@ -239,8 +241,8 @@ class TestEvaluatePrediction:
         )
         x0s = np.array([[1.0, 5e-157]])
         with pytest.warns(Warning):
-            _, rmse = evaluate_prediction(
-                {"bad": model}, x0s, np.repeat(x0s[:, None], 10, axis=1), mode="rollout"
+            ((_, rmse),) = evaluate_prediction(
+                [({"bad": model}, x0s, np.repeat(x0s[:, None], 10, axis=1))], mode="rollout"
             )
         assert np.isfinite(rmse["bad"][0])  # finite-prefix RMSE
         assert rmse["bad"][0] > 1.0
@@ -249,11 +251,20 @@ class TestEvaluatePrediction:
     def test_truth_of_another_shape_named(self, shape):
         d = monomial_dictionary(3, 1)
         x = np.random.default_rng(0).uniform(-1, 1, size=(3, 20))
-        model = fit_model(StatePairEnsemble(x=x, y=x, step=0.1), d)
+        (model,) = fit_models([StatePairEnsemble(x=x, y=x, step=0.1)], d)
         x0s = np.zeros((5, 3))
         both = re.escape(f"truth has shape {shape}, expected (5, horizon >= 1, 3)")
         with pytest.raises(errors.DimensionMismatchError, match=both):
-            evaluate_prediction({"id": model}, x0s, np.zeros(shape))
+            evaluate_prediction([({"id": model}, x0s, np.zeros(shape))])
+
+    def test_sets_of_another_shape_named(self):
+        d = monomial_dictionary(3, 1)
+        x = np.random.default_rng(0).uniform(-1, 1, size=(3, 20))
+        (model,) = fit_models([StatePairEnsemble(x=x, y=x, step=0.1)], d)
+        sets = [({"id": model}, np.zeros((5, 3)), np.zeros((5, 10, 3)))]
+        sets.append(({"id": model}, np.zeros((4, 3)), np.zeros((4, 10, 3))))
+        with pytest.raises(errors.DimensionMismatchError, match=r"\(5, 10, 3\) and \(4, 10, 3\)"):
+            evaluate_prediction(sets)
 
     def test_report_scores_against_its_own_truth(self):
         cfg = multirate_config(K=30, horizon=7, eval_trajectories=3)
@@ -262,7 +273,9 @@ class TestEvaluatePrediction:
         x0s = experiments._eval_initial_conditions(cfg, cfg.seed, 3)
         (truth,) = experiments._eval_truths(experiments.system_field("lorenz"), [x0s], 7, 0.1)
         assert np.array_equal(report.eval_truth, truth)
-        predictions, rmse = evaluate_prediction(report.models, x0s, truth, cfg.prediction_mode)
+        ((predictions, rmse),) = evaluate_prediction(
+            [(report.models, x0s, truth)], cfg.prediction_mode
+        )
         assert report.rmse == rmse
         for name in report.methods:
             assert np.array_equal(report.predictions[name], predictions[name])
@@ -384,7 +397,7 @@ class TestWarningCollection:
         x = np.random.default_rng(3).uniform(-1, 1, (1, 40)).repeat(2, axis=0)
         pairs = StatePairEnsemble(x=x, y=0.9 * x, step=0.1)
         with experiments._stage(report, "fit_ideal"):
-            fit_model(pairs, monomial_dictionary(2, 1))
+            fit_models([pairs], monomial_dictionary(2, 1))
         label = "EDMD fit (40 pairs, 3 observables): "
         assert [(w["stage"], w["category"]) for w in report.warnings] == [
             ("fit_ideal", "IllConditionedWarning")
@@ -401,8 +414,8 @@ class TestWarningCollection:
 class TestIdealNoiseFloor:
     def test_positive_and_deterministic(self):
         cfg = single_state_config(K=40)
-        floor1 = ideal_noise_floor(cfg)
-        floor2 = ideal_noise_floor(cfg)
+        (floor1,) = ideal_noise_floor(cfg, [cfg.seed])
+        (floor2,) = ideal_noise_floor(cfg, [cfg.seed])
         assert floor1 == floor2
         assert 0.0 < floor1 < 1.0
 
@@ -434,7 +447,7 @@ class TestEmitReport:
         d = monomial_dictionary(2, 1)
         rng = np.random.default_rng(15)
         x = rng.uniform(-1, 1, size=(2, 30))
-        model = fit_model(StatePairEnsemble(x=x, y=x, step=0.25), d)
+        (model,) = fit_models([StatePairEnsemble(x=x, y=x, step=0.25)], d)
         report = experiments.ExperimentReport(
             schema=experiments.SCHEMA_ID,
             mode="multirate",

@@ -10,10 +10,9 @@ from mredmd.dynamics import (
     Ensemble,
     SamplingSchedule,
     lorenz_field,
-    sample_ensemble,
     sample_ensembles,
 )
-from mredmd.edmd import StatePairEnsemble, fit_model
+from mredmd.edmd import StatePairEnsemble, fit_models
 from mredmd.errors import (
     DataError,
     ExtrapolationWarning,
@@ -22,13 +21,7 @@ from mredmd.errors import (
     NegativeRealAxisWarning,
     RankDeficiencyWarning,
 )
-from mredmd.hankel import (
-    estimate_component_at,
-    estimated_components,
-    fit_component_operator,
-    fit_component_operators,
-    reconstruct_states,
-)
+from mredmd.hankel import estimated_components, fit_component_operators, reconstruct_states
 from mredmd.observables import monomial_dictionary
 
 
@@ -68,7 +61,7 @@ class TestBuildHankelMatrices:
         p_x, p_y = hankel._hankel_matrices(ensemble, schedule)
         np.testing.assert_array_equal(p_x, [[1.0, 3.0]])
         np.testing.assert_array_equal(p_y, [[2.0, 4.0]])
-        np.testing.assert_array_equal(fit_component_operator(ensemble, schedule).p_x, p_x)
+        np.testing.assert_array_equal(hankel._fit_operators([ensemble], schedule)[0].p_x, p_x)
 
     def test_shift_structure(self):
         schedule = SamplingSchedule(component=0, dead_time=0.2, period=0.5, count=4)
@@ -79,41 +72,37 @@ class TestBuildHankelMatrices:
 
     def test_benchmark_shape(self):
         schedule = SamplingSchedule(component=1, dead_time=0.0, period=0.4, count=3)
-        ensemble = sample_ensemble(
-            lorenz_field(),
-            [
-                SamplingSchedule(component=0, dead_time=0.0, period=0.1, count=12),
-                schedule,
-                SamplingSchedule(component=2, dead_time=0.0, period=0.3, count=4),
-            ],
-            300,
-            seed=0,
-        )
-        assert fit_component_operator(ensemble, schedule).p_x.shape == (3, 300)
+        layout = [
+            SamplingSchedule(component=0, dead_time=0.0, period=0.1, count=12),
+            schedule,
+            SamplingSchedule(component=2, dead_time=0.0, period=0.3, count=4),
+        ]
+        ((ensemble,),) = sample_ensembles(lorenz_field(), [layout], 300, [0])
+        assert hankel._fit_operators([ensemble], schedule)[0].p_x.shape == (3, 300)
 
     def test_insufficient_samples(self):
         schedule = SamplingSchedule(component=0, dead_time=0.0, period=1.0, count=3)
         short = Ensemble(times={0: [0.0, 1.0]}, values={0: [[1.0, 2.0]]}, indices=[0])
         with pytest.raises(DataError, match="component 0: 2 samples"):
-            fit_component_operator(short, schedule)
+            hankel._fit_operators([short], schedule)
 
     def test_wrong_component(self):
         schedule = SamplingSchedule(component=1, dead_time=0.0, period=1.0, count=1)
         wrong = Ensemble(times={0: [0.0, 1.0]}, values={0: [[1.0, 2.0]]}, indices=[0])
         with pytest.raises(DataError, match="component 1"):
-            fit_component_operator(wrong, schedule)
+            hankel._fit_operators([wrong], schedule)
 
     def test_misaligned_times(self):
         schedule = SamplingSchedule(component=0, dead_time=0.0, period=1.0, count=1)
         off = Ensemble(times={0: [0.0, 1.01]}, values={0: [[1.0, 2.0]]}, indices=[0])
         with pytest.raises(DataError, match="instants"):
-            fit_component_operator(off, schedule)
+            hankel._fit_operators([off], schedule)
 
 
 class TestFitComponentOperator:
     def test_geometric_scalar(self):
         schedule, ensemble, _ = geometric_data()
-        op = fit_component_operator(ensemble, schedule)
+        (op,) = hankel._fit_operators([ensemble], schedule)
         np.testing.assert_allclose(op.k_mat, [[0.9]], atol=1e-12)
         np.testing.assert_allclose(op.l_mat, [[np.log(0.9) / 0.1]], atol=1e-9)
         assert op.imag_residual <= 1e-12
@@ -121,14 +110,14 @@ class TestFitComponentOperator:
     def test_constant_signals(self):
         schedule = SamplingSchedule(component=0, dead_time=0.0, period=0.5, count=1)
         ensemble = ensemble_from_rows([[c, c] for c in (1.0, 2.0, -0.5)], schedule)
-        op = fit_component_operator(ensemble, schedule)
+        (op,) = hankel._fit_operators([ensemble], schedule)
         np.testing.assert_allclose(op.k_mat, [[1.0]], atol=1e-12)
         np.testing.assert_allclose(op.l_mat, [[0.0]], atol=1e-12)
 
     def test_sinusoid_recovers_oscillator_pair(self):
         omega, t_i = 2.0, 0.1
         schedule, ensemble = sinusoid_data(omega, t_i)
-        op = fit_component_operator(ensemble, schedule)
+        (op,) = hankel._fit_operators([ensemble], schedule)
         eigs = np.sort_complex(np.linalg.eigvals(op.k_mat))
         expected = np.sort_complex([np.exp(1j * omega * t_i), np.exp(-1j * omega * t_i)])
         np.testing.assert_allclose(eigs, expected, atol=1e-8)
@@ -139,7 +128,7 @@ class TestFitComponentOperator:
         import scipy.linalg
 
         schedule, ensemble = sinusoid_data()
-        op = fit_component_operator(ensemble, schedule)
+        (op,) = hankel._fit_operators([ensemble], schedule)
         assert op.imag_residual < 1e-8
         back = scipy.linalg.expm(op.l_mat * schedule.period)
         rel = np.linalg.norm(back - op.k_mat) / np.linalg.norm(op.k_mat)
@@ -150,9 +139,9 @@ class TestFitComponentOperator:
         # steps share one fit kernel, so the matrices agree bit for bit
         schedule = SamplingSchedule(component=0, dead_time=0.0, period=0.1, count=1)
         rows = np.random.default_rng(5).normal(size=(20, 2))
-        op = fit_component_operator(ensemble_from_rows(rows, schedule), schedule)
-        model = fit_model(
-            StatePairEnsemble(x=rows[:, :1].T, y=rows[:, 1:].T, step=schedule.period),
+        (op,) = hankel._fit_operators([ensemble_from_rows(rows, schedule)], schedule)
+        (model,) = fit_models(
+            [StatePairEnsemble(x=rows[:, :1].T, y=rows[:, 1:].T, step=schedule.period)],
             monomial_dictionary(1, 1, include_constant=False),
         )
         assert np.array_equal(op.k_mat, model.k_mat)
@@ -163,7 +152,7 @@ class TestFitComponentOperator:
         ensemble = ensemble_from_rows([[1.0, 0.9, 0.81]], schedule)
         with pytest.warns((RankDeficiencyWarning, IllConditionedWarning)):
             try:
-                fit_component_operator(ensemble, schedule)
+                hankel._fit_operators([ensemble], schedule)
             except Exception:
                 pass  # singular K_i is acceptable here; the warning is the contract
 
@@ -176,14 +165,15 @@ class TestFitComponentOperator:
         )
         with pytest.warns(IllConditionedWarning):
             try:
-                fit_component_operator(ensemble, schedule)
+                hankel._fit_operators([ensemble], schedule)
             except Exception:
                 pass
 
 
     def test_factorises_p_x_once(self, monkeypatch):
-        # one SVD of P_x gives both pinv and cond(P_x); the other is the
-        # singularity test of K in the logarithm (each a stack of one)
+        # one SVD of P_x gives both the pseudo-inverse and cond(P_x); the
+        # other is the singularity test of K in the logarithm (each a stack
+        # of one)
         shapes = []
         svd = np.linalg.svd
 
@@ -193,27 +183,27 @@ class TestFitComponentOperator:
 
         monkeypatch.setattr(np.linalg, "svd", spy)
         schedule, ensemble = sinusoid_data()
-        fit_component_operator(ensemble, schedule)
+        hankel._fit_operators([ensemble], schedule)
         assert shapes == [(1, 2, 6), (1, 2, 2)]
 
 
 class TestEstimateComponentAt:
     def test_at_dead_time_reproduces_first_row(self):
         schedule, ensemble, _ = geometric_data(r_i=0.3)
-        op = fit_component_operator(ensemble, schedule)
-        est = estimate_component_at(op, 0.3)
+        (op,) = hankel._fit_operators([ensemble], schedule)
+        (est,) = hankel._estimate_sets([op], 0.3)
         np.testing.assert_array_equal(est, op.p_x[0])
 
     def test_one_period_propagation(self):
         schedule, ensemble, _ = geometric_data()
-        op = fit_component_operator(ensemble, schedule)
-        est = estimate_component_at(op, schedule.period)
+        (op,) = hankel._fit_operators([ensemble], schedule)
+        (est,) = hankel._estimate_sets([op], schedule.period)
         np.testing.assert_allclose(est, ensemble.values[0][:, 1], atol=1e-10)
 
     def test_fractional_power_analytic(self):
         schedule, ensemble, x0 = geometric_data(rho=0.9, t_i=0.1)
-        op = fit_component_operator(ensemble, schedule)
-        est = estimate_component_at(op, 0.05)
+        (op,) = hankel._fit_operators([ensemble], schedule)
+        (est,) = hankel._estimate_sets([op], 0.05)
         np.testing.assert_allclose(est, x0 * 0.9**0.5, atol=1e-9)
 
     def test_linear_system_arbitrary_time(self):
@@ -224,22 +214,22 @@ class TestEstimateComponentAt:
         ensemble = ensemble_from_rows(
             [[x * np.exp(a * r_i), x * np.exp(a * (r_i + t_i))] for x in x0], schedule
         )
-        op = fit_component_operator(ensemble, schedule)
+        (op,) = hankel._fit_operators([ensemble], schedule)
         for t in (0.1, 0.33, 0.5):
-            est = estimate_component_at(op, t)
+            (est,) = hankel._estimate_sets([op], t)
             np.testing.assert_allclose(est, x0 * np.exp(a * t), atol=1e-6)
 
     def test_before_dead_time_warns(self):
         schedule, ensemble, _ = geometric_data(r_i=0.3)
-        op = fit_component_operator(ensemble, schedule)
+        (op,) = hankel._fit_operators([ensemble], schedule)
         with pytest.warns(ExtrapolationWarning):
-            estimate_component_at(op, 0.0)
+            hankel._estimate_sets([op], 0.0)
 
     def test_far_extrapolation_warns(self):
         schedule, ensemble, _ = geometric_data()
-        op = fit_component_operator(ensemble, schedule)
+        (op,) = hankel._fit_operators([ensemble], schedule)
         with pytest.warns(ExtrapolationWarning):
-            estimate_component_at(op, 1.0)  # 10x the sampled window
+            hankel._estimate_sets([op], 1.0)  # 10x the sampled window
 
 
 class TestRationalPowerEstimate:
@@ -247,27 +237,27 @@ class TestRationalPowerEstimate:
 
     def test_integer_power_consistency(self):
         schedule, ensemble, _ = geometric_data()
-        op = fit_component_operator(ensemble, schedule)
-        est = estimate_component_at(op, 2 * schedule.period)
+        (op,) = hankel._fit_operators([ensemble], schedule)
+        (est,) = hankel._estimate_sets([op], 2 * schedule.period)
         np.testing.assert_allclose(est, (op.k_mat @ op.k_mat @ op.p_x)[0], atol=1e-10)
 
     def test_agrees_with_exp_log_for_positive_spectrum(self):
         schedule, ensemble, _ = geometric_data()
-        op = fit_component_operator(ensemble, schedule)
+        (op,) = hankel._fit_operators([ensemble], schedule)
         t = 0.137
         w, v = np.linalg.eig(op.k_mat)  # oracle: principal power by eigendecomposition
         powered = (v * np.power(w.astype(complex), t / schedule.period)) @ np.linalg.inv(v)
         oracle = powered[0] @ op.p_x
         assert np.max(np.abs(oracle.imag)) <= 1e-10
-        np.testing.assert_allclose(estimate_component_at(op, t), oracle.real, atol=1e-8)
+        np.testing.assert_allclose(hankel._estimate_sets([op], t)[0], oracle.real, atol=1e-8)
 
     def test_negative_eigenvalue_half_power_is_complex(self):
         schedule = SamplingSchedule(component=0, dead_time=0.0, period=0.1, count=1)
         ensemble = ensemble_from_rows([[x, -0.5 * x] for x in (1.0, 2.0)], schedule)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            op = fit_component_operator(ensemble, schedule)
-            estimate_component_at(op, 0.05)  # sqrt(-0.5) is imaginary
+            (op,) = hankel._fit_operators([ensemble], schedule)
+            hankel._estimate_sets([op], 0.05)  # sqrt(-0.5) is imaginary
         np.testing.assert_allclose(op.k_mat, [[-0.5]], atol=1e-12)
         assert op.imag_residual > 1.0
         # each warning carries its component (and time) label, in order
@@ -288,7 +278,7 @@ class TestRationalPowerEstimate:
             schedule=schedule, p_x=p_x, k_mat=k_mat, l_complex=l_complex
         )
         np.testing.assert_allclose(op.k_mat, [[1.0, 1.0], [0.0, 1.0]], atol=1e-12)
-        np.testing.assert_allclose(estimate_component_at(op, 0.05), [1.0, 0.5], atol=1e-10)
+        np.testing.assert_allclose(hankel._estimate_sets([op], 0.05)[0], [1.0, 0.5], atol=1e-10)
 
 
 def multirate_schedules(t_s=0.1):
@@ -334,8 +324,8 @@ class TestFitComponentOperators:
     )
     def test_fits_estimated_components_in_schedule_order(self, schedules, targets):
         schedules = schedules[::-1]
-        ensemble = sample_ensemble(lorenz_field(), schedules, 30, seed=4)
-        ops = fit_component_operators(ensemble, schedules, targets)
+        ((ensemble,),) = sample_ensembles(lorenz_field(), [schedules], 30, [4])
+        (ops,) = fit_component_operators([ensemble], schedules, targets)
         needed = [s for s in schedules if s.component in estimated_components(schedules, targets)]
         assert list(ops) == [s.component for s in needed]
         assert [op.schedule for op in ops.values()] == needed
@@ -344,8 +334,11 @@ class TestFitComponentOperators:
 def reconstruct(ensemble, schedules, step, first_target=None):
     """reconstruct_states with operators fitted for the estimated components."""
     t1 = step if first_target is None else first_target
-    operators = fit_component_operators(ensemble, schedules, (t1, t1 + step))
-    return reconstruct_states(ensemble, schedules, operators, step, first_target=first_target)
+    operator_sets = fit_component_operators([ensemble], schedules, (t1, t1 + step))
+    (pairs,) = reconstruct_states(
+        [ensemble], schedules, operator_sets, step, first_target=first_target
+    )
+    return pairs
 
 
 class TestReconstructStates:
@@ -354,7 +347,7 @@ class TestReconstructStates:
             SamplingSchedule(component=i, dead_time=0.0, period=0.1, count=2)
             for i in range(3)
         ]
-        ensemble = sample_ensemble(lorenz_field(), schedules, 5, seed=0)
+        ((ensemble,),) = sample_ensembles(lorenz_field(), [schedules], 5, [0])
         pairs = reconstruct(ensemble, schedules, 0.1)
         assert pairs.x_estimated == (False, False, False)
         assert pairs.y_estimated == (False, False, False)
@@ -364,7 +357,7 @@ class TestReconstructStates:
 
     def test_multirate_provenance(self):
         schedules = multirate_schedules()
-        ensemble = sample_ensemble(lorenz_field(), schedules, 40, seed=1)
+        ((ensemble,),) = sample_ensembles(lorenz_field(), [schedules], 40, [1])
         pairs = reconstruct(ensemble, schedules, 0.1)
         assert pairs.x_estimated == (False, True, True)
         assert pairs.y_estimated == (False, True, True)
@@ -383,7 +376,7 @@ class TestReconstructStates:
 
     def test_single_state_pattern(self):
         schedules = single_state_schedules()
-        ensemble = sample_ensemble(lorenz_field(), schedules, 60, seed=3)
+        ((ensemble,),) = sample_ensembles(lorenz_field(), [schedules], 60, [3])
         pairs = reconstruct(ensemble, schedules, 0.1, first_target=0.3)
         assert pairs.x_estimated == (True, True, False)
         assert pairs.y_estimated == (False, True, True)
@@ -392,24 +385,35 @@ class TestReconstructStates:
 
     def test_operators_reused(self):
         schedules = multirate_schedules()
-        ensemble = sample_ensemble(lorenz_field(), schedules, 30, seed=4)
-        ops = fit_component_operators(ensemble, schedules, (0.1, 0.2))
+        ((ensemble,),) = sample_ensembles(lorenz_field(), [schedules], 30, [4])
+        (ops,) = fit_component_operators([ensemble], schedules, (0.1, 0.2))
         assert list(ops) == [1, 2]
-        pairs = reconstruct_states(ensemble, schedules, ops, 0.1)
+        (pairs,) = reconstruct_states([ensemble], schedules, [ops], 0.1)
         for comp, op in ops.items():
-            np.testing.assert_array_equal(pairs.x[comp], estimate_component_at(op, 0.1))
-            np.testing.assert_array_equal(pairs.y[comp], estimate_component_at(op, 0.2))
+            np.testing.assert_array_equal(pairs.x[comp], hankel._estimate_sets([op], 0.1)[0])
+            np.testing.assert_array_equal(pairs.y[comp], hankel._estimate_sets([op], 0.2)[0])
 
     def test_missing_operator_rejected(self):
         schedules = multirate_schedules()
-        ensemble = sample_ensemble(lorenz_field(), schedules, 30, seed=4)
-        ops = fit_component_operators(ensemble, schedules, (0.1, 0.2))
+        ((ensemble,),) = sample_ensembles(lorenz_field(), [schedules], 30, [4])
+        (ops,) = fit_component_operators([ensemble], schedules, (0.1, 0.2))
         del ops[2]
         with pytest.raises(DataError, match="component 2"):
-            reconstruct_states(ensemble, schedules, ops, 0.1)
+            reconstruct_states([ensemble], schedules, [ops], 0.1)
+
+    def test_operator_sets_one_per_ensemble(self):
+        schedules = multirate_schedules()
+        ((ensemble,),) = sample_ensembles(lorenz_field(), [schedules], 30, [4])
+        with pytest.raises(DataError, match="2 ensembles but 1 operator sets"):
+            reconstruct_states([ensemble, ensemble], schedules, [{}], 0.1)
+
+    def test_no_ensembles(self):
+        schedules = multirate_schedules()
+        assert fit_component_operators([], schedules, (0.1, 0.2)) == []
+        assert reconstruct_states([], schedules, [], 0.1) == []
 
     def test_no_records(self):
         with pytest.raises(DataError):
             reconstruct_states(
-                Ensemble(times={}, values={}, indices=[]), multirate_schedules(), {}, 0.1
+                [Ensemble(times={}, values={}, indices=[])], multirate_schedules(), [{}], 0.1
             )

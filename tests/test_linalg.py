@@ -26,44 +26,51 @@ def rotation(theta):
 
 
 class TestPinv:
+    """The fits' pseudo-inverse, ``_pinv_svd``, on stacks of one matrix."""
+
     def test_identity(self):
-        np.testing.assert_array_equal(linalg.pinv(np.eye(3)), np.eye(3))
+        (ap,), _ = linalg._pinv_svd(np.eye(3)[None])
+        np.testing.assert_array_equal(ap, np.eye(3))
 
     def test_scalar_inverse(self):
-        np.testing.assert_allclose(linalg.pinv([[2.0]]), [[0.5]])
+        (ap,), _ = linalg._pinv_svd(np.array([[[2.0]]]))
+        np.testing.assert_allclose(ap, [[0.5]])
 
     def test_full_rank_tall(self):
         rng = np.random.default_rng(0)
         a = rng.normal(size=(5, 3))
-        np.testing.assert_allclose(linalg.pinv(a) @ a, np.eye(3), atol=1e-10)
+        (ap,), _ = linalg._pinv_svd(a[None])
+        np.testing.assert_allclose(ap @ a, np.eye(3), atol=1e-10)
 
     @pytest.mark.parametrize("m,n", [(3, 3), (7, 4), (4, 7), (50, 50), (50, 20)])
     def test_moore_penrose_axioms(self, m, n):
         rng = np.random.default_rng(m * 100 + n)
         a = rng.normal(size=(m, n))
-        ap = linalg.pinv(a)
+        (ap,), _ = linalg._pinv_svd(a[None])
         np.testing.assert_allclose(a @ ap @ a, a, atol=1e-8)
         np.testing.assert_allclose(ap @ a @ ap, ap, atol=1e-8)
         np.testing.assert_allclose(a @ ap, (a @ ap).T, atol=1e-8)
         np.testing.assert_allclose(ap @ a, (ap @ a).T, atol=1e-8)
 
     def test_rank_deficient_truncation(self):
-        # rank-1 matrix: pinv must truncate the zero singular values
+        # rank-1 matrix: the pseudo-inverse must truncate the zero singular values
         v = np.array([[1.0, 2.0, 3.0]])
         a = v.T @ v
-        ap = linalg.pinv(a)
+        (ap,), _ = linalg._pinv_svd(a[None])
         np.testing.assert_allclose(a @ ap @ a, a, atol=1e-10)
 
     def test_zero_matrix(self):
-        np.testing.assert_array_equal(linalg.pinv(np.zeros((2, 3))), np.zeros((3, 2)))
+        (ap,), _ = linalg._pinv_svd(np.zeros((1, 2, 3)))
+        np.testing.assert_array_equal(ap, np.zeros((3, 2)))
 
+    # the fits validate P_x before its pseudo-inverse
     def test_rejects_non_finite(self):
         with pytest.raises(DimensionMismatchError):
-            linalg.pinv([[np.nan, 1.0]])
+            linalg.koopman_fit([[np.nan, 1.0]], [[1.0, 1.0]], 0.1)
 
     def test_rejects_empty(self):
         with pytest.raises(DimensionMismatchError):
-            linalg.pinv(np.zeros((0, 3)))
+            linalg.koopman_fit(np.zeros((0, 3)), np.zeros((0, 3)), 0.1)
 
 
 class TestMatrixLog:

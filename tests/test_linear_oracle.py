@@ -65,13 +65,15 @@ def test_linear_spectra_are_recovered(seed, layout):
     schedules, first = LAYOUTS[layout]
     assert max(abs(lam.imag)) * max(s.period for s in schedules) < np.pi
     ((ensemble,),) = sample_ensembles(linear_field(a), [schedules], 30, [seed])
-    operators = hankel.fit_component_operators(ensemble, schedules, (first, first + T_S))
-    pairs = hankel.reconstruct_states(ensemble, schedules, operators, T_S, first_target=first)
+    operator_sets = hankel.fit_component_operators([ensemble], schedules, (first, first + T_S))
+    pairs = hankel.reconstruct_states(
+        [ensemble], schedules, operator_sets, T_S, first_target=first
+    )
     tol = RK4_MULTIPLE * rk4_generator_error(a, float(common_micro_step(schedules)))
 
-    linear = edmd.fit_model(pairs, monomial_dictionary(N, 1, include_constant=False))
+    (linear,) = edmd.fit_models(pairs, monomial_dictionary(N, 1, include_constant=False))
     assert spectrum_distance(edmd.generator_spectrum(linear), lam) <= tol
 
-    quadratic = edmd.fit_model(pairs, monomial_dictionary(N, 2, include_constant=True))
+    (quadratic,) = edmd.fit_models(pairs, monomial_dictionary(N, 2, include_constant=True))
     sums = [lam[i] + lam[j] for i in range(N) for j in range(i, N)]
     assert spectrum_distance(edmd.generator_spectrum(quadratic), [0.0, *lam, *sums]) <= tol

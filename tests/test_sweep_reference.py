@@ -50,7 +50,7 @@ def reference_sweep(cfg, seeds):
                 rmse_wins += rmse[primary] < rmse[baseline]
             else:
                 try:
-                    floor = ideal_noise_floor(replace(cfg, seed=seed))
+                    (floor,) = ideal_noise_floor(cfg, [seed])
                 except (MredmdError, np.linalg.LinAlgError) as exc:
                     report.errors.append({"stage": "noise_floor", "message": str(exc)})
                 else:

@@ -113,6 +113,15 @@ COMMANDS = [
     # a T_s that is a JSON integer beyond the float range
     ("multirate_huge_ts", "multirate", {**_MULTIRATE, "K": 2, "T_s": 10**400}, []),  # 2
     ("simulate_huge_m", "simulate", {**_MULTIRATE, "K": 2, "M": [10**18, 3, 4]}, []),  # 2
+    # a count beyond sys.maxsize, and evaluation states whose shape NumPy
+    # refuses outright
+    ("multirate_huge_degree", "multirate", {**_MULTIRATE, "K": 30, "degree": 10**400}, []),  # 2
+    (
+        "multirate_huge_eval",
+        "multirate",
+        {**_MULTIRATE, "K": 30, "eval_trajectories": 2**62},
+        [],
+    ),  # 2
     # a dictionary with no observable left
     (
         "multirate_empty_dictionary",
