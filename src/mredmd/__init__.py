@@ -22,7 +22,7 @@ from .edmd import (
     KoopmanModel,
     StatePairEnsemble,
     fit_models,
-    generator_spectrum,
+    generator_spectra,
     predict_models,
 )
 from .experiments import (
@@ -86,7 +86,7 @@ __all__ = [
     "KoopmanModel",
     "StatePairEnsemble",
     "fit_models",
-    "generator_spectrum",
+    "generator_spectra",
     "predict_models",
     # experiments
     "ExperimentConfig",

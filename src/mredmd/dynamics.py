@@ -295,7 +295,8 @@ class Ensemble:
     read it; a reference of the full state is an ensemble of its own,
     sampled on a full-state layout next to the partial one.
 
-    The arrays are validated once, on construction.
+    The arrays are validated once, on construction; :func:`sample_ensembles`
+    makes arrays that are valid by construction and skips the checks.
     """
 
     times: dict
@@ -326,6 +327,15 @@ class Ensemble:
 
     def __len__(self):
         return self.indices.size
+
+    @classmethod
+    def _unchecked(cls, times, values, indices):
+        """An ensemble of arrays that are valid by construction, as
+        :func:`sample_ensembles` makes them, built without the validation
+        of :meth:`__post_init__`."""
+        ensemble = object.__new__(cls)
+        ensemble.times, ensemble.values, ensemble.indices = times, values, indices
+        return ensemble
 
 
 def _as_fraction(t, what):
@@ -471,10 +481,15 @@ def sample_ensembles(field, layouts, n_traj, seeds, init_box=None):
     """Sample the same ``n_traj`` trajectories of ``field`` for each of
     ``seeds`` on each of ``layouts`` (lists of schedules, one per state
     component), all drawn in one pass (:func:`_substream_uniform`) and
-    integrated in one RK4 pass (see :func:`integrate_stacked`). Returns, per
+    integrated in one RK4 pass (:func:`integrate` of all seeds' rows,
+    ``(seeds * n_traj, dim)``). Returns, per
     seed, one :class:`Ensemble` per layout: a full-state layout next to a
     partial one gives the true states of the very trajectories the partial
-    one samples.
+    one samples. Each component of a layout is copied out of the RK4 grid
+    once for all seeds, and each seed's samples are a view of that copy;
+    the ensembles share their read-only times and indices and skip the
+    constructor's validation, which RK4's finiteness check and the
+    generated times make redundant.
 
     Initial conditions are i.i.d. uniform on ``init_box``, (low, high) per
     axis (default [-1, 1]^dim), from per-trajectory substreams keyed by
@@ -496,7 +511,7 @@ def sample_ensembles(field, layouts, n_traj, seeds, init_box=None):
     box = np.asarray([(-1.0, 1.0)] * n if init_box is None else init_box, dtype=float)
     if box.shape != (n, 2) or not np.all(box[:, 0] < box[:, 1]):
         raise ConfigurationError(f"init_box must be (dim, 2) with low < high, got {box!r}")
-    x0s = list(_substream_uniform(seeds, n_traj, box))
+    x0s = _substream_uniform(seeds, n_traj, box)
 
     # The sample grid, spacing g, holds every sample time; RK4 runs
     # _STEPS_PER_GRID micro-steps per grid step and keeps grid rows.
@@ -505,29 +520,26 @@ def sample_ensembles(field, layouts, n_traj, seeds, init_box=None):
     h, g = float(h_frac), h_frac * _STEPS_PER_GRID
     end = max(s.dead_time + s.count * s.period for layout in layouts for s in layout)
     n_steps = _STEPS_PER_GRID * math.ceil(_as_fraction(end, "end time") / g)
-    stacked = integrate_stacked(field, x0s, h, n_steps, every=_STEPS_PER_GRID)
-    # g divides every dead time and period, so the grid indices are exact;
-    # they are built after the grid, whose size integrate checks
-    grids = [
-        {
-            s.component: int(_as_fraction(s.dead_time, "dead_time") / g)
-            + int(_as_fraction(s.period, "period") / g) * np.arange(s.count + 1)
-            for s in layout
-        }
-        for layout in layouts
-    ]
-    return [
-        [
-            Ensemble(
-                times={s.component: s.instants() for s in layout},
-                values={
-                    s.component: np.ascontiguousarray(dense[grid[s.component], :, s.component].T)
-                    for s in layout
-                },
-                indices=np.arange(n_traj),
-            )
-            for layout, grid in zip(layouts, grids)
-        ]
-        for dense in stacked
-    ]
+    dense = integrate(field, x0s.reshape(-1, n), h, n_steps, every=_STEPS_PER_GRID)
+    indices = np.arange(n_traj)
+    indices.flags.writeable = False
+    ensembles = [[] for _ in x0s]
+    for layout in layouts:
+        times, blocks = {}, {}
+        for s in layout:
+            times[s.component] = s.instants()
+            times[s.component].flags.writeable = False
+            # g divides every dead time and period, so the grid indices are
+            # exact; they are built after the grid, whose size integrate checks
+            grid = int(_as_fraction(s.dead_time, "dead_time") / g) + int(
+                _as_fraction(s.period, "period") / g
+            ) * np.arange(s.count + 1)
+            # one (seeds, K, M_i + 1) copy per component; each seed's
+            # samples are a contiguous view of it
+            samples = dense[grid, :, s.component].reshape(s.count + 1, len(x0s), n_traj)
+            blocks[s.component] = np.ascontiguousarray(samples.transpose(1, 2, 0))
+        for seed, own in enumerate(ensembles):
+            values = {comp: block[seed] for comp, block in blocks.items()}
+            own.append(Ensemble._unchecked(dict(times), values, indices))
+    return ensembles
 

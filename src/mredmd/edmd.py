@@ -81,8 +81,10 @@ class KoopmanModel(ComplexGenerator):
 def fit_models(pair_sets, dictionary):
     """Lift each of ``pair_sets`` into (P_x, P_y) and fit K = P_y P_x^+ plus
     the generator L = log(K)/step, all in one :func:`linalg.koopman_fit` of
-    the stacked lifts. The sets hold the same number of pairs at one step
-    (as the seeds of a sweep do).
+    the stacked lifts. The sets hold the same number of pairs of one state
+    size at one step (as the seeds of a sweep do); the ``x`` of all sets
+    are lifted in one :meth:`Dictionary.evaluate_columns` call, and the
+    ``y`` in another.
 
     Fewer pairs than observables emit a :class:`RankDeficiencyWarning`. The
     fit's warnings and a singular-K error are labelled with the pair and
@@ -100,11 +102,17 @@ def fit_models(pair_sets, dictionary):
     if not pair_sets:
         return []
     first = pair_sets[0]
-    if any(p.n_pairs != first.n_pairs or p.step != first.step for p in pair_sets):
+    if any(p.x.shape != first.x.shape or p.step != first.step for p in pair_sets):
         raise ConfigurationError("pair sets fit together must share their size and step")
-    p_xs, p_ys = np.empty((2, len(pair_sets), dictionary.size, first.n_pairs))
-    for pairs, p_x, p_y in zip(pair_sets, p_xs, p_ys):
-        p_x[...], p_y[...] = _lifted(pairs, dictionary)
+    p_xs, p_ys = (_lifted([getattr(p, side) for p in pair_sets], dictionary) for side in "xy")
+    if first.n_pairs < dictionary.size:
+        for _ in pair_sets:
+            warnings.warn(
+                f"only {first.n_pairs} pairs for a dictionary of size "
+                f"{dictionary.size}; the fit is underdetermined",
+                RankDeficiencyWarning,
+                stacklevel=2,
+            )
     with labelled(f"EDMD fit ({first.n_pairs} pairs, {dictionary.size} observables)"):
         k_mats, l_complex = linalg.koopman_fit(p_xs, p_ys, first.step)
     return [
@@ -113,19 +121,13 @@ def fit_models(pair_sets, dictionary):
     ]
 
 
-def _lifted(pairs, dictionary):
-    """(P_x, P_y) of ``pairs``; warns at the caller's caller when there are
-    fewer pairs than observables."""
-    p_x = dictionary.evaluate_columns(pairs.x)
-    p_y = dictionary.evaluate_columns(pairs.y)
-    if pairs.n_pairs < dictionary.size:
-        warnings.warn(
-            f"only {pairs.n_pairs} pairs for a dictionary of size "
-            f"{dictionary.size}; the fit is underdetermined",
-            RankDeficiencyWarning,
-            stacklevel=3,
-        )
-    return p_x, p_y
+def _lifted(states, dictionary):
+    """The lifts (B, N, K) of ``states``, B arrays (n, K), from one
+    :meth:`Dictionary.evaluate_columns` call; each column's lift depends on
+    that column alone, and one array's lift is a view of the call's."""
+    lifted = dictionary.evaluate_columns(np.concatenate(states, axis=1))
+    by_set = lifted.reshape(len(lifted), len(states), -1)  # (N, B, K)
+    return np.ascontiguousarray(by_set.swapaxes(0, 1))
 
 
 def predict_models(models, x0, steps, mode="rollout"):
@@ -213,7 +215,20 @@ def _advance(models, dictionary, readout, x, mode, out, diverged_at):
         out[:, :, j] = x
 
 
-def generator_spectrum(model):
-    """Eigenvalues of the real-cast generator matrix."""
-    return linalg.eigenvalues(model.l_mat)
+def generator_spectra(models):
+    """Eigenvalues of each of ``models``' real-cast generator matrices, from
+    one :func:`linalg.eigenvalues` call on their stack; the models share
+    their size (as the models of a report, or of the seeds of a sweep, do).
+
+    Raises
+    ------
+    ConfigurationError
+        If the models differ in size.
+    """
+    generators = [model.l_mat for model in models]
+    if not generators:
+        return []
+    if any(g.shape != generators[0].shape for g in generators):
+        raise ConfigurationError("models whose spectra are taken together must share their size")
+    return list(linalg.eigenvalues(np.stack(generators)))
 

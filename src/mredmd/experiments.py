@@ -424,29 +424,39 @@ def evaluate_prediction(sets, mode="rollout"):
     models = [sets[i][0][name] for i, name in flat]
     starts = np.stack([sets[i][1] for i, _ in flat])
     horizon = sets[0][2].shape[1]
-    for (i, name), preds in zip(flat, edmd.predict_models(models, starts, horizon, mode)):
-        finite = np.all(np.isfinite(preds), axis=2)
-        prefix = np.where(finite.all(axis=1), horizon, np.argmax(~finite, axis=1))
-        sq_err = (preds - sets[i][2]) ** 2
-        per_traj = np.full(len(preds), np.inf)
-        # one reduction per prefix length; each row sums as a mean over it alone
-        for p in np.unique(prefix[prefix > 0]).tolist():
-            rows = prefix == p
-            per_traj[rows] = np.sqrt(np.mean(sq_err[rows, :p].reshape(rows.sum(), -1), axis=1))
+    preds = edmd.predict_models(models, starts, horizon, mode)  # (F, E, horizon, n)
+    finite = np.all(np.isfinite(preds), axis=3)
+    prefix = np.where(finite.all(axis=2), horizon, np.argmax(~finite, axis=2))
+    sq_err = (preds - np.stack([sets[i][2] for i, _ in flat])) ** 2
+    per_traj = np.full(prefix.shape, np.inf)
+    # one reduction per prefix length; each row sums as a mean over it alone
+    for p in np.unique(prefix[prefix > 0]).tolist():
+        rows = prefix == p
+        per_traj[rows] = np.sqrt(np.mean(sq_err[rows, :p].reshape(rows.sum(), -1), axis=1))
+    for (i, name), model_preds, model_rmse in zip(flat, preds, per_traj.tolist()):
         predictions, rmse = results[i]
-        predictions[name] = preds
-        rmse[name] = per_traj.tolist()
+        predictions[name] = model_preds
+        rmse[name] = model_rmse
     return results
 
 
 def _finish_reports(reports, cfg, fld):
     """Spectra, distances to the ideal model, and prediction evaluation, with
     the evaluation truths of all reports in one RK4 batch and their
-    predictions in one :func:`edmd.predict_models` call."""
-    for report in reports:
+    predictions in one :func:`edmd.predict_models` call. The spectra of all
+    models of all reports come from one :func:`edmd.generator_spectra` call."""
+    evaluated = [report for report in reports if report.models]
+
+    def spectra(idx):
+        flat = iter(edmd.generator_spectra(m for i in idx for m in evaluated[i].models.values()))
+        return [{name: next(flat) for name in evaluated[i].models} for i in idx]
+
+    for report, own in zip(evaluated, _per_seed(evaluated, "spectra", spectra)):
+        if own is None:
+            continue
         with _stage(report, "spectra"):
             for name, model in report.models.items():
-                report.spectra[name] = edmd.generator_spectrum(model)
+                report.spectra[name] = own[name]
                 report.residuals[name] = model.imag_residual
             if "ideal" in report.spectra:
                 for name in report.methods:
@@ -454,7 +464,6 @@ def _finish_reports(reports, cfg, fld):
                         report.distances[name] = spectrum_distance(
                             report.spectra[name], report.spectra["ideal"]
                         )
-    evaluated = [report for report in reports if report.models]
     x0s = [_eval_initial_conditions(cfg, report.seed, fld.dim) for report in evaluated]
     truths = _per_seed(
         evaluated,
@@ -509,12 +518,13 @@ def _run_seeds(cfg, seeds):
     """
     fld = system_field(cfg.system)
     dictionary = monomial_dictionary(fld.dim, cfg.degree, cfg.include_constant)
+    echo = _config_echo(cfg)  # one echo for all: run and run_sweep validate the seeds
     reports = [
         ExperimentReport(
             schema=SCHEMA_ID,
             mode=cfg.mode,
             seed=seed,
-            config=_config_echo(replace(cfg, seed=seed)),
+            config={**echo, "seed": seed},
             methods=_methods(cfg),
             dictionary=dictionary,
         )
@@ -595,7 +605,8 @@ def ideal_noise_floor(cfg, seeds):
     the seed's run with the full state at 0, T_s and 2 T_s: the scale of
     pure sampling variation for partial-measurement spectra. One
     :func:`sample_ensembles` call (one RK4 batch) samples the ensembles of
-    every seed, and one :func:`edmd.fit_models` call fits them.
+    every seed, one :func:`edmd.fit_models` call fits them and one
+    :func:`edmd.generator_spectra` call takes their spectra.
     """
     fld = system_field(cfg.system)
     dictionary = monomial_dictionary(fld.dim, cfg.degree, cfg.include_constant)
@@ -603,7 +614,7 @@ def ideal_noise_floor(cfg, seeds):
     keys = [(seed, _NOISE_FLOOR_STREAM, half) for seed in seeds for half in (1, 2)]
     fulls = [full for (full,) in sample_ensembles(fld, [full_state], cfg.K, keys, cfg.init_box)]
     pairs = hankel.reconstruct_states(fulls, full_state, [{}] * len(fulls), cfg.T_s)
-    spectra = [edmd.generator_spectrum(model) for model in edmd.fit_models(pairs, dictionary)]
+    spectra = edmd.generator_spectra(edmd.fit_models(pairs, dictionary))
     return [spectrum_distance(a, b) for a, b in zip(spectra[::2], spectra[1::2])]
 
 

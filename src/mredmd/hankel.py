@@ -49,51 +49,64 @@ class ComponentOperator(ComplexGenerator):
     l_complex: np.ndarray
 
 
-def _hankel_matrices(ensemble, schedule):
-    """(P_x, P_y) of one component: column k of P_y holds the window of
-    column k of P_x shifted by one period, so row l of P_y equals row l+1 of
-    P_x exactly for l < M_i - 1.
+def _hankel_stacks(ensembles, schedule):
+    """(P_x, P_y) stacks (B, M_i, K) of one component of each of
+    ``ensembles``: column k of P_y holds the window of column k of P_x
+    shifted by one period, so row l of P_y equals row l+1 of P_x exactly
+    for l < M_i - 1. The sample times of all ensembles are checked against
+    the schedule in one comparison.
 
     Raises
     ------
     DataError
-        Naming the component when samples are missing or misplaced.
+        Naming the component when the first ensemble at fault misses
+        samples or misplaces them, or when the ensembles differ in size.
     """
     m = schedule.count
     comp = schedule.component
-    if comp not in ensemble.times:
-        raise DataError(f"component {comp}: no samples in the ensemble")
-    times = ensemble.times[comp]
-    if times.size < m + 1:
-        raise DataError(f"component {comp}: {times.size} samples, schedule needs {m + 1}")
-    if not np.allclose(times[: m + 1], schedule.instants(), rtol=0.0, atol=TIME_MATCH_TOL):
+    windows = []
+    for ensemble in ensembles:
+        times = ensemble.times.get(comp, ())
+        if len(times) < m + 1:
+            break
+        windows.append(times[: m + 1])
+    # the first ensemble at fault names the error, as in a loop over them
+    instants = schedule.instants()
+    if windows and not np.isclose(windows, instants, rtol=0.0, atol=TIME_MATCH_TOL).all():
         raise DataError(f"component {comp}: sample times do not match the schedule instants")
-    values = ensemble.values[comp]
-    return np.ascontiguousarray(values[:, :m].T), np.ascontiguousarray(values[:, 1 : m + 1].T)
+    if len(windows) < len(ensembles):
+        times = ensembles[len(windows)].times
+        if comp not in times:
+            raise DataError(f"component {comp}: no samples in the ensemble")
+        raise DataError(f"component {comp}: {times[comp].size} samples, schedule needs {m + 1}")
+    values = [ensemble.values[comp] for ensemble in ensembles]
+    if any(len(v) != len(values[0]) for v in values):
+        raise DataError(f"component {comp}: ensembles of different sizes")
+    shape = (len(values), m, len(values[0]))
+    return tuple(
+        np.stack([v[:, lag : lag + m].T for v in values], out=np.empty(shape)) for lag in (0, 1)
+    )
 
 
 def _fit_operators(ensembles, schedule):
     """The :class:`ComponentOperator` of one component in each of
     ``ensembles``, which hold the same number of trajectories, from one
     :func:`linalg.koopman_fit` of their stacked delay matrices."""
-    pairs = [_hankel_matrices(ensemble, schedule) for ensemble in ensembles]
-    m, n_traj = pairs[0][0].shape
-    if any(p_x.shape != (m, n_traj) for p_x, _ in pairs):
-        raise DataError(f"component {schedule.component}: ensembles of different sizes")
-    for _ in pairs:
-        if n_traj < m:
+    p_xs, p_ys = _hankel_stacks(ensembles, schedule)
+    m, n_traj = p_xs.shape[1:]
+    if n_traj < m:
+        for _ in p_xs:
             warnings.warn(
                 f"component {schedule.component}: {n_traj} trajectories < {m} delay "
                 "observables; P_x cannot be full row rank",
                 RankDeficiencyWarning,
                 stacklevel=3,
             )
-    p_xs, p_ys = (np.stack(mats) for mats in zip(*pairs))
     with labelled(f"component {schedule.component}"):
         k_mats, l_complex = linalg.koopman_fit(p_xs, p_ys, schedule.period)
     return [
         ComponentOperator(schedule=schedule, p_x=p_x, k_mat=k, l_complex=l)
-        for (p_x, _), k, l in zip(pairs, k_mats, l_complex)
+        for p_x, k, l in zip(p_xs, k_mats, l_complex)
     ]
 
 

@@ -459,19 +459,20 @@ def _pade_exp(arr, m, s):
 
 
 def eigenvalues(a):
-    """Full eigenvalue multiset of a square matrix.
+    """Full eigenvalue multiset of a square matrix, or of each matrix of a
+    stack (B, N, N).
 
-    Returns a complex array sorted by (real part, imaginary part) so that
-    downstream output is reproducible.
+    Returns a complex array, (N,) or (B, N), each matrix's eigenvalues
+    sorted by (real part, imaginary part) so that downstream output is
+    reproducible. Each matrix of a stack gets the bits of its own call.
     """
-    arr = _as_matrix(a, "a", complex_ok=True)
+    arr = _as_matrix(a, "a", complex_ok=True, stack=True)
     _require_square(arr, "a")
     try:
-        w = np.linalg.eigvals(arr)
+        w = np.linalg.eigvals(arr).astype(complex, copy=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigenvalue iteration did not converge: {exc}") from exc
-    order = np.lexsort((w.imag, w.real))
-    return w[order]
+    return np.take_along_axis(w, np.lexsort((w.imag, w.real)), axis=-1)
 
 
 def cast_real(m):

@@ -1,8 +1,9 @@
 """Batched kernels against their one-item calls, bit for bit.
 
-A stack given to ``matrix_log``, ``matrix_exp`` or ``koopman_fit``, a
-multi-key ``_substream_uniform``, a grouped ``predict_models`` and a sweep
-group's reconstruction must give each item the bits, the warnings and the
+A stack given to ``matrix_log``, ``matrix_exp``, ``koopman_fit`` or
+``eigenvalues``, a multi-key ``_substream_uniform``, a grouped
+``predict_models``, a sweep group's component fits, reconstruction, lifts,
+spectra and evaluation must give each item the bits, the warnings and the
 errors of its own call, in item order. The stacks mix root counts, Pade
 degrees, squaring counts, pinv ranks and matrix sizes, and some hold an
 item that warns or fails, which makes the whole stack run again one item at
@@ -17,9 +18,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from mredmd import dynamics, experiments, hankel, linalg
+from mredmd import dynamics, edmd, experiments, hankel, linalg
 from mredmd.edmd import KoopmanModel, StatePairEnsemble, fit_models, predict_models
 from mredmd.errors import (
+    DataError,
+    DimensionMismatchError,
     DivergenceWarning,
     ImaginaryResidualWarning,
     MredmdError,
@@ -362,3 +365,268 @@ def test_group_reconstruction_sets_equal_their_loop():
         assert pairs.x.tobytes() == alone.x.tobytes()
         assert pairs.y.tobytes() == alone.y.tobytes()
         assert (pairs.x_estimated, pairs.y_estimated) == (alone.x_estimated, alone.y_estimated)
+
+
+def component_fits(ensembles, schedules, targets):
+    """The loop that :func:`hankel.fit_component_operators` stands for: per
+    needed component, in schedule order, one one-ensemble
+    :func:`hankel._fit_operators` call per ensemble, as one dict per
+    ensemble."""
+    needed = hankel.estimated_components(schedules, targets)
+    sets = [{} for _ in ensembles]
+    for s in schedules:
+        if s.component in needed:
+            for operators, ensemble in zip(sets, ensembles):
+                (operators[s.component],) = hankel._fit_operators([ensemble], s)
+    return sets
+
+
+def assert_same_operator_sets(group, loop):
+    assert [list(operators) for operators in group] == [list(operators) for operators in loop]
+    for operators, expected in zip(group, loop):
+        for comp, operator in operators.items():
+            for name in ("p_x", "k_mat", "l_complex"):
+                a, b = getattr(operator, name), getattr(expected[comp], name)
+                assert a.tobytes() == b.tobytes() and a.shape == b.shape
+
+
+#: Single-state with four delay observables per component on K=6: component
+#: 0 of seed 1 warns, so its stacked fit runs again one matrix at a time.
+SMALL_M4 = replace(SINGLE_STATE, K=6, M=(4, 4, 4))
+
+
+@pytest.mark.parametrize("cfg, seeds", [(SINGLE_STATE, range(4)), (SMALL_M4, range(10))])
+def test_component_fit_stacks_are_each_ensemble_alone(cfg, seeds):
+    schedules, targets = experiments.derive_schedules(cfg), experiments._targets(cfg)
+    ensembles = [ensemble for ensemble, _ in experiments.simulate(cfg, seeds)]
+    group = outcome(lambda: hankel.fit_component_operators(ensembles, schedules, targets))
+    loop = outcome(lambda: component_fits(ensembles, schedules, targets))
+    assert group[0] == loop[0]  # warnings: text, label and order
+    assert_same_operator_sets(group[1], loop[1])
+    if cfg is SMALL_M4:
+        assert [message.split(":")[0] for _, message in group[0]] == ["component 0"] * 2
+
+
+def test_component_fit_checks_each_ensemble_before_stacking():
+    cfg = SINGLE_STATE
+    schedules, targets = experiments.derive_schedules(cfg), experiments._targets(cfg)
+    (ensemble, _), (other, _) = experiments.simulate(cfg, range(2))
+    fewer = dynamics.Ensemble(
+        times=ensemble.times, values={c: v[:50] for c, v in ensemble.values.items()},
+        indices=range(50),
+    )
+    with pytest.raises(DataError, match="component 0: ensembles of different sizes"):
+        hankel.fit_component_operators([ensemble, fewer], schedules, targets)
+    shifted = dynamics.Ensemble(
+        times={c: t + 0.01 for c, t in ensemble.times.items()}, values=ensemble.values,
+        indices=ensemble.indices,
+    )
+    missing = dynamics.Ensemble(
+        times={c: t for c, t in ensemble.times.items() if c}, indices=ensemble.indices,
+        values={c: v for c, v in ensemble.values.items() if c},
+    )
+    # the first ensemble at fault names the error, as in a loop of one-ensemble fits
+    for group, message in (
+        ([other, shifted, missing], "component 0: sample times do not match"),
+        ([other, missing, shifted], "component 0: no samples in the ensemble"),
+    ):
+        with pytest.raises(DataError, match=message):
+            hankel.fit_component_operators(group, schedules, targets)
+
+
+def test_component_fit_warns_for_the_components_before_a_data_error():
+    # component 0 of seed 1 warns; component 1 is missing from seed 2, so
+    # its error comes after component 0's fit and warnings, as in the loop
+    cfg = SMALL_M4
+    schedules, targets = experiments.derive_schedules(cfg), experiments._targets(cfg)
+    ensembles = [ensemble for ensemble, _ in experiments.simulate(cfg, range(3))]
+    ensembles[2] = dynamics.Ensemble(
+        times={c: t for c, t in ensembles[2].times.items() if c != 1},
+        values={c: v for c, v in ensembles[2].values.items() if c != 1},
+        indices=ensembles[2].indices,
+    )
+    group = outcome(lambda: hankel.fit_component_operators(ensembles, schedules, targets))
+    loop = outcome(lambda: component_fits(ensembles, schedules, targets))
+    assert group == loop
+    assert group[1] == (DataError, "component 1: no samples in the ensemble")
+    assert [message.split(":")[0] for _, message in group[0]] == ["component 0"] * 2
+
+
+def real_and_complex_generators():
+    """Generators (2x2) with a complex pair, a real pair, a repeated
+    eigenvalue and a Jordan block, in one stack."""
+    rng = np.random.default_rng(4)
+    q = rng.normal(size=(2, 2))
+    return [
+        np.array([[-0.1, 2.0], [-2.0, -0.1]]),
+        q @ np.diag([-0.5, 0.3]) @ np.linalg.inv(q),
+        -0.7 * np.eye(2),
+        np.array([[0.2, 1.0], [0.0, 0.2]]),
+    ]
+
+
+def as_models(generators):
+    dictionary = monomial_dictionary(len(generators[0]), 1, include_constant=False)
+    return [KoopmanModel(dictionary, linalg.matrix_exp(0.1 * g), g + 0j, 0.1) for g in generators]
+
+
+@pytest.mark.parametrize(
+    "generators",
+    [real_and_complex_generators(), [np.array([[-0.3]]), np.array([[1.5]])]],
+    ids=["complex_pairs_and_repeats", "one_by_one"],
+)
+def test_generator_spectra_are_each_models_eigenvalues(generators):
+    models = as_models(generators)
+    spectra = edmd.generator_spectra(models)
+    assert len(spectra) == len(models)
+    for spectrum, model in zip(spectra, models):
+        np.testing.assert_array_equal(spectrum, linalg.eigenvalues(model.l_mat), strict=True)
+        assert spectrum.tobytes() == linalg.eigenvalues(model.l_mat).tobytes()
+    assert spectra[0].dtype == complex
+
+
+def test_generator_spectra_refuse_a_non_finite_generator_as_eigenvalues_does():
+    models = as_models(real_and_complex_generators())
+    models[2] = replace(models[2], l_complex=np.full((2, 2), np.nan + 0j))
+    with pytest.raises(DimensionMismatchError) as alone:
+        linalg.eigenvalues(models[2].l_mat)
+    with pytest.raises(DimensionMismatchError) as group:
+        edmd.generator_spectra(models)
+    assert str(group.value) == str(alone.value)
+    assert edmd.generator_spectra([]) == []
+
+
+def test_sampled_ensembles_pass_the_public_validation(monkeypatch):
+    checked = []
+    post_init = dynamics.Ensemble.__post_init__
+
+    def count(self):
+        checked.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(dynamics.Ensemble, "__post_init__", count)
+    samples = experiments.simulate(SINGLE_STATE, range(10))
+    assert checked == []  # the sampling path validates nothing again
+    for ensemble in (e for pair in samples for e in pair):
+        validated = dynamics.Ensemble(
+            times=dict(ensemble.times), values=dict(ensemble.values), indices=ensemble.indices
+        )
+        for comp in ensemble.times:
+            assert validated.times[comp].tobytes() == ensemble.times[comp].tobytes()
+            assert validated.values[comp].tobytes() == ensemble.values[comp].tobytes()
+            assert ensemble.values[comp].flags.c_contiguous
+        np.testing.assert_array_equal(validated.indices, np.arange(100), strict=True)
+    assert len(checked) == 20
+
+
+@pytest.mark.parametrize(
+    "times, values, indices, message",
+    [
+        ({0: [0.0, 0.1]}, {0: [[1.0, 2.0]]}, [], "nonempty 1-D"),
+        ({0: [0.0, 0.1]}, {0: [[1.0, 2.0]] * 2}, [1, 1], "unique"),
+        ({0: [0.0, 0.1]}, {1: [[1.0, 2.0]]}, [0], "same components"),
+        ({0: [0.0, 0.1]}, {0: [[1.0, 2.0, 3.0]]}, [0], r"do not form \(M\+1,\)"),
+        ({0: [0.0, np.inf]}, {0: [[1.0, 2.0]]}, [0], "non-finite"),
+        ({0: [0.0, 0.1]}, {0: [[1.0, np.nan]]}, [0], "non-finite"),
+        ({0: [0.1, 0.1]}, {0: [[1.0, 2.0]]}, [0], "strictly increasing"),
+    ],
+)
+def test_public_ensemble_still_validates(times, values, indices, message):
+    with pytest.raises(DataError, match=message):
+        dynamics.Ensemble(times=times, values=values, indices=indices)
+
+
+def test_evaluate_prediction_sets_are_each_set_alone():
+    base = lorenz_models(3)
+    # models that diverge after a few steps, at different steps per row
+    fast = KoopmanModel(base[0].dictionary, base[0].k_mat * 3.0, base[0].l_complex, 0.1)
+    slow = KoopmanModel(base[1].dictionary, base[1].k_mat * 1.5, base[1].l_complex, 0.1)
+    rng = np.random.default_rng(21)
+    sets = []
+    for models in ({"a": base[0], "fast": fast}, {"a": base[1]}, {"slow": slow, "b": base[2]}):
+        x0s = rng.uniform(-1, 1, size=(5, 3))
+        x0s[1] *= 1e3
+        x0s[3] *= 1e20
+        sets.append((models, x0s, rng.uniform(-1, 1, size=(5, 12, 3))))
+    with np.errstate(all="ignore"):
+        group = outcome(lambda: experiments.evaluate_prediction(sets, "relift"))
+        alone = outcome(lambda: [experiments.evaluate_prediction([s], "relift")[0] for s in sets])
+    assert group[0] == alone[0] and group[0]
+    prefixes = set()
+    for (preds, rmse), (preds_alone, rmse_alone) in zip(group[1], alone[1]):
+        assert list(preds) == list(preds_alone) and list(rmse) == list(rmse_alone)
+        for name in preds:
+            assert preds[name].tobytes() == preds_alone[name].tobytes()
+            assert rmse[name] == rmse_alone[name]
+            finite = np.isfinite(preds[name]).all(axis=2)
+            prefixes |= set(np.where(finite.all(axis=1), 12, np.argmax(~finite, axis=1)).tolist())
+    assert len(prefixes) >= 4  # rows end at several different steps, or run the horizon
+
+
+def count_calls(monkeypatch, owner, name):
+    """Record the shape of the first argument of each call of ``owner.name``."""
+    shapes, original = [], getattr(owner, name)
+
+    def record(*args, **kwargs):
+        shapes.append(np.shape(args[0]))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, record)
+    return shapes
+
+
+def test_sweep_group_runs_one_call_per_stage(monkeypatch):
+    fits = count_calls(monkeypatch, linalg, "koopman_fit")
+    spectra = count_calls(monkeypatch, linalg, "eigenvalues")
+    experiments.run_sweep(SINGLE_STATE, range(10))
+    # one fit per component, then the EDMD fits of the model, the ideal
+    # baseline and the noise floors
+    assert fits == [(10, 2, 100)] * 3 + [(10, 10, 100), (10, 10, 100), (20, 10, 100)]
+    # the spectra of the group's 20 models, then of its 20 noise-floor models
+    assert spectra == [(20, 10, 10), (20, 10, 10)]
+
+
+def test_fit_models_lifts_all_x_in_one_call_and_all_y_in_another(monkeypatch):
+    dictionary = monomial_dictionary(3, 2)
+    rng = np.random.default_rng(2)
+    pair_sets = [
+        StatePairEnsemble(x=x, y=0.9 * x, step=0.1) for x in rng.uniform(-1, 1, size=(10, 3, 50))
+    ]
+    lifts, evaluate_columns = [], type(dictionary).evaluate_columns
+
+    def record(self, states):
+        lifts.append(evaluate_columns(self, states))
+        return lifts[-1]
+
+    monkeypatch.setattr(type(dictionary), "evaluate_columns", record)
+    models = fit_models(pair_sets, dictionary)
+    assert [lift.shape for lift in lifts] == [(10, 500)] * 2
+    lifts.clear()
+    for pairs, model in zip(pair_sets, models):
+        (alone,) = fit_models([pairs], dictionary)
+        assert alone.k_mat.tobytes() == model.k_mat.tobytes()
+        assert alone.l_complex.tobytes() == model.l_complex.tobytes()
+    assert len(lifts) == 2 * len(pair_sets)
+
+
+def test_one_set_fit_takes_its_lifts_without_a_copy(monkeypatch):
+    dictionary = monomial_dictionary(3, 2)
+    x = np.random.default_rng(6).uniform(-1, 1, size=(3, 40))
+    lifts, evaluate_columns = [], type(dictionary).evaluate_columns
+
+    def record(self, states):
+        lifts.append(evaluate_columns(self, states))
+        return lifts[-1]
+
+    stacks, koopman_fit = [], linalg.koopman_fit
+
+    def keep(p_x, p_y, step):
+        stacks.append((p_x, p_y))
+        return koopman_fit(p_x, p_y, step)
+
+    monkeypatch.setattr(type(dictionary), "evaluate_columns", record)
+    monkeypatch.setattr(linalg, "koopman_fit", keep)
+    fit_models([StatePairEnsemble(x=x, y=0.9 * x, step=0.1)], dictionary)
+    ((p_x, p_y),) = stacks
+    assert p_x.shape == p_y.shape == (1, 10, 40)
+    assert np.shares_memory(p_x, lifts[0]) and np.shares_memory(p_y, lifts[1])

@@ -11,7 +11,7 @@ from mredmd.dynamics import integrate, lorenz_field
 from mredmd.edmd import (
     StatePairEnsemble,
     fit_models,
-    generator_spectrum,
+    generator_spectra,
     predict_models,
 )
 from mredmd.experiments import evaluate_prediction
@@ -398,7 +398,7 @@ class TestGeneratorSpectrum:
         x = np.array([[1.0, 2.0, -1.0]])
         (model,) = fit_models([StatePairEnsemble(x=x, y=0.5 * x, step=0.1)], d)
         np.testing.assert_allclose(
-            generator_spectrum(model), [np.log(0.5) / 0.1], atol=1e-10
+            generator_spectra([model])[0], [np.log(0.5) / 0.1], atol=1e-10
         )
 
     def test_identity_model_zero(self):
@@ -406,7 +406,7 @@ class TestGeneratorSpectrum:
         rng = np.random.default_rng(13)
         x = rng.uniform(-1, 1, size=(2, 50))
         (model,) = fit_models([StatePairEnsemble(x=x, y=x, step=0.1)], d)
-        np.testing.assert_allclose(generator_spectrum(model), np.zeros(3), atol=1e-8)
+        np.testing.assert_allclose(generator_spectra([model])[0], np.zeros(3), atol=1e-8)
 
     def test_closed_under_conjugation(self):
         rng = np.random.default_rng(14)
@@ -416,7 +416,7 @@ class TestGeneratorSpectrum:
         (model,) = fit_models(
             [StatePairEnsemble(x=x, y=y, step=0.1)], monomial_dictionary(3, 2)
         )
-        w = generator_spectrum(model)
+        (w,) = generator_spectra([model])
         from mredmd.linalg import spectrum_distance
 
         assert spectrum_distance(w, np.conj(w)) < 1e-10

@@ -154,7 +154,7 @@ def test_hankel_matrices_match_loop(schedules):
     for s in schedules:
         ref_x, ref_y = reference_hankel(records, s)
         np.testing.assert_array_equal(hankel._fit_operators([ensemble], s)[0].p_x, ref_x)
-        p_x, p_y = hankel._hankel_matrices(ensemble, s)
+        (p_x,), (p_y,) = hankel._hankel_stacks([ensemble], s)
         np.testing.assert_array_equal(p_x, ref_x)
         np.testing.assert_array_equal(p_y, ref_y)
         assert p_x.flags.c_contiguous and p_y.flags.c_contiguous
@@ -233,7 +233,7 @@ def test_noise_floor_matches_sampled_ensemble(overrides):
     spectra = []
     for half in (1, 2):
         ref = reference_noise_floor_pairs(cfg, half)
-        spectra.append(edmd.generator_spectrum(edmd.fit_models([ref], dictionary)[0]))
+        spectra += edmd.generator_spectra(edmd.fit_models([ref], dictionary))
     assert ideal_noise_floor(cfg, [cfg.seed]) == [spectrum_distance(*spectra)]
 
 

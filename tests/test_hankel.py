@@ -58,7 +58,7 @@ class TestBuildHankelMatrices:
     def test_smallest_case(self):
         schedule = SamplingSchedule(component=0, dead_time=0.0, period=1.0, count=1)
         ensemble = ensemble_from_rows([[1.0, 2.0], [3.0, 4.0]], schedule)
-        p_x, p_y = hankel._hankel_matrices(ensemble, schedule)
+        (p_x,), (p_y,) = hankel._hankel_stacks([ensemble], schedule)
         np.testing.assert_array_equal(p_x, [[1.0, 3.0]])
         np.testing.assert_array_equal(p_y, [[2.0, 4.0]])
         np.testing.assert_array_equal(hankel._fit_operators([ensemble], schedule)[0].p_x, p_x)
@@ -67,7 +67,7 @@ class TestBuildHankelMatrices:
         schedule = SamplingSchedule(component=0, dead_time=0.2, period=0.5, count=4)
         rng = np.random.default_rng(1)
         ensemble = ensemble_from_rows([rng.normal(size=5) for _ in range(7)], schedule)
-        p_x, p_y = hankel._hankel_matrices(ensemble, schedule)
+        (p_x,), (p_y,) = hankel._hankel_stacks([ensemble], schedule)
         np.testing.assert_array_equal(p_y[:-1], p_x[1:])
 
     def test_benchmark_shape(self):

@@ -25,7 +25,7 @@ def test_readme_python_block_runs(capsys):
 
 def test_readme_names_resolve():
     names = set(re.findall(r"\bmredmd\.(\w+)", README.read_text()))
-    assert {"fit_models", "hankel"} <= names
+    assert {"fit_models", "generator_spectra", "hankel"} <= names
     unresolved = [
         name
         for name in sorted(names)

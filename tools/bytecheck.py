@@ -96,6 +96,16 @@ COMMANDS = [
     ),  # 1
     ("compare_single_fine", "compare", _SINGLE_FINE, ["--num-seeds", "10"]),
     ("compare_single_k5", "compare", {**_SINGLE, "K": 5}, ["--num-seeds", "4"]),  # 1
+    # component 0 of seed 1 warns, so its stacked fit runs again one matrix
+    # at a time, and both EDMD fits of that seed fail
+    ("single_k6_m4_s1", "single-state", {**_SINGLE, "K": 6, "M": [4, 4, 4]}, ["--seed", "1"]),  # 1
+    # seed 1 alone warns in the group
+    (
+        "compare_single_k6_m4",
+        "compare",
+        {**_SINGLE, "K": 6, "M": [4, 4, 4]},
+        ["--num-seeds", "10"],
+    ),
     # degree 3: the only commands that lift a power above 2
     ("multirate_k300_deg3", "multirate", {**_MULTIRATE, "K": 300, "degree": 3}, []),
     (
