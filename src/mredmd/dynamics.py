@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigurationError, DataError, DivergenceError
+from .errors import ConfigurationError, DataError, DivergenceError, check_step
 
 #: Instants closer than this (seconds) are considered the same sample time.
 TIME_MATCH_TOL = 1e-9
@@ -173,11 +173,7 @@ def integrate(field, x0, step, n_steps, every=1):
     are bound to local names, outputs are passed positionally, and the
     finiteness mask is laid out like the state.
     """
-    real = isinstance(step, numbers.Real) and not isinstance(step, bool)
-    # comparisons refuse nan, and an int beyond the float range unconverted
-    if not (real and 0 < step <= sys.float_info.max):
-        raise ConfigurationError(f"step must be a finite number > 0, got {step!r}")
-    step = float(step)
+    step = check_step(step)
     if isinstance(n_steps, bool) or not isinstance(n_steps, numbers.Integral) or n_steps < 0:
         raise ConfigurationError(f"n_steps must be an integer >= 0, got {n_steps!r}")
     if isinstance(every, bool) or not isinstance(every, numbers.Integral) or every < 1:

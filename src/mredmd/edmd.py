@@ -8,7 +8,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import ConfigurationError, DivergenceWarning, RankDeficiencyWarning, labelled
+from .errors import (
+    ConfigurationError,
+    DivergenceWarning,
+    RankDeficiencyWarning,
+    check_step,
+    labelled,
+)
 from .observables import Dictionary, coordinate_readout
 
 
@@ -35,8 +41,7 @@ class StatePairEnsemble:
             )
         if self.x.shape[1] < 1:
             raise ConfigurationError("ensemble needs at least one pair")
-        if self.step <= 0:
-            raise ConfigurationError(f"step must be > 0, got {self.step}")
+        check_step(self.step)
         n = self.x.shape[0]
         if not self.x_estimated:
             self.x_estimated = (False,) * n

@@ -1,7 +1,10 @@
-"""Exception and warning types shared across the package, and the label
-that names the fit a warning or a singular-matrix error came from, and the
-test that lets a batched call stand for its items."""
+"""Exception and warning types shared across the package, the check of a
+time step, the label that names the fit a warning or a singular-matrix
+error came from, and the test that lets a batched call stand for its
+items."""
 
+import numbers
+import sys
 import warnings
 from contextlib import contextmanager
 
@@ -63,6 +66,17 @@ class ExtrapolationWarning(MredmdWarning):
 
 class DivergenceWarning(MredmdWarning):
     """A prediction rollout became non-finite and was truncated."""
+
+
+def check_step(step):
+    """``float(step)`` for a finite real number > 0 (NumPy scalars
+    accepted); otherwise, bools included, a :class:`ConfigurationError`
+    naming it."""
+    real = isinstance(step, numbers.Real) and not isinstance(step, bool)
+    # comparisons refuse nan, and an int beyond the float range unconverted
+    if not (real and 0 < step <= sys.float_info.max):
+        raise ConfigurationError(f"step must be a finite number > 0, got {step!r}")
+    return float(step)
 
 
 @contextmanager

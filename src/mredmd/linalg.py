@@ -19,6 +19,7 @@ from .errors import (
     NegativeRealAxisWarning,
     NumericalError,
     SingularMatrixError,
+    check_step,
     quiet,
 )
 
@@ -85,9 +86,18 @@ def _pinv_svd(arr):
     """SVD pseudo-inverse (B, n, m) of each matrix of a (B, m, n) stack, and
     its singular values (B, min(m, n)), descending. Each matrix keeps its
     own rank, cut below max(m, n) * eps * sigma_max; the matrices of one
-    rank are inverted together."""
+    rank are inverted together.
+
+    A wide stack (m < n) is factored through its transpose, P^T = W S Z^T,
+    so P = Z S W^T: LAPACK's QR-first path for the tall P^T costs about
+    half its LQ-first path for P. Square and tall stacks are factored as
+    given."""
     try:
-        u, s, vh = np.linalg.svd(arr, full_matrices=False)
+        if arr.shape[1] < arr.shape[2]:
+            w, s, z_t = np.linalg.svd(arr.transpose(0, 2, 1), full_matrices=False)
+            u, vh = z_t.transpose(0, 2, 1), w.transpose(0, 2, 1)
+        else:
+            u, s, vh = np.linalg.svd(arr, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"SVD did not converge: {exc}") from exc
     rank = np.count_nonzero(s > max(arr.shape[1:]) * _EPS * s[:, :1], axis=1)
@@ -127,9 +137,12 @@ def koopman_fit(p_x, p_y, step):
 
     Raises
     ------
+    ConfigurationError
+        If ``step`` is not a finite real number > 0 (bools refused).
     SingularMatrixError
         If the fitted K is singular so no generator exists.
     """
+    step = check_step(step)
     return _per_matrix(_koopman_fit, (_as_matrix(p_x, "p_x", stack=True), np.asarray(p_y)), step)
 
 

@@ -232,11 +232,13 @@ def test_pinv_keeps_each_rank():
     rng = np.random.default_rng(8)
     full, low = rng.normal(size=(4, 9)), rng.normal(size=(4, 9))
     low[3] = low[0] + low[1]
-    pinvs, sigma = linalg._pinv_svd(np.stack([full, low, full]))
-    for a, p in zip((full, low, full), pinvs):
-        (alone,), _ = linalg._pinv_svd(a[None])
-        np.testing.assert_array_equal(p, alone)
-    assert sigma.shape == (3, 4)
+    # a wide stack, factored through its transpose, and a tall one
+    for stack in (np.stack([full, low, full]), np.stack([full.T, low.T, full.T])):
+        pinvs, sigma = linalg._pinv_svd(stack)
+        for a, p in zip(stack, pinvs):
+            (alone,), _ = linalg._pinv_svd(a[None])
+            np.testing.assert_array_equal(p, alone)
+        assert sigma.shape == (3, 4)
 
 
 KEYS = st.one_of(

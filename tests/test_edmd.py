@@ -214,6 +214,15 @@ class TestFitKoopman:
         with pytest.raises(ConfigurationError, match="step"):
             StatePairEnsemble(x=np.ones((2, 3)), y=np.ones((2, 3)), step=0.0)
 
+    # inf fitted an all-zero generator; nan was refused only by a
+    # multi-set fit, as sets of different steps
+    @pytest.mark.parametrize(
+        "step", [0.0, -1.0, np.inf, np.nan, -np.inf, 10**400, True, "0.1", None]
+    )
+    def test_bad_step_rejected(self, step):
+        with pytest.raises(ConfigurationError, match=r"^step must be a finite number > 0, got "):
+            StatePairEnsemble(x=np.ones((2, 3)), y=np.ones((2, 3)), step=step)
+
 
 class TestPredict:
     def test_identity_model_constant(self):

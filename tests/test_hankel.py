@@ -171,9 +171,9 @@ class TestFitComponentOperator:
 
 
     def test_factorises_p_x_once(self, monkeypatch):
-        # one SVD of P_x gives both the pseudo-inverse and cond(P_x); the
-        # other is the singularity test of K in the logarithm (each a stack
-        # of one)
+        # one SVD of P_x gives both the pseudo-inverse and cond(P_x): the
+        # wide 2 x 6 P_x is factored through its transpose; the other is
+        # the singularity test of K in the logarithm (each a stack of one)
         shapes = []
         svd = np.linalg.svd
 
@@ -184,7 +184,7 @@ class TestFitComponentOperator:
         monkeypatch.setattr(np.linalg, "svd", spy)
         schedule, ensemble = sinusoid_data()
         hankel._fit_operators([ensemble], schedule)
-        assert shapes == [(1, 2, 6), (1, 2, 2)]
+        assert shapes == [(1, 6, 2), (1, 2, 2)]
 
 
 class TestEstimateComponentAt:

@@ -10,9 +10,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from mredmd import linalg
 from mredmd.errors import (
+    ConfigurationError,
     DimensionMismatchError,
     ImaginaryResidualWarning,
     NegativeRealAxisWarning,
@@ -71,6 +74,108 @@ class TestPinv:
     def test_rejects_empty(self):
         with pytest.raises(DimensionMismatchError):
             linalg.koopman_fit(np.zeros((0, 3)), np.zeros((0, 3)), 0.1)
+
+    # 0 gave a non-finite L with two RuntimeWarnings, -1 a negated
+    # generator and inf a zero one
+    @pytest.mark.parametrize(
+        "step", [0.0, -1.0, np.inf, np.nan, -np.inf, 10**400, True, "0.1", None]
+    )
+    def test_rejects_bad_step(self, step):
+        with np.errstate(all="raise"), pytest.raises(
+            ConfigurationError, match=r"^step must be a finite number > 0, got "
+        ):
+            linalg.koopman_fit(np.eye(2), 0.5 * np.eye(2), step)
+
+
+EPS = np.finfo(float).eps
+
+#: Sizes of a pinv property matrix: two are drawn, in either order, so the
+#: stacks are wide, square or tall.
+PINV_SIZES = (1, 2, 3, 4, 7, 10, 30, 60)
+
+
+@st.composite
+def pinv_stacks(draw, wide=True):
+    """A (B, m, n) stack of full-rank, rank-deficient or mixed-rank
+    matrices: a rank r < min(m, n) matrix (r = 0 is the zero matrix) is a
+    product of thin random factors, at a random scale. Without ``wide``,
+    only square and tall stacks (m >= n)."""
+    n, m = sorted(draw(st.lists(st.sampled_from(PINV_SIZES), min_size=2, max_size=2)))
+    if wide and draw(st.booleans()):
+        m, n = n, m
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    stack = []
+    for r in draw(st.lists(st.integers(0, min(m, n)), min_size=1, max_size=4)):
+        if r < min(m, n):
+            a = rng.normal(size=(m, r)) @ rng.normal(size=(r, n))
+        else:
+            a = rng.normal(size=(m, n))
+        stack.append(10.0 ** rng.uniform(-3.0, 3.0) * a)
+    return np.stack(stack)
+
+
+def pinv_as_given(arr):
+    """``_pinv_svd`` as it factors square and tall stacks: the SVD of each
+    matrix itself, cut below max(m, n) * eps * sigma_max, matrices of one
+    rank inverted together."""
+    u, s, vh = np.linalg.svd(arr, full_matrices=False)
+    rank = np.count_nonzero(s > max(arr.shape[1:]) * EPS * s[:, :1], axis=1)
+    out = np.zeros((len(arr), arr.shape[2], arr.shape[1]))
+    for r in np.unique(rank[rank > 0]).tolist():
+        sel = rank == r
+        v_t = vh[sel][:, :r] / s[sel][:, :r, None]
+        out[sel] = v_t.transpose(0, 2, 1) @ u[sel][:, :, :r].transpose(0, 2, 1)
+    return out, s
+
+
+PINV_SETTINGS = settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+
+
+class TestPinvProperties:
+    """``_pinv_svd`` on stacks of wide, square and tall matrices."""
+
+    @PINV_SETTINGS
+    @given(pinv_stacks())
+    def test_agrees_with_numpy(self, stack):
+        m, n = stack.shape[1:]
+        pinvs, sigma = linalg._pinv_svd(stack)
+        for a, p, s in zip(stack, pinvs, sigma):
+            # singular values to the SVD's backward error, a size-scaled
+            # multiple of eps * sigma_1 (at most 12 eps sigma_1 seen at 60)
+            s_ref = np.linalg.svd(a, compute_uv=False)
+            assert np.all(np.abs(s - s_ref) <= 4 * max(m, n) * EPS * s_ref[0])
+            if s_ref[0] == 0.0:
+                np.testing.assert_array_equal(p, np.zeros((n, m)))
+                continue
+            # a singular value within a factor 10 of the rank cut may be
+            # counted either way; elsewhere the two ranks agree, and the
+            # pseudo-inverses to within the rounding that cond(A_r) amplifies
+            cut = max(m, n) * EPS * s_ref[0]
+            if np.any((s_ref > 0.1 * cut) & (s_ref < 10 * cut)):
+                continue
+            ref = np.linalg.pinv(a, rcond=max(m, n) * EPS)
+            cond_r = s_ref[0] / s_ref[s_ref > cut][-1]
+            tol = 100 * max(m, n) * EPS * cond_r * np.abs(ref).max()
+            np.testing.assert_allclose(p, ref, rtol=0, atol=tol)
+
+    @PINV_SETTINGS
+    @given(pinv_stacks())
+    def test_stack_is_each_matrix_alone(self, stack):
+        pinvs, sigma = linalg._pinv_svd(stack)
+        for a, p, s in zip(stack, pinvs, sigma):
+            (p_alone,), (s_alone,) = linalg._pinv_svd(a[None])
+            np.testing.assert_array_equal(p, p_alone)
+            np.testing.assert_array_equal(s, s_alone)
+
+    @PINV_SETTINGS
+    @given(pinv_stacks(wide=False))
+    def test_square_and_tall_keep_their_bits(self, stack):
+        pinvs, sigma = linalg._pinv_svd(stack)
+        ref_pinvs, ref_sigma = pinv_as_given(stack)
+        np.testing.assert_array_equal(pinvs, ref_pinvs)
+        np.testing.assert_array_equal(sigma, ref_sigma)
 
 
 class TestMatrixLog:
