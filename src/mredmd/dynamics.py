@@ -13,8 +13,6 @@ samples are copied out of them.
 import inspect
 import itertools
 import math
-import numbers
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -22,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigurationError, DataError, DivergenceError, check_step
+from .errors import ConfigurationError, DataError, DivergenceError, check_integer, check_number
 
 #: Instants closer than this (seconds) are considered the same sample time.
 TIME_MATCH_TOL = 1e-9
@@ -58,8 +56,7 @@ class VectorField:
     func: Callable[[tuple, tuple], None]
 
     def __post_init__(self):
-        if isinstance(self.dim, bool) or not isinstance(self.dim, numbers.Integral) or self.dim < 1:
-            raise ConfigurationError(f"dim must be an integer >= 1, got {self.dim!r}")
+        check_integer(self.dim, "dim", 1)
         if not callable(self.func):
             raise ConfigurationError(f"func must be callable, got {self.func!r}")
         try:
@@ -173,11 +170,9 @@ def integrate(field, x0, step, n_steps, every=1):
     are bound to local names, outputs are passed positionally, and the
     finiteness mask is laid out like the state.
     """
-    step = check_step(step)
-    if isinstance(n_steps, bool) or not isinstance(n_steps, numbers.Integral) or n_steps < 0:
-        raise ConfigurationError(f"n_steps must be an integer >= 0, got {n_steps!r}")
-    if isinstance(every, bool) or not isinstance(every, numbers.Integral) or every < 1:
-        raise ConfigurationError(f"every must be an integer >= 1, got {every!r}")
+    step = check_number(step, "step", positive=True)
+    n_steps = check_integer(n_steps, "n_steps", 0)
+    every = check_integer(every, "every", 1)
     if n_steps % every:
         raise ConfigurationError(f"n_steps={n_steps} is not a multiple of every={every}")
     x = np.asarray(x0, dtype=float)
@@ -252,20 +247,11 @@ class SamplingSchedule:
     count: int
 
     def __post_init__(self):
-        for name, low in (("component", 0), ("count", 1)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
-                raise ConfigurationError(f"{name} must be an integer >= {low}, got {value!r}")
-        for name in ("dead_time", "period"):
-            value = getattr(self, name)
-            real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-            # the comparison refuses nan, and an int beyond the float range unconverted
-            if not (real and abs(value) <= sys.float_info.max):
-                raise ConfigurationError(f"{name} must be a finite number, got {value!r}")
-        if self.dead_time < 0:
+        check_integer(self.component, "component", 0)
+        check_integer(self.count, "count", 1)
+        if check_number(self.dead_time, "dead_time") < 0:
             raise ConfigurationError(f"dead_time must be >= 0, got {self.dead_time}")
-        if self.period <= 0:
-            raise ConfigurationError(f"period must be > 0, got {self.period}")
+        check_number(self.period, "period", positive=True)
 
     def instants(self):
         """Sample times, shape (count + 1,)."""
@@ -273,10 +259,14 @@ class SamplingSchedule:
 
     def sample_index(self, t):
         """Index l with |r + l*T - t| <= ``TIME_MATCH_TOL``, or None if t is
-        not a sample instant."""
-        l = round((t - self.dead_time) / self.period)
+        not a sample instant. A ``t`` that is not a finite real number raises
+        a :class:`ConfigurationError` naming it."""
+        t = check_number(t, "t")
+        q = (t - self.dead_time) / self.period
+        # far beyond the window q may overflow, which round refuses
+        l = round(q) if -1 < q < self.count + 1 else -1
         if 0 <= l <= self.count and abs(self.dead_time + l * self.period - t) <= TIME_MATCH_TOL:
-            return int(l)
+            return l
         return None
 
 
@@ -412,12 +402,14 @@ def _substream_uniform(keys, n_traj, box):
     keys, groups = list(keys), {}
     for index, seed in enumerate(keys):
         parts = list(seed) if isinstance(seed, (tuple, list)) else [seed]
-        if any(isinstance(p, bool) or not isinstance(p, numbers.Integral) or p < 0 for p in parts):
-            raise ConfigurationError(f"seed must be a non-negative int or ints, got {seed!r}")
+        try:
+            parts = [check_integer(p, "seed", 0) for p in parts]
+        except ConfigurationError:
+            raise ConfigurationError(
+                f"seed must be a non-negative int or ints, got {seed!r}"
+            ) from None
         # entropy words: 32 bits at a time from each int, then the index k
-        words = [
-            int(p) >> s & _MASK32 for p in parts for s in range(0, max(int(p).bit_length(), 1), 32)
-        ]
+        words = [p >> s & _MASK32 for p in parts for s in range(0, max(p.bit_length(), 1), 32)]
         groups.setdefault(len(words), []).append((index, words))
     try:
         out = np.empty((len(keys), n_traj, len(box)))
@@ -502,8 +494,7 @@ def sample_ensembles(field, layouts, n_traj, seeds, init_box=None):
             raise ConfigurationError(
                 "schedules must cover each state component exactly once"
             )
-    if isinstance(n_traj, bool) or not isinstance(n_traj, numbers.Integral) or n_traj < 1:
-        raise ConfigurationError(f"n_traj must be an integer >= 1, got {n_traj!r}")
+    n_traj = check_integer(n_traj, "n_traj", 1)
     box = np.asarray([(-1.0, 1.0)] * n if init_box is None else init_box, dtype=float)
     if box.shape != (n, 2) or not np.all(box[:, 0] < box[:, 1]):
         raise ConfigurationError(f"init_box must be (dim, 2) with low < high, got {box!r}")

@@ -12,7 +12,8 @@ from .errors import (
     ConfigurationError,
     DivergenceWarning,
     RankDeficiencyWarning,
-    check_step,
+    check_integer,
+    check_number,
     labelled,
 )
 from .observables import Dictionary, coordinate_readout
@@ -41,7 +42,7 @@ class StatePairEnsemble:
             )
         if self.x.shape[1] < 1:
             raise ConfigurationError("ensemble needs at least one pair")
-        check_step(self.step)
+        check_number(self.step, "step", positive=True)
         n = self.x.shape[0]
         if not self.x_estimated:
             self.x_estimated = (False,) * n
@@ -153,7 +154,8 @@ def predict_models(models, x0, steps, mode="rollout"):
     Raises
     ------
     ConfigurationError
-        If the models do not share one dictionary.
+        If the models do not share one dictionary, or ``steps`` is not an
+        integer >= 1 (bools refused, NumPy integers accepted).
     """
     models = list(models)
     if not models:
@@ -167,8 +169,7 @@ def predict_models(models, x0, steps, mode="rollout"):
         raise ConfigurationError(
             "model dictionary has no coordinate observables; cannot read out states"
         ) from None
-    if steps < 1:
-        raise ConfigurationError(f"steps must be >= 1, got {steps}")
+    steps = check_integer(steps, "steps", 1)
     if mode not in ("rollout", "relift"):
         raise ConfigurationError(f"unknown prediction mode {mode!r}")
     x0 = np.asarray(x0, dtype=float)

@@ -1,7 +1,7 @@
-"""Exception and warning types shared across the package, the check of a
-time step, the label that names the fit a warning or a singular-matrix
-error came from, and the test that lets a batched call stand for its
-items."""
+"""Exception and warning types shared across the package, the checks of
+the integer counts and finite numbers that public entries take, the label
+that names the fit a warning or a singular-matrix error came from, and the
+test that lets a batched call stand for its items."""
 
 import numbers
 import sys
@@ -68,15 +68,28 @@ class DivergenceWarning(MredmdWarning):
     """A prediction rollout became non-finite and was truncated."""
 
 
-def check_step(step):
-    """``float(step)`` for a finite real number > 0 (NumPy scalars
-    accepted); otherwise, bools included, a :class:`ConfigurationError`
-    naming it."""
-    real = isinstance(step, numbers.Real) and not isinstance(step, bool)
+def check_integer(value, name, low, high=None):
+    """``int(value)`` for an integer >= ``low`` and, unless ``high`` is
+    None, <= ``high`` (NumPy integers accepted); otherwise, bools included,
+    a :class:`ConfigurationError` whose message starts with ``name``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        raise ConfigurationError(f"{name} must be an integer >= {low}, got {value!r}")
+    if high is not None and value > high:
+        raise ConfigurationError(f"{name} must be <= {high}, got {value!r}")
+    return int(value)
+
+
+def check_number(value, name, positive=False):
+    """``float(value)`` for a finite real number, > 0 if ``positive``
+    (NumPy scalars accepted); otherwise, bools and ints beyond the float
+    range included, a :class:`ConfigurationError` whose message starts
+    with ``name``."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
     # comparisons refuse nan, and an int beyond the float range unconverted
-    if not (real and 0 < step <= sys.float_info.max):
-        raise ConfigurationError(f"step must be a finite number > 0, got {step!r}")
-    return float(step)
+    if not (real and abs(value) <= sys.float_info.max and (value > 0 or not positive)):
+        bound = " > 0" if positive else ""
+        raise ConfigurationError(f"{name} must be a finite number{bound}, got {value!r}")
+    return float(value)
 
 
 @contextmanager

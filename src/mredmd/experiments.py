@@ -20,7 +20,6 @@ none escapes. ``run`` is its one-seed case.
 
 import json
 import math
-import numbers
 import re
 import sys
 import warnings
@@ -48,6 +47,8 @@ from .errors import (
     DimensionMismatchError,
     MredmdError,
     MredmdWarning,
+    check_integer,
+    check_number,
     quiet,
 )
 from .linalg import cast_real, matrix_exp, spectrum_distance
@@ -93,18 +94,13 @@ class ExperimentConfig:
     output_dir: Optional[str] = None
 
     def __post_init__(self):
+        # the checks return Python numbers, which the config stores
         for name, low in _INT_FIELDS.items():
             value = getattr(self, name)
-            if value is None and name == "state_dim":
-                continue
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ConfigurationError(f"{name} must be an integer, got {value!r}")
-            if value < low:
-                raise ConfigurationError(f"{name} must be >= {low}, got {value}")
-            if value > sys.maxsize and name != "seed":
-                raise ConfigurationError(f"{name} must be <= {sys.maxsize}, got {value}")
-        if not _is_real(self.T_s) or self.T_s <= 0:
-            raise ConfigurationError(f"T_s must be a finite number > 0, got {self.T_s!r}")
+            if value is not None or name != "state_dim":
+                high = None if name == "seed" else sys.maxsize
+                object.__setattr__(self, name, check_integer(value, name, low, high))
+        object.__setattr__(self, "T_s", check_number(self.T_s, "T_s", positive=True))
         if not isinstance(self.system, str) or self.system not in _SYSTEMS:
             raise ConfigurationError(
                 f"unknown system {self.system!r}; available: {sorted(_SYSTEMS)}"
@@ -148,9 +144,9 @@ class ExperimentConfig:
             object.__setattr__(self, "M", _counts("M", self.M, n))
         if self.init_box is not None:
             box = _tuple_of(
-                "init_box", self.init_box, n, _is_interval, "(low, high) pairs with low < high"
+                "init_box", self.init_box, n, _interval, "(low, high) pairs with low < high"
             )
-            object.__setattr__(self, "init_box", tuple(tuple(float(v) for v in p) for p in box))
+            object.__setattr__(self, "init_box", box)
 
     @property
     def dimension(self):
@@ -182,41 +178,29 @@ class ExperimentConfig:
         return asdict(self)
 
 
-def _is_real(value):
-    """A finite int or float that is not a bool; an int beyond the float
-    range is not finite (comparisons also refuse nan, unconverted)."""
-    return (
-        not isinstance(value, bool)
-        and isinstance(value, (int, float))
-        and abs(value) <= sys.float_info.max
-    )
+def _interval(pair):
+    """``pair`` as a (low, high) tuple of finite floats with low < high."""
+    if isinstance(pair, (list, tuple)) and len(pair) == 2:
+        low, high = (check_number(v, "init_box") for v in pair)
+        if low < high:
+            return low, high
+    raise ConfigurationError(f"init_box pairs must have low < high, got {pair!r}")
 
 
-def _is_count(value):
-    """An int >= 1 that is not a bool."""
-    return not isinstance(value, bool) and isinstance(value, int) and value >= 1
-
-
-def _is_interval(value):
-    """A (low, high) pair of finite numbers with low < high."""
-    return (
-        isinstance(value, (list, tuple))
-        and len(value) == 2
-        and all(map(_is_real, value))
-        and value[0] < value[1]
-    )
-
-
-def _tuple_of(name, value, n, check, what):
-    """``value`` as a tuple of ``n`` items that pass ``check``."""
-    if not (isinstance(value, (list, tuple)) and len(value) == n and all(map(check, value))):
-        raise ConfigurationError(f"{name} must be {n} {what}, got {value!r}")
-    return tuple(value)
+def _tuple_of(name, value, n, convert, what):
+    """``value`` as a tuple of ``n`` items, each passed through ``convert``,
+    which raises a :class:`ConfigurationError` for a bad one."""
+    if isinstance(value, (list, tuple)) and len(value) == n:
+        try:
+            return tuple(map(convert, value))
+        except ConfigurationError:
+            pass
+    raise ConfigurationError(f"{name} must be {n} {what}, got {value!r}")
 
 
 def _counts(name, value, n):
     """``value`` as a tuple of ``n`` ints from 1 to ``sys.maxsize``."""
-    counts = _tuple_of(name, value, n, _is_count, "integers >= 1")
+    counts = _tuple_of(name, value, n, lambda v: check_integer(v, name, 1), "integers >= 1")
     if max(counts) > sys.maxsize:
         raise ConfigurationError(f"{name} must be <= {sys.maxsize} each, got {value!r}")
     return counts
@@ -238,13 +222,12 @@ def _config_echo(cfg):
 
 
 def lcm_of_rates(rates):
-    """Least common multiple of the per-component rate multipliers."""
-    rates = list(rates)
+    """Least common multiple of the per-component rate multipliers, each
+    an integer >= 1 (bools refused, NumPy integers accepted)."""
+    rates = [check_integer(p, f"rates[{i}]", 1) for i, p in enumerate(rates)]
     if not rates:
         raise ConfigurationError("rates must be nonempty")
-    if any(int(p) != p or p < 1 for p in rates):
-        raise ConfigurationError(f"rates must be positive integers, got {rates}")
-    return math.lcm(*(int(p) for p in rates))
+    return math.lcm(*rates)
 
 
 def derive_schedules(cfg):
@@ -441,49 +424,41 @@ def evaluate_prediction(sets, mode="rollout"):
 
 
 def _finish_reports(reports, cfg, fld):
-    """Spectra, distances to the ideal model, and prediction evaluation, with
-    the evaluation truths of all reports in one RK4 batch and their
-    predictions in one :func:`edmd.predict_models` call. The spectra of all
-    models of all reports come from one :func:`edmd.generator_spectra` call."""
+    """Spectra, distances to the ideal model, and prediction evaluation, each
+    stage one :func:`_per_seed` call: the spectra of all models of all
+    reports come from one :func:`edmd.generator_spectra` call, the
+    evaluation truths of all reports from one RK4 batch and their
+    predictions from one :func:`edmd.predict_models` call."""
     evaluated = [report for report in reports if report.models]
 
     def spectra(idx):
-        flat = iter(edmd.generator_spectra(m for i in idx for m in evaluated[i].models.values()))
-        return [{name: next(flat) for name in evaluated[i].models} for i in idx]
-
-    for report, own in zip(evaluated, _per_seed(evaluated, "spectra", spectra)):
-        if own is None:
-            continue
-        with _stage(report, "spectra"):
+        own = [evaluated[i] for i in idx]
+        flat = iter(edmd.generator_spectra(m for report in own for m in report.models.values()))
+        # stored before any distance, so a failed distance still reports them
+        for report in own:
             for name, model in report.models.items():
-                report.spectra[name] = own[name]
-                report.residuals[name] = model.imag_residual
-            if "ideal" in report.spectra:
+                report.spectra[name], report.residuals[name] = next(flat), model.imag_residual
+        for report in own:
+            ideal = report.spectra.get("ideal")
+            if ideal is not None:
                 for name in report.methods:
                     if name in report.spectra:
-                        report.distances[name] = spectrum_distance(
-                            report.spectra[name], report.spectra["ideal"]
-                        )
+                        report.distances[name] = spectrum_distance(report.spectra[name], ideal)
+        return own
+
+    _per_seed(evaluated, "spectra", spectra)
     x0s = [_eval_initial_conditions(cfg, report.seed, fld.dim) for report in evaluated]
-    truths = _per_seed(
-        evaluated,
-        "evaluate",
-        lambda idx: _eval_truths(fld, [x0s[i] for i in idx], cfg.horizon, cfg.T_s),
-    )
-    kept = [(r, x0, truth) for r, x0, truth in zip(evaluated, x0s, truths) if truth is not None]
 
     def evaluate(idx):
-        return evaluate_prediction(
-            [(kept[i][0].models, *kept[i][1:]) for i in idx], cfg.prediction_mode
-        )
+        truths = _eval_truths(fld, [x0s[i] for i in idx], cfg.horizon, cfg.T_s)
+        sets = [(evaluated[i].models, x0s[i], truth) for i, truth in zip(idx, truths)]
+        return list(zip(truths, evaluate_prediction(sets, cfg.prediction_mode)))
 
-    scores = _per_seed([r for r, _, _ in kept], "evaluate", evaluate)
-    for (report, _, truth), score in zip(kept, scores):
-        if score is None:
+    for report, result in zip(evaluated, _per_seed(evaluated, "evaluate", evaluate)):
+        if result is None:
             continue
-        report.predictions, report.rmse = score
+        report.eval_truth, (report.predictions, report.rmse) = result
         report.eval_times = np.arange(1, cfg.horizon + 1) * cfg.T_s
-        report.eval_truth = truth
         report.mean_rmse = {name: float(np.mean(vals)) for name, vals in report.rmse.items()}
 
 
@@ -633,11 +608,7 @@ def run_sweep(cfg, seeds):
     holds ``stage_errors``, each error as {seed, stage, message}, which
     :func:`emit_comparison` does not write.
     """
-    seeds = list(seeds)
-    for seed in seeds:
-        if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
-            raise ConfigurationError(f"seeds must be integers >= 0, got {seed!r}")
-    seeds = [int(s) for s in seeds]
+    seeds = [check_integer(seed, f"seeds[{i}]", 0) for i, seed in enumerate(seeds)]
     multirate = cfg.mode == "multirate"
     primary = cfg.mode
     baseline = "lcm" if multirate else "ideal"

@@ -24,6 +24,7 @@ from .errors import (
     DivergenceError,
     ExtrapolationWarning,
     RankDeficiencyWarning,
+    check_number,
     labelled,
 )
 
@@ -191,11 +192,15 @@ def reconstruct_states(ensembles, schedules, operator_sets, step, first_target=N
 
     Raises
     ------
+    ConfigurationError
+        If ``step`` is not a finite real number > 0 or ``first_target`` not
+        a finite real number, naming it.
     DataError
         If a measurement is missing, an estimate needs an operator that an
         ensemble's dict lacks, or the two lists differ in length.
     """
-    t1 = step if first_target is None else first_target
+    step = check_number(step, "step", positive=True)
+    t1 = step if first_target is None else check_number(first_target, "first_target")
     t2 = t1 + step
     n = len(schedules)
     if sorted(s.component for s in schedules) != list(range(n)):

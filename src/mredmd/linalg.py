@@ -19,7 +19,7 @@ from .errors import (
     NegativeRealAxisWarning,
     NumericalError,
     SingularMatrixError,
-    check_step,
+    check_number,
     quiet,
 )
 
@@ -142,7 +142,7 @@ def koopman_fit(p_x, p_y, step):
     SingularMatrixError
         If the fitted K is singular so no generator exists.
     """
-    step = check_step(step)
+    step = check_number(step, "step", positive=True)
     return _per_matrix(_koopman_fit, (_as_matrix(p_x, "p_x", stack=True), np.asarray(p_y)), step)
 
 

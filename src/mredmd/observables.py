@@ -9,7 +9,7 @@ from math import comb
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, check_integer
 
 
 @dataclass(frozen=True)
@@ -95,12 +95,12 @@ class Dictionary:
 def monomial_dictionary(n, degree, include_constant=True):
     """All monomials on R^n with total degree <= ``degree``, graded-lex order.
 
-    Size is C(n + degree, degree) when the constant is included.
+    Size is C(n + degree, degree) when the constant is included. ``n`` is
+    an integer >= 1 and ``degree`` one >= 0 (bools refused, NumPy integers
+    accepted); anything else raises a :class:`ConfigurationError` naming it.
     """
-    if n < 1:
-        raise ConfigurationError(f"state dimension must be >= 1, got {n}")
-    if degree < 0:
-        raise ConfigurationError(f"degree must be >= 0, got {degree}")
+    n = check_integer(n, "n", 1)
+    degree = check_integer(degree, "degree", 0)
     if degree == 0 and not include_constant:
         raise ConfigurationError("degree 0 without the constant leaves no observable")
     alphas = [

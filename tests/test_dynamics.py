@@ -402,6 +402,20 @@ class TestSamplingSchedule:
         assert s.sample_index(0.2) is None
         assert s.sample_index(1.3) is None  # beyond the last sample
 
+    @pytest.mark.parametrize("t", [float("nan"), float("inf"), -float("inf"), "0.4", True, None])
+    def test_sample_index_refuses_non_finite_times(self, t):
+        s = SamplingSchedule(component=0, dead_time=0.1, period=0.3, count=2)
+        message = re.escape(f"t must be a finite number, got {t!r}")
+        with pytest.raises(ConfigurationError, match=f"^{message}$"):
+            s.sample_index(t)
+
+    def test_sample_index_far_beyond_the_window(self):
+        # (t - r) / T overflows to inf, which round refuses
+        s = SamplingSchedule(component=0, dead_time=0.0, period=1e-300, count=2)
+        assert s.sample_index(1e300) is None
+        assert s.sample_index(-1e300) is None
+        assert s.sample_index(np.float64(2e-300)) == 2
+
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             SamplingSchedule(component=0, dead_time=-0.1, period=0.5, count=1)

@@ -1,5 +1,6 @@
 """Tests for EDMD fitting, spectra, and lifted-space prediction."""
 
+import re
 import warnings
 
 import numpy as np
@@ -399,6 +400,18 @@ class TestPredictModels:
     def test_needs_a_model(self):
         with pytest.raises(ConfigurationError, match="no models"):
             predict_models([], np.zeros(3), 5)
+
+    @pytest.mark.parametrize("steps", [2.5, True, "3", 0, -1, None])
+    def test_bad_steps_rejected(self, steps):
+        model = edmd.KoopmanModel(
+            dictionary=monomial_dictionary(2, 1),
+            k_mat=np.eye(3),
+            l_complex=np.zeros((3, 3)),
+            step=0.1,
+        )
+        message = re.escape(f"steps must be an integer >= 1, got {steps!r}")
+        with pytest.raises(ConfigurationError, match=f"^{message}$"):
+            predict_models([model], [0.4, -0.2], steps)
 
 
 class TestGeneratorSpectrum:

@@ -64,6 +64,24 @@ class TestLcmOfRates:
         with pytest.raises(ConfigurationError):
             lcm_of_rates((0, 2))
 
+    @pytest.mark.parametrize(
+        "rates, message",
+        [
+            ([True, 2], "rates[0] must be an integer >= 1, got True"),
+            ([2.0, 3], "rates[0] must be an integer >= 1, got 2.0"),
+            (["a"], "rates[0] must be an integer >= 1, got 'a'"),
+            ([2, None], "rates[1] must be an integer >= 1, got None"),
+            ([3, -4], "rates[1] must be an integer >= 1, got -4"),
+        ],
+    )
+    def test_rejects_non_integer_rates(self, rates, message):
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+            lcm_of_rates(rates)
+
+    def test_numpy_rates(self):
+        lcm = lcm_of_rates(np.array([1, 4, 3]))
+        assert lcm == 12 and type(lcm) is int
+
 
 class TestDeriveSchedules:
     def test_multirate_benchmark(self):
@@ -177,6 +195,30 @@ class TestExperimentConfig:
         data[field] = value
         with pytest.raises(ConfigurationError, match=field):
             ExperimentConfig.from_dict(data)
+
+    def test_shared_count_wording(self):
+        with pytest.raises(ConfigurationError, match=r"^K must be an integer >= 1, got 0$"):
+            multirate_config(K=0)
+        with pytest.raises(ConfigurationError, match=r"^seed must be an integer >= 0, got 1.5$"):
+            multirate_config(seed=1.5)
+
+    def test_numpy_scalars_stored_as_python_numbers(self, tmp_path):
+        # NumPy scalars pass the same checks as Python numbers; the config
+        # keeps the Python number, so its echo is JSON and its reports the
+        # plain config's bytes
+        cfg = multirate_config(
+            K=np.int64(300), rates=(np.int64(1), 4, 3), T_s=np.float64(0.1), degree=np.int32(2)
+        )
+        plain = multirate_config(K=300)
+        assert cfg == plain
+        assert [type(getattr(cfg, name)) for name in ("K", "T_s", "degree")] == [int, float, int]
+        assert all(type(p) is int for p in cfg.rates)
+        assert json.dumps(cfg.to_dict()) == json.dumps(plain.to_dict())
+        trees = []
+        for name, config in (("numpy", cfg), ("plain", plain)):
+            out = emit_report(run(config), tmp_path / name)
+            trees.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert trees[0] == trees[1]
 
     def test_prediction_mode_validated(self):
         with pytest.raises(ConfigurationError):
@@ -508,9 +550,8 @@ class TestEmitReport:
         assert all(tree == trees[0] for tree in trees[1:])
 
 
-def test_only_experiments_imports_csv():
-    # every CSV goes through experiments._write_csv; only the ensemble
-    # import reads with csv, and dynamics, which samples, touches no file
+def _importers():
+    """Top-level module name -> the package files that import it."""
     importers = {}
     for path in sorted(Path(experiments.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -522,8 +563,22 @@ def test_only_experiments_imports_csv():
                 continue
             for name in names:
                 importers.setdefault(name.split(".")[0], []).append(path.name)
+    return importers
+
+
+def test_only_experiments_imports_csv():
+    # every CSV goes through experiments._write_csv; only the ensemble
+    # import reads with csv, and dynamics, which samples, touches no file
+    importers = _importers()
     assert importers["csv"] == ["experiments.py"]
     assert "dynamics.py" not in importers.get("re", []) + importers.get("pathlib", [])
+
+
+def test_only_errors_imports_numbers():
+    # the rules for an integer count and a finite number are written once,
+    # in errors.check_integer and errors.check_number; an entry that checks
+    # its scalars calls them instead of growing its own copy
+    assert _importers()["numbers"] == ["errors.py"]
 
 
 class TestRunSweep:

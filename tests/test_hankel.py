@@ -1,5 +1,6 @@
 """Tests for per-component Hankel DMD and state reconstruction."""
 
+import re
 import warnings
 
 import numpy as np
@@ -14,6 +15,7 @@ from mredmd.dynamics import (
 )
 from mredmd.edmd import StatePairEnsemble, fit_models
 from mredmd.errors import (
+    ConfigurationError,
     DataError,
     ExtrapolationWarning,
     IllConditionedWarning,
@@ -417,3 +419,46 @@ class TestReconstructStates:
             reconstruct_states(
                 [Ensemble(times={}, values={}, indices=[])], multirate_schedules(), [{}], 0.1
             )
+
+
+class TestHostileScalars:
+    """A step or target that is not a finite real number ends in a
+    ConfigurationError that names it, before any estimate."""
+
+    @pytest.fixture
+    def fitted(self):
+        schedules = multirate_schedules()
+        ((ensemble,),) = sample_ensembles(lorenz_field(), [schedules], 30, [4])
+        (ops,) = fit_component_operators([ensemble], schedules, (0.1, 0.2))
+        return ensemble, schedules, ops
+
+    @pytest.mark.parametrize(
+        "step, first_target, message",
+        [
+            (float("nan"), None, "step must be a finite number > 0, got nan"),
+            (float("inf"), None, "step must be a finite number > 0, got inf"),
+            ("0.1", None, "step must be a finite number > 0, got '0.1'"),
+            (-0.1, None, "step must be a finite number > 0, got -0.1"),
+            (0.1, float("nan"), "first_target must be a finite number, got nan"),
+            (0.1, float("inf"), "first_target must be a finite number, got inf"),
+            (0.1, "0.1", "first_target must be a finite number, got '0.1'"),
+        ],
+    )
+    def test_reconstruct_states(self, fitted, monkeypatch, step, first_target, message):
+        ensemble, schedules, ops = fitted
+
+        def forbidden(*args):
+            raise AssertionError("an estimate ran before the scalars were checked")
+
+        monkeypatch.setattr(hankel, "_estimate_sets", forbidden)
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+            reconstruct_states([ensemble], schedules, [ops], step, first_target=first_target)
+
+    @pytest.mark.parametrize("target", [float("nan"), float("inf"), "0.1", None])
+    def test_targets(self, fitted, target):
+        ensemble, schedules, _ = fitted
+        message = f"^{re.escape(f't must be a finite number, got {target!r}')}$"
+        with pytest.raises(ConfigurationError, match=message):
+            fit_component_operators([ensemble], schedules, (target, 0.4))
+        with pytest.raises(ConfigurationError, match=message):
+            estimated_components(schedules, (target,))

@@ -1,5 +1,6 @@
 """Tests for monomial dictionaries and the coordinate readout."""
 
+import re
 from math import comb
 
 import numpy as np
@@ -45,6 +46,29 @@ class TestMonomialDictionary:
     def test_manifest_one_line_per_monomial(self):
         d = monomial_dictionary(2, 1)
         assert d.manifest() == "0 0\n1 0\n0 1\n"
+
+    @pytest.mark.parametrize(
+        "n, degree, name",
+        [
+            (3, 2.5, "degree"),
+            (3, True, "degree"),
+            (3, -1, "degree"),
+            (3, "2", "degree"),
+            (2.0, 2, "n"),
+            ("3", 2, "n"),
+            (0, 2, "n"),
+            (True, 2, "n"),
+        ],
+    )
+    def test_bad_sizes_rejected(self, n, degree, name):
+        low = 1 if name == "n" else 0
+        value = n if name == "n" else degree
+        message = f"{name} must be an integer >= {low}, got {value!r}"
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+            monomial_dictionary(n, degree)
+
+    def test_numpy_sizes_accepted(self):
+        assert monomial_dictionary(np.int64(3), np.int32(2)) == monomial_dictionary(3, 2)
 
 
 class TestEvaluate:
