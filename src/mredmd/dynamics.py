@@ -220,18 +220,6 @@ def integrate(field, x0, step, n_steps, every=1):
     return out
 
 
-def integrate_stacked(field, starts, step, n_steps, every=1):
-    """:func:`integrate` of several (m_i, dim) batches of initial states in
-    one RK4 pass; returns one (n_steps // every + 1, m_i, dim) view per batch.
-
-    For a field that acts on each row alone with elementwise arithmetic (as
-    :func:`lorenz_field`), every view is bit for bit ``integrate`` of its
-    own batch. A divergence in any row raises for the whole pass.
-    """
-    dense = integrate(field, np.concatenate(starts), step, n_steps, every)
-    return np.split(dense, np.cumsum([len(x) for x in starts])[:-1], axis=1)
-
-
 @dataclass(frozen=True)
 class SamplingSchedule:
     """Per-component sampling pattern: samples at r_i + l*T_i, l = 0..count.

@@ -31,12 +31,11 @@ from typing import Optional
 
 import numpy as np
 
-from . import edmd, hankel
+from . import dynamics, edmd, hankel
 from .dynamics import (
     _STEPS_PER_GRID,
     TIME_MATCH_TOL,
     Ensemble,
-    integrate_stacked,
     lorenz_field,
     sample_ensembles,
     SamplingSchedule,
@@ -367,9 +366,10 @@ def _eval_truths(fld, starts, horizon, step):
     batch of initial states, all in one pass with ``_STEPS_PER_GRID``
     micro-steps per step; one (E_i, horizon, n) array per batch."""
     m = _STEPS_PER_GRID
+    dense = dynamics.integrate(fld, np.concatenate(starts), step / m, horizon * m, every=m)
     return [
-        np.ascontiguousarray(np.moveaxis(dense[1:], 0, 1))
-        for dense in integrate_stacked(fld, starts, step / m, horizon * m, every=m)
+        np.ascontiguousarray(np.moveaxis(part[1:], 0, 1))
+        for part in np.split(dense, np.cumsum([len(x) for x in starts])[:-1], axis=1)
     ]
 
 

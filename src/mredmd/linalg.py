@@ -45,6 +45,8 @@ def _as_matrix(a, name="matrix", complex_ok=False, stack=False):
     """Validate and return ``a`` as a finite 2-D array, or with ``stack`` also
     as a finite stack of matrices, shape (B, m, n)."""
     arr = np.asarray(a)
+    if arr.dtype.kind not in "biufc":
+        raise DimensionMismatchError(f"{name} must be numeric, got dtype {arr.dtype}")
     if not complex_ok and np.iscomplexobj(arr):
         raise DimensionMismatchError(f"{name} must be real, got complex entries")
     arr = arr.astype(complex if np.iscomplexobj(arr) else float, copy=False)
@@ -139,11 +141,19 @@ def koopman_fit(p_x, p_y, step):
     ------
     ConfigurationError
         If ``step`` is not a finite real number > 0 (bools refused).
+    DimensionMismatchError
+        If ``p_x`` or ``p_y`` is not a finite real matrix or stack, or
+        their shapes differ.
     SingularMatrixError
         If the fitted K is singular so no generator exists.
     """
     step = check_number(step, "step", positive=True)
-    return _per_matrix(_koopman_fit, (_as_matrix(p_x, "p_x", stack=True), np.asarray(p_y)), step)
+    p_x, p_y = _as_matrix(p_x, "p_x", stack=True), _as_matrix(p_y, "p_y", stack=True)
+    if p_y.shape != p_x.shape:
+        raise DimensionMismatchError(
+            f"p_y has shape {p_y.shape}, p_x has shape {p_x.shape}; they must match"
+        )
+    return _per_matrix(_koopman_fit, (p_x, p_y), step)
 
 
 def _koopman_fit(p_x, p_y, step):
@@ -159,7 +169,8 @@ def _koopman_fit(p_x, p_y, step):
         )
     k_mat = p_y @ p_x_pinv
     del p_x_pinv  # a large stack's logs need its room
-    l_complex = matrix_log(k_mat) / step
+    _as_matrix(k_mat, "k", stack=True)  # an overflowed product is not finite
+    l_complex = _matrix_log(k_mat)[0] / step
     cast_real(l_complex)  # for its warning; callers keep L complex
     return k_mat, l_complex
 

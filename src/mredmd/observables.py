@@ -4,8 +4,7 @@ and the coordinate readout used to map lifted predictions back to states.
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
-from math import comb
+from itertools import chain
 
 import numpy as np
 
@@ -29,9 +28,6 @@ class Dictionary:
     def size(self):
         return len(self.exponents)
 
-    def __len__(self):
-        return len(self.exponents)
-
     @cached_property
     def _power_rows(self):
         """The highest exponent, and for each component ``i`` the row of the
@@ -41,12 +37,18 @@ class Dictionary:
         rows = e * self.dim + np.arange(self.dim)
         return int(e.max(initial=0)), tuple(np.ascontiguousarray(r) for r in rows.T)
 
-    def _lift(self, states):
-        """Phi of each column of ``states`` (dim, K): x**0 = 1, x**1 = x and
-        x**a = x**(a-1) * x, and each monomial the product of its
-        components' powers in component order. Every entry is the same chain
-        of IEEE multiplications whatever K, so its bits depend on its own
-        column alone."""
+    def evaluate_columns(self, states):
+        """Lift a column-stacked batch: (dim, K) -> (size, K).
+
+        x**0 = 1, x**1 = x and x**a = x**(a-1) * x, and each monomial is the
+        product of its components' powers in component order. Every entry is
+        the same chain of IEEE multiplications whatever K, so its bits depend
+        on its own column alone."""
+        states = np.asarray(states, dtype=float)
+        if states.ndim != 2 or states.shape[0] != self.dim:
+            raise ConfigurationError(
+                f"expected shape ({self.dim}, K), got {states.shape}"
+            )
         top, rows = self._power_rows
         powers = np.empty((top + 1, *states.shape))
         powers[0] = 1.0
@@ -60,33 +62,6 @@ class Dictionary:
             out *= table.take(index, axis=0)
         return out
 
-    def evaluate(self, x):
-        """Lift a single state: returns Phi(x), shape (size,); the one-column
-        case of :meth:`evaluate_columns`."""
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.dim,):
-            raise ConfigurationError(
-                f"state has shape {x.shape}, dictionary expects ({self.dim},)"
-            )
-        return self._lift(x[:, None])[:, 0]
-
-    def evaluate_columns(self, states):
-        """Lift a column-stacked batch: (dim, K) -> (size, K)."""
-        states = np.asarray(states, dtype=float)
-        if states.ndim != 2 or states.shape[0] != self.dim:
-            raise ConfigurationError(
-                f"expected shape ({self.dim}, K), got {states.shape}"
-            )
-        return self._lift(states)
-
-    def coordinate_slot(self, i):
-        """Index of the degree-1 monomial for coordinate ``i``, or None."""
-        target = tuple(1 if j == i else 0 for j in range(self.dim))
-        try:
-            return self.exponents.index(target)
-        except ValueError:
-            return None
-
     def manifest(self):
         """Text description, one exponent vector per line."""
         return "\n".join(" ".join(str(a) for a in alpha) for alpha in self.exponents) + "\n"
@@ -98,21 +73,27 @@ def monomial_dictionary(n, degree, include_constant=True):
     Size is C(n + degree, degree) when the constant is included. ``n`` is
     an integer >= 1 and ``degree`` one >= 0 (bools refused, NumPy integers
     accepted); anything else raises a :class:`ConfigurationError` naming it.
+
+    Each degree is built from the one below in one pass. Raising component
+    i of each exponent whose components before i are all zero (a tail of
+    the degree below, which is in descending lexicographic order) gives,
+    in that order, the exponents whose first nonzero component is i; for
+    i ascending these runs join in descending lexicographic order.
     """
     n = check_integer(n, "n", 1)
     degree = check_integer(degree, "degree", 0)
     if degree == 0 and not include_constant:
         raise ConfigurationError("degree 0 without the constant leaves no observable")
-    alphas = [
-        alpha
-        for alpha in product(range(degree + 1), repeat=n)
-        if sum(alpha) <= degree and (include_constant or sum(alpha) > 0)
-    ]
-    alphas.sort(key=lambda a: (sum(a), tuple(-x for x in a)))
-    d = Dictionary(dim=n, exponents=tuple(alphas))
-    if include_constant:
-        assert d.size == comb(n + degree, degree)
-    return d
+    levels = [[(0,) * n]]
+    tails = [0] * n  # tails[i]: where the exponents with zeros before i begin
+    for _ in range(degree):
+        below, starts, level, tails = levels[-1], tails, [], []
+        for i in range(n):
+            tails.append(len(level))
+            level.extend(a[:i] + (a[i] + 1,) + a[i + 1 :] for a in below[starts[i] :])
+        levels.append(level)
+    exponents = chain.from_iterable(levels if include_constant else levels[1:])
+    return Dictionary(dim=n, exponents=tuple(exponents))
 
 
 def coordinate_readout(dictionary):
@@ -125,11 +106,12 @@ def coordinate_readout(dictionary):
     """
     c = np.zeros((dictionary.dim, dictionary.size))
     for i in range(dictionary.dim):
-        slot = dictionary.coordinate_slot(i)
-        if slot is None:
+        unit = (0,) * i + (1,) + (0,) * (dictionary.dim - i - 1)
+        try:
+            c[i, dictionary.exponents.index(unit)] = 1.0
+        except ValueError:
             raise ConfigurationError(
                 f"dictionary has no coordinate observable for component {i}; "
                 "degree >= 1 is required for state readout"
-            )
-        c[i, slot] = 1.0
+            ) from None
     return c

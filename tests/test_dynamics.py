@@ -165,7 +165,8 @@ class TestIntegrate:
     def test_stacked_matches_separate(self):
         rng = np.random.default_rng(8)
         starts = [rng.uniform(-2, 2, size=(m, 3)) for m in (1, 7, 30)]
-        stacked = dynamics.integrate_stacked(lorenz_field(), starts, 0.01, 40)
+        dense = integrate(lorenz_field(), np.concatenate(starts), 0.01, 40)
+        stacked = np.split(dense, np.cumsum([len(x) for x in starts])[:-1], axis=1)
         assert [d.shape for d in stacked] == [(41, 1, 3), (41, 7, 3), (41, 30, 3)]
         for x0, dense in zip(starts, stacked):
             np.testing.assert_array_equal(dense, integrate(lorenz_field(), x0, 0.01, 40))
@@ -252,7 +253,8 @@ class TestRk4Oracle:
     def test_stacked_lorenz_equal_to_formula(self, every):
         rng = np.random.default_rng(22)
         starts = [rng.uniform(-2, 2, size=(m, 3)) for m in (1, 4, 11)]
-        stacked = dynamics.integrate_stacked(lorenz_field(), starts, 0.01, 30, every)
+        dense = integrate(lorenz_field(), np.concatenate(starts), 0.01, 30, every)
+        stacked = np.split(dense, np.cumsum([len(x) for x in starts])[:-1], axis=1)
         for x0, dense in zip(starts, stacked):
             reference = _reference_integrate(lorenz_field(), x0, 0.01, 30, every)
             np.testing.assert_array_equal(dense, reference)

@@ -257,7 +257,7 @@ class TestPredict:
         (model,) = fit_models([StatePairEnsemble(x=x, y=y, step=0.1)], d)
         x0 = rng.uniform(-1, 1, size=3)
         readout = coordinate_readout(model.dictionary)
-        expected = readout @ (model.k_mat @ model.dictionary.evaluate(x0))
+        expected = readout @ (model.k_mat @ model.dictionary.evaluate_columns(x0[:, None])[:, 0])
         np.testing.assert_array_equal(predict_models([model], x0, 1)[0][0], expected)
 
     def test_lorenz_bounded_rmse(self):

@@ -276,7 +276,7 @@ def reference_predict(model, x0, steps, mode):
     """One initial state, lifted and advanced on its own."""
     out = np.full((steps, model.dictionary.dim), np.nan)
     readout = edmd.coordinate_readout(model.dictionary)
-    z = model.dictionary.evaluate(x0)
+    z = model.dictionary.evaluate_columns(x0[:, None])[:, 0]
     for j in range(steps):
         z = model.k_mat @ z
         x = readout @ z
@@ -288,7 +288,7 @@ def reference_predict(model, x0, steps, mode):
             break
         out[j] = x
         if mode == "relift":
-            z = model.dictionary.evaluate(x)
+            z = model.dictionary.evaluate_columns(x[:, None])[:, 0]
     return out
 
 

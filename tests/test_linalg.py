@@ -75,6 +75,34 @@ class TestPinv:
         with pytest.raises(DimensionMismatchError):
             linalg.koopman_fit(np.zeros((0, 3)), np.zeros((0, 3)), 0.1)
 
+    # a wrong shape failed as "k must be square" or in NumPy's matmul, a nan
+    # as "k contains non-finite entries" and a string in a ufunc
+    @pytest.mark.parametrize(
+        "p_y",
+        [np.ones((1, 4)), np.ones((2, 3)), [[1.0, np.nan, 1.0, 1.0]] * 2, "abc"],
+        ids=["rows", "columns", "nan", "string"],
+    )
+    def test_rejects_bad_p_y(self, p_y):
+        p_x = np.random.default_rng(4).normal(size=(2, 4))
+        with pytest.raises(DimensionMismatchError, match=r"^p_y "):
+            linalg.koopman_fit(p_x, p_y, 0.1)
+
+    def test_stack_that_warns_logs_once_then_per_fit(self, monkeypatch):
+        # 1 + B logs: the stacked one, then one per fit as the stack runs
+        # again fit by fit; a fit replays its stack, never the log's inside
+        runs, matrix_log = [], linalg._matrix_log
+
+        def counted(arr):
+            runs.append(len(arr))
+            return matrix_log(arr)
+
+        monkeypatch.setattr(linalg, "_matrix_log", counted)
+        p_x = np.random.default_rng(5).normal(size=(4, 2, 6))
+        k = np.stack([np.diag([0.9, 0.8]), np.diag([0.7, 1.1]), np.diag([-2.0, 1.0]), np.eye(2)])
+        with pytest.warns(NegativeRealAxisWarning):
+            linalg.koopman_fit(p_x, k @ p_x, 0.1)
+        assert runs == [4, 1, 1, 1, 1]
+
     # 0 gave a non-finite L with two RuntimeWarnings, -1 a negated
     # generator and inf a zero one
     @pytest.mark.parametrize(

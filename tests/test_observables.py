@@ -1,6 +1,7 @@
 """Tests for monomial dictionaries and the coordinate readout."""
 
 import re
+from itertools import product
 from math import comb
 
 import numpy as np
@@ -34,6 +35,24 @@ class TestMonomialDictionary:
         assert d.exponents[:4] == ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))
         degrees = [sum(a) for a in d.exponents]
         assert degrees == sorted(degrees)
+
+    @pytest.mark.parametrize(
+        "n, degree, constant",
+        [(n, d, c) for n in range(1, 6) for d in range(7) for c in (True, False) if d or c],
+    )
+    def test_order_is_the_sorted_product(self, n, degree, constant):
+        # every tuple of the box, filtered and sorted by (degree, descending tuple)
+        alphas = [
+            alpha
+            for alpha in product(range(degree + 1), repeat=n)
+            if sum(alpha) <= degree and (constant or sum(alpha) > 0)
+        ]
+        alphas.sort(key=lambda a: (sum(a), tuple(-x for x in a)))
+        assert monomial_dictionary(n, degree, constant).exponents == tuple(alphas)
+
+    def test_eight_dims_degree_eight(self):
+        # 9**8 tuples of a box; the dictionary keeps C(16, 8) of them
+        assert monomial_dictionary(8, 8).size == 12870
 
     def test_exclude_constant(self):
         d = monomial_dictionary(2, 1, include_constant=False)
@@ -76,17 +95,17 @@ class TestEvaluate:
         d = monomial_dictionary(3, 2)
         rng = np.random.default_rng(0)
         for _ in range(5):
-            assert d.evaluate(rng.normal(size=3))[0] == 1.0
+            assert d.evaluate_columns(rng.normal(size=(3, 1)))[0, 0] == 1.0
 
     def test_hand_evaluation(self):
         d = monomial_dictionary(3, 2)
-        vals = d.evaluate(np.array([1.0, 2.0, 3.0]))
+        vals = d.evaluate_columns(np.array([1.0, 2.0, 3.0])[:, None])[:, 0]
         slot = d.exponents.index((0, 1, 1))  # x2 * x3
         assert vals[slot] == pytest.approx(6.0)
 
     def test_at_origin(self):
         d = monomial_dictionary(3, 2)
-        vals = d.evaluate(np.zeros(3))
+        vals = d.evaluate_columns(np.zeros(3)[:, None])[:, 0]
         assert vals[0] == 1.0
         np.testing.assert_array_equal(vals[1:], np.zeros(d.size - 1))
 
@@ -96,7 +115,7 @@ class TestEvaluate:
         index = {a: i for i, a in enumerate(d.exponents)}
         for _ in range(10):
             x = rng.uniform(-2, 2, size=3)
-            vals = d.evaluate(x)
+            vals = d.evaluate_columns(x[:, None])[:, 0]
             for a in d.exponents:
                 for b in d.exponents:
                     c = tuple(ai + bi for ai, bi in zip(a, b))
@@ -112,7 +131,8 @@ class TestEvaluate:
         lifted = d.evaluate_columns(states)
         assert lifted.shape == (10, 7)
         for k in range(7):
-            np.testing.assert_array_equal(lifted[:, k], d.evaluate(states[:, k]))
+            alone = d.evaluate_columns(states[:, k, None])
+            np.testing.assert_array_equal(lifted[:, k], alone[:, 0])
 
     def test_empty_dictionary_lifts_to_no_rows(self):
         assert Dictionary(dim=2, exponents=()).evaluate_columns(np.ones((2, 3))).shape == (0, 3)
@@ -120,7 +140,7 @@ class TestEvaluate:
     def test_dimension_check(self):
         d = monomial_dictionary(3, 2)
         with pytest.raises(ConfigurationError):
-            d.evaluate(np.zeros(2))
+            d.evaluate_columns(np.zeros((2, 1)))
 
 
 #: Values on which a power or a product is easy to get wrong: signed zeros,
@@ -182,8 +202,8 @@ def test_lift_is_the_ordered_product_bit_for_bit(case):
         with np.errstate(all="ignore"):
             lifted = d.evaluate_columns(states)
             expected = ordered_product(d.exponents, states)
-            first = d.evaluate(states[:, 0])
-            last = d.evaluate(states[:, -1])
+            first = d.evaluate_columns(states[:, :1])[:, 0]
+            last = d.evaluate_columns(states[:, -1:])[:, 0]
     finally:
         np.setbufsize(old)
     assert_same_bits(lifted, expected)
@@ -208,7 +228,7 @@ class TestCoordinateReadout:
         rng = np.random.default_rng(3)
         for _ in range(100):
             x = rng.uniform(-3, 3, size=3)
-            np.testing.assert_array_equal(c @ d.evaluate(x), x)
+            np.testing.assert_array_equal(c @ d.evaluate_columns(x[:, None])[:, 0], x)
 
     def test_missing_coordinates(self):
         with pytest.raises(ConfigurationError):

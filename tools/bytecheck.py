@@ -106,8 +106,10 @@ COMMANDS = [
         {**_SINGLE, "K": 6, "M": [4, 4, 4]},
         ["--num-seeds", "10"],
     ),
-    # degree 3: the only commands that lift a power above 2
+    # degree 3 and 5: the only commands that lift a power above 2; degree 5
+    # lifts 56 observables, whose order the enumeration fixes
     ("multirate_k300_deg3", "multirate", {**_MULTIRATE, "K": 300, "degree": 3}, []),
+    ("multirate_k300_deg5", "multirate", {**_MULTIRATE, "K": 300, "degree": 5}, []),
     (
         "compare_single_k100_deg3",
         "compare",
