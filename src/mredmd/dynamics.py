@@ -282,7 +282,7 @@ class Ensemble:
         n_traj = self.indices.size
         if self.indices.ndim != 1 or n_traj == 0:
             raise DataError("an ensemble needs a nonempty 1-D array of trajectory indices")
-        if np.unique(self.indices).size != n_traj:
+        if len(set(self.indices.tolist())) != n_traj:
             raise DataError("trajectory indices must be unique")
         if set(self.times) != set(self.values):
             raise DataError("times and values must cover the same components")

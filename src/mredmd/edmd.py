@@ -2,6 +2,7 @@
 extraction via the principal logarithm, spectra, and lifted-space prediction.
 """
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -154,8 +155,9 @@ def predict_models(models, x0, steps, mode="rollout"):
     Raises
     ------
     ConfigurationError
-        If the models do not share one dictionary, or ``steps`` is not an
-        integer >= 1 (bools refused, NumPy integers accepted).
+        If the models do not share one dictionary, ``steps`` is not an
+        integer >= 1 (bools refused, NumPy integers accepted), or the
+        predictions cannot be allocated.
     """
     models = list(models)
     if not models:
@@ -179,7 +181,14 @@ def predict_models(models, x0, steps, mode="rollout"):
         expected = f"({n},) or (B, {n}) or ({len(models)}, B, {n})"
         raise ConfigurationError(f"x0 has shape {x0.shape}, expected {expected}")
     x = np.atleast_2d(x0)
-    out = np.empty((len(models), x.shape[-2], steps, n))
+    shape = (len(models), x.shape[-2], steps, n)
+    try:
+        out = np.empty(shape)
+    except (MemoryError, ValueError) as exc:  # ValueError: beyond the address space
+        raise ConfigurationError(
+            f"cannot allocate the predictions: steps={steps} requests "
+            f"{math.prod(shape) * 8 / 2**30:.3g} GiB for an array of shape {shape}"
+        ) from exc
     diverged_at = np.zeros(out.shape[:2], dtype=int)
     _advance(models, dictionary, readout, x, mode, out, diverged_at)
     for m, row in np.argwhere(diverged_at > 0).tolist():

@@ -25,7 +25,7 @@ import sys
 import warnings
 from contextlib import contextmanager
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
-from itertools import product
+from itertools import chain, product
 from pathlib import Path
 from typing import Optional
 
@@ -413,7 +413,7 @@ def evaluate_prediction(sets, mode="rollout"):
     sq_err = (preds - np.stack([sets[i][2] for i, _ in flat])) ** 2
     per_traj = np.full(prefix.shape, np.inf)
     # one reduction per prefix length; each row sums as a mean over it alone
-    for p in np.unique(prefix[prefix > 0]).tolist():
+    for p in sorted(set(prefix[prefix > 0].tolist())):
         rows = prefix == p
         per_traj[rows] = np.sqrt(np.mean(sq_err[rows, :p].reshape(rows.sum(), -1), axis=1))
     for (i, name), model_preds, model_rmse in zip(flat, preds, per_traj.tolist()):
@@ -754,9 +754,11 @@ def _refuse_foreign(directory, owns):
         )
 
 
-def _write_csv(path, lines):
+def _write_csv(path, lines, blocks=()):
     """Write CSV ``lines`` (of a report, a comparison or a trajectory), each
-    comma-joined by its caller and ended with ``\n``.
+    comma-joined by its caller and ended with ``\n``, then the lines of each
+    nonempty list of ``blocks``: a long file streams one block at a time,
+    and each block's text is written, then its final ``\n``, with no copy.
 
     No cell needs quoting: cells are method names, ints and float text. A
     float is always written as the ``repr`` of a Python float (:func:`_fmt`,
@@ -764,7 +766,9 @@ def _write_csv(path, lines):
     ``repr`` is ``np.float64(0.1)`` under NumPy 2.
     """
     with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+        for block in chain((lines,), filter(None, blocks)):
+            fh.write("\n".join(block))
+            fh.write("\n")
 
 
 def _fmt(x):
@@ -781,7 +785,9 @@ def emit_report(report, directory):
     Files: ``spectrum.csv`` (method,index,real,imag), ``prediction.csv``
     (method,trajectory,t,component,truth,predicted), ``summary.json``,
     ``dictionary.txt``, per-method K/L matrices, and per-component Hankel
-    operator dumps.
+    operator dumps. ``prediction.csv`` is streamed: its header, then each
+    method's lines as one block, so the whole file's lines or text are
+    never held at once.
 
     Raises
     ------
@@ -806,7 +812,7 @@ def emit_report(report, directory):
                 lines.append(f"{method},{idx},{_fmt(lam.real)},{_fmt(lam.imag)}")
     _write_csv(directory / "spectrum.csv", lines)
 
-    lines = ["method,trajectory,t,component,truth,predicted"]
+    blocks = ()
     if report.eval_times is not None:
         times = list(map(repr, report.eval_times.tolist()))
         truth = report.eval_truth
@@ -815,11 +821,17 @@ def emit_report(report, directory):
             f"{k},{times[j]},{comp},{obs!r},"
             for (k, j, comp), obs in zip(product(*map(range, truth.shape)), truth.ravel().tolist())
         ]
-        for method in report.methods:
-            if method in report.predictions:
-                preds = report.predictions[method].ravel().tolist()
-                lines += [f"{method},{prefix}{pred!r}" for prefix, pred in zip(prefixes, preds)]
-    _write_csv(directory / "prediction.csv", lines)
+        # one method's lines at a time, never the whole file's
+        blocks = (
+            [
+                f"{method},{prefix}{pred!r}"
+                for prefix, pred in zip(prefixes, report.predictions[method].ravel().tolist())
+            ]
+            for method in report.methods
+            if method in report.predictions
+        )
+    header = ["method,trajectory,t,component,truth,predicted"]
+    _write_csv(directory / "prediction.csv", header, blocks)
 
     summary = {
         "schema": report.schema,

@@ -106,7 +106,7 @@ def _pinv_svd(arr):
     if rank[0] > 0 and (rank == rank[0]).all():
         return _svd_inverse(u, s, vh, rank[0]), s
     out = np.zeros((len(arr), arr.shape[2], arr.shape[1]))
-    for r in np.unique(rank[rank > 0]).tolist():
+    for r in sorted(set(rank[rank > 0].tolist())):
         sel = rank == r
         out[sel] = _svd_inverse(u[sel], s[sel], vh[sel], r)
     return out, s
@@ -308,7 +308,7 @@ def _log_inverse_scaling_squaring(a, eigs, on_axis):
 
     # r_m(R) = sum_j w_j (I + x_j R)^-1 R on Gauss-Legendre nodes x_j
     out = np.empty_like(r)
-    for degree in np.unique(m).tolist():
+    for degree in sorted(set(m.tolist())):
         sel = m == degree
         nodes, weights = _gauss_legendre(degree)
         rs = r[sel][:, None]
@@ -372,12 +372,56 @@ def _power_norms(r):
     return norms ** (1.0 / np.arange(2, 6))
 
 
+#: Gauss-Legendre nodes and weights on [0, 1] for each degree m that
+#: ``_degree`` can return: ``0.5 + 0.5 x`` and ``0.5 w`` of NumPy's
+#: ``leggauss(m)``, bit for bit, so a run need not load ``numpy.polynomial``.
+_GAUSS_LEGENDRE = {
+    1: ((0.5,), (1.0,)),
+    2: ((0.21132486540518713, 0.7886751345948129), (0.5, 0.5)),
+    3: (
+        (0.1127016653792583, 0.5, 0.8872983346207417),
+        (0.27777777777777785, 0.4444444444444444, 0.27777777777777785),
+    ),
+    4: (
+        (0.06943184420297371, 0.33000947820757187, 0.6699905217924281, 0.9305681557970262),
+        (0.17392742256872679, 0.3260725774312732, 0.3260725774312732, 0.17392742256872679),
+    ),
+    5: (
+        (0.04691007703066802, 0.23076534494715845, 0.5, 0.7692346550528415, 0.9530899229693319),
+        (
+            0.11846344252809464, 0.23931433524968315, 0.28444444444444433,
+            0.23931433524968315, 0.11846344252809464,
+        ),
+    ),
+    6: (
+        (
+            0.03376524289842403, 0.16939530676686776, 0.38069040695840156,
+            0.6193095930415985, 0.8306046932331322, 0.9662347571015759,
+        ),
+        (
+            0.08566224618958514, 0.18038078652406936, 0.23395696728634552,
+            0.23395696728634552, 0.18038078652406936, 0.08566224618958514,
+        ),
+    ),
+    7: (
+        (
+            0.0254460438286207, 0.12923440720030277, 0.2970774243113014, 0.5,
+            0.7029225756886985, 0.8707655927996972, 0.9745539561713793,
+        ),
+        (
+            0.06474248308443487, 0.13985269574463843, 0.19091502525255935,
+            0.20897959183673465, 0.19091502525255935, 0.13985269574463843,
+            0.06474248308443487,
+        ),
+    ),
+}
+
+
 @functools.lru_cache(maxsize=None)
 def _gauss_legendre(m):
     """Gauss-Legendre nodes and weights of degree m on [0, 1], each shaped
     (m, 1, 1) to scale a stack of matrices."""
-    x, w = np.polynomial.legendre.leggauss(m)
-    nodes, weights = (0.5 + 0.5 * x)[:, None, None], (0.5 * w)[:, None, None]
+    nodes, weights = (np.array(v)[:, None, None] for v in _GAUSS_LEGENDRE[m])
     nodes.flags.writeable = weights.flags.writeable = False
     return nodes, weights
 

@@ -413,6 +413,17 @@ class TestPredictModels:
         with pytest.raises(ConfigurationError, match=f"^{message}$"):
             predict_models([model], [0.4, -0.2], steps)
 
+    def test_refuses_a_horizon_it_cannot_allocate(self):
+        # 2**62 steps is beyond the address space, so no overcommit grants it
+        model = edmd.KoopmanModel(
+            dictionary=monomial_dictionary(3, 1),
+            k_mat=np.eye(4),
+            l_complex=np.zeros((4, 4)),
+            step=0.1,
+        )
+        with pytest.raises(ConfigurationError, match=r"steps=4611686018427387904 requests .* GiB"):
+            predict_models([model], np.zeros(3), 2**62)
+
 
 class TestGeneratorSpectrum:
     def test_scalar_decay(self):

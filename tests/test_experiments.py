@@ -6,6 +6,7 @@ import json
 import math
 import re
 import warnings
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -520,6 +521,33 @@ class TestEmitReport:
         assert (
             tmp_path / "prediction.csv"
         ).read_text() == "method,trajectory,t,component,truth,predicted\n"
+
+    @pytest.mark.parametrize("mode", ["relift", "rollout"])
+    def test_prediction_csv_is_the_joined_lines(self, tmp_path, mode):
+        # the streamed writer against the whole-file list it replaced, with
+        # NaN predictions and truths and a method that has no predictions
+        report = run(multirate_config(K=30, horizon=4, eval_trajectories=3, prediction_mode=mode))
+        report.predictions["lcm"][1, 2:] = np.nan
+        report.predictions["ideal"][0, 0, 1] = np.nan
+        report.eval_truth[2, 3] = np.nan
+        del report.predictions["multirate"]
+        times = list(map(repr, report.eval_times.tolist()))
+        truth = report.eval_truth
+        prefixes = [
+            f"{k},{times[j]},{comp},{obs!r},"
+            for (k, j, comp), obs in zip(product(*map(range, truth.shape)), truth.ravel().tolist())
+        ]
+        lines = ["method,trajectory,t,component,truth,predicted"]
+        for method in report.methods:
+            if method in report.predictions:
+                preds = report.predictions[method].ravel().tolist()
+                lines += [f"{method},{prefix}{pred!r}" for prefix, pred in zip(prefixes, preds)]
+        emit_report(report, tmp_path)
+        text = (tmp_path / "prediction.csv").read_bytes()
+        assert text == ("\n".join(lines) + "\n").encode()
+        # predicted: 2 steps x 3 components of lcm's row 1, one of ideal's;
+        # truth: the 3 components of row 2's last step, for lcm and ideal
+        assert (text.count(b",nan\n"), text.count(b",nan,")) == (2 * 3 + 1, 2 * 3)
 
     def test_byte_identical_across_runs(self, tmp_path):
         cfg = multirate_config(K=30, seed=7)

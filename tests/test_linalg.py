@@ -402,23 +402,37 @@ def test_import_leaves_out_scipy_optimize():
     assert _fresh_interpreter_output(code) == "[]"
 
 
+#: A single-state run, a multirate run and a two-seed sweep, then the
+#: loaded modules whose name is printed by ``print_loaded``.
+_RUNS = (
+    "import sys\n"
+    "from mredmd.experiments import ExperimentConfig, run, run_sweep\n"
+    "single = ExperimentConfig(system='lorenz', mode='single_state', T_s=0.1, K=20,"
+    " seed=0, state_dim=3, horizon=2, eval_trajectories=1)\n"
+    "multi = ExperimentConfig(system='lorenz', mode='multirate', T_s=0.1, K=20,"
+    " seed=0, rates=(1, 4, 3), horizon=2, eval_trajectories=1)\n"
+    "for cfg in (single, multi):\n"
+    "    report = run(cfg)\n"
+    "    assert report.errors == [], report.errors\n"
+    "assert run_sweep(single, [0, 1])['stage_errors'] == []\n"
+    "print(sorted(m for m in sys.modules if print_loaded(m)))\n"
+)
+
+
 def test_run_leaves_out_scipy_sparse_and_special():
     # no scipy* module at all: loading scipy.linalg cost more than a whole op
     # of a CLI call
-    code = (
-        "import sys\n"
-        "from mredmd.experiments import ExperimentConfig, run, run_sweep\n"
-        "single = ExperimentConfig(system='lorenz', mode='single_state', T_s=0.1, K=20,"
-        " seed=0, state_dim=3, horizon=2, eval_trajectories=1)\n"
-        "multi = ExperimentConfig(system='lorenz', mode='multirate', T_s=0.1, K=20,"
-        " seed=0, rates=(1, 4, 3), horizon=2, eval_trajectories=1)\n"
-        "for cfg in (single, multi):\n"
-        "    report = run(cfg)\n"
-        "    assert report.errors == [], report.errors\n"
-        "assert run_sweep(single, [0, 1])['stage_errors'] == []\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
-    )
+    code = "print_loaded = lambda m: m.split('.')[0] == 'scipy'\n" + _RUNS
     assert _fresh_interpreter_output(code) == "[]"
+
+
+def test_run_leaves_out_numpy_polynomial_and_ma():
+    # numpy.polynomial (for the log's Gauss-Legendre nodes) and numpy.ma
+    # (through np.unique) each cost a CLI call milliseconds and over a MB
+    code = (
+        "print_loaded = lambda m: m.split('.')[:2] in (['numpy', 'polynomial'], ['numpy', 'ma'])\n"
+    )
+    assert _fresh_interpreter_output(code + _RUNS) == "[]"
 
 
 def _near_identity(rng, n, size):
@@ -546,6 +560,16 @@ class TestMatrixLogKernel:
         out, ref = linalg.matrix_log(k), _scipy_logm(k)
         assert np.linalg.norm(out - ref, 1) <= 1e-12 * np.linalg.norm(ref, 1)
         assert _round_trip(k, out) <= max(1e-13, _round_trip(k, ref))
+
+    @pytest.mark.parametrize("m", range(1, 8))
+    def test_gauss_legendre_table_is_leggauss(self, m):
+        # the literal table, bit for bit NumPy's nodes and weights mapped to [0, 1]
+        x, w = np.polynomial.legendre.leggauss(m)
+        nodes, weights = linalg._gauss_legendre(m)
+        assert nodes.shape == weights.shape == (m, 1, 1)
+        assert not nodes.flags.writeable and not weights.flags.writeable
+        assert nodes.ravel().tobytes() == (0.5 + 0.5 * x).tobytes()
+        assert weights.ravel().tobytes() == (0.5 * w).tobytes()
 
 
 def _jordan(lam, n):

@@ -110,6 +110,13 @@ COMMANDS = [
     # lifts 56 observables, whose order the enumeration fixes
     ("multirate_k300_deg3", "multirate", {**_MULTIRATE, "K": 300, "degree": 3}, []),
     ("multirate_k300_deg5", "multirate", {**_MULTIRATE, "K": 300, "degree": 5}, []),
+    # the only command that predicts by rollout; every other one re-lifts
+    (
+        "multirate_k300_rollout",
+        "multirate",
+        {**_MULTIRATE, "K": 300, "prediction_mode": "rollout"},
+        [],
+    ),
     (
         "compare_single_k100_deg3",
         "compare",
