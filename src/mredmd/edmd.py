@@ -25,7 +25,8 @@ class StatePairEnsemble:
     """K state pairs (x, y) with y the state one step T_s after x.
 
     ``x`` and ``y`` are column-stacked, shape (n, K). Provenance flags record
-    per component whether the value was measured or estimated.
+    per component whether the value was measured or estimated: a tuple of n
+    bools, ``()`` (the default) for all measured.
     """
 
     x: np.ndarray
@@ -45,10 +46,12 @@ class StatePairEnsemble:
             raise ConfigurationError("ensemble needs at least one pair")
         check_number(self.step, "step", positive=True)
         n = self.x.shape[0]
-        if not self.x_estimated:
-            self.x_estimated = (False,) * n
-        if not self.y_estimated:
-            self.y_estimated = (False,) * n
+        for name in ("x_estimated", "y_estimated"):
+            flags = getattr(self, name)
+            bools = isinstance(flags, tuple) and all(isinstance(f, bool) for f in flags)
+            if not bools or len(flags) not in (0, n):
+                raise ConfigurationError(f"{name} must be a tuple of {n} bools, got {flags!r}")
+            setattr(self, name, flags or (False,) * n)
 
     @property
     def n_pairs(self):

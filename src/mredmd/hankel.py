@@ -6,9 +6,9 @@ For component i with samples at r_i + l*T_i, the delay observables are the
 component value and its next M_i - 1 shifts. A one-period Koopman matrix K_i
 is fit jointly across all trajectories, its generator L_i = log(K_i)/T_i
 interpolates the component to arbitrary times, and the first row of
-exp(L_i (t - r_i)) applied to the data matrix yields per-trajectory
-estimates at time t. The fit, and its conditioning check, is the kernel
-the EDMD step shares, :func:`linalg.koopman_fit`.
+exp(L_i (t - r_i)) applied to the delay matrix of any ensemble on the
+schedule yields its per-trajectory estimates at time t. The fit (and its
+conditioning check) is :func:`linalg.koopman_fit`, shared with EDMD.
 """
 
 import warnings
@@ -35,17 +35,13 @@ EXTRAPOLATION_RATIO = 2.0
 
 @dataclass
 class ComponentOperator(ComplexGenerator):
-    """One-period Koopman matrix and generator of a single component, with
-    the delay matrix ``p_x`` that its estimates are read from.
-
-    Column k of ``p_x`` holds the first M_i samples of trajectory k.
-    Estimates propagate with the complex generator ``l_complex``, so
-    genuinely complex logarithms surface as residuals rather than silent
-    errors.
+    """One-period Koopman matrix and generator of one component on
+    ``schedule``, with no copy of the data it was fitted on. Estimates
+    propagate with the complex generator ``l_complex``, so genuinely
+    complex logarithms surface as residuals rather than silent errors.
     """
 
     schedule: SamplingSchedule
-    p_x: np.ndarray
     k_mat: np.ndarray
     l_complex: np.ndarray
 
@@ -105,22 +101,19 @@ def _fit_operators(ensembles, schedule):
             )
     with labelled(f"component {schedule.component}"):
         k_mats, l_complex = linalg.koopman_fit(p_xs, p_ys, schedule.period)
-    return [
-        ComponentOperator(schedule=schedule, p_x=p_x, k_mat=k, l_complex=l)
-        for p_x, k, l in zip(p_xs, k_mats, l_complex)
-    ]
+    return [ComponentOperator(schedule, k, l) for k, l in zip(k_mats, l_complex)]
 
 
-def _estimate_sets(operators, t):
+def _estimate_sets(operators, p_xs, t):
     """Per-trajectory estimates, shape (K,), of the component at time t from
-    each of ``operators``, which share their schedule: the real part of the
-    first row of exp(L_i (t - r_i)) P_x, from one stacked
-    :func:`linalg.matrix_exp`. An imaginary residual above 1e-6, and a time
-    before the dead time or far beyond the sampled window (extrapolation),
-    warn once per operator."""
+    each of ``operators``, which share their schedule, applied to the delay
+    matrix P_x of the same index in ``p_xs``: the real part of the first row
+    of exp(L_i (t - r_i)) P_x, from one stacked :func:`linalg.matrix_exp`.
+    An imaginary residual above 1e-6, and a time before the dead time or far
+    beyond the sampled window (extrapolation), warn once per operator."""
     s = operators[0].schedule
     dt = t - s.dead_time
-    window = s.period * operators[0].p_x.shape[0]
+    window = s.period * s.count
     extrapolation = None
     if dt < -TIME_MATCH_TOL:
         extrapolation = f"precedes the first sample at {s.dead_time:.6g}"
@@ -137,8 +130,8 @@ def _estimate_sets(operators, t):
     estimates = []
     # the label's warnings come out in order, before an error propagates
     with labelled(f"component {s.component}, t={t:.6g}"):
-        for operator, propagator in zip(operators, propagators):
-            values, _residual = linalg.cast_real(propagator[0, :] @ operator.p_x)
+        for propagator, p_x in zip(propagators, p_xs):
+            values, _residual = linalg.cast_real(propagator[0, :] @ p_x)
             if not np.all(np.isfinite(values)):
                 raise DivergenceError(
                     f"component {s.component}: non-finite estimates at t={t:.6g}"
@@ -186,9 +179,10 @@ def reconstruct_states(ensembles, schedules, operator_sets, step, first_target=N
 
     A measurement at a target (within 1e-9 s) is used verbatim. Otherwise
     the ensemble's own dict of ``operator_sets`` (component index ->
-    :class:`ComponentOperator`, as :func:`fit_component_operators` returns)
-    estimates the value, with one stacked matrix exponential per component
-    and target. Warnings and errors come component by component.
+    :class:`ComponentOperator`, fitted on this or any other ensemble of the
+    schedules) estimates the value from the ensemble's delay matrix, with one
+    stacked matrix exponential per component and target. Warnings and errors
+    come component by component.
 
     Raises
     ------
@@ -197,7 +191,9 @@ def reconstruct_states(ensembles, schedules, operator_sets, step, first_target=N
         a finite real number, naming it.
     DataError
         If a measurement is missing, an estimate needs an operator that an
-        ensemble's dict lacks, or the two lists differ in length.
+        ensemble's dict lacks or has on another schedule, the samples to
+        estimate from are missing or misplaced, the ensembles to estimate on
+        differ in size, or the two lists differ in length.
     """
     step = check_number(step, "step", positive=True)
     t1 = step if first_target is None else check_number(first_target, "first_target")
@@ -215,6 +211,7 @@ def reconstruct_states(ensembles, schedules, operator_sets, step, first_target=N
     x_estimated = [False] * n
     y_estimated = [False] * n
     for s in sorted(schedules, key=lambda s: s.component):
+        p_xs = None
         for t, outs, flags in ((t1, xs, x_estimated), (t2, ys, y_estimated)):
             l = s.sample_index(t)
             if l is not None:
@@ -230,7 +227,11 @@ def reconstruct_states(ensembles, schedules, operator_sets, step, first_target=N
                         "fitted component operator"
                     )
                 operators = [operators[s.component] for operators in operator_sets]
-                for out, estimates in zip(outs, _estimate_sets(operators, t)):
+                if any(operator.schedule != s for operator in operators):
+                    raise DataError(f"component {s.component}: operator of another schedule")
+                if p_xs is None:
+                    p_xs, _ = _hankel_stacks(ensembles, s)
+                for out, estimates in zip(outs, _estimate_sets(operators, p_xs, t)):
                     out[s.component] = estimates
                 flags[s.component] = True
     return [

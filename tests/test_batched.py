@@ -328,11 +328,11 @@ def test_group_reconstruction_is_the_per_seed_loop(monkeypatch):
     flagged = ensemble.values[1][0, 0]
     estimate_sets, stacked = hankel._estimate_sets, []
 
-    def warn_for_seed_3(operators, t):
+    def warn_for_seed_3(operators, p_xs, t):
         stacked.append(len(operators))
-        estimates = estimate_sets(operators, t)
-        for operator in operators:
-            if operator.p_x[0, 0] == flagged:
+        estimates = estimate_sets(operators, p_xs, t)
+        for p_x in p_xs:
+            if p_x[0, 0] == flagged:
                 warnings.warn(f"flagged at t={t:.6g}", ImaginaryResidualWarning)
         return estimates
 
@@ -387,7 +387,8 @@ def assert_same_operator_sets(group, loop):
     assert [list(operators) for operators in group] == [list(operators) for operators in loop]
     for operators, expected in zip(group, loop):
         for comp, operator in operators.items():
-            for name in ("p_x", "k_mat", "l_complex"):
+            assert operator.schedule == expected[comp].schedule
+            for name in ("k_mat", "l_complex"):
                 a, b = getattr(operator, name), getattr(expected[comp], name)
                 assert a.tobytes() == b.tobytes() and a.shape == b.shape
 

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import mredmd
-from mredmd import experiments
+from mredmd import experiments, hankel
 from mredmd.cli import main
 from mredmd.errors import ConfigurationError, MredmdWarning
 from mredmd.experiments import ExperimentConfig, run_sweep
@@ -200,7 +200,7 @@ def test_simulate_bytes_pinned(tmp_path):
     )
 
 
-def test_simulate_exports_what_run_fits(tmp_path):
+def test_simulate_exports_what_run_fits(tmp_path, monkeypatch):
     # periods of 2, 4 and 6 T_s share 2 T_s, but the ideal baseline samples
     # at T_s, so a run samples on a grid of T_s; the export must come from it
     path = write_config(tmp_path / "cfg.json", K=50, rates=[2, 4, 6])
@@ -212,10 +212,31 @@ def test_simulate_exports_what_run_fits(tmp_path):
     assert sorted(exported.values) == sorted(ensemble.values) == [0, 1, 2]
     for comp, values in ensemble.values.items():
         assert np.array_equal(exported.values[comp], values)
+    runs_pairs, reconstruct = [], hankel.reconstruct_states
+
+    def keep(*args, **kwargs):
+        runs_pairs.append(reconstruct(*args, **kwargs))
+        return runs_pairs[-1]
+
+    monkeypatch.setattr(hankel, "reconstruct_states", keep)
     operators = experiments.run(cfg).component_operators
+    monkeypatch.undo()
     assert sorted(operators) == [0, 1, 2]
+    # step 1 fitted on the export is the run's, bit for bit, and so are its pairs
+    schedules, targets = experiments.derive_schedules(cfg), experiments._targets(cfg)
+    (fitted,) = mredmd.fit_component_operators([exported], schedules, targets)
+    assert list(fitted) == list(operators)
     for comp, op in operators.items():
-        assert np.array_equal(op.p_x, exported.values[comp][:, : op.schedule.count].T)
+        assert fitted[comp].schedule == op.schedule
+        assert fitted[comp].k_mat.tobytes() == op.k_mat.tobytes()
+        assert fitted[comp].l_complex.tobytes() == op.l_complex.tobytes()
+    (expected,) = runs_pairs[0]  # the run's first reconstruction: its partial pairs
+    (pairs,) = mredmd.reconstruct_states(
+        [exported], schedules, [fitted], cfg.T_s, first_target=targets[0]
+    )
+    assert pairs.x.tobytes() == expected.x.tobytes()
+    assert pairs.y.tobytes() == expected.y.tobytes()
+    assert (pairs.x_estimated, pairs.y_estimated) == (expected.x_estimated, expected.y_estimated)
 
 
 def _forbid_runs(monkeypatch):

@@ -224,6 +224,24 @@ class TestFitKoopman:
         with pytest.raises(ConfigurationError, match=r"^step must be a finite number > 0, got "):
             StatePairEnsemble(x=np.ones((2, 3)), y=np.ones((2, 3)), step=step)
 
+    # a flag tuple of another length, and a string, were taken as given
+    @pytest.mark.parametrize(
+        "flags", [(True,), (True, False, True), "yes", (1, 0), (np.True_, False), [True, False]]
+    )
+    @pytest.mark.parametrize("name", ["x_estimated", "y_estimated"])
+    def test_bad_provenance_flags_rejected(self, name, flags):
+        message = f"^{re.escape(f'{name} must be a tuple of 2 bools, got {flags!r}')}$"
+        with pytest.raises(ConfigurationError, match=message):
+            StatePairEnsemble(x=np.ones((2, 3)), y=np.ones((2, 3)), step=0.1, **{name: flags})
+
+    def test_provenance_flags(self):
+        pairs = StatePairEnsemble(x=np.ones((2, 3)), y=np.ones((2, 3)), step=0.1)
+        assert pairs.x_estimated == pairs.y_estimated == (False, False)
+        pairs = StatePairEnsemble(
+            x=np.ones((2, 3)), y=np.ones((2, 3)), step=0.1, y_estimated=(False, True)
+        )
+        assert (pairs.x_estimated, pairs.y_estimated) == ((False, False), (False, True))
+
 
 class TestPredict:
     def test_identity_model_constant(self):

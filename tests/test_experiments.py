@@ -359,7 +359,7 @@ class TestRunMultirate:
         assert "ideal" in report.models
 
     def test_failed_estimate_still_writes_hankel_operators(self, monkeypatch, tmp_path):
-        def diverge(operators, t):
+        def diverge(operators, p_xs, t):
             raise errors.DivergenceError(f"component {operators[0].schedule.component}: diverged")
 
         monkeypatch.setattr(hankel, "_estimate_sets", diverge)

@@ -2,6 +2,7 @@
 
 import re
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -56,14 +57,24 @@ def sinusoid_data(omega=2.0, t_i=0.1, n_traj=6):
     return schedule, ensemble
 
 
+def fit_one(ensemble, schedule):
+    """The operator fitted on ``ensemble`` alone, and the ensemble's delay
+    stack (1, M_i, K) that its estimates are read from."""
+    (op,) = hankel._fit_operators([ensemble], schedule)
+    return op, hankel._hankel_stacks([ensemble], schedule)[0]
+
+
 class TestBuildHankelMatrices:
     def test_smallest_case(self):
         schedule = SamplingSchedule(component=0, dead_time=0.0, period=1.0, count=1)
         ensemble = ensemble_from_rows([[1.0, 2.0], [3.0, 4.0]], schedule)
-        (p_x,), (p_y,) = hankel._hankel_stacks([ensemble], schedule)
-        np.testing.assert_array_equal(p_x, [[1.0, 3.0]])
-        np.testing.assert_array_equal(p_y, [[2.0, 4.0]])
-        np.testing.assert_array_equal(hankel._fit_operators([ensemble], schedule)[0].p_x, p_x)
+        p_xs, p_ys = hankel._hankel_stacks([ensemble], schedule)
+        np.testing.assert_array_equal(p_xs, [[[1.0, 3.0]]])
+        np.testing.assert_array_equal(p_ys, [[[2.0, 4.0]]])
+        # the operator is the fit of exactly these stacks
+        (k_mat,), (l_complex,) = linalg.koopman_fit(p_xs, p_ys, schedule.period)
+        (op,) = hankel._fit_operators([ensemble], schedule)
+        assert np.array_equal(op.k_mat, k_mat) and np.array_equal(op.l_complex, l_complex)
 
     def test_shift_structure(self):
         schedule = SamplingSchedule(component=0, dead_time=0.2, period=0.5, count=4)
@@ -80,7 +91,9 @@ class TestBuildHankelMatrices:
             SamplingSchedule(component=2, dead_time=0.0, period=0.3, count=4),
         ]
         ((ensemble,),) = sample_ensembles(lorenz_field(), [layout], 300, [0])
-        assert hankel._fit_operators([ensemble], schedule)[0].p_x.shape == (3, 300)
+        op, p_xs = fit_one(ensemble, schedule)
+        assert p_xs.shape == (1, 3, 300)
+        assert op.k_mat.shape == op.l_complex.shape == (3, 3)
 
     def test_insufficient_samples(self):
         schedule = SamplingSchedule(component=0, dead_time=0.0, period=1.0, count=3)
@@ -192,20 +205,20 @@ class TestFitComponentOperator:
 class TestEstimateComponentAt:
     def test_at_dead_time_reproduces_first_row(self):
         schedule, ensemble, _ = geometric_data(r_i=0.3)
-        (op,) = hankel._fit_operators([ensemble], schedule)
-        (est,) = hankel._estimate_sets([op], 0.3)
-        np.testing.assert_array_equal(est, op.p_x[0])
+        op, p_xs = fit_one(ensemble, schedule)
+        (est,) = hankel._estimate_sets([op], p_xs, 0.3)
+        np.testing.assert_array_equal(est, p_xs[0, 0])
 
     def test_one_period_propagation(self):
         schedule, ensemble, _ = geometric_data()
-        (op,) = hankel._fit_operators([ensemble], schedule)
-        (est,) = hankel._estimate_sets([op], schedule.period)
+        op, p_xs = fit_one(ensemble, schedule)
+        (est,) = hankel._estimate_sets([op], p_xs, schedule.period)
         np.testing.assert_allclose(est, ensemble.values[0][:, 1], atol=1e-10)
 
     def test_fractional_power_analytic(self):
         schedule, ensemble, x0 = geometric_data(rho=0.9, t_i=0.1)
-        (op,) = hankel._fit_operators([ensemble], schedule)
-        (est,) = hankel._estimate_sets([op], 0.05)
+        op, p_xs = fit_one(ensemble, schedule)
+        (est,) = hankel._estimate_sets([op], p_xs, 0.05)
         np.testing.assert_allclose(est, x0 * 0.9**0.5, atol=1e-9)
 
     def test_linear_system_arbitrary_time(self):
@@ -216,22 +229,22 @@ class TestEstimateComponentAt:
         ensemble = ensemble_from_rows(
             [[x * np.exp(a * r_i), x * np.exp(a * (r_i + t_i))] for x in x0], schedule
         )
-        (op,) = hankel._fit_operators([ensemble], schedule)
+        op, p_xs = fit_one(ensemble, schedule)
         for t in (0.1, 0.33, 0.5):
-            (est,) = hankel._estimate_sets([op], t)
+            (est,) = hankel._estimate_sets([op], p_xs, t)
             np.testing.assert_allclose(est, x0 * np.exp(a * t), atol=1e-6)
 
     def test_before_dead_time_warns(self):
         schedule, ensemble, _ = geometric_data(r_i=0.3)
-        (op,) = hankel._fit_operators([ensemble], schedule)
+        op, p_xs = fit_one(ensemble, schedule)
         with pytest.warns(ExtrapolationWarning):
-            hankel._estimate_sets([op], 0.0)
+            hankel._estimate_sets([op], p_xs, 0.0)
 
     def test_far_extrapolation_warns(self):
         schedule, ensemble, _ = geometric_data()
-        (op,) = hankel._fit_operators([ensemble], schedule)
+        op, p_xs = fit_one(ensemble, schedule)
         with pytest.warns(ExtrapolationWarning):
-            hankel._estimate_sets([op], 1.0)  # 10x the sampled window
+            hankel._estimate_sets([op], p_xs, 1.0)  # 10x the sampled window
 
 
 class TestRationalPowerEstimate:
@@ -239,27 +252,27 @@ class TestRationalPowerEstimate:
 
     def test_integer_power_consistency(self):
         schedule, ensemble, _ = geometric_data()
-        (op,) = hankel._fit_operators([ensemble], schedule)
-        (est,) = hankel._estimate_sets([op], 2 * schedule.period)
-        np.testing.assert_allclose(est, (op.k_mat @ op.k_mat @ op.p_x)[0], atol=1e-10)
+        op, p_xs = fit_one(ensemble, schedule)
+        (est,) = hankel._estimate_sets([op], p_xs, 2 * schedule.period)
+        np.testing.assert_allclose(est, (op.k_mat @ op.k_mat @ p_xs[0])[0], atol=1e-10)
 
     def test_agrees_with_exp_log_for_positive_spectrum(self):
         schedule, ensemble, _ = geometric_data()
-        (op,) = hankel._fit_operators([ensemble], schedule)
+        op, p_xs = fit_one(ensemble, schedule)
         t = 0.137
         w, v = np.linalg.eig(op.k_mat)  # oracle: principal power by eigendecomposition
         powered = (v * np.power(w.astype(complex), t / schedule.period)) @ np.linalg.inv(v)
-        oracle = powered[0] @ op.p_x
+        oracle = powered[0] @ p_xs[0]
         assert np.max(np.abs(oracle.imag)) <= 1e-10
-        np.testing.assert_allclose(hankel._estimate_sets([op], t)[0], oracle.real, atol=1e-8)
+        np.testing.assert_allclose(hankel._estimate_sets([op], p_xs, t)[0], oracle.real, atol=1e-8)
 
     def test_negative_eigenvalue_half_power_is_complex(self):
         schedule = SamplingSchedule(component=0, dead_time=0.0, period=0.1, count=1)
         ensemble = ensemble_from_rows([[x, -0.5 * x] for x in (1.0, 2.0)], schedule)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            (op,) = hankel._fit_operators([ensemble], schedule)
-            hankel._estimate_sets([op], 0.05)  # sqrt(-0.5) is imaginary
+            op, p_xs = fit_one(ensemble, schedule)
+            hankel._estimate_sets([op], p_xs, 0.05)  # sqrt(-0.5) is imaginary
         np.testing.assert_allclose(op.k_mat, [[-0.5]], atol=1e-12)
         assert op.imag_residual > 1.0
         # each warning carries its component (and time) label, in order
@@ -276,11 +289,10 @@ class TestRationalPowerEstimate:
         # its P_x, P_y have no Hankel structure, so the operator is built directly
         p_x = np.eye(2)
         k_mat, l_complex = linalg.koopman_fit(p_x, np.array([[1.0, 1.0], [0.0, 1.0]]), 0.1)
-        op = hankel.ComponentOperator(
-            schedule=schedule, p_x=p_x, k_mat=k_mat, l_complex=l_complex
-        )
+        op = hankel.ComponentOperator(schedule=schedule, k_mat=k_mat, l_complex=l_complex)
         np.testing.assert_allclose(op.k_mat, [[1.0, 1.0], [0.0, 1.0]], atol=1e-12)
-        np.testing.assert_allclose(hankel._estimate_sets([op], 0.05)[0], [1.0, 0.5], atol=1e-10)
+        (est,) = hankel._estimate_sets([op], p_x[None], 0.05)
+        np.testing.assert_allclose(est, [1.0, 0.5], atol=1e-10)
 
 
 def multirate_schedules(t_s=0.1):
@@ -392,8 +404,9 @@ class TestReconstructStates:
         assert list(ops) == [1, 2]
         (pairs,) = reconstruct_states([ensemble], schedules, [ops], 0.1)
         for comp, op in ops.items():
-            np.testing.assert_array_equal(pairs.x[comp], hankel._estimate_sets([op], 0.1)[0])
-            np.testing.assert_array_equal(pairs.y[comp], hankel._estimate_sets([op], 0.2)[0])
+            p_xs = hankel._hankel_stacks([ensemble], op.schedule)[0]
+            np.testing.assert_array_equal(pairs.x[comp], hankel._estimate_sets([op], p_xs, 0.1)[0])
+            np.testing.assert_array_equal(pairs.y[comp], hankel._estimate_sets([op], p_xs, 0.2)[0])
 
     def test_missing_operator_rejected(self):
         schedules = multirate_schedules()
@@ -419,6 +432,61 @@ class TestReconstructStates:
             reconstruct_states(
                 [Ensemble(times={}, values={}, indices=[])], multirate_schedules(), [{}], 0.1
             )
+
+
+class TestForeignEnsembles:
+    """Operators fitted on one ensemble estimate on another of the same
+    schedules from that ensemble's own samples, as a fitted step 1 holds no
+    data; an operator of another schedule, or samples off the schedule, end
+    in a DataError that names the component."""
+
+    @pytest.fixture(scope="class")
+    def fitted(self):
+        schedules = multirate_schedules()
+        ((ensemble,),) = sample_ensembles(lorenz_field(), [schedules], 300, [0])
+        (ops,) = fit_component_operators([ensemble], schedules, (0.1, 0.2))
+        return schedules, ops
+
+    @pytest.mark.parametrize("k, seed", [(300, 1), (100, 2)])
+    def test_estimates_read_the_ensemble_applied_to(self, fitted, k, seed):
+        schedules, ops = fitted
+        full_state = [SamplingSchedule(i, 0.0, 0.1, 2) for i in range(3)]
+        ((ensemble, full),) = sample_ensembles(lorenz_field(), [schedules, full_state], k, [seed])
+        (pairs,) = reconstruct_states([ensemble], schedules, [ops], 0.1)
+        assert pairs.x.shape == (3, k)
+        for l, (t, out) in enumerate(((0.1, pairs.x), (0.2, pairs.y)), start=1):
+            # x1 is measured at both targets: the ensemble's own samples
+            assert out[0].tobytes() == ensemble.values[0][:, l].tobytes()
+            for comp, op in ops.items():
+                s = op.schedule
+                p_x = np.ascontiguousarray(ensemble.values[comp][:, : s.count].T)
+                row = linalg.matrix_exp(op.l_complex * (t - s.dead_time))[0]
+                expected, _ = linalg.cast_real(row @ p_x)
+                assert out[comp].tobytes() == expected.tobytes()
+        # and close to the truth of this ensemble, not of the fitted one
+        truth = np.stack([full.values[i][:, 1:] for i in range(3)])  # (3, K, 2) at 0.1, 0.2
+        assert np.abs(pairs.x - truth[:, :, 0]).mean(axis=1).max() < 0.02
+        assert np.abs(pairs.y - truth[:, :, 1]).mean(axis=1).max() < 0.02
+
+    @pytest.mark.parametrize("field, value", [("count", 2), ("period", 0.8), ("dead_time", 0.1)])
+    def test_operator_of_another_schedule_rejected(self, fitted, field, value):
+        schedules, ops = fitted
+        other = [replace(s, **{field: value}) if s.component == 1 else s for s in schedules]
+        ((ensemble,),) = sample_ensembles(lorenz_field(), [other], 300, [1])
+        with pytest.raises(DataError, match="^component 1: operator of another schedule$"):
+            reconstruct_states([ensemble], other, [ops], 0.1)
+
+    def test_misplaced_samples_rejected(self, fitted):
+        schedules, ops = fitted
+        ((ensemble,),) = sample_ensembles(lorenz_field(), [schedules], 300, [1])
+        shifted = Ensemble(
+            times={**ensemble.times, 2: ensemble.times[2] + 0.05},
+            values=ensemble.values,
+            indices=ensemble.indices,
+        )
+        message = "^component 2: sample times do not match the schedule instants$"
+        with pytest.raises(DataError, match=message):
+            reconstruct_states([shifted], schedules, [ops], 0.1)
 
 
 class TestHostileScalars:

@@ -64,6 +64,9 @@ COMMANDS = [
         for seed in (0, 3)
     ],
     ("multirate_k300_m211", "multirate", {**_MULTIRATE, "K": 300, "M": [2, 1, 1]}, []),  # 1
+    # the only command that estimates from well-conditioned delay stacks
+    # taller than 4 rows (8 and 10)
+    ("multirate_k300_m8_10", "multirate", {**_MULTIRATE, "K": 300, "M": [12, 8, 10]}, []),
     ("multirate_k5", "multirate", {**_MULTIRATE, "K": 5}, []),  # 1
     ("multirate_rates246", "multirate", {**_MULTIRATE, "K": 200, "rates": [2, 4, 6]}, []),
     *[
