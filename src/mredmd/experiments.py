@@ -731,9 +731,13 @@ def refuse_foreign_output(cfg, writes="report"):
 
 
 def _refuse_foreign(directory, owns):
-    """Raise before anything is written if ``directory`` holds a file that
-    mredmd writes (a report, comparison or trajectory file) whose name
-    ``owns`` rejects: it belongs to another report."""
+    """Raise before anything is written if ``directory`` is a file or a
+    dangling link, or lies below one, or if it holds a file that mredmd
+    writes (a report, comparison or trajectory file) whose name ``owns``
+    rejects: it belongs to another report."""
+    existing = next(p for p in (directory, *directory.parents) if p.exists() or p.is_symlink())
+    if not existing.is_dir():
+        raise ConfigurationError(f"cannot write to {directory}: {existing} is not a directory")
     stale = sorted(
         name
         for name in (path.name for path in directory.glob("*"))

@@ -3,12 +3,14 @@ operator fits, time interpolation of component values, and full-state
 reconstruction at a common pair of target instants.
 
 For component i with samples at r_i + l*T_i, the delay observables are the
-component value and its next M_i - 1 shifts. A one-period Koopman matrix K_i
+component value and its next M_i - 1 shifts. Each stage reads a component
+of its ensembles through one checked delay window (B, M_i + 1, K), whose
+first and last M_i rows are P_x and P_y. A one-period Koopman matrix K_i
 is fit jointly across all trajectories, its generator L_i = log(K_i)/T_i
 interpolates the component to arbitrary times, and the first row of
-exp(L_i (t - r_i)) applied to the delay matrix of any ensemble on the
-schedule yields its per-trajectory estimates at time t. The fit (and its
-conditioning check) is :func:`linalg.koopman_fit`, shared with EDMD.
+exp(L_i (t - r_i)) applied to P_x of any ensemble on the schedule yields
+its per-trajectory estimates at time t. The fit (and its conditioning
+check) is :func:`linalg.koopman_fit`, shared with EDMD.
 """
 
 import warnings
@@ -46,12 +48,11 @@ class ComponentOperator(ComplexGenerator):
     l_complex: np.ndarray
 
 
-def _hankel_stacks(ensembles, schedule):
-    """(P_x, P_y) stacks (B, M_i, K) of one component of each of
-    ``ensembles``: column k of P_y holds the window of column k of P_x
-    shifted by one period, so row l of P_y equals row l+1 of P_x exactly
-    for l < M_i - 1. The sample times of all ensembles are checked against
-    the schedule in one comparison.
+def _windows(ensembles, schedule):
+    """Delay windows (B, M_i + 1, K) of one component of each of
+    ``ensembles``: row l of a window holds every trajectory's sample l, so
+    P_x and P_y are its first and last M_i rows. The sample times of all
+    ensembles are checked against the schedule in one comparison.
 
     Raises
     ------
@@ -61,38 +62,36 @@ def _hankel_stacks(ensembles, schedule):
     """
     m = schedule.count
     comp = schedule.component
-    windows = []
+    time_rows = []
     for ensemble in ensembles:
         times = ensemble.times.get(comp, ())
         if len(times) < m + 1:
             break
-        windows.append(times[: m + 1])
+        time_rows.append(times[: m + 1])
     # the first ensemble at fault names the error, as in a loop over them
     instants = schedule.instants()
-    if windows and not np.isclose(windows, instants, rtol=0.0, atol=TIME_MATCH_TOL).all():
+    if time_rows and not np.isclose(time_rows, instants, rtol=0.0, atol=TIME_MATCH_TOL).all():
         raise DataError(f"component {comp}: sample times do not match the schedule instants")
-    if len(windows) < len(ensembles):
-        times = ensembles[len(windows)].times
+    if len(time_rows) < len(ensembles):
+        times = ensembles[len(time_rows)].times
         if comp not in times:
             raise DataError(f"component {comp}: no samples in the ensemble")
         raise DataError(f"component {comp}: {times[comp].size} samples, schedule needs {m + 1}")
     values = [ensemble.values[comp] for ensemble in ensembles]
     if any(len(v) != len(values[0]) for v in values):
         raise DataError(f"component {comp}: ensembles of different sizes")
-    shape = (len(values), m, len(values[0]))
-    return tuple(
-        np.stack([v[:, lag : lag + m].T for v in values], out=np.empty(shape)) for lag in (0, 1)
-    )
+    shape = (len(values), m + 1, len(values[0]))
+    return np.stack([v[:, : m + 1].T for v in values], out=np.empty(shape))
 
 
 def _fit_operators(ensembles, schedule):
     """The :class:`ComponentOperator` of one component in each of
     ``ensembles``, which hold the same number of trajectories, from one
     :func:`linalg.koopman_fit` of their stacked delay matrices."""
-    p_xs, p_ys = _hankel_stacks(ensembles, schedule)
-    m, n_traj = p_xs.shape[1:]
+    windows = _windows(ensembles, schedule)
+    m, n_traj = schedule.count, windows.shape[2]
     if n_traj < m:
-        for _ in p_xs:
+        for _ in windows:
             warnings.warn(
                 f"component {schedule.component}: {n_traj} trajectories < {m} delay "
                 "observables; P_x cannot be full row rank",
@@ -100,7 +99,7 @@ def _fit_operators(ensembles, schedule):
                 stacklevel=3,
             )
     with labelled(f"component {schedule.component}"):
-        k_mats, l_complex = linalg.koopman_fit(p_xs, p_ys, schedule.period)
+        k_mats, l_complex = linalg.koopman_fit(windows[:, :-1], windows[:, 1:], schedule.period)
     return [ComponentOperator(schedule, k, l) for k, l in zip(k_mats, l_complex)]
 
 
@@ -158,7 +157,8 @@ def fit_component_operators(ensembles, schedules, targets):
     Raises
     ------
     DataError
-        Naming the component when samples are missing or misplaced.
+        Naming the component when samples are missing or misplaced, or
+        when the ensembles differ in size.
     SingularMatrixError
         If a fitted K_i is singular so the logarithm does not exist.
     """
@@ -190,10 +190,10 @@ def reconstruct_states(ensembles, schedules, operator_sets, step, first_target=N
         If ``step`` is not a finite real number > 0 or ``first_target`` not
         a finite real number, naming it.
     DataError
-        If a measurement is missing, an estimate needs an operator that an
-        ensemble's dict lacks or has on another schedule, the samples to
-        estimate from are missing or misplaced, the ensembles to estimate on
-        differ in size, or the two lists differ in length.
+        Naming the component if its samples are missing or misplaced
+        (measured ones too), the ensembles differ in size, or an estimate
+        needs an operator that an ensemble's dict lacks or has on another
+        schedule; or if the two lists differ in length.
     """
     step = check_number(step, "step", positive=True)
     t1 = step if first_target is None else check_number(first_target, "first_target")
@@ -211,15 +211,12 @@ def reconstruct_states(ensembles, schedules, operator_sets, step, first_target=N
     x_estimated = [False] * n
     y_estimated = [False] * n
     for s in sorted(schedules, key=lambda s: s.component):
-        p_xs = None
+        windows = _windows(ensembles, s)
         for t, outs, flags in ((t1, xs, x_estimated), (t2, ys, y_estimated)):
             l = s.sample_index(t)
             if l is not None:
-                for ensemble, out in zip(ensembles, outs):
-                    times = ensemble.times.get(s.component, ())
-                    if len(times) <= l or abs(times[l] - t) > TIME_MATCH_TOL:
-                        raise DataError(f"component {s.component}: no measurement at t={t:.6g}")
-                    out[s.component] = ensemble.values[s.component][:, l]
+                for out, window in zip(outs, windows):
+                    out[s.component] = window[l]
             else:
                 if any(s.component not in operators for operators in operator_sets):
                     raise DataError(
@@ -229,9 +226,7 @@ def reconstruct_states(ensembles, schedules, operator_sets, step, first_target=N
                 operators = [operators[s.component] for operators in operator_sets]
                 if any(operator.schedule != s for operator in operators):
                     raise DataError(f"component {s.component}: operator of another schedule")
-                if p_xs is None:
-                    p_xs, _ = _hankel_stacks(ensembles, s)
-                for out, estimates in zip(outs, _estimate_sets(operators, p_xs, t)):
+                for out, estimates in zip(outs, _estimate_sets(operators, windows[:, :-1], t)):
                     out[s.component] = estimates
                 flags[s.component] = True
     return [

@@ -98,7 +98,7 @@ def test_criterion_2_hankel_scalar_oracle():
     (op,) = hankel._fit_operators([ensemble], schedule)
     l_err = abs(op.l_mat[0, 0] - np.log(rho) / t_i)
     assert l_err <= 1e-9, f"L_i error {l_err:.3e}"
-    (est,) = hankel._estimate_sets([op], hankel._hankel_stacks([ensemble], schedule)[0], 0.05)
+    (est,) = hankel._estimate_sets([op], hankel._windows([ensemble], schedule)[:, :-1], 0.05)
     est_err = np.max(np.abs(est - x0 * rho**0.5))
     assert est_err <= 1e-9, f"fractional estimate error {est_err:.3e}"
     print("ACCEPTANCE 2 PASS: Hankel scalar oracle, L_i and half-period estimate to 1e-9")
@@ -153,7 +153,7 @@ def test_criterion_5_measured_instant_exactness():
     (fitted,) = hankel.fit_component_operators([ensemble], schedules, (cfg.T_s, 2 * cfg.T_s))
     assert list(fitted) == [1, 2]
     for comp, op in fitted.items():
-        p_xs = hankel._hankel_stacks([ensemble], op.schedule)[0]
+        p_xs = hankel._windows([ensemble], op.schedule)[:, :-1]
         (est,) = hankel._estimate_sets([op], p_xs, op.schedule.dead_time)
         err = np.max(np.abs(est - p_xs[0, 0]))
         assert err <= 1e-12, f"component {comp}: first-sample error {err:.3e}"

@@ -378,6 +378,56 @@ def test_huge_ensemble_refusal_reads_names_only(tmp_path, monkeypatch):
         experiments.refuse_foreign_output(replace(cfg, K=3), "ensemble")
 
 
+def _file_out(tmp_path, kind):
+    """A file in ``tmp_path``, a dangling link for ``kind`` "link", and an
+    output path that is it or, for ``kind`` "below", lies below it."""
+    afile = tmp_path / "afile"
+    if kind == "link":
+        afile.symlink_to(tmp_path / "missing")
+    else:
+        afile.write_text("not a directory\n")
+    return afile, afile / "sub" if kind == "below" else afile
+
+
+def _untouched(tmp_path, afile, kind):
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "cfg.json"]
+    assert afile.is_symlink() if kind == "link" else afile.read_text() == "not a directory\n"
+
+
+_FILE_OUTS = ["file", "below", "link"]
+
+
+@pytest.mark.parametrize("kind", _FILE_OUTS)
+@pytest.mark.parametrize("command", ["multirate", "compare", "simulate"])
+def test_out_that_is_a_file_is_refused(tmp_path, capsys, monkeypatch, command, kind):
+    cfg = write_config(tmp_path / "cfg.json")
+    afile, out = _file_out(tmp_path, kind)
+    _forbid_runs(monkeypatch)
+    extra = ["--num-seeds", "2"] if command == "compare" else []
+    assert main([command, "--config", str(cfg), *extra, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"configuration error: cannot write to {out}: {afile} is not a directory\n"
+    )
+    _untouched(tmp_path, afile, kind)
+
+
+@pytest.mark.parametrize("kind", _FILE_OUTS)
+def test_writers_refuse_a_file(tmp_path, kind):
+    cfg = ExperimentConfig.from_json(write_config(tmp_path / "cfg.json"))
+    afile, out = _file_out(tmp_path, kind)
+    ((ensemble, _),) = experiments.simulate(cfg, [0])
+    writes = [
+        lambda: experiments.emit_report(experiments.run(cfg), out),
+        lambda: experiments.emit_comparison(run_sweep(cfg, [0, 1]), out),
+        lambda: experiments.export_ensemble(ensemble, out),
+    ]
+    for write in writes:
+        with pytest.raises(ConfigurationError) as info:
+            write()
+        assert str(info.value) == f"cannot write to {out}: {afile} is not a directory"
+    _untouched(tmp_path, afile, kind)
+
+
 def _bounded(names):
     """``_trajectory_names`` that fails the test when asked for many names."""
 

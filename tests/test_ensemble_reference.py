@@ -155,7 +155,8 @@ def test_hankel_matrices_match_loop(schedules):
         (op,) = hankel._fit_operators([ensemble], s)
         (k_mat,), (l_complex,) = koopman_fit(ref_x[None], ref_y[None], s.period)
         assert np.array_equal(op.k_mat, k_mat) and np.array_equal(op.l_complex, l_complex)
-        (p_x,), (p_y,) = hankel._hankel_stacks([ensemble], s)
+        (window,) = hankel._windows([ensemble], s)
+        p_x, p_y = window[:-1], window[1:]
         np.testing.assert_array_equal(p_x, ref_x)
         np.testing.assert_array_equal(p_y, ref_y)
         assert p_x.flags.c_contiguous and p_y.flags.c_contiguous

@@ -61,14 +61,26 @@ def fit_one(ensemble, schedule):
     """The operator fitted on ``ensemble`` alone, and the ensemble's delay
     stack (1, M_i, K) that its estimates are read from."""
     (op,) = hankel._fit_operators([ensemble], schedule)
-    return op, hankel._hankel_stacks([ensemble], schedule)[0]
+    return op, hankel._windows([ensemble], schedule)[:, :-1]
+
+
+def window_views(ensemble, schedule):
+    """P_x and P_y (1, M_i, K) of one component as views of its window,
+    checked bit for bit against the stacks built row by row."""
+    windows = hankel._windows([ensemble], schedule)
+    views = windows[:, :-1], windows[:, 1:]
+    m, values = schedule.count, [ensemble.values[schedule.component]]
+    for lag, view in enumerate(views):
+        stack = np.stack([v[:, lag : lag + m].T for v in values])
+        assert view.shape == stack.shape and view.tobytes() == stack.tobytes()
+    return views
 
 
 class TestBuildHankelMatrices:
     def test_smallest_case(self):
         schedule = SamplingSchedule(component=0, dead_time=0.0, period=1.0, count=1)
         ensemble = ensemble_from_rows([[1.0, 2.0], [3.0, 4.0]], schedule)
-        p_xs, p_ys = hankel._hankel_stacks([ensemble], schedule)
+        p_xs, p_ys = window_views(ensemble, schedule)
         np.testing.assert_array_equal(p_xs, [[[1.0, 3.0]]])
         np.testing.assert_array_equal(p_ys, [[[2.0, 4.0]]])
         # the operator is the fit of exactly these stacks
@@ -80,7 +92,7 @@ class TestBuildHankelMatrices:
         schedule = SamplingSchedule(component=0, dead_time=0.2, period=0.5, count=4)
         rng = np.random.default_rng(1)
         ensemble = ensemble_from_rows([rng.normal(size=5) for _ in range(7)], schedule)
-        (p_x,), (p_y,) = hankel._hankel_stacks([ensemble], schedule)
+        (p_x,), (p_y,) = window_views(ensemble, schedule)
         np.testing.assert_array_equal(p_y[:-1], p_x[1:])
 
     def test_benchmark_shape(self):
@@ -112,6 +124,37 @@ class TestBuildHankelMatrices:
         off = Ensemble(times={0: [0.0, 1.01]}, values={0: [[1.0, 2.0]]}, indices=[0])
         with pytest.raises(DataError, match="instants"):
             hankel._fit_operators([off], schedule)
+
+
+class TestWindowViews:
+    """P_x and P_y are views of one window per component, which the fit and
+    the estimates read with the bits of contiguous copies."""
+
+    @pytest.mark.filterwarnings("ignore::mredmd.errors.MredmdWarning")
+    @pytest.mark.parametrize("count, k", [(3, 40), (12, 10)], ids=["wide", "tall"])
+    @pytest.mark.parametrize("seeds", [[0], [0, 1, 2]], ids=["B1", "B3"])
+    def test_fit_of_views_is_fit_of_copies(self, count, k, seeds):
+        schedule = SamplingSchedule(component=0, dead_time=0.0, period=0.1, count=count)
+        layout = [schedule, *(SamplingSchedule(i, 0.0, 0.1, 1) for i in (1, 2))]
+        ensembles = [e for (e,) in sample_ensembles(lorenz_field(), [layout], k, seeds)]
+        windows = hankel._windows(ensembles, schedule)
+        views = windows[:, :-1], windows[:, 1:]
+        assert all(np.shares_memory(view, windows) for view in views)
+        fitted = linalg.koopman_fit(*views, 0.1)
+        copied = linalg.koopman_fit(*(view.copy() for view in views), 0.1)
+        for a, b in zip(fitted, copied):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    def test_estimates_of_views_are_estimates_of_copies(self):
+        schedules = multirate_schedules()
+        ensembles = [e for (e,) in sample_ensembles(lorenz_field(), [schedules], 40, [0, 1, 2])]
+        sets = fit_component_operators(ensembles, schedules, (0.1, 0.2))
+        for s in schedules[1:]:
+            operators = [operators[s.component] for operators in sets]
+            p_xs = hankel._windows(ensembles, s)[:, :-1]
+            views = hankel._estimate_sets(operators, p_xs, 0.1)
+            copies = hankel._estimate_sets(operators, p_xs.copy(), 0.1)
+            assert [v.tobytes() for v in views] == [c.tobytes() for c in copies]
 
 
 class TestFitComponentOperator:
@@ -404,7 +447,7 @@ class TestReconstructStates:
         assert list(ops) == [1, 2]
         (pairs,) = reconstruct_states([ensemble], schedules, [ops], 0.1)
         for comp, op in ops.items():
-            p_xs = hankel._hankel_stacks([ensemble], op.schedule)[0]
+            p_xs = hankel._windows([ensemble], op.schedule)[:, :-1]
             np.testing.assert_array_equal(pairs.x[comp], hankel._estimate_sets([op], p_xs, 0.1)[0])
             np.testing.assert_array_equal(pairs.y[comp], hankel._estimate_sets([op], p_xs, 0.2)[0])
 
@@ -432,6 +475,47 @@ class TestReconstructStates:
             reconstruct_states(
                 [Ensemble(times={}, values={}, indices=[])], multirate_schedules(), [{}], 0.1
             )
+
+    def test_measured_samples_off_the_schedule_rejected(self):
+        # no target reads x1's first sample, but its whole window is checked
+        schedules = [SamplingSchedule(i, 0.0, 0.1, 2) for i in range(3)]
+        ((ensemble,),) = sample_ensembles(lorenz_field(), [schedules], 5, [0])
+        shifted = Ensemble(
+            times={**ensemble.times, 0: ensemble.times[0] + [0.01, 0.0, 0.0]},
+            values=ensemble.values,
+            indices=ensemble.indices,
+        )
+        message = "^component 0: sample times do not match the schedule instants$"
+        with pytest.raises(DataError, match=message):
+            reconstruct_states([shifted], schedules, [{}], 0.1)
+
+    def test_ensembles_of_different_sizes_rejected(self):
+        schedules = [SamplingSchedule(i, 0.0, 0.1, 2) for i in range(3)]
+        ((large,),) = sample_ensembles(lorenz_field(), [schedules], 30, [0])
+        ((small,),) = sample_ensembles(lorenz_field(), [schedules], 10, [1])
+        with pytest.raises(DataError, match="^component 0: ensembles of different sizes$"):
+            reconstruct_states([large, small], schedules, [{}, {}], 0.1)
+
+    @pytest.mark.parametrize(
+        "schedules, t1, fitted",
+        [(multirate_schedules(), 0.1, [1, 2]), (single_state_schedules(), 0.3, [0, 1, 2])],
+        ids=["multirate", "single_state"],
+    )
+    def test_one_window_per_component(self, monkeypatch, schedules, t1, fitted):
+        calls = []
+        windows = hankel._windows
+
+        def spy(ensembles, schedule):
+            calls.append(schedule.component)
+            return windows(ensembles, schedule)
+
+        monkeypatch.setattr(hankel, "_windows", spy)
+        ensembles = [e for (e,) in sample_ensembles(lorenz_field(), [schedules], 30, [4, 5])]
+        operator_sets = fit_component_operators(ensembles, schedules, (t1, t1 + 0.1))
+        assert calls == fitted
+        calls.clear()
+        reconstruct_states(ensembles, schedules, operator_sets, 0.1, first_target=t1)
+        assert calls == [0, 1, 2]
 
 
 class TestForeignEnsembles:

@@ -102,6 +102,9 @@ COMMANDS = [
     # component 0 of seed 1 warns, so its stacked fit runs again one matrix
     # at a time, and both EDMD fits of that seed fail
     ("single_k6_m4_s1", "single-state", {**_SINGLE, "K": 6, "M": [4, 4, 4]}, ["--seed", "1"]),  # 1
+    # the only single-state command that estimates from delay stacks taller
+    # than 2 rows and runs clean
+    ("single_k100_m6", "single-state", {**_SINGLE, "K": 100, "M": [6, 6, 6]}, []),
     # seed 1 alone warns in the group
     (
         "compare_single_k6_m4",
