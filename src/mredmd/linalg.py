@@ -6,7 +6,6 @@ Matrices are plain ``numpy.ndarray`` values; every operation validates shape
 and finiteness on entry and is a pure function of its inputs.
 """
 
-import functools
 import math
 import warnings
 
@@ -31,10 +30,10 @@ COND_WARN_THRESHOLD = 1e12
 #: Imaginary residual above which :func:`cast_real` warns.
 IMAG_RESIDUAL_TOL = 1e-6
 
-#: theta_m bounds the spectral quantity alpha_p(R) for which the degree-m
-#: Pade approximant of log(I + R) is accurate to double precision
-#: (Al-Mohy & Higham 2012, Table 2.1); index m = 1..7.
-_THETA = (None, 1.59e-5, 2.31e-3, 1.94e-2, 6.21e-2, 1.28e-1, 2.06e-1, 2.88e-1)
+#: theta_7 bounds the spectral quantity eta(R) for which the degree-7 Pade
+#: approximant of log(I + R) is accurate to double precision (Al-Mohy &
+#: Higham 2012, Table 2.1).
+_THETA_7 = 2.88e-1
 
 #: Largest imaginary part of the log of a real matrix taken as rounding
 #: (the rule of SciPy's matrix functions).
@@ -188,13 +187,14 @@ def matrix_log(k):
     Transformation-free inverse scaling and squaring (Al-Mohy & Higham,
     SIAM J. Sci. Comput. 2012, Sec. 5) in NumPy alone: the eigenvalues give
     the branch-cut test and the first root count, square roots come from
-    Newton's iteration carried as ``X - I``, and the Pade degree and any
-    further roots come from exact 1-norms of ``(X - I)^p``, so the result
-    is a deterministic function of ``k``.
+    Newton's iteration carried as ``X - I``, further roots are taken until
+    exact 1-norms of ``(X - I)^p`` put it where the degree-7 Pade
+    approximant is accurate, and that approximant is the only one used, so
+    the result is a deterministic function of ``k``.
 
     ``k`` may also be a stack (B, N, N), whose logs run as one: each matrix
-    keeps its own root count, Newton stopping and Pade degree, so it gets
-    the bits of its own 2-D call. A stack that warns or fails runs again one
+    keeps its own root count and Newton stopping, so it gets the bits of
+    its own 2-D call. A stack that warns or fails runs again one
     matrix at a time, giving the warnings and errors of a loop of 2-D calls.
 
     Raises
@@ -239,29 +239,21 @@ def _matrix_log(arr):
     return (out,)
 
 
-def _degree(x, degrees):
-    """Per entry of ``x``, the first of ``degrees`` (ascending) whose
-    ``_THETA`` bounds it, or 0 if none does."""
-    m = np.zeros(len(x), dtype=int)
-    for d in reversed(degrees):
-        m[x <= _THETA[d]] = d
-    return m
-
-
 def _log_inverse_scaling_squaring(a, eigs, on_axis):
-    """log(a) = 2^s r_m(a^(1/2^s) - I) of each matrix of a (B, N, N) stack,
+    """log(a) = 2^s r_7(a^(1/2^s) - I) of each matrix of a (B, N, N) stack,
     given the eigenvalues ``eigs`` (B, N) of ``a`` and the mask ``on_axis``
     of those on the closed negative real axis (Al-Mohy & Higham 2012,
     Sec. 5). Each root is carried as ``R = X - I``, so R stays accurate
-    relative to its own size as X nears I. The root count s and the degree
-    m are per matrix; matrices still rooting, or of one degree, run
-    together."""
+    relative to its own size as X nears I. The root count s is per matrix:
+    roots until every eigenvalue is within theta_7 of 1, then until
+    eta(R) <= theta_7 (:func:`_eta`), where the degree-7 Pade approximant
+    r_7 is accurate to double precision. Matrices still rooting run
+    together, and r_7 is one solve for the whole stack."""
     ident = np.eye(a.shape[-1])
-    # s: square roots until every eigenvalue is within theta_7 of 1
     s = np.zeros(len(a), dtype=int)
     rooting, roots = np.arange(len(a)), eigs
     while True:
-        far = np.abs(roots - 1.0).max(axis=1) > _THETA[7]
+        far = np.abs(roots - 1.0).max(axis=1) > _THETA_7
         if not far.any():
             break
         rooting, roots = rooting[far], np.sqrt(roots[far])
@@ -285,39 +277,19 @@ def _log_inverse_scaling_squaring(a, eigs, on_axis):
             act &= ~cut
         if act.any():
             r[act] = _sqrt_minus_identity(r[act])
-    alpha = _power_norms(r)  # columns: p = 2, 3, 4, 5
-    m = _degree(np.maximum(alpha[:, 0], alpha[:, 1]), (1, 2))
-    extra = np.zeros(len(a), dtype=int)
-    open_ = np.flatnonzero(m == 0)
+    open_ = np.flatnonzero(_eta(r) > _THETA_7)
     while open_.size:
-        al = alpha[open_]
-        a3 = np.maximum(al[:, 1], al[:, 2])
-        deg = _degree(a3, range(3, 7))
-        # one more root lowers the degree by more than it costs
-        more = (deg == 0) & (a3 <= _THETA[7]) & (a3 / 2 <= _THETA[5]) & (extra[open_] < 2)
-        extra[open_[more]] += 1
-        late = (deg == 0) & ~more
-        eta = np.minimum(a3, np.maximum(al[:, 2], al[:, 3]))
-        deg[late] = _degree(eta[late], (6, 7))
-        m[open_] = deg
-        open_ = open_[deg == 0]
-        if open_.size:
-            r[open_] = _sqrt_minus_identity(r[open_])
-            s[open_] += 1
-            alpha[open_] = _power_norms(r[open_])
+        r[open_] = _sqrt_minus_identity(r[open_])
+        s[open_] += 1
+        open_ = open_[_eta(r[open_]) > _THETA_7]
 
-    # r_m(R) = sum_j w_j (I + x_j R)^-1 R on Gauss-Legendre nodes x_j
-    out = np.empty_like(r)
-    for degree in sorted(set(m.tolist())):
-        sel = m == degree
-        nodes, weights = _gauss_legendre(degree)
-        rs = r[sel][:, None]
-        try:
-            terms = np.linalg.solve(ident + nodes * rs, weights * rs)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"Pade solve failed: {exc}") from exc
-        out[sel] = 2.0 ** s[sel, None, None] * terms.sum(axis=1)
-    return out
+    # r_7(R) = sum_j w_j (I + x_j R)^-1 R on Gauss-Legendre nodes x_j
+    rs = r[:, None]
+    try:
+        terms = np.linalg.solve(ident + _GAUSS_NODES * rs, _GAUSS_WEIGHTS * rs)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"Pade solve failed: {exc}") from exc
+    return 2.0 ** s[:, None, None] * terms.sum(axis=1)
 
 
 #: Newton's square-root iteration stops once its next correction, predicted
@@ -363,67 +335,30 @@ def _sqrt_minus_identity(r):
     raise NumericalError("square root iteration did not converge")
 
 
-def _power_norms(r):
-    """alpha_p = ||R^p||_1^(1/p) for p = 2..5, computed exactly, of each
-    matrix of a (B, N, N) stack; shape (B, 4)."""
+def _eta(r):
+    """eta = min(max(alpha_3, alpha_4), max(alpha_4, alpha_5)) of each
+    matrix of a (B, N, N) stack, with alpha_p = ||R^p||_1^(1/p) computed
+    exactly; shape (B,)."""
     r2 = r @ r
     r4 = r2 @ r2
-    norms = np.abs(np.stack((r2, r2 @ r, r4, r4 @ r), axis=1)).sum(axis=2).max(axis=2)
-    return norms ** (1.0 / np.arange(2, 6))
+    norms = np.abs(np.stack((r2 @ r, r4, r4 @ r), axis=1)).sum(axis=2).max(axis=2)
+    a3, a4, a5 = (norms ** (1.0 / np.arange(3, 6))).T
+    return np.minimum(np.maximum(a3, a4), np.maximum(a4, a5))
 
 
-#: Gauss-Legendre nodes and weights on [0, 1] for each degree m that
-#: ``_degree`` can return: ``0.5 + 0.5 x`` and ``0.5 w`` of NumPy's
-#: ``leggauss(m)``, bit for bit, so a run need not load ``numpy.polynomial``.
-_GAUSS_LEGENDRE = {
-    1: ((0.5,), (1.0,)),
-    2: ((0.21132486540518713, 0.7886751345948129), (0.5, 0.5)),
-    3: (
-        (0.1127016653792583, 0.5, 0.8872983346207417),
-        (0.27777777777777785, 0.4444444444444444, 0.27777777777777785),
-    ),
-    4: (
-        (0.06943184420297371, 0.33000947820757187, 0.6699905217924281, 0.9305681557970262),
-        (0.17392742256872679, 0.3260725774312732, 0.3260725774312732, 0.17392742256872679),
-    ),
-    5: (
-        (0.04691007703066802, 0.23076534494715845, 0.5, 0.7692346550528415, 0.9530899229693319),
-        (
-            0.11846344252809464, 0.23931433524968315, 0.28444444444444433,
-            0.23931433524968315, 0.11846344252809464,
-        ),
-    ),
-    6: (
-        (
-            0.03376524289842403, 0.16939530676686776, 0.38069040695840156,
-            0.6193095930415985, 0.8306046932331322, 0.9662347571015759,
-        ),
-        (
-            0.08566224618958514, 0.18038078652406936, 0.23395696728634552,
-            0.23395696728634552, 0.18038078652406936, 0.08566224618958514,
-        ),
-    ),
-    7: (
-        (
-            0.0254460438286207, 0.12923440720030277, 0.2970774243113014, 0.5,
-            0.7029225756886985, 0.8707655927996972, 0.9745539561713793,
-        ),
-        (
-            0.06474248308443487, 0.13985269574463843, 0.19091502525255935,
-            0.20897959183673465, 0.19091502525255935, 0.13985269574463843,
-            0.06474248308443487,
-        ),
-    ),
-}
-
-
-@functools.lru_cache(maxsize=None)
-def _gauss_legendre(m):
-    """Gauss-Legendre nodes and weights of degree m on [0, 1], each shaped
-    (m, 1, 1) to scale a stack of matrices."""
-    nodes, weights = (np.array(v)[:, None, None] for v in _GAUSS_LEGENDRE[m])
-    nodes.flags.writeable = weights.flags.writeable = False
-    return nodes, weights
+#: Gauss-Legendre nodes and weights of degree 7 on [0, 1], shaped (7, 1, 1)
+#: to scale a stack of matrices: ``0.5 + 0.5 x`` and ``0.5 w`` of NumPy's
+#: ``leggauss(7)``, bit for bit, so a run need not load ``numpy.polynomial``.
+_GAUSS_NODES = np.array([
+    0.0254460438286207, 0.12923440720030277, 0.2970774243113014, 0.5,
+    0.7029225756886985, 0.8707655927996972, 0.9745539561713793,
+])[:, None, None]
+_GAUSS_WEIGHTS = np.array([
+    0.06474248308443487, 0.13985269574463843, 0.19091502525255935,
+    0.20897959183673465, 0.19091502525255935, 0.13985269574463843,
+    0.06474248308443487,
+])[:, None, None]
+_GAUSS_NODES.flags.writeable = _GAUSS_WEIGHTS.flags.writeable = False
 
 
 #: theta_m bounds ||A||_1 for which the degree-m Pade approximant of exp(A)
@@ -575,7 +510,8 @@ def spectrum_distance(s1, s2):
 
     The two spectra are paired by solving the assignment problem with cost
     ``|lambda_a - lambda_b|``; the result is the mean matched distance. This
-    is symmetric and invariant under permutation of either argument.
+    is symmetric and invariant under permutation of either argument. Two
+    equal arrays are 0.0 without a solve: the identity matching costs 0.
     """
     a = np.atleast_1d(np.asarray(s1, dtype=complex))
     b = np.atleast_1d(np.asarray(s2, dtype=complex))
@@ -588,6 +524,8 @@ def spectrum_distance(s1, s2):
     cost = np.abs(a[:, None] - b[None, :])
     if not np.all(np.isfinite(cost)):
         raise DimensionMismatchError("spectra contain non-finite eigenvalues")
+    if np.array_equal(a, b):
+        return 0.0
     return float(cost[np.arange(a.shape[0]), _assignment(cost)].mean())
 
 

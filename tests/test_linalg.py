@@ -329,6 +329,27 @@ class TestSpectrumDistance:
         s = np.array([1.0, 2.0 + 1j, 2.0 - 1j])
         assert linalg.spectrum_distance(s, s) == 0.0
 
+    @pytest.mark.parametrize(
+        "s",
+        [
+            np.array([0.5, 0.5, 0.5, -1.0]),  # repeated
+            np.array([1.0 + 2.0j, 1.0 - 2.0j, -0.3 + 0.1j, -0.3 - 0.1j, 4.0]),  # pairs
+            np.array([1.0, 1.0 + 1j, 1.0 - 1j, 2.0, 2.0 + 1j, 2.0 - 1j]),  # ties
+            np.array([0.0, -0.0, 1j, -1j, 1j]),  # signed zeros, repeated pair
+        ],
+    )
+    def test_self_distance_is_zero_without_a_solve(self, s, monkeypatch):
+        # the shortcut gives what the solve gives: exactly 0.0
+        cost = np.abs(s[:, None] - s[None, :])
+        assert cost[np.arange(len(s)), linalg._assignment(cost)].mean() == 0.0
+
+        def forbidden(cost):
+            raise AssertionError("a spectrum's distance to itself needs no solve")
+
+        monkeypatch.setattr(linalg, "_assignment", forbidden)
+        assert linalg.spectrum_distance(s, s.copy()) == 0.0
+        assert linalg.spectrum_distance(s.tolist(), s) == 0.0
+
     def test_single_pair(self):
         assert linalg.spectrum_distance([1.0], [1.0 + 1j]) == pytest.approx(1.0)
 
@@ -561,15 +582,35 @@ class TestMatrixLogKernel:
         assert np.linalg.norm(out - ref, 1) <= 1e-12 * np.linalg.norm(ref, 1)
         assert _round_trip(k, out) <= max(1e-13, _round_trip(k, ref))
 
-    @pytest.mark.parametrize("m", range(1, 8))
-    def test_gauss_legendre_table_is_leggauss(self, m):
-        # the literal table, bit for bit NumPy's nodes and weights mapped to [0, 1]
-        x, w = np.polynomial.legendre.leggauss(m)
-        nodes, weights = linalg._gauss_legendre(m)
-        assert nodes.shape == weights.shape == (m, 1, 1)
+    def test_gauss_legendre_table_is_leggauss(self):
+        # the literal degree-7 rule, bit for bit NumPy's nodes and weights
+        # mapped to [0, 1]
+        x, w = np.polynomial.legendre.leggauss(7)
+        nodes, weights = linalg._GAUSS_NODES, linalg._GAUSS_WEIGHTS
+        assert nodes.shape == weights.shape == (7, 1, 1)
         assert not nodes.flags.writeable and not weights.flags.writeable
         assert nodes.ravel().tobytes() == (0.5 + 0.5 * x).tobytes()
         assert weights.ravel().tobytes() == (0.5 * w).tobytes()
+
+    def test_one_pade_solve_per_stack(self, monkeypatch):
+        # every matrix takes the degree-7 approximant, so a stack whose logs
+        # have 1-norms from 1e-6 to 5 makes one 4-D (B, 7, N, N) solve; the
+        # other solves are Newton's 3-D ones
+        rng = np.random.default_rng(8)
+        stack = []
+        for norm in (1e-6, 1e-4, 1e-2, 0.1, 1.0, 5.0):
+            a = rng.normal(size=(6, 6))
+            stack.append(linalg.matrix_exp(a * (norm / np.abs(a).sum(axis=0).max())))
+        solves, solve = [], np.linalg.solve
+
+        def record(a, b):
+            solves.append(np.ndim(a))
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", record)
+        linalg.matrix_log(np.stack(stack))
+        assert solves.count(4) == 1
+        assert set(solves) == {3, 4}
 
 
 def _jordan(lam, n):
