@@ -20,6 +20,7 @@ none escapes. ``run`` is its one-seed case.
 
 import json
 import math
+import os
 import re
 import sys
 import warnings
@@ -731,13 +732,22 @@ def refuse_foreign_output(cfg, writes="report"):
 
 
 def _refuse_foreign(directory, owns):
-    """Raise before anything is written if ``directory`` is a file or a
+    """Raise before anything is written if the OS cannot stat or create
+    ``directory`` (a NUL byte, a name over NAME_MAX), if it is a file or a
     dangling link, or lies below one, or if it holds a file that mredmd
     writes (a report, comparison or trajectory file) whose name ``owns``
     rejects: it belongs to another report."""
-    existing = next(p for p in (directory, *directory.parents) if p.exists() or p.is_symlink())
+    try:
+        existing = next(p for p in (directory, *directory.parents) if _lexists(p))
+    except OSError as exc:
+        raise ConfigurationError(f"cannot write to {directory}: {exc.strerror}") from None
+    except ValueError as exc:
+        raise ConfigurationError(f"cannot write to {directory}: {exc}") from None
     if not existing.is_dir():
         raise ConfigurationError(f"cannot write to {directory}: {existing} is not a directory")
+    missing = [len(os.fsencode(part)) for part in directory.relative_to(existing).parts]
+    if missing and max(missing) > os.pathconf(existing, "PC_NAME_MAX"):
+        raise ConfigurationError(f"cannot write to {directory}: File name too long")
     stale = sorted(
         name
         for name in (path.name for path in directory.glob("*"))
@@ -756,6 +766,16 @@ def _refuse_foreign(directory, owns):
             f"{directory} holds files of another report: {shown}; "
             "write to a new or empty directory"
         )
+
+
+def _lexists(path):
+    """Whether ``path`` names a file, directory or link, dangling or not;
+    an error other than a missing path or a file as a directory raises."""
+    try:
+        path.lstat()
+    except (FileNotFoundError, NotADirectoryError):
+        return False
+    return True
 
 
 def _write_csv(path, lines, blocks=()):
@@ -1008,6 +1028,8 @@ def _read_trajectory_csv(path):
                 vals.append(v)
     except (csv.Error, UnicodeDecodeError) as exc:
         raise DataError(f"{path}: {exc}") from exc
+    except OSError as exc:
+        raise DataError(f"{path}: cannot read: {exc.strerror}") from exc
     if not series:
         raise DataError(f"{path}: no samples")
     return {comp: (np.array(t), np.array(v)) for comp, (t, v) in series.items()}

@@ -361,47 +361,33 @@ _GAUSS_WEIGHTS = np.array([
 _GAUSS_NODES.flags.writeable = _GAUSS_WEIGHTS.flags.writeable = False
 
 
-#: theta_m bounds ||A||_1 for which the degree-m Pade approximant of exp(A)
+#: theta_13 bounds ||A||_1 for which the degree-13 Pade approximant of exp(A)
 #: is accurate to double precision (Higham, SIAM J. Matrix Anal. Appl. 2005).
-_EXP_THETA = {
-    3: 1.495585217958292e-2,
-    5: 2.539398330063230e-1,
-    7: 9.504178996162932e-1,
-    9: 2.097847961257068e0,
-    13: 5.371920351148152e0,
-}
+_THETA_13 = 5.371920351148152e0
 
-#: Coefficients b_0..b_m of the degree-m Pade approximant of exp, as rows
-#: (b_0, b_2, ...) and (b_1, b_3, ...).
-_EXP_PADE = {
-    len(b) - 1: np.array(b).reshape(-1, 2).T
-    for b in (
-        (120.0, 60.0, 12.0, 1.0),
-        (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0),
-        (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0),
-        (
-            17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0,
-            2162160.0, 110880.0, 3960.0, 90.0, 1.0,
-        ),
-        (
-            64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
-            1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
-            33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
-        ),
-    )
-}
+#: Coefficients b_0..b_13 of the degree-13 Pade approximant of exp, over b_0
+#: so that exp(0) is I exactly, as rows (b_0, b_2, ...) and (b_1, b_3, ...).
+_EXP_PADE = (
+    np.array((
+        64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+        1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+        33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
+    ))
+    / 64764752532480000.0
+).reshape(-1, 2).T
 
 
 def matrix_exp(l):
     """Matrix exponential by scaling and squaring (Higham, SIAM J. Matrix
-    Anal. Appl. 2005): the Pade degree m in {3, 5, 7, 9, 13} and the number
-    of squarings come from the exact 1-norm of ``l``.
+    Anal. Appl. 2005): the degree-13 Pade approximant of exp(2^-s L),
+    squared s times, where s is the least count that brings the exact
+    1-norm of 2^-s L to theta_13 or below.
 
-    ``l`` may also be a stack (B, N, N), whose exponentials run as one: each
-    matrix keeps its own degree and squaring count, so it gets the bits of
-    its own 2-D call, and the matrices of one degree run together. A stack
-    whose solve fails runs again one matrix at a time, raising the error of
-    the first matrix that fails alone.
+    ``l`` may also be a stack (B, N, N), whose exponentials run as one: the
+    Pade approximants of the whole stack take one solve, then each matrix
+    is squared its own number of times, so it gets the bits of its own 2-D
+    call. A stack whose solve fails runs again one matrix at a time,
+    raising the error of the first matrix that fails alone.
 
     Raises
     ------
@@ -417,40 +403,22 @@ def matrix_exp(l):
 def _matrix_exp(arr):
     """:func:`matrix_exp` of a (B, N, N) stack, as a 1-tuple."""
     norms = np.abs(arr).sum(axis=1).max(axis=1).tolist()
-    degrees = [next((d for d in (3, 5, 7, 9) if x <= _EXP_THETA[d]), 13) for x in norms]
-    squarings = [
-        max(0, math.ceil(math.log2(x / _EXP_THETA[13]))) if m == 13 else 0
-        for x, m in zip(norms, degrees)
-    ]
-    if len(set(degrees)) == 1:
-        return (_pade_exp(arr, degrees[0], squarings),)
-    out = np.empty_like(arr)
-    for m in sorted(set(degrees)):
-        sel = [i for i, d in enumerate(degrees) if d == m]
-        out[sel] = _pade_exp(arr[sel], m, [squarings[i] for i in sel])
-    return (out,)
-
-
-def _pade_exp(arr, m, s):
-    """exp of each matrix of a (B, N, N) stack by its degree-m Pade
-    approximant of exp(2^-s A), squared s times (a list, per matrix)."""
+    s = [math.ceil(math.log2(x / _THETA_13)) if x > _THETA_13 else 0 for x in norms]
     a = arr * np.ldexp(1.0, -np.array(s))[:, None, None] if max(s) else arr
-    # V = sum b_2j A^2j and U = A sum b_2j+1 A^2j, from the even powers up
-    # to A^(m-1), or to A^6 for m = 13, where A^6 multiplies the top terms
-    b, n, p = len(a), a.shape[-1], 4 if m == 13 else m // 2 + 1
-    powers = np.empty((b, p, n, n), a.dtype)
+    # V = sum b_2j A^2j and U = A sum b_2j+1 A^2j from I, A^2, A^4 and A^6,
+    # where A^6 also multiplies the terms above A^6
+    b, n = a.shape[:2]
+    powers = np.empty((b, 4, n, n), a.dtype)
     powers[:, 0] = np.eye(n)
     np.matmul(a, a, powers[:, 1])
-    for k in range(2, p):
+    for k in (2, 3):
         np.matmul(powers[:, k - 1], powers[:, 1], powers[:, k])
-    # one (2, p) @ (p, N^2) product per matrix, as in a loop of 2-D calls
-    coeffs, flat = _EXP_PADE[m], powers.reshape(b, p, n * n)
-    vu = (coeffs[:, :p] @ flat).reshape(b, 2, n, n)
-    v, u = vu[:, 0], vu[:, 1]
-    if m == 13:
-        high = (coeffs[:, 4:] @ flat[:, 1:]).reshape(b, 2, n, n)
-        v, u = v + powers[:, 3] @ high[:, 0], u + powers[:, 3] @ high[:, 1]
-    u = a @ u
+    # one (2, 4) @ (4, N^2) product per matrix, as in a loop of 2-D calls
+    flat = powers.reshape(b, 4, n * n)
+    low = (_EXP_PADE[:, :4] @ flat).reshape(b, 2, n, n)
+    high = (_EXP_PADE[:, 4:] @ flat[:, 1:]).reshape(b, 2, n, n)
+    v = low[:, 0] + powers[:, 3] @ high[:, 0]
+    u = a @ (low[:, 1] + powers[:, 3] @ high[:, 1])
     try:
         r = np.linalg.solve(v - u, v + u)
     except np.linalg.LinAlgError as exc:
@@ -458,7 +426,7 @@ def _pade_exp(arr, m, s):
     for j in range(max(s)):
         act = [i for i, count in enumerate(s) if count > j]
         r[act] = r[act] @ r[act]
-    return r
+    return (r,)
 
 
 def eigenvalues(a):

@@ -4,10 +4,9 @@ A stack given to ``matrix_log``, ``matrix_exp``, ``koopman_fit`` or
 ``eigenvalues``, a multi-key ``_substream_uniform``, a grouped
 ``predict_models``, a sweep group's component fits, reconstruction, lifts,
 spectra and evaluation must give each item the bits, the warnings and the
-errors of its own call, in item order. The stacks mix root counts, Pade
-degrees, squaring counts, pinv ranks and matrix sizes, and some hold an
-item that warns or fails, which makes the whole stack run again one item at
-a time.
+errors of its own call, in item order. The stacks mix root counts,
+squaring counts, pinv ranks and matrix sizes, and some hold an item that
+warns or fails, which makes the whole stack run again one item at a time.
 """
 
 import warnings
@@ -114,32 +113,31 @@ def test_matrix_log_stack_mixes_roots_and_degrees(monkeypatch):
     assert len(set(roots)) >= 3  # root rounds over shrinking subsets
 
 
-#: 1-norm bands of each Pade degree of ``matrix_exp``; the last needs
-#: squarings (norms above theta_13).
+#: 1-norm bands of each squaring count of ``matrix_exp``: none up to
+#: theta_13, then one more per doubling of the norm.
 EXP_BANDS = {
-    3: (1e-6, 1.49e-2),
-    5: (1.5e-2, 0.25),
-    7: (0.26, 0.95),
-    9: (0.96, 2.09),
-    13: (2.1, 5.37),
-    "13 squared": (5.38, 60.0),
+    0: (1e-6, 5.37),
+    1: (5.38, 10.7),
+    2: (10.8, 21.4),
+    3: (21.5, 42.9),
+    4: (43.0, 60.0),
 }
 
 
 @st.composite
 def exp_stacks(draw):
     """A (B, N, N) stack of real or complex matrices, each scaled to a
-    1-norm in the band of a drawn Pade degree, and whether to add the zero
-    matrix, whose solve a test makes fail."""
+    1-norm drawn log-uniformly from the band of a drawn squaring count, and
+    whether to add the zero matrix, whose solve a test makes fail."""
     n = draw(st.sampled_from([2, 10]))
     dtype = draw(st.sampled_from([float, complex]))
-    bands = draw(st.lists(st.sampled_from(sorted(EXP_BANDS, key=str)), min_size=2, max_size=6))
+    bands = draw(st.lists(st.sampled_from(sorted(EXP_BANDS)), min_size=2, max_size=6))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     stack = []
     for band in bands:
         a = rng.normal(size=(n, n)) + (1j * rng.normal(size=(n, n)) if dtype is complex else 0)
-        low, high = EXP_BANDS[band]
-        stack.append(a * (rng.uniform(low, high) / np.abs(a).sum(axis=0).max()))
+        norm = np.exp(rng.uniform(*np.log(EXP_BANDS[band])))
+        stack.append(a * (norm / np.abs(a).sum(axis=0).max()))
     failing = draw(st.booleans())
     if failing:
         stack.insert(draw(st.integers(0, len(stack))), np.zeros((n, n), dtype))
@@ -147,11 +145,11 @@ def exp_stacks(draw):
 
 
 def failing_solve(solve):
-    """``np.linalg.solve`` that fails on a stack holding 120 I, the Pade
-    denominator of the zero matrix at degree 3."""
+    """``np.linalg.solve`` that fails on a stack holding I, the Pade
+    denominator of the zero matrix."""
 
     def fail_on_zero(a, b):
-        if np.any(np.all(a == 120.0 * np.eye(a.shape[-1]), axis=(-2, -1))):
+        if np.any(np.all(a == np.eye(a.shape[-1]), axis=(-2, -1))):
             raise np.linalg.LinAlgError("Singular matrix")
         return solve(a, b)
 
@@ -174,23 +172,30 @@ def test_matrix_exp_stack_is_each_matrix_alone(case):
         assert stacked[1].tobytes() == alone[1].tobytes()  # signed zeros too
 
 
-def test_matrix_exp_stack_mixes_degrees_and_squarings(monkeypatch):
-    # one Pade evaluation per degree present, each with per-matrix squarings
-    calls = []
-    pade_exp = linalg._pade_exp
-
-    def count(a, m, s):
-        calls.append((len(a), m, list(s)))
-        return pade_exp(a, m, s)
-
-    monkeypatch.setattr(linalg, "_pade_exp", count)
+def test_matrix_exp_one_pade_solve_per_stack_squarings_per_matrix(monkeypatch):
+    # 1-norms from 1e-6 to 60 take one Pade solve of the whole stack; then
+    # each matrix is squared its own count: 4 at 60, 2 at 20, none below
     rng = np.random.default_rng(3)
     stack = []
-    for band in (3, 13, "13 squared", 3, "13 squared"):
+    for norm in (1e-6, 60.0, 1e-2, 0.2, 0.5, 5.37, 1.0, 20.0):
         a = rng.normal(size=(4, 4))
-        stack.append(a * (EXP_BANDS[band][1] / np.abs(a).sum(axis=0).max()))
-    linalg.matrix_exp(np.stack(stack))
-    assert calls == [(2, 3, [0, 0]), (3, 13, [0, 4, 4])]
+        stack.append(a * (norm / np.abs(a).sum(axis=0).max()))
+    stack = np.stack(stack)
+    solves, squared, solve = [], [], np.linalg.solve
+
+    class Squares(np.ndarray):
+        def __matmul__(self, other):
+            squared.append(len(self))
+            return np.ndarray.__matmul__(self, other)
+
+    def record(a, b):
+        solves.append(a.shape)
+        return solve(a, b).view(Squares)
+
+    monkeypatch.setattr(np.linalg, "solve", record)
+    linalg.matrix_exp(stack)
+    assert solves == [stack.shape]
+    assert squared == [2, 2, 1, 1]
 
 
 @st.composite

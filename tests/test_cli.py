@@ -379,14 +379,22 @@ def test_huge_ensemble_refusal_reads_names_only(tmp_path, monkeypatch):
 
 
 def _file_out(tmp_path, kind):
-    """A file in ``tmp_path``, a dangling link for ``kind`` "link", and an
-    output path that is it or, for ``kind`` "below", lies below it."""
+    """A file in ``tmp_path``, a dangling link for ``kind`` "link", an output
+    path, and why the writers refuse it: the path is the file, or for
+    "below" lies below it; for "long" its name is over NAME_MAX, so the
+    OS can neither stat it nor, for "long_below", create it below a
+    missing directory, and for "nul" it holds a NUL byte."""
     afile = tmp_path / "afile"
     if kind == "link":
         afile.symlink_to(tmp_path / "missing")
     else:
         afile.write_text("not a directory\n")
-    return afile, afile / "sub" if kind == "below" else afile
+    if kind in ("long", "long_below"):
+        below = "missing" if kind == "long_below" else ""
+        return afile, tmp_path / below / ("x" * 300), "File name too long"
+    if kind == "nul":
+        return afile, tmp_path / "out\0put", "embedded null byte"
+    return afile, afile / "sub" if kind == "below" else afile, f"{afile} is not a directory"
 
 
 def _untouched(tmp_path, afile, kind):
@@ -394,27 +402,25 @@ def _untouched(tmp_path, afile, kind):
     assert afile.is_symlink() if kind == "link" else afile.read_text() == "not a directory\n"
 
 
-_FILE_OUTS = ["file", "below", "link"]
+_FILE_OUTS = ["file", "below", "link", "long", "long_below", "nul"]
 
 
 @pytest.mark.parametrize("kind", _FILE_OUTS)
 @pytest.mark.parametrize("command", ["multirate", "compare", "simulate"])
 def test_out_that_is_a_file_is_refused(tmp_path, capsys, monkeypatch, command, kind):
     cfg = write_config(tmp_path / "cfg.json")
-    afile, out = _file_out(tmp_path, kind)
+    afile, out, reason = _file_out(tmp_path, kind)
     _forbid_runs(monkeypatch)
     extra = ["--num-seeds", "2"] if command == "compare" else []
     assert main([command, "--config", str(cfg), *extra, "--out", str(out)]) == 2
-    assert capsys.readouterr().err == (
-        f"configuration error: cannot write to {out}: {afile} is not a directory\n"
-    )
+    assert capsys.readouterr().err == f"configuration error: cannot write to {out}: {reason}\n"
     _untouched(tmp_path, afile, kind)
 
 
 @pytest.mark.parametrize("kind", _FILE_OUTS)
 def test_writers_refuse_a_file(tmp_path, kind):
     cfg = ExperimentConfig.from_json(write_config(tmp_path / "cfg.json"))
-    afile, out = _file_out(tmp_path, kind)
+    afile, out, reason = _file_out(tmp_path, kind)
     ((ensemble, _),) = experiments.simulate(cfg, [0])
     writes = [
         lambda: experiments.emit_report(experiments.run(cfg), out),
@@ -424,7 +430,7 @@ def test_writers_refuse_a_file(tmp_path, kind):
     for write in writes:
         with pytest.raises(ConfigurationError) as info:
             write()
-        assert str(info.value) == f"cannot write to {out}: {afile} is not a directory"
+        assert str(info.value) == f"cannot write to {out}: {reason}"
     _untouched(tmp_path, afile, kind)
 
 

@@ -744,6 +744,13 @@ class TestImportValidation:
         with pytest.raises(DataError, match=r"trajectory_00001\.csv, line 4: component 0"):
             import_ensemble(tmp_path)
 
+    def test_unreadable_file(self, tmp_path):
+        _exported(tmp_path)
+        (tmp_path / "trajectory_00000.csv").unlink()
+        (tmp_path / "trajectory_00000.csv").mkdir()
+        with pytest.raises(DataError, match=r"trajectory_00000\.csv: cannot read: Is a directory"):
+            import_ensemble(tmp_path)
+
     def test_component_missing(self, tmp_path):
         path, lines = _exported(tmp_path)
         path.write_text("".join(lines[:18]))  # drops component 2
