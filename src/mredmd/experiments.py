@@ -52,7 +52,7 @@ from .errors import (
     quiet,
 )
 from .linalg import cast_real, matrix_exp, spectrum_distance
-from .observables import monomial_dictionary
+from .observables import check_dictionary_size, monomial_dictionary
 
 SCHEMA_ID = "mredmd-report/1"
 
@@ -126,6 +126,7 @@ class ExperimentConfig:
                 "degree 0 leaves only the constant observable, from which no state "
                 "can be read out; use degree >= 1"
             )
+        check_dictionary_size(self.dimension, self.degree, self.include_constant)
         if self.output_dir is not None and not isinstance(self.output_dir, str):
             raise ConfigurationError(f"output_dir must be a string, got {self.output_dir!r}")
         n = self.dimension
@@ -424,13 +425,15 @@ def evaluate_prediction(sets, mode="rollout"):
     return results
 
 
-def _finish_reports(reports, cfg, fld):
-    """Spectra, distances to the ideal model, and prediction evaluation, each
-    stage one :func:`_per_seed` call: the spectra of all models of all
+def _finish_reports(reports, x0s, cfg, fld):
+    """Spectra, distances to the ideal model, and prediction evaluation from
+    each report's evaluation states ``x0s``, for the reports with a model,
+    each stage one :func:`_per_seed` call: the spectra of all models of all
     reports come from one :func:`edmd.generator_spectra` call, the
     evaluation truths of all reports from one RK4 batch and their
     predictions from one :func:`edmd.predict_models` call."""
     evaluated = [report for report in reports if report.models]
+    x0s = [x0 for report, x0 in zip(reports, x0s) if report.models]
 
     def spectra(idx):
         own = [evaluated[i] for i in idx]
@@ -448,7 +451,6 @@ def _finish_reports(reports, cfg, fld):
         return own
 
     _per_seed(evaluated, "spectra", spectra)
-    x0s = [_eval_initial_conditions(cfg, report.seed, fld.dim) for report in evaluated]
 
     def evaluate(idx):
         truths = _eval_truths(fld, [x0s[i] for i in idx], cfg.horizon, cfg.T_s)
@@ -493,6 +495,9 @@ def _run_seeds(cfg, seeds):
     stage name) rather than raised, so a partial report can still be written.
     """
     fld = system_field(cfg.system)
+    # drawn first, from their own stream, so an evaluation set that cannot
+    # be held is refused before any sampling or fit
+    x0s = [_eval_initial_conditions(cfg, seed, fld.dim) for seed in seeds]
     dictionary = monomial_dictionary(fld.dim, cfg.degree, cfg.include_constant)
     echo = _config_echo(cfg)  # one echo for all: run and run_sweep validate the seeds
     reports = [
@@ -506,15 +511,15 @@ def _run_seeds(cfg, seeds):
         )
         for seed in seeds
     ]
-    # the sampled ensembles are freed before evaluation
-    _finish_reports(_sample_and_fit(cfg, fld, dictionary, reports), cfg, fld)
+    _sample_and_fit(cfg, fld, dictionary, reports)  # its ensembles are freed on return
+    _finish_reports(reports, x0s, cfg, fld)
     return reports
 
 
 def _sample_and_fit(cfg, fld, dictionary, reports):
     """Sample every report's ensemble, and its full-state twin for the ideal
     baseline, in one RK4 batch, then fit its models, each fit stage in one
-    call for all of them; returns the reports whose sampling succeeded."""
+    call for all of them."""
     mode = cfg.mode
     t_s = cfg.T_s
     targets = _targets(cfg)
@@ -565,7 +570,6 @@ def _sample_and_fit(cfg, fld, dictionary, reports):
     for report, model in zip(group, models):
         if model is not None:
             report.models["ideal"] = model
-    return group
 
 
 def run(cfg):

@@ -40,18 +40,19 @@ _THETA_7 = 2.88e-1
 _REAL_TOL = 1e6 * _EPS
 
 
-def _as_matrix(a, name="matrix", complex_ok=False, stack=False):
-    """Validate and return ``a`` as a finite 2-D array, or with ``stack`` also
-    as a finite stack of matrices, shape (B, m, n)."""
+def _as_matrix(a, name, complex_ok=False):
+    """Validate and return ``a`` as a finite 2-D array or a finite stack of
+    matrices, shape (B, m, n)."""
     arr = np.asarray(a)
     if arr.dtype.kind not in "biufc":
         raise DimensionMismatchError(f"{name} must be numeric, got dtype {arr.dtype}")
     if not complex_ok and np.iscomplexobj(arr):
         raise DimensionMismatchError(f"{name} must be real, got complex entries")
     arr = arr.astype(complex if np.iscomplexobj(arr) else float, copy=False)
-    if arr.ndim != 2 and not (stack and arr.ndim == 3):
-        shapes = "2-D or a stack (B, m, n)" if stack else "2-D"
-        raise DimensionMismatchError(f"{name} must be {shapes}, got shape {arr.shape}")
+    if arr.ndim not in (2, 3):
+        raise DimensionMismatchError(
+            f"{name} must be 2-D or a stack (B, m, n), got shape {arr.shape}"
+        )
     if arr.size == 0:
         raise DimensionMismatchError(f"{name} must be nonempty")
     if not np.all(np.isfinite(arr)):
@@ -59,7 +60,7 @@ def _as_matrix(a, name="matrix", complex_ok=False, stack=False):
     return arr
 
 
-def _require_square(arr, name="matrix"):
+def _require_square(arr, name):
     if arr.shape[-2] != arr.shape[-1]:
         raise DimensionMismatchError(f"{name} must be square, got shape {arr.shape}")
 
@@ -147,7 +148,7 @@ def koopman_fit(p_x, p_y, step):
         If the fitted K is singular so no generator exists.
     """
     step = check_number(step, "step", positive=True)
-    p_x, p_y = _as_matrix(p_x, "p_x", stack=True), _as_matrix(p_y, "p_y", stack=True)
+    p_x, p_y = _as_matrix(p_x, "p_x"), _as_matrix(p_y, "p_y")
     if p_y.shape != p_x.shape:
         raise DimensionMismatchError(
             f"p_y has shape {p_y.shape}, p_x has shape {p_x.shape}; they must match"
@@ -168,7 +169,7 @@ def _koopman_fit(p_x, p_y, step):
         )
     k_mat = p_y @ p_x_pinv
     del p_x_pinv  # a large stack's logs need its room
-    _as_matrix(k_mat, "k", stack=True)  # an overflowed product is not finite
+    _as_matrix(k_mat, "k")  # an overflowed product is not finite
     l_complex = _matrix_log(k_mat)[0] / step
     cast_real(l_complex)  # for its warning; callers keep L complex
     return k_mat, l_complex
@@ -185,12 +186,12 @@ def matrix_log(k):
     set to zero.
 
     Transformation-free inverse scaling and squaring (Al-Mohy & Higham,
-    SIAM J. Sci. Comput. 2012, Sec. 5) in NumPy alone: the eigenvalues give
-    the branch-cut test and the first root count, square roots come from
-    Newton's iteration carried as ``X - I``, further roots are taken until
-    exact 1-norms of ``(X - I)^p`` put it where the degree-7 Pade
-    approximant is accurate, and that approximant is the only one used, so
-    the result is a deterministic function of ``k``.
+    SIAM J. Sci. Comput. 2012, Sec. 5) in NumPy alone: the eigenvalues only
+    test for the branch cut and rotate a first root there, square roots come
+    from Newton's iteration carried as ``X - I``, taken from the first until
+    exact 1-norms of ``(X - I)^p`` put it where the degree-7 Pade approximant
+    is accurate, the only approximant used, so the result is a deterministic
+    function of ``k``.
 
     ``k`` may also be a stack (B, N, N), whose logs run as one: each matrix
     keeps its own root count and Newton stopping, so it gets the bits of
@@ -205,7 +206,7 @@ def matrix_log(k):
         If the eigenvalues, a square root or a solve fail, or the result is
         not finite.
     """
-    arr = _as_matrix(k, "k", complex_ok=True, stack=True)
+    arr = _as_matrix(k, "k", complex_ok=True)
     _require_square(arr, "k")
     (out,) = _per_matrix(_matrix_log, (arr,))
     return out
@@ -214,7 +215,7 @@ def matrix_log(k):
 def _matrix_log(arr):
     """:func:`matrix_log` of a (B, N, N) stack, as a 1-tuple."""
     s = np.linalg.svd(arr, compute_uv=False)
-    if np.any((s[:, 0] == 0.0) | (s[:, -1] <= arr.shape[-1] * _EPS * s[:, 0])):
+    if np.any(s[:, -1] <= arr.shape[-1] * _EPS * s[:, 0]):
         raise SingularMatrixError(
             "matrix is singular to working precision; logarithm undefined"
         )
@@ -244,39 +245,27 @@ def _log_inverse_scaling_squaring(a, eigs, on_axis):
     given the eigenvalues ``eigs`` (B, N) of ``a`` and the mask ``on_axis``
     of those on the closed negative real axis (Al-Mohy & Higham 2012,
     Sec. 5). Each root is carried as ``R = X - I``, so R stays accurate
-    relative to its own size as X nears I. The root count s is per matrix:
-    roots until every eigenvalue is within theta_7 of 1, then until
-    eta(R) <= theta_7 (:func:`_eta`), where the degree-7 Pade approximant
-    r_7 is accurate to double precision. Matrices still rooting run
+    relative to its own size as X nears I. Each matrix takes roots while
+    eta(R) > theta_7 (:func:`_eta`), from the first one, so its root count
+    s is the least at which the degree-7 Pade approximant r_7 is accurate
+    to double precision. The eigenvalues only place a matrix on the branch
+    cut and give its first root's rotation. Matrices still rooting run
     together, and r_7 is one solve for the whole stack."""
     ident = np.eye(a.shape[-1])
     s = np.zeros(len(a), dtype=int)
-    rooting, roots = np.arange(len(a)), eigs
-    while True:
-        far = np.abs(roots - 1.0).max(axis=1) > _THETA_7
-        if not far.any():
-            break
-        rooting, roots = rooting[far], np.sqrt(roots[far])
-        s[rooting] += 1
     r = a - ident
-    cut = on_axis.any(axis=1)
-    if cut.any():
+    cut = np.flatnonzero(on_axis.any(axis=1))
+    if cut.size:
+        # Newton does not converge with an eigenvalue on the cut: take
+        # e^(i phi/2) sqrt(e^(-i phi) A), the principal root while every
+        # eigenvalue argument lies in (phi - pi, phi + pi]
+        angles = np.where(on_axis[cut], np.pi, np.angle(eigs[cut]))
+        phi = 0.5 * (np.pi + angles.min(axis=1))
+        half = np.exp(0.5j * phi)[:, None, None]
+        rotated = np.exp(-1j * phi)[:, None, None] * a[cut] - ident
         r = r.astype(complex)
-    for j in range(s.max(initial=0)):
-        act = s > j
-        if j == 0 and cut.any():
-            # Newton does not converge with an eigenvalue on the cut: take
-            # e^(i phi/2) sqrt(e^(-i phi) A), the principal root while every
-            # eigenvalue argument lies in (phi - pi, phi + pi]
-            for i in np.flatnonzero(cut).tolist():
-                angles = np.where(on_axis[i], np.pi, np.angle(eigs[i]))
-                phi = 0.5 * (np.pi + angles.min())
-                half = np.exp(0.5j * phi)
-                rotated = (np.exp(-1j * phi) * a[i] - ident)[None]
-                r[i] = half * _sqrt_minus_identity(rotated)[0] + (half - 1.0) * ident
-            act &= ~cut
-        if act.any():
-            r[act] = _sqrt_minus_identity(r[act])
+        r[cut] = half * _sqrt_minus_identity(rotated) + (half - 1.0) * ident
+        s[cut] = 1
     open_ = np.flatnonzero(_eta(r) > _THETA_7)
     while open_.size:
         r[open_] = _sqrt_minus_identity(r[open_])
@@ -394,7 +383,7 @@ def matrix_exp(l):
     NumericalError
         If the Pade solve fails.
     """
-    arr = _as_matrix(l, "l", complex_ok=True, stack=True)
+    arr = _as_matrix(l, "l", complex_ok=True)
     _require_square(arr, "l")
     (out,) = _per_matrix(_matrix_exp, (arr,))
     return out
@@ -437,7 +426,7 @@ def eigenvalues(a):
     sorted by (real part, imaginary part) so that downstream output is
     reproducible. Each matrix of a stack gets the bits of its own call.
     """
-    arr = _as_matrix(a, "a", complex_ok=True, stack=True)
+    arr = _as_matrix(a, "a", complex_ok=True)
     _require_square(arr, "a")
     try:
         w = np.linalg.eigvals(arr).astype(complex, copy=False)

@@ -2,6 +2,7 @@
 and the coordinate readout used to map lifted predictions back to states.
 """
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -84,6 +85,7 @@ def monomial_dictionary(n, degree, include_constant=True):
     degree = check_integer(degree, "degree", 0)
     if degree == 0 and not include_constant:
         raise ConfigurationError("degree 0 without the constant leaves no observable")
+    check_dictionary_size(n, degree, include_constant)
     levels = [[(0,) * n]]
     tails = [0] * n  # tails[i]: where the exponents with zeros before i begin
     for _ in range(degree):
@@ -94,6 +96,22 @@ def monomial_dictionary(n, degree, include_constant=True):
         levels.append(level)
     exponents = chain.from_iterable(levels if include_constant else levels[1:])
     return Dictionary(dim=n, exponents=tuple(exponents))
+
+
+def check_dictionary_size(n, degree, include_constant):
+    """Refuse, before any monomial is enumerated, a dictionary whose
+    Koopman matrix cannot be held: a :class:`ConfigurationError` naming
+    ``degree``, the size N = C(n + degree, degree) (less 1 without the
+    constant) and the GiB of an (N, N) float64 matrix, if that matrix
+    cannot be allocated."""
+    size = math.comb(n + degree, degree) - (0 if include_constant else 1)
+    try:
+        np.empty((size, size))
+    except (MemoryError, ValueError) as exc:  # ValueError: beyond the address space
+        raise ConfigurationError(
+            f"cannot allocate the Koopman matrix: degree={degree} gives N={size} "
+            f"observables, and an (N, N) matrix requests {size * size * 8 / 2**30:.3g} GiB"
+        ) from exc
 
 
 def coordinate_readout(dictionary):

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import json
+import math
 import os
 import re
 import subprocess
@@ -154,10 +155,15 @@ def test_ints_beyond_float_range_are_configuration_errors(
 
 @pytest.mark.parametrize("command", ["multirate", "compare"])
 def test_eval_states_beyond_the_address_space_are_a_configuration_error(
-    tmp_path, capsys, command
+    tmp_path, capsys, monkeypatch, command
 ):
     # 2**62 rows pass the config's bound, but NumPy refuses the shape of
-    # their draw outright; the run has sampled and fit, and writes nothing
+    # their draw outright; they are drawn before any sampling, and nothing
+    # is written
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the ensembles were sampled before the evaluation states")
+
+    monkeypatch.setattr(experiments, "sample_ensembles", forbidden)
     cfg = write_config(tmp_path / "cfg.json", eval_trajectories=2**62)
     out = tmp_path / "r"
     assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
@@ -534,6 +540,26 @@ def test_empty_dictionary_is_one_line(tmp_path, capsys, monkeypatch, command):
     assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
     (line,) = capsys.readouterr().err.splitlines()
     assert line == "configuration error: degree 0 with include_constant false leaves no observable"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("degree", [2000, 100000])
+@pytest.mark.parametrize("command", ["multirate", "single-state", "compare", "simulate"])
+def test_oversized_dictionary_is_one_line(tmp_path, capsys, monkeypatch, command, degree):
+    # N = C(3 + degree, 3) observables: no address space holds an (N, N)
+    # matrix, so the config is refused before the dictionary is enumerated
+    _forbid_runs(monkeypatch)
+    single = {"mode": "single_state", "state_dim": 3, "rates": None}
+    cfg = write_config(
+        tmp_path / "cfg.json", degree=degree, **(single if command == "single-state" else {})
+    )
+    out = tmp_path / "r"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    size = math.comb(3 + degree, 3)
+    assert capsys.readouterr().err.splitlines() == [
+        f"configuration error: cannot allocate the Koopman matrix: degree={degree} gives "
+        f"N={size} observables, and an (N, N) matrix requests {size * size * 8 / 2**30:.3g} GiB"
+    ]
     assert not out.exists()
 
 

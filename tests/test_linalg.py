@@ -684,6 +684,111 @@ class TestMatrixLogHardCases:
             assert _round_trip(k, _quiet_log(k)) <= 1e-12
 
 
+#: Scales of exp(scale * A), those of test_batched.SCALES: near I (no
+#: root) up to far from I (several roots).
+_ROOT_SCALES = (1e-7, 1e-4, 1e-2, 0.1, 0.4, 1.0, 2.5)
+
+_SQRT_MINUS_IDENTITY = linalg._sqrt_minus_identity
+
+
+def _cut_matrix(rng, n):
+    """A real matrix with the eigenvalue -2, on the logarithm's branch cut."""
+    q = rng.normal(size=(n, n)) + 3 * np.eye(n)
+    return q @ np.diag([-2.0, *rng.uniform(0.5, 2.0, n - 1)]) @ np.linalg.inv(q)
+
+
+def _root_cases():
+    """(name, K) pairs: 2x2 and 10x10 exponentials at each scale, and a
+    matrix on the cut of each size."""
+    rng = np.random.default_rng(36)
+    cases = [
+        (f"expm-{n}-{scale:g}", linalg.matrix_exp(scale * rng.normal(size=(n, n))))
+        for n in (2, 10)
+        for scale in _ROOT_SCALES
+    ]
+    return cases + [(f"cut-{n}", _cut_matrix(rng, n)) for n in (2, 10)]
+
+
+def _kernel_roots(monkeypatch, stack):
+    """The logs of a (B, N, N) stack from the kernel, without the replay of a
+    stack that warns, and the (input, output) of each call it made to
+    ``_sqrt_minus_identity``."""
+    calls = []
+
+    def record(r):
+        out = _SQRT_MINUS_IDENTITY(r)
+        calls.append((r.copy(), out.copy()))
+        return out
+
+    monkeypatch.setattr(linalg, "_sqrt_minus_identity", record)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NegativeRealAxisWarning)
+        (out,) = linalg._matrix_log(stack)
+    return out, calls
+
+
+def _root_count(monkeypatch, name, k):
+    """The root count s of a lone K, checked against the rule: roots while
+    eta(R) > theta_7, R = X - I, from K - I on, or from the rotated first
+    root of a K on the cut; s is the least count with eta(R) <= theta_7."""
+    _, calls = _kernel_roots(monkeypatch, k[None])
+    assert all(len(r) == 1 for r, _ in calls)
+    if name.startswith("cut"):
+        # the first root is of e^(-i phi) K: its input is a rotation of K - I
+        rotated = calls[0][0][0] + np.eye(len(k))
+        c = np.vdot(k, rotated) / np.vdot(k, k)
+        assert abs(abs(c) - 1.0) < 1e-12 and abs(c - 1.0) > 1e-3
+        np.testing.assert_allclose(rotated, c * k, rtol=0, atol=1e-12 * np.abs(k).max())
+        assert len(calls) >= 2  # the root of -2 is 1.41i, far from 1
+        roots = [calls[1][0]] + [out for _, out in calls[1:]]  # R_1, ..., R_s
+        chain = calls[1:]
+    else:
+        roots = [k[None] - np.eye(len(k))] + [out for _, out in calls]  # R_0, ..., R_s
+        chain = calls
+    for (r_in, _), root in zip(chain, roots):
+        assert r_in.tobytes() == root.tobytes()  # each root is of the one before
+    etas = [linalg._eta(r)[0] for r in roots]
+    assert all(eta > linalg._THETA_7 for eta in etas[:-1])
+    assert etas[-1] <= linalg._THETA_7
+    return len(calls)
+
+
+class TestMatrixLogRootRule:
+    """Every matrix takes roots while eta(R) > theta_7, from its first; the
+    eigenvalues only rotate the first root of a matrix on the branch cut."""
+
+    @pytest.mark.parametrize("name, k", _root_cases())
+    def test_least_count_with_eta_at_most_theta(self, name, k, monkeypatch):
+        _root_count(monkeypatch, name, k)
+
+    def test_counts_span_no_root_to_several(self, monkeypatch):
+        counts = {_root_count(monkeypatch, name, k) for name, k in _root_cases()}
+        assert 0 in counts and len(counts) >= 4
+
+    def test_stack_takes_every_rotated_root_in_one_call(self, monkeypatch):
+        rng = np.random.default_rng(37)
+        for n in (2, 10):
+            stack = np.stack([
+                linalg.matrix_exp(0.4 * rng.normal(size=(n, n))),
+                _cut_matrix(rng, n),
+                linalg.matrix_exp(2.5 * rng.normal(size=(n, n))),
+                _cut_matrix(rng, n),
+            ])
+            out, calls = _kernel_roots(monkeypatch, stack)
+            first = calls[0][0]
+            assert len(first) == 2 and np.iscomplexobj(first)
+            # each matrix takes its own count of roots, and a matrix on the
+            # cut the bits of its own call (the others root in complex
+            # arithmetic here; matrix_log replays a stack that warns)
+            rows = 0
+            for i, k in enumerate(stack):
+                alone, alone_calls = _kernel_roots(monkeypatch, k[None])
+                if i % 2:
+                    assert out[i].tobytes() == alone[0].tobytes()
+                rows += len(alone_calls)
+            assert sum(len(r) for r, _ in calls) == rows
+
+
 def _exp_cases():
     """(name, A) pairs whose 1-norms span 1e-8 to 1e3, so that squaring
     counts 0 to 8 are used: a skew part keeps exp(A) bounded, a nilpotent

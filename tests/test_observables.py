@@ -10,7 +10,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from mredmd.errors import ConfigurationError
-from mredmd.observables import Dictionary, coordinate_readout, monomial_dictionary
+from mredmd.observables import (
+    Dictionary,
+    check_dictionary_size,
+    coordinate_readout,
+    monomial_dictionary,
+)
 
 
 class TestMonomialDictionary:
@@ -85,6 +90,20 @@ class TestMonomialDictionary:
         message = f"{name} must be an integer >= {low}, got {value!r}"
         with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
             monomial_dictionary(n, degree)
+
+    @pytest.mark.parametrize("degree", [2000, 100000])
+    @pytest.mark.parametrize("constant", [True, False])
+    def test_oversized_dictionary_refused_before_enumeration(self, degree, constant):
+        # no address space holds an (N, N) float64 matrix of these N
+        size = comb(3 + degree, 3) - (not constant)
+        message = (
+            f"cannot allocate the Koopman matrix: degree={degree} gives N={size} "
+            f"observables, and an (N, N) matrix requests {size * size * 8 / 2**30:.3g} GiB"
+        )
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+            monomial_dictionary(3, degree, constant)
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+            check_dictionary_size(3, degree, constant)
 
     def test_numpy_sizes_accepted(self):
         assert monomial_dictionary(np.int64(3), np.int32(2)) == monomial_dictionary(3, 2)

@@ -9,8 +9,10 @@ Each argument is a source tree: a directory that holds the ``mredmd``
 package, or a checkout whose ``src/`` holds it. Every command of
 ``COMMANDS`` runs once per tree, each in a fresh interpreter
 (``python -m mredmd.cli``) with ``OPENBLAS_NUM_THREADS=1`` and
-``PYTHONDONTWRITEBYTECODE=1``; the config files live in a temporary
-directory. Every written file is compared byte for byte, and so is every
+``PYTHONDONTWRITEBYTECODE=1``, its address space capped at 4 GiB so that
+a tree which enumerates an oversized dictionary fails with a
+``MemoryError`` instead of taking the machine's memory; the config files
+live in a temporary directory. Every written file is compared byte for byte, and so is every
 exit code; stdout and stderr are compared after each tree's output
 directory is mapped to ``<OUT>`` and each ``.../mredmd/<file>.py:<line>``
 to ``mredmd/<file>.py:<LINE>``. One summary line is printed, then each
@@ -31,6 +33,7 @@ import json
 import math
 import os
 import re
+import resource
 import subprocess
 import sys
 import tempfile
@@ -156,12 +159,17 @@ COMMANDS = [
     ),  # 2
     # a dictionary of the constant alone, from which no state can be read out
     ("multirate_degree0_constant", "multirate", {**_MULTIRATE, "K": 30, "degree": 0}, []),  # 2
+    # a dictionary whose (N, N) Koopman matrix no address space holds
+    ("multirate_huge_dictionary", "multirate", {**_MULTIRATE, "K": 30, "degree": 100000}, []),  # 2
     # an initial-state draw whose shape NumPy refuses outright
     ("multirate_huge_k", "multirate", {**_MULTIRATE, "K": 10**18}, []),  # 1
     # a --config that names no file, and one that names a directory
     ("multirate_missing_config", "multirate", _MISSING, []),  # 2
     ("compare_config_directory", "compare", _DIRECTORY, []),  # 2
 ]
+
+#: Address space of each command's interpreter, in bytes.
+_ADDRESS_SPACE = 4 << 30
 
 _SOURCE_LINE = re.compile(r"[^\s\"']*/mredmd/(\w+)\.py:\d+")
 
@@ -178,6 +186,14 @@ def _package_root(tree):
         if (root / "mredmd" / "__init__.py").is_file():
             return root
     raise SystemExit(f"bytecheck: no mredmd package in {tree} or {tree / 'src'}")
+
+
+def _cap_address_space():
+    """Lower the soft address-space limit to ``_ADDRESS_SPACE``, or to the
+    hard limit where that is lower."""
+    hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+    cap = _ADDRESS_SPACE if hard == resource.RLIM_INFINITY else min(_ADDRESS_SPACE, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
 
 
 def _run(root, out_root, config_dir, command):
@@ -198,6 +214,7 @@ def _run(root, out_root, config_dir, command):
         cwd=out_root,
         capture_output=True,
         text=True,
+        preexec_fn=_cap_address_space,
     )
 
     def mapped(text):
