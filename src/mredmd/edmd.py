@@ -96,10 +96,10 @@ def fit_models(pair_sets, dictionary):
     are lifted in one :meth:`Dictionary.evaluate_columns` call, and the
     ``y`` in another.
 
-    Fewer pairs than observables emit a :class:`RankDeficiencyWarning`. The
-    fit's warnings and a singular-K error are labelled with the pair and
-    observable counts, e.g. ``EDMD fit (9 pairs, 10 observables):``.
-    Warnings come by kind: the rank warnings of all sets, then the fits'.
+    Fewer pairs than observables emit one :class:`RankDeficiencyWarning`.
+    The fit's warnings and a singular-K error, those of the stacked fit,
+    are labelled with the pair and observable counts, e.g. ``EDMD fit (9
+    pairs, 10 observables):``. The rank warning comes first.
 
     Raises
     ------
@@ -116,13 +116,12 @@ def fit_models(pair_sets, dictionary):
         raise ConfigurationError("pair sets fit together must share their size and step")
     p_xs, p_ys = (_lifted([getattr(p, side) for p in pair_sets], dictionary) for side in "xy")
     if first.n_pairs < dictionary.size:
-        for _ in pair_sets:
-            warnings.warn(
-                f"only {first.n_pairs} pairs for a dictionary of size "
-                f"{dictionary.size}; the fit is underdetermined",
-                RankDeficiencyWarning,
-                stacklevel=2,
-            )
+        warnings.warn(
+            f"only {first.n_pairs} pairs for a dictionary of size "
+            f"{dictionary.size}; the fit is underdetermined",
+            RankDeficiencyWarning,
+            stacklevel=2,
+        )
     with labelled(f"EDMD fit ({first.n_pairs} pairs, {dictionary.size} observables)"):
         k_mats, l_complex = linalg.koopman_fit(p_xs, p_ys, first.step)
     return [

@@ -24,7 +24,7 @@ import os
 import re
 import sys
 import warnings
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from itertools import chain, product
 from pathlib import Path
@@ -49,7 +49,6 @@ from .errors import (
     MredmdWarning,
     check_integer,
     check_number,
-    quiet,
 )
 from .linalg import cast_real, matrix_exp, spectrum_distance
 from .observables import check_dictionary_size, monomial_dictionary
@@ -308,15 +307,16 @@ def _stage(report, name):
 def _per_seed(reports, name, compute):
     """``compute(indices)``, one result per index, called once for all reports.
 
-    If that joint call warns or fails (:func:`errors.quiet`), each seed runs
-    alone inside its own ``name`` stage, so each seed's report records the
-    warnings and errors of a one-seed run, in their order: the other seeds
-    get what they get alone, and a failed seed gets None.
+    If that joint call warns or fails, with warnings as errors, each seed
+    runs alone inside its own ``name`` stage, so each seed's report records
+    the warnings and errors of a one-seed run, in their order: the other
+    seeds get what they get alone, and a failed seed gets None. This is the
+    only replay: the batched calls below report on their whole batch.
     """
     if len(reports) > 1:
-        clean, results = quiet(lambda: compute(range(len(reports))))
-        if clean:
-            return results
+        with warnings.catch_warnings(), suppress(MredmdError, np.linalg.LinAlgError, Warning):
+            warnings.simplefilter("error")
+            return compute(range(len(reports)))
     results = [None] * len(reports)
     for i, report in enumerate(reports):
         with _stage(report, name):

@@ -91,13 +91,12 @@ def _fit_operators(ensembles, schedule):
     windows = _windows(ensembles, schedule)
     m, n_traj = schedule.count, windows.shape[2]
     if n_traj < m:
-        for _ in windows:
-            warnings.warn(
-                f"component {schedule.component}: {n_traj} trajectories < {m} delay "
-                "observables; P_x cannot be full row rank",
-                RankDeficiencyWarning,
-                stacklevel=3,
-            )
+        warnings.warn(
+            f"component {schedule.component}: {n_traj} trajectories < {m} delay "
+            "observables; P_x cannot be full row rank",
+            RankDeficiencyWarning,
+            stacklevel=3,
+        )
     with labelled(f"component {schedule.component}"):
         k_mats, l_complex = linalg.koopman_fit(windows[:, :-1], windows[:, 1:], schedule.period)
     return [ComponentOperator(schedule, k, l) for k, l in zip(k_mats, l_complex)]
@@ -109,7 +108,7 @@ def _estimate_sets(operators, p_xs, t):
     matrix P_x of the same index in ``p_xs``: the real part of the first row
     of exp(L_i (t - r_i)) P_x, from one stacked :func:`linalg.matrix_exp`.
     An imaginary residual above 1e-6, and a time before the dead time or far
-    beyond the sampled window (extrapolation), warn once per operator."""
+    beyond the sampled window (extrapolation), warn once for the call."""
     s = operators[0].schedule
     dt = t - s.dead_time
     window = s.period * s.count
@@ -119,12 +118,11 @@ def _estimate_sets(operators, p_xs, t):
     elif dt > EXTRAPOLATION_RATIO * window:
         extrapolation = f"extrapolates {dt / window:.2f}x beyond the sampled window"
     if extrapolation:
-        for _ in operators:
-            warnings.warn(
-                f"component {s.component}: estimate at t={t:.6g} {extrapolation}",
-                ExtrapolationWarning,
-                stacklevel=3,
-            )
+        warnings.warn(
+            f"component {s.component}: estimate at t={t:.6g} {extrapolation}",
+            ExtrapolationWarning,
+            stacklevel=3,
+        )
     propagators = linalg.matrix_exp(np.stack([op.l_complex for op in operators]) * dt)
     estimates = []
     # the label's warnings come out in order, before an error propagates
@@ -151,8 +149,9 @@ def fit_component_operators(ensembles, schedules, targets):
     The ensembles share their schedules and size (as the seeds of a sweep
     do); each component is fit across all of them in one
     :func:`linalg.koopman_fit`, whose warnings carry the ``component i:``
-    label. Fewer trajectories than delay observables warn
-    :class:`RankDeficiencyWarning`. Warnings come component by component.
+    label. Fewer trajectories than delay observables warn one
+    :class:`RankDeficiencyWarning` per component. Warnings come component
+    by component.
 
     Raises
     ------

@@ -19,7 +19,6 @@ from .errors import (
     NumericalError,
     SingularMatrixError,
     check_number,
-    quiet,
 )
 
 _EPS = float(np.finfo(float).eps)
@@ -34,6 +33,13 @@ IMAG_RESIDUAL_TOL = 1e-6
 #: approximant of log(I + R) is accurate to double precision (Al-Mohy &
 #: Higham 2012, Table 2.1).
 _THETA_7 = 2.88e-1
+
+#: A matrix whose singular values, and so its eigenvalue magnitudes, all
+#: lie at or beyond this, or all below its inverse, has the binary midpoint
+#: 2^j of its singular values divided out before its log: Newton's first
+#: roots from the matrix itself would carry rounding of eps |lambda|
+#: relative to it.
+_FAR = 2.0**8
 
 #: Largest imaginary part of the log of a real matrix taken as rounding
 #: (the rule of SciPy's matrix functions).
@@ -65,30 +71,21 @@ def _require_square(arr, name):
         raise DimensionMismatchError(f"{name} must be square, got shape {arr.shape}")
 
 
-def _per_matrix(kernel, stacks, *args):
-    """``kernel(*stacks, *args)``, a tuple of (B, ., .) stacks, each matrix
-    with the bits of its own B=1 call; 2-D operands are the B=1 case and
-    give 2-D results. A stack of more than one that warns or fails runs
-    again one matrix at a time (:func:`errors.quiet`), so its warnings and
-    errors are those of a loop of 2-D calls; a kernel warns with
-    ``stacklevel=4``, at the caller of the public function."""
+def _stacked(kernel, stacks, *args):
+    """``kernel(*stacks, *args)``, a tuple of (B, ., .) stacks, run once for
+    the whole stack; 2-D operands are the B=1 case and give 2-D results. A
+    kernel warns with ``stacklevel=4``, at the caller of the public
+    function."""
     if stacks[0].ndim == 2:
         return tuple(out[0] for out in kernel(*(s[None] for s in stacks), *args))
-    if len(stacks[0]) > 1:
-        clean, out = quiet(lambda: kernel(*stacks, *args))
-        if clean:
-            return out
-    parts = []
-    for i in range(len(stacks[0])):
-        parts.append(kernel(*(s[i : i + 1] for s in stacks), *args))
-    return tuple(np.concatenate(p) for p in zip(*parts))
+    return kernel(*stacks, *args)
 
 
 def _pinv_svd(arr):
     """SVD pseudo-inverse (B, n, m) of each matrix of a (B, m, n) stack, and
     its singular values (B, min(m, n)), descending. Each matrix keeps its
-    own rank, cut below max(m, n) * eps * sigma_max; the matrices of one
-    rank are inverted together.
+    own rank, cut below max(m, n) * eps * sigma_max: the rows of S^-1 V^T
+    of its cut singular values are exact zeros.
 
     A wide stack (m < n) is factored through its transpose, P^T = W S Z^T,
     so P = Z S W^T: LAPACK's QR-first path for the tall P^T costs about
@@ -102,22 +99,10 @@ def _pinv_svd(arr):
             u, s, vh = np.linalg.svd(arr, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"SVD did not converge: {exc}") from exc
-    rank = np.count_nonzero(s > max(arr.shape[1:]) * _EPS * s[:, :1], axis=1)
-    if rank[0] > 0 and (rank == rank[0]).all():
-        return _svd_inverse(u, s, vh, rank[0]), s
-    out = np.zeros((len(arr), arr.shape[2], arr.shape[1]))
-    for r in sorted(set(rank[rank > 0].tolist())):
-        sel = rank == r
-        out[sel] = _svd_inverse(u[sel], s[sel], vh[sel], r)
-    return out, s
-
-
-def _svd_inverse(u, s, vh, r):
-    """V_r S_r^-1 U_r^T of each SVD (u, s, vh) of a stack, from its first
-    r singular values; scales ``vh`` in place."""
-    v_t = vh[:, :r]
-    v_t /= s[:, :r, None]
-    return v_t.transpose(0, 2, 1) @ u[:, :, :r].transpose(0, 2, 1)
+    kept = s > max(arr.shape[1:]) * _EPS * s[:, :1]
+    vh[~kept] = 0.0
+    vh /= np.where(kept, s, 1.0)[:, :, None]
+    return vh.transpose(0, 2, 1) @ u.transpose(0, 2, 1), s
 
 
 def koopman_fit(p_x, p_y, step):
@@ -128,9 +113,10 @@ def koopman_fit(p_x, p_y, step):
     pseudo-inverse's SVD, exceeds 1e12. ``L`` stays complex; a largest
     imaginary part above 1e-6 emits an :class:`ImaginaryResidualWarning`.
 
-    ``p_x`` and ``p_y`` may also be stacks (B, N, K) of same-shape problems:
-    each fit then has the bits, warnings and errors of its own 2-D call
-    (see :func:`matrix_log`), and the results are stacked too.
+    ``p_x`` and ``p_y`` may also be stacks (B, N, K) of same-shape problems,
+    fit in one run: each fit has the bits of its own 2-D call (see
+    :func:`matrix_log`), the results are stacked too, and the warnings and
+    errors are those of the stack (the residual is the stack's largest).
 
     Returns
     -------
@@ -153,7 +139,7 @@ def koopman_fit(p_x, p_y, step):
         raise DimensionMismatchError(
             f"p_y has shape {p_y.shape}, p_x has shape {p_x.shape}; they must match"
         )
-    return _per_matrix(_koopman_fit, (p_x, p_y), step)
+    return _stacked(_koopman_fit, (p_x, p_y), step)
 
 
 def _koopman_fit(p_x, p_y, step):
@@ -187,16 +173,19 @@ def matrix_log(k):
 
     Transformation-free inverse scaling and squaring (Al-Mohy & Higham,
     SIAM J. Sci. Comput. 2012, Sec. 5) in NumPy alone: the eigenvalues only
-    test for the branch cut and rotate a first root there, square roots come
-    from Newton's iteration carried as ``X - I``, taken from the first until
-    exact 1-norms of ``(X - I)^p`` put it where the degree-7 Pade approximant
-    is accurate, the only approximant used, so the result is a deterministic
-    function of ``k``.
+    test for the branch cut and rotate a first root there; an exact power
+    of two 2^j is divided out when the singular values all lie beyond 2^8
+    or all below 2^-8 (log K = log(2^-j K) + j log(2) I); and square
+    roots come from Newton's iteration carried as ``X - I``, taken from
+    the first until exact 1-norms of ``(X - I)^p`` put it where the
+    degree-7 Pade approximant is accurate, the only approximant used, so
+    the result is a deterministic function of ``k``.
 
     ``k`` may also be a stack (B, N, N), whose logs run as one: each matrix
-    keeps its own root count and Newton stopping, so it gets the bits of
-    its own 2-D call. A stack that warns or fails runs again one
-    matrix at a time, giving the warnings and errors of a loop of 2-D calls.
+    keeps its own scaling, root count and Newton stopping, and the matrices
+    on the branch cut root apart from the others, so each gets the bits of
+    its own 2-D call. The stack warns once if any matrix lies on the cut,
+    and raises the first error that any of its matrices meets.
 
     Raises
     ------
@@ -208,7 +197,7 @@ def matrix_log(k):
     """
     arr = _as_matrix(k, "k", complex_ok=True)
     _require_square(arr, "k")
-    (out,) = _per_matrix(_matrix_log, (arr,))
+    (out,) = _stacked(_matrix_log, (arr,))
     return out
 
 
@@ -219,19 +208,32 @@ def _matrix_log(arr):
         raise SingularMatrixError(
             "matrix is singular to working precision; logarithm undefined"
         )
+    far = np.flatnonzero((s[:, -1] >= _FAR) | (s[:, 0] < 1.0 / _FAR))
+    if far.size:
+        j = np.frexp(s[far][:, [0, -1]])[1].sum(axis=1) // 2
+        arr = arr.copy()
+        arr[far] *= np.ldexp(1.0, -j)[:, None, None]
     try:
         eigs = np.linalg.eigvals(arr).astype(complex)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigenvalue iteration did not converge: {exc}") from exc
     on_axis = (eigs.real < 0.0) & (np.abs(eigs.imag) <= 1e-12 * np.abs(eigs))
-    if np.any(on_axis):
+    cut = on_axis.any(axis=1)
+    if cut.any():
         warnings.warn(
             "eigenvalue on the closed negative real axis; principal logarithm "
             "is complex valued",
             NegativeRealAxisWarning,
             stacklevel=4,
         )
-    out = _log_inverse_scaling_squaring(arr, eigs, on_axis).astype(complex, copy=False)
+    out = np.empty(arr.shape, complex)
+    # a matrix on the cut roots in complex arithmetic, the others in that
+    # of the input, as alone
+    for group in (~cut, cut) if cut.any() and not cut.all() else (slice(None),):
+        out[group] = _log_inverse_scaling_squaring(arr[group], eigs[group], on_axis[group])
+    if far.size:
+        diagonal = np.arange(arr.shape[-1])
+        out[far[:, None], diagonal, diagonal] += (j * math.log(2.0))[:, None]
     if not np.all(np.isfinite(out)):
         raise NumericalError("matrix logarithm is not finite")
     if not np.iscomplexobj(arr):
@@ -243,29 +245,29 @@ def _matrix_log(arr):
 def _log_inverse_scaling_squaring(a, eigs, on_axis):
     """log(a) = 2^s r_7(a^(1/2^s) - I) of each matrix of a (B, N, N) stack,
     given the eigenvalues ``eigs`` (B, N) of ``a`` and the mask ``on_axis``
-    of those on the closed negative real axis (Al-Mohy & Higham 2012,
-    Sec. 5). Each root is carried as ``R = X - I``, so R stays accurate
-    relative to its own size as X nears I. Each matrix takes roots while
-    eta(R) > theta_7 (:func:`_eta`), from the first one, so its root count
-    s is the least at which the degree-7 Pade approximant r_7 is accurate
-    to double precision. The eigenvalues only place a matrix on the branch
-    cut and give its first root's rotation. Matrices still rooting run
-    together, and r_7 is one solve for the whole stack."""
+    of those on the closed negative real axis, which holds one for every
+    matrix or for none (Al-Mohy & Higham 2012, Sec. 5). Each root is
+    carried as ``R = X - I``, so R stays accurate relative to its own size
+    as X nears I. Each matrix takes roots while eta(R) > theta_7
+    (:func:`_eta`), from the first one, so its root count s is the least at
+    which the degree-7 Pade approximant r_7 is accurate to double
+    precision. The eigenvalues only place a matrix on the branch cut and
+    give its first root's rotation. Matrices still rooting run together,
+    and r_7 is one solve for the whole stack."""
     ident = np.eye(a.shape[-1])
     s = np.zeros(len(a), dtype=int)
-    r = a - ident
-    cut = np.flatnonzero(on_axis.any(axis=1))
-    if cut.size:
+    if on_axis.any():
         # Newton does not converge with an eigenvalue on the cut: take
         # e^(i phi/2) sqrt(e^(-i phi) A), the principal root while every
         # eigenvalue argument lies in (phi - pi, phi + pi]
-        angles = np.where(on_axis[cut], np.pi, np.angle(eigs[cut]))
+        angles = np.where(on_axis, np.pi, np.angle(eigs))
         phi = 0.5 * (np.pi + angles.min(axis=1))
         half = np.exp(0.5j * phi)[:, None, None]
-        rotated = np.exp(-1j * phi)[:, None, None] * a[cut] - ident
-        r = r.astype(complex)
-        r[cut] = half * _sqrt_minus_identity(rotated) + (half - 1.0) * ident
-        s[cut] = 1
+        rotated = np.exp(-1j * phi)[:, None, None] * a - ident
+        r = half * _sqrt_minus_identity(rotated) + (half - 1.0) * ident
+        s += 1
+    else:
+        r = a - ident
     open_ = np.flatnonzero(_eta(r) > _THETA_7)
     while open_.size:
         r[open_] = _sqrt_minus_identity(r[open_])
@@ -375,8 +377,7 @@ def matrix_exp(l):
     ``l`` may also be a stack (B, N, N), whose exponentials run as one: the
     Pade approximants of the whole stack take one solve, then each matrix
     is squared its own number of times, so it gets the bits of its own 2-D
-    call. A stack whose solve fails runs again one matrix at a time,
-    raising the error of the first matrix that fails alone.
+    call. A solve that fails for any matrix fails for the stack.
 
     Raises
     ------
@@ -385,7 +386,7 @@ def matrix_exp(l):
     """
     arr = _as_matrix(l, "l", complex_ok=True)
     _require_square(arr, "l")
-    (out,) = _per_matrix(_matrix_exp, (arr,))
+    (out,) = _stacked(_matrix_exp, (arr,))
     return out
 
 

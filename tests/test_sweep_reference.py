@@ -159,6 +159,7 @@ def test_ten_seeds_three_integrations(monkeypatch):
 FALLBACKS = {
     "multirate_k10_m12": dict(MULTIRATE, K=10, M=(12, 11, 11)),
     "single_state_k5": dict(SINGLE_STATE, K=5),
+    "single_state_k10_m3": dict(SINGLE_STATE, K=10, M=(3, 3, 3)),
     "divergent_samples": DIVERGENT_30,
 }
 

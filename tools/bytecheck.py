@@ -102,8 +102,7 @@ COMMANDS = [
     ),  # 1
     ("compare_single_fine", "compare", _SINGLE_FINE, ["--num-seeds", "10"]),
     ("compare_single_k5", "compare", {**_SINGLE, "K": 5}, ["--num-seeds", "4"]),  # 1
-    # component 0 of seed 1 warns, so its stacked fit runs again one matrix
-    # at a time, and both EDMD fits of that seed fail
+    # component 0 of seed 1 warns, and both EDMD fits of that seed fail
     ("single_k6_m4_s1", "single-state", {**_SINGLE, "K": 6, "M": [4, 4, 4]}, ["--seed", "1"]),  # 1
     # the only single-state command that estimates from delay stacks taller
     # than 2 rows and runs clean
@@ -115,6 +114,17 @@ COMMANDS = [
         {**_SINGLE, "K": 6, "M": [4, 4, 4]},
         ["--num-seeds", "10"],
     ),
+    # seeds 3 and 8 warn a negative eigenvalue and an imaginary residual in
+    # the group's joint EDMD fit, the warnings whose stacked form is not
+    # that of one fit, so the stage runs again seed by seed
+    (
+        "compare_single_k10_m3",
+        "compare",
+        {**_SINGLE, "K": 10, "M": [3, 3, 3]},
+        ["--num-seeds", "10"],
+    ),
+    # seed 8 of that sweep alone: 4 warnings in its summary
+    ("single_k10_m3_s8", "single-state", {**_SINGLE, "K": 10, "M": [3, 3, 3]}, ["--seed", "8"]),
     # degree 3 and 5: the only commands that lift a power above 2; degree 5
     # lifts 56 observables, whose order the enumeration fixes
     ("multirate_k300_deg3", "multirate", {**_MULTIRATE, "K": 300, "degree": 3}, []),
