@@ -480,11 +480,7 @@ def _similar(rng, t):
 
 
 def _log_cases():
-    """(name, K) pairs whose principal logarithm is well conditioned. c I
-    and a rotation of norm 1e12 in a non-normal basis have every
-    eigenvalue magnitude far from 1: Newton's first roots from K itself
-    carried rounding of about eps |lambda| relative to K and converged to a
-    wrong root without a warning."""
+    """(name, K) pairs whose principal logarithm is well conditioned."""
     rng = np.random.default_rng(31)
     cases = []
     for n in (1, 2, 3, 4, 10, 12, 56):
@@ -493,7 +489,15 @@ def _log_cases():
         cases.append((f"pairs-{n}", _rotation_blocks(rng, n)))
     cases.append(("jordan", np.array([[2.0, 1.0, 0.0], [0.0, 2.0, 1.0], [0.0, 0.0, 2.0]])))
     cases.append(("rotation-2.5", rotation(2.5)))
-    cases += [(f"identity-{c:g}", c * np.eye(2)) for c in (1e-12, 1e-8, 1e8, 1e15, 1e20)]
+    return cases
+
+
+def _far_from_one_cases():
+    """c I and a rotation of norm 1e12 in a non-normal basis: every
+    eigenvalue magnitude lies far from 1. Newton's first roots from K itself
+    carried rounding of about eps |lambda| relative to K and converged to a
+    wrong root without a warning."""
+    cases = [(f"identity-{c:g}", c * np.eye(2)) for c in (1e-12, 1e-8, 1e8, 1e15, 1e20)]
     basis = np.array([[1.0, 3.0], [0.0, 1.0]])
     cases.append(("rotation-1e12-basis", 1e12 * basis @ rotation(0.7) @ np.linalg.inv(basis)))
     return cases
@@ -552,7 +556,7 @@ def _quiet_log(k):
 class TestMatrixLogKernel:
     """The Schur inverse scaling-and-squaring kernel against SciPy's logm."""
 
-    @pytest.mark.parametrize("name, k", _log_cases())
+    @pytest.mark.parametrize("name, k", _log_cases() + _far_from_one_cases())
     def test_matches_scipy(self, name, k):
         out, ref = linalg.matrix_log(k), _scipy_logm(k)
         assert np.linalg.norm(out - ref, 1) <= 1e-12 * np.linalg.norm(ref, 1)
@@ -572,7 +576,9 @@ class TestMatrixLogKernel:
             out = _quiet_log(k)
             assert _round_trip(k, out) <= max(1e-13, _round_trip(k, _scipy_logm(k)))
 
-    @pytest.mark.parametrize("name, k", _log_cases() + _near_identity_cases())
+    @pytest.mark.parametrize(
+        "name, k", _log_cases() + _near_identity_cases() + _far_from_one_cases()
+    )
     def test_real_input_real_result(self, name, k):
         out = linalg.matrix_log(k)
         assert np.iscomplexobj(out)
