@@ -35,7 +35,6 @@ from .experiments import (
     export_ensemble,
     ideal_noise_floor,
     import_ensemble,
-    lcm_of_rates,
     run,
     run_sweep,
     simulate,
@@ -98,7 +97,6 @@ __all__ = [
     "export_ensemble",
     "ideal_noise_floor",
     "import_ensemble",
-    "lcm_of_rates",
     "run",
     "run_sweep",
     "simulate",

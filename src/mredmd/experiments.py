@@ -24,6 +24,7 @@ import os
 import re
 import sys
 import warnings
+from collections import namedtuple
 from contextlib import contextmanager, suppress
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from itertools import chain, product
@@ -221,15 +222,6 @@ def _config_echo(cfg):
     return echo
 
 
-def lcm_of_rates(rates):
-    """Least common multiple of the per-component rate multipliers, each
-    an integer >= 1 (bools refused, NumPy integers accepted)."""
-    rates = [check_integer(p, f"rates[{i}]", 1) for i, p in enumerate(rates)]
-    if not rates:
-        raise ConfigurationError("rates must be nonempty")
-    return math.lcm(*rates)
-
-
 def derive_schedules(cfg):
     """Sampling schedules for the configured mode.
 
@@ -240,7 +232,7 @@ def derive_schedules(cfg):
     """
     n = cfg.dimension
     if cfg.mode == "multirate":
-        m_lcm = lcm_of_rates(cfg.rates)
+        m_lcm = math.lcm(*cfg.rates)
         return [
             SamplingSchedule(
                 component=i,
@@ -343,12 +335,6 @@ def simulate(cfg, seeds):
     fld = system_field(cfg.system)
     layouts = [derive_schedules(cfg), _full_state(fld.dim, cfg.T_s)]
     return sample_ensembles(fld, layouts, cfg.K, seeds, init_box=cfg.init_box)
-
-
-def _lcm_step_model(raw, step):
-    """Re-express a coarse-step model at step ``step`` via its generator."""
-    k_step, residual = cast_real(matrix_exp(raw.l_complex * step))
-    return replace(raw, k_mat=k_step, step=step), residual
 
 
 def _eval_initial_conditions(cfg, seed, n):
@@ -465,16 +451,29 @@ def _finish_reports(reports, x0s, cfg, fld):
         report.mean_rmse = {name: float(np.mean(vals)) for name, vals in report.rmse.items()}
 
 
+class _Method(namedtuple("_Method", "name stage layout first step at_t_s")):
+    """One method of a run, fit in one stage: its report name, its stage
+    name, the layout of :func:`simulate` it reads (0: the config's
+    schedules, 1: the full state), its pairs (x(first), x(first + step))
+    and whether its model is re-expressed at T_s."""
+
+    @property
+    def targets(self):
+        return (self.first, self.first + self.step)
+
+
 def _methods(cfg):
-    """The methods a run of ``cfg`` fits, in report order."""
-    return [cfg.mode, "lcm", "ideal"] if cfg.mode == "multirate" else [cfg.mode, "ideal"]
-
-
-def _targets(cfg):
-    """The two instants the paper's step 1 reconstructs the state at:
-    (T_s, 2 T_s) in multirate mode, (n T_s, (n + 1) T_s) in single-state."""
-    first = cfg.T_s if cfg.mode == "multirate" else cfg.dimension * cfg.T_s
-    return (first, first + cfg.T_s)
+    """The methods a run of ``cfg`` fits, in report and stage order: the
+    paper's model on pairs at (T_s, 2 T_s) in multirate mode and at
+    (n T_s, (n + 1) T_s) in single-state; in multirate mode the lcm baseline
+    on the instants 0 and lcm(p) T_s, where the whole state is measured;
+    and the ideal baseline on the full state at T_s and 2 T_s."""
+    t_s = cfg.T_s
+    first = t_s if cfg.mode == "multirate" else cfg.dimension * t_s
+    methods = [_Method(cfg.mode, "reconstruct", 0, first, t_s, False)]
+    if cfg.mode == "multirate":
+        methods.append(_Method("lcm", "fit_lcm", 0, 0.0, math.lcm(*cfg.rates) * t_s, True))
+    return methods + [_Method("ideal", "fit_ideal", 1, t_s, t_s, False)]
 
 
 def _run_seeds(cfg, seeds):
@@ -483,14 +482,9 @@ def _run_seeds(cfg, seeds):
     stacks every seed's problem, each estimate of a component at a target
     stacks every seed's matrix exponential, one RK4 batch integrates every
     evaluation truth and one prediction call advances every model, each
-    stage under the replay rule of :func:`_per_seed`. The lcm fit alone
-    loops over seeds: on its coarse step some seed of a group nearly always
-    warns (2 of seeds 0-9 at K = 300, 6 at K = 30), so a stacked lcm stage
-    would be replayed anyway.
+    stage under the replay rule of :func:`_per_seed`.
 
-    Multirate reconstructs at (T_s, 2 T_s) and fits the multirate model, the
-    lcm baseline and the ideal baseline; single-state reconstructs at
-    (n T_s, (n+1) T_s) and fits the model and the ideal baseline. All are
+    Each method of :func:`_methods` is fit in its own stage, and all are
     evaluated. Stage failures are recorded in each seed's report (with the
     stage name) rather than raised, so a partial report can still be written.
     """
@@ -500,13 +494,14 @@ def _run_seeds(cfg, seeds):
     x0s = [_eval_initial_conditions(cfg, seed, fld.dim) for seed in seeds]
     dictionary = monomial_dictionary(fld.dim, cfg.degree, cfg.include_constant)
     echo = _config_echo(cfg)  # one echo for all: run and run_sweep validate the seeds
+    methods = [method.name for method in _methods(cfg)]
     reports = [
         ExperimentReport(
             schema=SCHEMA_ID,
             mode=cfg.mode,
             seed=seed,
             config={**echo, "seed": seed},
-            methods=_methods(cfg),
+            methods=list(methods),
             dictionary=dictionary,
         )
         for seed in seeds
@@ -518,58 +513,44 @@ def _run_seeds(cfg, seeds):
 
 def _sample_and_fit(cfg, fld, dictionary, reports):
     """Sample every report's ensemble, and its full-state twin for the ideal
-    baseline, in one RK4 batch, then fit its models, each fit stage in one
-    call for all of them."""
-    mode = cfg.mode
-    t_s = cfg.T_s
-    targets = _targets(cfg)
-    schedules = derive_schedules(cfg)
-    full_state = _full_state(fld.dim, t_s)
+    baseline, in one RK4 batch, then fit each method of :func:`_methods` in
+    one stage call for all of them; the lcm models are re-expressed at T_s
+    by one stacked matrix exponential."""
+    layouts = [derive_schedules(cfg), _full_state(fld.dim, cfg.T_s)]
     samples = _per_seed(
         reports, "sample", lambda idx: simulate(cfg, [reports[i].seed for i in idx])
     )
     sampled = [(r, ensembles) for r, ensembles in zip(reports, samples) if ensembles is not None]
     group = [report for report, _ in sampled]
+    for method in _methods(cfg):
+        schedules, targets = layouts[method.layout], method.targets
 
-    def reconstruct(idx):
-        ensembles = [sampled[i][1][0] for i in idx]
-        operator_sets = hankel.fit_component_operators(ensembles, schedules, targets)
-        for i, operators in zip(idx, operator_sets):
-            # stored before reconstructing, so a failed estimate still reports them
-            group[i].component_operators = operators
-        pairs = hankel.reconstruct_states(
-            ensembles, schedules, operator_sets, t_s, first_target=targets[0]
-        )
-        return edmd.fit_models(pairs, dictionary)
-
-    def fit_ideal(idx):
-        fulls = [sampled[i][1][1] for i in idx]
-        pairs = hankel.reconstruct_states(fulls, full_state, [{}] * len(fulls), t_s)
-        return edmd.fit_models(pairs, dictionary)
-
-    models = _per_seed(group, "reconstruct", reconstruct)
-    for report, model in zip(group, models):
-        if model is not None:
-            report.models[mode] = model
-    if mode == "multirate":
-        lcm_step = lcm_of_rates(cfg.rates) * t_s
-        for report, (ensemble, _) in sampled:
-            with _stage(report, "fit_lcm"):
-                if hankel.estimated_components(schedules, (0.0, lcm_step)):
-                    raise DataError(
-                        "lcm baseline needs the full state measured at t=0 and "
-                        f"t={lcm_step:.6g}; increase the per-component sample counts"
-                    )
-                lcm_pairs = hankel.reconstruct_states(
-                    [ensemble], schedules, [{}], lcm_step, first_target=0.0
+        def fit(idx):
+            if method.name != cfg.mode and hankel.estimated_components(schedules, targets):
+                raise DataError(
+                    f"{method.name} baseline needs the full state measured at t={targets[0]:.6g} "
+                    f"and t={targets[1]:.6g}; increase the per-component sample counts"
                 )
-                (raw,) = edmd.fit_models(lcm_pairs, dictionary)
-                report.models["lcm"], step_residual = _lcm_step_model(raw, t_s)
-                report.residuals["lcm_step"] = step_residual
-    models = _per_seed(group, "fit_ideal", fit_ideal)
-    for report, model in zip(group, models):
-        if model is not None:
-            report.models["ideal"] = model
+            ensembles = [sampled[i][1][method.layout] for i in idx]
+            operator_sets = hankel.fit_component_operators(ensembles, schedules, targets)
+            for i, operators in zip(idx, operator_sets):
+                # stored before reconstructing, so a failed estimate still reports them
+                group[i].component_operators.update(operators)
+            pairs = hankel.reconstruct_states(
+                ensembles, schedules, operator_sets, method.step, first_target=method.first
+            )
+            models = edmd.fit_models(pairs, dictionary)
+            if method.at_t_s:
+                exps = matrix_exp(np.stack([model.l_complex for model in models]) * cfg.T_s)
+                steps = [cast_real(k) for k in exps]
+                for i, (_, residual) in zip(idx, steps):
+                    group[i].residuals[f"{method.name}_step"] = residual
+                models = [replace(m, k_mat=k, step=cfg.T_s) for m, (k, _) in zip(models, steps)]
+            return models
+
+        for report, model in zip(group, _per_seed(group, method.stage, fit)):
+            if model is not None:
+                report.models[method.name] = model
 
 
 def run(cfg):
@@ -730,8 +711,9 @@ def refuse_foreign_output(cfg, writes="report"):
     elif writes == "ensemble":
         owns = _export_owns(cfg.K)
     else:
-        components = hankel.estimated_components(derive_schedules(cfg), _targets(cfg))
-        owns = (_REPORT_FILES | _fit_files(_methods(cfg), components)).__contains__
+        methods = _methods(cfg)
+        components = hankel.estimated_components(derive_schedules(cfg), methods[0].targets)
+        owns = (_REPORT_FILES | _fit_files([m.name for m in methods], components)).__contains__
     _refuse_foreign(Path(cfg.output_dir), owns)
 
 

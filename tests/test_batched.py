@@ -377,7 +377,7 @@ def test_group_reconstruction_is_the_per_seed_loop(monkeypatch):
 def test_group_reconstruction_sets_equal_their_loop():
     # the public group call, with no replay: each ensemble's pairs bit for bit
     cfg = SINGLE_STATE
-    schedules, targets = experiments.derive_schedules(cfg), experiments._targets(cfg)
+    schedules, targets = experiments.derive_schedules(cfg), experiments._methods(cfg)[0].targets
     ensembles = [ensemble for ensemble, _ in experiments.simulate(cfg, range(4))]
     operator_sets = hankel.fit_component_operators(ensembles, schedules, targets)
     group = hankel.reconstruct_states(
@@ -423,7 +423,7 @@ SMALL_M4 = replace(SINGLE_STATE, K=6, M=(4, 4, 4))
 
 @pytest.mark.parametrize("cfg, seeds", [(SINGLE_STATE, range(4)), (SMALL_M4, range(10))])
 def test_component_fit_stacks_are_each_ensemble_alone(cfg, seeds):
-    schedules, targets = experiments.derive_schedules(cfg), experiments._targets(cfg)
+    schedules, targets = experiments.derive_schedules(cfg), experiments._methods(cfg)[0].targets
     ensembles = [ensemble for ensemble, _ in experiments.simulate(cfg, seeds)]
     group = outcome(lambda: hankel.fit_component_operators(ensembles, schedules, targets))
     loop = outcome(lambda: component_fits(ensembles, schedules, targets))
@@ -435,7 +435,7 @@ def test_component_fit_stacks_are_each_ensemble_alone(cfg, seeds):
 
 def test_component_fit_checks_each_ensemble_before_stacking():
     cfg = SINGLE_STATE
-    schedules, targets = experiments.derive_schedules(cfg), experiments._targets(cfg)
+    schedules, targets = experiments.derive_schedules(cfg), experiments._methods(cfg)[0].targets
     (ensemble, _), (other, _) = experiments.simulate(cfg, range(2))
     fewer = dynamics.Ensemble(
         times=ensemble.times, values={c: v[:50] for c, v in ensemble.values.items()},
@@ -464,7 +464,7 @@ def test_component_fit_warns_for_the_components_before_a_data_error():
     # component 0 of seed 1 warns; component 1 is missing from seed 2, so
     # its error comes after component 0's fit and warnings, as in the loop
     cfg = SMALL_M4
-    schedules, targets = experiments.derive_schedules(cfg), experiments._targets(cfg)
+    schedules, targets = experiments.derive_schedules(cfg), experiments._methods(cfg)[0].targets
     ensembles = [ensemble for ensemble, _ in experiments.simulate(cfg, range(3))]
     ensembles[2] = dynamics.Ensemble(
         times={c: t for c, t in ensembles[2].times.items() if c != 1},
@@ -612,11 +612,39 @@ def test_sweep_group_runs_one_call_per_stage(monkeypatch):
     assert spectra == [(20, 10, 10), (20, 10, 10)]
 
 
-@pytest.mark.parametrize("seed_base", [0, 955635186, 1985716063])
-def test_sweep_stages_run_joined(monkeypatch, seed_base):
-    # the benchmark's sweep (K = 100, 10 seeds) runs each per-seed stage once
-    # for the group: a stage that warned for one seed would replay it seed
-    # by seed, each seed in its own stage, with no error to show for it
+SINGLE_STATE_STAGES = ["sample", "reconstruct", "fit_ideal", "spectra", "evaluate", "noise_floor"]
+MULTIRATE_STAGES = ["sample", "reconstruct", "fit_lcm", "fit_ideal", "spectra", "evaluate"]
+
+
+@pytest.mark.parametrize(
+    "cfg, seeds, stages",
+    [
+        *(
+            pytest.param(
+                SINGLE_STATE,
+                range(base, base + 10),
+                [(name, 10) for name in SINGLE_STATE_STAGES],
+                id=str(base),
+            )
+            for base in (0, 955635186, 1985716063)
+        ),
+        # 4096 rows hold 4 seeds of K = 1000: groups of 4, 4 and 2, and the
+        # lcm baseline is one stage of each
+        pytest.param(
+            experiments.ExperimentConfig(
+                system="lorenz", mode="multirate", T_s=0.1, rates=(1, 4, 3), K=1000
+            ),
+            range(10),
+            [(name, n) for n in (4, 4, 2) for name in MULTIRATE_STAGES],
+            id="multirate_K1000",
+        ),
+    ],
+)
+def test_sweep_stages_run_joined(monkeypatch, cfg, seeds, stages):
+    # a sweep runs each per-seed stage once per group (the benchmark's sweep,
+    # K = 100 and 10 seeds, is one group): a stage that warned for one seed
+    # would replay it seed by seed, each seed in its own stage, with no error
+    # to show for it
     joined, replayed = [], []
     per_seed, stage = experiments._per_seed, experiments._stage
 
@@ -630,9 +658,8 @@ def test_sweep_stages_run_joined(monkeypatch, seed_base):
 
     monkeypatch.setattr(experiments, "_per_seed", record_joined)
     monkeypatch.setattr(experiments, "_stage", record_replayed)
-    result = experiments.run_sweep(SINGLE_STATE, range(seed_base, seed_base + 10))
-    stages = ["sample", "reconstruct", "fit_ideal", "spectra", "evaluate", "noise_floor"]
-    assert joined == [(name, 10) for name in stages] and replayed == []
+    result = experiments.run_sweep(cfg, seeds)
+    assert joined == stages and replayed == []
     assert result["seeds_scored"] == 10 and not result["stage_errors"]
 
 

@@ -229,7 +229,7 @@ def test_simulate_exports_what_run_fits(tmp_path, monkeypatch):
     monkeypatch.undo()
     assert sorted(operators) == [0, 1, 2]
     # step 1 fitted on the export is the run's, bit for bit, and so are its pairs
-    schedules, targets = experiments.derive_schedules(cfg), experiments._targets(cfg)
+    schedules, targets = experiments.derive_schedules(cfg), experiments._methods(cfg)[0].targets
     (fitted,) = mredmd.fit_component_operators([exported], schedules, targets)
     assert list(fitted) == list(operators)
     for comp, op in operators.items():

@@ -22,7 +22,6 @@ from mredmd.experiments import (
     emit_report,
     evaluate_prediction,
     ideal_noise_floor,
-    lcm_of_rates,
     run,
     run_sweep,
 )
@@ -43,45 +42,6 @@ def single_state_config(**overrides):
     )
     base.update(overrides)
     return ExperimentConfig(**base)
-
-
-class TestLcmOfRates:
-    def test_benchmark_rates(self):
-        assert lcm_of_rates((1, 4, 3)) == 12
-
-    def test_table_rates(self):
-        assert lcm_of_rates((1, 2, 3)) == 6
-
-    def test_uniform(self):
-        assert lcm_of_rates((1, 1, 1)) == 1
-
-    def test_permutation_invariant(self):
-        assert lcm_of_rates((3, 4, 1)) == lcm_of_rates((1, 4, 3))
-        assert lcm_of_rates((5, 1)) == lcm_of_rates((5,))
-
-    def test_rejects_bad_rates(self):
-        with pytest.raises(ConfigurationError):
-            lcm_of_rates(())
-        with pytest.raises(ConfigurationError):
-            lcm_of_rates((0, 2))
-
-    @pytest.mark.parametrize(
-        "rates, message",
-        [
-            ([True, 2], "rates[0] must be an integer >= 1, got True"),
-            ([2.0, 3], "rates[0] must be an integer >= 1, got 2.0"),
-            (["a"], "rates[0] must be an integer >= 1, got 'a'"),
-            ([2, None], "rates[1] must be an integer >= 1, got None"),
-            ([3, -4], "rates[1] must be an integer >= 1, got -4"),
-        ],
-    )
-    def test_rejects_non_integer_rates(self, rates, message):
-        with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
-            lcm_of_rates(rates)
-
-    def test_numpy_rates(self):
-        lcm = lcm_of_rates(np.array([1, 4, 3]))
-        assert lcm == 12 and type(lcm) is int
 
 
 class TestDeriveSchedules:

@@ -530,6 +530,27 @@ def hankel_fit_matrices():
     return hankel_ks + [report.models[m].k_mat for m in ("multirate", "lcm", "ideal")]
 
 
+@pytest.fixture(scope="module")
+def hankel_operators_of_ten_seeds():
+    """The Hankel K of components 1 and 2 that seeds 0-9 of the K=10,
+    M=(12, 11, 11) multirate config fit, each seed alone as its run does:
+    20 rank-deficient (11, 11) operators whose smallest eigenvalue
+    magnitudes lie between 2.8e-11 and 7.9e-9."""
+    from mredmd import experiments, hankel
+
+    cfg = experiments.ExperimentConfig(
+        system="lorenz", mode="multirate", T_s=0.1, K=10, rates=(1, 4, 3), M=(12, 11, 11)
+    )
+    schedules, targets = experiments.derive_schedules(cfg), experiments._methods(cfg)[0].targets
+    ks = []
+    for ensemble, _ in experiments.simulate(cfg, range(10)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            (operators,) = hankel.fit_component_operators([ensemble], schedules, targets)
+        ks += [operators[c].k_mat for c in (1, 2)]
+    return ks
+
+
 def _scipy_logm(k):
     """SciPy's logm as an oracle, under a fixed global RNG state (its 1-norm
     estimator draws from it), restoring the caller's state."""
@@ -575,6 +596,18 @@ class TestMatrixLogKernel:
         for k in hankel_fit_matrices:
             out = _quiet_log(k)
             assert _round_trip(k, out) <= max(1e-13, _round_trip(k, _scipy_logm(k)))
+
+    def test_hankel_fits_far_below_one_round_trip(self, hankel_operators_of_ten_seeds):
+        # the log's condition is about 1 / |lambda_min|: this kernel's log and
+        # SciPy's may differ by eps / |lambda_min| relative (up to 1.1e-8
+        # here), yet each exp(log K) returns K
+        for k in hankel_operators_of_ten_seeds:
+            lam_min = np.abs(np.linalg.eigvals(k)).min()
+            assert lam_min < 1e-8
+            out, ref = _quiet_log(k), _scipy_logm(k)
+            assert np.linalg.norm(linalg.matrix_exp(out) - k, 1) <= 1e-10 * np.linalg.norm(k, 1)
+            eps = np.finfo(float).eps
+            assert np.linalg.norm(out - ref, 1) <= eps / lam_min * np.linalg.norm(ref, 1)
 
     @pytest.mark.parametrize(
         "name, k", _log_cases() + _near_identity_cases() + _far_from_one_cases()

@@ -103,6 +103,8 @@ SWEEPS = {
     "single_state_sweep": (dict(SINGLE_STATE, K=100), range(10)),
     "multirate_large": (dict(MULTIRATE, K=10000, degree=2, eval_trajectories=50), range(3)),
     "multirate_K300": (dict(MULTIRATE, K=300), range(10)),
+    # groups of 4, 4 and 2 seeds whose joint lcm fits run clean
+    "multirate_K1000": (dict(MULTIRATE, K=1000), range(10)),
     "divergent_samples": (DIVERGENT_30, range(10)),
     "divergent_every_stage": (DIVERGENT_12, range(10)),
 }
@@ -161,6 +163,8 @@ FALLBACKS = {
     "single_state_k5": dict(SINGLE_STATE, K=5),
     "single_state_k10_m3": dict(SINGLE_STATE, K=10, M=(3, 3, 3)),
     "divergent_samples": DIVERGENT_30,
+    # the lcm baseline is refused for every seed, inside the group's stage
+    "multirate_m211": dict(MULTIRATE, K=300, M=(2, 1, 1)),
 }
 
 

@@ -72,6 +72,9 @@ COMMANDS = [
     ("multirate_k300_m8_10", "multirate", {**_MULTIRATE, "K": 300, "M": [12, 8, 10]}, []),
     ("multirate_k5", "multirate", {**_MULTIRATE, "K": 5}, []),  # 1
     ("multirate_rates246", "multirate", {**_MULTIRATE, "K": 200, "rates": [2, 4, 6]}, []),
+    # lcm(p) = 1: the lcm baseline fits at T_s, and its model is still
+    # re-expressed at T_s through its generator
+    ("multirate_rates111", "multirate", {**_MULTIRATE, "K": 300, "rates": [1, 1, 1]}, []),
     *[
         (f"single_k100_s{seed}", "single-state", {**_SINGLE, "K": 100}, ["--seed", str(seed)])
         for seed in range(2)
@@ -80,6 +83,15 @@ COMMANDS = [
     ("single_fine", "single-state", _SINGLE_FINE, []),
     ("compare_single_k100", "compare", {**_SINGLE, "K": 100}, ["--num-seeds", "10"]),
     ("compare_multirate_k300", "compare", {**_MULTIRATE, "K": 300}, ["--num-seeds", "10"]),
+    # groups of 4, 4 and 2 seeds whose joint lcm fits run clean, so they are written
+    ("compare_multirate_k1000", "compare", {**_MULTIRATE, "K": 1000}, ["--num-seeds", "10"]),
+    # the lcm baseline refused for every seed of a group
+    (
+        "compare_multirate_m211",
+        "compare",
+        {**_MULTIRATE, "K": 300, "M": [2, 1, 1]},
+        ["--num-seeds", "4"],
+    ),  # 1
     (
         "compare_multirate_k10_m12",
         "compare",
