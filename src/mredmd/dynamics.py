@@ -13,6 +13,7 @@ samples are copied out of them.
 import inspect
 import itertools
 import math
+from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -157,10 +158,21 @@ def integrate(field, x0, step, n_steps, every=1):
         accepted), or if the kept states cannot be allocated, naming their
         size.
     DivergenceError
-        If the state becomes non-finite at any micro-step, naming it.
+        If the state becomes non-finite at any micro-step, naming the first.
 
     Notes
     -----
+    The errors, ``RuntimeWarning`` lines and ``FloatingPointError`` are
+    those of a finiteness test after every micro-step under the caller's
+    ``np.errstate``, but the pass only tests at kept states: it takes the
+    ``every`` micro-steps between two of them with the conditions that the
+    caller's errstate reports recorded instead of reported. A block that
+    ends non-finite, records a condition or raises is taken again from the
+    last kept state, testing every micro-step under the caller's errstate.
+    A state never turns finite again once it is not, so no divergence is
+    missed. The field may thus be called on states past the first
+    non-finite one, and again for a block taken again.
+
     On a small batch a micro-step costs NumPy call overhead, not
     arithmetic, so the kernel keeps its calls lean and allocates nothing
     per step: six state-sized buffers (the state, one stage input, two
@@ -180,44 +192,124 @@ def integrate(field, x0, step, n_steps, every=1):
         raise ConfigurationError(
             f"x0 has dimension {x.shape[-1]}, field expects {field.dim}"
         )
+    out, _ = _rk4(field, x[None], step, n_steps, every)
+    return out
+
+
+def _rk4(field, kept, step, n_steps, every, riders=()):
+    """The pass of :func:`integrate`, with checked arguments, continued
+    from the states ``kept`` so far, shape (k,) + batch shape: the states at
+    t = 0, every*h, ..., (k - 1)*every*h, with 1 <= k <= n_steps // every + 1.
+    Micro-steps count from t = 0. Returns the kept states of the batch and,
+    per rider, its own or None.
+
+    ``riders`` are (states (m_i, dim), n_steps_i) pairs that start at t = 0
+    with a batch of shape (m, dim) (k = 1) and ride the pass up to their own
+    kept state n_steps_i // every, at most the batch's last. A rider cannot
+    fail the pass: a block that needs taking again (see :func:`integrate`)
+    drops every rider in it, and is taken again for the batch's rows alone,
+    as if they had never ridden; a rider that cannot be held does not ride.
+    Only a rider that leaves the pass clean has its kept states returned.
+    """
     rows = n_steps // every + 1
+    batch = kept.shape[1:]
     try:
-        out = np.empty((rows,) + x.shape)
+        out = np.empty((rows,) + batch)
     except (MemoryError, ValueError) as exc:  # ValueError: beyond the address space
         raise ConfigurationError(
             f"cannot allocate the RK4 grid: n_steps={n_steps} for a batch of shape "
-            f"{x.shape} requests {rows * x.size * 8 / 2**30:.3g} GiB"
+            f"{batch} requests {rows * math.prod(batch) * 8 / 2**30:.3g} GiB"
         ) from exc
-    out[0] = x
-    # Component-major state, so each component is contiguous. Every element
-    # takes the steps of x + h/6 (k1 + 2 k2 + 2 k3 + k4), k_i evaluated at
-    # x + c_i h k_(i-1), in the same order, so the bits do not depend on the
-    # layout: k1 + 2 k2 is summed before k3 overwrites k1's buffer.
-    x = np.array(x, order="F")
+    out[: len(kept)] = kept
+    start = out[len(kept) - 1]
+    # riders longest first, behind the batch's rows: those that leave are last
+    results, riding, hi = [None] * len(riders), [], len(start)
+    for index in sorted(range(len(riders)), key=lambda i: -riders[i][1]):
+        states, steps = riders[index]
+        try:
+            own = np.empty((steps // every + 1,) + states.shape)
+        except (MemoryError, ValueError):
+            continue
+        own[0] = states
+        if len(own) == 1:
+            results[index] = own
+        else:
+            riding.append((index, own, hi, hi + len(states)))
+            hi += len(states)
+    if riding:
+        start = np.concatenate([start] + [own[0] for _, own, _, _ in riding])
+    x, advance = _stepper(field, start, step)
+    del start  # the pass's states live in x alone
+    quiet = {kind: "ignore" if mode == "ignore" else "call" for kind, mode in np.geterr().items()}
+    recorded = []
+
+    def record(kind, flag):
+        recorded.append(kind)
+
+    for r in range(len(kept), rows):
+        j = (r - 1) * every
+        try:
+            with np.errstate(call=record, **quiet):
+                clean = advance(j, every, False)
+        except Exception:  # a field may raise on a state past a divergence
+            clean = False
+        if recorded or not clean:
+            recorded.clear()
+            riding = []
+            x, advance = _stepper(field, out[r - 1], step)
+            advance(j, every, True)
+        out[r] = x[: riding[0][2]] if riding else x  # the batch's rows come first
+        for _, own, lo, hi in riding:
+            own[r] = x[lo:hi]
+        leaving = [rider for rider in riding if len(rider[1]) == r + 1]
+        if leaving:
+            for index, own, _, _ in leaving:
+                results[index] = own
+            riding = riding[: len(riding) - len(leaving)]
+            if r + 1 < rows:
+                x, advance = _stepper(field, x[: leaving[0][2]], step)
+    return out, results
+
+
+def _stepper(field, state, step):
+    """An F-ordered copy ``x`` of the (m, dim) or (dim,) states ``state``,
+    so that each component is contiguous, and ``advance(j, count, check)``,
+    which takes micro-steps j + 1, ..., j + count of ``x`` in place and
+    returns whether ``x`` is then finite; with ``check``, a DivergenceError
+    names the first micro-step whose state is not.
+
+    Every element takes the steps of x + h/6 (k1 + 2 k2 + 2 k3 + k4), k_i
+    evaluated at x + c_i h k_(i-1), in the same order, so the bits do not
+    depend on the layout or on the other rows: k1 + 2 k2 is summed before
+    k3 overwrites k1's buffer.
+    """
+    x = np.array(state, dtype=float, order="F")
     y, ka, kb, acc, tmp = (np.empty_like(x) for _ in range(5))
     xs, ys, kas, kbs = (_components(a) for a in (x, y, ka, kb))
     finite = np.empty_like(x, dtype=bool)
     half, whole, two, sixth = (np.array(c) for c in (0.5 * step, step, 2.0, step / 6.0))
     f, add, multiply, isfinite = field.func, np.add, np.multiply, np.isfinite
-    for j in range(1, n_steps + 1):
-        f(xs, kas)  # k1
-        add(x, multiply(half, ka, tmp), y)
-        f(ys, kbs)  # k2
-        add(ka, multiply(two, kb, acc), acc)
-        add(x, multiply(half, kb, tmp), y)
-        f(ys, kas)  # k3
-        add(acc, multiply(two, ka, tmp), acc)
-        add(x, multiply(whole, ka, tmp), y)
-        f(ys, kbs)  # k4
-        add(acc, kb, acc)
-        add(x, multiply(sixth, acc, acc), x)
-        if not isfinite(x, finite).all():
-            raise DivergenceError(
-                f"trajectory diverged (non-finite state) at step {j}, t={j * step:.6g}"
-            )
-        if j % every == 0:
-            out[j // every] = x
-    return out
+
+    def advance(first, count, check):
+        for j in range(first + 1, first + count + 1):
+            f(xs, kas)  # k1
+            add(x, multiply(half, ka, tmp), y)
+            f(ys, kbs)  # k2
+            add(ka, multiply(two, kb, acc), acc)
+            add(x, multiply(half, kb, tmp), y)
+            f(ys, kas)  # k3
+            add(acc, multiply(two, ka, tmp), acc)
+            add(x, multiply(whole, ka, tmp), y)
+            f(ys, kbs)  # k4
+            add(acc, kb, acc)
+            add(x, multiply(sixth, acc, acc), x)
+            if check and not isfinite(x, finite).all():
+                raise DivergenceError(
+                    f"trajectory diverged (non-finite state) at step {j}, t={j * step:.6g}"
+                )
+        return isfinite(x, finite).all()
+
+    return x, advance
 
 
 @dataclass(frozen=True)
@@ -475,7 +567,62 @@ def sample_ensembles(field, layouts, n_traj, seeds, init_box=None):
     The sample grid holds every sample time of every layout, so the seeds
     share it. Its refinement limit (:func:`common_micro_step`) is set by the
     smallest period of the first layout: the others only add their times.
+    A pipeline's sampling pass is this call with more rows riding its RK4
+    pass (:func:`_sample_pass`), which leave its ensembles as they are.
     """
+    n_traj, box = _check_sampling(field, layouts, n_traj, init_box)
+    x0s = _substream_uniform(seeds, n_traj, box)
+    h, g, n_steps = _sample_grid(layouts)
+    dense = integrate(field, x0s.reshape(-1, field.dim), float(h), n_steps, every=_STEPS_PER_GRID)
+    return _ensembles(dense, layouts, g, n_traj)
+
+
+def _sample_pass(field, layouts, n_traj, seeds, init_box=None, brief=(), starts=None):
+    """:func:`sample_ensembles` of ``seeds``, whose one RK4 pass
+    (:func:`_rk4`) also carries two kinds of riders, each where its own
+    micro-step is the pass's:
+
+    - ``brief``, more keys, each sampled on ``layouts[-1]`` alone, from
+      initial states drawn in the seeds' call; a draw that the seeds alone
+      can hold still runs, without them;
+    - ``starts``, ``(x0, step, rows)``: initial states kept every
+      ``_STEPS_PER_GRID`` micro-steps of ``step`` up to ``rows`` kept
+      states past t = 0, or up to the samples' end if that comes first.
+
+    Returns the seeds' ensembles, per brief key its ensemble or None, and
+    the kept states of the starts or None: None where a rider did not ride
+    or was dropped. Only the seeds' rows can fail the pass, with the errors
+    and warnings of :func:`sample_ensembles`.
+    """
+    n_traj, box = _check_sampling(field, layouts, n_traj, init_box)
+    seeds, x0s, n_brief = list(seeds), None, len(brief)
+    if brief:
+        with suppress(ConfigurationError):
+            x0s = _substream_uniform(seeds + list(brief), n_traj, box)
+    if x0s is None:
+        brief, x0s = (), _substream_uniform(seeds, n_traj, box)
+    h, g, n_steps = _sample_grid(layouts)
+    riders, brief_at, starts_at = [], None, None
+    if brief:
+        brief_h, _, brief_steps = _sample_grid(layouts[-1:])
+        if brief_h == h:
+            brief_at = len(riders)
+            riders.append((x0s[len(seeds) :].reshape(-1, field.dim), brief_steps))
+    if starts is not None and starts[1] == float(h):
+        starts_at = len(riders)
+        riders.append((starts[0], _STEPS_PER_GRID * min(starts[2], n_steps // _STEPS_PER_GRID)))
+    seed_x0s = x0s[: len(seeds)].reshape(1, -1, field.dim)
+    dense, kept = _rk4(field, seed_x0s, float(h), n_steps, _STEPS_PER_GRID, riders)
+    brief_ensembles = [None] * n_brief
+    if brief_at is not None and kept[brief_at] is not None:
+        brief_ensembles = [own for (own,) in _ensembles(kept[brief_at], layouts[-1:], g, n_traj)]
+    kept_starts = None if starts_at is None else kept[starts_at]
+    return _ensembles(dense, layouts, g, n_traj), brief_ensembles, kept_starts
+
+
+def _check_sampling(field, layouts, n_traj, init_box):
+    """``n_traj`` and the (dim, 2) box of the initial states, checked, after
+    each layout is checked to cover every state component once."""
     n = field.dim
     for layout in layouts:
         if sorted(s.component for s in layout) != list(range(n)):
@@ -486,35 +633,42 @@ def sample_ensembles(field, layouts, n_traj, seeds, init_box=None):
     box = np.asarray([(-1.0, 1.0)] * n if init_box is None else init_box, dtype=float)
     if box.shape != (n, 2) or not np.all(box[:, 0] < box[:, 1]):
         raise ConfigurationError(f"init_box must be (dim, 2) with low < high, got {box!r}")
-    x0s = _substream_uniform(seeds, n_traj, box)
+    return n_traj, box
 
-    # The sample grid, spacing g, holds every sample time; RK4 runs
-    # _STEPS_PER_GRID micro-steps per grid step and keeps grid rows.
+
+def _sample_grid(layouts):
+    """The micro-step h and the sample grid's spacing g = ``_STEPS_PER_GRID``
+    h, as Fractions, and the micro-steps to the first grid row at or after
+    the last sample of ``layouts`` (see :func:`sample_ensembles`)."""
     later = [s for layout in layouts[1:] for s in layout]
-    h_frac = common_micro_step(layouts[0], [t for s in later for t in (s.dead_time, s.period)])
-    h, g = float(h_frac), h_frac * _STEPS_PER_GRID
+    h = common_micro_step(layouts[0], [t for s in later for t in (s.dead_time, s.period)])
+    g = h * _STEPS_PER_GRID
     end = max(s.dead_time + s.count * s.period for layout in layouts for s in layout)
-    n_steps = _STEPS_PER_GRID * math.ceil(_as_fraction(end, "end time") / g)
-    dense = integrate(field, x0s.reshape(-1, n), h, n_steps, every=_STEPS_PER_GRID)
+    return h, g, _STEPS_PER_GRID * math.ceil(_as_fraction(end, "end time") / g)
+
+
+def _ensembles(dense, layouts, g, n_traj):
+    """Per key, one :class:`Ensemble` per layout, from the states ``dense``
+    kept on the grid of spacing ``g``, shape (rows, keys * n_traj, dim)."""
+    n_keys = dense.shape[1] // n_traj
     indices = np.arange(n_traj)
     indices.flags.writeable = False
-    ensembles = [[] for _ in x0s]
+    ensembles = [[] for _ in range(n_keys)]
     for layout in layouts:
         times, blocks = {}, {}
         for s in layout:
             times[s.component] = s.instants()
             times[s.component].flags.writeable = False
             # g divides every dead time and period, so the grid indices are
-            # exact; they are built after the grid, whose size integrate checks
+            # exact; they are built after the grid, whose size the pass checks
             grid = int(_as_fraction(s.dead_time, "dead_time") / g) + int(
                 _as_fraction(s.period, "period") / g
             ) * np.arange(s.count + 1)
-            # one (seeds, K, M_i + 1) copy per component; each seed's
+            # one (keys, K, M_i + 1) copy per component; each key's
             # samples are a contiguous view of it
-            samples = dense[grid, :, s.component].reshape(s.count + 1, len(x0s), n_traj)
+            samples = dense[grid, :, s.component].reshape(s.count + 1, n_keys, n_traj)
             blocks[s.component] = np.ascontiguousarray(samples.transpose(1, 2, 0))
-        for seed, own in enumerate(ensembles):
-            values = {comp: block[seed] for comp, block in blocks.items()}
+        for key, own in enumerate(ensembles):
+            values = {comp: block[key] for comp, block in blocks.items()}
             own.append(Ensemble._unchecked(dict(times), values, indices))
     return ensembles
-

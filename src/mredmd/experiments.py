@@ -11,8 +11,9 @@ materialize as CSV/JSON files; identical config and seed reproduce
 identical bytes.
 
 ``run_sweep`` runs the same pipeline over many seeds one stage at a time,
-so each stage runs once for a whole group of seeds: one RK4 batch, one
-stacked Koopman fit per fit, one stacked matrix exponential per estimate,
+so each stage runs once for a whole group of seeds: one RK4 pass (which
+also advances the evaluation states and samples the noise-floor halves),
+one stacked Koopman fit per fit, one stacked matrix exponential per estimate,
 one prediction call. Every stage that warns or fails for the group runs
 again seed by seed, so each report records its own package warnings and
 none escapes. ``run`` is its one-seed case.
@@ -350,14 +351,19 @@ def _eval_initial_conditions(cfg, seed, n):
 
 
 def _eval_truths(fld, starts, horizon, step):
-    """RK4 ground truth at step, 2 step, ..., horizon step of each (E_i, n)
-    batch of initial states, all in one pass with ``_STEPS_PER_GRID``
-    micro-steps per step; one (E_i, horizon, n) array per batch."""
+    """RK4 ground truth at step, 2 step, ..., horizon step of each batch of
+    ``starts``, all in one pass with ``_STEPS_PER_GRID`` micro-steps per
+    step; one (E_i, horizon, n) array per batch. A batch is its (E_i, n)
+    initial states, or the (k, E_i, n) states that the sampling pass kept
+    at 0, step, ..., (k - 1) step, which the pass continues; all batches of
+    one call have one k, and micro-steps count from t = 0."""
     m = _STEPS_PER_GRID
-    dense = dynamics.integrate(fld, np.concatenate(starts), step / m, horizon * m, every=m)
+    kept = np.concatenate([np.reshape(x, (-1,) + np.shape(x)[-2:]) for x in starts], axis=1)
+    dense, _ = dynamics._rk4(fld, kept, step / m, horizon * m, m)
+    sizes = [np.shape(x)[-2] for x in starts]
     return [
         np.ascontiguousarray(np.moveaxis(part[1:], 0, 1))
-        for part in np.split(dense, np.cumsum([len(x) for x in starts])[:-1], axis=1)
+        for part in np.split(dense, np.cumsum(sizes)[:-1], axis=1)
     ]
 
 
@@ -411,15 +417,18 @@ def evaluate_prediction(sets, mode="rollout"):
     return results
 
 
-def _finish_reports(reports, x0s, cfg, fld):
+def _finish_reports(reports, x0s, kept, cfg, fld):
     """Spectra, distances to the ideal model, and prediction evaluation from
     each report's evaluation states ``x0s``, for the reports with a model,
     each stage one :func:`_per_seed` call: the spectra of all models of all
     reports come from one :func:`edmd.generator_spectra` call, the
-    evaluation truths of all reports from one RK4 batch and their
-    predictions from one :func:`edmd.predict_models` call."""
-    evaluated = [report for report in reports if report.models]
-    x0s = [x0 for report, x0 in zip(reports, x0s) if report.models]
+    evaluation truths of all reports from at most two RK4 batches and their
+    predictions from one :func:`edmd.predict_models` call. A report whose
+    truths rode the sampling pass continues from the states it ``kept``
+    there; one whose ``kept`` is None integrates its truths from t = 0."""
+    fitted = [i for i, report in enumerate(reports) if report.models]
+    evaluated = [reports[i] for i in fitted]
+    x0s, kept = [x0s[i] for i in fitted], [kept[i] for i in fitted]
 
     def spectra(idx):
         own = [evaluated[i] for i in idx]
@@ -439,7 +448,12 @@ def _finish_reports(reports, x0s, cfg, fld):
     _per_seed(evaluated, "spectra", spectra)
 
     def evaluate(idx):
-        truths = _eval_truths(fld, [x0s[i] for i in idx], cfg.horizon, cfg.T_s)
+        truths = {}
+        for own in ([i for i in idx if kept[i] is None], [i for i in idx if kept[i] is not None]):
+            if own:
+                starts = [x0s[i] if kept[i] is None else kept[i] for i in own]
+                truths.update(zip(own, _eval_truths(fld, starts, cfg.horizon, cfg.T_s)))
+        truths = [truths[i] for i in idx]
         sets = [(evaluated[i].models, x0s[i], truth) for i, truth in zip(idx, truths)]
         return list(zip(truths, evaluate_prediction(sets, cfg.prediction_mode)))
 
@@ -476,13 +490,18 @@ def _methods(cfg):
     return methods + [_Method("ideal", "fit_ideal", 1, t_s, t_s, False)]
 
 
-def _run_seeds(cfg, seeds):
+def _run_seeds(cfg, seeds, halves=None):
     """The pipeline of the configured mode on each seed, one stage at a time
-    across the seeds: one RK4 batch samples every seed's ensemble, each fit
-    stacks every seed's problem, each estimate of a component at a target
-    stacks every seed's matrix exponential, one RK4 batch integrates every
-    evaluation truth and one prediction call advances every model, each
+    across the seeds: one RK4 pass samples every seed's ensemble and
+    advances its evaluation states (:func:`_sample`), each fit stacks every
+    seed's problem, each estimate of a component at a target stacks every
+    seed's matrix exponential, the evaluation truths continue from where
+    the pass left them and one prediction call advances every model, each
     stage under the replay rule of :func:`_per_seed`.
+
+    With a list ``halves`` (a single-state sweep), the pass also samples
+    each seed's noise-floor halves, and ``halves`` receives per seed the
+    pair, or None where they did not ride.
 
     Each method of :func:`_methods` is fit in its own stage, and all are
     evaluated. Stage failures are recorded in each seed's report (with the
@@ -506,21 +525,30 @@ def _run_seeds(cfg, seeds):
         )
         for seed in seeds
     ]
-    _sample_and_fit(cfg, fld, dictionary, reports)  # its ensembles are freed on return
-    _finish_reports(reports, x0s, cfg, fld)
+    # its ensembles are freed on return; what rode its pass is kept
+    riders = _sample_and_fit(cfg, fld, dictionary, reports, x0s, halves is not None)
+    if halves is not None:
+        halves += [pair for _, pair in riders]
+    _finish_reports(reports, x0s, [kept for kept, _ in riders], cfg, fld)
     return reports
 
 
-def _sample_and_fit(cfg, fld, dictionary, reports):
+def _sample_and_fit(cfg, fld, dictionary, reports, x0s, floors):
     """Sample every report's ensemble, and its full-state twin for the ideal
-    baseline, in one RK4 batch, then fit each method of :func:`_methods` in
-    one stage call for all of them; the lcm models are re-expressed at T_s
-    by one stacked matrix exponential."""
+    baseline, in one RK4 pass that also carries the evaluation states
+    ``x0s`` and, if ``floors``, the noise-floor halves (:func:`_sample`),
+    then fit each method of :func:`_methods` in one stage call for all of
+    them; the lcm models are re-expressed at T_s by one stacked matrix
+    exponential. Returns per report the ``(kept, pair)`` of :func:`_sample`."""
     layouts = [derive_schedules(cfg), _full_state(fld.dim, cfg.T_s)]
     samples = _per_seed(
-        reports, "sample", lambda idx: simulate(cfg, [reports[i].seed for i in idx])
+        reports,
+        "sample",
+        lambda idx: _sample(
+            cfg, fld, [reports[i].seed for i in idx], [x0s[i] for i in idx], floors
+        ),
     )
-    sampled = [(r, ensembles) for r, ensembles in zip(reports, samples) if ensembles is not None]
+    sampled = [(r, sample[0]) for r, sample in zip(reports, samples) if sample is not None]
     group = [report for report, _ in sampled]
     for method in _methods(cfg):
         schedules, targets = layouts[method.layout], method.targets
@@ -551,6 +579,29 @@ def _sample_and_fit(cfg, fld, dictionary, reports):
         for report, model in zip(group, _per_seed(group, method.stage, fit)):
             if model is not None:
                 report.models[method.name] = model
+    return [(None, None) if sample is None else sample[1:] for sample in samples]
+
+
+def _sample(cfg, fld, seeds, x0s, floors):
+    """:func:`simulate` of ``seeds`` in one RK4 pass
+    (:func:`dynamics._sample_pass`) that also advances each seed's
+    evaluation states ``x0s`` and, if ``floors``, samples its noise-floor
+    halves (:func:`_floor_halves`). Returns per seed ``(ensembles, kept,
+    pair)``: the ensembles of :func:`simulate`, the evaluation states kept
+    at 0, T_s, ... and the two halves, each of the last two None where it
+    did not ride; its own stage then integrates it from t = 0."""
+    layouts = [derive_schedules(cfg), _full_state(fld.dim, cfg.T_s)]
+    starts = (np.concatenate(x0s), cfg.T_s / _STEPS_PER_GRID, cfg.horizon)
+    ensembles, halves, kept = dynamics._sample_pass(
+        fld, layouts, cfg.K, seeds, cfg.init_box, _floor_keys(seeds) if floors else (), starts
+    )
+    kept = (
+        [None] * len(seeds)
+        if kept is None
+        else np.split(kept, np.cumsum([len(x) for x in x0s])[:-1], axis=1)
+    )
+    pairs = [None if a is None else (a, b) for a, b in zip(halves[::2], halves[1::2])]
+    return list(zip(ensembles, kept, pairs if floors else [None] * len(seeds)))
 
 
 def run(cfg):
@@ -564,17 +615,36 @@ def ideal_noise_floor(cfg, seeds):
     """Per seed, the spectrum distance between two ideal models fit on
     disjoint ensembles, each of K trajectories from substreams disjoint from
     the seed's run with the full state at 0, T_s and 2 T_s: the scale of
-    pure sampling variation for partial-measurement spectra. One
-    :func:`sample_ensembles` call (one RK4 batch) samples the ensembles of
-    every seed, one :func:`edmd.fit_models` call fits them and one
-    :func:`edmd.generator_spectra` call takes their spectra.
+    pure sampling variation for partial-measurement spectra. It samples the
+    halves (:func:`_floor_halves`), then fits them (:func:`_noise_floors`).
     """
+    return _noise_floors(cfg, _floor_halves(cfg, seeds))
+
+
+def _floor_keys(seeds):
+    """The substream keys of each seed's two noise-floor halves, in order."""
+    return [(seed, _NOISE_FLOOR_STREAM, half) for seed in seeds for half in (1, 2)]
+
+
+def _floor_halves(cfg, seeds):
+    """Per seed, its two noise-floor halves, sampled with the full state at
+    0, T_s and 2 T_s by one :func:`sample_ensembles` call (one RK4 batch)
+    for every seed."""
     fld = system_field(cfg.system)
-    dictionary = monomial_dictionary(fld.dim, cfg.degree, cfg.include_constant)
-    full_state = _full_state(fld.dim, cfg.T_s)
-    keys = [(seed, _NOISE_FLOOR_STREAM, half) for seed in seeds for half in (1, 2)]
-    fulls = [full for (full,) in sample_ensembles(fld, [full_state], cfg.K, keys, cfg.init_box)]
-    pairs = hankel.reconstruct_states(fulls, full_state, [{}] * len(fulls), cfg.T_s)
+    layout = [_full_state(fld.dim, cfg.T_s)]
+    keys = _floor_keys(seeds)
+    fulls = [full for (full,) in sample_ensembles(fld, layout, cfg.K, keys, cfg.init_box)]
+    return list(zip(fulls[::2], fulls[1::2]))
+
+
+def _noise_floors(cfg, halves):
+    """The noise floor of each pair of ``halves``: one
+    :func:`edmd.fit_models` call fits every half and one
+    :func:`edmd.generator_spectra` call takes their spectra."""
+    n = cfg.dimension
+    dictionary = monomial_dictionary(n, cfg.degree, cfg.include_constant)
+    fulls = [full for pair in halves for full in pair]
+    pairs = hankel.reconstruct_states(fulls, _full_state(n, cfg.T_s), [{}] * len(fulls), cfg.T_s)
     spectra = edmd.generator_spectra(edmd.fit_models(pairs, dictionary))
     return [spectrum_distance(a, b) for a, b in zip(spectra[::2], spectra[1::2])]
 
@@ -582,9 +652,13 @@ def ideal_noise_floor(cfg, seeds):
 def run_sweep(cfg, seeds):
     """Run the configured pipeline across seeds and tabulate comparisons.
 
-    Seeds run in groups: each stage runs across a whole group, whose RK4
-    batches hold at most ``_BATCH_ROWS`` initial states (a larger seed runs
-    alone). Results do not depend on the grouping.
+    Seeds run in groups: each stage runs across a whole group, whose one
+    RK4 pass holds at most ``_BATCH_ROWS`` initial states (a larger seed
+    runs alone): each seed's K sampled trajectories, its evaluation states
+    and, in single-state mode, its 2 K noise-floor trajectories, which the
+    ``noise_floor`` stage fits once they have ridden the pass (a pair that
+    did not ride is sampled by that stage). Results do not depend on the
+    grouping.
 
     Returns a dict with one row per seed (spectrum distances and mean RMSE
     per method, and its number of stage errors) plus win counts of the
@@ -598,26 +672,32 @@ def run_sweep(cfg, seeds):
     multirate = cfg.mode == "multirate"
     primary = cfg.mode
     baseline = "lcm" if multirate else "ideal"
-    # a single-state seed also integrates the two K-trajectory floor halves
-    rows_per_seed = max(cfg.K if multirate else 2 * cfg.K, cfg.eval_trajectories)
+    # a single-state seed also samples the two K-trajectory floor halves
+    rows_per_seed = (cfg.K if multirate else 3 * cfg.K) + cfg.eval_trajectories
     group = max(_BATCH_ROWS // rows_per_seed, 1)
     rows, stage_errors = [], []
     spectrum_wins = rmse_wins = scored = 0
     for start in range(0, len(seeds), group):
-        reports = _run_seeds(cfg, seeds[start : start + group])
-        complete = [
-            report
-            for report in reports
+        halves = None if multirate else []
+        reports = _run_seeds(cfg, seeds[start : start + group], halves)
+        scoring = [
+            i
+            for i, report in enumerate(reports)
             if all(m in report.distances and m in report.mean_rmse for m in (primary, baseline))
         ]
+        complete = [reports[i] for i in scoring]
         if multirate:
             floors = [None] * len(complete)
         else:
-            floors = _per_seed(
-                complete,
-                "noise_floor",
-                lambda idx: ideal_noise_floor(cfg, [complete[i].seed for i in idx]),
-            )
+
+            def noise_floors(idx):
+                # halves that did not ride the sampling pass are sampled here
+                pairs = [halves[scoring[i]] for i in idx]
+                fresh = [complete[i].seed for i, pair in zip(idx, pairs) if pair is None]
+                sampled = iter(_floor_halves(cfg, fresh) if fresh else ())
+                return _noise_floors(cfg, [next(sampled) if p is None else p for p in pairs])
+
+            floors = _per_seed(complete, "noise_floor", noise_floors)
         for report, floor in zip(complete, floors):
             dist, rmse = report.distances, report.mean_rmse
             if multirate:

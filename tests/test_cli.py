@@ -164,6 +164,7 @@ def test_eval_states_beyond_the_address_space_are_a_configuration_error(
         raise AssertionError("the ensembles were sampled before the evaluation states")
 
     monkeypatch.setattr(experiments, "sample_ensembles", forbidden)
+    monkeypatch.setattr(experiments.dynamics, "_sample_pass", forbidden)
     cfg = write_config(tmp_path / "cfg.json", eval_trajectories=2**62)
     out = tmp_path / "r"
     assert main([command, "--config", str(cfg), "--out", str(out)]) == 2

@@ -3,6 +3,7 @@
 import inspect
 import itertools
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -258,6 +259,153 @@ class TestRk4Oracle:
         for x0, dense in zip(starts, stacked):
             reference = _reference_integrate(lorenz_field(), x0, 0.01, 30, every)
             np.testing.assert_array_equal(dense, reference)
+
+
+def _per_step_pass(field, x0, h, n_steps):
+    """The rule the kernel keeps: the RK4 formula, testing the state after
+    every micro-step."""
+    x = np.array(x0, dtype=float)
+    for j in range(1, n_steps + 1):
+        x = _rk4_step(field, x, h)
+        if not np.all(np.isfinite(x)):
+            raise DivergenceError(
+                f"trajectory diverged (non-finite state) at step {j}, t={j * h:.6g}"
+            )
+    return x
+
+
+def _outcome(run):
+    """The divergence message (or the final state) and every warning of
+    ``run()``, as (category, message)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = run()
+        except DivergenceError as exc:
+            result = str(exc)
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+def _refuses_non_finite(xs, outs):
+    """A constant field of 1e308, whose RK4 sum overflows in the first
+    micro-step, and which raises if it is ever handed a non-finite state."""
+    if not np.all(np.isfinite(xs[0])):
+        raise ValueError("handed a non-finite state")
+    outs[0].fill(1e308)
+
+
+def _divides_by_zero(xs, outs):
+    """x' = -x, after a division by zero into the output buffer: a divide
+    flag on every call while the state stays finite."""
+    np.reciprocal(0.0 * xs[0], outs[0])
+    np.negative(xs[0], outs[0])
+
+
+#: Divergences between two kept states: Lorenz from +-320 (step 14, with
+#: overflows then invalid values), x' = x^3 from 10 (step 2, an overflow in
+#: the field) and a field that raises on a state past the divergence (step 1).
+_DIVERGING = {
+    "lorenz": (lorenz_field(), np.random.default_rng(24).uniform(-320, 320, size=(1000, 3)), 0.01),
+    "cube": (dynamics.VectorField(1, _cube), np.array([10.0]), 1.0),
+    "refuses_non_finite": (dynamics.VectorField(1, _refuses_non_finite), np.zeros(1), 1.0),
+}
+
+
+class TestKeptStateTest:
+    """The kernel tests finiteness at kept states only, yet raises, warns
+    and fails as the per-step rule of the RK4 formula does."""
+
+    @pytest.mark.parametrize("every", [1, 3, 10])
+    @pytest.mark.parametrize("name", _DIVERGING)
+    def test_divergence_text_and_warnings_are_the_per_step_rules(self, name, every):
+        fld, x0, h = _DIVERGING[name]
+        expected = _outcome(lambda: _per_step_pass(fld, x0, h, 30))
+        got = _outcome(lambda: integrate(fld, x0, h, 30, every=every))
+        assert got == expected
+        message, caught = got
+        step = int(re.search(r"at step (\d+),", message).group(1))
+        assert every == 1 or step % every  # between two kept states
+        assert caught or name == "refuses_non_finite"
+
+    @pytest.mark.parametrize("every", [1, 3, 10])
+    def test_raising_errstate_raises_at_the_same_micro_step(self, every):
+        seen = []
+
+        def logged_cube(xs, outs):
+            seen.append(xs[0].copy())
+            np.power(xs[0], 3.0, outs[0])
+
+        fld = dynamics.VectorField(1, logged_cube)
+        with np.errstate(over="raise"):
+            with pytest.raises(FloatingPointError, match="overflow encountered in power"):
+                _per_step_pass(fld, [10.0], 1.0, 30)
+            raised_on = seen[-1]
+            seen.clear()
+            with pytest.raises(FloatingPointError, match="overflow encountered in power"):
+                integrate(fld, [10.0], 1.0, 30, every=every)
+        np.testing.assert_array_equal(seen[-1], raised_on)
+
+    @pytest.mark.parametrize("every", [1, 3, 10])
+    def test_condition_on_a_finite_state_still_warns(self, every):
+        fld = dynamics.VectorField(1, _divides_by_zero)
+        expected, expected_warnings = _outcome(
+            lambda: _reference_integrate(fld, [1.0], 0.1, 30, every)
+        )
+        got, got_warnings = _outcome(lambda: integrate(fld, [1.0], 0.1, 30, every=every))
+        np.testing.assert_array_equal(got, expected)
+        assert got_warnings == expected_warnings
+        assert got_warnings == [(RuntimeWarning, "divide by zero encountered in reciprocal")] * 120
+
+    def test_riders_keep_their_own_states_and_never_fail_the_pass(self):
+        rng = np.random.default_rng(5)
+        batch, short, long = (rng.uniform(-2, 2, size=(m, 3)) for m in (7, 4, 5))
+        alone = integrate(lorenz_field(), batch, 0.01, 90, every=10)
+        out, kept = dynamics._rk4(
+            lorenz_field(), batch[None], 0.01, 90, 10, [(short, 20), (long, 60), (long, 0)]
+        )
+        np.testing.assert_array_equal(out, alone)
+        for (x0, n_steps), own in zip([(short, 20), (long, 60), (long, 0)], kept):
+            expected = integrate(lorenz_field(), x0, 0.01, n_steps, every=10)
+            np.testing.assert_array_equal(own, expected)
+        # a rider that diverges is dropped, and the batch neither warns nor fails
+        wild = rng.uniform(-320, 320, size=(50, 3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out, kept = dynamics._rk4(
+                lorenz_field(), batch[None], 0.01, 90, 10, [(wild, 90), (short, 90)]
+            )
+        np.testing.assert_array_equal(out, alone)
+        assert kept == [None, None]
+
+    def test_continued_pass_counts_micro_steps_from_t0(self):
+        x0 = np.random.default_rng(24).uniform(-320, 320, size=(1000, 3))
+        with np.errstate(all="ignore"):
+            with pytest.raises(DivergenceError) as whole:
+                integrate(lorenz_field(), x0, 0.01, 100, every=10)
+            head = integrate(lorenz_field(), x0, 0.01, 10, every=10)
+            with pytest.raises(DivergenceError) as continued:
+                dynamics._rk4(lorenz_field(), head, 0.01, 100, 10)
+        assert str(continued.value) == str(whole.value)
+        calm = np.random.default_rng(25).uniform(-2, 2, size=(6, 3))
+        full = integrate(lorenz_field(), calm, 0.01, 60, every=10)
+        out, _ = dynamics._rk4(lorenz_field(), full[:3], 0.01, 60, 10)
+        np.testing.assert_array_equal(out, full)
+
+    def test_caller_errstate_restored_after_return_and_raise(self):
+        def handler(kind, flag):
+            pass
+
+        caller = dict(divide="raise", over="ignore", under="warn", invalid="call")
+        with np.errstate(call=handler, **caller):
+            before = np.geterr(), np.geterrcall()
+            integrate(lorenz_field(), np.ones(3), 0.01, 30, every=10)
+            assert (np.geterr(), np.geterrcall()) == before
+            with pytest.raises(DivergenceError, match="at step 2, t=2$"):
+                integrate(dynamics.VectorField(1, _cube), [10.0], 1.0, 30, every=10)
+            assert (np.geterr(), np.geterrcall()) == before
+            with pytest.raises(FloatingPointError, match="divide by zero"):
+                integrate(dynamics.VectorField(1, _divides_by_zero), [1.0], 0.1, 30, every=10)
+            assert (np.geterr(), np.geterrcall()) == before
 
 
 def _lorenz_formula(x):

@@ -8,6 +8,7 @@ acts on each row alone, so every comparison is exact, down to the bytes of
 """
 
 import json
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -85,16 +86,19 @@ def comparison_bytes(result, directory):
     return {name: (directory / name).read_bytes() for name in ("compare.csv", "compare.json")}
 
 
-def count_integrations(monkeypatch):
-    """Each integrate call as (batch shape, number of states it keeps)."""
+def count_passes(monkeypatch):
+    """Each RK4 pass as (batch shape, states it starts from, states it
+    keeps, and per rider its shape and the states it keeps, or None)."""
     calls = []
-    integrate = dynamics.integrate
+    rk4 = dynamics._rk4
 
-    def counted(field, x0, step, n_steps, every=1):
-        calls.append((np.shape(x0), n_steps // every + 1))
-        return integrate(field, x0, step, n_steps, every)
+    def counted(field, kept, step, n_steps, every, riders=()):
+        out, own = rk4(field, kept, step, n_steps, every, riders)
+        rode = [(x0.shape, None if o is None else len(o)) for (x0, _), o in zip(riders, own)]
+        calls.append((kept.shape[1:], len(kept), len(out), rode))
+        return out, own
 
-    monkeypatch.setattr(dynamics, "integrate", counted)
+    monkeypatch.setattr(dynamics, "_rk4", counted)
     return calls
 
 
@@ -148,12 +152,72 @@ def test_every_stage_fallback_keeps_its_stage():
     assert result["seeds_scored"] == 1
 
 
-def test_ten_seeds_three_integrations(monkeypatch):
-    calls = count_integrations(monkeypatch)
+def test_ten_seeds_one_sampling_pass(monkeypatch):
+    calls = count_passes(monkeypatch)
     run_sweep(ExperimentConfig(**SINGLE_STATE, K=100), range(10))
-    # samples (the 0.1 s grid to 0.9 s), evaluation truths (t = 0 and 50
-    # steps), both noise-floor halves (t = 0, T_s, 2 T_s)
-    assert calls == [((1000, 3), 10), ((100, 3), 51), ((2000, 3), 3)]
+    # one pass of the samples (the 0.1 s grid to 0.9 s: 10 states), the
+    # noise-floor halves (t = 0, T_s, 2 T_s) and the evaluation states,
+    # handed over at 0.9 s; the evaluate stage continues them to 50 steps
+    assert calls == [
+        ((1000, 3), 1, 10, [((2000, 3), 3), ((100, 3), 10)]),
+        ((100, 3), 10, 51, []),
+    ]
+
+
+#: Sweeps and the stages that integrate their riders from t = 0, alone:
+#: the clean benchmark sweep, three whose evaluation truths or floor halves
+#: diverge for some seeds, and a T_s whose micro-step 0.07 / 10 is not the
+#: float of the grid's 7/1000. Samples diverge too in the first two, so each
+#: seed samples alone, and its riders diverge with it; floor halves that
+#: diverge in the group's pass take every rider of it with them.
+STANDALONE = {
+    "clean": (dict(SINGLE_STATE, K=100), set()),
+    "single_eval_diverging": (
+        dict(SINGLE_STATE, K=12, eval_trajectories=40, init_box=[(-330.0, 330.0)] * 3),
+        {"evaluate"},
+    ),
+    "multirate_eval_diverging": (
+        dict(MULTIRATE, K=12, eval_trajectories=40, init_box=[(-330.0, 330.0)] * 3),
+        {"evaluate"},
+    ),
+    "single_floor_diverging": (
+        dict(SINGLE_STATE, K=12, eval_trajectories=1, init_box=[(-325.0, 325.0)] * 3),
+        {"evaluate", "noise_floor"},
+    ),
+    "single_ts007": (dict(SINGLE_STATE, K=100, T_s=0.07), {"evaluate"}),
+}
+
+
+@pytest.mark.parametrize("name", STANDALONE)
+def test_riders_left_to_their_own_stage(monkeypatch, name):
+    config, expected = STANDALONE[name]
+    taken = set()
+    eval_truths, floor_halves = experiments._eval_truths, experiments._floor_halves
+
+    def truths_from_t0(fld, starts, horizon, step):
+        if any(np.ndim(x0) == 2 for x0 in starts):
+            taken.add("evaluate")
+        return eval_truths(fld, starts, horizon, step)
+
+    def halves_alone(cfg, seeds):
+        taken.add("noise_floor")
+        return floor_halves(cfg, seeds)
+
+    monkeypatch.setattr(experiments, "_eval_truths", truths_from_t0)
+    monkeypatch.setattr(experiments, "_floor_halves", halves_alone)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        run_sweep(ExperimentConfig(**config), range(10))
+    assert taken == expected
+
+
+def test_floor_halves_never_change_the_sample_stage_error():
+    # the seed's draw with its floor halves cannot be held, nor the seed's
+    # own: the error names the seed's draw alone, as a one-seed run does
+    result = run_sweep(ExperimentConfig(**SINGLE_STATE, K=2**60), [0])
+    (error,) = result["stage_errors"]
+    assert error["stage"] == "sample"
+    assert error["message"].startswith(f"cannot allocate the initial states: 1 x K={2**60} ")
 
 
 #: Configs whose joint fits warn or fail for some seeds, so that their stages
@@ -186,15 +250,20 @@ def single_state_sweep():
     return cfg, run_sweep(cfg, range(10))
 
 
-@pytest.mark.parametrize("budget, groups", [(150, 10), (450, 5), (1000, 2)])
-def test_row_budget_groups_whole_seeds(monkeypatch, single_state_sweep, budget, groups):
-    # a seed integrates 200 rows for its floor; one over the budget runs alone
+@pytest.mark.parametrize("budget, groups", [(150, 10), (700, 5), (1000, 4)])
+def test_row_budget_counts_every_row_of_the_pass(
+    monkeypatch, single_state_sweep, budget, groups
+):
+    # a seed's pass holds 3 K + E = 310 rows: its samples, its two floor
+    # halves and its evaluation states; one over the budget runs alone
     cfg, expected = single_state_sweep
     monkeypatch.setattr(experiments, "_BATCH_ROWS", budget)
-    calls = count_integrations(monkeypatch)
+    calls = count_passes(monkeypatch)
     assert run_sweep(cfg, range(10)) == expected
-    assert len(calls) == 3 * groups
-    assert max(shape[0] for shape, _ in calls) <= max(budget, 200)
+    passes = [(batch, rode) for batch, _, _, rode in calls if rode]
+    assert len(passes) == groups and len(calls) == 2 * groups
+    rows = [batch[0] + sum(shape[0] for shape, _ in rode) for batch, rode in passes]
+    assert max(rows) <= max(budget, 310)
 
 
 @pytest.mark.parametrize(

@@ -81,6 +81,9 @@ COMMANDS = [
     ],
     ("single_k5", "single-state", {**_SINGLE, "K": 5}, []),  # 1
     ("single_fine", "single-state", _SINGLE_FINE, []),
+    # 0.07 / 10 is not the float of the grid's micro-step 7/1000, so the
+    # evaluation truths take their own pass
+    ("single_ts007", "single-state", {**_SINGLE, "T_s": 0.07, "K": 100}, []),
     ("compare_single_k100", "compare", {**_SINGLE, "K": 100}, ["--num-seeds", "10"]),
     ("compare_multirate_k300", "compare", {**_MULTIRATE, "K": 300}, ["--num-seeds", "10"]),
     # groups of 4, 4 and 2 seeds whose joint lcm fits run clean, so they are written
@@ -102,6 +105,27 @@ COMMANDS = [
         "compare_single_diverging",
         "compare",
         {**_SINGLE, "K": 30, "init_box": [[-320.0, 320.0]] * 3},
+        ["--num-seeds", "10"],
+    ),  # 1
+    # seeds 0, 1, 4 and 9 fail only in stage evaluate: their evaluation
+    # truths diverge, their samples do not
+    (
+        "compare_single_eval_diverging",
+        "compare",
+        {**_SINGLE, "K": 12, "eval_trajectories": 40, "init_box": [[-330.0, 330.0]] * 3},
+        ["--num-seeds", "10"],
+    ),  # 1
+    (
+        "compare_multirate_eval_diverging",
+        "compare",
+        {**_MULTIRATE, "K": 12, "eval_trajectories": 40, "init_box": [[-330.0, 330.0]] * 3},
+        ["--num-seeds", "10"],
+    ),  # 1
+    # seeds 4, 6 and 7 fail only in stage noise_floor
+    (
+        "compare_single_floor_diverging",
+        "compare",
+        {**_SINGLE, "K": 12, "eval_trajectories": 1, "init_box": [[-325.0, 325.0]] * 3},
         ["--num-seeds", "10"],
     ),  # 1
     # the sampling stage's divergence message and the field's warning lines,
