@@ -10,10 +10,11 @@ integrated states, never interpolations. Only the states on the sample grid
 samples are copied out of them.
 """
 
+import contextvars
 import inspect
 import itertools
 import math
-from contextlib import suppress
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -192,8 +193,31 @@ def integrate(field, x0, step, n_steps, every=1):
         raise ConfigurationError(
             f"x0 has dimension {x.shape[-1]}, field expects {field.dim}"
         )
-    out, _ = _rk4(field, x[None], step, n_steps, every)
+    kept, riders, results = _SHARED.get() or (None, (), [])
+    _SHARED.set(None)  # the first call takes them; one the field makes shares nothing
+    out, own = _rk4(field, x[None] if kept is None else kept, step, n_steps, every, riders)
+    results += own
     return out
+
+
+#: What the next :func:`integrate` call of this context shares (see :func:`_shared`).
+_SHARED = contextvars.ContextVar("_SHARED", default=None)
+
+
+@contextmanager
+def _shared(kept=None, riders=()):
+    """Let the first :func:`integrate` call in the block continue from the
+    states ``kept`` so far (see :func:`_rk4`; ``kept[0]`` is its ``x0``)
+    rather than from t = 0, and carry ``riders`` through its pass. Yields
+    the list that receives, per rider, its kept states or None. Neither
+    changes the call's result, errors or warnings, so a pipeline's RK4
+    passes stay calls of :func:`integrate`."""
+    results = []
+    token = _SHARED.set((kept, riders, results))
+    try:
+        yield results
+    finally:
+        _SHARED.reset(token)
 
 
 def _rk4(field, kept, step, n_steps, every, riders=()):
@@ -208,7 +232,9 @@ def _rk4(field, kept, step, n_steps, every, riders=()):
     kept state n_steps_i // every, at most the batch's last. A rider cannot
     fail the pass: a block that needs taking again (see :func:`integrate`)
     drops every rider in it, and is taken again for the batch's rows alone,
-    as if they had never ridden; a rider that cannot be held does not ride.
+    as if they had never ridden. A rider whose kept states cannot be held
+    does not ride, and none rides if their rows cannot be held next to the
+    batch's.
     Only a rider that leaves the pass clean has its kept states returned.
     """
     rows = n_steps // every + 1
@@ -237,8 +263,14 @@ def _rk4(field, kept, step, n_steps, every, riders=()):
             riding.append((index, own, hi, hi + len(states)))
             hi += len(states)
     if riding:
-        start = np.concatenate([start] + [own[0] for _, own, _, _ in riding])
-    x, advance = _stepper(field, start, step)
+        try:
+            x, advance = _stepper(
+                field, np.concatenate([start] + [own[0] for _, own, _, _ in riding]), step
+            )
+        except (MemoryError, ValueError):  # ValueError: beyond the address space
+            riding = []
+    if not riding:
+        x, advance = _stepper(field, start, step)
     del start  # the pass's states live in x alone
     quiet = {kind: "ignore" if mode == "ignore" else "call" for kind, mode in np.geterr().items()}
     recorded = []
@@ -567,20 +599,16 @@ def sample_ensembles(field, layouts, n_traj, seeds, init_box=None):
     The sample grid holds every sample time of every layout, so the seeds
     share it. Its refinement limit (:func:`common_micro_step`) is set by the
     smallest period of the first layout: the others only add their times.
-    A pipeline's sampling pass is this call with more rows riding its RK4
-    pass (:func:`_sample_pass`), which leave its ensembles as they are.
+    This is :func:`_sample_pass` with no rows riding its RK4 pass; rows
+    that ride a pipeline's pass leave its ensembles as they are.
     """
-    n_traj, box = _check_sampling(field, layouts, n_traj, init_box)
-    x0s = _substream_uniform(seeds, n_traj, box)
-    h, g, n_steps = _sample_grid(layouts)
-    dense = integrate(field, x0s.reshape(-1, field.dim), float(h), n_steps, every=_STEPS_PER_GRID)
-    return _ensembles(dense, layouts, g, n_traj)
+    return _sample_pass(field, layouts, n_traj, seeds, init_box)[0]
 
 
 def _sample_pass(field, layouts, n_traj, seeds, init_box=None, brief=(), starts=None):
-    """:func:`sample_ensembles` of ``seeds``, whose one RK4 pass
-    (:func:`_rk4`) also carries two kinds of riders, each where its own
-    micro-step is the pass's:
+    """:func:`sample_ensembles` of ``seeds``, whose one RK4 pass, an
+    :func:`integrate` call, also carries two kinds of riders
+    (:func:`_shared`), each where its own micro-step is the pass's:
 
     - ``brief``, more keys, each sampled on ``layouts[-1]`` alone, from
       initial states drawn in the seeds' call; a draw that the seeds alone
@@ -611,8 +639,10 @@ def _sample_pass(field, layouts, n_traj, seeds, init_box=None, brief=(), starts=
     if starts is not None and starts[1] == float(h):
         starts_at = len(riders)
         riders.append((starts[0], _STEPS_PER_GRID * min(starts[2], n_steps // _STEPS_PER_GRID)))
-    seed_x0s = x0s[: len(seeds)].reshape(1, -1, field.dim)
-    dense, kept = _rk4(field, seed_x0s, float(h), n_steps, _STEPS_PER_GRID, riders)
+    with _shared(riders=riders) as kept:
+        dense = integrate(
+            field, x0s[: len(seeds)].reshape(-1, field.dim), float(h), n_steps, _STEPS_PER_GRID
+        )
     brief_ensembles = [None] * n_brief
     if brief_at is not None and kept[brief_at] is not None:
         brief_ensembles = [own for (own,) in _ensembles(kept[brief_at], layouts[-1:], g, n_traj)]

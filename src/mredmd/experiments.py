@@ -323,19 +323,24 @@ def _full_state(n, t_s):
     return [SamplingSchedule(i, 0.0, t_s, 2) for i in range(n)]
 
 
+def _layouts(cfg):
+    """The layouts a run of ``cfg`` samples: the config's schedules
+    (:func:`derive_schedules`) and the full state at 0, T_s and 2 T_s."""
+    return [derive_schedules(cfg), _full_state(cfg.dimension, cfg.T_s)]
+
+
 def simulate(cfg, seeds):
     """The data a run of ``cfg`` fits, for each of ``seeds``.
 
     Returns, per seed, ``(ensemble, full)``: the K trajectories sampled on
     the config's schedules (:func:`derive_schedules`) and the same
     trajectories sampled in full at 0, T_s and 2 T_s, the ideal baseline's
-    data. One :func:`sample_ensembles` call samples both layouts of every
-    seed on the grid they share, so ``ensemble`` is bit for bit what
-    :func:`run` fits and what ``mredmd simulate`` exports.
+    data. One RK4 pass (:func:`_sample`, with nothing riding it) samples
+    both layouts of every seed on the grid they share, so ``ensemble`` is
+    bit for bit what :func:`run` fits and what ``mredmd simulate`` exports.
     """
     fld = system_field(cfg.system)
-    layouts = [derive_schedules(cfg), _full_state(fld.dim, cfg.T_s)]
-    return sample_ensembles(fld, layouts, cfg.K, seeds, init_box=cfg.init_box)
+    return [ensembles for ensembles, _, _ in _sample(cfg, fld, _layouts(cfg), seeds)]
 
 
 def _eval_initial_conditions(cfg, seed, n):
@@ -359,7 +364,8 @@ def _eval_truths(fld, starts, horizon, step):
     one call have one k, and micro-steps count from t = 0."""
     m = _STEPS_PER_GRID
     kept = np.concatenate([np.reshape(x, (-1,) + np.shape(x)[-2:]) for x in starts], axis=1)
-    dense, _ = dynamics._rk4(fld, kept, step / m, horizon * m, m)
+    with dynamics._shared(kept=kept):
+        dense = dynamics.integrate(fld, kept[0], step / m, horizon * m, every=m)
     sizes = [np.shape(x)[-2] for x in starts]
     return [
         np.ascontiguousarray(np.moveaxis(part[1:], 0, 1))
@@ -490,7 +496,7 @@ def _methods(cfg):
     return methods + [_Method("ideal", "fit_ideal", 1, t_s, t_s, False)]
 
 
-def _run_seeds(cfg, seeds, halves=None):
+def _run_seeds(cfg, seeds, floors=False):
     """The pipeline of the configured mode on each seed, one stage at a time
     across the seeds: one RK4 pass samples every seed's ensemble and
     advances its evaluation states (:func:`_sample`), each fit stacks every
@@ -499,9 +505,9 @@ def _run_seeds(cfg, seeds, halves=None):
     the pass left them and one prediction call advances every model, each
     stage under the replay rule of :func:`_per_seed`.
 
-    With a list ``halves`` (a single-state sweep), the pass also samples
-    each seed's noise-floor halves, and ``halves`` receives per seed the
-    pair, or None where they did not ride.
+    With ``floors`` (a single-state sweep), the pass also samples each
+    seed's noise-floor halves. Returns the reports and, per seed, its pair
+    of halves, or None where they did not ride or were not asked for.
 
     Each method of :func:`_methods` is fit in its own stage, and all are
     evaluated. Stage failures are recorded in each seed's report (with the
@@ -526,11 +532,9 @@ def _run_seeds(cfg, seeds, halves=None):
         for seed in seeds
     ]
     # its ensembles are freed on return; what rode its pass is kept
-    riders = _sample_and_fit(cfg, fld, dictionary, reports, x0s, halves is not None)
-    if halves is not None:
-        halves += [pair for _, pair in riders]
+    riders = _sample_and_fit(cfg, fld, dictionary, reports, x0s, floors)
     _finish_reports(reports, x0s, [kept for kept, _ in riders], cfg, fld)
-    return reports
+    return reports, [pair for _, pair in riders]
 
 
 def _sample_and_fit(cfg, fld, dictionary, reports, x0s, floors):
@@ -540,12 +544,12 @@ def _sample_and_fit(cfg, fld, dictionary, reports, x0s, floors):
     then fit each method of :func:`_methods` in one stage call for all of
     them; the lcm models are re-expressed at T_s by one stacked matrix
     exponential. Returns per report the ``(kept, pair)`` of :func:`_sample`."""
-    layouts = [derive_schedules(cfg), _full_state(fld.dim, cfg.T_s)]
+    layouts = _layouts(cfg)
     samples = _per_seed(
         reports,
         "sample",
         lambda idx: _sample(
-            cfg, fld, [reports[i].seed for i in idx], [x0s[i] for i in idx], floors
+            cfg, fld, layouts, [reports[i].seed for i in idx], [x0s[i] for i in idx], floors
         ),
     )
     sampled = [(r, sample[0]) for r, sample in zip(reports, samples) if sample is not None]
@@ -582,32 +586,33 @@ def _sample_and_fit(cfg, fld, dictionary, reports, x0s, floors):
     return [(None, None) if sample is None else sample[1:] for sample in samples]
 
 
-def _sample(cfg, fld, seeds, x0s, floors):
-    """:func:`simulate` of ``seeds`` in one RK4 pass
-    (:func:`dynamics._sample_pass`) that also advances each seed's
-    evaluation states ``x0s`` and, if ``floors``, samples its noise-floor
-    halves (:func:`_floor_halves`). Returns per seed ``(ensembles, kept,
-    pair)``: the ensembles of :func:`simulate`, the evaluation states kept
+def _sample(cfg, fld, layouts, seeds, x0s=None, floors=False):
+    """The ensembles of ``seeds`` on ``layouts`` (:func:`_layouts`), sampled
+    in one RK4 pass (:func:`dynamics._sample_pass`) that also advances each
+    seed's evaluation states ``x0s``, if given, and, if ``floors``, samples
+    its noise-floor halves (:func:`_floor_halves`). Returns per seed
+    ``(ensembles, kept, pair)``: the ensembles, the evaluation states kept
     at 0, T_s, ... and the two halves, each of the last two None where it
     did not ride; its own stage then integrates it from t = 0."""
-    layouts = [derive_schedules(cfg), _full_state(fld.dim, cfg.T_s)]
-    starts = (np.concatenate(x0s), cfg.T_s / _STEPS_PER_GRID, cfg.horizon)
+    starts = None
+    if x0s is not None:
+        starts = (np.concatenate(x0s), cfg.T_s / _STEPS_PER_GRID, cfg.horizon)
     ensembles, halves, kept = dynamics._sample_pass(
         fld, layouts, cfg.K, seeds, cfg.init_box, _floor_keys(seeds) if floors else (), starts
     )
     kept = (
-        [None] * len(seeds)
+        [None] * len(ensembles)
         if kept is None
         else np.split(kept, np.cumsum([len(x) for x in x0s])[:-1], axis=1)
     )
     pairs = [None if a is None else (a, b) for a, b in zip(halves[::2], halves[1::2])]
-    return list(zip(ensembles, kept, pairs if floors else [None] * len(seeds)))
+    return list(zip(ensembles, kept, pairs or [None] * len(ensembles)))
 
 
 def run(cfg):
     """Run the pipeline of the configured mode on the config's seed (see
     :func:`_run_seeds`, of which this is the one-seed case)."""
-    (report,) = _run_seeds(cfg, [cfg.seed])
+    (report,), _ = _run_seeds(cfg, [cfg.seed])
     return report
 
 
@@ -678,8 +683,7 @@ def run_sweep(cfg, seeds):
     rows, stage_errors = [], []
     spectrum_wins = rmse_wins = scored = 0
     for start in range(0, len(seeds), group):
-        halves = None if multirate else []
-        reports = _run_seeds(cfg, seeds[start : start + group], halves)
+        reports, halves = _run_seeds(cfg, seeds[start : start + group], not multirate)
         scoring = [
             i
             for i, report in enumerate(reports)

@@ -360,7 +360,7 @@ def test_group_reconstruction_is_the_per_seed_loop(monkeypatch):
         return estimates
 
     monkeypatch.setattr(hankel, "_estimate_sets", warn_for_seed_3)
-    group = experiments._run_seeds(SINGLE_STATE, range(10))
+    group, _ = experiments._run_seeds(SINGLE_STATE, range(10))
     # component 0 at t=0.3, then component 1 at t=0.3 warns; 4 estimates per seed alone
     assert stacked == [10, 10] + [1] * 40
     alone = [experiments.run(replace(SINGLE_STATE, seed=seed)) for seed in range(10)]

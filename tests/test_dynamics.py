@@ -377,19 +377,46 @@ class TestKeptStateTest:
         np.testing.assert_array_equal(out, alone)
         assert kept == [None, None]
 
+    def test_riders_that_cannot_be_held_with_the_batch_do_not_ride(self, monkeypatch):
+        rng = np.random.default_rng(6)
+        batch, rider = rng.uniform(-2, 2, size=(7, 3)), rng.uniform(-2, 2, size=(5, 3))
+        alone = integrate(lorenz_field(), batch, 0.01, 90, every=10)
+        stepper = dynamics._stepper
+
+        def batch_rows_only(field, state, step):
+            if len(state) > len(batch):
+                raise MemoryError
+            return stepper(field, state, step)
+
+        monkeypatch.setattr(dynamics, "_stepper", batch_rows_only)
+        out, kept = dynamics._rk4(lorenz_field(), batch[None], 0.01, 90, 10, [(rider, 90)])
+        np.testing.assert_array_equal(out, alone)
+        assert kept == [None]
+
     def test_continued_pass_counts_micro_steps_from_t0(self):
         x0 = np.random.default_rng(24).uniform(-320, 320, size=(1000, 3))
         with np.errstate(all="ignore"):
             with pytest.raises(DivergenceError) as whole:
                 integrate(lorenz_field(), x0, 0.01, 100, every=10)
             head = integrate(lorenz_field(), x0, 0.01, 10, every=10)
-            with pytest.raises(DivergenceError) as continued:
-                dynamics._rk4(lorenz_field(), head, 0.01, 100, 10)
+            with pytest.raises(DivergenceError) as continued, dynamics._shared(kept=head):
+                integrate(lorenz_field(), x0, 0.01, 100, every=10)
         assert str(continued.value) == str(whole.value)
         calm = np.random.default_rng(25).uniform(-2, 2, size=(6, 3))
         full = integrate(lorenz_field(), calm, 0.01, 60, every=10)
-        out, _ = dynamics._rk4(lorenz_field(), full[:3], 0.01, 60, 10)
-        np.testing.assert_array_equal(out, full)
+        with dynamics._shared(kept=full[:3]):
+            np.testing.assert_array_equal(integrate(lorenz_field(), calm, 0.01, 60, 10), full)
+
+    def test_only_the_first_call_in_the_block_shares(self):
+        rng = np.random.default_rng(7)
+        batch, rider = rng.uniform(-2, 2, size=(7, 3)), rng.uniform(-2, 2, size=(5, 3))
+        alone = integrate(lorenz_field(), batch, 0.01, 90, every=10)
+        with dynamics._shared(riders=[(rider, 40)]) as kept:
+            np.testing.assert_array_equal(integrate(lorenz_field(), batch, 0.01, 90, 10), alone)
+            np.testing.assert_array_equal(integrate(lorenz_field(), batch, 0.01, 90, 10), alone)
+        (own,) = kept
+        np.testing.assert_array_equal(own, integrate(lorenz_field(), rider, 0.01, 40, 10))
+        assert dynamics._SHARED.get() is None
 
     def test_caller_errstate_restored_after_return_and_raise(self):
         def handler(kind, flag):

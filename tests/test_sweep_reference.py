@@ -164,6 +164,21 @@ def test_ten_seeds_one_sampling_pass(monkeypatch):
     ]
 
 
+def test_every_pass_is_an_integrate_call(monkeypatch):
+    # a tracer that rebinds the public integrate sees every pass of the sweep
+    shapes = []
+    integrate = dynamics.integrate
+
+    def traced(field, x0, step, n_steps, every=1):
+        out = integrate(field, x0, step, n_steps, every)
+        shapes.append(out.shape)
+        return out
+
+    monkeypatch.setattr(dynamics, "integrate", traced)
+    run_sweep(ExperimentConfig(**SINGLE_STATE, K=100), range(10))
+    assert shapes == [(10, 1000, 3), (51, 100, 3)]
+
+
 #: Sweeps and the stages that integrate their riders from t = 0, alone:
 #: the clean benchmark sweep, three whose evaluation truths or floor halves
 #: diverge for some seeds, and a T_s whose micro-step 0.07 / 10 is not the
@@ -236,7 +251,7 @@ FALLBACKS = {
 def test_fallback_reports_warn_and_fail_as_one_seed_runs(name):
     cfg = ExperimentConfig(**FALLBACKS[name])
     with np.errstate(all="ignore"):
-        reports = experiments._run_seeds(cfg, range(10))
+        reports, _ = experiments._run_seeds(cfg, range(10))
         alone = [run(replace(cfg, seed=seed)) for seed in range(10)]
     assert any(report.warnings or report.errors for report in alone)
     for report, expected in zip(reports, alone):
@@ -264,6 +279,27 @@ def test_row_budget_counts_every_row_of_the_pass(
     assert len(passes) == groups and len(calls) == 2 * groups
     rows = [batch[0] + sum(shape[0] for shape, _ in rode) for batch, rode in passes]
     assert max(rows) <= max(budget, 310)
+
+
+def test_riders_that_cannot_be_held_leave_the_sweep_as_it_is(monkeypatch, single_state_sweep):
+    # the group's 3,100 joined rows cannot be held: its 1,000 sample rows
+    # pass alone, and the evaluate and noise_floor stages take their own
+    cfg, expected = single_state_sweep
+    stepper = dynamics._stepper
+
+    def at_most_2000_rows(field, state, step):
+        if len(state) > 2000:
+            raise MemoryError
+        return stepper(field, state, step)
+
+    monkeypatch.setattr(dynamics, "_stepper", at_most_2000_rows)
+    calls = count_passes(monkeypatch)
+    assert run_sweep(cfg, range(10)) == expected
+    assert calls == [
+        ((1000, 3), 1, 10, [((2000, 3), None), ((100, 3), None)]),
+        ((100, 3), 1, 51, []),
+        ((2000, 3), 1, 3, []),
+    ]
 
 
 @pytest.mark.parametrize(
